@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +47,7 @@ __all__ = [
     "MaterialModel",
     "BoundaryCondition",
     "QuadratureSet",
+    "StandardStiffness",
     "DofLayout",
     "LinearSystem",
     "SolutionState",
@@ -149,10 +151,6 @@ class QuadratureSet:
             cut=gauss_rule(cut),
             tip=gauss_rule(n * n),
         )
-
-    @classmethod
-    def default(cls, cut_points: int = 35, tip_points: int = 40) -> "QuadratureSet":
-        return cls.from_targets(4, cut_points, tip_points)
 
 
 @dataclass(frozen=True)
@@ -332,34 +330,60 @@ def _element_matrix(B: np.ndarray, D: np.ndarray, wdet: np.ndarray) -> np.ndarra
     return np.einsum("qri,rs,qsj,q->ij", B, D, B, wdet, optimize=True)
 
 
-def _standard_pass(mesh: Mesh, D: np.ndarray, rule: QuadratureRule):
-    """Vectorized 2x2 standard-field stiffness of every element."""
-    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
-    xy = mesh.element_coords()  # (m, 4, 2)
-    J = np.einsum("mia,qib->mqab", xy, dref)
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[..., 0, 0] = J[..., 1, 1] / det
-    Jinv[..., 0, 1] = -J[..., 0, 1] / det
-    Jinv[..., 1, 0] = -J[..., 1, 0] / det
-    Jinv[..., 1, 1] = J[..., 0, 0] / det
-    dN = np.einsum("qib,mqba->mqia", dref, Jinv)  # (m, q, 4, 2)
-    m, nq = det.shape
-    B = np.zeros((m, nq, 3, 8))
-    B[..., 0, 0::2] = dN[..., 0]
-    B[..., 1, 1::2] = dN[..., 1]
-    B[..., 2, 0::2] = dN[..., 1]
-    B[..., 2, 1::2] = dN[..., 0]
-    wdet = rule.weights[None, :] * det
-    K = np.einsum("mqri,rs,mqsj,mq->mij", B, D, B, wdet, optimize=True)
-    return K
+@dataclass(frozen=True, eq=False)
+class StandardStiffness:
+    """Plain-rule stiffness of every element and its COO pattern.
 
+    It depends only on the mesh, the material and the standard rule, none
+    of which changes while a crack grows, so a run builds one and passes
+    it to :func:`assemble` at every load step.  The arrays are computed on
+    first use.
+    """
 
-def _cont_dofs_all(mesh: Mesh) -> np.ndarray:
-    d = np.empty((mesh.n_elements, 8), dtype=np.int64)
-    d[:, 0::2] = 2 * mesh.elements
-    d[:, 1::2] = 2 * mesh.elements + 1
-    return d
+    mesh: Mesh
+    material: MaterialModel
+    rule: QuadratureRule
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """Element stiffness of the standard field, shape (m, 8, 8)."""
+        rule = self.rule
+        values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
+        xy = self.mesh.element_coords()  # (m, 4, 2)
+        J = np.einsum("mia,qib->mqab", xy, dref)
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        Jinv = np.empty_like(J)
+        Jinv[..., 0, 0] = J[..., 1, 1] / det
+        Jinv[..., 0, 1] = -J[..., 0, 1] / det
+        Jinv[..., 1, 0] = -J[..., 1, 0] / det
+        Jinv[..., 1, 1] = J[..., 0, 0] / det
+        dN = np.einsum("qib,mqba->mqia", dref, Jinv)  # (m, q, 4, 2)
+        m, nq = det.shape
+        B = np.zeros((m, nq, 3, 8))
+        B[..., 0, 0::2] = dN[..., 0]
+        B[..., 1, 1::2] = dN[..., 1]
+        B[..., 2, 0::2] = dN[..., 1]
+        B[..., 2, 1::2] = dN[..., 0]
+        wdet = rule.weights[None, :] * det
+        D = elasticity_matrix(self.material)
+        return np.einsum("mqri,rs,mqsj,mq->mij", B, D, B, wdet, optimize=True)
+
+    @cached_property
+    def dofs(self) -> np.ndarray:
+        """Standard dofs of every element, shape (m, 8), in matrix order."""
+        d = np.empty((self.mesh.n_elements, 8), dtype=np.int64)
+        d[:, 0::2] = 2 * self.mesh.elements
+        d[:, 1::2] = 2 * self.mesh.elements + 1
+        return d
+
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """Global (rows, cols) of every entry of ``matrices``, flattened.
+
+        Expanded from :attr:`dofs` on each call rather than kept: the two
+        index arrays are eight times its size.
+        """
+        dofs = self.dofs
+        return np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, (1, 8)).ravel()
 
 
 def _crossing_params(pa: np.ndarray, pb: np.ndarray, crack) -> list[float]:
@@ -389,7 +413,7 @@ def _traction_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
     piecewise-constant jump factor is integrated exactly.
     """
     gp, gw = np.polynomial.legendre.leggauss(6)
-    boundary = mesh.boundary_edges()
+    boundary = mesh.boundary_edges.tolist()
     for bc in bcs:
         if bc.kind != "traction":
             continue
@@ -460,32 +484,36 @@ def _body_force_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout
 
 
 def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
-             rules: QuadratureSet | None = None, bcs=()) -> LinearSystem:
+             rules: QuadratureSet | None = None, bcs=(),
+             standard: StandardStiffness | None = None) -> LinearSystem:
     """Build the global stiffness, load vector, and prescribed-value map.
 
     Traction conditions enter the load vector here; displacement
     conditions populate ``fixed`` (standard dof values, plus zeros on all
     enrichment dofs of constrained nodes — the constrained boundary is
     assumed uncracked).  Apply them with :func:`apply_constraints`.
+    ``standard`` is the mesh's plain-rule stiffness for this material and
+    ``rules.standard``; it is built here when not given.
     """
-    rules = rules if rules is not None else QuadratureSet.default()
+    rules = rules if rules is not None else QuadratureSet.from_targets()
+    if standard is None:
+        standard = StandardStiffness(mesh, material, rules.standard)
+    elif (standard.mesh is not mesh or standard.material != material
+          or standard.rule is not rules.standard):
+        raise AssemblyError(
+            "standard stiffness was built for another mesh, material or rule")
     layout = DofLayout.build(emap)
     D = elasticity_matrix(material)
     kinds = emap.element_kinds(mesh)
 
-    K_std = _standard_pass(mesh, D, rules.standard)
-    cont_dofs = _cont_dofs_all(mesh)
-    rows = [np.repeat(cont_dofs, 8, axis=1).ravel()]
-    cols = [np.tile(cont_dofs, (1, 8)).ravel()]
-    data = [K_std.ravel()]
+    K_std = standard.matrices
+    std_rows, std_cols = standard.pattern()
+    rows, cols, data = [std_rows], [std_cols], [K_std.ravel()]
 
     # Correct cut/tip elements: replace their whole block with the
     # elevated-rule integral over all coupled fields.
-    for eid in range(mesh.n_elements):
-        kind = int(kinds[eid])
-        if kind < 2:
-            continue
-        rule = rules.cut if kind == 2 else rules.tip
+    for eid in np.nonzero(kinds >= 2)[0].tolist():
+        rule = rules.cut if kinds[eid] == 2 else rules.tip
         xy = mesh.nodes[mesh.elements[eid]]
         values, dN, wdet, phys = _element_geometry(xy, rule)
         # A cut element whose quadrature points all sample one side (the

@@ -157,13 +157,8 @@ def _cmd_propagate(args) -> int:
         log(f"[solve] step {rec.step}: load factor {rec.load_factor:.6g}, "
             f"{len(rec.extensions)} extension(s), residual {rec.residual:.3e}")
     directory = _out_dir(args, config)
-    if history.steps:
-        problem = setup_problem(config, cracks=history.steps[-1].cracks)
-        state = history.final_state
-    else:
-        problem = setup_problem(config)
-        state = None
-    _emit_artifacts(config, problem, state, history, directory, log)
+    _emit_artifacts(config, history.final_problem, history.final_state,
+                    history, directory, log)
     print(f"steps solved: {len(history.steps)}")
     print(f"growth steps applied: {history.n_increments}")
     print(f"stop: {history.stop_reason}")

@@ -10,6 +10,17 @@ increment could leave the domain, so it stops producing intensity
 factors and stops growing, while keeping its enrichment so the
 displacement field stays well posed.
 
+The background mesh is never remeshed as a crack grows; only the
+enrichment changes from step to step.  So a propagation run builds the
+mesh-invariant part of its :class:`Problem` once, at the first step: it
+reads the mesh (whose adjacency, bounding boxes, boundary edges and
+spatial index are cached on the :class:`~xfem2d.mesh.Mesh`), checks the
+boundary tags, and sets up the standard element stiffness
+(:class:`~xfem2d.assembly.StandardStiffness`), integrated on first use.
+Every step then classifies its cracks on that same mesh, integrates only
+the enriched elements, solves, and extracts.  The last solved step's
+problem stays on the :class:`RunHistory` for the output writers.
+
 Errors raised by the underlying modules are re-raised with a pipeline
 stage prefix (``[mesh]``, ``[classification]``, ``[assembly]``,
 ``[solve]``, ``[fracture]``) so a failing run names the phase at fault.
@@ -30,6 +41,7 @@ from xfem2d.assembly import (
     QuadratureSet,
     SolutionState,
     SolverError,
+    StandardStiffness,
     apply_constraints,
     assemble,
     elasticity_matrix,
@@ -85,14 +97,19 @@ _STAGE_ERRORS = (
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise module errors with the pipeline stage spelled out."""
+    """Re-raise module errors with the pipeline stage spelled out.
+
+    The exception itself is re-raised with its message prefixed, so its
+    type and attributes (such as a degeneracy error's ``crack_ids``) are
+    kept whatever its constructor takes.
+    """
     try:
         yield
     except _STAGE_ERRORS as exc:
         message = str(exc)
-        if message.startswith("["):
-            raise
-        raise type(exc)(f"[{name}] {message}") from exc
+        if not message.startswith("["):
+            exc.args = (f"[{name}] {message}",)
+        raise
 
 
 @dataclass(frozen=True)
@@ -180,10 +197,15 @@ class StepRecord:
 
 @dataclass
 class RunHistory:
-    """Append-only record of a propagation run."""
+    """Append-only record of a propagation run.
+
+    ``final_problem`` is the classified problem ``final_state`` was solved
+    on (the first step's problem when no step was solved).
+    """
 
     steps: list = field(default_factory=list)
     final_state: SolutionState | None = None
+    final_problem: Problem | None = None
     final_cracks: tuple = ()
     stop_reason: str = "schedule exhausted"
     error: str | None = None
@@ -200,7 +222,12 @@ class RunHistory:
 
 @dataclass(frozen=True)
 class Problem:
-    """One classified configuration, ready to assemble."""
+    """One classified configuration, ready to assemble.
+
+    ``emap`` and ``cracks`` belong to one crack geometry; the other fields
+    depend only on the mesh and the configuration and are shared by every
+    step of a run.
+    """
 
     mesh: Mesh
     material: MaterialModel
@@ -208,28 +235,35 @@ class Problem:
     bcs: tuple
     emap: EnrichmentMap
     cracks: tuple
+    standard: StandardStiffness
 
 
-def setup_problem(config, cracks=None) -> Problem:
+def setup_problem(config, cracks=None, base: Problem | None = None) -> Problem:
     """Load the mesh, validate tags, and classify the crack set.
 
-    ``cracks`` overrides the configured cracks (used for the re-solves of
-    a propagation run).  An in-memory ``config.mesh`` takes precedence
-    over ``config.mesh_path``.
+    ``cracks`` overrides the configured cracks.  ``base`` is a problem set
+    up earlier from the same config (the previous step of a propagation
+    run): its mesh, rules, conditions and standard stiffness are reused,
+    so only the cracks are classified.  Without it, an in-memory
+    ``config.mesh`` takes precedence over ``config.mesh_path``.
     """
-    with _stage("mesh"):
-        mesh = getattr(config, "mesh", None)
-        if mesh is None:
-            mesh = read_mesh(config.mesh_path)
-    bcs = tuple(config.bcs)
-    for bc in bcs:
-        if bc.boundary not in mesh.boundary_tags:
-            raise ValueError(
-                f"[mesh] boundary tag '{bc.boundary}' does not exist in the mesh "
-                f"(available: {', '.join(sorted(mesh.boundary_tags))})"
-            )
-    standard, cut, tip = config.quadrature
-    rules = QuadratureSet.from_targets(standard, cut, tip)
+    if base is None:
+        with _stage("mesh"):
+            mesh = getattr(config, "mesh", None)
+            if mesh is None:
+                mesh = read_mesh(config.mesh_path)
+        bcs = tuple(config.bcs)
+        for bc in bcs:
+            if bc.boundary not in mesh.boundary_tags:
+                raise ValueError(
+                    f"[mesh] boundary tag '{bc.boundary}' does not exist in the mesh "
+                    f"(available: {', '.join(sorted(mesh.boundary_tags))})"
+                )
+        standard_points, cut_points, tip_points = config.quadrature
+        rules = QuadratureSet.from_targets(standard_points, cut_points, tip_points)
+        standard = StandardStiffness(mesh, config.material, rules.standard)
+    else:
+        mesh, bcs, rules, standard = base.mesh, base.bcs, base.rules, base.standard
     with _stage("classification"):
         # Support-area demotion must measure with the same rule the
         # assembly integrates with, or a node could keep a jump dof that
@@ -248,6 +282,7 @@ def setup_problem(config, cracks=None) -> Problem:
         bcs=bcs,
         emap=emap,
         cracks=tuple(used),
+        standard=standard,
     )
 
 
@@ -271,7 +306,7 @@ def _solve_step(problem: Problem, lam: float) -> SolutionState:
     with _stage("assembly"):
         system = apply_constraints(
             assemble(problem.mesh, problem.emap, problem.material,
-                     problem.rules, bcs)
+                     problem.rules, bcs, standard=problem.standard)
         )
     with _stage("solve"):
         return solve(system, load_factor=lam)
@@ -329,10 +364,9 @@ def stationary_history(problem: Problem, state: SolutionState,
         residual=state.residual,
         demotions=problem.emap.demotions,
     )
-    history = RunHistory(steps=[record], final_state=state,
-                         final_cracks=problem.cracks,
-                         stop_reason="stationary solve")
-    return history
+    return RunHistory(steps=[record], final_state=state,
+                      final_problem=problem, final_cracks=problem.cracks,
+                      stop_reason="stationary solve")
 
 
 def _element_size(mesh: Mesh, eid: int) -> float:
@@ -367,13 +401,13 @@ def run_propagation(config) -> RunHistory:
 
     problem = setup_problem(config)
     cracks = problem.cracks
-    history = RunHistory()
+    history = RunHistory(final_problem=problem)
     frozen: set = set()
     increments = 0
 
     for k, lam in enumerate(schedule.steps):
         if k > 0:
-            problem = setup_problem(config, cracks=cracks)
+            problem = setup_problem(config, cracks=cracks, base=problem)
         try:
             state = _solve_step(problem, lam)
         except SolverError as exc:
@@ -411,6 +445,7 @@ def run_propagation(config) -> RunHistory:
         )
         history.steps.append(record)
         history.final_state = state
+        history.final_problem = problem
         history.final_cracks = cracks
 
         if increments >= prop.max_increments:
@@ -528,7 +563,7 @@ def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     runs over each element's own quadrature class and is normalized by
     the measured region area.
     """
-    rules = rules if rules is not None else QuadratureSet.default()
+    rules = rules if rules is not None else QuadratureSet.from_targets()
     D = elasticity_matrix(material)
     kinds = emap.element_kinds(mesh)
     total = 0.0

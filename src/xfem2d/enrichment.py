@@ -38,6 +38,7 @@ from xfem2d.mesh import (
     gauss_rule,
     locate_point,
     locate_points,
+    point_segment_distance,
     reference_shape,
 )
 
@@ -247,41 +248,16 @@ def _ray_exit_distance(quad: np.ndarray, origin: np.ndarray, direction: np.ndarr
     return clip[1] * diam
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    t = float(np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _point_on_quad_boundary(quad: np.ndarray, p: np.ndarray, tol: float) -> bool:
-    for k in range(4):
-        if _point_segment_distance(p, quad[k], quad[(k + 1) % 4]) <= tol:
-            return True
-    return False
-
-
 def _edge_of_point(quad: np.ndarray, p: np.ndarray, tol: float):
     """Index of the quad edge the point sits on (within tol), else None."""
-    best, best_d = None, tol
-    for k in range(4):
-        d = _point_segment_distance(p, quad[k], quad[(k + 1) % 4])
-        if d <= best_d:
-            best, best_d = k, d
-    return best
-
-
-def _element_bboxes(mesh: Mesh):
-    cached = getattr(mesh, "_el_bboxes", None)
-    if cached is None:
-        xy = mesh.element_coords()
-        cached = (xy.min(axis=1), xy.max(axis=1))
-        object.__setattr__(mesh, "_el_bboxes", cached)
-    return cached
+    d = point_segment_distance(p, quad, np.roll(quad, -1, axis=0))
+    k = 3 - int(np.argmin(d[::-1]))  # of two equally near edges, the later
+    return k if d[k] <= tol else None
 
 
 def _near_elements(mesh: Mesh, crack: CrackPath, margin: float = 0.0) -> np.ndarray:
     """Elements whose bounding box meets the crack's inflated bounding box."""
-    lo, hi = _element_bboxes(mesh)
+    lo, hi = mesh.element_bboxes
     clo = crack.vertices.min(axis=0) - margin
     chi = crack.vertices.max(axis=0) + margin
     mask = np.all(lo <= chi, axis=1) & np.all(hi >= clo, axis=1)
@@ -323,93 +299,85 @@ def _crack_chunks(quad: np.ndarray, crack: CrackPath):
 
 
 def _on_domain_boundary(mesh: Mesh, p: np.ndarray, tol: float) -> bool:
-    owners = containing_elements(mesh, p)
-    if owners.size == 0:
+    if containing_elements(mesh, p).size == 0:
         return True  # outside the mesh counts as "not interior"
-    boundary = set(mesh.boundary_edges())
-    for eid in owners:
-        quad = mesh.elements[eid]
-        for k in range(4):
-            a, b = int(quad[k]), int(quad[(k + 1) % 4])
-            key = (a, b) if a < b else (b, a)
-            if key in boundary:
-                if _point_segment_distance(p, mesh.nodes[a], mesh.nodes[b]) <= tol:
-                    return True
-    return False
+    return mesh.boundary_distance(p) <= tol
 
 
 def _detect_coincidences(mesh: Mesh, cracks) -> None:
-    """Raise when crack features sit on mesh features within tolerance."""
-    edge_owners = mesh.edge_to_elements()
+    """Raise when crack features sit on mesh features within tolerance.
+
+    Each crack vertex and segment is checked against all nodes and edges
+    of the elements near the crack at once: a mesh node on a segment, a
+    vertex on an edge, and a segment running along an edge over a finite
+    length.  A crack end that is not a tip (a crack mouth) may sit on a
+    boundary edge.
+    """
+    n_nodes = mesh.n_nodes
+    boundary = mesh.boundary_edges
+    boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
     problems = []
     bad_cracks: set[int] = set()
     for crack in cracks:
         near = _near_elements(mesh, crack, margin=1e-9)
         if near.size == 0:
             continue
-        near_nodes = np.unique(mesh.elements[near])
         v = crack.vertices
-        # mesh node on a crack segment (level-set sign would be ambiguous)
+        # edges of the near elements as sorted node pairs, keyed lo * n + hi
+        quads = mesh.elements[near]
+        pairs = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
+        keys = np.unique(pairs[..., 0] * n_nodes + pairs[..., 1])
+        e0, e1 = np.divmod(keys, n_nodes)
+        p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
+        ed = p1 - p0
+        Le = np.linalg.norm(ed, axis=1)
+        near_nodes = np.unique(quads)
         for j in range(crack.n_segments):
             a, b = v[j], v[j + 1]
-            ab = b - a
-            L2 = float(ab @ ab)
-            rel = mesh.nodes[near_nodes] - a
-            t = np.clip((rel @ ab) / L2, 0.0, 1.0)
-            d = np.linalg.norm(rel - t[:, None] * ab, axis=1)
-            hits = np.nonzero(d <= _COINCIDENCE_TOL)[0]
-            for h in hits:
+            # mesh node on a crack segment (level-set sign would be ambiguous)
+            d = point_segment_distance(mesh.nodes[near_nodes], a, b)
+            for node in near_nodes[d <= _COINCIDENCE_TOL]:
                 problems.append(
-                    f"crack {crack.id} segment {j} passes through mesh node {near_nodes[h]}"
+                    f"crack {crack.id} segment {j} passes through mesh node {node}"
                 )
                 bad_cracks.add(crack.id)
         # crack vertex on an element edge; endpoints that are not tips may
         # legitimately sit on the domain boundary (crack mouths)
-        edges = set()
-        for eid in near:
-            quad = mesh.elements[eid]
-            for k in range(4):
-                a, b = int(quad[k]), int(quad[(k + 1) % 4])
-                edges.add((a, b) if a < b else (b, a))
+        boundary_edge = np.isin(keys, boundary_keys)
         for vi in range(v.shape[0]):
+            hits = point_segment_distance(v[vi], p0, p1) <= _COINCIDENCE_TOL
             is_mouth = (vi == 0 and not crack.tip_start) or (
                 vi == v.shape[0] - 1 and not crack.tip_end
             )
-            for a, b in edges:
-                interior_edge = len(edge_owners[(a, b)]) == 2
-                if is_mouth and not interior_edge:
-                    continue
-                if _point_segment_distance(v[vi], mesh.nodes[a], mesh.nodes[b]) <= _COINCIDENCE_TOL:
-                    problems.append(
-                        f"crack {crack.id} vertex {vi} lies on mesh edge ({a},{b})"
-                    )
-                    bad_cracks.add(crack.id)
-                    break
+            if is_mouth:
+                hits &= ~boundary_edge
+            if hits.any():
+                k = np.argmax(hits)
+                problems.append(
+                    f"crack {crack.id} vertex {vi} lies on mesh edge ({e0[k]},{e1[k]})"
+                )
+                bad_cracks.add(crack.id)
         # segment collinear with an edge over a finite overlap
         for j in range(crack.n_segments):
-            a, b = v[j], v[j + 1]
-            ab = b - a
+            a = v[j]
+            ab = v[j + 1] - a
             Ls = float(np.linalg.norm(ab))
-            for e0, e1 in edges:
-                p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
-                ed = p1 - p0
-                Le = float(np.linalg.norm(ed))
-                if abs(ab[0] * ed[1] - ab[1] * ed[0]) > _COINCIDENCE_TOL * Ls * Le:
-                    continue
-                # parallel: perpendicular distance of the edge from the segment line
-                off = p0 - a
-                dist = abs(ab[0] * off[1] - ab[1] * off[0]) / Ls
-                if dist > _COINCIDENCE_TOL:
-                    continue
-                t0 = float((p0 - a) @ ab) / (Ls * Ls)
-                t1 = float((p1 - a) @ ab) / (Ls * Ls)
-                lo, hi = min(t0, t1), max(t0, t1)
-                if min(hi, 1.0) - max(lo, 0.0) > _COINCIDENCE_TOL / Ls:
-                    problems.append(
-                        f"crack {crack.id} segment {j} runs along mesh edge ({e0},{e1})"
-                    )
-                    bad_cracks.add(crack.id)
-                    break
+            parallel = (np.abs(ab[0] * ed[:, 1] - ab[1] * ed[:, 0])
+                        <= _COINCIDENCE_TOL * Ls * Le)
+            # perpendicular distance of the edge from the segment line
+            off = p0 - a
+            dist = np.abs(ab[0] * off[:, 1] - ab[1] * off[:, 0]) / Ls
+            t0 = (off @ ab) / (Ls * Ls)
+            t1 = ((p1 - a) @ ab) / (Ls * Ls)
+            overlap = (np.minimum(np.maximum(t0, t1), 1.0)
+                       - np.maximum(np.minimum(t0, t1), 0.0))
+            along = parallel & (dist <= _COINCIDENCE_TOL) & (overlap > _COINCIDENCE_TOL / Ls)
+            if along.any():
+                k = np.argmax(along)
+                problems.append(
+                    f"crack {crack.id} segment {j} runs along mesh edge ({e0[k]},{e1[k]})"
+                )
+                bad_cracks.add(crack.id)
     if problems:
         raise CrackMeshDegeneracyError(
             "crack/mesh coincidence: " + "; ".join(problems[:5]),
@@ -626,7 +594,7 @@ def classify_enrichment(
                 interior_endpoints.append(p)
     endpoint_owners = [set(int(e) for e in containing_elements(mesh, p))
                        for p in interior_endpoints]
-    node_elems = mesh.node_to_elements()
+    node_elems = mesh.node_to_elements
     for n in sorted(candidates):
         support = set(int(e) for e in node_elems[n])
         for owners in endpoint_owners:

@@ -142,7 +142,7 @@ def tip_clearance(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
     """Distance from a tip to the nearest other crack or boundary edge."""
     tinfo = _find_tip(emap, crack_id, tip_id)
     origin = tinfo.frame.origin
-    clearance = _boundary_distance(mesh, origin)
+    clearance = mesh.boundary_distance(origin)
     for other in emap.cracks:
         if other.id == crack_id:
             continue
@@ -164,17 +164,6 @@ def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
             f"no admissible contour radius at crack {crack_id} tip {tip_id}"
         )
     return radius
-
-
-def _boundary_distance(mesh: Mesh, point: np.ndarray) -> float:
-    best = np.inf
-    for a, b in mesh.boundary_edges():
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        e = pb - pa
-        t = float(np.dot(point - pa, e) / np.dot(e, e))
-        t = min(1.0, max(0.0, t))
-        best = min(best, float(np.linalg.norm(point - (pa + t * e))))
-    return best
 
 
 def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
@@ -225,7 +214,7 @@ def _check_contour(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                 f"contour of radius {radius:g} around crack {crack_id} tip "
                 f"{tip_id} intersects crack {other.id}"
             )
-    if _boundary_distance(mesh, origin) <= radius:
+    if mesh.boundary_distance(origin) <= radius:
         raise FractureError(
             f"contour of radius {radius:g} around crack {crack_id} tip "
             f"{tip_id} leaves the domain"

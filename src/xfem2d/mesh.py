@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "gauss_rule",
     "locate_point",
     "locate_points",
+    "point_segment_distance",
     "reference_shape",
 ]
 
@@ -132,6 +133,15 @@ class ShapeEval:
 class Mesh:
     """Immutable background mesh of counter-clockwise bilinear quads.
 
+    The mesh never changes during a run: a growing crack changes only the
+    enrichment classified on top of it.  So everything derived from the
+    mesh alone is a cached property, built on first use and kept for the
+    mesh's life: node and edge adjacency (:attr:`node_to_elements`,
+    :attr:`edge_to_elements`), the :attr:`boundary_edges` array, the
+    :attr:`element_bboxes` and the spatial index behind point location.
+    A propagation run reads its mesh once and reuses all of these at
+    every load step.
+
     Attributes
     ----------
     nodes : ndarray, shape (n_nodes, 2)
@@ -145,7 +155,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_tags: dict[str, np.ndarray] = field(default_factory=dict)
-    _index: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -206,45 +215,55 @@ class Mesh:
     def bbox(self):
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
-    # -- adjacency (built lazily, cached; the mesh itself never changes) ---
+    # -- derived data: built on first use, then kept for the mesh's life ---
+    @cached_property
     def node_to_elements(self) -> list[np.ndarray]:
-        """Incident element ids per node (the node's support)."""
-        cached = getattr(self, "_node_elems", None)
-        if cached is not None:
-            return cached
-        lists: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for eid, quad in enumerate(self.elements):
-            for n in quad:
-                lists[n].append(eid)
-        out = [np.array(v, dtype=np.int64) for v in lists]
-        object.__setattr__(self, "_node_elems", out)
-        return out
+        """Incident element ids per node (the node's support), ascending."""
+        flat = self.elements.ravel()
+        order = np.argsort(flat, kind="stable")  # element-major, so ids ascend
+        counts = np.bincount(flat, minlength=self.n_nodes)
+        return np.split(order // 4, np.cumsum(counts)[:-1])
 
+    @cached_property
     def edge_to_elements(self) -> dict[tuple[int, int], list[int]]:
         """Map from sorted corner-node pair to the elements sharing that edge."""
-        cached = getattr(self, "_edge_elems", None)
-        if cached is not None:
-            return cached
         edges: dict[tuple[int, int], list[int]] = {}
-        for eid, quad in enumerate(self.elements):
+        for eid, quad in enumerate(self.elements.tolist()):
             for k in range(4):
-                a, b = int(quad[k]), int(quad[(k + 1) % 4])
+                a, b = quad[k], quad[(k + 1) % 4]
                 key = (a, b) if a < b else (b, a)
                 edges.setdefault(key, []).append(eid)
-        object.__setattr__(self, "_edge_elems", edges)
         return edges
 
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        """Edges owned by exactly one element (outer and hole boundaries)."""
-        return [pair for pair, owners in self.edge_to_elements().items() if len(owners) == 1]
+    @cached_property
+    def boundary_edges(self) -> np.ndarray:
+        """Edges owned by exactly one element (outer and hole boundaries).
+
+        Sorted corner-node pairs, shape (k, 2), in order of first element.
+        """
+        pairs = [pair for pair, owners in self.edge_to_elements.items()
+                 if len(owners) == 1]
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        edges.setflags(write=False)
+        return edges
+
+    @cached_property
+    def element_bboxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-element coordinate minima and maxima, each (n_elements, 2)."""
+        xy = self.element_coords()
+        return xy.min(axis=1), xy.max(axis=1)
+
+    def boundary_distance(self, point) -> float:
+        """Distance from ``point`` to the nearest boundary edge."""
+        edges = self.boundary_edges
+        d = point_segment_distance(point, self.nodes[edges[:, 0]],
+                                   self.nodes[edges[:, 1]])
+        return float(np.min(d, initial=np.inf))
 
     # -- spatial index -----------------------------------------------------
-    def _ensure_index(self):
-        if self._index is not None:
-            return self._index
-        xy = self.element_coords()
-        lo = xy.min(axis=1)  # (m, 2)
-        hi = xy.max(axis=1)
+    @cached_property
+    def _spatial_index(self) -> dict:
+        lo, hi = self.element_bboxes
         gmin, gmax = self.bbox()
         span = np.maximum(gmax - gmin, 1e-300)
         # Aim for on the order of one element per grid cell.
@@ -259,18 +278,16 @@ class Mesh:
             for ix in range(ilo[eid, 0], ihi[eid, 0] + 1):
                 for iy in range(ilo[eid, 1], ihi[eid, 1] + 1):
                     cells.setdefault((ix, iy), []).append(eid)
-        index = {
+        return {
             "origin": gmin,
             "cell": cell,
             "shape": (nx, ny),
             "cells": {k: np.array(v, dtype=np.int64) for k, v in cells.items()},
         }
-        object.__setattr__(self, "_index", index)
-        return index
 
     def candidate_elements(self, x: np.ndarray) -> np.ndarray:
         """Element ids whose bounding box may contain physical point ``x``."""
-        idx = self._ensure_index()
+        idx = self._spatial_index
         rel = (np.asarray(x, dtype=float) - idx["origin"]) / idx["cell"]
         nx, ny = idx["shape"]
         ix = int(np.clip(np.floor(rel[0]), 0, nx - 1))
@@ -285,6 +302,19 @@ def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     # J[m, corner, a, b] = sum_i xy[m, i, a] * dref[corner, i, b]
     J = np.einsum("mia,cib->mcab", xy, dref)
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
+def point_segment_distance(p, a, b) -> np.ndarray:
+    """Distance from points ``p`` to segments ``a``->``b``.
+
+    All three are arrays of shape (..., 2) that broadcast against each
+    other, e.g. many points against one segment or one point against many.
+    """
+    p = np.asarray(p, dtype=float)
+    ab = b - a
+    rel = p - a
+    t = np.sum(rel * ab, axis=-1) / np.sum(ab * ab, axis=-1)
+    return np.linalg.norm(rel - np.clip(t, 0.0, 1.0)[..., None] * ab, axis=-1)
 
 
 def shape_eval(mesh: Mesh, element_id: int, local) -> ShapeEval:

@@ -10,7 +10,9 @@ from xfem2d.assembly import (
     DofLayout,
     LinearSystem,
     MaterialModel,
+    QuadratureSet,
     SolverError,
+    StandardStiffness,
     apply_constraints,
     assemble,
     elasticity_matrix,
@@ -288,6 +290,27 @@ class TestSystemStructure:
         cut = assemble(mesh, emap, STEEL)
         ev = np.linalg.eigvalsh(cut.K.toarray())
         assert ev[5] / ev[6] < 1e-8  # each half contributes three
+
+
+class TestStandardStiffness:
+    def test_prebuilt_block_gives_the_same_system(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.15, 0.55], [0.85, 0.55]]), id=0)
+        emap = classify_enrichment(mesh, [crack])
+        rules = QuadratureSet.from_targets()
+        standard = StandardStiffness(mesh, STEEL, rules.standard)
+        fresh = assemble(mesh, emap, STEEL, rules)
+        reused = assemble(mesh, emap, STEEL, rules, standard=standard)
+        assert (fresh.K != reused.K).nnz == 0
+        np.testing.assert_array_equal(fresh.f, reused.f)
+
+    def test_block_of_another_material_rejected(self):
+        mesh = uniform_rect(1.0, 1.0, 4, 4)
+        rules = QuadratureSet.from_targets()
+        soft = MaterialModel(E=1e9, nu=0.3)
+        standard = StandardStiffness(mesh, soft, rules.standard)
+        with pytest.raises(AssemblyError, match="another mesh"):
+            assemble(mesh, uncracked(mesh), STEEL, rules, standard=standard)
 
 
 class TestConstraints:

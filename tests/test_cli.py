@@ -1,12 +1,19 @@
 """Command-line interface: artifacts, exit codes, and error reporting."""
 
+import dataclasses
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import xfem2d.cli
+import xfem2d.driver
+import xfem2d.enrichment
 from xfem2d.cli import main
+from xfem2d.config import load_config
+from xfem2d.driver import LoadSchedule, run_stationary, setup_problem
 from xfem2d.mesh import Mesh, write_mesh
 from xfem2d.meshgen import uniform_rect
 from xfem2d.output import read_sif_csv
@@ -137,6 +144,46 @@ class TestPropagate:
         # 0.3 initial plus two steps of growth at both tips.
         assert "crack 0: length 0.5" in stdout
 
+    def test_mesh_read_once_and_steps_match_per_step_setup(self, tmp_path,
+                                                            monkeypatch):
+        growth = GROWTH_SECTIONS.replace("0.5 1.0", "0.4 0.7 1.0")
+        config_path = write_case(tmp_path, extra=growth)
+        reads = []
+        read_mesh = xfem2d.driver.read_mesh
+
+        def counted_read(path):
+            reads.append(path)
+            return read_mesh(path)
+
+        histories = []
+        run_propagation = xfem2d.cli.run_propagation
+
+        def kept_run(config):
+            histories.append(run_propagation(config))
+            return histories[-1]
+
+        monkeypatch.setattr(xfem2d.driver, "read_mesh", counted_read)
+        monkeypatch.setattr(xfem2d.cli, "run_propagation", kept_run)
+        out = tmp_path / "out"
+        assert main(["propagate", "--config", config_path, "--out", str(out)]) == 0
+        assert len(reads) == 1
+        (history,) = histories
+        assert len(history.steps) == 3
+
+        # Reference: each step set up from scratch on a freshly read mesh.
+        config = load_config(config_path)
+        for rec in history.steps:
+            problem = setup_problem(config, cracks=rec.cracks)
+            step = dataclasses.replace(
+                config, schedule=LoadSchedule((rec.load_factor,)))
+            _, results = run_stationary(step, problem=problem)
+            expected = {(r.crack_id, r.tip_id): r for r in results}
+            assert rec.sifs
+            for res in rec.sifs:
+                ref = expected[(res.crack_id, res.tip_id)]
+                assert (res.K_I, res.K_II) == (ref.K_I, ref.K_II)
+        assert len(reads) == 1 + len(history.steps)
+
     def test_needs_propagation_sections(self, tmp_path, capsys):
         config = write_case(tmp_path)
         code = main(["propagate", "--config", config,
@@ -195,6 +242,27 @@ class TestErrorPaths:
         assert "[mesh]" in stderr
         assert "lid" in stderr
 
+    def test_unremedied_degeneracy_exits_one(self, tmp_path, capsys,
+                                             monkeypatch):
+        def always_degenerate(mesh, cracks):
+            raise xfem2d.enrichment.CrackMeshDegeneracyError(
+                "crack/mesh coincidence: crack 0 vertex 0 lies on mesh edge",
+                crack_ids={0})
+
+        monkeypatch.setattr(xfem2d.enrichment, "_detect_coincidences",
+                            always_degenerate)
+        code = main(["solve", "--config", write_case(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "[classification] crack/mesh coincidence" in capsys.readouterr().err
+
+
+def _package_env():
+    """Environment in which a child interpreter imports this xfem2d."""
+    src = os.path.dirname(os.path.dirname(xfem2d.cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
@@ -202,7 +270,7 @@ class TestSubprocessEntry:
         result = subprocess.run(
             [sys.executable, "-m", "xfem2d", "solve", "--config", config,
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_package_env(),
         )
         assert result.returncode == 0
         assert "K_I" in result.stdout
@@ -211,7 +279,7 @@ class TestSubprocessEntry:
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "xfem2d"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_package_env(),
         )
         assert result.returncode == 1
         assert "usage:" in result.stderr

@@ -6,7 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xfem2d.assembly import AssemblyError, BoundaryCondition, MaterialModel
+from xfem2d.assembly import (
+    AssemblyError,
+    BoundaryCondition,
+    DofLayout,
+    MaterialModel,
+)
 from xfem2d.cracks import CrackPath
 from xfem2d.driver import (
     LoadSchedule,
@@ -18,7 +23,9 @@ from xfem2d.driver import (
     setup_problem,
     strain_evaluator,
     tip_trajectory,
+    _stage,
 )
+from xfem2d.enrichment import CrackMeshDegeneracyError
 from xfem2d.mesh import Mesh
 from xfem2d.meshgen import uniform_rect
 
@@ -166,6 +173,16 @@ class TestRunStationary:
         with pytest.raises(AssemblyError, match=r"\[assembly\]"):
             run_stationary(config)
 
+    def test_stage_prefix_keeps_error_type_and_crack_ids(self):
+        with pytest.raises(CrackMeshDegeneracyError) as info:
+            with _stage("classification"):
+                raise CrackMeshDegeneracyError(
+                    "crack/mesh coincidence: crack 3 vertex 0 lies on mesh "
+                    "edge (4,5)", crack_ids={3})
+        assert type(info.value) is CrackMeshDegeneracyError
+        assert str(info.value).startswith("[classification] crack/mesh")
+        assert info.value.crack_ids == {3}
+
     def test_contour_override_absolute(self, stationary_run):
         config, _, _, sifs_auto = stationary_run
         fixed = make_config(
@@ -208,6 +225,12 @@ class TestRunPropagation:
             assert len(rec.extensions) == 2
             assert rec.n_dofs > 0
             assert rec.residual < 1e-9
+
+    def test_final_problem_matches_final_state(self, grown):
+        _, history = grown
+        layout = DofLayout.build(history.final_problem.emap)
+        assert layout.total_dofs == history.final_state.layout.total_dofs
+        assert history.final_problem.emap.n_tip == history.steps[-1].n_tip
 
     def test_length_grows_by_increment(self, grown):
         _, history = grown

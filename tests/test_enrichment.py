@@ -180,7 +180,7 @@ class TestClassifyCenterCrack:
 
     def test_enriched_nodes_touch_enriched_elements(self):
         marked = set(self.emap.cut_elements) | set(self.emap.tip_elements)
-        incidence = self.mesh.node_to_elements()
+        incidence = self.mesh.node_to_elements
         for n in np.nonzero(self.emap.status != STANDARD)[0]:
             assert marked & set(int(e) for e in incidence[n])
 
@@ -389,6 +389,38 @@ class TestDegeneracyRemedy:
         with pytest.raises(CrackMeshDegeneracyError, match="edge"):
             classify_enrichment(mesh, [crack])
 
+    def test_segment_along_edge_detected(self):
+        mesh = grid()
+        # segment 1 lies on the edge (0.4, 0.5)-(0.5, 0.5) without
+        # reaching a node; a clean crack alongside is not flagged
+        along = CrackPath(
+            vertices=np.array([[0.25, 0.45], [0.42, 0.5], [0.48, 0.5],
+                               [0.65, 0.45]]), id=0
+        )
+        clean = CrackPath(vertices=np.array([[0.15, 0.25], [0.85, 0.25]]), id=1)
+        with pytest.raises(CrackMeshDegeneracyError,
+                           match="segment 1 runs along mesh edge") as info:
+            classify_enrichment(mesh, [along, clean])
+        assert info.value.crack_ids == {0}
+
+    def test_mouth_on_boundary_edge_exempt_but_tip_flagged(self):
+        mesh = grid()
+        mouth = CrackPath(vertices=np.array([[0.0, 0.45], [0.35, 0.45]]),
+                          tip_start=False, id=0)
+        emap = classify_enrichment(mesh, [mouth])
+        assert [t.tip_id for t in emap.tips] == [1]
+        tip = CrackPath(vertices=mouth.vertices, id=0)
+        with pytest.raises(CrackMeshDegeneracyError,
+                           match="vertex 0 lies on mesh edge") as info:
+            classify_enrichment(mesh, [tip])
+        assert info.value.crack_ids == {0}
+        # the exemption covers boundary edges only, not interior ones
+        inner = CrackPath(vertices=np.array([[0.3, 0.45], [0.65, 0.45]]),
+                          tip_start=False, id=0)
+        with pytest.raises(CrackMeshDegeneracyError,
+                           match="vertex 0 lies on mesh edge"):
+            classify_enrichment(mesh, [inner])
+
     def test_remedy_perturbs_and_classifies(self):
         mesh = grid()
         crack = CrackPath(vertices=np.array([[0.15, 0.5], [0.85, 0.5]]), id=0)
@@ -478,7 +510,7 @@ class TestFieldEvaluation:
         fields = self._random_fields(mesh, emap)
         crack = emap.cracks[0]
         checked = 0
-        for (a, b), owners in mesh.edge_to_elements().items():
+        for (a, b), owners in mesh.edge_to_elements.items():
             if len(owners) != 2:
                 continue
             pa, pb = mesh.nodes[a], mesh.nodes[b]

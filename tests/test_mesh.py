@@ -94,6 +94,44 @@ class TestMeshDocument:
         )
 
 
+class TestDerivedData:
+    def test_built_once_per_mesh(self):
+        mesh = structured_mesh(3, 2)
+        for name in ("node_to_elements", "edge_to_elements", "boundary_edges",
+                     "element_bboxes"):
+            assert getattr(mesh, name) is getattr(mesh, name)
+
+    def test_node_supports_ascend(self):
+        mesh = structured_mesh(3, 2)
+        supports = mesh.node_to_elements
+        assert len(supports) == mesh.n_nodes
+        for n, eids in enumerate(supports):
+            expected = [e for e, quad in enumerate(mesh.elements) if n in quad]
+            assert eids.tolist() == expected
+
+    def test_boundary_edges(self):
+        mesh = structured_mesh(3, 2)
+        edges = mesh.boundary_edges
+        assert edges.shape == (2 * (3 + 2), 2)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        for a, b in edges:
+            assert len(mesh.edge_to_elements[(a, b)]) == 1
+
+    def test_boundary_distance_matches_edge_by_edge(self):
+        mesh = structured_mesh(4, 3, 2.0, 1.5)
+        rng = np.random.default_rng(5)
+        for x in rng.uniform(-0.5, 2.5, size=(30, 2)):
+            best = np.inf
+            for a, b in mesh.boundary_edges:
+                pa, pb = mesh.nodes[a], mesh.nodes[b]
+                t = np.clip(np.dot(x - pa, pb - pa) / np.dot(pb - pa, pb - pa), 0, 1)
+                best = min(best, np.linalg.norm(x - (pa + t * (pb - pa))))
+            assert mesh.boundary_distance(x) == pytest.approx(best, rel=1e-12,
+                                                              abs=1e-15)
+        assert mesh.boundary_distance((1.0, 0.0)) == 0.0
+        assert mesh.boundary_distance((1.0, 0.5)) == pytest.approx(0.5)
+
+
 class TestShapeEval:
     def test_center_values(self):
         mesh = load_mesh(UNIT_SQUARE_DOC)

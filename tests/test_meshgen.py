@@ -91,7 +91,7 @@ class TestPunchHoles:
         holed = punch_holes(mesh, [(5.0, 5.0, 1.6)])
         # the outer rectangle contributes 40 single-owner edges; the
         # 12-element plus-shaped hole adds a 16-edge staircase ring
-        assert len(holed.boundary_edges()) == 40 + 16
+        assert len(holed.boundary_edges) == 40 + 16
 
     def test_tags_remapped(self):
         mesh = uniform_rect(10.0, 10.0, 10, 10)
