@@ -36,6 +36,7 @@ from xfem2d.mesh import (
     QuadratureRule,
     containing_elements,
     gauss_rule,
+    jacobian,
     locate_point,
     locate_points,
     point_segment_distance,
@@ -419,6 +420,29 @@ def _perturbed(crack: CrackPath, attempt: int) -> CrackPath:
 # classification
 # ---------------------------------------------------------------------------
 
+def _support_area_ratios(mesh: Mesh, crack: CrackPath, nodes: np.ndarray,
+                         rule: QuadratureRule) -> np.ndarray:
+    """Smaller share of each node's support area on one side of ``crack``.
+
+    Areas are Jacobian-weighted counts of ``rule`` points by the sign of
+    the crack's signed distance (zero counts as positive); each support
+    element is integrated once, however many of ``nodes`` share it.
+    """
+    support = [mesh.node_to_elements[n] for n in nodes]
+    elems, inv = np.unique(np.concatenate(support), return_inverse=True)
+    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
+    xy = mesh.element_coords(elems)
+    det, _ = jacobian(xy[:, None], dref)
+    w = rule.weights * det  # (elements, q)
+    phi = signed_distance_batch(crack, (values @ xy).reshape(-1, 2)).reshape(w.shape)
+    a_pos = np.where(phi >= 0.0, w, 0.0).sum(axis=1)
+    a_neg = np.where(phi < 0.0, w, 0.0).sum(axis=1)
+    owner = np.repeat(np.arange(len(support)), [s.size for s in support])
+    a_pos = np.bincount(owner, weights=a_pos[inv], minlength=len(support))
+    a_neg = np.bincount(owner, weights=a_neg[inv], minlength=len(support))
+    return np.minimum(a_pos, a_neg) / (a_pos + a_neg)
+
+
 def classify_enrichment(
     mesh: Mesh,
     cracks,
@@ -605,22 +629,13 @@ def classify_enrichment(
 
     # Remark-style support-area demotion.
     crack_lookup = {c.id: c for c in eff_cracks}
-    qpts, qd = reference_shape(rule.points[:, 0], rule.points[:, 1])
+    ratios = {}
+    for cid in set(candidates.values()):
+        nodes = [n for n, c in candidates.items() if c == cid]
+        ratios.update(zip(nodes, _support_area_ratios(mesh, crack_lookup[cid], nodes, rule)))
     for n in sorted(candidates):
-        crack = crack_lookup[candidates[n]]
-        a_pos = a_neg = 0.0
-        for eid in node_elems[n]:
-            xy = mesh.element_coords([eid])[0]
-            phys = qpts @ xy  # (nq, 2)
-            J = np.einsum("ia,qib->qab", xy, qd)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            w = rule.weights * det
-            phi = signed_distance_batch(crack, phys)
-            a_pos += float(w[phi >= 0.0].sum())
-            a_neg += float(w[phi < 0.0].sum())
-        ratio = min(a_pos, a_neg) / (a_pos + a_neg)
-        if ratio < delta:
-            demotions.append((n, ratio, "support area ratio below delta"))
+        if ratios[n] < delta:
+            demotions.append((n, float(ratios[n]), "support area ratio below delta"))
             del candidates[n]
 
     # Build the per-node arrays.
@@ -773,14 +788,7 @@ def _element_field_eval(mesh, emap, fields, eid, locs, xs, want_grad=True):
     conn = mesh.elements[eid]
     xy = mesh.nodes[conn]
     values, dref = reference_shape(locs[:, 0], locs[:, 1])  # (k,4), (k,4,2)
-    J = np.einsum("ia,kib->kab", xy, dref)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / det
-    Jinv[:, 0, 1] = -J[:, 0, 1] / det
-    Jinv[:, 1, 0] = -J[:, 1, 0] / det
-    Jinv[:, 1, 1] = J[:, 0, 0] / det
-    dN = np.einsum("kib,kba->kia", dref, Jinv)  # physical gradients
+    dN = dref @ jacobian(xy, dref)[1]  # physical gradients
 
     u = np.einsum("ki,ia->ka", values, fields.u_cont[conn])
     grad = np.einsum("kib,ia->kab", dN, fields.u_cont[conn]) if want_grad else None

@@ -25,6 +25,7 @@ __all__ = [
     "write_mesh",
     "shape_eval",
     "gauss_rule",
+    "jacobian",
     "locate_point",
     "locate_points",
     "point_segment_distance",
@@ -63,6 +64,25 @@ def reference_shape(xi, eta):
     grads[..., 0] = 0.25 * sx * (1.0 + eta[..., None] * sy)
     grads[..., 1] = 0.25 * sy * (1.0 + xi[..., None] * sx)
     return values, grads
+
+
+def jacobian(xy, dref):
+    """Determinant (...) and inverse (..., 2, 2) of the bilinear map's Jacobian.
+
+    ``xy`` holds element corners (..., 4, 2) and ``dref`` the reference
+    gradients of :func:`reference_shape` (..., 4, 2); their leading shapes
+    broadcast.  J[a, b] = d x_a / d xi_b, so physical shape gradients are
+    ``dref @ inv``; ``inv`` is non-finite where ``det`` is zero.
+    """
+    J = np.swapaxes(xy, -1, -2) @ dref
+    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    adj = np.empty_like(J)
+    adj[..., 0, 0] = J[..., 1, 1]
+    adj[..., 0, 1] = -J[..., 0, 1]
+    adj[..., 1, 0] = -J[..., 1, 0]
+    adj[..., 1, 1] = J[..., 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return det, adj / det[..., None, None]
 
 
 @dataclass(frozen=True)
@@ -138,7 +158,8 @@ class Mesh:
     mesh alone is a cached property, built on first use and kept for the
     mesh's life: node and edge adjacency (:attr:`node_to_elements`,
     :attr:`edge_to_elements`), the :attr:`boundary_edges` array, the
-    :attr:`element_bboxes` and the spatial index behind point location.
+    :attr:`element_bboxes`, the spatial index behind point location and
+    the :attr:`nested_dissection_order` the sparse solve factors in.
     A propagation run reads its mesh once and reuses all of these at
     every load step.
 
@@ -260,6 +281,38 @@ class Mesh:
                                    self.nodes[edges[:, 1]])
         return float(np.min(d, initial=np.inf))
 
+    @cached_property
+    def nested_dissection_order(self) -> np.ndarray:
+        """Node order for factoring the stiffness matrix, shape (n_nodes,).
+
+        Geometric nested dissection (George, SIAM J. Numer. Anal. 10,
+        1973) of the graph joining nodes that share an element: each part
+        is split at the median along the longer side of its bounding box,
+        the upper-side endpoint of every edge crossing the split forms the
+        separator, and the order lists the lower half, the upper half and
+        then the separator, recursively, down to parts of ``_ND_LEAF``
+        nodes, which keep their index order.
+        """
+        n = self.n_nodes
+        pairs = _element_node_pairs(self.elements, n)
+        key = np.zeros(n, dtype=np.int64)  # base-3 digits: 0 lower, 1 upper, 2 separator
+        part = np.zeros(n, dtype=np.int64)  # -1 once a node's place is fixed
+        while True:
+            live = np.nonzero(part >= 0)[0]
+            small = np.bincount(part[live])[part[live]] <= _ND_LEAF
+            part[live[small]] = -1
+            if small.all():
+                break
+            side, sep = _dissect_level(self.nodes, pairs, part)
+            key *= 3
+            key += np.maximum(side, 0) + sep
+            part = np.where(side >= 0, 2 * part + side, -1)
+            part[sep] = -1
+            pairs = pairs[(part[pairs[:, 0]] >= 0) & (part[pairs[:, 1]] >= 0)]
+        order = np.argsort(key, kind="stable")
+        order.setflags(write=False)
+        return order
+
     # -- spatial index -----------------------------------------------------
     @cached_property
     def _spatial_index(self) -> dict:
@@ -298,10 +351,55 @@ class Mesh:
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Jacobian determinants at the four reference corners of every element."""
     _, dref = reference_shape(_CORNERS[:, 0], _CORNERS[:, 1])  # (4, 4, 2)
-    xy = nodes[elements]  # (m, 4, 2)
-    # J[m, corner, a, b] = sum_i xy[m, i, a] * dref[corner, i, b]
-    J = np.einsum("mia,cib->mcab", xy, dref)
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    det, _ = jacobian(nodes[elements][:, None], dref)
+    return det
+
+
+_ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
+
+
+def _element_node_pairs(elements: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Distinct node pairs that share an element, shape (k, 2), ascending.
+
+    These are the off-diagonal couplings of the stiffness matrix, quad
+    diagonals included.
+    """
+    i, j = np.triu_indices(4, 1)
+    a, b = elements[:, i].ravel(), elements[:, j].ravel()
+    key = np.unique(np.minimum(a, b) * n_nodes + np.maximum(a, b))
+    return np.column_stack([key // n_nodes, key % n_nodes])
+
+
+def _dissect_level(nodes: np.ndarray, pairs: np.ndarray, part: np.ndarray):
+    """Split every open part once, as one level of nested dissection.
+
+    ``part`` holds each node's part id, or -1 for nodes already placed.
+    Each part is cut at the median rank along the longer side of its
+    bounding box, ties going by node index.  Returns ``side`` (n,), -1 for
+    placed nodes, 0 for the lower half and 1 for the upper, and the
+    separator mask (n,): the upper endpoint of every pair in ``pairs``
+    that crosses a cut.  No pair joins the two halves of a part once the
+    separator is taken out.
+    """
+    live = np.nonzero(part >= 0)[0]
+    _, p = np.unique(part[live], return_inverse=True)
+    sizes = np.bincount(p)
+    starts = np.cumsum(sizes) - sizes
+    xy = nodes[live]
+    by_part = np.argsort(p, kind="stable")
+    span = (np.maximum.reduceat(xy[by_part], starts)
+            - np.minimum.reduceat(xy[by_part], starts))
+    c = xy[np.arange(live.size), np.argmax(span, axis=1)[p]]
+    order = np.lexsort((c, p))
+    rank = np.empty(live.size, dtype=np.int64)
+    rank[order] = np.arange(live.size) - starts[p[order]]
+    side = np.full(nodes.shape[0], -1, dtype=np.int64)
+    side[live] = rank >= sizes[p] // 2
+    sa, sb = side[pairs[:, 0]], side[pairs[:, 1]]
+    cross = (sa >= 0) & (sb >= 0) & (sa != sb)
+    sep = np.zeros(nodes.shape[0], dtype=bool)
+    sep[np.where(sa[cross] == 1, pairs[cross, 0], pairs[cross, 1])] = True
+    return side, sep
 
 
 def point_segment_distance(p, a, b) -> np.ndarray:
@@ -325,14 +423,11 @@ def shape_eval(mesh: Mesh, element_id: int, local) -> ShapeEval:
     """
     xi, eta = float(local[0]), float(local[1])
     values, dref = reference_shape(xi, eta)
-    xy = mesh.nodes[mesh.elements[element_id]]  # (4, 2)
-    J = xy.T @ dref  # (2, 2): J[a, b] = d x_a / d xi_b
-    det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+    det, Jinv = jacobian(mesh.nodes[mesh.elements[element_id]], dref)
     if det <= 0.0:
         raise MeshFormatError(
             f"element {element_id} has non-positive Jacobian {det:g} at ({xi:g}, {eta:g})"
         )
-    Jinv = np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
     gradients = dref @ Jinv  # dN_i/dx_a = dN_i/dxi_b * dxi_b/dx_a
     return ShapeEval(values=values, gradients=gradients, jacobian_det=float(det))
 
@@ -365,13 +460,9 @@ def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
     for _ in range(max_iter):
         values, dref = reference_shape(local[:, 0], local[:, 1])
         pos = np.einsum("pi,pia->pa", values, xy)
-        J = np.einsum("pia,pib->pab", xy, dref)
-        res = pos - targets
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        step = np.empty_like(res)
-        step[:, 0] = (J[:, 1, 1] * res[:, 0] - J[:, 0, 1] * res[:, 1]) / det
-        step[:, 1] = (-J[:, 1, 0] * res[:, 0] + J[:, 0, 0] * res[:, 1]) / det
+        _, Jinv = jacobian(xy, dref)
+        # A singular Jacobian gives a non-finite step, which never converges.
+        step = np.einsum("pab,pb->pa", Jinv, pos - targets)
         local -= step
         converged = np.max(np.abs(step), axis=1) < tol
         if converged.all():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from xfem2d.assembly import (
     AssemblyError,
@@ -19,6 +20,10 @@ from xfem2d.assembly import (
     solve,
     stress_strain_at,
     stress_strain_batch,
+    _element_geometry,
+    _element_matrix,
+    _element_scalars,
+    _strain_matrix,
 )
 from xfem2d.cracks import CrackPath
 from xfem2d.enrichment import FieldTriplet, classify_enrichment, crack_opening
@@ -365,7 +370,8 @@ class TestSolver:
             n_disc=0,
             n_tip=0,
         )
-        system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={}, layout=layout)
+        system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={}, layout=layout,
+                              perm=np.arange(50))
         state = solve(system)
         expected = np.linalg.solve(K, f)
         assert np.abs(state.u - expected).max() < 1e-9 * np.abs(expected).max()
@@ -379,9 +385,62 @@ class TestSolver:
             n_tip=0,
         )
         K = sp.csr_matrix(np.zeros((2, 2)))
-        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={}, layout=layout)
+        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={}, layout=layout,
+                              perm=np.arange(2))
         with pytest.raises(SolverError):
             solve(system)
+
+
+def center_crack_with_tips():
+    """Constrained system of a center crack whose two tips are enriched."""
+    mesh = uniform_rect(1.0, 1.0, 20, 20)
+    crack = CrackPath(vertices=np.array([[0.31, 0.52], [0.69, 0.52]]), id=0)
+    emap = classify_enrichment(mesh, [crack])
+    assert emap.n_tip == 8 and emap.n_heaviside > 0
+    bcs = [
+        BoundaryCondition("bottom", "displacement", (None, 0.0)),
+        BoundaryCondition("top", "traction", (0.0, 1e6)),
+    ]
+    system = apply_constraints(assemble(mesh, emap, STEEL, bcs=bcs), {0: 0.0})
+    return mesh, emap, system
+
+
+class TestOrderedSolve:
+    def test_agrees_with_spsolve(self):
+        _, _, system = center_crack_with_tips()
+        state = solve(system)
+        expected = spla.spsolve(system.K.tocsc(), system.f)
+        assert np.abs(state.u - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_permutation_follows_node_order_with_dofs_together(self):
+        mesh, emap, system = center_crack_with_tips()
+        layout = system.layout
+        perm = system.perm
+        np.testing.assert_array_equal(np.sort(perm), np.arange(layout.total_dofs))
+        expected = []
+        for n in mesh.nested_dissection_order.tolist():
+            expected += [layout.cont_dof(n, 0), layout.cont_dof(n, 1)]
+            if layout.disc_slot[n] >= 0:
+                expected += [layout.disc_dof(n, c) for c in (0, 1)]
+            if layout.tip_slot[n] >= 0:
+                expected += [layout.tip_dof(n, j, c) for j in range(4) for c in (0, 1)]
+        np.testing.assert_array_equal(perm, expected)
+
+
+class TestElementMatrix:
+    def test_tip_element_matches_full_contraction(self):
+        mesh, emap, _ = center_crack_with_tips()
+        eid = emap.tips[0].element
+        values, dN, wdet, phys = _element_geometry(
+            mesh.nodes[mesh.elements[eid]], QuadratureSet.from_targets().tip)
+        _, _, grads = _element_scalars(mesh, emap, DofLayout.build(emap), eid,
+                                       values, dN, phys)
+        B = _strain_matrix(grads)
+        D = elasticity_matrix(STEEL)
+        expected = np.einsum("qri,rs,qsj,q->ij", B, D, B, wdet, optimize=True)
+        Ke = _element_matrix(B, D, wdet)
+        assert Ke.shape == (40, 40)
+        assert np.abs(Ke - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestAssemblyErrors:

@@ -8,7 +8,14 @@ so every classification count can be stated by hand.
 import numpy as np
 import pytest
 
-from xfem2d.cracks import CrackPath, signed_distance, tip_frame
+from xfem2d import enrichment
+from xfem2d.cracks import (
+    CrackGeometryError,
+    CrackPath,
+    signed_distance,
+    signed_distance_batch,
+    tip_frame,
+)
 from xfem2d.enrichment import (
     HEAVISIDE,
     STANDARD,
@@ -27,8 +34,8 @@ from xfem2d.enrichment import (
     shifted_heaviside,
     total_displacement,
 )
-from xfem2d.mesh import locate_point
-from xfem2d.meshgen import uniform_rect
+from xfem2d.mesh import gauss_rule, locate_point, reference_shape
+from xfem2d.meshgen import punch_holes, uniform_rect
 
 
 def grid():
@@ -265,6 +272,90 @@ class TestDemotion:
         mesh = grid()
         with pytest.raises(EnrichmentError, match="delta"):
             classify_enrichment(mesh, [center_crack()], delta=0.5)
+
+
+def loop_support_area_ratios(mesh, crack, nodes, rule):
+    """Element-by-element reference for ``enrichment._support_area_ratios``."""
+    qpts, qd = reference_shape(rule.points[:, 0], rule.points[:, 1])
+    ratios = []
+    for n in nodes:
+        a_pos = a_neg = 0.0
+        for eid in mesh.node_to_elements[n]:
+            xy = mesh.element_coords([eid])[0]
+            phys = qpts @ xy  # (nq, 2)
+            J = np.einsum("ia,qib->qab", xy, qd)
+            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+            w = rule.weights * det
+            phi = signed_distance_batch(crack, phys)
+            a_pos += float(w[phi >= 0.0].sum())
+            a_neg += float(w[phi < 0.0].sum())
+        ratios.append(min(a_pos, a_neg) / (a_pos + a_neg))
+    return np.array(ratios)
+
+
+def random_polyline(rng, crack_id):
+    """A short kinked crack inside the unit square, or None if it self-intersects."""
+    start = rng.uniform(0.15, 0.85, size=2)
+    angles = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(rng.uniform(-0.6, 0.6, 3))
+    steps = rng.uniform(0.05, 0.15, size=(3, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)])
+    vertices = np.clip(np.vstack([start, start + np.cumsum(steps, axis=0)]), 0.03, 0.97)
+    try:
+        return CrackPath(vertices=vertices, id=crack_id)
+    except CrackGeometryError:
+        return None
+
+
+SUPPORT_MESHES = {
+    "plain": lambda: uniform_rect(1.0, 1.0, 16, 16),
+    "holed": lambda: punch_holes(uniform_rect(1.0, 1.0, 16, 16), [(0.5, 0.5, 0.2)]),
+}
+
+
+class TestSupportAreaRatios:
+    @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
+    def test_ratios_match_element_loop(self, name):
+        mesh = SUPPORT_MESHES[name]()
+        rule = gauss_rule(35)
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 20:
+            crack = random_polyline(rng, 0)
+            if crack is None:
+                continue
+            near = np.abs(signed_distance_batch(crack, mesh.nodes)) < 0.12
+            nodes = np.nonzero(near)[0]
+            ratios = enrichment._support_area_ratios(mesh, crack, nodes, rule)
+            expected = loop_support_area_ratios(mesh, crack, nodes, rule)
+            np.testing.assert_allclose(ratios, expected, rtol=0.0, atol=1e-12)
+            for delta in (0.002, 0.02, 0.1, 0.3):
+                np.testing.assert_array_equal(ratios < delta, expected < delta)
+            checked += 1
+
+    @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
+    def test_same_demotions_as_element_loop(self, name, monkeypatch):
+        mesh = SUPPORT_MESHES[name]()
+        rng = np.random.default_rng(43)
+        classified = demoted = 0
+        for _ in range(60):
+            cracks = [c for c in (random_polyline(rng, i) for i in range(2)) if c]
+            try:
+                emap = classify_enrichment(mesh, cracks, delta=0.05)
+            except EnrichmentError:  # junctions, tips off the mesh, coincidences
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(enrichment, "_support_area_ratios",
+                              loop_support_area_ratios)
+                expected = classify_enrichment(mesh, cracks, delta=0.05)
+            got = [(n, r) for n, r, _ in emap.demotions]
+            ref = [(n, r) for n, r, _ in expected.demotions]
+            assert [n for n, _ in got] == [n for n, _ in ref]
+            np.testing.assert_allclose([r for _, r in got], [r for _, r in ref],
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(emap.status, expected.status)
+            classified += 1
+            demoted += len(got)
+        assert classified >= 15 and demoted > 0
 
 
 class TestWithoutTipEnrichment:

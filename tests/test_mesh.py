@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xfem2d.benchmarks import hole_attraction_config
 from xfem2d.mesh import (
     Mesh,
     MeshFormatError,
+    _dissect_level,
+    _element_node_pairs,
     dump_mesh,
     gauss_rule,
+    jacobian,
     load_mesh,
     locate_point,
     locate_points,
@@ -20,6 +24,7 @@ from xfem2d.mesh import (
     reference_shape,
     shape_eval,
 )
+from xfem2d.meshgen import uniform_rect, windowed_rect
 
 UNIT_SQUARE_DOC = """\
 xfem-mesh 1
@@ -130,6 +135,74 @@ class TestDerivedData:
                                                               abs=1e-15)
         assert mesh.boundary_distance((1.0, 0.0)) == 0.0
         assert mesh.boundary_distance((1.0, 0.5)) == pytest.approx(0.5)
+
+
+ORDERING_MESHES = {
+    "uniform": lambda: uniform_rect(1.5, 1.0, 36, 24),
+    "holed": lambda: hole_attraction_config().mesh,
+    "graded": lambda: windowed_rect((-2.5, 2.5), (-2.5, 2.5), (-0.5, 0.5),
+                                    (-0.5, 0.5), 0.05),
+}
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_order_is_a_permutation_and_repeats(self, name):
+        mesh = ORDERING_MESHES[name]()
+        order = mesh.nested_dissection_order
+        assert order is mesh.nested_dissection_order
+        np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_nodes))
+        twin = Mesh(mesh.nodes.copy(), mesh.elements.copy(), dict(mesh.boundary_tags))
+        np.testing.assert_array_equal(twin.nested_dissection_order, order)
+
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_top_level_separator_splits_the_graph(self, name):
+        mesh = ORDERING_MESHES[name]()
+        pairs = _element_node_pairs(mesh.elements, mesh.n_nodes)
+        side, sep = _dissect_level(mesh.nodes, pairs,
+                                   np.zeros(mesh.n_nodes, dtype=np.int64))
+        assert abs(np.sum(side == 0) - np.sum(side == 1)) <= 1
+        a, b = pairs.T
+        assert not np.any((side[a] != side[b]) & ~sep[a] & ~sep[b])
+        # Numbered lower half, upper half, then the separator.
+        position = np.empty(mesh.n_nodes, dtype=np.int64)
+        position[mesh.nested_dissection_order] = np.arange(mesh.n_nodes)
+        lower = position[(side == 0) & ~sep]
+        upper = position[(side == 1) & ~sep]
+        assert lower.max() < upper.min()
+        assert upper.max() < position[sep].min()
+        assert position[sep].max() == mesh.n_nodes - 1
+
+    def test_graph_holds_element_edges_and_diagonals(self):
+        nx, ny = 5, 3
+        mesh = uniform_rect(1.0, 1.0, nx, ny)
+        pairs = _element_node_pairs(mesh.elements, mesh.n_nodes)
+        assert len(pairs) == nx * (ny + 1) + (nx + 1) * ny + 2 * nx * ny
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+
+    def test_small_mesh_keeps_index_order(self):
+        mesh = uniform_rect(1.0, 1.0, 6, 6)  # 49 nodes: a single leaf
+        np.testing.assert_array_equal(mesh.nested_dissection_order,
+                                      np.arange(mesh.n_nodes))
+
+
+class TestJacobian:
+    def test_matches_dense_inverse_for_any_leading_shape(self):
+        rng = np.random.default_rng(17)
+        xy = structured_mesh(3, 2).element_coords()  # (6, 4, 2)
+        xy = xy + rng.uniform(-0.05, 0.05, size=xy.shape)
+        local = rng.uniform(-1.0, 1.0, size=(5, 2))
+        _, dref = reference_shape(local[:, 0], local[:, 1])  # (5, 4, 2)
+        det, inv = jacobian(xy[:, None], dref)
+        assert det.shape == (6, 5) and inv.shape == (6, 5, 2, 2)
+        for m in range(6):
+            for q in range(5):
+                J = xy[m].T @ dref[q]
+                assert det[m, q] == pytest.approx(np.linalg.det(J), rel=1e-12)
+                np.testing.assert_allclose(inv[m, q], np.linalg.inv(J), rtol=1e-12)
+        det1, inv1 = jacobian(xy[2], dref[3])
+        assert det1 == det[2, 3]
+        np.testing.assert_array_equal(inv1, inv[2, 3])
 
 
 class TestShapeEval:
