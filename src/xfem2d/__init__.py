@@ -18,7 +18,7 @@ from xfem2d.mesh import (
     write_mesh,
     shape_eval,
     gauss_rule,
-    locate_point,
+    locate_hits,
     locate_points,
 )
 from xfem2d.cracks import (

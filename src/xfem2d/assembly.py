@@ -35,17 +35,15 @@ import scipy.sparse.linalg as spla
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
     HEAVISIDE,
-    STANDARD,
     TIP,
     EnrichmentMap,
     FieldTriplet,
-    branch_eval,
-    branch_frame,
-    branch_theta,
+    branch_functions,
+    branch_shape,
     evaluate_fields,
     shifted_heaviside,
 )
-from xfem2d.mesh import Mesh, QuadratureRule, gauss_rule, jacobian, reference_shape
+from xfem2d.mesh import Mesh, QuadratureRule, element_geometry, gauss_rule
 
 __all__ = [
     "AssemblyError",
@@ -58,6 +56,7 @@ __all__ = [
     "LinearSystem",
     "SolutionState",
     "elasticity_matrix",
+    "voigt_strain",
     "assemble",
     "apply_constraints",
     "solve",
@@ -157,6 +156,15 @@ class QuadratureSet:
             cut=gauss_rule(cut),
             tip=gauss_rule(n * n),
         )
+
+    def classes(self, kinds: np.ndarray) -> list:
+        """``(element ids, rule)`` of each non-empty integration class of
+        :meth:`~xfem2d.enrichment.EnrichmentMap.element_kinds`: plain and
+        blending elements, cut elements, tip elements."""
+        pairs = ((np.nonzero(kinds < 2)[0], self.standard),
+                 (np.nonzero(kinds == 2)[0], self.cut),
+                 (np.nonzero(kinds == 3)[0], self.tip))
+        return [(eids, rule) for eids, rule in pairs if eids.size]
 
 
 @dataclass(frozen=True)
@@ -282,60 +290,61 @@ def elasticity_matrix(material: MaterialModel) -> np.ndarray:
     )
 
 
+def voigt_strain(grad: np.ndarray) -> np.ndarray:
+    """Engineering strains (..., 3), order xx, yy, xy, from displacement
+    gradients ``grad[..., a, b] = du_a/dx_b``."""
+    return np.stack([grad[..., 0, 0], grad[..., 1, 1],
+                     grad[..., 0, 1] + grad[..., 1, 0]], axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # element-level machinery
 # ---------------------------------------------------------------------------
-
-def _element_geometry(xy: np.ndarray, rule: QuadratureRule):
-    """Shape data at one element's quadrature points.
-
-    Returns (values (q,4), dN physical (q,4,2), wdet (q,), phys (q,2)).
-    """
-    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
-    det, Jinv = jacobian(xy, dref)
-    return values, dref @ Jinv, rule.weights * det, values @ xy
-
 
 def _element_scalars(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eid: int,
                      values: np.ndarray, dN: np.ndarray, phys: np.ndarray):
     """Scalar shape functions of one element, one per dof pair.
 
     Returns (dofs, vals (q, S), grads (q, S, 2)) where scalar k spawns the
-    x/y dof pair dofs[2k], dofs[2k+1].
+    x/y dof pair dofs[2k], dofs[2k+1].  The signed distance to a crack and
+    the branch functions of a tip are evaluated once per element, however
+    many of its nodes they enrich.
     """
     conn = mesh.elements[eid]
-    nq = values.shape[0]
     vals = [values[:, li] for li in range(4)]
     grads = [dN[:, li, :] for li in range(4)]
     dofs: list[int] = []
     for li in range(4):
         n = int(conn[li])
         dofs += [layout.cont_dof(n, 0), layout.cont_dof(n, 1)]
+    phi: dict[int, np.ndarray] = {}  # crack id -> signed distance at phys
+    branch: dict[int, tuple] = {}  # tip index -> (F, dF) at phys
     for li in range(4):
         n = int(conn[li])
         status = emap.status[n]
         if status == HEAVISIDE:
-            crack = emap.crack_by_id(int(emap.node_crack[n]))
-            M = shifted_heaviside(emap.node_sign[n], signed_distance_batch(crack, phys))
+            cid = int(emap.node_crack[n])
+            if cid not in phi:
+                phi[cid] = signed_distance_batch(emap.crack_by_id(cid), phys)
+            M = shifted_heaviside(emap.node_sign[n], phi[cid])
             vals.append(values[:, li] * M)
             grads.append(M[:, None] * dN[:, li, :])
             dofs += [layout.disc_dof(n, 0), layout.disc_dof(n, 1)]
         elif status == TIP:
-            tinfo = emap.tips[int(emap.node_tip[n])]
-            crack = emap.crack_by_id(tinfo.crack_id)
-            r, theta = branch_theta(tinfo, crack, phys)
-            if np.any(r < 1e-14):
-                raise AssemblyError(
-                    f"a quadrature point of element {eid} coincides with the "
-                    f"tip of crack {tinfo.crack_id}; change the rule or mesh"
-                )
-            F, dF_local = branch_eval(r, theta)
-            Q = branch_frame(tinfo)
-            dF = np.einsum("qjb,ab->qja", dF_local, Q)
+            gti = int(emap.node_tip[n])
+            if gti not in branch:
+                tinfo = emap.tips[gti]
+                r, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), phys)
+                if np.any(r < 1e-14):
+                    raise AssemblyError(
+                        f"a quadrature point of element {eid} coincides with the "
+                        f"tip of crack {tinfo.crack_id}; change the rule or mesh"
+                    )
+                branch[gti] = F, dF
+            NF, G = branch_shape(values[:, li], dN[:, li, :], *branch[gti])
             for j in range(4):
-                vals.append(values[:, li] * F[:, j])
-                grads.append(F[:, j, None] * dN[:, li, :]
-                             + values[:, li, None] * dF[:, j, :])
+                vals.append(NF[:, j])
+                grads.append(G[:, j, :])
                 dofs += [layout.tip_dof(n, j, 0), layout.tip_dof(n, j, 1)]
     return dofs, np.stack(vals, axis=1), np.stack(grads, axis=1)
 
@@ -375,11 +384,9 @@ class StandardStiffness:
     @cached_property
     def matrices(self) -> np.ndarray:
         """Element stiffness of the standard field, shape (m, 8, 8)."""
-        rule = self.rule
-        _, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
-        det, Jinv = jacobian(self.mesh.element_coords()[:, None], dref)  # (m, q)
-        B = _strain_matrix(dref @ Jinv)  # (m, q, 3, 8)
-        return _element_matrix(B, elasticity_matrix(self.material), rule.weights * det)
+        _, dN, wdet, _ = element_geometry(self.mesh.element_coords(), self.rule)
+        B = _strain_matrix(dN)  # (m, q, 3, 8)
+        return _element_matrix(B, elasticity_matrix(self.material), wdet)
 
     @cached_property
     def dofs(self) -> np.ndarray:
@@ -467,8 +474,7 @@ def _traction_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
                     elif status == TIP:
                         tinfo = emap.tips[int(emap.node_tip[node])]
                         crack = emap.crack_by_id(tinfo.crack_id)
-                        r, theta = branch_theta(tinfo, crack, xs)
-                        F, _ = branch_eval(np.maximum(r, 1e-30), theta)
+                        _, F, _ = branch_functions(tinfo, crack, xs)
                         for j in range(4):
                             w_enr = np.sum(shape * F[:, j] * ws)
                             f[layout.tip_dof(node, j, 0)] += w_enr * tvec[0]
@@ -486,8 +492,7 @@ def _body_force_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout
     rule_of_kind = {0: rules.standard, 1: rules.standard, 2: rules.cut, 3: rules.tip}
     for eid in range(mesh.n_elements):
         rule = rule_of_kind[int(kinds[eid])]
-        xy = mesh.nodes[mesh.elements[eid]]
-        values, dN, wdet, phys = _element_geometry(xy, rule)
+        values, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
         dofs, vals, _ = _element_scalars(mesh, emap, layout, eid, values, dN, phys)
         weights = vals.T @ wdet  # (S,)
         fe = np.empty(2 * weights.size)
@@ -527,8 +532,7 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     # elevated-rule integral over all coupled fields.
     for eid in np.nonzero(kinds >= 2)[0].tolist():
         rule = rules.cut if kinds[eid] == 2 else rules.tip
-        xy = mesh.nodes[mesh.elements[eid]]
-        values, dN, wdet, phys = _element_geometry(xy, rule)
+        values, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
         # A cut element whose quadrature points all sample one side (the
         # crack clips a corner sliver below rule resolution) is still
         # integrated: the jump factors are then constant over the element,
@@ -679,8 +683,6 @@ def stress_strain_batch(xs, state: SolutionState, mesh: Mesh,
                 "side is ambiguous; offset it off the face"
             )
     _, grad = evaluate_fields(xs, mesh, emap, state.fields)
-    eps = np.stack(
-        [grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]], axis=1
-    )
+    eps = voigt_strain(grad)
     sig = eps @ elasticity_matrix(material).T
     return eps, sig

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from xfem2d.assembly import (
     assemble,
     elasticity_matrix,
     solve,
-    _element_geometry,
+    voigt_strain,
 )
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
@@ -54,8 +55,8 @@ from xfem2d.enrichment import (
     EnrichmentMap,
     classify_with_remedy,
     crack_opening,
+    element_fields,
     evaluate_fields,
-    _element_field_eval,
 )
 from xfem2d.fracture import (
     FractureError,
@@ -64,7 +65,10 @@ from xfem2d.fracture import (
     k_equivalent,
     tip_clearance,
 )
-from xfem2d.mesh import Mesh, MeshFormatError, read_mesh
+from xfem2d.mesh import Mesh, MeshFormatError, element_geometry, read_mesh
+
+if TYPE_CHECKING:  # config imports this module
+    from xfem2d.config import ContourSpec, RunConfig
 
 __all__ = [
     "LoadSchedule",
@@ -238,7 +242,7 @@ class Problem:
     standard: StandardStiffness
 
 
-def setup_problem(config, cracks=None, base: Problem | None = None) -> Problem:
+def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -> Problem:
     """Load the mesh, validate tags, and classify the crack set.
 
     ``cracks`` overrides the configured cracks.  ``base`` is a problem set
@@ -249,9 +253,7 @@ def setup_problem(config, cracks=None, base: Problem | None = None) -> Problem:
     """
     if base is None:
         with _stage("mesh"):
-            mesh = getattr(config, "mesh", None)
-            if mesh is None:
-                mesh = read_mesh(config.mesh_path)
+            mesh = config.mesh if config.mesh is not None else read_mesh(config.mesh_path)
         bcs = tuple(config.bcs)
         for bc in bcs:
             if bc.boundary not in mesh.boundary_tags:
@@ -286,19 +288,14 @@ def setup_problem(config, cracks=None, base: Problem | None = None) -> Problem:
     )
 
 
-def _contour_radius(contour, emap: EnrichmentMap, crack_id: int) -> float | None:
-    rule = getattr(contour, "rule", "auto")
-    if rule == "auto":
+def _contour_radius(contour: ContourSpec, emap: EnrichmentMap, crack_id: int) -> float | None:
+    if contour.rule == "auto":
         return None
-    if rule == "absolute":
+    if contour.rule == "absolute":
         return float(contour.value)
-    if rule == "relative":
+    if contour.rule == "relative":
         return float(contour.value) * emap.effective_half_length(crack_id)
-    raise ValueError(f"unknown contour radius rule '{rule}'")
-
-
-def _contour_n_points(contour) -> int:
-    return int(getattr(contour, "n_points", 128))
+    raise ValueError(f"unknown contour radius rule '{contour.rule}'")
 
 
 def _solve_step(problem: Problem, lam: float) -> SolutionState:
@@ -312,7 +309,7 @@ def _solve_step(problem: Problem, lam: float) -> SolutionState:
         return solve(system, load_factor=lam)
 
 
-def _extract_step(problem: Problem, state: SolutionState, contour,
+def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
                   skip=frozenset()):
     results = []
     with _stage("fracture"):
@@ -324,13 +321,13 @@ def _extract_step(problem: Problem, state: SolutionState, contour,
                 extract_sifs(
                     state, problem.mesh, problem.emap, problem.material,
                     tinfo.crack_id, tinfo.tip_id,
-                    radius=radius, n_points=_contour_n_points(contour),
+                    radius=radius, n_points=contour.n_points,
                 )
             )
     return tuple(results)
 
 
-def run_stationary(config, problem: Problem | None = None):
+def run_stationary(config: RunConfig, problem: Problem | None = None):
     """Single solve at the final load factor plus one extraction per tip.
 
     Returns ``(state, results)``; pass a prepared ``problem`` to skip the
@@ -339,10 +336,9 @@ def run_stationary(config, problem: Problem | None = None):
     """
     if problem is None:
         problem = setup_problem(config)
-    schedule = getattr(config, "schedule", None)
-    lam = schedule.steps[-1] if schedule is not None else 1.0
+    lam = config.schedule.steps[-1] if config.schedule is not None else 1.0
     state = _solve_step(problem, lam)
-    results = _extract_step(problem, state, getattr(config, "contour", None))
+    results = _extract_step(problem, state, config.contour)
     return state, results
 
 
@@ -382,7 +378,7 @@ def _replace_crack(cracks: list, crack_id: int, new: CrackPath) -> None:
     raise KeyError(f"no crack with id {crack_id}")
 
 
-def run_propagation(config) -> RunHistory:
+def run_propagation(config: RunConfig) -> RunHistory:
     """Load sweep with at most one growth increment per tip per step.
 
     Stops on schedule exhaustion, on reaching the increment budget, or
@@ -390,14 +386,12 @@ def run_propagation(config) -> RunHistory:
     early with the history collected so far and the failure recorded on
     ``history.error``.
     """
-    prop = getattr(config, "propagation", None)
-    schedule = getattr(config, "schedule", None)
+    prop, schedule, contour = config.propagation, config.schedule, config.contour
     if prop is None or schedule is None:
         raise ValueError(
             "[config] a propagation run needs propagation parameters "
             "and a load schedule"
         )
-    contour = getattr(config, "contour", None)
 
     problem = setup_problem(config)
     cracks = problem.cracks
@@ -542,11 +536,7 @@ def strain_evaluator(state: SolutionState, mesh: Mesh, emap: EnrichmentMap):
     """Callable mapping points to engineering strains of a solved state."""
 
     def evaluate(xs):
-        _, grad = evaluate_fields(xs, mesh, emap, state.fields)
-        return np.stack(
-            [grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]],
-            axis=1,
-        )
+        return voigt_strain(evaluate_fields(xs, mesh, emap, state.fields)[1])
 
     return evaluate
 
@@ -565,30 +555,20 @@ def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
     D = elasticity_matrix(material)
-    kinds = emap.element_kinds(mesh)
     total = 0.0
     area = 0.0
-    for eid in range(mesh.n_elements):
-        kind = int(kinds[eid])
-        rule = rules.standard if kind < 2 else (
-            rules.cut if kind == 2 else rules.tip)
-        xy = mesh.nodes[mesh.elements[eid]]
-        _, _, wdet, phys = _element_geometry(xy, rule)
-        if region is not None:
-            w = np.asarray(region(phys), dtype=float)
-            keep = w > 0.0
-            if not keep.any():
-                continue
-        else:
-            w = np.ones(len(phys))
-            keep = np.ones(len(phys), dtype=bool)
-        _, grad = _element_field_eval(mesh, emap, state.fields, eid,
-                                      rule.points[keep], phys[keep])
-        eps = np.stack(
-            [grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]],
-            axis=1,
-        )
-        diff = eps - np.asarray(reference(phys[keep]), dtype=float)
+    for eids, rule in rules.classes(emap.element_kinds(mesh)):
+        _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+        wdet, phys = wdet.ravel(), phys.reshape(-1, 2)
+        w = (np.asarray(region(phys), dtype=float) if region is not None
+             else np.ones(phys.shape[0]))
+        keep = np.nonzero(w > 0.0)[0]
+        if keep.size == 0:
+            continue
+        local = np.tile(rule.points, (eids.size, 1))[keep]
+        _, grad = element_fields(mesh, emap, state.fields,
+                                 np.repeat(eids, rule.n_points)[keep], local, phys[keep])
+        diff = voigt_strain(grad) - np.asarray(reference(phys[keep]), dtype=float)
         wk = wdet[keep] * w[keep]
         total += float(np.einsum("n,ni,ij,nj->", wk, diff, D, diff))
         area += float(wk.sum())

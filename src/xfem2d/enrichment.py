@@ -13,6 +13,11 @@ crack is virtually extended along its tangent to the far edge of the
 element containing the tip, so the modeled crack is fully fractured up to
 element edges; the resulting effective half-length is reported so results
 can be compared against the matching closed-form value.
+
+Field reconstruction is one batched kernel, :func:`element_fields`, over
+points given by element, reference and physical coordinates;
+:func:`evaluate_fields` is :func:`~xfem2d.mesh.locate_points` plus that
+kernel.  It shares :func:`branch_shape` with assembly.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from xfem2d.cracks import (
 from xfem2d.mesh import (
     Mesh,
     QuadratureRule,
-    containing_elements,
+    element_geometry,
     gauss_rule,
     jacobian,
-    locate_point,
+    locate_hits,
     locate_points,
     point_segment_distance,
     reference_shape,
@@ -58,10 +63,13 @@ __all__ = [
     "branch_eval",
     "branch_theta",
     "branch_frame",
+    "branch_functions",
+    "branch_shape",
     "total_displacement",
     "crack_opening",
     "psi_at",
     "evaluate_fields",
+    "element_fields",
 ]
 
 STANDARD, HEAVISIDE, TIP = 0, 1, 2
@@ -299,12 +307,6 @@ def _crack_chunks(quad: np.ndarray, crack: CrackPath):
     return [tuple(c) for c in merged]
 
 
-def _on_domain_boundary(mesh: Mesh, p: np.ndarray, tol: float) -> bool:
-    if containing_elements(mesh, p).size == 0:
-        return True  # outside the mesh counts as "not interior"
-    return mesh.boundary_distance(p) <= tol
-
-
 def _detect_coincidences(mesh: Mesh, cracks) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
@@ -430,11 +432,8 @@ def _support_area_ratios(mesh: Mesh, crack: CrackPath, nodes: np.ndarray,
     """
     support = [mesh.node_to_elements[n] for n in nodes]
     elems, inv = np.unique(np.concatenate(support), return_inverse=True)
-    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
-    xy = mesh.element_coords(elems)
-    det, _ = jacobian(xy[:, None], dref)
-    w = rule.weights * det  # (elements, q)
-    phi = signed_distance_batch(crack, (values @ xy).reshape(-1, 2)).reshape(w.shape)
+    _, _, w, phys = element_geometry(mesh.element_coords(elems), rule)  # w: (elements, q)
+    phi = signed_distance_batch(crack, phys.reshape(-1, 2)).reshape(w.shape)
     a_pos = np.where(phi >= 0.0, w, 0.0).sum(axis=1)
     a_neg = np.where(phi < 0.0, w, 0.0).sum(axis=1)
     owner = np.repeat(np.arange(len(support)), [s.size for s in support])
@@ -476,26 +475,30 @@ def classify_enrichment(
 
     size_tol = 1e-9 * float(np.max(mesh.element_sizes(), initial=1.0))
 
-    # Live tips; without tip enrichment each crack grows virtually to the
-    # far edge of its tip's element.
+    # Live tips, each homed in its lowest-id containing element; without
+    # tip enrichment each crack grows virtually to the far edge of that
+    # element.
+    live = [(crack, tid) for crack in cracks for tid in crack.active_tips()]
+    origins = np.array([crack.tip_coord(tid) for crack, tid in live]).reshape(-1, 2)
+    owners, _ = locate_points(mesh, origins)
+    if np.any(owners < 0):
+        k = int(np.argmax(owners < 0))
+        crack, tid = live[k]
+        raise EnrichmentError(
+            f"crack {crack.id} tip {tid} at ({origins[k, 0]:g}, {origins[k, 1]:g}) "
+            "lies outside the mesh"
+        )
+    home = {(crack.id, tid): int(e) for (crack, tid), e in zip(live, owners)}
     eff_cracks: list[CrackPath] = []
     tips: list[TipInfo] = []
     for crack in cracks:
         effective = crack
-        homes = {}
         extensions = {}
         for tid in crack.active_tips():
             origin = crack.tip_coord(tid)
-            owners = containing_elements(mesh, origin)
-            if owners.size == 0:
-                raise EnrichmentError(
-                    f"crack {crack.id} tip {tid} at ({origin[0]:g}, {origin[1]:g}) "
-                    "lies outside the mesh"
-                )
-            homes[tid] = int(owners[0])
             if not tip_enrichment:
                 frame = tip_frame(crack, tid)
-                quad = mesh.element_coords([homes[tid]])[0]
+                quad = mesh.element_coords([home[crack.id, tid]])[0]
                 t_exit = _ray_exit_distance(quad, origin, frame.tangent)
                 extensions[tid] = t_exit
                 if t_exit > _COINCIDENCE_TOL:
@@ -507,7 +510,7 @@ def classify_enrichment(
                     crack_id=crack.id,
                     tip_id=tid,
                     frame=tip_frame(effective, tid),
-                    element=homes[tid],
+                    element=home[crack.id, tid],
                     virtual_extension=extensions.get(tid, 0.0),
                 )
             )
@@ -610,14 +613,14 @@ def classify_enrichment(
     demotions: list[tuple[int, float, str]] = []
 
     # A candidate whose support strictly contains a crack endpoint cannot
-    # carry a full jump; the opening must close at that endpoint.
-    interior_endpoints: list[np.ndarray] = []
-    for crack in eff_cracks:
-        for p in (crack.vertices[0], crack.vertices[-1]):
-            if not _on_domain_boundary(mesh, p, size_tol):
-                interior_endpoints.append(p)
-    endpoint_owners = [set(int(e) for e in containing_elements(mesh, p))
-                       for p in interior_endpoints]
+    # carry a full jump; the opening must close at that endpoint.  An
+    # endpoint outside the mesh or on its boundary is not interior.
+    ends = np.array([p for crack in eff_cracks
+                     for p in (crack.vertices[0], crack.vertices[-1])]).reshape(-1, 2)
+    pt, eid, _ = locate_hits(mesh, ends)
+    endpoint_owners = [set(eid[pt == i].tolist()) for i in range(ends.shape[0])]
+    endpoint_owners = [owners for owners, p in zip(endpoint_owners, ends)
+                       if owners and mesh.boundary_distance(p) > size_tol]
     node_elems = mesh.node_to_elements
     for n in sorted(candidates):
         support = set(int(e) for e in node_elems[n])
@@ -650,10 +653,9 @@ def classify_enrichment(
         status[n] = TIP
         node_crack[n] = tips[gti].crack_id
         node_tip[n] = gti
-    enriched = np.nonzero(status != STANDARD)[0]
-    for n in enriched:
-        crack = crack_lookup[int(node_crack[n])]
-        node_sign[n] = heaviside(signed_distance_batch(crack, mesh.nodes[n][None])[0])
+    for crack in eff_cracks:
+        mine = np.nonzero(node_crack == crack.id)[0]
+        node_sign[mine] = heaviside(signed_distance_batch(crack, mesh.nodes[mine]))
 
     return EnrichmentMap(
         status=status,
@@ -779,42 +781,72 @@ def branch_frame(tinfo: TipInfo) -> np.ndarray:
     return np.column_stack([tinfo.frame.tangent, flip * tinfo.frame.normal])
 
 
+def branch_functions(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
+    """Tip radius r (k,), branch functions F (k, 4) and their global
+    gradients dF (k, 4, 2) at points ``xs``."""
+    r, theta = branch_theta(tinfo, crack, xs)
+    F, dF_local = branch_eval(np.maximum(r, 1e-30), theta)
+    return r, F, np.einsum("kjb,ab->kja", dF_local, branch_frame(tinfo))
+
+
+def branch_shape(N, dN, F, dF):
+    """Branch-enriched shape functions N F_j and their gradients F_j dN + N dF_j.
+
+    ``N`` (...), ``dN`` (..., 2), ``F`` (..., 4) and ``dF`` (..., 4, 2)
+    broadcast; returns values (..., 4) and gradients (..., 4, 2).
+    """
+    return N[..., None] * F, F[..., None] * dN[..., None, :] + N[..., None, None] * dF
+
+
 # ---------------------------------------------------------------------------
 # field evaluation
 # ---------------------------------------------------------------------------
 
-def _element_field_eval(mesh, emap, fields, eid, locs, xs, want_grad=True):
-    """Displacement (and gradient) of the total field inside one element."""
-    conn = mesh.elements[eid]
-    xy = mesh.nodes[conn]
-    values, dref = reference_shape(locs[:, 0], locs[:, 1])  # (k,4), (k,4,2)
-    dN = dref @ jacobian(xy, dref)[1]  # physical gradients
+def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
+                   eids, local, xs, want_grad: bool = True):
+    """Total displacement (n, 2) and gradient (n, 2, 2) at points of known elements.
 
-    u = np.einsum("ki,ia->ka", values, fields.u_cont[conn])
-    grad = np.einsum("kib,ia->kab", dN, fields.u_cont[conn]) if want_grad else None
-
+    Point k lies in element ``eids[k]`` at reference coordinates ``local[k]``
+    and physical position ``xs[k]``.  The jump part takes one signed
+    distance per crack, over the points whose element holds its jump nodes,
+    the branch part one evaluation per tip; enriched terms are added in
+    corner order.  ``grad`` is ``None`` when not wanted.
+    """
+    conn = mesh.elements[eids]
+    values, dref = reference_shape(local[:, 0], local[:, 1])  # (n,4), (n,4,2)
+    dN = dref @ jacobian(mesh.nodes[conn], dref)[1]  # physical gradients
+    u = np.einsum("ki,kia->ka", values, fields.u_cont[conn])
+    grad = np.einsum("kib,kia->kab", dN, fields.u_cont[conn]) if want_grad else None
+    status = emap.status[conn]
+    enr = np.nonzero((status != STANDARD).any(axis=1))[0]
+    at = np.zeros(conn.shape[0], dtype=np.int64)
+    at[enr] = np.arange(enr.size)  # row of each enriched point in du, dg
+    du, dg = np.zeros((enr.size, 4, 2)), np.zeros((enr.size, 4, 2, 2))
+    node_crack, node_tip = emap.node_crack[conn], emap.node_tip[conn]
+    for cid in np.unique(node_crack[status == HEAVISIDE]).tolist():
+        own = (status == HEAVISIDE) & (node_crack == cid)
+        rows = np.nonzero(own.any(axis=1))[0]
+        phi = signed_distance_batch(emap.crack_by_id(cid), xs[rows])
+        for li in range(4):
+            sel = own[rows, li]
+            r, n = rows[sel], conn[rows[sel], li]
+            M = shifted_heaviside(emap.node_sign[n], phi[sel])
+            du[at[r], li] = (values[r, li] * M)[:, None] * fields.u_disc[n]
+            dg[at[r], li] = np.einsum("k,kb,ka->kab", M, dN[r, li], fields.u_disc[n])
+    for gti in np.unique(node_tip[status == TIP]).tolist():
+        tinfo, own = emap.tips[gti], node_tip == gti
+        rows = np.nonzero(own.any(axis=1))[0]
+        _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs[rows])
+        for li in range(4):
+            sel = own[rows, li]
+            r, n = rows[sel], conn[rows[sel], li]
+            NF, G = branch_shape(values[r, li], dN[r, li], F[sel], dF[sel])
+            du[at[r], li] = np.einsum("kj,kja->ka", NF, fields.u_tip[n])
+            dg[at[r], li] = np.einsum("kjb,kja->kab", G, fields.u_tip[n])
     for li in range(4):
-        n = int(conn[li])
-        st = emap.status[n]
-        if st == STANDARD:
-            continue
-        crack = emap.crack_by_id(int(emap.node_crack[n]))
-        if st == HEAVISIDE:
-            phi = signed_distance_batch(crack, xs)
-            M = shifted_heaviside(emap.node_sign[n], phi)  # (k,)
-            u += (values[:, li] * M)[:, None] * fields.u_disc[n]
-            if want_grad:
-                grad += np.einsum("k,kb,a->kab", M, dN[:, li], fields.u_disc[n])
-        else:  # TIP
-            tinfo = emap.tips[int(emap.node_tip[n])]
-            r, theta = branch_theta(tinfo, crack, xs)
-            F, dF_local = branch_eval(np.maximum(r, 1e-30), theta)
-            u += np.einsum("k,kj,ja->ka", values[:, li], F, fields.u_tip[n])
-            if want_grad:
-                Q = branch_frame(tinfo)
-                dF = np.einsum("kjb,ab->kja", dF_local, Q)
-                G = F[..., None] * dN[:, li, None, :] + values[:, li, None, None] * dF
-                grad += np.einsum("kjb,ja->kab", G, fields.u_tip[n])
+        u[enr] += du[:, li]
+        if want_grad:
+            grad[enr] += dg[:, li]
     return u, grad
 
 
@@ -830,16 +862,7 @@ def evaluate_fields(xs, mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     if np.any(eids < 0):
         bad = xs[eids < 0][0]
         raise ValueError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the mesh")
-    u = np.empty_like(xs)
-    grad = np.empty((xs.shape[0], 2, 2)) if want_grad else None
-    for eid in np.unique(eids):
-        sel = np.nonzero(eids == eid)[0]
-        ue, ge = _element_field_eval(mesh, emap, fields, int(eid), locs[sel], xs[sel],
-                                     want_grad)
-        u[sel] = ue
-        if want_grad:
-            grad[sel] = ge
-    return u, grad
+    return element_fields(mesh, emap, fields, eids, locs, xs, want_grad)
 
 
 def total_displacement(x, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap):
@@ -847,6 +870,15 @@ def total_displacement(x, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap)
     u, _ = evaluate_fields(np.asarray(x, dtype=float)[None, :], mesh, emap, fields,
                            want_grad=False)
     return u[0]
+
+
+def _shape_at(mesh: Mesh, x):
+    """Corner nodes and shape values of the element holding point ``x``."""
+    eids, locs = locate_points(mesh, np.asarray(x, dtype=float)[None, :])
+    if eids[0] < 0:
+        raise ValueError("point is outside the mesh")
+    values, _ = reference_shape(locs[0, 0], locs[0, 1])
+    return mesh.elements[eids[0]], values
 
 
 def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap,
@@ -861,26 +893,14 @@ def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: Enrichment
     crack = emap.crack_by_id(crack_id)
     if abs(signed_distance_batch(crack, x[None])[0]) > 1e-6 * max(1.0, crack.length):
         raise ValueError("point does not lie on the crack polyline")
-    hit = locate_point(mesh, x)
-    if hit is None:
-        raise ValueError("point is outside the mesh")
-    eid, loc = hit
-    conn = mesh.elements[eid]
-    values, _ = reference_shape(loc[0], loc[1])
-    jump = np.zeros(2)
-    for li in range(4):
-        n = int(conn[li])
-        if emap.status[n] == HEAVISIDE and emap.node_crack[n] == crack_id:
-            jump += 2.0 * values[li] * fields.u_disc[n]
+    conn, values = _shape_at(mesh, x)
+    own = (emap.status[conn] == HEAVISIDE) & (emap.node_crack[conn] == crack_id)
+    jump = 2.0 * (values * own) @ fields.u_disc[conn]
     _, normal, _ = nearest_point(crack, x)
     return float(jump @ normal)
 
 
 def psi_at(emap: EnrichmentMap, mesh: Mesh, x) -> float:
     """Bilinear interpolation of the 0/1 enriched-node indicator."""
-    hit = locate_point(mesh, np.asarray(x, dtype=float))
-    if hit is None:
-        raise ValueError("point is outside the mesh")
-    eid, loc = hit
-    values, _ = reference_shape(loc[0], loc[1])
-    return float(values @ emap.psi[mesh.elements[eid]])
+    conn, values = _shape_at(mesh, x)
+    return float(values @ emap.psi[conn])

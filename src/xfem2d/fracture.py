@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix
+from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.cracks import CrackPath, signed_distance_batch
 from xfem2d.enrichment import EnrichmentMap, TipInfo, evaluate_fields
 from xfem2d.mesh import Mesh
@@ -221,59 +221,43 @@ def _check_contour(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
         )
 
 
-def _fields_on_contour(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                       material: MaterialModel, tinfo: TipInfo,
-                       points: np.ndarray):
-    """Solved stress and displacement gradient rotated into the tip frame."""
-    _, grad = evaluate_fields(points, mesh, emap, state.fields)
-    D = elasticity_matrix(material)
-    eps = np.stack(
-        [grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]], axis=1
-    )
-    sig = eps @ D.T
-    S = np.empty_like(grad)
-    S[:, 0, 0] = sig[:, 0]
-    S[:, 1, 1] = sig[:, 1]
-    S[:, 0, 1] = S[:, 1, 0] = sig[:, 2]
-    Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
-    sig_t = np.einsum("ar,nrs,sb->nab", Q.T, S, Q)
-    grad_t = np.einsum("ar,nrs,sb->nab", Q.T, grad, Q)
-    return sig_t, grad_t
-
-
 def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
-    S = np.empty(sig.shape[:-1] + (2, 2))
-    S[..., 0, 0] = sig[..., 0]
-    S[..., 1, 1] = sig[..., 1]
-    S[..., 0, 1] = S[..., 1, 0] = sig[..., 2]
-    return S
+    """Symmetric 2x2 tensors (..., 2, 2) from Voigt components (..., 3)."""
+    # contiguous: the integrand's einsums sum in an order set by the layout
+    return np.ascontiguousarray(sig[..., [[0, 2], [2, 1]]])
 
 
-def interaction_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                         material: MaterialModel, crack_id: int, tip_id: int,
-                         mode: int, radius: float | None = None,
-                         n_points: int = 128) -> float:
-    """Path-form interaction integral of the solution with one unit mode.
+def _contour_fields(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
+                    material: MaterialModel, crack_id: int, tip_id: int,
+                    radius: float | None, n_points: int):
+    """Check one tip's contour and evaluate the solved field on it.
 
-    The integrand combines the mutual strain energy density and the
-    traction/gradient cross terms of the solved and auxiliary fields on a
-    circle of the given radius around the tip.
+    Returns ``(sigma, grad, angles, radius)``: stress and displacement
+    gradient tensors (n, 2, 2) rotated into the tip frame, the sample
+    angles and the radius used.
     """
     if n_points < 32:
         raise ValueError("n_points must be at least 32")
     tinfo = _find_tip(emap, crack_id, tip_id)
-    crack = emap.crack_by_id(crack_id)
     if radius is None:
         radius = default_contour_radius(mesh, emap, crack_id, tip_id)
     if radius <= 0.0:
         raise ValueError("contour radius must be positive")
     _check_contour(mesh, emap, crack_id, tip_id, tinfo.frame.origin, radius)
-    points, angles = _contour_points(tinfo, crack, radius, n_points)
-    sig_act, grad_act = _fields_on_contour(state, mesh, emap, material,
-                                           tinfo, points)
-    sig_aux_v, grad_aux = auxiliary_fields(mode, np.full(angles.shape, radius),
-                                           angles, material)
-    sig_aux = _voigt_to_tensor(sig_aux_v)
+    points, angles = _contour_points(tinfo, emap.crack_by_id(crack_id), radius,
+                                     n_points)
+    _, grad = evaluate_fields(points, mesh, emap, state.fields)
+    S = _voigt_to_tensor(voigt_strain(grad) @ elasticity_matrix(material).T)
+    Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
+    sig_t = np.einsum("ar,nrs,sb->nab", Q.T, S, Q)
+    grad_t = np.einsum("ar,nrs,sb->nab", Q.T, grad, Q)
+    return sig_t, grad_t, angles, radius
+
+
+def _contour_integral(sig_act, grad_act, sig_aux, grad_aux, angles,
+                      radius: float) -> float:
+    """Path-form interaction integral of two fields sampled on the circle;
+    of the solved field with itself it is twice the J integral."""
     eps_act = 0.5 * (grad_act + np.swapaxes(grad_act, 1, 2))
     eps_aux = 0.5 * (grad_aux + np.swapaxes(grad_aux, 1, 2))
     w_mutual = 0.5 * (
@@ -288,32 +272,42 @@ def interaction_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         - np.einsum("na,na->n", t_act, grad_aux[:, :, 0])
         - np.einsum("na,na->n", t_aux, grad_act[:, :, 0])
     )
-    return float(np.sum(integrand) * radius * (2.0 * np.pi / n_points))
+    return float(np.sum(integrand) * radius * (2.0 * np.pi / angles.size))
+
+
+def _mode_integral(sig_act, grad_act, angles, radius: float, mode: int,
+                   material: MaterialModel) -> float:
+    """Interaction integral of the solved field with one unit mode."""
+    sig_aux, grad_aux = auxiliary_fields(mode, np.full(angles.shape, radius),
+                                         angles, material)
+    return _contour_integral(sig_act, grad_act, _voigt_to_tensor(sig_aux),
+                             grad_aux, angles, radius)
+
+
+def interaction_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
+                         material: MaterialModel, crack_id: int, tip_id: int,
+                         mode: int, radius: float | None = None,
+                         n_points: int = 128) -> float:
+    """Path-form interaction integral of the solution with one unit mode.
+
+    The integrand combines the mutual strain energy density and the
+    traction/gradient cross terms of the solved and auxiliary fields on a
+    circle of the given radius around the tip.
+    """
+    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
+                                                crack_id, tip_id, radius, n_points)
+    return _mode_integral(sig, grad, angles, radius, mode, material)
 
 
 def direct_j_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                       material: MaterialModel, crack_id: int, tip_id: int,
                       radius: float | None = None,
                       n_points: int = 128) -> float:
-    """Energy release rate from the solved field alone on the same contour."""
-    if n_points < 32:
-        raise ValueError("n_points must be at least 32")
-    tinfo = _find_tip(emap, crack_id, tip_id)
-    crack = emap.crack_by_id(crack_id)
-    if radius is None:
-        radius = default_contour_radius(mesh, emap, crack_id, tip_id)
-    _check_contour(mesh, emap, crack_id, tip_id, tinfo.frame.origin, radius)
-    points, angles = _contour_points(tinfo, crack, radius, n_points)
-    sig_act, grad_act = _fields_on_contour(state, mesh, emap, material,
-                                           tinfo, points)
-    eps_act = 0.5 * (grad_act + np.swapaxes(grad_act, 1, 2))
-    w = 0.5 * np.einsum("nab,nab->n", sig_act, eps_act)
-    normal = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    t_act = np.einsum("nab,nb->na", sig_act, normal)
-    integrand = w * normal[:, 0] - np.einsum(
-        "na,na->n", t_act, grad_act[:, :, 0]
-    )
-    return float(np.sum(integrand) * radius * (2.0 * np.pi / n_points))
+    """Energy release rate from the solved field alone on the same contour:
+    half the interaction integral of the solved field with itself."""
+    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
+                                                crack_id, tip_id, radius, n_points)
+    return 0.5 * _contour_integral(sig, grad, sig, grad, angles, radius)
 
 
 def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
@@ -324,14 +318,15 @@ def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
 def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                  material: MaterialModel, crack_id: int, tip_id: int,
                  radius: float | None = None, n_points: int = 128) -> SifResult:
-    """Mixed-mode SIFs, energy release rate, and kink angle at one tip."""
-    if radius is None:
-        radius = default_contour_radius(mesh, emap, crack_id, tip_id)
+    """Mixed-mode SIFs, energy release rate, and kink angle at one tip.
+
+    The contour is built, checked and evaluated once for both modes.
+    """
+    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
+                                                crack_id, tip_id, radius, n_points)
     half = 0.5 * material.E_effective
-    K_I = half * interaction_integral(state, mesh, emap, material, crack_id,
-                                      tip_id, 1, radius, n_points)
-    K_II = half * interaction_integral(state, mesh, emap, material, crack_id,
-                                       tip_id, 2, radius, n_points)
+    K_I = half * _mode_integral(sig, grad, angles, radius, 1, material)
+    K_II = half * _mode_integral(sig, grad, angles, radius, 2, material)
     try:
         theta = propagation_angle(K_I, K_II)
     except FractureError:

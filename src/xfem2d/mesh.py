@@ -2,8 +2,13 @@
 
 Provides the immutable :class:`Mesh` container, bilinear shape-function
 evaluation, tensor-product Gauss-Legendre quadrature rules, and point
-location by Newton inversion of the bilinear map.  The mesh never changes
-during a simulation; cracks live on top of it as independent geometry.
+location.  Location is one batched routine, :func:`locate_hits`: it looks
+every point up in an array grid of element bounding boxes
+(:attr:`Mesh.point_grid`, built once per mesh) and inverts the bilinear
+map of all its candidate elements in one batched Newton iteration;
+:func:`locate_points` keeps each point's lowest-id hit.  The mesh never
+changes during a simulation; cracks live on top of it as independent
+geometry.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ __all__ = [
     "shape_eval",
     "gauss_rule",
     "jacobian",
-    "locate_point",
+    "element_geometry",
+    "locate_hits",
     "locate_points",
     "point_segment_distance",
     "reference_shape",
@@ -83,6 +89,18 @@ def jacobian(xy, dref):
     adj[..., 1, 1] = J[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return det, adj / det[..., None, None]
+
+
+def element_geometry(xy: np.ndarray, rule: QuadratureRule):
+    """Shape data at ``rule``'s points of elements with corners ``xy`` (..., 4, 2).
+
+    Returns ``values`` (q, 4), physical shape gradients ``dN`` (..., q, 4, 2),
+    weights times Jacobian determinants ``wdet`` (..., q) and the physical
+    points ``phys`` (..., q, 2); ``...`` is the leading shape of ``xy``.
+    """
+    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
+    det, Jinv = jacobian(xy[..., None, :, :], dref)
+    return values, dref @ Jinv, rule.weights * det, values @ xy
 
 
 @dataclass(frozen=True)
@@ -158,8 +176,9 @@ class Mesh:
     mesh alone is a cached property, built on first use and kept for the
     mesh's life: node and edge adjacency (:attr:`node_to_elements`,
     :attr:`edge_to_elements`), the :attr:`boundary_edges` array, the
-    :attr:`element_bboxes`, the spatial index behind point location and
-    the :attr:`nested_dissection_order` the sparse solve factors in.
+    :attr:`element_bboxes`, the :attr:`point_grid` point location reads
+    (cell offsets and ascending element ids, built with array operations)
+    and the :attr:`nested_dissection_order` the sparse solve factors in.
     A propagation run reads its mesh once and reuses all of these at
     every load step.
 
@@ -313,39 +332,31 @@ class Mesh:
         order.setflags(write=False)
         return order
 
-    # -- spatial index -----------------------------------------------------
     @cached_property
-    def _spatial_index(self) -> dict:
+    def point_grid(self) -> tuple:
+        """Uniform grid of element bounding boxes that point location reads.
+
+        Returns ``(origin, cell, shape, start, elements)``: cell (ix, iy)
+        is flat index ``ix * shape[1] + iy``, and the ids of the elements
+        whose bounding box meets it are ``elements[start[c]:start[c + 1]]``,
+        ascending.  There are about as many cells as elements.
+        """
         lo, hi = self.element_bboxes
         gmin, gmax = self.bbox()
         span = np.maximum(gmax - gmin, 1e-300)
-        # Aim for on the order of one element per grid cell.
         ncell = max(1, int(np.sqrt(self.n_elements)))
         nx = max(1, int(round(ncell * np.sqrt(span[0] / span[1]))))
         ny = max(1, int(round(ncell * np.sqrt(span[1] / span[0]))))
         cell = span / (nx, ny)
         ilo = np.clip(((lo - gmin) / cell).astype(int), 0, (nx - 1, ny - 1))
         ihi = np.clip(((hi - gmin) / cell).astype(int), 0, (nx - 1, ny - 1))
-        cells: dict[tuple[int, int], list[int]] = {}
-        for eid in range(self.n_elements):
-            for ix in range(ilo[eid, 0], ihi[eid, 0] + 1):
-                for iy in range(ilo[eid, 1], ihi[eid, 1] + 1):
-                    cells.setdefault((ix, iy), []).append(eid)
-        return {
-            "origin": gmin,
-            "cell": cell,
-            "shape": (nx, ny),
-            "cells": {k: np.array(v, dtype=np.int64) for k, v in cells.items()},
-        }
-
-    def candidate_elements(self, x: np.ndarray) -> np.ndarray:
-        """Element ids whose bounding box may contain physical point ``x``."""
-        idx = self._spatial_index
-        rel = (np.asarray(x, dtype=float) - idx["origin"]) / idx["cell"]
-        nx, ny = idx["shape"]
-        ix = int(np.clip(np.floor(rel[0]), 0, nx - 1))
-        iy = int(np.clip(np.floor(rel[1]), 0, ny - 1))
-        return idx["cells"].get((ix, iy), np.empty(0, dtype=np.int64))
+        ext = ihi - ilo + 1  # cells covered along x and y
+        counts = ext[:, 0] * ext[:, 1]
+        eid = np.repeat(np.arange(self.n_elements), counts)
+        k = np.arange(eid.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        flat = (ilo[eid, 0] + k // ext[eid, 1]) * ny + ilo[eid, 1] + k % ext[eid, 1]
+        start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nx * ny))])
+        return gmin, cell, (nx, ny), start, eid[np.argsort(flat, kind="stable")]
 
 
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -470,66 +481,41 @@ def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
     return local, converged
 
 
-def locate_point(mesh: Mesh, x, tol: float = 1e-9):
-    """Find the element containing physical point ``x``.
+def locate_hits(mesh: Mesh, xs, tol: float = 1e-9):
+    """Every (point, element) pair whose element's closed hull holds the point.
 
-    Returns ``(element_id, (xi, eta))`` or ``None`` when the point lies in
-    no element.  Points on shared edges resolve to the lowest element id.
+    Candidates for the points ``xs`` (n, 2) come from :attr:`Mesh.point_grid`;
+    one is a hit when Newton inversion of its bilinear map converges within
+    ``1 + tol`` of the reference square.  Returns ``(points, elements,
+    local)``: point indices ascending, each point's element ids ascending,
+    and the reference coordinates (k, 2) of each hit.
     """
-    x = np.asarray(x, dtype=float)
-    cands = np.sort(mesh.candidate_elements(x))
-    if cands.size == 0:
-        return None
-    xy = mesh.element_coords(cands)
-    local, ok = _newton_invert(xy, np.broadcast_to(x, (cands.size, 2)).copy())
+    xs = np.asarray(xs, dtype=float).reshape(-1, 2)
+    origin, cell, (nx, ny), start, grid_elements = mesh.point_grid
+    rel = (xs - origin) / cell
+    ix = np.clip(np.floor(rel[:, 0]), 0, nx - 1).astype(np.int64)
+    iy = np.clip(np.floor(rel[:, 1]), 0, ny - 1).astype(np.int64)
+    first = start[ix * ny + iy]
+    counts = start[ix * ny + iy + 1] - first
+    pt = np.repeat(np.arange(xs.shape[0]), counts)
+    k = np.arange(pt.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    eid = grid_elements[first[pt] + k]
+    local, ok = _newton_invert(mesh.element_coords(eid), xs[pt])
     inside = ok & (np.max(np.abs(local), axis=1) <= 1.0 + tol)
-    hits = np.nonzero(inside)[0]
-    if hits.size == 0:
-        return None
-    k = hits[0]  # candidates sorted, so the first hit has the lowest id
-    return int(cands[k]), (float(local[k, 0]), float(local[k, 1]))
+    return pt[inside], eid[inside], local[inside]
 
 
-def containing_elements(mesh: Mesh, x, tol: float = 1e-9) -> np.ndarray:
-    """All element ids whose closed hull contains ``x`` (sorted ascending)."""
-    x = np.asarray(x, dtype=float)
-    cands = np.sort(mesh.candidate_elements(x))
-    if cands.size == 0:
-        return cands
-    xy = mesh.element_coords(cands)
-    local, ok = _newton_invert(xy, np.broadcast_to(x, (cands.size, 2)).copy())
-    inside = ok & (np.max(np.abs(local), axis=1) <= 1.0 + tol)
-    return cands[inside]
+def locate_points(mesh: Mesh, xs, tol: float = 1e-9):
+    """Element and reference coordinates of each point: its lowest-id hit.
 
-
-def locate_points(mesh: Mesh, xs: np.ndarray, tol: float = 1e-9):
-    """Batch :func:`locate_point`.
-
-    Returns ``(eids, locals)``; ``eids[i] == -1`` marks not-found points.
+    Returns ``(eids, locals)``; ``eids[i] == -1`` marks a point in no
+    element, and points on shared edges resolve to the lowest element id.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = xs.shape[0]
-    pair_pt: list[int] = []
-    pair_eid: list[np.ndarray] = []
-    for i in range(n):
-        c = mesh.candidate_elements(xs[i])
-        pair_pt.extend([i] * c.size)
-        pair_eid.append(c)
-    eids_out = np.full(n, -1, dtype=np.int64)
-    locals_out = np.zeros((n, 2))
-    if not pair_pt:
-        return eids_out, locals_out
-    pair_pt = np.array(pair_pt, dtype=np.int64)
-    pair_eid = np.concatenate(pair_eid)
-    xy = mesh.element_coords(pair_eid)
-    local, ok = _newton_invert(xy, xs[pair_pt])
-    inside = ok & (np.max(np.abs(local), axis=1) <= 1.0 + tol)
-    # Among containing elements of each point, keep the lowest element id.
-    order = np.lexsort((pair_eid, pair_pt))
-    for k in order[inside[order]][::-1]:
-        i = pair_pt[k]
-        eids_out[i] = pair_eid[k]
-        locals_out[i] = local[k]
+    n = np.asarray(xs).reshape(-1, 2).shape[0]
+    pt, eid, local = locate_hits(mesh, xs, tol)
+    first = np.unique(pt, return_index=True)[1]  # hits are grouped by point
+    eids_out, locals_out = np.full(n, -1, dtype=np.int64), np.zeros((n, 2))
+    eids_out[pt[first]], locals_out[pt[first]] = eid[first], local[first]
     return eids_out, locals_out
 
 
@@ -583,6 +569,7 @@ def load_mesh(source: str) -> Mesh:
             raise MeshFormatError(f"line {lineno}: node {i} has a non-numeric coordinate") from None
 
     elements = np.empty((n_elems, 4), dtype=np.int64)
+    first_element = pos
     for e in range(n_elems):
         lineno, tokens = take()
         if len(tokens) != 4:
@@ -591,10 +578,13 @@ def load_mesh(source: str) -> Mesh:
             elements[e] = [int(t) for t in tokens]
         except ValueError:
             raise MeshFormatError(f"line {lineno}: element {e} has a non-integer index") from None
-        if np.any(elements[e] < 0) or np.any(elements[e] >= n_nodes):
-            raise MeshFormatError(
-                f"line {lineno}: element {e} references node index outside 0..{n_nodes - 1}"
-            )
+    bad = np.nonzero(((elements < 0) | (elements >= n_nodes)).any(axis=1))[0]
+    if bad.size:
+        e = int(bad[0])
+        raise MeshFormatError(
+            f"line {lines[first_element + e][0]}: element {e} references node index "
+            f"outside 0..{n_nodes - 1}"
+        )
 
     boundary_tags: dict[str, np.ndarray] = {}
     while pos < len(lines):

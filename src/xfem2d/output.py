@@ -21,19 +21,20 @@ from xfem2d.assembly import (
     QuadratureSet,
     SolutionState,
     elasticity_matrix,
-    _element_geometry,
+    voigt_strain,
 )
+from xfem2d.config import RunConfig
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.driver import RunHistory, cod_profile
 from xfem2d.enrichment import (
     EnrichmentMap,
     FieldTriplet,
+    element_fields,
     evaluate_fields,
     _crack_chunks,
     _edge_of_point,
-    _element_field_eval,
 )
-from xfem2d.mesh import Mesh
+from xfem2d.mesh import Mesh, element_geometry
 
 __all__ = [
     "write_sif_csv",
@@ -233,14 +234,8 @@ def _split_cut_element(quad: np.ndarray, crack):
     return chain, poly_ba, poly_ab
 
 
-def _voigt(grad: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [grad[:, 0, 0], grad[:, 1, 1], grad[:, 0, 1] + grad[:, 1, 0]], axis=1
-    )
-
-
 def _von_mises(sig: np.ndarray, material: MaterialModel) -> np.ndarray:
-    sxx, syy, sxy = sig[:, 0], sig[:, 1], sig[:, 2]
+    sxx, syy, sxy = sig[..., 0], sig[..., 1], sig[..., 2]
     szz = material.nu * (sxx + syy) if material.plane_strain else 0.0
     return np.sqrt(
         0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2)
@@ -248,8 +243,56 @@ def _von_mises(sig: np.ndarray, material: MaterialModel) -> np.ndarray:
     )
 
 
-def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return (weights[:, None] * values).sum(axis=0) / weights.sum()
+def _weighted_means(sig: np.ndarray, vm: np.ndarray, w: np.ndarray):
+    total = w.sum(axis=1)  # weights (e, q): means over each element's points
+    return ((w[..., None] * sig).sum(axis=1) / total[:, None],
+            (w * vm).sum(axis=1) / total)
+
+
+def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
+                   material: MaterialModel, rules: QuadratureSet):
+    """Quadrature-weighted mean stress and von Mises stress of every element,
+    one batch per integration class.
+
+    Returns whole-element means (m, 3) and (m,), and side means (2, m, 3)
+    and (2, m) over a bisected element's points on the positive (0) and
+    negative (1) side of its crack, or the whole-element means if none.
+    """
+    # Differentiate against the mean-shifted field: gradients are invariant
+    # under a constant translation, but the shift removes the cancellation
+    # noise that the stiffness scale would otherwise amplify into spurious
+    # stresses (a rigid translation must dump as exactly stress-free).
+    fields = FieldTriplet(
+        u_cont=state.fields.u_cont - state.fields.u_cont.mean(axis=0),
+        u_disc=state.fields.u_disc,
+        u_tip=state.fields.u_tip,
+    )
+    D = elasticity_matrix(material)
+    m = mesh.n_elements
+    sig_mean, vm_mean = np.empty((m, 3)), np.empty(m)
+    side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
+    cut_crack = np.full(m, -1, dtype=np.int64)
+    cut_crack[list(emap.cut_elements)] = list(emap.cut_elements.values())
+    for eids, rule in rules.classes(emap.element_kinds(mesh)):
+        _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+        _, grad = element_fields(mesh, emap, fields, np.repeat(eids, rule.n_points),
+                                 np.tile(rule.points, (eids.size, 1)),
+                                 phys.reshape(-1, 2))
+        sig = (voigt_strain(grad) @ D.T).reshape(phys.shape[:2] + (3,))
+        vm = _von_mises(sig, material)
+        sig_mean[eids], vm_mean[eids] = _weighted_means(sig, vm, wdet)
+        side_sig[:, eids], side_vm[:, eids] = sig_mean[eids], vm_mean[eids]
+        for cid in np.unique(cut_crack[eids][cut_crack[eids] >= 0]).tolist():
+            rows = np.nonzero(cut_crack[eids] == cid)[0]
+            plus = signed_distance_batch(emap.crack_by_id(cid),
+                                         phys[rows].reshape(-1, 2)) > 0.0
+            plus = plus.reshape(rows.size, -1)
+            for side, mask in enumerate((plus, ~plus)):
+                some = mask.any(axis=1)
+                r = rows[some]
+                side_sig[side, eids[r]], side_vm[side, eids[r]] = _weighted_means(
+                    sig[r], vm[r], wdet[r] * mask[some])
+    return sig_mean, vm_mean, side_sig, side_vm
 
 
 def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
@@ -265,23 +308,10 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     """
     if rules is None:
         rules = QuadratureSet.from_targets()
-    rule_by_kind = {0: rules.standard, 1: rules.standard,
-                    2: rules.cut, 3: rules.tip}
-    kinds = emap.element_kinds(mesh)
-    D = elasticity_matrix(material)
-
     node_disp, _ = evaluate_fields(mesh.nodes, mesh, emap, state.fields,
                                    want_grad=False)
-
-    # Differentiate against the mean-shifted field: gradients are invariant
-    # under a constant translation, but the shift removes the cancellation
-    # noise that the stiffness scale would otherwise amplify into spurious
-    # stresses (a rigid translation must dump as exactly stress-free).
-    grad_fields = FieldTriplet(
-        u_cont=state.fields.u_cont - state.fields.u_cont.mean(axis=0),
-        u_disc=state.fields.u_disc,
-        u_tip=state.fields.u_tip,
-    )
+    sig_mean, vm_mean, side_sig, side_vm = _cell_stresses(state, mesh, emap,
+                                                          material, rules)
 
     extra_pos: list[np.ndarray] = []   # geometric position of private points
     extra_probe: list[np.ndarray] = []  # offset position for evaluation
@@ -291,31 +321,22 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     cell_vm: list[float] = []
 
     for eid in range(mesh.n_elements):
-        quad = mesh.nodes[mesh.elements[eid]]
-        rule = rule_by_kind[int(kinds[eid])]
-        _, _, wdet, phys = _element_geometry(quad, rule)
-        _, grad = _element_field_eval(mesh, emap, grad_fields, eid,
-                                      rule.points, phys, want_grad=True)
-        sig = _voigt(grad) @ D.T
-        vm = _von_mises(sig, material)
-
         split = None
         if eid in emap.cut_elements:
-            crack = emap.crack_by_id(emap.cut_elements[eid])
-            split = _split_cut_element(quad, crack)
+            quad = mesh.nodes[mesh.elements[eid]]
+            split = _split_cut_element(quad, emap.crack_by_id(emap.cut_elements[eid]))
         if split is None:
             cells.append([int(i) for i in mesh.elements[eid]])
             cell_types.append(9)
-            cell_sig.append(_weighted_mean(sig, wdet))
-            cell_vm.append(float(np.dot(wdet, vm) / wdet.sum()))
+            cell_sig.append(sig_mean[eid])
+            cell_vm.append(float(vm_mean[eid]))
             continue
 
         chain, poly_plus, poly_minus = split
         normals = _chain_normals(chain)
         h = float(np.max(quad.max(axis=0) - quad.min(axis=0)))
         eps = 1e-6 * h
-        side_pts = signed_distance_batch(crack, phys) > 0.0
-        for sign, poly in ((1.0, poly_plus), (-1.0, poly_minus)):
+        for side, (sign, poly) in enumerate(((1.0, poly_plus), (-1.0, poly_minus))):
             ids = []
             for entry in poly:
                 if isinstance(entry, tuple):
@@ -327,15 +348,8 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                     ids.append(int(mesh.elements[eid][entry]))
             cells.append(ids)
             cell_types.append(7)
-            mask = side_pts if sign > 0.0 else ~side_pts
-            if mask.any():
-                cell_sig.append(_weighted_mean(sig[mask], wdet[mask]))
-                cell_vm.append(
-                    float(np.dot(wdet[mask], vm[mask]) / wdet[mask].sum())
-                )
-            else:
-                cell_sig.append(_weighted_mean(sig, wdet))
-                cell_vm.append(float(np.dot(wdet, vm) / wdet.sum()))
+            cell_sig.append(side_sig[side, eid])
+            cell_vm.append(float(side_vm[side, eid]))
 
     if extra_probe:
         extra_disp, _ = evaluate_fields(np.array(extra_probe), mesh, emap,
@@ -387,7 +401,7 @@ def _log_float(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def write_run_log(config, mesh: Mesh, history: RunHistory, path) -> None:
+def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> None:
     """Structured text audit of one run.
 
     Records mesh statistics, the material, per-step enriched-node counts
@@ -409,16 +423,11 @@ def write_run_log(config, mesh: Mesh, history: RunHistory, path) -> None:
         f"material: E = {_log_float(material.E)} Pa, "
         f"nu = {_log_float(material.nu)}, "
         + ("plane strain" if material.plane_strain else "plane stress"),
-        f"enrichment: delta = {_log_float(getattr(config, 'delta', 0.002))}, "
-        "tip enrichment "
-        + ("on" if getattr(config, "tip_enrichment", False) else "off"),
+        f"enrichment: delta = {_log_float(config.delta)}, "
+        "tip enrichment " + ("on" if config.tip_enrichment else "off"),
+        "quadrature targets: standard "
+        f"{config.quadrature[0]}, cut {config.quadrature[1]}, tip {config.quadrature[2]}",
     ]
-    quadrature = getattr(config, "quadrature", None)
-    if quadrature is not None:
-        lines.append(
-            "quadrature targets: standard "
-            f"{quadrature[0]}, cut {quadrature[1]}, tip {quadrature[2]}"
-        )
     for rec in history.steps:
         lines.append("")
         lines.append(f"step {rec.step}: load factor {_log_float(rec.load_factor)}")

@@ -20,14 +20,20 @@ from xfem2d.assembly import (
     solve,
     stress_strain_at,
     stress_strain_batch,
-    _element_geometry,
     _element_matrix,
     _element_scalars,
     _strain_matrix,
 )
+from xfem2d import assembly
 from xfem2d.cracks import CrackPath
-from xfem2d.enrichment import FieldTriplet, classify_enrichment, crack_opening
-from xfem2d.mesh import Mesh
+from xfem2d.enrichment import (
+    HEAVISIDE,
+    TIP,
+    FieldTriplet,
+    classify_enrichment,
+    crack_opening,
+)
+from xfem2d.mesh import Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
@@ -431,8 +437,8 @@ class TestElementMatrix:
     def test_tip_element_matches_full_contraction(self):
         mesh, emap, _ = center_crack_with_tips()
         eid = emap.tips[0].element
-        values, dN, wdet, phys = _element_geometry(
-            mesh.nodes[mesh.elements[eid]], QuadratureSet.from_targets().tip)
+        values, dN, wdet, phys = element_geometry(
+            mesh.element_coords(eid), QuadratureSet.from_targets().tip)
         _, _, grads = _element_scalars(mesh, emap, DofLayout.build(emap), eid,
                                        values, dN, phys)
         B = _strain_matrix(grads)
@@ -441,6 +447,38 @@ class TestElementMatrix:
         Ke = _element_matrix(B, D, wdet)
         assert Ke.shape == (40, 40)
         assert np.abs(Ke - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestElementScalars:
+    def test_crack_distance_and_branch_functions_once_per_element(self, monkeypatch):
+        mesh, emap, _ = center_crack_with_tips()
+        layout = DofLayout.build(emap)
+        rules = QuadratureSet.from_targets()
+        calls = []
+
+        def counting(name):
+            real = getattr(assembly, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("signed_distance_batch", "branch_functions"):
+            monkeypatch.setattr(assembly, name, counting(name))
+        kinds = emap.element_kinds(mesh)
+        checked = 0
+        for eid in np.nonzero(kinds >= 2)[0].tolist():
+            status = emap.status[mesh.elements[eid]]
+            values, dN, wdet, phys = element_geometry(
+                mesh.element_coords(eid), rules.cut if kinds[eid] == 2 else rules.tip)
+            calls.clear()
+            _element_scalars(mesh, emap, layout, eid, values, dN, phys)
+            assert calls.count("signed_distance_batch") == int((status == HEAVISIDE).any())
+            assert calls.count("branch_functions") == np.unique(
+                emap.node_tip[mesh.elements[eid]][status == TIP]).size
+            checked += int((status == HEAVISIDE).sum() >= 2 or (status == TIP).sum() >= 2)
+        assert checked > 4  # elements with several nodes of one enrichment
 
 
 class TestAssemblyErrors:

@@ -1,7 +1,6 @@
 """Run orchestration: stationary solves, load sweeps, growth, and norms."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from xfem2d.assembly import (
     DofLayout,
     MaterialModel,
 )
+from xfem2d.config import ContourSpec, RunConfig
 from xfem2d.cracks import CrackPath
 from xfem2d.driver import (
     LoadSchedule,
@@ -51,16 +51,15 @@ def tension_bcs(traction=(0.0, SIGMA)):
 
 def make_config(mesh=None, cracks=(), bcs=None, schedule=None, propagation=None,
                 contour=None, tip_enrichment=True, material=STEEL):
-    return SimpleNamespace(
+    return RunConfig(
         mesh=mesh,
-        mesh_path=None,
         material=material,
         cracks=tuple(cracks),
         bcs=tension_bcs() if bcs is None else tuple(bcs),
         quadrature=(4, 35, 40),
         delta=0.002,
         tip_enrichment=tip_enrichment,
-        contour=contour,
+        contour=ContourSpec() if contour is None else contour,
         propagation=propagation,
         schedule=schedule,
     )
@@ -187,7 +186,7 @@ class TestRunStationary:
         config, _, _, sifs_auto = stationary_run
         fixed = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=SimpleNamespace(rule="absolute", value=0.12, n_points=128),
+            contour=ContourSpec(rule="absolute", value=0.12, n_points=128),
         )
         _, sifs = run_stationary(fixed)
         # same solve, slightly different contour: close but not identical
@@ -198,12 +197,12 @@ class TestRunStationary:
         config, _, _, _ = stationary_run
         rel = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=SimpleNamespace(rule="relative", value=0.8, n_points=96),
+            contour=ContourSpec(rule="relative", value=0.8, n_points=96),
         )
         ab = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=SimpleNamespace(rule="absolute", value=0.8 * 0.15,
-                                    n_points=96),
+            contour=ContourSpec(rule="absolute", value=0.8 * 0.15,
+                                n_points=96),
         )
         _, sr = run_stationary(rel)
         _, sa = run_stationary(ab)

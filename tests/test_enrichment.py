@@ -29,12 +29,13 @@ from xfem2d.enrichment import (
     classify_enrichment,
     classify_with_remedy,
     crack_opening,
+    element_fields,
     evaluate_fields,
     psi_at,
     shifted_heaviside,
     total_displacement,
 )
-from xfem2d.mesh import gauss_rule, locate_point, reference_shape
+from xfem2d.mesh import gauss_rule, jacobian, locate_points, reference_shape
 from xfem2d.meshgen import punch_holes, uniform_rect
 
 
@@ -50,9 +51,9 @@ def node_at(mesh, x, y):
 
 
 def element_at(mesh, x, y):
-    hit = locate_point(mesh, np.array([x, y]))
-    assert hit is not None
-    return hit[0]
+    eids, _ = locate_points(mesh, np.array([[x, y]]))
+    assert eids[0] >= 0
+    return int(eids[0])
 
 
 def center_crack(y=0.55):
@@ -529,6 +530,89 @@ class TestDegeneracyRemedy:
         assert emap.n_heaviside == 10
 
 
+def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):
+    """The per-element field evaluation the batched kernel replaced."""
+    conn = mesh.elements[eid]
+    xy = mesh.nodes[conn]
+    values, dref = reference_shape(locs[:, 0], locs[:, 1])
+    dN = dref @ jacobian(xy, dref)[1]
+    u = np.einsum("ki,ia->ka", values, fields.u_cont[conn])
+    grad = np.einsum("kib,ia->kab", dN, fields.u_cont[conn])
+    for li in range(4):
+        n = int(conn[li])
+        st = emap.status[n]
+        if st == STANDARD:
+            continue
+        crack = emap.crack_by_id(int(emap.node_crack[n]))
+        if st == HEAVISIDE:
+            M = shifted_heaviside(emap.node_sign[n], signed_distance_batch(crack, xs))
+            u += (values[:, li] * M)[:, None] * fields.u_disc[n]
+            grad += np.einsum("k,kb,a->kab", M, dN[:, li], fields.u_disc[n])
+        else:
+            tinfo = emap.tips[int(emap.node_tip[n])]
+            r, theta = branch_theta(tinfo, crack, xs)
+            F, dF_local = branch_eval(np.maximum(r, 1e-30), theta)
+            u += np.einsum("k,kj,ja->ka", values[:, li], F, fields.u_tip[n])
+            dF = np.einsum("kjb,ab->kja", dF_local, enrichment.branch_frame(tinfo))
+            G = F[..., None] * dN[:, li, None, :] + values[:, li, None, None] * dF
+            grad += np.einsum("kjb,ja->kab", G, fields.u_tip[n])
+    return u, grad
+
+
+class TestBatchedKernel:
+    """The batched field kernel against the per-element evaluation."""
+
+    @pytest.mark.parametrize("tip_enrichment", [True, False])
+    def test_matches_per_element_evaluation(self, tip_enrichment):
+        mesh = uniform_rect(1.0, 1.0, 20, 20)
+        cracks = [
+            CrackPath(vertices=np.array([[0.121, 0.633], [0.437, 0.712]]), id=0),
+            CrackPath(vertices=np.array([[0.561, 0.272], [0.723, 0.311],
+                                         [0.884, 0.243]]), id=1),
+        ]
+        emap = classify_enrichment(mesh, cracks, tip_enrichment=tip_enrichment)
+        assert emap.n_heaviside > 0
+        assert emap.n_tip == (4 * 4 if tip_enrichment else 0)  # four tip elements
+        rng = np.random.default_rng(23)
+        # Coefficients on every node, enriched or not: the kernel must read
+        # only the rows each node's enrichment owns.
+        fields = FieldTriplet(u_cont=rng.normal(size=(mesh.n_nodes, 2)),
+                              u_disc=rng.normal(size=(mesh.n_nodes, 2)),
+                              u_tip=rng.normal(size=(mesh.n_nodes, 4, 2)))
+        near = []
+        for crack in emap.cracks:
+            v = crack.vertices
+            s = rng.uniform(0.0, 1.0, 40)
+            j = rng.integers(0, crack.n_segments, 40)
+            on = v[j] + s[:, None] * (v[j + 1] - v[j])
+            seg = v[j + 1] - v[j]
+            normal = np.column_stack([-seg[:, 1], seg[:, 0]])
+            normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+            off = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-8, -3, 40)
+            near.append(on + off[:, None] * normal)  # near the faces
+        for tinfo in emap.tips:
+            r = 10.0 ** rng.uniform(-5, -1.5, 30)
+            t = rng.uniform(-np.pi, np.pi, 30)
+            near.append(tinfo.frame.origin + r[:, None] * np.column_stack([np.cos(t),
+                                                                           np.sin(t)]))
+        pts = np.vstack([rng.uniform(0.0, 1.0, size=(300, 2))] + near)
+        eids, locs = locate_points(mesh, pts)
+        assert np.all(eids >= 0)
+        u, grad = element_fields(mesh, emap, fields, eids, locs, pts)
+        u_ref, grad_ref = np.empty_like(u), np.empty_like(grad)
+        for eid in np.unique(eids):
+            sel = np.nonzero(eids == eid)[0]
+            u_ref[sel], grad_ref[sel] = _per_element_field_eval(
+                mesh, emap, fields, int(eid), locs[sel], pts[sel])
+        for new, ref in ((u, u_ref), (grad, grad_ref)):
+            err = np.abs(new - ref).reshape(len(pts), -1).max(axis=1)
+            scale = np.abs(ref).reshape(len(pts), -1).max(axis=1)
+            assert np.all(err <= 1e-12 * scale)
+        u_only, none = element_fields(mesh, emap, fields, eids, locs, pts, want_grad=False)
+        assert none is None
+        np.testing.assert_array_equal(u_only, u)
+
+
 class TestFieldEvaluation:
     def _random_fields(self, mesh, emap, seed=3):
         rng = np.random.default_rng(seed)
@@ -548,8 +632,6 @@ class TestFieldEvaluation:
         fields.u_cont[:] = rng.normal(size=(mesh.n_nodes, 2))
         pts = rng.uniform(0.05, 0.35, size=(10, 2))  # away from the crack
         u, _ = evaluate_fields(pts, mesh, emap, fields)
-        from xfem2d.mesh import locate_points, reference_shape
-
         eids, locs = locate_points(mesh, pts)
         for k in range(10):
             values, _ = reference_shape(locs[k, 0], locs[k, 1])
@@ -579,12 +661,10 @@ class TestFieldEvaluation:
         eps = 1e-9
         u_up, _ = evaluate_fields([x + [0, eps]], mesh, emap, fields)
         u_dn, _ = evaluate_fields([x - [0, eps]], mesh, emap, fields)
-        eid, loc = locate_point(mesh, x)
-        from xfem2d.mesh import reference_shape
-
-        values, _ = reference_shape(loc[0], loc[1])
+        eids, locs = locate_points(mesh, x[None])
+        values, _ = reference_shape(locs[0, 0], locs[0, 1])
         expected = 2.0 * np.einsum(
-            "i,ia->a", values, fields.u_disc[mesh.elements[eid]]
+            "i,ia->a", values, fields.u_disc[mesh.elements[eids[0]]]
         )
         np.testing.assert_allclose(u_up[0] - u_dn[0], expected, atol=1e-7)
         opening = crack_opening(x, fields, mesh, emap, 0)
@@ -594,8 +674,6 @@ class TestFieldEvaluation:
         # Evaluate the same edge point from both neighbor elements; any
         # mismatch would reveal an evaluation inconsistency (for example a
         # wrong branch-angle convention near the tip).
-        from xfem2d.enrichment import _element_field_eval
-
         mesh = grid()
         emap = classify_enrichment(mesh, [center_crack()])
         fields = self._random_fields(mesh, emap)
@@ -613,8 +691,8 @@ class TestFieldEvaluation:
                 lo = mesh.nodes[mesh.elements[eid]].min(axis=0)
                 hi = mesh.nodes[mesh.elements[eid]].max(axis=0)
                 loc = 2.0 * (point - lo) / (hi - lo) - 1.0
-                u, _ = _element_field_eval(
-                    mesh, emap, fields, int(eid), loc[None, :], point[None, :]
+                u, _ = element_fields(
+                    mesh, emap, fields, np.array([eid]), loc[None, :], point[None, :]
                 )
                 us.append(u[0])
             assert np.abs(us[0] - us[1]).max() < 1e-10
@@ -641,8 +719,8 @@ class TestFieldEvaluation:
             if abs(x[1] - 0.55) < 10 * h:
                 continue
             stencil = x + steps
-            hits = [locate_point(mesh, p) for p in np.vstack([x[None, :], stencil])]
-            if any(hit is None for hit in hits) or len({hit[0] for hit in hits}) != 1:
+            hits, _ = locate_points(mesh, np.vstack([x[None, :], stencil]))
+            if np.any(hits < 0) or np.unique(hits).size != 1:
                 continue
             _, grad = evaluate_fields(x[None, :], mesh, emap, fields)
             u_st, _ = evaluate_fields(stencil, mesh, emap, fields, want_grad=False)

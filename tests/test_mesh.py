@@ -18,8 +18,9 @@ from xfem2d.mesh import (
     gauss_rule,
     jacobian,
     load_mesh,
-    locate_point,
+    locate_hits,
     locate_points,
+    _newton_invert,
     map_to_physical,
     reference_shape,
     shape_eval,
@@ -66,6 +67,13 @@ class TestMeshDocument:
         with pytest.raises(MeshFormatError, match="element 0"):
             load_mesh(doc)
 
+    def test_out_of_range_index_names_its_line(self):
+        doc = ("xfem-mesh 1\n6 2\n0 0\n1 0\n2 0\n0 1\n1 1\n2 1\n"
+               "0 1 4 3\n# second element\n1 2 5 6\n")
+        with pytest.raises(MeshFormatError,
+                           match=r"line 11: element 1 references node index outside 0\.\.5"):
+            load_mesh(doc)
+
     def test_degenerate_element_reported(self):
         doc = "xfem-mesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n0 2 1 3\n"
         with pytest.raises(MeshFormatError, match="element 0"):
@@ -103,7 +111,7 @@ class TestDerivedData:
     def test_built_once_per_mesh(self):
         mesh = structured_mesh(3, 2)
         for name in ("node_to_elements", "edge_to_elements", "boundary_edges",
-                     "element_bboxes"):
+                     "element_bboxes", "point_grid"):
             assert getattr(mesh, name) is getattr(mesh, name)
 
     def test_node_supports_ascend(self):
@@ -230,8 +238,8 @@ class TestShapeEval:
             grads = shape_eval(mesh, 0, local).gradients
 
             def values_at(x):
-                eid, loc = locate_point(mesh, x)
-                return shape_eval(mesh, eid, loc).values
+                eids, locs = locate_points(mesh, x[None])
+                return shape_eval(mesh, eids[0], locs[0]).values
 
             fd = np.empty((4, 2))
             for k in range(2):
@@ -283,33 +291,35 @@ class TestGaussRule:
 class TestLocatePoint:
     def test_centroids(self):
         mesh = structured_mesh(5, 4, 2.0, 1.0)
-        centroids = mesh.element_centroids()
-        for e in range(mesh.n_elements):
-            eid, local = locate_point(mesh, centroids[e])
-            assert eid == e
-            np.testing.assert_allclose(local, 0.0, atol=1e-10)
+        eids, locals_ = locate_points(mesh, mesh.element_centroids())
+        np.testing.assert_array_equal(eids, np.arange(mesh.n_elements))
+        np.testing.assert_allclose(locals_, 0.0, atol=1e-10)
 
     def test_outside_bbox(self):
         mesh = structured_mesh(3, 3)
-        assert locate_point(mesh, (5.0, 5.0)) is None
-        assert locate_point(mesh, (-0.5, 0.5)) is None
+        outside = np.array([[5.0, 5.0], [-0.5, 0.5]])
+        eids, _ = locate_points(mesh, outside)
+        np.testing.assert_array_equal(eids, [-1, -1])
+        assert locate_hits(mesh, outside)[0].size == 0
 
     def test_round_trip_random_points(self):
         mesh = structured_mesh(7, 5, 1.4, 1.0)
         rng = np.random.default_rng(7)
         pts = rng.uniform([0.0, 0.0], [1.4, 1.0], size=(100, 2))
-        for x in pts:
-            eid, local = locate_point(mesh, x)
+        eids, locals_ = locate_points(mesh, pts)
+        for x, eid, local in zip(pts, eids, locals_):
             np.testing.assert_allclose(map_to_physical(mesh, eid, local), x, atol=1e-10)
 
     def test_shared_edge_resolves_to_lowest_id(self):
         mesh = structured_mesh(3, 3)
-        # Point on the vertical edge between elements 0 and 1.
-        eid, _ = locate_point(mesh, (1.0 / 3.0, 0.1))
-        assert eid == 0
-        # Corner node shared by elements 0, 1, 3, 4.
-        eid, _ = locate_point(mesh, (1.0 / 3.0, 1.0 / 3.0))
-        assert eid == 0
+        # A point on the vertical edge between elements 0 and 1, and the
+        # corner node shared by elements 0, 1, 3, 4.
+        pts = np.array([[1.0 / 3.0, 0.1], [1.0 / 3.0, 1.0 / 3.0]])
+        eids, _ = locate_points(mesh, pts)
+        np.testing.assert_array_equal(eids, [0, 0])
+        pt, eid, _ = locate_hits(mesh, pts)
+        assert eid[pt == 0].tolist() == [0, 1]
+        assert eid[pt == 1].tolist() == [0, 1, 3, 4]
 
     def test_batch_matches_scalar(self):
         mesh = structured_mesh(6, 6, 1.0, 1.0)
@@ -320,9 +330,72 @@ class TestLocatePoint:
         ])
         eids, locals_ = locate_points(mesh, pts)
         for i, x in enumerate(pts):
-            hit = locate_point(mesh, x)
-            if hit is None:
-                assert eids[i] == -1
-            else:
-                assert eids[i] == hit[0]
-                np.testing.assert_allclose(locals_[i], hit[1], atol=1e-9)
+            eid, local = locate_points(mesh, x[None])
+            assert eids[i] == eid[0]
+            if eid[0] >= 0:
+                np.testing.assert_allclose(locals_[i], local[0], atol=1e-9)
+
+
+def _brute_force_hits(mesh, x, tol=1e-9):
+    """Ids of every element whose closed hull holds ``x``: Newton inversion
+    on every element whose bounding box, widened by a margin far above the
+    tolerance, holds it."""
+    lo, hi = mesh.element_bboxes
+    margin = 1e-6 * (hi - lo)
+    near = np.nonzero(np.all((lo - margin <= x) & (x <= hi + margin), axis=1))[0]
+    local, ok = _newton_invert(mesh.element_coords(near),
+                               np.repeat(np.asarray(x, dtype=float)[None], near.size, 0))
+    return near[ok & (np.max(np.abs(local), axis=1) <= 1.0 + tol)]
+
+
+class TestBatchLocator:
+    """The grid-backed batch locator against Newton inversion on every element."""
+
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_matches_brute_force(self, name):
+        mesh = ORDERING_MESHES[name]()
+        rng = np.random.default_rng(11)
+        lo, hi = mesh.bbox()
+        span = hi - lo
+        quads = mesh.element_coords(rng.choice(mesh.n_elements, 40, replace=False))
+        # Points on shared edges, written so that on an axis-parallel edge
+        # they keep its coordinate exactly: the locator looks a point up in
+        # the bounding boxes of the elements, so one an ulp off a box is
+        # left to the neighbouring element.
+        mid = 0.5 * (quads + np.roll(quads, -1, axis=1))
+        pts = np.vstack([
+            rng.uniform(lo - 0.05 * span, hi + 0.05 * span, size=(60, 2)),
+            quads.reshape(-1, 2),  # corners: shared by up to four elements
+            mid.reshape(-1, 2),
+            (0.5 * (quads + mid)).reshape(-1, 2),  # quarter points
+            [lo - 0.1 * span, hi + 0.1 * span, [lo[0] - 1.0, hi[1]]],  # outside
+        ])
+        pt, eid, local = locate_hits(mesh, pts)
+        eids, locals_ = locate_points(mesh, pts)
+        assert np.all(np.diff(pt) >= 0)
+        for i, x in enumerate(pts):
+            expected = _brute_force_hits(mesh, x)
+            assert eid[pt == i].tolist() == expected.tolist()
+            assert eids[i] == (expected[0] if expected.size else -1)
+            if expected.size:
+                np.testing.assert_array_equal(locals_[i], local[pt == i][0])
+                np.testing.assert_allclose(map_to_physical(mesh, eids[i], locals_[i]), x,
+                                           atol=1e-9 * np.max(span))
+        # shared corners and edges do produce multi-element hit sets here
+        assert np.max(np.bincount(pt)) >= 2
+
+    def test_grid_lists_every_overlapping_element_ascending(self):
+        mesh = ORDERING_MESHES["graded"]()
+        origin, cell, (nx, ny), start, elements = mesh.point_grid
+        assert start.size == nx * ny + 1 and start[-1] == elements.size
+        lo, hi = mesh.element_bboxes
+        for c in np.random.default_rng(2).choice(nx * ny, 50, replace=False):
+            ix, iy = divmod(int(c), ny)
+            members = elements[start[c]:start[c + 1]]
+            assert np.all(np.diff(members) > 0)
+            clo = origin + cell * (ix, iy)
+            chi = clo + cell
+            overlap = np.nonzero(np.all(lo <= chi, axis=1) & np.all(hi >= clo, axis=1))[0]
+            # every element overlapping the cell's interior is listed
+            inner = overlap[np.all(lo < chi, axis=1)[overlap] & np.all(hi > clo, axis=1)[overlap]]
+            assert set(inner.tolist()) <= set(members.tolist())

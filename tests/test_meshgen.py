@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xfem2d.mesh import locate_point
+from xfem2d.mesh import locate_points
 from xfem2d.meshgen import (
     graded_axis,
     punch_holes,
@@ -110,6 +110,6 @@ class TestPunchHoles:
 
     def test_locate_still_works(self):
         mesh = punch_holes(uniform_rect(10.0, 10.0, 10, 10), [(5.0, 5.0, 1.6)])
-        assert locate_point(mesh, np.array([5.0, 5.0])) is None
-        hit = locate_point(mesh, np.array([0.5, 0.5]))
-        assert hit is not None
+        eids, _ = locate_points(mesh, np.array([[5.0, 5.0], [0.5, 0.5]]))
+        assert eids[0] == -1
+        assert eids[1] >= 0

@@ -1,7 +1,6 @@
 """Result emission: SIF/COD tables, field dumps, and run logs."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from xfem2d.assembly import (
     MaterialModel,
     SolutionState,
 )
+from xfem2d.config import ContourSpec, RunConfig
 from xfem2d.cracks import CrackPath
 from xfem2d.driver import (
     LoadSchedule,
@@ -57,16 +57,15 @@ def tension_bcs(traction=(0.0, SIGMA)):
 
 def make_config(mesh=None, cracks=(), bcs=None, schedule=None, propagation=None,
                 contour=None, tip_enrichment=True, material=STEEL):
-    return SimpleNamespace(
+    return RunConfig(
         mesh=mesh,
-        mesh_path=None,
         material=material,
         cracks=tuple(cracks),
         bcs=tension_bcs() if bcs is None else tuple(bcs),
         quadrature=(4, 35, 40),
         delta=0.002,
         tip_enrichment=tip_enrichment,
-        contour=contour,
+        contour=ContourSpec() if contour is None else contour,
         propagation=propagation,
         schedule=schedule,
     )
