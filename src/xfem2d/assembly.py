@@ -15,12 +15,13 @@ Heaviside node need no correction at all: the shifted factor
 M = H(phi(x)) - H(phi(node)) is identically zero on them, since the node
 and the whole element sit on the same side of the crack.
 
-Solve: SuperLU factors the system in the mesh's nested-dissection node
-order (:attr:`~xfem2d.mesh.Mesh.nested_dissection_order`, computed once
-per mesh), with each node's jump and branch dofs right after its two
-standard dofs.  It does not pivot: with the fixed dofs pinned the
-stiffness is symmetric positive definite, so diagonal elimination is
-stable and keeps the order.
+Solve: the fixed dofs are eliminated, not pinned: the free-free block of
+the stiffness is symmetric positive definite, and a supernodal
+multifrontal Cholesky factorization (:mod:`xfem2d.cholesky`) factors it
+front by front on the mesh's nested-dissection tree
+(:attr:`~xfem2d.mesh.Mesh.nested_dissection_tree`, computed once per
+mesh), with each node's jump and branch dofs right after its two standard
+dofs.  The fixed dofs take their prescribed values exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from xfem2d.cholesky import FactorStats, FrontalCholesky
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
     HEAVISIDE,
@@ -43,7 +44,7 @@ from xfem2d.enrichment import (
     evaluate_fields,
     shifted_heaviside,
 )
-from xfem2d.mesh import Mesh, QuadratureRule, element_geometry, gauss_rule
+from xfem2d.mesh import DissectionTree, Mesh, QuadratureRule, element_geometry, gauss_rule
 
 __all__ = [
     "AssemblyError",
@@ -215,6 +216,12 @@ class DofLayout:
         its jump pair or its eight branch dofs (a node has one status),
         for the nodes in turn.
         """
+        return self.node_dofs(node_order)[0]
+
+    def node_dofs(self, node_order: np.ndarray):
+        """:meth:`permutation` of ``node_order``, with the position in
+        ``node_order`` of each entry's node and the entry's place (0-9)
+        among that node's dofs."""
         node_order = np.asarray(node_order, dtype=np.int64)
         disc = self.disc_slot[node_order]
         tip = self.tip_slot[node_order]
@@ -225,9 +232,10 @@ class DofLayout:
         ext = local - 2  # position among the node's enrichment dofs
         base_disc = 2 * self.n_nodes
         base_tip = base_disc + 2 * self.n_disc
-        return np.where(ext < 0, 2 * node + local,
+        perm = np.where(ext < 0, 2 * node + local,
                         np.where(disc >= 0, base_disc + 2 * disc + ext,
                                  base_tip + 8 * tip + ext))
+        return perm, owner, local
 
     def scatter(self, u: np.ndarray) -> FieldTriplet:
         """Spread a flat solution vector into dense per-node field arrays."""
@@ -246,26 +254,37 @@ class DofLayout:
 class LinearSystem:
     """Assembled stiffness, load vector, and prescribed-value map.
 
-    ``perm`` is the dof order :func:`solve` factors ``K`` in: entry k is
-    the dof eliminated k-th.
+    ``tree`` is the node-level elimination tree :func:`solve` factors
+    ``K`` on; its order, expanded to dofs, is :attr:`perm`.
     """
 
     K: sp.csr_matrix
     f: np.ndarray
     fixed: dict[int, float]
     layout: DofLayout
-    perm: np.ndarray
+    tree: DissectionTree
+
+    @property
+    def perm(self) -> np.ndarray:
+        """Dof order of the factorization: entry k is the dof eliminated
+        k-th, fixed dofs included."""
+        return self.layout.permutation(self.tree.order)
 
 
 @dataclass
 class SolutionState:
-    """Solved displacement fields at one load factor."""
+    """Solved displacement fields at one load factor.
+
+    ``factor`` records the size of the factorization and the fronts it
+    refactored.
+    """
 
     fields: FieldTriplet
     load_factor: float
     layout: DofLayout
     u: np.ndarray
     residual: float
+    factor: FactorStats | None = None
 
 
 def elasticity_matrix(material: MaterialModel) -> np.ndarray:
@@ -391,19 +410,20 @@ class StandardStiffness:
     @cached_property
     def dofs(self) -> np.ndarray:
         """Standard dofs of every element, shape (m, 8), in matrix order."""
-        d = np.empty((self.mesh.n_elements, 8), dtype=np.int64)
+        d = np.empty((self.mesh.n_elements, 8), dtype=np.int32)
         d[:, 0::2] = 2 * self.mesh.elements
         d[:, 1::2] = 2 * self.mesh.elements + 1
         return d
 
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global (rows, cols) of every entry of ``matrices``, flattened.
+        """Global (rows, cols) of every entry of ``matrices``, shape (m, 8, 8).
 
-        Expanded from :attr:`dofs` on each call rather than kept: the two
-        index arrays are eight times its size.
+        Read-only broadcast views of :attr:`dofs`: the two index arrays
+        would be eight times its size.
         """
         dofs = self.dofs
-        return np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, (1, 8)).ravel()
+        shape = dofs.shape + (8,)
+        return np.broadcast_to(dofs[:, :, None], shape), np.broadcast_to(dofs[:, None, :], shape)
 
 
 def _crossing_params(pa: np.ndarray, pb: np.ndarray, crack) -> list[float]:
@@ -525,11 +545,9 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     kinds = emap.element_kinds(mesh)
 
     K_std = standard.matrices
-    std_rows, std_cols = standard.pattern()
-    rows, cols, data = [std_rows], [std_cols], [K_std.ravel()]
-
     # Correct cut/tip elements: replace their whole block with the
     # elevated-rule integral over all coupled fields.
+    blocks = []
     for eid in np.nonzero(kinds >= 2)[0].tolist():
         rule = rules.cut if kinds[eid] == 2 else rules.tip
         values, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
@@ -543,15 +561,26 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
         B = _strain_matrix(grads)
         Ke = _element_matrix(B, D, wdet)
         Ke[:8, :8] -= K_std[eid]
-        dofs = np.asarray(dofs)
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        data.append(Ke.ravel())
+        blocks.append((np.asarray(dofs, dtype=np.int32), Ke))
 
-    K = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(layout.total_dofs, layout.total_dofs),
-    ).tocsr()
+    # One preallocated triplet list, standard entries first: the standard
+    # part is most of it and is not copied twice.
+    total = K_std.size + sum(Ke.size for _, Ke in blocks)
+    data = np.empty(total)
+    rows = np.empty(total, dtype=np.int32)
+    cols = np.empty(total, dtype=np.int32)
+    data[:K_std.size] = K_std.ravel()
+    std_rows, std_cols = standard.pattern()
+    rows[:K_std.size].reshape(K_std.shape)[...] = std_rows
+    cols[:K_std.size].reshape(K_std.shape)[...] = std_cols
+    at = K_std.size
+    for dofs, Ke in blocks:
+        rows[at:at + Ke.size] = np.repeat(dofs, dofs.size)
+        cols[at:at + Ke.size] = np.tile(dofs, dofs.size)
+        data[at:at + Ke.size] = Ke.ravel()
+        at += Ke.size
+    K = sp.coo_matrix((data, (rows, cols)),
+                      shape=(layout.total_dofs, layout.total_dofs)).tocsr()
     if not np.all(np.isfinite(K.data)):
         raise AssemblyError("non-finite stiffness entry")
 
@@ -586,80 +615,85 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
                 for j in range(4):
                     for comp in (0, 1):
                         fixed.setdefault(layout.tip_dof(n, j, comp), 0.0)
-    perm = layout.permutation(mesh.nested_dissection_order)
-    return LinearSystem(K=K, f=f, fixed=fixed, layout=layout, perm=perm)
+    return LinearSystem(K=K, f=f, fixed=fixed, layout=layout,
+                        tree=mesh.nested_dissection_tree)
 
 
 def apply_constraints(system: LinearSystem, extra=None) -> LinearSystem:
-    """Symmetric elimination of prescribed dofs.
+    """The system with ``extra`` prescribed dof values added to its own.
 
-    Rows and columns of fixed dofs are zeroed, their diagonal is set to
-    the mean original diagonal (conditioning-neutral), and the load
-    vector absorbs the prescribed values so the solve returns them
-    exactly.
+    :func:`solve` eliminates every prescribed dof: it solves for the free
+    dofs alone, with the load lifted by the prescribed values, and returns
+    those values exactly.  Conflicting or out-of-range prescriptions raise
+    :class:`AssemblyError`.
     """
     fixed = dict(system.fixed)
     for dof, value in (extra or {}).items():
         if dof in fixed and fixed[dof] != value:
             raise AssemblyError(f"conflicting prescribed values on dof {dof}")
         fixed[dof] = float(value)
-    if not fixed:
-        return LinearSystem(system.K, system.f.copy(), {}, system.layout, system.perm)
-    n = system.layout.total_dofs
-    idx = np.fromiter(fixed.keys(), dtype=np.int64)
-    vals = np.fromiter(fixed.values(), dtype=float)
-    if idx.min() < 0 or idx.max() >= n:
+    if fixed and (min(fixed) < 0 or max(fixed) >= system.layout.total_dofs):
         raise AssemblyError("prescribed dof index out of range")
-    x_fix = np.zeros(n)
-    x_fix[idx] = vals
-    f = system.f - system.K @ x_fix
-    free = np.ones(n)
-    free[idx] = 0.0
-    P = sp.diags(free)
-    diag_scale = float(system.K.diagonal().mean())
-    pinned = np.zeros(n)
-    pinned[idx] = diag_scale
-    K = (P @ system.K @ P + sp.diags(pinned)).tocsr()
-    f = free * f
-    f[idx] = diag_scale * vals
-    return LinearSystem(K=K, f=f, fixed=fixed, layout=system.layout, perm=system.perm)
+    return LinearSystem(K=system.K, f=system.f, fixed=fixed,
+                        layout=system.layout, tree=system.tree)
 
 
-def solve(system: LinearSystem, load_factor: float = 1.0) -> SolutionState:
-    """Direct sparse solve in the system's dof order, with a residual check.
+def solve(system: LinearSystem, load_factor: float = 1.0,
+          factor: FrontalCholesky | None = None) -> SolutionState:
+    """Direct sparse solve of the free dofs, with a residual check.
 
-    SuperLU factors ``K[perm][:, perm]`` keeping that order (the mesh's
-    nested-dissection order, computed once per mesh) and without
-    pivoting.  Once the fixed dofs are pinned, ``K`` is symmetric positive
-    definite, so elimination on the diagonal is stable; pivoting would
-    break the order and, on many-crack systems, double the fill.  The
-    infinity-norm residual relative to the load must stay below 1e-9.
+    The prescribed dofs of ``system.fixed`` are eliminated: the free-free
+    block of ``K``, symmetric positive definite once enough dofs are
+    fixed, is factored by supernodal Cholesky on ``system.tree`` in its
+    dof order, the load is lifted by ``K`` times the prescribed values,
+    and the fixed dofs take those values exactly.  A non-positive pivot
+    (an indefinite or singular system) raises :class:`SolverError`, as do
+    a non-finite solution and an infinity-norm residual above 1e-9 of the
+    lifted load.  ``factor`` is the previous solve's factor on the same
+    tree, kept by a propagation run: the fronts whose inputs did not
+    change are reused.
     """
-    p = system.perm
+    layout, tree = system.layout, system.tree
+    n = layout.total_dofs
+    idx = np.fromiter(system.fixed.keys(), dtype=np.int64, count=len(system.fixed))
+    u = np.zeros(n)
+    u[idx] = np.fromiter(system.fixed.values(), dtype=float, count=idx.size)
+    is_free = np.ones(n, dtype=bool)
+    is_free[idx] = False
+    perm, owner, local = layout.node_dofs(tree.order)
+    free = is_free[perm]
+    q = perm[free]
+    # A node's layout: its dof count and which of its dofs are free.
+    n_nodes = tree.order.size
+    counts = np.bincount(owner[free], minlength=n_nodes)
+    signature = 1024 * np.bincount(owner, minlength=n_nodes) + np.bincount(
+        owner[free], weights=2.0 ** local[free], minlength=n_nodes).astype(np.int64)
+
+    lifted = system.f - system.K @ u
+    rhs = lifted[q]
+    factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        lu = spla.splu(system.K[p][:, p].tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
+        stats = factor.factorize(tree, counts, signature, system.K, q)
+    except np.linalg.LinAlgError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    u = np.empty_like(system.f)
-    u[p] = lu.solve(system.f[p])
+    u[q] = factor.solve(rhs)
     if not np.all(np.isfinite(u)):
         raise SolverError(
             "linear solve produced non-finite values (singular or "
             "indefinite system; check constraints and enrichment)"
         )
-    residual_vec = system.K @ u - system.f
-    fmax = float(np.abs(system.f).max())
-    rmax = float(np.abs(residual_vec).max())
+    rmax = float(np.abs((system.K @ u - system.f)[q]).max(initial=0.0))
+    fmax = float(np.abs(rhs).max(initial=0.0))
     residual = rmax / fmax if fmax > 0.0 else rmax
     if residual > 1e-9:
         raise SolverError(f"solver residual {residual:.3e} exceeds 1e-9")
     return SolutionState(
-        fields=system.layout.scatter(u),
+        fields=layout.scatter(u),
         load_factor=load_factor,
-        layout=system.layout,
+        layout=layout,
         u=u,
         residual=residual,
+        factor=stats,
     )
 
 

@@ -1,7 +1,7 @@
 """Quasi-static run orchestration: solve, extract intensities, grow, re-solve.
 
-Linear elastic fracture carries no path memory, so every load step is
-solved from scratch on the current crack geometry; growth decided after a
+Linear elastic fracture carries no path memory, so every load step's
+solution depends on the current crack geometry alone; growth decided after a
 step's extraction simply changes the geometry the next step classifies.
 A tip that comes within one element size (or one growth increment, if
 that is larger) of the domain boundary or of another crack is
@@ -18,7 +18,11 @@ spatial index are cached on the :class:`~xfem2d.mesh.Mesh`), checks the
 boundary tags, and sets up the standard element stiffness
 (:class:`~xfem2d.assembly.StandardStiffness`), integrated on first use.
 Every step then classifies its cracks on that same mesh, integrates only
-the enriched elements, solves, and extracts.  The last solved step's
+the enriched elements, solves, and extracts.  The run also keeps the
+sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`) from one step
+to the next: a step refactors only the fronts of the mesh's
+nested-dissection tree whose entries its new enrichment changed, and
+their ancestors, and reuses the rest unchanged.  The last solved step's
 problem stays on the :class:`RunHistory` for the output writers.
 
 Errors raised by the underlying modules are re-raised with a pipeline
@@ -49,6 +53,7 @@ from xfem2d.assembly import (
     solve,
     voigt_strain,
 )
+from xfem2d.cholesky import FactorStats, FrontalCholesky
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
     EnrichmentError,
@@ -197,6 +202,7 @@ class StepRecord:
     n_tip: int = 0
     residual: float = 0.0
     demotions: tuple = ()
+    factor: FactorStats | None = None
 
 
 @dataclass
@@ -298,7 +304,8 @@ def _contour_radius(contour: ContourSpec, emap: EnrichmentMap, crack_id: int) ->
     raise ValueError(f"unknown contour radius rule '{contour.rule}'")
 
 
-def _solve_step(problem: Problem, lam: float) -> SolutionState:
+def _solve_step(problem: Problem, lam: float,
+                factor: FrontalCholesky | None = None) -> SolutionState:
     bcs = [bc.at_load_factor(lam) for bc in problem.bcs]
     with _stage("assembly"):
         system = apply_constraints(
@@ -306,7 +313,7 @@ def _solve_step(problem: Problem, lam: float) -> SolutionState:
                      problem.rules, bcs, standard=problem.standard)
         )
     with _stage("solve"):
-        return solve(system, load_factor=lam)
+        return solve(system, load_factor=lam, factor=factor)
 
 
 def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
@@ -359,6 +366,7 @@ def stationary_history(problem: Problem, state: SolutionState,
         n_tip=problem.emap.n_tip,
         residual=state.residual,
         demotions=problem.emap.demotions,
+        factor=state.factor,
     )
     return RunHistory(steps=[record], final_state=state,
                       final_problem=problem, final_cracks=problem.cracks,
@@ -394,6 +402,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
         )
 
     problem = setup_problem(config)
+    factor = FrontalCholesky()
     cracks = problem.cracks
     history = RunHistory(final_problem=problem)
     frozen: set = set()
@@ -403,7 +412,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
         if k > 0:
             problem = setup_problem(config, cracks=cracks, base=problem)
         try:
-            state = _solve_step(problem, lam)
+            state = _solve_step(problem, lam, factor)
         except SolverError as exc:
             history.error = str(exc)
             history.stop_reason = "solver failure"
@@ -436,6 +445,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
             n_tip=problem.emap.n_tip,
             residual=state.residual,
             demotions=problem.emap.demotions,
+            factor=state.factor,
         )
         history.steps.append(record)
         history.final_state = state

@@ -18,7 +18,7 @@ import numpy as np
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.cracks import CrackPath, signed_distance_batch
 from xfem2d.enrichment import EnrichmentMap, TipInfo, evaluate_fields
-from xfem2d.mesh import Mesh
+from xfem2d.mesh import Mesh, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -140,15 +140,22 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
 def tip_clearance(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                   tip_id: int) -> float:
     """Distance from a tip to the nearest other crack or boundary edge."""
-    tinfo = _find_tip(emap, crack_id, tip_id)
-    origin = tinfo.frame.origin
-    clearance = mesh.boundary_distance(origin)
-    for other in emap.cracks:
-        if other.id == crack_id:
-            continue
-        d = abs(float(signed_distance_batch(other, origin[None, :])[0]))
-        clearance = min(clearance, d)
-    return clearance
+    origin = _find_tip(emap, crack_id, tip_id).frame.origin
+    _, distances = _other_crack_distances(emap, crack_id, origin)
+    return min(mesh.boundary_distance(origin), float(np.min(distances, initial=np.inf)))
+
+
+def _other_crack_distances(emap: EnrichmentMap, crack_id: int, point):
+    """Ids of the cracks other than ``crack_id``, in map order, and the
+    distance from ``point`` to each: one distance query over all their
+    segments."""
+    others = [c for c in emap.cracks if c.id != crack_id]
+    if not others:
+        return [], np.empty(0)
+    d = point_segment_distance(point, np.concatenate([c.vertices[:-1] for c in others]),
+                               np.concatenate([c.vertices[1:] for c in others]))
+    starts = np.cumsum([0] + [c.n_segments for c in others[:-1]])
+    return [c.id for c in others], np.minimum.reduceat(d, starts)
 
 
 def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
@@ -205,14 +212,12 @@ def _contour_points(tinfo: TipInfo, crack: CrackPath, radius: float,
 
 def _check_contour(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                    tip_id: int, origin: np.ndarray, radius: float) -> None:
-    for other in emap.cracks:
-        if other.id == crack_id:
-            continue
-        d = abs(float(signed_distance_batch(other, origin[None, :])[0]))
+    ids, distances = _other_crack_distances(emap, crack_id, origin)
+    for other, d in zip(ids, distances.tolist()):
         if d <= radius:
             raise FractureError(
                 f"contour of radius {radius:g} around crack {crack_id} tip "
-                f"{tip_id} intersects crack {other.id}"
+                f"{tip_id} intersects crack {other}"
             )
     if mesh.boundary_distance(origin) <= radius:
         raise FractureError(

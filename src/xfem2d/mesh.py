@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "Mesh",
+    "DissectionTree",
     "QuadratureRule",
     "ShapeEval",
     "MeshFormatError",
@@ -178,7 +179,8 @@ class Mesh:
     :attr:`edge_to_elements`), the :attr:`boundary_edges` array, the
     :attr:`element_bboxes`, the :attr:`point_grid` point location reads
     (cell offsets and ascending element ids, built with array operations)
-    and the :attr:`nested_dissection_order` the sparse solve factors in.
+    and the :attr:`nested_dissection_tree` whose fronts the sparse solve
+    factors.
     A propagation run reads its mesh once and reuses all of these at
     every load step.
 
@@ -301,8 +303,8 @@ class Mesh:
         return float(np.min(d, initial=np.inf))
 
     @cached_property
-    def nested_dissection_order(self) -> np.ndarray:
-        """Node order for factoring the stiffness matrix, shape (n_nodes,).
+    def nested_dissection_tree(self) -> DissectionTree:
+        """Fronts of the node order the sparse solve factors in.
 
         Geometric nested dissection (George, SIAM J. Numer. Anal. 10,
         1973) of the graph joining nodes that share an element: each part
@@ -310,27 +312,35 @@ class Mesh:
         the upper-side endpoint of every edge crossing the split forms the
         separator, and the order lists the lower half, the upper half and
         then the separator, recursively, down to parts of ``_ND_LEAF``
-        nodes, which keep their index order.
+        nodes, which keep their index order.  Each leaf part and each
+        separator is one front of the tree.
         """
         n = self.n_nodes
         pairs = _element_node_pairs(self.elements, n)
         key = np.zeros(n, dtype=np.int64)  # base-3 digits: 0 lower, 1 upper, 2 separator
         part = np.zeros(n, dtype=np.int64)  # -1 once a node's place is fixed
+        live_pairs = pairs
         while True:
             live = np.nonzero(part >= 0)[0]
             small = np.bincount(part[live])[part[live]] <= _ND_LEAF
             part[live[small]] = -1
             if small.all():
                 break
-            side, sep = _dissect_level(self.nodes, pairs, part)
+            side, sep = _dissect_level(self.nodes, live_pairs, part)
             key *= 3
             key += np.maximum(side, 0) + sep
             part = np.where(side >= 0, 2 * part + side, -1)
             part[sep] = -1
-            pairs = pairs[(part[pairs[:, 0]] >= 0) & (part[pairs[:, 1]] >= 0)]
+            live_pairs = live_pairs[(part[live_pairs[:, 0]] >= 0)
+                                    & (part[live_pairs[:, 1]] >= 0)]
         order = np.argsort(key, kind="stable")
-        order.setflags(write=False)
-        return order
+        return DissectionTree.build(order, key[order], pairs)
+
+    @property
+    def nested_dissection_order(self) -> np.ndarray:
+        """Node order for factoring the stiffness matrix, shape (n_nodes,):
+        the order of :attr:`nested_dissection_tree`."""
+        return self.nested_dissection_tree.order
 
     @cached_property
     def point_grid(self) -> tuple:
@@ -339,9 +349,14 @@ class Mesh:
         Returns ``(origin, cell, shape, start, elements)``: cell (ix, iy)
         is flat index ``ix * shape[1] + iy``, and the ids of the elements
         whose bounding box meets it are ``elements[start[c]:start[c + 1]]``,
-        ascending.  There are about as many cells as elements.
+        ascending.  There are about as many cells as elements.  Each box is
+        padded by ``_LOCATE_TOL`` times the element's extent, so a point
+        that :func:`locate_hits` accepts an ulp outside a box, or on the
+        border of two cells, still finds the element.
         """
         lo, hi = self.element_bboxes
+        pad = _LOCATE_TOL * np.max(hi - lo, axis=1, keepdims=True)
+        lo, hi = lo - pad, hi + pad
         gmin, gmax = self.bbox()
         span = np.maximum(gmax - gmin, 1e-300)
         ncell = max(1, int(np.sqrt(self.n_elements)))
@@ -367,6 +382,7 @@ def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 
 _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
+_LOCATE_TOL = 1e-9  # reference-square slack of point location
 
 
 def _element_node_pairs(elements: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -411,6 +427,77 @@ def _dissect_level(nodes: np.ndarray, pairs: np.ndarray, part: np.ndarray):
     sep = np.zeros(nodes.shape[0], dtype=bool)
     sep[np.where(sa[cross] == 1, pairs[cross, 0], pairs[cross, 1])] = True
     return side, sep
+
+
+@dataclass(frozen=True, eq=False)
+class DissectionTree:
+    """Supernodal elimination tree of a node order, at node level.
+
+    Front f eliminates the nodes ``order[start[f]:start[f + 1]]`` (its
+    pivots).  Its rows, ``rows[row_start[f]:row_start[f + 1]]``, are the
+    positions in ``order``, ascending, of the later nodes its subtree
+    couples to: the nodes outside the subtree that share an element with
+    a node in it.  ``parent[f]`` is the front holding the first of them,
+    -1 for a root.  Fronts are numbered in elimination order, so every
+    parent comes after its children.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    parent: np.ndarray
+    row_start: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, order: np.ndarray, keys: np.ndarray,
+              pairs: np.ndarray) -> "DissectionTree":
+        """Tree of ``order`` whose fronts are its runs of equal ``keys``,
+        for the node coupling ``pairs`` (k, 2)."""
+        n = order.size
+        start = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1, [n]])
+        n_fronts = start.size - 1
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        front = np.repeat(np.arange(n_fronts), np.diff(start))  # per position
+        ends = np.sort(position[pairs], axis=1)
+        owner = front[ends[:, 0]]
+        out = ends[:, 1] >= start[owner + 1]
+        direct = np.unique(owner[out] * n + ends[out, 1])
+        bounds = np.searchsorted(direct // n, np.arange(n_fronts + 1))
+        direct %= n
+        parent = np.full(n_fronts, -1, dtype=np.int64)
+        rows = []
+        inherited: list[list] = [[] for _ in range(n_fronts)]
+        for f in range(n_fronts):
+            end = start[f + 1]
+            r = direct[bounds[f]:bounds[f + 1]]
+            if inherited[f]:
+                r = np.unique(np.concatenate([r] + [c[c >= end] for c in inherited[f]]))
+                inherited[f] = []
+            rows.append(r)
+            if r.size:
+                parent[f] = front[r[0]]
+                inherited[parent[f]].append(r)
+        return cls(order=order, start=start, parent=parent,
+                   row_start=np.cumsum([0] + [r.size for r in rows]),
+                   rows=np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+
+    def __post_init__(self):
+        for a in (self.order, self.start, self.parent, self.row_start, self.rows):
+            a.setflags(write=False)
+
+    @property
+    def n_fronts(self) -> int:
+        return self.parent.size
+
+    @cached_property
+    def children(self) -> tuple:
+        """Child fronts of each front, ascending."""
+        kids: list[list[int]] = [[] for _ in range(self.n_fronts)]
+        for f, p in enumerate(self.parent.tolist()):
+            if p >= 0:
+                kids[p].append(f)
+        return tuple(kids)
 
 
 def point_segment_distance(p, a, b) -> np.ndarray:
@@ -481,7 +568,7 @@ def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
     return local, converged
 
 
-def locate_hits(mesh: Mesh, xs, tol: float = 1e-9):
+def locate_hits(mesh: Mesh, xs, tol: float = _LOCATE_TOL):
     """Every (point, element) pair whose element's closed hull holds the point.
 
     Candidates for the points ``xs`` (n, 2) come from :attr:`Mesh.point_grid`;
@@ -505,7 +592,7 @@ def locate_hits(mesh: Mesh, xs, tol: float = 1e-9):
     return pt[inside], eid[inside], local[inside]
 
 
-def locate_points(mesh: Mesh, xs, tol: float = 1e-9):
+def locate_points(mesh: Mesh, xs, tol: float = _LOCATE_TOL):
     """Element and reference coordinates of each point: its lowest-id hit.
 
     Returns ``(eids, locals)``; ``eids[i] == -1`` marks a point in no

@@ -406,7 +406,8 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
 
     Records mesh statistics, the material, per-step enriched-node counts
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
-    totals, solver residuals, the nodes demoted to standard
+    totals, solver residuals, the factorization's size (free dofs,
+    entries of L) and the fronts it refactored, the nodes demoted to standard
     approximation with the measured support ratios, every extraction,
     growth increment, and tip deactivation, and the stop reason.
     """
@@ -437,6 +438,12 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
         )
         lines.append(f"  dofs: {rec.n_dofs}")
         lines.append(f"  residual: {rec.residual:.6e}")
+        if rec.factor is not None:
+            lines.append(
+                f"  factor: {rec.factor.free_dofs} free dofs, "
+                f"{rec.factor.factor_entries} entries in L, "
+                f"{rec.factor.fronts_refactored} of {rec.factor.fronts} fronts refactored"
+            )
         if rec.demotions:
             lines.append(f"  demotions: {len(rec.demotions)}")
             for node, ratio, reason in rec.demotions:

@@ -25,6 +25,7 @@ from xfem2d.assembly import (
     _strain_matrix,
 )
 from xfem2d import assembly
+from xfem2d.cholesky import FrontalCholesky
 from xfem2d.cracks import CrackPath
 from xfem2d.enrichment import (
     HEAVISIDE,
@@ -33,7 +34,7 @@ from xfem2d.enrichment import (
     classify_enrichment,
     crack_opening,
 )
-from xfem2d.mesh import Mesh, element_geometry
+from xfem2d.mesh import DissectionTree, Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
@@ -363,37 +364,49 @@ class TestConstraints:
         np.testing.assert_allclose(state.fields.u_cont[top, 1], delta, rtol=1e-14)
 
 
+def one_front(n_nodes):
+    """Elimination tree with all nodes in one front, which any matrix fits."""
+    return DissectionTree(order=np.arange(n_nodes), start=np.array([0, n_nodes]),
+                          parent=np.array([-1]), row_start=np.array([0, 0]),
+                          rows=np.empty(0, dtype=np.int64))
+
+
+def plain_layout(n_nodes):
+    return DofLayout(
+        n_nodes=n_nodes,
+        disc_slot=np.full(n_nodes, -1),
+        tip_slot=np.full(n_nodes, -1),
+        n_disc=0,
+        n_tip=0,
+    )
+
+
 class TestSolver:
     def test_dense_oracle(self):
         rng = np.random.default_rng(42)
         A = rng.normal(size=(50, 50))
         K = A.T @ A + 50 * np.eye(50)
         f = rng.normal(size=50)
-        layout = DofLayout(
-            n_nodes=25,
-            disc_slot=np.full(25, -1),
-            tip_slot=np.full(25, -1),
-            n_disc=0,
-            n_tip=0,
-        )
-        system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={}, layout=layout,
-                              perm=np.arange(50))
+        system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={},
+                              layout=plain_layout(25), tree=one_front(25))
         state = solve(system)
         expected = np.linalg.solve(K, f)
         assert np.abs(state.u - expected).max() < 1e-9 * np.abs(expected).max()
 
     def test_singular_system_reported(self):
-        layout = DofLayout(
-            n_nodes=1,
-            disc_slot=np.full(1, -1),
-            tip_slot=np.full(1, -1),
-            n_disc=0,
-            n_tip=0,
-        )
         K = sp.csr_matrix(np.zeros((2, 2)))
-        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={}, layout=layout,
-                              perm=np.arange(2))
+        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
+                              layout=plain_layout(1), tree=one_front(1))
         with pytest.raises(SolverError):
+            solve(system)
+
+    def test_indefinite_system_reported(self):
+        # Nonsingular, eigenvalues 3 and -1: elimination without pivoting
+        # gets through it, Cholesky must not.
+        K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
+                              layout=plain_layout(1), tree=one_front(1))
+        with pytest.raises(SolverError, match="positive definite"):
             solve(system)
 
 
@@ -415,8 +428,15 @@ class TestOrderedSolve:
     def test_agrees_with_spsolve(self):
         _, _, system = center_crack_with_tips()
         state = solve(system)
-        expected = spla.spsolve(system.K.tocsc(), system.f)
-        assert np.abs(state.u - expected).max() <= 1e-9 * np.abs(expected).max()
+        # The fixed dofs are eliminated: they keep their values exactly and
+        # the free ones solve the free-free block with the lifted load.
+        fixed = np.array(sorted(system.fixed))
+        free = np.setdiff1d(np.arange(system.layout.total_dofs), fixed)
+        np.testing.assert_array_equal(state.u[fixed], [system.fixed[d] for d in fixed])
+        assert state.factor.free_dofs == free.size
+        lifted = system.f - system.K[:, fixed] @ state.u[fixed]
+        expected = spla.spsolve(system.K[free][:, free].tocsc(), lifted[free])
+        assert np.abs(state.u[free] - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_permutation_follows_node_order_with_dofs_together(self):
         mesh, emap, system = center_crack_with_tips()
@@ -431,6 +451,58 @@ class TestOrderedSolve:
             if layout.tip_slot[n] >= 0:
                 expected += [layout.tip_dof(n, j, c) for j in range(4) for c in (0, 1)]
         np.testing.assert_array_equal(perm, expected)
+
+
+class TestFactorReuse:
+    def test_perturbed_element_refactors_its_path_to_the_root(self):
+        mesh, _, system = center_crack_with_tips()
+        tree = system.tree
+        factor = FrontalCholesky()
+        first = solve(system, factor=factor)
+        assert first.factor.fronts_refactored == tree.n_fronts > 1
+        # An element far from the crack and the constrained edges, stiffened
+        # by a positive semidefinite block.
+        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.1, 0.85], axis=1)))
+        dofs = np.ravel(np.column_stack([2 * mesh.elements[eid], 2 * mesh.elements[eid] + 1]))
+        K = system.K.copy()  # keeps the explicit zeros of the pattern
+        K[np.ix_(dofs, dofs)] = (system.K[np.ix_(dofs, dofs)].toarray()
+                                 + 1e-3 * abs(system.K).max())
+        stiffer = LinearSystem(K=K, f=system.f, fixed=system.fixed,
+                               layout=system.layout, tree=tree)
+        state = solve(stiffer, factor=factor)
+        position = np.empty(mesh.n_nodes, dtype=np.int64)
+        position[tree.order] = np.arange(mesh.n_nodes)
+        front = np.searchsorted(tree.start, position[mesh.elements[eid]].min(), side="right") - 1
+        path = [front]
+        while tree.parent[path[-1]] >= 0:
+            path.append(tree.parent[path[-1]])
+        np.testing.assert_array_equal(factor.refactored, path)
+        assert state.factor.fronts_refactored == len(path) < tree.n_fronts
+        fresh = solve(stiffer)
+        assert np.abs(state.u - fresh.u).max() <= 1e-12 * np.abs(fresh.u).max()
+
+    def test_failed_factorization_is_not_reused(self):
+        _, _, system = center_crack_with_tips()
+        factor = FrontalCholesky()
+        first = solve(system, factor=factor)
+        K = system.K.copy()
+        K[100, 100] = -K[100, 100]  # no longer positive definite
+        broken = LinearSystem(K=K, f=system.f, fixed=system.fixed,
+                              layout=system.layout, tree=system.tree)
+        for _ in range(2):  # nothing of the failed attempt is kept
+            with pytest.raises(SolverError, match="positive definite"):
+                solve(broken, factor=factor)
+        again = solve(system, factor=factor)
+        assert again.factor.fronts_refactored == again.factor.fronts
+        np.testing.assert_array_equal(again.u, first.u)
+
+    def test_same_system_refactors_nothing(self):
+        _, _, system = center_crack_with_tips()
+        factor = FrontalCholesky()
+        first = solve(system, factor=factor)
+        again = solve(system, factor=factor)
+        assert again.factor.fronts_refactored == 0
+        np.testing.assert_array_equal(again.u, first.u)
 
 
 class TestElementMatrix:

@@ -25,6 +25,8 @@ from xfem2d.driver import (
     tip_trajectory,
     _stage,
 )
+from xfem2d import driver
+from xfem2d.assembly import solve
 from xfem2d.enrichment import CrackMeshDegeneracyError
 from xfem2d.mesh import Mesh
 from xfem2d.meshgen import uniform_rect
@@ -113,6 +115,23 @@ def grown():
         propagation=PropagationParams(delta_a=0.05),
     )
     return config, run_propagation(config)
+
+
+@pytest.fixture(scope="module")
+def grown_solves(grown):
+    """Every (system, state) pair the solves of the grown run produce."""
+    config, _ = grown
+    solves = []
+
+    def recording(system, load_factor=1.0, factor=None):
+        state = solve(system, load_factor, factor)
+        solves.append((system, state))
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "solve", recording)
+        run_propagation(config)
+    return solves
 
 
 class TestRunStationary:
@@ -278,6 +297,18 @@ class TestRunPropagation:
             for ra, rb in zip(a.sifs, b.sifs):
                 assert ra.K_I == rb.K_I
                 assert ra.K_II == rb.K_II
+
+    def test_factor_reuse_matches_fresh_factorization(self, grown_solves):
+        assert len(grown_solves) == 3
+        for k, (system, state) in enumerate(grown_solves):
+            fresh = solve(system, state.load_factor)
+            assert np.abs(state.u - fresh.u).max() <= 1e-12 * np.abs(fresh.u).max()
+            stats = state.factor
+            assert stats.fronts == system.tree.n_fronts > 1
+            if k == 0:
+                assert stats.fronts_refactored == stats.fronts
+            else:
+                assert 0 < stats.fronts_refactored < stats.fronts
 
     def test_increment_budget(self):
         config = make_config(

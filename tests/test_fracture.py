@@ -13,7 +13,7 @@ from xfem2d.assembly import (
     elasticity_matrix,
     solve,
 )
-from xfem2d.cracks import CrackPath
+from xfem2d.cracks import CrackPath, signed_distance
 from xfem2d.enrichment import FieldTriplet, classify_enrichment
 from xfem2d.fracture import (
     FractureError,
@@ -26,6 +26,7 @@ from xfem2d.fracture import (
     j_from_sifs,
     k_equivalent,
     propagation_angle,
+    tip_clearance,
 )
 from xfem2d.meshgen import uniform_rect
 
@@ -285,6 +286,20 @@ class TestContourValidity:
         with pytest.raises(FractureError, match="intersects crack 1"):
             interaction_integral(self.state, self.mesh, self.emap, STEEL,
                                  0, 1, 1, radius=0.2)
+
+    def test_clearance_is_the_nearest_other_crack_segment(self):
+        cracks = [
+            CrackPath(vertices=np.array([[0.275, 0.425], [0.675, 0.425]]), id=0),
+            CrackPath(vertices=np.array([[0.275, 0.575], [0.675, 0.575]]), id=1),
+            CrackPath(vertices=np.array([[0.723, 0.213], [0.761, 0.347], [0.912, 0.398]]), id=2),
+        ]
+        emap = classify_enrichment(self.mesh, cracks)
+        for tinfo in emap.tips:
+            origin = tinfo.frame.origin
+            expected = min([self.mesh.boundary_distance(origin)] + [
+                abs(signed_distance(c, origin)) for c in cracks if c.id != tinfo.crack_id])
+            got = tip_clearance(self.mesh, emap, tinfo.crack_id, tinfo.tip_id)
+            assert got == pytest.approx(expected, rel=1e-15)
 
     def test_leaving_domain_rejected(self):
         lone = classify_enrichment(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,10 +189,50 @@ class TestNestedDissection:
         assert len(pairs) == nx * (ny + 1) + (nx + 1) * ny + 2 * nx * ny
         assert np.all(pairs[:, 0] < pairs[:, 1])
 
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_tree_fronts_partition_and_rows_are_coupled_ancestors(self, name):
+        mesh = ORDERING_MESHES[name]()
+        tree = mesh.nested_dissection_tree
+        assert tree.order is mesh.nested_dissection_order
+        n, fronts = mesh.n_nodes, np.arange(tree.n_fronts)
+        # The fronts partition the order into non-empty runs.
+        assert tree.start[0] == 0 and tree.start[-1] == n
+        assert np.all(np.diff(tree.start) > 0)
+        # Every parent comes after its children.
+        assert np.all((tree.parent > fronts) | (tree.parent == -1))
+        assert np.sum(tree.parent == -1) == 1
+        # A front's rows are the nodes outside its subtree that share an
+        # element with a node in it, and each lies in an ancestor front.
+        position = np.empty(n, dtype=np.int64)
+        position[tree.order] = np.arange(n)
+        a, b = position[_element_node_pairs(mesh.elements, n)].T
+        graph = sp.coo_matrix((np.ones(2 * a.size), (np.r_[a, b], np.r_[b, a])),
+                              shape=(n, n)).tocsr()
+        front_of = np.repeat(fronts, np.diff(tree.start))
+        subtree = [None] * tree.n_fronts
+        for f in fronts:
+            inside = np.zeros(n, dtype=bool)
+            inside[tree.start[f]:tree.start[f + 1]] = True
+            for c in tree.children[f]:
+                inside |= subtree[c]
+            subtree[f] = inside
+            coupled = np.flatnonzero((graph @ inside > 0) & ~inside)
+            rows = tree.rows[tree.row_start[f]:tree.row_start[f + 1]]
+            np.testing.assert_array_equal(rows, coupled)
+            ancestors = []
+            g = tree.parent[f]
+            while g >= 0:
+                ancestors.append(g)
+                g = tree.parent[g]
+            assert set(front_of[rows].tolist()) <= set(ancestors)
+            if rows.size:
+                assert tree.parent[f] == front_of[rows[0]]
+
     def test_small_mesh_keeps_index_order(self):
         mesh = uniform_rect(1.0, 1.0, 6, 6)  # 49 nodes: a single leaf
         np.testing.assert_array_equal(mesh.nested_dissection_order,
                                       np.arange(mesh.n_nodes))
+        assert mesh.nested_dissection_tree.n_fronts == 1
 
 
 class TestJacobian:
@@ -351,6 +392,19 @@ def _brute_force_hits(mesh, x, tol=1e-9):
 class TestBatchLocator:
     """The grid-backed batch locator against Newton inversion on every element."""
 
+    def test_points_on_shared_edges_find_both_elements(self):
+        # A point on an edge can lie an ulp outside one owner's bounding
+        # box, at a grid-cell border; the padded grid still lists it.
+        mesh = hole_attraction_config().mesh
+        shared = {pair: owners for pair, owners in mesh.edge_to_elements.items()
+                  if len(owners) == 2}
+        assert len(shared) == 19352
+        ends = np.array(list(shared))
+        pts = 0.7 * mesh.nodes[ends[:, 0]] + 0.3 * mesh.nodes[ends[:, 1]]
+        pt, eid, _ = locate_hits(mesh, pts)
+        assert np.all(np.bincount(pt, minlength=len(pts)) == 2)
+        np.testing.assert_array_equal(eid, np.concatenate(list(shared.values())))
+
     @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
     def test_matches_brute_force(self, name):
         mesh = ORDERING_MESHES[name]()
@@ -358,10 +412,7 @@ class TestBatchLocator:
         lo, hi = mesh.bbox()
         span = hi - lo
         quads = mesh.element_coords(rng.choice(mesh.n_elements, 40, replace=False))
-        # Points on shared edges, written so that on an axis-parallel edge
-        # they keep its coordinate exactly: the locator looks a point up in
-        # the bounding boxes of the elements, so one an ulp off a box is
-        # left to the neighbouring element.
+        # Points on shared edges: corners, midpoints and quarter points.
         mid = 0.5 * (quads + np.roll(quads, -1, axis=1))
         pts = np.vstack([
             rng.uniform(lo - 0.05 * span, hi + 0.05 * span, size=(60, 2)),

@@ -407,6 +407,10 @@ class TestRunLog:
         text = path.read_text()
         for rec in history.steps:
             assert f"step {rec.step}: load factor" in text
+            f = rec.factor
+            assert (f"  factor: {f.free_dofs} free dofs, {f.factor_entries} entries in L, "
+                    f"{f.fronts_refactored} of {f.fronts} fronts refactored") in text
+        assert text.count("  factor: ") == len(history.steps)
         assert text.count("extension: crack 0") == sum(
             len(rec.extensions) for rec in history.steps)
         assert "stop: schedule exhausted" in text
@@ -446,5 +450,7 @@ class TestStationaryHistory:
         assert rec.n_dofs == state.layout.total_dofs
         assert rec.n_heaviside == problem.emap.n_heaviside
         assert rec.n_tip == problem.emap.n_tip
+        assert rec.factor is state.factor
+        assert rec.factor.fronts_refactored == rec.factor.fronts
         assert history.final_state is state
         assert history.final_cracks == problem.cracks
