@@ -7,13 +7,17 @@ map grants them, so the jump/branch constraint is structural rather than
 penalized.
 
 Integration strategy: every element is first integrated with the plain
-2x2 rule in one vectorized pass; elements that carry a jump or branch
-contribution are then corrected in place so that their full block (all
-field couplings including the standard one) is integrated with a single
-elevated rule — one rule per element class.  Uncut elements holding a
-Heaviside node need no correction at all: the shifted factor
-M = H(phi(x)) - H(phi(node)) is identically zero on them, since the node
-and the whole element sit on the same side of the crack.
+2x2 rule in one vectorized pass.  The cut elements and the tip elements
+are then integrated as two batches, one elevated rule per class, from the
+gradients of :func:`~xfem2d.enrichment.enriched_basis`; each replaces its
+elements' whole block (all field couplings including the standard one).
+Uncut elements holding a Heaviside node need no correction at all: the
+shifted factor M = H(phi(x)) - H(phi(node)) is identically zero on them,
+since the node and the whole element sit on the same side of the crack.
+Traction and body-force loads are weighted sums of the same basis at
+points of the loaded edges and of each integration class, so the
+stiffness, the loads and the evaluated fields share one definition of
+the enriched basis.
 
 Solve: the fixed dofs are eliminated, not pinned: the free-free block of
 the stiffness is symmetric positive definite, and a supernodal
@@ -35,16 +39,23 @@ import scipy.sparse as sp
 from xfem2d.cholesky import FactorStats, FrontalCholesky
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
+    BASIS_FIELD,
     HEAVISIDE,
     TIP,
     EnrichmentMap,
     FieldTriplet,
-    branch_functions,
-    branch_shape,
+    basis_batches,
+    enriched_basis,
     evaluate_fields,
-    shifted_heaviside,
 )
-from xfem2d.mesh import DissectionTree, Mesh, QuadratureRule, element_geometry, gauss_rule
+from xfem2d.mesh import (
+    DissectionTree,
+    Mesh,
+    QuadratureRule,
+    edge_points,
+    element_geometry,
+    gauss_rule,
+)
 
 __all__ = [
     "AssemblyError",
@@ -209,6 +220,17 @@ class DofLayout:
             raise KeyError(f"node {node} has no branch degrees of freedom")
         return 2 * self.n_nodes + 2 * self.n_disc + 8 * int(slot) + 2 * branch + comp
 
+    def column_dofs(self, nodes: np.ndarray, field: np.ndarray) -> np.ndarray:
+        """First dof of the x/y pair of each basis column of
+        :func:`~xfem2d.enrichment.enriched_basis`, given its node and field
+        (0 standard, 1 jump, 2 + j branch j); -1 where the node lacks it."""
+        disc, tip = self.disc_slot[nodes], self.tip_slot[nodes]
+        base_disc = 2 * self.n_nodes
+        base_tip = base_disc + 2 * self.n_disc
+        return np.where(field == 0, 2 * nodes,
+                        np.where(field == 1, np.where(disc >= 0, base_disc + 2 * disc, -1),
+                                 np.where(tip >= 0, base_tip + 8 * tip + 2 * (field - 2), -1)))
+
     def permutation(self, node_order: np.ndarray) -> np.ndarray:
         """Dof order that follows ``node_order`` with each node's dofs together.
 
@@ -309,81 +331,37 @@ def elasticity_matrix(material: MaterialModel) -> np.ndarray:
     )
 
 
+# Voigt strain of a displacement gradient: eps[v] = _VOIGT[v, a, b] du_a/dx_b.
+_VOIGT = np.zeros((3, 2, 2))
+_VOIGT[0, 0, 0] = _VOIGT[1, 1, 1] = _VOIGT[2, 0, 1] = _VOIGT[2, 1, 0] = 1.0
+
+
 def voigt_strain(grad: np.ndarray) -> np.ndarray:
     """Engineering strains (..., 3), order xx, yy, xy, from displacement
     gradients ``grad[..., a, b] = du_a/dx_b``."""
-    return np.stack([grad[..., 0, 0], grad[..., 1, 1],
-                     grad[..., 0, 1] + grad[..., 1, 0]], axis=-1)
+    return np.einsum("vab,...ab->...v", _VOIGT, grad)
 
 
 # ---------------------------------------------------------------------------
 # element-level machinery
 # ---------------------------------------------------------------------------
 
-def _element_scalars(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eid: int,
-                     values: np.ndarray, dN: np.ndarray, phys: np.ndarray):
-    """Scalar shape functions of one element, one per dof pair.
+def _element_matrices(grads: np.ndarray, wdet: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Stiffness (..., 2S, 2S) of S scalar basis functions whose gradients
+    ``grads`` (..., q, S, 2) are sampled at points of weight ``wdet`` (..., q).
 
-    Returns (dofs, vals (q, S), grads (q, S, 2)) where scalar k spawns the
-    x/y dof pair dofs[2k], dofs[2k+1].  The signed distance to a crack and
-    the branch functions of a tip are evaluated once per element, however
-    many of its nodes they enrich.
+    Dof 2s + a is component a of scalar s.  The weighted gradient products
+    are summed over the points first, then contracted with the elasticity
+    tensor, so no strain matrix is formed.
     """
-    conn = mesh.elements[eid]
-    vals = [values[:, li] for li in range(4)]
-    grads = [dN[:, li, :] for li in range(4)]
-    dofs: list[int] = []
-    for li in range(4):
-        n = int(conn[li])
-        dofs += [layout.cont_dof(n, 0), layout.cont_dof(n, 1)]
-    phi: dict[int, np.ndarray] = {}  # crack id -> signed distance at phys
-    branch: dict[int, tuple] = {}  # tip index -> (F, dF) at phys
-    for li in range(4):
-        n = int(conn[li])
-        status = emap.status[n]
-        if status == HEAVISIDE:
-            cid = int(emap.node_crack[n])
-            if cid not in phi:
-                phi[cid] = signed_distance_batch(emap.crack_by_id(cid), phys)
-            M = shifted_heaviside(emap.node_sign[n], phi[cid])
-            vals.append(values[:, li] * M)
-            grads.append(M[:, None] * dN[:, li, :])
-            dofs += [layout.disc_dof(n, 0), layout.disc_dof(n, 1)]
-        elif status == TIP:
-            gti = int(emap.node_tip[n])
-            if gti not in branch:
-                tinfo = emap.tips[gti]
-                r, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), phys)
-                if np.any(r < 1e-14):
-                    raise AssemblyError(
-                        f"a quadrature point of element {eid} coincides with the "
-                        f"tip of crack {tinfo.crack_id}; change the rule or mesh"
-                    )
-                branch[gti] = F, dF
-            NF, G = branch_shape(values[:, li], dN[:, li, :], *branch[gti])
-            for j in range(4):
-                vals.append(NF[:, j])
-                grads.append(G[:, j, :])
-                dofs += [layout.tip_dof(n, j, 0), layout.tip_dof(n, j, 1)]
-    return dofs, np.stack(vals, axis=1), np.stack(grads, axis=1)
-
-
-def _strain_matrix(grads: np.ndarray) -> np.ndarray:
-    """Voigt B matrix (..., 3, 2S) from scalar gradients (..., S, 2)."""
-    B = np.zeros(grads.shape[:-2] + (3, 2 * grads.shape[-2]))
-    B[..., 0, 0::2] = grads[..., 0]
-    B[..., 1, 1::2] = grads[..., 1]
-    B[..., 2, 0::2] = grads[..., 1]
-    B[..., 2, 1::2] = grads[..., 0]
-    return B
-
-
-def _element_matrix(B: np.ndarray, D: np.ndarray, wdet: np.ndarray) -> np.ndarray:
-    """Sum over points q of wdet_q B_q^T D B_q, for B of shape (..., q, 3, n)."""
-    n = B.shape[-1]
-    BW = (B * wdet[..., None, None]).reshape(B.shape[:-3] + (-1, n))
-    DB = (D @ B).reshape(BW.shape)
-    return BW.swapaxes(-1, -2) @ DB
+    S = grads.shape[-2]
+    G = grads.reshape(grads.shape[:-2] + (2 * S,))
+    P = (np.swapaxes(G * wdet[..., None], -1, -2) @ G).reshape(G.shape[:-2] + (S, 2, S, 2))
+    # K[s, a, t, c] = sum over b, d of P[s, b, t, d] C[a, b, c, d]
+    C = np.einsum("vab,vw,wcd->bdac", _VOIGT, D, _VOIGT).reshape(4, 4)
+    K = (np.swapaxes(P, -3, -2).reshape(P.shape[:-4] + (S, S, 4)) @ C)
+    K = np.swapaxes(K.reshape(P.shape[:-4] + (S, S, 2, 2)), -3, -2)
+    return K.reshape(K.shape[:-4] + (2 * S, 2 * S))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,8 +382,7 @@ class StandardStiffness:
     def matrices(self) -> np.ndarray:
         """Element stiffness of the standard field, shape (m, 8, 8)."""
         _, dN, wdet, _ = element_geometry(self.mesh.element_coords(), self.rule)
-        B = _strain_matrix(dN)  # (m, q, 3, 8)
-        return _element_matrix(B, elasticity_matrix(self.material), wdet)
+        return _element_matrices(dN, wdet, elasticity_matrix(self.material))
 
     @cached_property
     def dofs(self) -> np.ndarray:
@@ -426,99 +403,109 @@ class StandardStiffness:
         return np.broadcast_to(dofs[:, :, None], shape), np.broadcast_to(dofs[:, None, :], shape)
 
 
-def _crossing_params(pa: np.ndarray, pb: np.ndarray, crack) -> list[float]:
-    """Parameters t in (0,1) where segment pa->pb crosses the crack."""
-    out = []
-    d = pb - pa
-    v = crack.vertices
-    for j in range(crack.n_segments):
-        c0, c1 = v[j], v[j + 1]
-        e = c1 - c0
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) < 1e-300:
-            continue
-        rel = c0 - pa
-        t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-        s = (rel[0] * d[1] - rel[1] * d[0]) / denom
-        if 0.0 < t < 1.0 and 0.0 <= s <= 1.0:
-            out.append(float(t))
-    return out
+def _add_point_loads(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eids,
+                     local, xs, load: np.ndarray, f: np.ndarray) -> None:
+    """Add to ``f`` the work of point forces ``load`` (n, 2) at the given
+    points on every basis function."""
+    for run, values, _, nodes in basis_batches(mesh, emap, eids, local, xs):
+        dofs = layout.column_dofs(nodes, BASIS_FIELD)
+        has = dofs >= 0
+        for comp in (0, 1):
+            f += np.bincount(dofs[has] + comp, weights=(values * load[run, None, comp])[has],
+                             minlength=f.size)
 
 
-def _traction_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
-                            bcs, f: np.ndarray) -> None:
-    """Accumulate edge tractions, including jump/branch edge terms.
+def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
+    """Quadrature points of the loaded boundary edges and their forces.
 
-    Integration splits each loaded edge at crack crossings so the
-    piecewise-constant jump factor is integrated exactly.
+    Each edge is split where any crack segment crosses it, so the
+    piecewise-constant jump factor is integrated exactly: the crossings
+    of every (edge, segment) pair are found at once.  Returns the points'
+    elements, reference and physical coordinates and forces (n, 2).
     """
-    gp, gw = np.polynomial.legendre.leggauss(6)
-    boundary = mesh.boundary_edges.tolist()
+    edges = mesh.boundary_edges
+    loaded, force = [np.empty(0, dtype=np.int64)], [np.empty((0, 2))]
     for bc in bcs:
         if bc.kind != "traction":
             continue
         if bc.boundary not in mesh.boundary_tags:
             raise AssemblyError(f"unknown boundary tag '{bc.boundary}'")
-        tagged = set(int(n) for n in mesh.boundary_tags[bc.boundary])
-        tvec = np.asarray(bc.value, dtype=float)
-        n_loaded = 0
-        for a, b in boundary:
-            if a not in tagged or b not in tagged:
-                continue
-            n_loaded += 1
-            pa, pb = mesh.nodes[a], mesh.nodes[b]
-            length = float(np.linalg.norm(pb - pa))
-            breaks = {0.0, 1.0}
-            for crack in emap.cracks:
-                breaks.update(_crossing_params(pa, pb, crack))
-            knots = sorted(breaks)
-            for t0, t1 in zip(knots[:-1], knots[1:]):
-                if t1 - t0 < 1e-14:
-                    continue
-                ts = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * gp
-                ws = 0.5 * (t1 - t0) * gw * length
-                xs = pa[None, :] + ts[:, None] * (pb - pa)[None, :]
-                for node, shape in ((a, 1.0 - ts), (b, ts)):
-                    base = np.sum(shape * ws)
-                    f[layout.cont_dof(node, 0)] += base * tvec[0]
-                    f[layout.cont_dof(node, 1)] += base * tvec[1]
-                    status = emap.status[node]
-                    if status == HEAVISIDE:
-                        crack = emap.crack_by_id(int(emap.node_crack[node]))
-                        M = shifted_heaviside(
-                            emap.node_sign[node], signed_distance_batch(crack, xs)
-                        )
-                        w_enr = np.sum(shape * M * ws)
-                        f[layout.disc_dof(node, 0)] += w_enr * tvec[0]
-                        f[layout.disc_dof(node, 1)] += w_enr * tvec[1]
-                    elif status == TIP:
-                        tinfo = emap.tips[int(emap.node_tip[node])]
-                        crack = emap.crack_by_id(tinfo.crack_id)
-                        _, F, _ = branch_functions(tinfo, crack, xs)
-                        for j in range(4):
-                            w_enr = np.sum(shape * F[:, j] * ws)
-                            f[layout.tip_dof(node, j, 0)] += w_enr * tvec[0]
-                            f[layout.tip_dof(node, j, 1)] += w_enr * tvec[1]
-        if n_loaded == 0:
+        tagged = np.isin(edges[:, :2], mesh.boundary_tags[bc.boundary]).all(axis=1)
+        if not tagged.any():
             raise AssemblyError(
                 f"traction on '{bc.boundary}' matched no boundary edges"
             )
+        loaded.append(np.nonzero(tagged)[0])
+        force.append(np.broadcast_to(np.asarray(bc.value, dtype=float), (loaded[-1].size, 2)))
+    loaded, force = np.concatenate(loaded), np.concatenate(force)
+    eid, side = edges[loaded, 2], edges[loaded, 3]
+    pa = mesh.nodes[mesh.elements[eid, side]]
+    pb = mesh.nodes[mesh.elements[eid, (side + 1) % 4]]
+    # Crossing parameters t along pa->pb of every crack segment c0->c1.
+    c0 = np.concatenate([np.empty((0, 2))] + [c.vertices[:-1] for c in emap.cracks])
+    c1 = np.concatenate([np.empty((0, 2))] + [c.vertices[1:] for c in emap.cracks])
+    d, e = (pb - pa)[:, None], (c1 - c0)[None]
+    rel = c0[None] - pa[:, None]
+    denom = d[..., 0] * e[..., 1] - d[..., 1] * e[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rel[..., 0] * e[..., 1] - rel[..., 1] * e[..., 0]) / denom
+        s = (rel[..., 0] * d[..., 1] - rel[..., 1] * d[..., 0]) / denom
+        cross = (np.abs(denom) >= 1e-300) & (t > 0.0) & (t < 1.0) & (s >= 0.0) & (s <= 1.0)
+    knots = np.sort(np.column_stack([np.zeros(eid.size), np.where(cross, t, 1.0),
+                                     np.ones(eid.size)]), axis=1)
+    edge, k = np.nonzero(np.diff(knots, axis=1) >= 1e-14)
+    t0, t1 = knots[edge, k], knots[edge, k + 1]
+    gp, gw = np.polynomial.legendre.leggauss(6)
+    ts = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * gp  # (pieces, 6)
+    length = np.linalg.norm(pb - pa, axis=1)[edge]
+    ws = ((0.5 * (t1 - t0) * length)[:, None] * gw).ravel()
+    edge, ts = np.repeat(edge, gp.size), ts.ravel()
+    local, xs = edge_points(side[edge], ts, pa[edge], pb[edge])
+    return eid[edge], local, xs, ws[:, None] * force[edge]
 
 
-def _body_force_contributions(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
-                              material: MaterialModel, rules: QuadratureSet,
-                              kinds: np.ndarray, f: np.ndarray) -> None:
-    b = np.asarray(material.body_force, dtype=float)
-    rule_of_kind = {0: rules.standard, 1: rules.standard, 2: rules.cut, 3: rules.tip}
-    for eid in range(mesh.n_elements):
-        rule = rule_of_kind[int(kinds[eid])]
-        values, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
-        dofs, vals, _ = _element_scalars(mesh, emap, layout, eid, values, dN, phys)
-        weights = vals.T @ wdet  # (S,)
-        fe = np.empty(2 * weights.size)
-        fe[0::2] = weights * b[0]
-        fe[1::2] = weights * b[1]
-        np.add.at(f, np.asarray(dofs), fe)
+def _enriched_entries(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
+                      D: np.ndarray, K_std: np.ndarray, eids: np.ndarray,
+                      rule: QuadratureRule):
+    """COO triplets (values, rows, cols) that turn the plain-rule stiffness
+    of the elements ``eids`` into their ``rule`` integral over all coupled
+    fields: one batch for the whole class.
+
+    A cut element whose quadrature points all sample one side (the crack
+    clips a corner sliver below rule resolution) is still integrated: the
+    jump factors are then constant over the element, which is exactly the
+    limit of a vanishing sliver.  Nodes whose whole support samples
+    one-sided are removed during classification, so no dof can end up
+    without jump stiffness.
+    """
+    q = rule.n_points
+    _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+    node_tip = emap.node_tip[mesh.elements[eids]]  # branch gradients are singular at a tip
+    for gti in np.unique(node_tip[node_tip >= 0]).tolist():
+        tinfo = emap.tips[gti]
+        own = np.nonzero((node_tip == gti).any(axis=1))[0]
+        on = own[(np.linalg.norm(phys[own] - tinfo.frame.origin, axis=-1) < 1e-14).any(axis=1)]
+        if on.size:
+            raise AssemblyError(
+                f"a quadrature point of element {eids[on[0]]} coincides with the "
+                f"tip of crack {tinfo.crack_id}; change the rule or mesh"
+            )
+    basis = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(rule.points, (eids.size, 1)),
+                           phys.reshape(-1, 2))
+    # An element's columns are those of its first point.  Only the columns
+    # some element of the class uses are integrated (a cut element has no
+    # branch columns), the standard ones first.
+    dofs = layout.column_dofs(basis[2][::q], BASIS_FIELD)
+    used = np.nonzero((dofs >= 0).any(axis=0))[0]
+    grads = basis[1].reshape(eids.size, q, 24, 2)[:, :, used]
+    del basis  # the padded arrays, about as large as the integration's own
+    Ke = _element_matrices(grads, wdet, D)
+    Ke[:, :8, :8] -= K_std[eids]
+    pair = np.repeat(dofs[:, used], 2, axis=1).astype(np.int32)
+    pair[:, 1::2] += pair[:, 1::2] >= 0
+    keep = (pair[:, :, None] >= 0) & (pair[:, None, :] >= 0)
+    return (Ke[keep], np.broadcast_to(pair[:, :, None], Ke.shape)[keep],
+            np.broadcast_to(pair[:, None, :], Ke.shape)[keep])
 
 
 def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
@@ -545,49 +532,32 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     kinds = emap.element_kinds(mesh)
 
     K_std = standard.matrices
-    # Correct cut/tip elements: replace their whole block with the
-    # elevated-rule integral over all coupled fields.
-    blocks = []
-    for eid in np.nonzero(kinds >= 2)[0].tolist():
-        rule = rules.cut if kinds[eid] == 2 else rules.tip
-        values, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
-        # A cut element whose quadrature points all sample one side (the
-        # crack clips a corner sliver below rule resolution) is still
-        # integrated: the jump factors are then constant over the element,
-        # which is exactly the limit of a vanishing sliver.  Nodes whose
-        # whole support samples one-sided are removed during
-        # classification, so no dof can end up without jump stiffness.
-        dofs, vals, grads = _element_scalars(mesh, emap, layout, eid, values, dN, phys)
-        B = _strain_matrix(grads)
-        Ke = _element_matrix(B, D, wdet)
-        Ke[:8, :8] -= K_std[eid]
-        blocks.append((np.asarray(dofs, dtype=np.int32), Ke))
-
-    # One preallocated triplet list, standard entries first: the standard
-    # part is most of it and is not copied twice.
-    total = K_std.size + sum(Ke.size for _, Ke in blocks)
-    data = np.empty(total)
-    rows = np.empty(total, dtype=np.int32)
-    cols = np.empty(total, dtype=np.int32)
-    data[:K_std.size] = K_std.ravel()
-    std_rows, std_cols = standard.pattern()
-    rows[:K_std.size].reshape(K_std.shape)[...] = std_rows
-    cols[:K_std.size].reshape(K_std.shape)[...] = std_cols
-    at = K_std.size
-    for dofs, Ke in blocks:
-        rows[at:at + Ke.size] = np.repeat(dofs, dofs.size)
-        cols[at:at + Ke.size] = np.tile(dofs, dofs.size)
-        data[at:at + Ke.size] = Ke.ravel()
-        at += Ke.size
+    parts = [(K_std.ravel(), *(np.ravel(p) for p in standard.pattern()))]
+    for eids, rule in ((np.nonzero(kinds == 2)[0], rules.cut),
+                       (np.nonzero(kinds == 3)[0], rules.tip)):
+        if eids.size:
+            parts.append(_enriched_entries(mesh, emap, layout, D, K_std, eids, rule))
+    # Each set of triplets is released as soon as the next is built: the
+    # triplets are several times the size of the matrix they sum into.
+    data, rows, cols = (np.concatenate(a) for a in zip(*parts))
+    del parts
     K = sp.coo_matrix((data, (rows, cols)),
                       shape=(layout.total_dofs, layout.total_dofs)).tocsr()
+    del data, rows, cols
+    # The conversion leaves the index and value arrays as views into
+    # buffers sized for every triplet; keep only the stored entries.
+    K.data, K.indices = K.data.copy(), K.indices.copy()
     if not np.all(np.isfinite(K.data)):
         raise AssemblyError("non-finite stiffness entry")
 
     f = np.zeros(layout.total_dofs)
-    _traction_contributions(mesh, emap, layout, bcs, f)
+    _add_point_loads(mesh, emap, layout, *_traction_points(mesh, emap, bcs), f)
     if any(material.body_force):
-        _body_force_contributions(mesh, emap, layout, material, rules, kinds, f)
+        for eids, rule in rules.classes(kinds):
+            _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+            _add_point_loads(mesh, emap, layout, np.repeat(eids, rule.n_points),
+                             np.tile(rule.points, (eids.size, 1)), phys.reshape(-1, 2),
+                             wdet.reshape(-1, 1) * np.asarray(material.body_force), f)
 
     fixed: dict[int, float] = {}
     for bc in bcs:

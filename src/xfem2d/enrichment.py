@@ -14,10 +14,14 @@ element containing the tip, so the modeled crack is fully fractured up to
 element edges; the resulting effective half-length is reported so results
 can be compared against the matching closed-form value.
 
-Field reconstruction is one batched kernel, :func:`element_fields`, over
-points given by element, reference and physical coordinates;
+The enriched basis is defined once, in one batched kernel,
+:func:`enriched_basis`: at points given by element, reference and
+physical coordinates it returns every corner's standard, jump and branch
+functions, padded to 24 columns, their gradients and each column's node.
+Assembly integrates the stiffness and both loads from it;
+:func:`element_fields` contracts it with the nodal coefficients, and
 :func:`evaluate_fields` is :func:`~xfem2d.mesh.locate_points` plus that
-kernel.  It shares :func:`branch_shape` with assembly.
+contraction.
 """
 
 from __future__ import annotations
@@ -64,11 +68,13 @@ __all__ = [
     "branch_theta",
     "branch_frame",
     "branch_functions",
-    "branch_shape",
     "total_displacement",
     "crack_opening",
     "psi_at",
     "evaluate_fields",
+    "BASIS_FIELD",
+    "enriched_basis",
+    "basis_batches",
     "element_fields",
 ]
 
@@ -789,64 +795,80 @@ def branch_functions(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
     return r, F, np.einsum("kjb,ab->kja", dF_local, branch_frame(tinfo))
 
 
-def branch_shape(N, dN, F, dF):
-    """Branch-enriched shape functions N F_j and their gradients F_j dN + N dF_j.
+# ---------------------------------------------------------------------------
+# the enriched basis and field evaluation
+# ---------------------------------------------------------------------------
 
-    ``N`` (...), ``dN`` (..., 2), ``F`` (..., 4) and ``dF`` (..., 4, 2)
-    broadcast; returns values (..., 4) and gradients (..., 4, 2).
+BASIS_FIELD = np.repeat(np.arange(6), 4)  # field of each basis column
+_BASIS_BATCH = 4096  # points per enriched_basis call of basis_batches
+
+
+def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
+    """The enriched scalar basis at points of known elements, padded.
+
+    Point k lies in element ``eids[k]`` at reference coordinates
+    ``local[k]`` and physical position ``xs[k]``.  Column ``4 f + i`` is
+    field f (``BASIS_FIELD`` of the column) of the element's corner i: 0 the
+    standard N_i, 1 the jump N_i M_i, 2 + j the branch N_i F_j.  A column
+    is zero where the corner node lacks its field.  Returns the
+    values (n, 24), their physical gradients (n, 24, 2) and the node of
+    each column (n, 24).  The jump part takes one signed distance per
+    crack, over the points whose element holds its jump nodes, the branch
+    part one evaluation per tip.
     """
-    return N[..., None] * F, F[..., None] * dN[..., None, :] + N[..., None, None] * dF
+    conn = mesh.elements[eids]
+    N, dref = reference_shape(local[:, 0], local[:, 1])  # (n, 4), (n, 4, 2)
+    dN = dref @ jacobian(mesh.nodes[conn], dref)[1]  # physical gradients
+    values, grads = np.zeros((conn.shape[0], 6, 4)), np.zeros((conn.shape[0], 6, 4, 2))
+    values[:, 0], grads[:, 0] = N, dN
+    status, node_crack = emap.status[conn], emap.node_crack[conn]
+    jump = status == HEAVISIDE
+    for cid in np.unique(node_crack[jump]).tolist():
+        own = jump & (node_crack == cid)
+        rows = np.nonzero(own.any(axis=1))[0]
+        phi = signed_distance_batch(emap.crack_by_id(cid), xs[rows])
+        M = shifted_heaviside(emap.node_sign[conn[rows]], phi[:, None]) * own[rows]
+        values[rows, 1] = N[rows] * M
+        grads[rows, 1] = M[..., None] * dN[rows]
+    node_tip = emap.node_tip[conn]  # -1 off TIP nodes
+    for gti in np.unique(node_tip[node_tip >= 0]).tolist():
+        own = node_tip == gti
+        rows = np.nonzero(own.any(axis=1))[0]
+        tinfo = emap.tips[gti]
+        _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs[rows])
+        mask = own[rows][:, None, :]  # (points, branch, corner)
+        values[rows, 2:] = N[rows, None, :] * F[:, :, None] * mask
+        grads[rows, 2:] = (F[:, :, None, None] * dN[rows, None]
+                           + N[rows, None, :, None] * dF[:, :, None, :]) * mask[..., None]
+    return values.reshape(-1, 24), grads.reshape(-1, 24, 2), np.tile(conn, 6)
 
 
-# ---------------------------------------------------------------------------
-# field evaluation
-# ---------------------------------------------------------------------------
+def basis_batches(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
+    """:func:`enriched_basis` over consecutive runs of at most a few
+    thousand points, so the padded arrays stay a few MB however many points
+    there are: yields each run's slice, values, gradients and nodes."""
+    for start in range(0, len(eids), _BASIS_BATCH):
+        run = slice(start, start + _BASIS_BATCH)
+        yield (run, *enriched_basis(mesh, emap, eids[run], local[run], xs[run]))
+
 
 def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
                    eids, local, xs, want_grad: bool = True):
     """Total displacement (n, 2) and gradient (n, 2, 2) at points of known elements.
 
     Point k lies in element ``eids[k]`` at reference coordinates ``local[k]``
-    and physical position ``xs[k]``.  The jump part takes one signed
-    distance per crack, over the points whose element holds its jump nodes,
-    the branch part one evaluation per tip; enriched terms are added in
-    corner order.  ``grad`` is ``None`` when not wanted.
+    and physical position ``xs[k]``: the enriched basis contracted with
+    each column's field coefficients.  ``grad`` is ``None`` when not wanted.
     """
-    conn = mesh.elements[eids]
-    values, dref = reference_shape(local[:, 0], local[:, 1])  # (n,4), (n,4,2)
-    dN = dref @ jacobian(mesh.nodes[conn], dref)[1]  # physical gradients
-    u = np.einsum("ki,kia->ka", values, fields.u_cont[conn])
-    grad = np.einsum("kib,kia->kab", dN, fields.u_cont[conn]) if want_grad else None
-    status = emap.status[conn]
-    enr = np.nonzero((status != STANDARD).any(axis=1))[0]
-    at = np.zeros(conn.shape[0], dtype=np.int64)
-    at[enr] = np.arange(enr.size)  # row of each enriched point in du, dg
-    du, dg = np.zeros((enr.size, 4, 2)), np.zeros((enr.size, 4, 2, 2))
-    node_crack, node_tip = emap.node_crack[conn], emap.node_tip[conn]
-    for cid in np.unique(node_crack[status == HEAVISIDE]).tolist():
-        own = (status == HEAVISIDE) & (node_crack == cid)
-        rows = np.nonzero(own.any(axis=1))[0]
-        phi = signed_distance_batch(emap.crack_by_id(cid), xs[rows])
-        for li in range(4):
-            sel = own[rows, li]
-            r, n = rows[sel], conn[rows[sel], li]
-            M = shifted_heaviside(emap.node_sign[n], phi[sel])
-            du[at[r], li] = (values[r, li] * M)[:, None] * fields.u_disc[n]
-            dg[at[r], li] = np.einsum("k,kb,ka->kab", M, dN[r, li], fields.u_disc[n])
-    for gti in np.unique(node_tip[status == TIP]).tolist():
-        tinfo, own = emap.tips[gti], node_tip == gti
-        rows = np.nonzero(own.any(axis=1))[0]
-        _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs[rows])
-        for li in range(4):
-            sel = own[rows, li]
-            r, n = rows[sel], conn[rows[sel], li]
-            NF, G = branch_shape(values[r, li], dN[r, li], F[sel], dF[sel])
-            du[at[r], li] = np.einsum("kj,kja->ka", NF, fields.u_tip[n])
-            dg[at[r], li] = np.einsum("kjb,kja->kab", G, fields.u_tip[n])
-    for li in range(4):
-        u[enr] += du[:, li]
+    coef = np.concatenate([fields.u_cont[:, None], fields.u_disc[:, None], fields.u_tip],
+                          axis=1)  # (n_nodes, 6, 2), by BASIS_FIELD
+    u = np.empty((len(eids), 2))
+    grad = np.empty((len(eids), 2, 2)) if want_grad else None
+    for run, values, grads, nodes in basis_batches(mesh, emap, eids, local, xs):
+        c = coef[nodes, BASIS_FIELD]
+        u[run] = np.einsum("kc,kca->ka", values, c)
         if want_grad:
-            grad[enr] += dg[:, li]
+            grad[run] = np.einsum("kcb,kca->kab", grads, c)
     return u, grad
 
 

@@ -212,6 +212,12 @@ def _contour_points(tinfo: TipInfo, crack: CrackPath, radius: float,
 
 def _check_contour(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                    tip_id: int, origin: np.ndarray, radius: float) -> None:
+    far_end = emap.crack_by_id(crack_id).vertices[-1 if tip_id == 0 else 0]
+    if np.linalg.norm(far_end - origin) <= radius:
+        raise FractureError(
+            f"contour of radius {radius:g} around crack {crack_id} tip "
+            f"{tip_id} reaches the crack's other end"
+        )
     ids, distances = _other_crack_distances(emap, crack_id, origin)
     for other, d in zip(ids, distances.tolist()):
         if d <= radius:

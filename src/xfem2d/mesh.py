@@ -32,6 +32,7 @@ __all__ = [
     "shape_eval",
     "gauss_rule",
     "jacobian",
+    "edge_points",
     "element_geometry",
     "locate_hits",
     "locate_points",
@@ -90,6 +91,14 @@ def jacobian(xy, dref):
     adj[..., 1, 1] = J[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return det, adj / det[..., None, None]
+
+
+def edge_points(side, t, a, b):
+    """Reference and physical coordinates (n, 2) of the points at parameter
+    ``t`` (n,) along local edges ``side`` (n,), each running from corner k,
+    at ``a`` (n, 2), to corner k + 1, at ``b``."""
+    t = t[:, None]
+    return (1.0 - t) * _CORNERS[side] + t * _CORNERS[(side + 1) % 4], a + t * (b - a)
 
 
 def element_geometry(xy: np.ndarray, rule: QuadratureRule):
@@ -175,8 +184,8 @@ class Mesh:
     The mesh never changes during a run: a growing crack changes only the
     enrichment classified on top of it.  So everything derived from the
     mesh alone is a cached property, built on first use and kept for the
-    mesh's life: node and edge adjacency (:attr:`node_to_elements`,
-    :attr:`edge_to_elements`), the :attr:`boundary_edges` array, the
+    mesh's life: the node adjacency :attr:`node_to_elements`, the
+    :attr:`boundary_edges` array with their owners, the
     :attr:`element_bboxes`, the :attr:`point_grid` point location reads
     (cell offsets and ascending element ids, built with array operations)
     and the :attr:`nested_dissection_tree` whose fronts the sparse solve
@@ -267,25 +276,19 @@ class Mesh:
         return np.split(order // 4, np.cumsum(counts)[:-1])
 
     @cached_property
-    def edge_to_elements(self) -> dict[tuple[int, int], list[int]]:
-        """Map from sorted corner-node pair to the elements sharing that edge."""
-        edges: dict[tuple[int, int], list[int]] = {}
-        for eid, quad in enumerate(self.elements.tolist()):
-            for k in range(4):
-                a, b = quad[k], quad[(k + 1) % 4]
-                key = (a, b) if a < b else (b, a)
-                edges.setdefault(key, []).append(eid)
-        return edges
-
-    @cached_property
     def boundary_edges(self) -> np.ndarray:
         """Edges owned by exactly one element (outer and hole boundaries).
 
-        Sorted corner-node pairs, shape (k, 2), in order of first element.
+        Shape (k, 4), in order of first element: the sorted corner-node
+        pair, the owning element and the edge's local index k in it (edge
+        k runs from corner k to corner k + 1).
         """
-        pairs = [pair for pair, owners in self.edge_to_elements.items()
-                 if len(owners) == 1]
-        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        a, b = self.elements, np.roll(self.elements, -1, axis=1)
+        keys = (np.minimum(a, b) * self.n_nodes + np.maximum(a, b)).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        flat = np.sort(first[counts == 1])  # element-major, then local edge
+        lo, hi = np.divmod(keys[flat], self.n_nodes)
+        edges = np.column_stack([lo, hi, flat // 4, flat % 4])
         edges.setflags(write=False)
         return edges
 
@@ -335,12 +338,6 @@ class Mesh:
                                     & (part[live_pairs[:, 1]] >= 0)]
         order = np.argsort(key, kind="stable")
         return DissectionTree.build(order, key[order], pairs)
-
-    @property
-    def nested_dissection_order(self) -> np.ndarray:
-        """Node order for factoring the stiffness matrix, shape (n_nodes,):
-        the order of :attr:`nested_dissection_tree`."""
-        return self.nested_dissection_tree.order
 
     @cached_property
     def point_grid(self) -> tuple:

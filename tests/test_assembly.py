@@ -20,19 +20,18 @@ from xfem2d.assembly import (
     solve,
     stress_strain_at,
     stress_strain_batch,
-    _element_matrix,
-    _element_scalars,
-    _strain_matrix,
+    _element_matrices,
 )
-from xfem2d import assembly
+from xfem2d import enrichment
 from xfem2d.cholesky import FrontalCholesky
 from xfem2d.cracks import CrackPath
 from xfem2d.enrichment import (
+    BASIS_FIELD,
     HEAVISIDE,
-    TIP,
     FieldTriplet,
     classify_enrichment,
     crack_opening,
+    enriched_basis,
 )
 from xfem2d.mesh import DissectionTree, Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect
@@ -255,6 +254,59 @@ class TestCutStrip:
         assert energy == pytest.approx(sigma**2 / (2 * e_prime), rel=1e-3)
 
 
+class TestEnrichedLoads:
+    def test_jump_load_of_a_crossed_traction_edge(self):
+        # The crack leaves through the top edge at x_c.  Node n's jump
+        # factor is H_other - H_n beyond the crossing and zero before it,
+        # so its load is t_y L (H_other - H_n) (1 - t_c)^2 / 2, with t_c
+        # the crossing's distance from n over the edge length L.
+        mesh = uniform_rect(1.0, 1.0, 8, 8)
+        x_c, ty, L = 0.537, 2.5e6, 1.0 / 8
+        crack = CrackPath(vertices=np.array([[x_c, 1.01], [x_c, 0.6]]),
+                          tip_start=False, id=0)
+        emap = classify_enrichment(mesh, [crack])
+        system = assemble(mesh, emap, STEEL,
+                          bcs=[BoundaryCondition("top", "traction", (0.0, ty))])
+        top = [n for n in mesh.boundary_tags["top"].tolist()
+               if emap.status[n] == HEAVISIDE]
+        assert sorted(mesh.nodes[top, 0].tolist()) == [0.5, 0.625]
+        for n, other in (top, top[::-1]):
+            t_c = abs(x_c - mesh.nodes[n, 0]) / L
+            expected = ty * L * (emap.node_sign[other] - emap.node_sign[n]) * (1 - t_c) ** 2 / 2
+            assert expected != 0.0
+            assert system.f[system.layout.disc_dof(n, 1)] == pytest.approx(expected, rel=1e-12)
+            assert system.f[system.layout.disc_dof(n, 0)] == 0.0
+
+    def test_gravity_column_nodal_values_exact(self):
+        # Rollers on both sides and a fixed base leave a uniaxial-strain
+        # column: sigma_yy = b (H - y), so u_y = (b / D11)(H y - y^2 / 2),
+        # which bilinear elements reproduce at the nodes.
+        height, b = 2.0, -7.5e4
+        material = MaterialModel(E=200e9, nu=0.3, body_force=(0.0, b))
+        mesh = uniform_rect(1.0, height, 3, 8)
+        bcs = [
+            BoundaryCondition("left", "displacement", (0.0, None)),
+            BoundaryCondition("right", "displacement", (0.0, None)),
+            BoundaryCondition("bottom", "displacement", (None, 0.0)),
+        ]
+        state, _ = solve_with(mesh, uncracked(mesh), material, bcs)
+        y = mesh.nodes[:, 1]
+        expected = b / elasticity_matrix(material)[1, 1] * (height * y - y**2 / 2)
+        err = np.abs(state.fields.u_cont[:, 1] - expected).max()
+        assert err <= 1e-12 * np.abs(expected).max()
+
+    def test_body_force_on_a_cracked_mesh_sums_to_the_total(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.15, 0.55], [0.85, 0.55]]), id=0)
+        emap = classify_enrichment(mesh, [crack])
+        body = (3.0e3, -7.0e4)
+        material = MaterialModel(E=200e9, nu=0.3, body_force=body)
+        system = assemble(mesh, emap, material)
+        f = system.f[:2 * mesh.n_nodes].reshape(-1, 2)
+        np.testing.assert_allclose(f.sum(axis=0), body, rtol=1e-12)  # area 1
+        assert np.abs(system.f[2 * mesh.n_nodes:]).max() > 0.0
+
+
 class TestEnrichmentConsistency:
     def test_zeroed_enrichment_matches_plain_fem(self):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
@@ -285,6 +337,13 @@ class TestSystemStructure:
         system = assemble(mesh, emap, STEEL)
         asym = sp.csr_matrix(abs(system.K - system.K.T))
         assert asym.max() < 1e-9 * abs(system.K).max()
+
+    def test_csr_arrays_hold_only_the_stored_entries(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.15, 0.55], [0.85, 0.55]]), id=0)
+        K = assemble(mesh, classify_enrichment(mesh, [crack]), STEEL).K
+        for a in (K.data, K.indices):
+            assert (a if a.base is None else a.base).size == K.nnz
 
     def test_rigid_body_mode_counts(self):
         mesh = uniform_rect(1.0, 1.0, 4, 4)
@@ -444,7 +503,7 @@ class TestOrderedSolve:
         perm = system.perm
         np.testing.assert_array_equal(np.sort(perm), np.arange(layout.total_dofs))
         expected = []
-        for n in mesh.nested_dissection_order.tolist():
+        for n in mesh.nested_dissection_tree.order.tolist():
             expected += [layout.cont_dof(n, 0), layout.cont_dof(n, 1)]
             if layout.disc_slot[n] >= 0:
                 expected += [layout.disc_dof(n, c) for c in (0, 1)]
@@ -509,27 +568,28 @@ class TestElementMatrix:
     def test_tip_element_matches_full_contraction(self):
         mesh, emap, _ = center_crack_with_tips()
         eid = emap.tips[0].element
-        values, dN, wdet, phys = element_geometry(
-            mesh.element_coords(eid), QuadratureSet.from_targets().tip)
-        _, _, grads = _element_scalars(mesh, emap, DofLayout.build(emap), eid,
-                                       values, dN, phys)
-        B = _strain_matrix(grads)
+        rule = QuadratureSet.from_targets().tip
+        _, _, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
+        _, grads, nodes = enriched_basis(mesh, emap, np.full(rule.n_points, eid),
+                                         rule.points, phys)
+        grads = grads[:, DofLayout.build(emap).column_dofs(nodes[0], BASIS_FIELD) >= 0]
+        B = np.zeros((rule.n_points, 3, 2 * grads.shape[1]))  # Voigt strain matrix
+        B[:, 0, 0::2] = B[:, 2, 1::2] = grads[..., 0]
+        B[:, 1, 1::2] = B[:, 2, 0::2] = grads[..., 1]
         D = elasticity_matrix(STEEL)
         expected = np.einsum("qri,rs,qsj,q->ij", B, D, B, wdet, optimize=True)
-        Ke = _element_matrix(B, D, wdet)
+        Ke = _element_matrices(grads, wdet, D)
         assert Ke.shape == (40, 40)
         assert np.abs(Ke - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-class TestElementScalars:
-    def test_crack_distance_and_branch_functions_once_per_element(self, monkeypatch):
+class TestEnrichedBasis:
+    def test_crack_distance_and_branch_functions_once_per_call(self, monkeypatch):
         mesh, emap, _ = center_crack_with_tips()
-        layout = DofLayout.build(emap)
-        rules = QuadratureSet.from_targets()
         calls = []
 
         def counting(name):
-            real = getattr(assembly, name)
+            real = getattr(enrichment, name)
 
             def wrapper(*args):
                 calls.append(name)
@@ -537,20 +597,18 @@ class TestElementScalars:
             return wrapper
 
         for name in ("signed_distance_batch", "branch_functions"):
-            monkeypatch.setattr(assembly, name, counting(name))
-        kinds = emap.element_kinds(mesh)
-        checked = 0
-        for eid in np.nonzero(kinds >= 2)[0].tolist():
-            status = emap.status[mesh.elements[eid]]
-            values, dN, wdet, phys = element_geometry(
-                mesh.element_coords(eid), rules.cut if kinds[eid] == 2 else rules.tip)
-            calls.clear()
-            _element_scalars(mesh, emap, layout, eid, values, dN, phys)
-            assert calls.count("signed_distance_batch") == int((status == HEAVISIDE).any())
-            assert calls.count("branch_functions") == np.unique(
-                emap.node_tip[mesh.elements[eid]][status == TIP]).size
-            checked += int((status == HEAVISIDE).sum() >= 2 or (status == TIP).sum() >= 2)
-        assert checked > 4  # elements with several nodes of one enrichment
+            monkeypatch.setattr(enrichment, name, counting(name))
+        eids = np.nonzero(emap.element_kinds(mesh) >= 2)[0]
+        rule = QuadratureSet.from_targets().tip
+        _, _, _, phys = element_geometry(mesh.element_coords(eids), rule)
+        nodes = mesh.elements[eids]
+        assert np.any((emap.status[nodes] == HEAVISIDE).sum(axis=1) >= 2)
+        enriched_basis(mesh, emap, np.repeat(eids, rule.n_points),
+                       np.tile(rule.points, (eids.size, 1)), phys.reshape(-1, 2))
+        # One evaluation per tip, each taking the crack side of its angle
+        # from one distance, and one distance for the jump part.
+        assert calls.count("branch_functions") == len(emap.tips) == 2
+        assert calls.count("signed_distance_batch") == 1 + 2
 
 
 class TestAssemblyErrors:
@@ -611,6 +669,19 @@ class TestAssemblyErrors:
         assert np.all(np.isfinite(state.u))
         opening = crack_opening((0.45, 0.5 - 1e-6 + slope * -0.05), state.fields, mesh, emap, 0)
         assert opening > 0.0
+
+    def test_tip_on_quadrature_point_rejected(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        _, _, _, phys = element_geometry(mesh.element_coords([55]),
+                                         QuadratureSet.from_targets().tip)
+        tip = phys[0, 27]
+        crack = CrackPath(vertices=np.array([[-0.01, tip[1]], tip]),
+                          tip_start=False, id=0)
+        emap = classify_enrichment(mesh, [crack])
+        assert [t.element for t in emap.tips] == [55]
+        with pytest.raises(AssemblyError, match="quadrature point of element 55 "
+                           "coincides with the tip of crack 0"):
+            assemble(mesh, emap, STEEL)
 
     def test_bc_validation(self):
         with pytest.raises(ValueError, match="kind"):

@@ -1,0 +1,38 @@
+"""The paper's stationary examples as gates against their closed forms.
+
+The bound is 1 %, the tolerance the benchmark's own output checks use.
+The 5 m plate's finite width accounts for about +0.10 % of the Table 1
+error (sqrt(sec(pi a / W)) with a = 0.1 m, W = 5 m); the rest is mesh and
+extraction error.
+"""
+
+import pytest
+
+from xfem2d import benchmarks
+from xfem2d.driver import run_stationary
+
+TOLERANCE = 0.01
+
+
+@pytest.mark.parametrize("ratio", [5.0, 12.5])
+def test_table1_tip_enriched_matches_the_infinite_plate(ratio):
+    _, results = run_stationary(benchmarks.table1_config(ratio, with_tip=True))
+    exact = benchmarks.center_crack_exact_ki(benchmarks.TABLE1_SIGMA,
+                                             benchmarks.TABLE1_HALF_LENGTH)
+    assert len(results) == 2
+    for res in results:
+        assert res.K_I == pytest.approx(exact, rel=TOLERANCE)
+        assert abs(res.K_II) < TOLERANCE * exact
+    # The plate, the mesh and the load are mirror-symmetric about the
+    # crack's centre line, so the two tips see the same field.
+    left, right = (res.K_I for res in results)
+    assert left == pytest.approx(right, rel=1e-6)
+
+
+def test_inclined_crack_matches_both_modes():
+    _, results = run_stationary(benchmarks.inclined_config(30))
+    k1, k2 = benchmarks.inclined_exact(30)
+    assert len(results) == 2
+    for res in results:
+        assert res.K_I == pytest.approx(k1, rel=TOLERANCE)
+        assert res.K_II == pytest.approx(k2, rel=TOLERANCE)

@@ -9,6 +9,13 @@ import numpy as np
 import pytest
 
 from xfem2d import enrichment
+from xfem2d.assembly import (
+    MaterialModel,
+    QuadratureSet,
+    assemble,
+    elasticity_matrix,
+    voigt_strain,
+)
 from xfem2d.cracks import (
     CrackGeometryError,
     CrackPath,
@@ -35,7 +42,13 @@ from xfem2d.enrichment import (
     shifted_heaviside,
     total_displacement,
 )
-from xfem2d.mesh import gauss_rule, jacobian, locate_points, reference_shape
+from xfem2d.mesh import (
+    element_geometry,
+    gauss_rule,
+    jacobian,
+    locate_points,
+    reference_shape,
+)
 from xfem2d.meshgen import punch_holes, uniform_rect
 
 
@@ -562,8 +575,8 @@ def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):
 class TestBatchedKernel:
     """The batched field kernel against the per-element evaluation."""
 
-    @pytest.mark.parametrize("tip_enrichment", [True, False])
-    def test_matches_per_element_evaluation(self, tip_enrichment):
+    @staticmethod
+    def two_cracks(tip_enrichment):
         mesh = uniform_rect(1.0, 1.0, 20, 20)
         cracks = [
             CrackPath(vertices=np.array([[0.121, 0.633], [0.437, 0.712]]), id=0),
@@ -573,6 +586,11 @@ class TestBatchedKernel:
         emap = classify_enrichment(mesh, cracks, tip_enrichment=tip_enrichment)
         assert emap.n_heaviside > 0
         assert emap.n_tip == (4 * 4 if tip_enrichment else 0)  # four tip elements
+        return mesh, emap
+
+    @pytest.mark.parametrize("tip_enrichment", [True, False])
+    def test_matches_per_element_evaluation(self, tip_enrichment):
+        mesh, emap = self.two_cracks(tip_enrichment)
         rng = np.random.default_rng(23)
         # Coefficients on every node, enriched or not: the kernel must read
         # only the rows each node's enrichment owns.
@@ -611,6 +629,28 @@ class TestBatchedKernel:
         u_only, none = element_fields(mesh, emap, fields, eids, locs, pts, want_grad=False)
         assert none is None
         np.testing.assert_array_equal(u_only, u)
+
+    @pytest.mark.parametrize("tip_enrichment", [True, False])
+    def test_stiffness_matches_field_energy(self, tip_enrichment):
+        # v^T K u is the energy of the strains element_fields evaluates,
+        # integrated with each element's class rule.
+        mesh, emap = self.two_cracks(tip_enrichment)
+        material = MaterialModel(E=200e9, nu=0.3)
+        rules = QuadratureSet.from_targets()
+        system = assemble(mesh, emap, material, rules)
+        rng = np.random.default_rng(31)
+        u, v = rng.normal(size=(2, system.layout.total_dofs))
+        D = elasticity_matrix(material)
+        energy = 0.0
+        for eids, rule in rules.classes(emap.element_kinds(mesh)):
+            _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+            at = (np.repeat(eids, rule.n_points), np.tile(rule.points, (eids.size, 1)),
+                  phys.reshape(-1, 2))
+            eps_u, eps_v = (voigt_strain(element_fields(mesh, emap, system.layout.scatter(x),
+                                                        *at)[1]) for x in (u, v))
+            energy += np.einsum("k,ki,ij,kj->", wdet.ravel(), eps_v, D, eps_u)
+        scale = np.sqrt((u @ (system.K @ u)) * (v @ (system.K @ v)))
+        assert abs(v @ (system.K @ u) - energy) <= 1e-12 * scale
 
 
 class TestFieldEvaluation:
@@ -679,7 +719,11 @@ class TestFieldEvaluation:
         fields = self._random_fields(mesh, emap)
         crack = emap.cracks[0]
         checked = 0
-        for (a, b), owners in mesh.edge_to_elements.items():
+        owners_of = {}
+        for eid, quad in enumerate(mesh.elements.tolist()):
+            for a, b in zip(quad, quad[1:] + quad[:1]):
+                owners_of.setdefault((min(a, b), max(a, b)), []).append(eid)
+        for (a, b), owners in owners_of.items():
             if len(owners) != 2:
                 continue
             pa, pb = mesh.nodes[a], mesh.nodes[b]

@@ -239,6 +239,15 @@ class TestInteractionIntegral:
                                          radius=0.2)
             assert abs(value) < 1e-10
 
+    @pytest.mark.parametrize("radius", [0.4, 0.5])
+    def test_circle_reaching_the_other_end_rejected(self, tension_plate, radius):
+        # The other tip sits 2a = 0.4 away: a circle through it or around
+        # it takes in the crack's own faces.
+        mesh, emap, state = tension_plate
+        for tip in (0, 1):
+            with pytest.raises(FractureError, match="reaches the crack's other end"):
+                extract_sifs(state, mesh, emap, STEEL, 0, tip, radius=radius)
+
     def test_default_radius(self, tension_plate):
         mesh, emap, _ = tension_plate
         assert default_contour_radius(mesh, emap, 0, 1) == pytest.approx(0.2)

@@ -28,6 +28,17 @@ from xfem2d.mesh import (
 )
 from xfem2d.meshgen import uniform_rect, windowed_rect
 
+
+def edge_owners(mesh):
+    """Elements sharing each edge, keyed by sorted corner-node pair in order
+    of first element, with the edge's local index in its first owner."""
+    owners = {}
+    for eid, quad in enumerate(mesh.elements.tolist()):
+        for k, (a, b) in enumerate(zip(quad, quad[1:] + quad[:1])):
+            owners.setdefault((min(a, b), max(a, b)), ([], k))[0].append(eid)
+    return owners
+
+
 UNIT_SQUARE_DOC = """\
 xfem-mesh 1
 4 1
@@ -111,8 +122,8 @@ class TestMeshDocument:
 class TestDerivedData:
     def test_built_once_per_mesh(self):
         mesh = structured_mesh(3, 2)
-        for name in ("node_to_elements", "edge_to_elements", "boundary_edges",
-                     "element_bboxes", "point_grid"):
+        for name in ("node_to_elements", "boundary_edges", "element_bboxes",
+                     "point_grid", "nested_dissection_tree"):
             assert getattr(mesh, name) is getattr(mesh, name)
 
     def test_node_supports_ascend(self):
@@ -124,19 +135,19 @@ class TestDerivedData:
             assert eids.tolist() == expected
 
     def test_boundary_edges(self):
-        mesh = structured_mesh(3, 2)
-        edges = mesh.boundary_edges
-        assert edges.shape == (2 * (3 + 2), 2)
-        assert np.all(edges[:, 0] < edges[:, 1])
-        for a, b in edges:
-            assert len(mesh.edge_to_elements[(a, b)]) == 1
+        assert structured_mesh(3, 2).boundary_edges.shape == (2 * (3 + 2), 4)
+        for mesh in (structured_mesh(3, 2), hole_attraction_config().mesh):
+            expected = [(a, b, owners[0], side)
+                        for (a, b), (owners, side) in edge_owners(mesh).items()
+                        if len(owners) == 1]
+            np.testing.assert_array_equal(mesh.boundary_edges, expected)
 
     def test_boundary_distance_matches_edge_by_edge(self):
         mesh = structured_mesh(4, 3, 2.0, 1.5)
         rng = np.random.default_rng(5)
         for x in rng.uniform(-0.5, 2.5, size=(30, 2)):
             best = np.inf
-            for a, b in mesh.boundary_edges:
+            for a, b in mesh.boundary_edges[:, :2]:
                 pa, pb = mesh.nodes[a], mesh.nodes[b]
                 t = np.clip(np.dot(x - pa, pb - pa) / np.dot(pb - pa, pb - pa), 0, 1)
                 best = min(best, np.linalg.norm(x - (pa + t * (pb - pa))))
@@ -158,11 +169,10 @@ class TestNestedDissection:
     @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
     def test_order_is_a_permutation_and_repeats(self, name):
         mesh = ORDERING_MESHES[name]()
-        order = mesh.nested_dissection_order
-        assert order is mesh.nested_dissection_order
+        order = mesh.nested_dissection_tree.order
         np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_nodes))
         twin = Mesh(mesh.nodes.copy(), mesh.elements.copy(), dict(mesh.boundary_tags))
-        np.testing.assert_array_equal(twin.nested_dissection_order, order)
+        np.testing.assert_array_equal(twin.nested_dissection_tree.order, order)
 
     @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
     def test_top_level_separator_splits_the_graph(self, name):
@@ -175,7 +185,7 @@ class TestNestedDissection:
         assert not np.any((side[a] != side[b]) & ~sep[a] & ~sep[b])
         # Numbered lower half, upper half, then the separator.
         position = np.empty(mesh.n_nodes, dtype=np.int64)
-        position[mesh.nested_dissection_order] = np.arange(mesh.n_nodes)
+        position[mesh.nested_dissection_tree.order] = np.arange(mesh.n_nodes)
         lower = position[(side == 0) & ~sep]
         upper = position[(side == 1) & ~sep]
         assert lower.max() < upper.min()
@@ -193,7 +203,6 @@ class TestNestedDissection:
     def test_tree_fronts_partition_and_rows_are_coupled_ancestors(self, name):
         mesh = ORDERING_MESHES[name]()
         tree = mesh.nested_dissection_tree
-        assert tree.order is mesh.nested_dissection_order
         n, fronts = mesh.n_nodes, np.arange(tree.n_fronts)
         # The fronts partition the order into non-empty runs.
         assert tree.start[0] == 0 and tree.start[-1] == n
@@ -230,7 +239,7 @@ class TestNestedDissection:
 
     def test_small_mesh_keeps_index_order(self):
         mesh = uniform_rect(1.0, 1.0, 6, 6)  # 49 nodes: a single leaf
-        np.testing.assert_array_equal(mesh.nested_dissection_order,
+        np.testing.assert_array_equal(mesh.nested_dissection_tree.order,
                                       np.arange(mesh.n_nodes))
         assert mesh.nested_dissection_tree.n_fronts == 1
 
@@ -396,7 +405,7 @@ class TestBatchLocator:
         # A point on an edge can lie an ulp outside one owner's bounding
         # box, at a grid-cell border; the padded grid still lists it.
         mesh = hole_attraction_config().mesh
-        shared = {pair: owners for pair, owners in mesh.edge_to_elements.items()
+        shared = {pair: owners for pair, (owners, _) in edge_owners(mesh).items()
                   if len(owners) == 2}
         assert len(shared) == 19352
         ends = np.array(list(shared))
