@@ -21,6 +21,7 @@ __all__ = [
     "signed_distance_batch",
     "distance_batch",
     "nearest_point",
+    "vertex_tangents",
     "tip_frame",
     "tip_local_coords",
     "extend_crack",
@@ -88,16 +89,6 @@ class CrackPath:
 
     def tip_coord(self, tip_id: int) -> np.ndarray:
         return self.vertices[0] if tip_id == 0 else self.vertices[-1]
-
-    def point_at_arclength(self, s: float) -> np.ndarray:
-        """Point on the polyline at arc length ``s`` from the start vertex."""
-        seg = np.diff(self.vertices, axis=0)
-        lens = np.linalg.norm(seg, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
-        s = float(np.clip(s, 0.0, cum[-1]))
-        j = min(int(np.searchsorted(cum, s, side="right")) - 1, len(lens) - 1)
-        t = (s - cum[j]) / lens[j]
-        return self.vertices[j] + t * seg[j]
 
 
 @dataclass(frozen=True)
@@ -190,19 +181,36 @@ def distance_batch(crack: CrackPath, xs: np.ndarray) -> np.ndarray:
     return np.sqrt(d2.min(axis=1))
 
 
-def nearest_point(crack: CrackPath, x):
-    """Closest point on the polyline and the unit normal of its segment.
+def vertex_tangents(crack: CrackPath) -> np.ndarray:
+    """Unit tangent (k, 2) at each vertex: an end segment's own at the ends,
+    the unit bisector of the two adjacent segments' at interior vertices."""
+    seg = np.diff(crack.vertices, axis=0)
+    unit = seg / np.linalg.norm(seg, axis=1, keepdims=True)
+    tangents = np.vstack([unit[:1], unit[:-1] + unit[1:], unit[-1:]])
+    return tangents / np.linalg.norm(tangents, axis=1, keepdims=True)
 
-    Returns ``(point, normal, segment_index)``; the normal is the segment
-    tangent rotated by +90 degrees (the positive-phi side).
+
+def nearest_point(crack: CrackPath, xs):
+    """Closest points on the polyline and the unit face normals there.
+
+    For points ``xs`` (n, 2) returns ``(points, normals, segments)``: the
+    foot on the nearest segment, that segment's tangent rotated by +90
+    degrees (the positive-phi side) and its index.  Within ``1e-12`` of the
+    crack length of an interior vertex the normal is that of
+    :func:`vertex_tangents`, the vertex rule of :func:`signed_distance_batch`,
+    so it does not flip between the two segments on the last bits of the point.
     """
-    xs = np.asarray(x, dtype=float)[None, :]
-    d2, t, _ = _closest_on_segments(crack.vertices, xs)
-    j = int(np.argmin(d2[0]))
-    seg = crack.vertices[j + 1] - crack.vertices[j]
-    tangent = seg / np.linalg.norm(seg)
-    foot = crack.vertices[j] + t[0, j] * seg
-    return foot, np.array([-tangent[1], tangent[0]]), j
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    v = crack.vertices
+    d2, t, _ = _closest_on_segments(v, xs)
+    j = np.argmin(d2, axis=1)
+    seg = np.diff(v, axis=0)
+    tangent = (seg / np.linalg.norm(seg, axis=1, keepdims=True))[j]
+    at, vertex = np.nonzero(np.linalg.norm(xs[:, None] - v[1:-1], axis=2)
+                            <= 1e-12 * crack.length)
+    tangent[at] = vertex_tangents(crack)[1 + vertex]
+    feet = v[j] + t[np.arange(j.size), j, None] * seg[j]
+    return feet, np.column_stack([-tangent[:, 1], tangent[:, 0]]), j
 
 
 def tip_frame(crack: CrackPath, tip_id: int) -> TipFrame:

@@ -225,10 +225,6 @@ class RunHistory:
         """Load steps that applied at least one growth increment."""
         return sum(1 for rec in self.steps if rec.extensions)
 
-    def total_lengths(self):
-        """Summed crack length per recorded step (non-decreasing)."""
-        return [sum(c.length for c in rec.cracks) for rec in self.steps]
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -515,8 +511,9 @@ def cod_profile(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                 crack_id: int, n_samples: int = 101) -> np.ndarray:
     """Opening versus arc length along the physical crack polyline.
 
-    Returns an ``(n_samples, 2)`` array of (arc length, opening) pairs
-    sampled uniformly from one end of the crack to the other.
+    Returns an ``(n_samples, 4)`` array of rows (s, x, y, opening): samples
+    uniform in the arc length s from one end of the crack to the other,
+    their positions and the openings there, evaluated in one batch.
     """
     if n_samples < 2:
         raise ValueError("an opening profile needs at least two samples")
@@ -532,14 +529,10 @@ def cod_profile(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     seg = np.linalg.norm(np.diff(vertices, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     s = np.linspace(0.0, float(cum[-1]), n_samples)
-    xs = np.interp(s, cum, vertices[:, 0])
-    ys = np.interp(s, cum, vertices[:, 1])
-    profile = np.empty((n_samples, 2))
-    for i in range(n_samples):
-        profile[i, 0] = s[i]
-        profile[i, 1] = crack_opening((xs[i], ys[i]), state.fields, mesh,
-                                      emap, crack_id)
-    return profile
+    xs = np.column_stack([np.interp(s, cum, vertices[:, 0]),
+                          np.interp(s, cum, vertices[:, 1])])
+    opening = crack_opening(xs, state.fields, mesh, emap, crack_id)
+    return np.column_stack([s, xs, opening])
 
 
 def strain_evaluator(state: SolutionState, mesh: Mesh, emap: EnrichmentMap):

@@ -14,6 +14,12 @@ element containing the tip, so the modeled crack is fully fractured up to
 element edges; the resulting effective half-length is reported so results
 can be compared against the matching closed-form value.
 
+Where each crack crosses each element is decided here, once per
+classification: all candidate (element, segment) pairs of a crack are
+clipped in one batch, and every bisected element keeps its piece of the
+crack (:class:`CutPiece`: arc lengths, end points, entry and exit edges)
+in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
+
 The enriched basis is defined once, in one batched kernel,
 :func:`enriched_basis`: at points given by element, reference and
 physical coordinates it returns every corner's standard, jump and branch
@@ -27,6 +33,7 @@ contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from xfem2d.cracks import (
     nearest_point,
     signed_distance_batch,
     tip_frame,
+    vertex_tangents,
 )
 from xfem2d.mesh import (
     Mesh,
@@ -59,6 +67,7 @@ __all__ = [
     "EnrichmentError",
     "CrackMeshDegeneracyError",
     "TipInfo",
+    "CutPiece",
     "FieldTriplet",
     "EnrichmentMap",
     "classify_enrichment",
@@ -112,6 +121,22 @@ class TipInfo:
     virtual_extension: float = 0.0
 
 
+class CutPiece(NamedTuple):
+    """Where one crack crosses one element.
+
+    ``s0 < s1`` are arc lengths from the crack start, ``p0`` and ``p1``
+    the points there, on the element's local edges ``edge0`` and
+    ``edge1`` (edge k runs from corner k to corner k + 1).
+    """
+
+    s0: float
+    s1: float
+    p0: np.ndarray
+    p1: np.ndarray
+    edge0: int
+    edge1: int
+
+
 @dataclass
 class FieldTriplet:
     """Nodal coefficients of the three displacement fields.
@@ -149,6 +174,9 @@ class EnrichmentMap:
         Heaviside of the signed distance at each enriched node.
     cut_elements : dict
         Element id -> crack id for fully bisected elements.
+    cut_pieces : dict
+        Element id -> :class:`CutPiece`, where its crack crosses each
+        bisected element; found once, here, and read by the field dump.
     tip_elements : dict
         Element id -> tuple of tip indices (an element may hold both tips
         of one short crack; empty without tip enrichment).
@@ -168,6 +196,7 @@ class EnrichmentMap:
     node_tip: np.ndarray
     node_sign: np.ndarray
     cut_elements: dict[int, int]
+    cut_pieces: dict[int, CutPiece]
     tip_elements: dict[int, tuple[int, ...]]
     tips: tuple[TipInfo, ...]
     cracks: tuple[CrackPath, ...]
@@ -230,44 +259,31 @@ class EnrichmentMap:
 # geometry helpers
 # ---------------------------------------------------------------------------
 
-def _clip_segment_to_quad(quad: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Parameter interval of segment a->b inside a convex CCW quad, or None."""
-    d = b - a
-    t0, t1 = 0.0, 1.0
-    for k in range(4):
-        v0 = quad[k]
-        e = quad[(k + 1) % 4] - v0
-        # inside condition: cross(e, x - v0) >= 0
-        c = e[0] * (a[1] - v0[1]) - e[1] * (a[0] - v0[0])
-        m = e[0] * d[1] - e[1] * d[0]
-        if abs(m) < 1e-300:
-            if c < 0.0:
-                return None
-            continue
+def _clip_segments(quads: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Cyrus-Beck clip of segments a->b (n, 2) to convex CCW quads (n, 4, 2).
+
+    Returns the parameter interval ``t0``, ``t1`` (n,) of each segment
+    inside its quad and whether that interval is non-empty.
+    """
+    d = (b - a)[:, None]
+    edge = np.roll(quads, -1, axis=1) - quads
+    rel = a[:, None] - quads
+    # inside an edge: cross(edge, x - corner) >= 0
+    c = edge[..., 0] * rel[..., 1] - edge[..., 1] * rel[..., 0]
+    m = edge[..., 0] * d[..., 1] - edge[..., 1] * d[..., 0]
+    parallel = np.abs(m) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
         t = -c / m
-        if m > 0.0:
-            t0 = max(t0, t)
-        else:
-            t1 = min(t1, t)
-        if t0 > t1:
-            return None
-    return t0, t1
+    t0 = np.where(~parallel & (m > 0.0), t, 0.0).max(axis=1)
+    t1 = np.where(~parallel & (m < 0.0), t, 1.0).min(axis=1)
+    return t0, t1, (t0 <= t1) & ~(parallel & (c < 0.0)).any(axis=1)
 
 
 def _ray_exit_distance(quad: np.ndarray, origin: np.ndarray, direction: np.ndarray) -> float:
     """Distance from origin (inside quad) to the quad boundary along direction."""
     diam = float(np.max(quad.max(axis=0) - quad.min(axis=0))) * 4.0
-    clip = _clip_segment_to_quad(quad, origin, origin + diam * direction)
-    if clip is None:
-        return 0.0
-    return clip[1] * diam
-
-
-def _edge_of_point(quad: np.ndarray, p: np.ndarray, tol: float):
-    """Index of the quad edge the point sits on (within tol), else None."""
-    d = point_segment_distance(p, quad, np.roll(quad, -1, axis=0))
-    k = 3 - int(np.argmin(d[::-1]))  # of two equally near edges, the later
-    return k if d[k] <= tol else None
+    _, t1, inside = _clip_segments(quad[None], origin[None], (origin + diam * direction)[None])
+    return float(t1[0]) * diam if inside[0] else 0.0
 
 
 def _near_elements(mesh: Mesh, crack: CrackPath, margin: float = 0.0) -> np.ndarray:
@@ -279,38 +295,46 @@ def _near_elements(mesh: Mesh, crack: CrackPath, margin: float = 0.0) -> np.ndar
     return np.nonzero(mask)[0]
 
 
-def _crack_chunks(quad: np.ndarray, crack: CrackPath):
-    """Maximal arc-length intervals of the crack polyline inside one quad.
+def _crack_pieces(mesh: Mesh, crack: CrackPath, size_tol: float):
+    """Every maximal piece of the crack polyline inside an element, at once.
 
-    Returns a list of (s0, s1, p0, p1) with arc lengths measured from the
-    crack start and p0/p1 the chunk end points.
+    All (element, segment) pairs whose bounding boxes, padded by
+    ``size_tol``, meet are clipped together.  Returns per piece longer
+    than ``_COINCIDENCE_TOL``, elements ascending: the element, arc
+    lengths (n, 2), end points (n, 2, 2) and the local edge each end lies
+    on within ``size_tol`` (n, 2), else -1; of two equally near, the later.
     """
     v = crack.vertices
     seg = np.diff(v, axis=0)
     lens = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(lens)])
-    raw = []
-    for j in range(len(lens)):
-        clip = _clip_segment_to_quad(quad, v[j], v[j + 1])
-        if clip is None:
-            continue
-        t0, t1 = clip
-        if t1 - t0 <= 0.0:
-            continue
-        raw.append((cum[j] + t0 * lens[j], cum[j] + t1 * lens[j],
-                    v[j] + t0 * seg[j], v[j] + t1 * seg[j]))
-    if not raw:
-        return []
-    # Merge chunks that continue through a polyline vertex inside the quad.
-    merged = [list(raw[0])]
+    near = _near_elements(mesh, crack, margin=size_tol)
+    lo, hi = (bound[near, None] for bound in mesh.element_bboxes)
+    slo, shi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+    meet = np.all((lo - size_tol <= shi + size_tol) & (hi + size_tol >= slo - size_tol), axis=2)
+    el, j = np.nonzero(meet)  # by element, then segment
+    eids = near[el]
+    t0, t1, inside = _clip_segments(mesh.element_coords(eids), v[j], v[j + 1])
+    keep = inside & (t1 - t0 > 0.0)
+    eids, j, t = eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
+    s = cum[j, None] + t * lens[j, None]
+    p = v[j, None] + t[..., None] * seg[j, None]
+    # A piece continues the one before it in the same element when it starts
+    # where that one ends, up to join_tol.
     join_tol = 1e-12 * max(1.0, float(cum[-1]))
-    for s0, s1, p0, p1 in raw[1:]:
-        if s0 - merged[-1][1] <= join_tol:
-            merged[-1][1] = s1
-            merged[-1][3] = p1
-        else:
-            merged.append([s0, s1, p0, p1])
-    return [tuple(c) for c in merged]
+    starts = np.ones(eids.size, dtype=bool)
+    starts[1:] = (eids[1:] != eids[:-1]) | (s[1:, 0] - s[:-1, 1] > join_tol)
+    first, last = np.flatnonzero(starts), np.flatnonzero(np.roll(starts, -1))
+    eids = eids[first]
+    s = np.column_stack([s[first, 0], s[last, 1]])
+    p = np.stack([p[first, 0], p[last, 1]], axis=1)
+    long = s[:, 1] - s[:, 0] > _COINCIDENCE_TOL
+    eids, s, p = eids[long], s[long], p[long]
+    quads = mesh.element_coords(eids)[:, None]
+    d = point_segment_distance(p[:, :, None], quads, np.roll(quads, -1, axis=2))  # (n, 2, 4)
+    edge = 3 - np.argmin(d[..., ::-1], axis=2)
+    edge[np.take_along_axis(d, edge[..., None], axis=2)[..., 0] > size_tol] = -1
+    return eids, s, p, edge
 
 
 def _detect_coincidences(mesh: Mesh, cracks) -> None:
@@ -396,28 +420,11 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
 
 def _perturbed(crack: CrackPath, attempt: int) -> CrackPath:
     """Remedy displacement of all vertices: off the coincident feature."""
-    v = crack.vertices
-    seg = np.diff(v, axis=0)
-    unit = seg / np.linalg.norm(seg, axis=1, keepdims=True)
-    normals = np.column_stack([-unit[:, 1], unit[:, 0]])
-    vn = np.empty_like(v)
-    vn[0] = normals[0]
-    vn[-1] = normals[-1]
-    for i in range(1, v.shape[0] - 1):
-        m = normals[i - 1] + normals[i]
-        vn[i] = m / np.linalg.norm(m)
-    if attempt == 0:
-        shift = _PERTURB * vn
-    else:
-        vt = np.empty_like(v)
-        vt[0] = unit[0]
-        vt[-1] = unit[-1]
-        for i in range(1, v.shape[0] - 1):
-            m = unit[i - 1] + unit[i]
-            vt[i] = m / np.linalg.norm(m)
-        shift = _PERTURB * (vn - vt) / np.sqrt(2.0)
+    vt = vertex_tangents(crack)
+    vn = np.column_stack([-vt[:, 1], vt[:, 0]])
+    shift = _PERTURB * (vn if attempt == 0 else (vn - vt) / np.sqrt(2.0))
     return CrackPath(
-        vertices=v + shift,
+        vertices=crack.vertices + shift,
         tip_start=crack.tip_start,
         tip_end=crack.tip_end,
         id=crack.id,
@@ -446,6 +453,58 @@ def _support_area_ratios(mesh: Mesh, crack: CrackPath, nodes: np.ndarray,
     a_pos = np.bincount(owner, weights=a_pos[inv], minlength=len(support))
     a_neg = np.bincount(owner, weights=a_neg[inv], minlength=len(support))
     return np.minimum(a_pos, a_neg) / (a_pos + a_neg)
+
+
+def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float):
+    """``cut_elements`` and ``cut_pieces`` of :class:`EnrichmentMap`.
+
+    Apart from its own tip elements, an element a crack enters must hold
+    one piece of it, which bisects it when its ends lie on distinct edges
+    more than ``size_tol`` apart (not a piece ending inside or leaving by
+    its entry edge).  Errors name the first offending element, crack by
+    crack in ascending element id.
+    """
+    tip_crack = np.full(mesh.n_elements, -1)
+    for eid, owners in tip_elements.items():
+        tip_crack[eid] = tips[owners[0]].crack_id
+    cut_crack = np.full(mesh.n_elements, -1)
+    cut_elements: dict[int, int] = {}
+    cut_pieces: dict[int, CutPiece] = {}
+    for crack in cracks:
+        eids, s, p, edge = _crack_pieces(mesh, crack, size_tol)
+        elems, first, count = np.unique(eids, return_index=True, return_counts=True)
+        owner, earlier = tip_crack[elems], cut_crack[elems]
+        s, p, edge = s[first], p[first], edge[first]
+        crossed_tip = (owner >= 0) & (owner != crack.id)
+        crossed_twice = (owner < 0) & (count > 1)
+        cut = ((owner < 0) & (count == 1) & (edge >= 0).all(axis=1)
+               & (edge[:, 0] != edge[:, 1])
+               & (np.linalg.norm(p[:, 1] - p[:, 0], axis=1) > size_tol))
+        bad = crossed_tip | crossed_twice | (cut & (earlier >= 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            eid = elems[k]
+            if crossed_tip[k]:
+                raise EnrichmentError(
+                    f"element {eid} is the tip element of crack {owner[k]} "
+                    f"but is also crossed by crack {crack.id} (junctions unsupported)"
+                )
+            if crossed_twice[k]:
+                raise EnrichmentError(
+                    f"crack {crack.id} crosses element {eid} more than once; "
+                    "refine the mesh or coarsen the crack"
+                )
+            raise EnrichmentError(
+                f"element {eid} is cut by cracks {earlier[k]} "
+                f"and {crack.id} (junctions unsupported)"
+            )
+        cut_crack[elems[cut]] = crack.id
+        for k in np.flatnonzero(cut).tolist():
+            eid = int(elems[k])
+            cut_elements[eid] = crack.id
+            cut_pieces[eid] = CutPiece(float(s[k, 0]), float(s[k, 1]), p[k, 0], p[k, 1],
+                                       int(edge[k, 0]), int(edge[k, 1]))
+    return cut_elements, cut_pieces
 
 
 def classify_enrichment(
@@ -539,43 +598,7 @@ def classify_enrichment(
             else:
                 tip_elements[tinfo.element] = (gti,)
 
-    cut_elements: dict[int, int] = {}
-    for crack in eff_cracks:
-        for eid in _near_elements(mesh, crack, margin=size_tol):
-            quad = mesh.element_coords([eid])[0]
-            chunks = _crack_chunks(quad, crack)
-            chunks = [c for c in chunks if c[1] - c[0] > _COINCIDENCE_TOL]
-            if not chunks:
-                continue
-            if int(eid) in tip_elements:
-                owner = tips[tip_elements[int(eid)][0]]
-                if owner.crack_id != crack.id:
-                    raise EnrichmentError(
-                        f"element {eid} is the tip element of crack {owner.crack_id} "
-                        f"but is also crossed by crack {crack.id} (junctions unsupported)"
-                    )
-                continue
-            if len(chunks) > 1:
-                raise EnrichmentError(
-                    f"crack {crack.id} crosses element {eid} more than once; "
-                    "refine the mesh or coarsen the crack"
-                )
-            s0, s1, p0, p1 = chunks[0]
-            edge0 = _edge_of_point(quad, p0, size_tol)
-            edge1 = _edge_of_point(quad, p1, size_tol)
-            if (edge0 is None or edge1 is None or edge0 == edge1
-                    or np.linalg.norm(p1 - p0) <= size_tol):
-                # Full crossings enter and leave through distinct edges; a
-                # chunk ending inside (crack terminates without being a
-                # live tip here) or returning through its entry edge does
-                # not bisect the element.
-                continue
-            if int(eid) in cut_elements and cut_elements[int(eid)] != crack.id:
-                raise EnrichmentError(
-                    f"element {eid} is cut by cracks {cut_elements[int(eid)]} "
-                    f"and {crack.id} (junctions unsupported)"
-                )
-            cut_elements[int(eid)] = crack.id
+    cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol)
 
     # Heaviside candidates: nodes of cut elements.
     candidates: dict[int, int] = {}
@@ -669,6 +692,7 @@ def classify_enrichment(
         node_tip=node_tip,
         node_sign=node_sign,
         cut_elements=cut_elements,
+        cut_pieces=cut_pieces,
         tip_elements=tip_elements,
         tips=tuple(tips),
         cracks=tuple(eff_cracks),
@@ -858,17 +882,21 @@ def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
 
     Point k lies in element ``eids[k]`` at reference coordinates ``local[k]``
     and physical position ``xs[k]``: the enriched basis contracted with
-    each column's field coefficients.  ``grad`` is ``None`` when not wanted.
+    each column's field coefficients.  Only the columns whose node carries
+    their field at some point of a run are contracted.  ``grad`` is
+    ``None`` when not wanted.
     """
     coef = np.concatenate([fields.u_cont[:, None], fields.u_disc[:, None], fields.u_tip],
                           axis=1)  # (n_nodes, 6, 2), by BASIS_FIELD
+    kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
     u = np.empty((len(eids), 2))
     grad = np.empty((len(eids), 2, 2)) if want_grad else None
     for run, values, grads, nodes in basis_batches(mesh, emap, eids, local, xs):
-        c = coef[nodes, BASIS_FIELD]
-        u[run] = np.einsum("kc,kca->ka", values, c)
+        used = np.nonzero((kind == STANDARD) | (emap.status[nodes] == kind).any(axis=0))[0]
+        c = coef[nodes[:, used], BASIS_FIELD[used]]
+        u[run] = np.einsum("kc,kca->ka", values[:, used], c)
         if want_grad:
-            grad[run] = np.einsum("kcb,kca->kab", grads, c)
+            grad[run] = np.einsum("kcb,kca->kab", grads[:, used], c)
     return u, grad
 
 
@@ -894,35 +922,39 @@ def total_displacement(x, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap)
     return u[0]
 
 
-def _shape_at(mesh: Mesh, x):
-    """Corner nodes and shape values of the element holding point ``x``."""
-    eids, locs = locate_points(mesh, np.asarray(x, dtype=float)[None, :])
-    if eids[0] < 0:
+def _shape_at(mesh: Mesh, xs):
+    """Corner nodes (n, 4) and shape values (n, 4) of the elements holding
+    the points ``xs`` (n, 2)."""
+    eids, locs = locate_points(mesh, xs)
+    if np.any(eids < 0):
         raise ValueError("point is outside the mesh")
-    values, _ = reference_shape(locs[0, 0], locs[0, 1])
-    return mesh.elements[eids[0]], values
+    return mesh.elements[eids], reference_shape(locs[:, 0], locs[:, 1])[0]
 
 
 def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap,
-                  crack_id: int) -> float:
-    """Opening displacement (normal jump) at a point of the crack polyline.
+                  crack_id: int):
+    """Opening displacement (normal jump) at points of the crack polyline.
 
-    The jump is carried entirely by the discontinuous field: every shifted
+    One point (2,) gives a float, points (n, 2) an array (n,).  The jump
+    is carried entirely by the discontinuous field: every shifted
     Heaviside factor changes by exactly 2 across the face, so the jump is
-    2 * sum(N_i * u_disc_i) projected on the face normal.
+    2 * sum(N_i * u_disc_i) projected on the face normal of
+    :func:`~xfem2d.cracks.nearest_point` (the bisector at a vertex).
     """
     x = np.asarray(x_on_crack, dtype=float)
+    xs = np.atleast_2d(x)
     crack = emap.crack_by_id(crack_id)
-    if abs(signed_distance_batch(crack, x[None])[0]) > 1e-6 * max(1.0, crack.length):
+    if np.any(np.abs(signed_distance_batch(crack, xs)) > 1e-6 * max(1.0, crack.length)):
         raise ValueError("point does not lie on the crack polyline")
-    conn, values = _shape_at(mesh, x)
+    conn, values = _shape_at(mesh, xs)
     own = (emap.status[conn] == HEAVISIDE) & (emap.node_crack[conn] == crack_id)
-    jump = 2.0 * (values * own) @ fields.u_disc[conn]
-    _, normal, _ = nearest_point(crack, x)
-    return float(jump @ normal)
+    jump = 2.0 * ((values * own)[:, None] @ fields.u_disc[conn])[:, 0]
+    _, normal, _ = nearest_point(crack, xs)
+    opening = np.sum(jump * normal, axis=1)
+    return float(opening[0]) if x.ndim == 1 else opening
 
 
 def psi_at(emap: EnrichmentMap, mesh: Mesh, x) -> float:
     """Bilinear interpolation of the 0/1 enriched-node indicator."""
-    conn, values = _shape_at(mesh, x)
-    return float(values @ emap.psi[conn])
+    conn, values = _shape_at(mesh, np.asarray(x, dtype=float)[None])
+    return float(values[0] @ emap.psi[conn[0]])

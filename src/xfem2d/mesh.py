@@ -13,6 +13,7 @@ geometry.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -527,12 +528,6 @@ def shape_eval(mesh: Mesh, element_id: int, local) -> ShapeEval:
     return ShapeEval(values=values, gradients=gradients, jacobian_det=float(det))
 
 
-def map_to_physical(mesh: Mesh, element_id: int, local) -> np.ndarray:
-    """Forward bilinear map from reference coordinates to physical ones."""
-    values, _ = reference_shape(float(local[0]), float(local[1]))
-    return values @ mesh.nodes[mesh.elements[element_id]]
-
-
 def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
                    tol: float = 1e-12):
     """Invert the bilinear map for a batch of (element corners, target) pairs.
@@ -614,22 +609,45 @@ def load_mesh(source: str) -> Mesh:
     ``boundary <name> <k>`` blocks each followed by ``k`` node indices.
     ``#`` starts a comment.
     """
-    lines = []  # (lineno, tokens)
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            lines.append((lineno, text.split()))
-    if not lines:
+    lines = source.splitlines()
+    if "#" in source:
+        lines = [line.split("#", 1)[0] for line in lines]
+    texts = list(map(str.strip, lines))
+    numbers = list(itertools.compress(itertools.count(1), texts))  # of the non-blank lines
+    texts = list(filter(None, texts))
+    if not texts:
         raise MeshFormatError("empty mesh document")
     pos = 0
 
     def take():
         nonlocal pos
-        if pos >= len(lines):
+        if pos >= len(texts):
             raise MeshFormatError("unexpected end of mesh document")
-        item = lines[pos]
         pos += 1
-        return item
+        return numbers[pos - 1], texts[pos - 1].split()
+
+    def block(rows, width, convert, dtype, bad_width, bad_token):
+        """The next ``rows`` lines as a (rows, width) array, parsed at once;
+        only a failed parse goes through them one by one for the first
+        offending line."""
+        nonlocal pos
+        tokens = list(map(str.split, texts[pos:pos + rows]))
+        if len(tokens) == rows and set(map(len, tokens)) <= {width}:
+            try:
+                values = np.fromiter(map(convert, itertools.chain.from_iterable(tokens)),
+                                     dtype=dtype, count=rows * width)
+                pos += rows
+                return values.reshape(rows, width)
+            except ValueError:
+                pass
+        for i, row in enumerate(tokens):
+            if len(row) != width:
+                raise MeshFormatError(f"line {numbers[pos + i]}: {bad_width.format(i)}")
+            try:
+                list(map(convert, row))
+            except ValueError:
+                raise MeshFormatError(f"line {numbers[pos + i]}: {bad_token.format(i)}") from None
+        raise MeshFormatError("unexpected end of mesh document")
 
     lineno, tokens = take()
     if tokens != ["xfem-mesh", "1"]:
@@ -642,36 +660,21 @@ def load_mesh(source: str) -> Mesh:
     if n_nodes < 0 or n_elems < 0:
         raise MeshFormatError(f"line {lineno}: counts must be non-negative")
 
-    nodes = np.empty((n_nodes, 2))
-    for i in range(n_nodes):
-        lineno, tokens = take()
-        if len(tokens) != 2:
-            raise MeshFormatError(f"line {lineno}: node {i} needs exactly two coordinates")
-        try:
-            nodes[i] = [float(tokens[0]), float(tokens[1])]
-        except ValueError:
-            raise MeshFormatError(f"line {lineno}: node {i} has a non-numeric coordinate") from None
-
-    elements = np.empty((n_elems, 4), dtype=np.int64)
+    nodes = block(n_nodes, 2, float, float, "node {} needs exactly two coordinates",
+                  "node {} has a non-numeric coordinate")
     first_element = pos
-    for e in range(n_elems):
-        lineno, tokens = take()
-        if len(tokens) != 4:
-            raise MeshFormatError(f"line {lineno}: element {e} needs exactly four node indices")
-        try:
-            elements[e] = [int(t) for t in tokens]
-        except ValueError:
-            raise MeshFormatError(f"line {lineno}: element {e} has a non-integer index") from None
+    elements = block(n_elems, 4, int, np.int64, "element {} needs exactly four node indices",
+                     "element {} has a non-integer index")
     bad = np.nonzero(((elements < 0) | (elements >= n_nodes)).any(axis=1))[0]
     if bad.size:
         e = int(bad[0])
         raise MeshFormatError(
-            f"line {lines[first_element + e][0]}: element {e} references node index "
+            f"line {numbers[first_element + e]}: element {e} references node index "
             f"outside 0..{n_nodes - 1}"
         )
 
     boundary_tags: dict[str, np.ndarray] = {}
-    while pos < len(lines):
+    while pos < len(texts):
         lineno, tokens = take()
         if tokens[0] != "boundary" or len(tokens) != 3:
             raise MeshFormatError(f"line {lineno}: expected 'boundary <name> <count>'")

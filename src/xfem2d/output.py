@@ -5,7 +5,9 @@ files.  Tables use comma separators, ``.`` decimals, LF line endings,
 and 9 significant digits; the field dump is a legacy-ASCII
 unstructured-grid file in which every bisected element is split into
 two polygons with private copies of the points on the crack faces, so
-the displacement jump renders as an actual gap.
+the displacement jump renders as an actual gap.  The split reads where
+the crack crosses the element from the classification's record
+(:attr:`~xfem2d.enrichment.EnrichmentMap.cut_pieces`); it clips nothing.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from xfem2d.assembly import (
     voigt_strain,
 )
 from xfem2d.config import RunConfig
-from xfem2d.cracks import signed_distance_batch
+from xfem2d.cracks import nearest_point, signed_distance_batch
 from xfem2d.driver import RunHistory, cod_profile
 from xfem2d.enrichment import (
+    CutPiece,
     EnrichmentMap,
     FieldTriplet,
     element_fields,
     evaluate_fields,
-    _crack_chunks,
-    _edge_of_point,
 )
 from xfem2d.mesh import Mesh, element_geometry
 
@@ -121,21 +122,9 @@ def write_cod_csv(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                                   n_samples=n_samples)
         except ValueError:
             continue
-        vertices = crack.vertices
-        seg = np.linalg.norm(np.diff(vertices, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        xs = np.interp(profile[:, 0], cum, vertices[:, 0])
-        ys = np.interp(profile[:, 0], cum, vertices[:, 1])
-        for i in range(profile.shape[0]):
-            lines.append(",".join([
-                str(step),
-                _fmt(state.load_factor),
-                str(crack.id),
-                _fmt(profile[i, 0]),
-                _fmt(xs[i]),
-                _fmt(ys[i]),
-                _fmt(profile[i, 1]),
-            ]))
+        for row in profile.tolist():
+            lines.append(",".join([str(step), _fmt(state.load_factor), str(crack.id)]
+                                  + [_fmt(value) for value in row]))
     with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -143,17 +132,6 @@ def write_cod_csv(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
 # ---------------------------------------------------------------------------
 # visualization dump
 # ---------------------------------------------------------------------------
-
-def _perimeter_coord(quad: np.ndarray, p: np.ndarray, tol: float):
-    """Position of a boundary point as edge index plus edge fraction."""
-    k = _edge_of_point(quad, p, tol)
-    if k is None:
-        return None
-    a = quad[k]
-    e = quad[(k + 1) % 4] - a
-    t = float(np.clip(np.dot(p - a, e) / np.dot(e, e), 0.0, 1.0))
-    return k + t
-
 
 def _corners_between(start: float, stop: float) -> list[int]:
     """Corner indices strictly inside the CCW perimeter arc start->stop."""
@@ -166,52 +144,29 @@ def _corners_between(start: float, stop: float) -> list[int]:
     return [j for _, j in sorted(found)]
 
 
-def _chain_normals(chain: list[np.ndarray]) -> list[np.ndarray]:
-    """Left unit normal at each point of an open polyline."""
-    tangents = []
-    for a, b in zip(chain[:-1], chain[1:]):
-        d = b - a
-        norm = float(np.linalg.norm(d))
-        tangents.append(d / norm if norm > 0.0 else np.array([1.0, 0.0]))
-    normals = []
-    for i in range(len(chain)):
-        if i == 0:
-            t = tangents[0]
-        elif i == len(chain) - 1:
-            t = tangents[-1]
-        else:
-            t = tangents[i - 1] + tangents[i]
-            norm = float(np.linalg.norm(t))
-            t = t / norm if norm > 0.0 else tangents[i]
-        normals.append(np.array([-t[1], t[0]]))
-    return normals
-
-
-def _split_cut_element(quad: np.ndarray, crack):
+def _split_cut_element(quad: np.ndarray, crack, piece: CutPiece):
     """Two CCW polygons of a bisected quad, split along the crack.
 
-    Returns ``(chain, poly_plus, poly_minus)`` where ``chain`` is the
-    crack polyline inside the quad and each polygon lists mixed entries:
-    ints are quad corner indices, ``("c", i)`` refers to chain point i.
-    ``None`` when the element is not cleanly bisected.
+    ``piece`` is where the crack crosses the quad.  Returns ``(chain,
+    poly_plus, poly_minus)`` where ``chain`` is the crack polyline inside
+    the quad and each polygon lists mixed entries: ints are quad corner
+    indices, ``("c", i)`` refers to chain point i.  ``None`` when a side
+    holds no corner.
     """
-    chunks = _crack_chunks(quad, crack)
-    if not chunks:
-        return None
-    s0, s1, p0, p1 = chunks[0]
     v = crack.vertices
     seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     slack = 1e-12 * max(1.0, float(cum[-1]))
     inner = [np.asarray(v[j], dtype=float) for j in range(1, len(v) - 1)
-             if s0 + slack < cum[j] < s1 - slack]
-    chain = [np.asarray(p0, dtype=float)] + inner + [np.asarray(p1, dtype=float)]
+             if piece.s0 + slack < cum[j] < piece.s1 - slack]
+    chain = [piece.p0] + inner + [piece.p1]
 
-    h = float(np.max(quad.max(axis=0) - quad.min(axis=0)))
-    start = _perimeter_coord(quad, chain[0], 1e-9 * h)
-    stop = _perimeter_coord(quad, chain[-1], 1e-9 * h)
-    if start is None or stop is None:
-        return None
+    # Perimeter coordinates of the chain ends: edge index plus edge fraction.
+    edges = np.array([piece.edge0, piece.edge1])
+    a, e = quad[edges], quad[(edges + 1) % 4] - quad[edges]
+    t = np.clip(np.sum((np.array([piece.p0, piece.p1]) - a) * e, axis=1)
+                / np.sum(e * e, axis=1), 0.0, 1.0)
+    start, stop = (edges + t).tolist()
     corners_ab = _corners_between(start, stop)
     corners_ba = _corners_between(stop, start)
     if not corners_ab or not corners_ba:
@@ -313,30 +268,24 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     sig_mean, vm_mean, side_sig, side_vm = _cell_stresses(state, mesh, emap,
                                                           material, rules)
 
+    # Plain elements are quads; a bisected element becomes its two sides'
+    # polygons, in its place, with private copies of the crack-face points.
+    cell_text = [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.elements.tolist()]
+    cell_size = 5 * mesh.n_elements  # the point counts and points of all cells
+    split = np.zeros(mesh.n_elements, dtype=bool)
     extra_pos: list[np.ndarray] = []   # geometric position of private points
     extra_probe: list[np.ndarray] = []  # offset position for evaluation
-    cells: list[list[int]] = []
-    cell_types: list[int] = []
-    cell_sig: list[np.ndarray] = []
-    cell_vm: list[float] = []
-
-    for eid in range(mesh.n_elements):
-        split = None
-        if eid in emap.cut_elements:
-            quad = mesh.nodes[mesh.elements[eid]]
-            split = _split_cut_element(quad, emap.crack_by_id(emap.cut_elements[eid]))
-        if split is None:
-            cells.append([int(i) for i in mesh.elements[eid]])
-            cell_types.append(9)
-            cell_sig.append(sig_mean[eid])
-            cell_vm.append(float(vm_mean[eid]))
+    for eid in sorted(emap.cut_pieces):
+        quad = mesh.nodes[mesh.elements[eid]]
+        crack = emap.crack_by_id(emap.cut_elements[eid])
+        parts = _split_cut_element(quad, crack, emap.cut_pieces[eid])
+        if parts is None:
             continue
-
-        chain, poly_plus, poly_minus = split
-        normals = _chain_normals(chain)
-        h = float(np.max(quad.max(axis=0) - quad.min(axis=0)))
-        eps = 1e-6 * h
-        for side, (sign, poly) in enumerate(((1.0, poly_plus), (-1.0, poly_minus))):
+        chain, poly_plus, poly_minus = parts
+        normals = nearest_point(crack, np.array(chain))[1]
+        eps = 1e-6 * float(np.max(quad.max(axis=0) - quad.min(axis=0)))
+        polys = []
+        for sign, poly in ((1.0, poly_plus), (-1.0, poly_minus)):
             ids = []
             for entry in poly:
                 if isinstance(entry, tuple):
@@ -346,10 +295,19 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                     extra_probe.append(chain[i] + sign * eps * normals[i])
                 else:
                     ids.append(int(mesh.elements[eid][entry]))
-            cells.append(ids)
-            cell_types.append(7)
-            cell_sig.append(side_sig[side, eid])
-            cell_vm.append(float(side_vm[side, eid]))
+            polys.append([len(ids)] + ids)
+        cell_text[eid] = "\n".join(" ".join(map(str, poly)) for poly in polys)
+        cell_size += len(polys[0]) + len(polys[1]) - 5
+        split[eid] = True
+    # Cell k belongs to element owner[k]; the second cell of a split element
+    # is its negative side.
+    owner = np.repeat(np.arange(mesh.n_elements), np.where(split, 2, 1))
+    side = np.zeros(owner.size, dtype=np.int64)
+    side[1:] = owner[1:] == owner[:-1]
+    cell_split = split[owner]
+    cell_types = np.where(cell_split, 7, 9)
+    cell_sig = np.where(cell_split[:, None], side_sig[side, owner], sig_mean[owner])
+    cell_vm = np.where(cell_split, side_vm[side, owner], vm_mean[owner])
 
     if extra_probe:
         extra_disp, _ = evaluate_fields(np.array(extra_probe), mesh, emap,
@@ -369,21 +327,20 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     ]
     for p in points:
         lines.append(f"{_fmt(p[0])} {_fmt(p[1])} 0")
-    total = sum(len(c) + 1 for c in cells)
-    lines.append(f"CELLS {len(cells)} {total}")
-    for c in cells:
-        lines.append(" ".join([str(len(c))] + [str(i) for i in c]))
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend(str(t) for t in cell_types)
+    n_cells = owner.size
+    lines.append(f"CELLS {n_cells} {cell_size}")
+    lines.extend(cell_text)
+    lines.append(f"CELL_TYPES {n_cells}")
+    lines.extend(map(str, cell_types.tolist()))
     lines.append(f"POINT_DATA {points.shape[0]}")
     lines.append("VECTORS displacement double")
     for u in disp:
         lines.append(f"{_fmt(u[0])} {_fmt(u[1])} 0")
-    lines.append(f"CELL_DATA {len(cells)}")
+    lines.append(f"CELL_DATA {n_cells}")
     for name, values in (
-        ("stress_xx", [s[0] for s in cell_sig]),
-        ("stress_yy", [s[1] for s in cell_sig]),
-        ("stress_xy", [s[2] for s in cell_sig]),
+        ("stress_xx", cell_sig[:, 0]),
+        ("stress_yy", cell_sig[:, 1]),
+        ("stress_xy", cell_sig[:, 2]),
         ("von_mises", cell_vm),
     ):
         lines.append(f"SCALARS {name} double 1")

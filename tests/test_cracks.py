@@ -40,12 +40,10 @@ class TestCrackPath:
         with pytest.raises(CrackGeometryError, match="self-intersect"):
             CrackPath(vertices=vertices)
 
-    def test_length_and_arclength(self):
+    def test_length(self):
+        # positions at given arc lengths: TestCodProfile in test_driver
         crack = kinked_crack()
         assert crack.length == pytest.approx(0.5 + np.hypot(0.3, 0.25))
-        np.testing.assert_allclose(crack.point_at_arclength(0.25), [0.25, 0.0])
-        np.testing.assert_allclose(crack.point_at_arclength(0.0), [0.0, 0.0])
-        np.testing.assert_allclose(crack.point_at_arclength(crack.length), [0.8, 0.25])
 
 
 class TestSignedDistance:
@@ -112,9 +110,21 @@ class TestSignedDistance:
     def test_nearest_point_normal(self):
         crack = horizontal_crack()
         foot, normal, seg = nearest_point(crack, (0.45, -0.2))
-        np.testing.assert_allclose(foot, [0.45, 0.0])
-        np.testing.assert_allclose(normal, [0.0, 1.0])
-        assert seg == 0
+        np.testing.assert_allclose(foot, [[0.45, 0.0]])
+        np.testing.assert_allclose(normal, [[0.0, 1.0]])
+        assert seg.tolist() == [0]
+
+    def test_nearest_point_normal_at_a_kink_is_the_bisector(self):
+        crack = kinked_crack()
+        vertex = crack.vertices[1]
+        _, normal, seg = nearest_point(crack, [vertex, vertex + [1e-15, 0.0], [0.3, -0.1]])
+        first, second = np.diff(crack.vertices, axis=0)
+        bisector = first / np.linalg.norm(first) + second / np.linalg.norm(second)
+        bisector /= np.linalg.norm(bisector)
+        np.testing.assert_allclose(normal[:2], [[-bisector[1], bisector[0]]] * 2, atol=1e-15)
+        # away from the vertex the nearest segment's own normal
+        assert seg[2] == 0
+        np.testing.assert_allclose(normal[2], [0.0, 1.0])
 
 
 class TestTipFrame:

@@ -12,7 +12,7 @@ from xfem2d.assembly import (
     MaterialModel,
 )
 from xfem2d.config import ContourSpec, RunConfig
-from xfem2d.cracks import CrackPath
+from xfem2d.cracks import CrackPath, distance_batch
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
@@ -252,7 +252,7 @@ class TestRunPropagation:
 
     def test_length_grows_by_increment(self, grown):
         _, history = grown
-        lengths = history.total_lengths()
+        lengths = [sum(c.length for c in rec.cracks) for rec in history.steps]
         for prev, cur in zip(lengths, lengths[1:]):
             assert cur == pytest.approx(prev + 2 * 0.05, rel=1e-12)
         final = sum(c.length for c in history.final_cracks)
@@ -367,17 +367,35 @@ class TestCodProfile:
     def test_profile_shape_and_symmetry(self, solved):
         problem, state = solved
         prof = cod_profile(state, problem.mesh, problem.emap, 0, n_samples=81)
-        assert prof.shape == (81, 2)
+        assert prof.shape == (81, 4)
         assert prof[0, 0] == 0.0
         assert prof[-1, 0] == pytest.approx(0.3)
-        mid = prof[40, 1]
+        mid = prof[40, 3]
         assert mid > 0.0
         # opening profile symmetric about the crack center
-        sym_err = np.abs(prof[:, 1] - prof[::-1, 1]).max()
+        sym_err = np.abs(prof[:, 3] - prof[::-1, 3]).max()
         assert sym_err < 0.02 * mid
         # largest near the middle, smallest near the tips
-        assert mid == pytest.approx(prof[:, 1].max(), rel=0.02)
-        assert prof[2, 1] < 0.5 * mid
+        assert mid == pytest.approx(prof[:, 3].max(), rel=0.02)
+        assert prof[2, 3] < 0.5 * mid
+
+    def test_positions_follow_the_arc_length(self):
+        # A kinked crack: each sample sits on the polyline, its arc length
+        # from the start vertex away.
+        vertices = np.array([[0.35, 0.46], [0.5, 0.5], [0.65, 0.465]])
+        config = make_config(mesh=pinned_mesh(), cracks=[CrackPath(vertices=vertices, id=0)])
+        problem = setup_problem(config)
+        state, _ = run_stationary(config, problem=problem)
+        prof = cod_profile(state, problem.mesh, problem.emap, 0, n_samples=9)
+        crack = problem.emap.cracks[0]
+        np.testing.assert_array_equal(crack.vertices, vertices)  # not perturbed
+        first = np.linalg.norm(vertices[1] - vertices[0])
+        np.testing.assert_allclose(prof[[0, -1], 1:3], vertices[[0, -1]], atol=1e-15)
+        np.testing.assert_allclose(distance_batch(crack, prof[:, 1:3]), 0.0, atol=1e-15)
+        along = np.where(prof[:, 0] <= first,
+                         np.linalg.norm(prof[:, 1:3] - vertices[0], axis=1),
+                         first + np.linalg.norm(prof[:, 1:3] - vertices[1], axis=1))
+        np.testing.assert_allclose(along, prof[:, 0], rtol=0.0, atol=1e-15)
 
     def test_linearity(self, solved):
         problem, state = solved
@@ -387,8 +405,8 @@ class TestCodProfile:
         full = cod_profile(state, problem.mesh, problem.emap, 0, n_samples=11)
         half = cod_profile(state_half, problem.mesh, problem.emap, 0,
                            n_samples=11)
-        np.testing.assert_allclose(half[:, 1], 0.5 * full[:, 1], rtol=1e-9,
-                                   atol=1e-9 * full[:, 1].max())
+        np.testing.assert_allclose(half[:, 3], 0.5 * full[:, 3], rtol=1e-9,
+                                   atol=1e-9 * full[:, 3].max())
 
     def test_zero_state_zero_profile(self, solved):
         problem, _ = solved
@@ -396,7 +414,7 @@ class TestCodProfile:
                              bcs=tension_bcs(traction=(0.0, 0.0)))
         state, _ = run_stationary(config)
         prof = cod_profile(state, problem.mesh, problem.emap, 0)
-        assert np.all(prof[:, 1] == 0.0)
+        assert np.all(prof[:, 3] == 0.0)
 
     def test_unknown_crack(self, solved):
         problem, state = solved

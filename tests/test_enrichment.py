@@ -28,6 +28,7 @@ from xfem2d.enrichment import (
     STANDARD,
     TIP,
     CrackMeshDegeneracyError,
+    CutPiece,
     EnrichmentError,
     FieldTriplet,
     TipInfo,
@@ -47,6 +48,7 @@ from xfem2d.mesh import (
     gauss_rule,
     jacobian,
     locate_points,
+    point_segment_distance,
     reference_shape,
 )
 from xfem2d.meshgen import punch_holes, uniform_rect
@@ -370,6 +372,148 @@ class TestSupportAreaRatios:
             classified += 1
             demoted += len(got)
         assert classified >= 15 and demoted > 0
+
+
+def loop_clip_segment_to_quad(quad, a, b):
+    """Parameter interval of segment a->b inside a convex CCW quad, or None."""
+    d = b - a
+    t0, t1 = 0.0, 1.0
+    for k in range(4):
+        v0 = quad[k]
+        e = quad[(k + 1) % 4] - v0
+        # inside condition: cross(e, x - v0) >= 0
+        c = e[0] * (a[1] - v0[1]) - e[1] * (a[0] - v0[0])
+        m = e[0] * d[1] - e[1] * d[0]
+        if abs(m) < 1e-300:
+            if c < 0.0:
+                return None
+            continue
+        t = -c / m
+        if m > 0.0:
+            t0 = max(t0, t)
+        else:
+            t1 = min(t1, t)
+        if t0 > t1:
+            return None
+    return t0, t1
+
+
+def loop_crack_chunks(quad, crack):
+    """Maximal arc-length intervals (s0, s1, p0, p1) of the crack inside one
+    quad, segment by segment: the reference for the batched clip."""
+    v = crack.vertices
+    seg = np.diff(v, axis=0)
+    lens = np.linalg.norm(seg, axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(lens)])
+    raw = []
+    for j in range(len(lens)):
+        clip = loop_clip_segment_to_quad(quad, v[j], v[j + 1])
+        if clip is None:
+            continue
+        t0, t1 = clip
+        if t1 - t0 <= 0.0:
+            continue
+        raw.append((cum[j] + t0 * lens[j], cum[j] + t1 * lens[j],
+                    v[j] + t0 * seg[j], v[j] + t1 * seg[j]))
+    if not raw:
+        return []
+    # Merge chunks that continue through a polyline vertex inside the quad.
+    merged = [list(raw[0])]
+    join_tol = 1e-12 * max(1.0, float(cum[-1]))
+    for s0, s1, p0, p1 in raw[1:]:
+        if s0 - merged[-1][1] <= join_tol:
+            merged[-1][1] = s1
+            merged[-1][3] = p1
+        else:
+            merged.append([s0, s1, p0, p1])
+    return [tuple(c) for c in merged]
+
+
+def loop_edge_of_point(quad, p, tol):
+    """Index of the quad edge the point sits on (within tol), else None."""
+    d = np.array([point_segment_distance(p, quad[k], quad[(k + 1) % 4]) for k in range(4)])
+    k = 3 - int(np.argmin(d[::-1]))  # of two equally near edges, the later
+    return k if d[k] <= tol else None
+
+
+def loop_cut_elements(mesh, cracks, tips, tip_elements, size_tol):
+    """Element-by-element reference for ``enrichment._cut_elements``."""
+    cut_elements, cut_pieces = {}, {}
+    for crack in cracks:
+        for eid in enrichment._near_elements(mesh, crack, margin=size_tol):
+            quad = mesh.element_coords([eid])[0]
+            chunks = [c for c in loop_crack_chunks(quad, crack)
+                      if c[1] - c[0] > enrichment._COINCIDENCE_TOL]
+            if not chunks:
+                continue
+            if int(eid) in tip_elements:
+                owner = tips[tip_elements[int(eid)][0]]
+                if owner.crack_id != crack.id:
+                    raise EnrichmentError(
+                        f"element {eid} is the tip element of crack {owner.crack_id} "
+                        f"but is also crossed by crack {crack.id} (junctions unsupported)"
+                    )
+                continue
+            if len(chunks) > 1:
+                raise EnrichmentError(
+                    f"crack {crack.id} crosses element {eid} more than once; "
+                    "refine the mesh or coarsen the crack"
+                )
+            s0, s1, p0, p1 = chunks[0]
+            edge0 = loop_edge_of_point(quad, p0, size_tol)
+            edge1 = loop_edge_of_point(quad, p1, size_tol)
+            if (edge0 is None or edge1 is None or edge0 == edge1
+                    or np.linalg.norm(p1 - p0) <= size_tol):
+                continue
+            if int(eid) in cut_elements and cut_elements[int(eid)] != crack.id:
+                raise EnrichmentError(
+                    f"element {eid} is cut by cracks {cut_elements[int(eid)]} "
+                    f"and {crack.id} (junctions unsupported)"
+                )
+            cut_elements[int(eid)] = crack.id
+            cut_pieces[int(eid)] = CutPiece(s0, s1, p0, p1, edge0, edge1)
+    return cut_elements, cut_pieces
+
+
+def classify_or_error(mesh, cracks, tip_enrichment):
+    try:
+        return classify_enrichment(mesh, cracks, tip_enrichment=tip_enrichment)
+    except EnrichmentError as exc:
+        return exc
+
+
+class TestCutElements:
+    """The batched crack-element clip against the element-by-element loop."""
+
+    @pytest.mark.parametrize("tip_enrichment", [True, False])
+    @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
+    def test_same_classification_as_element_loop(self, name, tip_enrichment, monkeypatch):
+        mesh = SUPPORT_MESHES[name]()
+        rng = np.random.default_rng(59)
+        cut = junctions = 0
+        for _ in range(60):
+            cracks = [c for c in (random_polyline(rng, i) for i in range(2)) if c]
+            got = classify_or_error(mesh, cracks, tip_enrichment)
+            with monkeypatch.context() as patch:
+                patch.setattr(enrichment, "_cut_elements", loop_cut_elements)
+                expected = classify_or_error(mesh, cracks, tip_enrichment)
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected)
+                assert str(got) == str(expected)
+                junctions += "unsupported" in str(expected) or "more than once" in str(expected)
+                continue
+            assert list(got.cut_elements.items()) == list(expected.cut_elements.items())
+            assert list(got.cut_pieces) == list(expected.cut_pieces)
+            for eid, piece in expected.cut_pieces.items():
+                mine = got.cut_pieces[eid]
+                assert (mine.s0, mine.s1, mine.edge0, mine.edge1) == \
+                    (piece.s0, piece.s1, piece.edge0, piece.edge1)
+                np.testing.assert_array_equal(mine.p0, piece.p0)
+                np.testing.assert_array_equal(mine.p1, piece.p1)
+            np.testing.assert_array_equal(got.status, expected.status)
+            assert got.demotions == expected.demotions
+            cut += len(expected.cut_elements)
+        assert cut > 0 and junctions > 0
 
 
 class TestWithoutTipEnrichment:
@@ -800,6 +944,20 @@ class TestFieldEvaluation:
             assert crack_opening((x, 0.55), fields, mesh, emap, 0) == pytest.approx(
                 2.0 * c, abs=1e-12
             )
+
+    def test_opening_at_a_kink_takes_the_bisector_normal(self):
+        # At the vertex the nearest segment changes on the last bits of the
+        # point; the opening must not change with it.
+        mesh = grid()
+        crack = CrackPath(vertices=np.array([[0.15, 0.52], [0.45, 0.57], [0.85, 0.53]]), id=0)
+        emap = classify_enrichment(mesh, [crack])
+        fields = self._random_fields(mesh, emap)
+        vertex = crack.vertices[1]
+        points = vertex + 1e-15 * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]])
+        openings = [crack_opening(p, fields, mesh, emap, 0) for p in points]
+        assert abs(openings[0]) > 1e-3
+        np.testing.assert_allclose(openings, openings[0], rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(crack_opening(points, fields, mesh, emap, 0), openings)
 
     def test_opening_rejects_point_off_crack(self):
         mesh = grid()

@@ -22,7 +22,6 @@ from xfem2d.mesh import (
     locate_hits,
     locate_points,
     _newton_invert,
-    map_to_physical,
     reference_shape,
     shape_eval,
 )
@@ -65,6 +64,48 @@ def structured_mesh(nx, ny, lx=1.0, ly=1.0):
     return Mesh(nodes=nodes, elements=np.array(elems))
 
 
+def unit_square_lines(**replace):
+    """The unit-square document's lines, with ``line<N>=text`` replacing
+    line N (``None`` drops it)."""
+    lines = UNIT_SQUARE_DOC.splitlines()
+    for key, text in replace.items():
+        lines[int(key[4:]) - 1] = text
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+# Each malformed document with the exact message it must raise.
+MALFORMED_DOCS = [
+    ("", "empty mesh document"),
+    ("# nothing but a comment\n\n   \n", "empty mesh document"),
+    (unit_square_lines(line1="xfem-mesh 2"), "line 1: expected magic 'xfem-mesh 1'"),
+    (unit_square_lines(line2="4"), "line 2: expected '<node_count> <element_count>'"),
+    (unit_square_lines(line2="4 one"), "line 2: expected '<node_count> <element_count>'"),
+    (unit_square_lines(line2="-1 1"), "line 2: counts must be non-negative"),
+    (unit_square_lines(line5="1 1 1"), "line 5: node 2 needs exactly two coordinates"),
+    (unit_square_lines(line3="0"), "line 3: node 0 needs exactly two coordinates"),
+    (unit_square_lines(line4="1 y"), "line 4: node 1 has a non-numeric coordinate"),
+    # comments and blank lines still count toward the line number
+    (unit_square_lines(line3="0 0\n# comment\n\n1 0", line4=None, line5="1 1 # a\n"
+                       "1 1e"), "line 8: node 3 has a non-numeric coordinate"),
+    (unit_square_lines(line7="0 1 2"), "line 7: element 0 needs exactly four node indices"),
+    (unit_square_lines(line7="0 1 2 3.0"), "line 7: element 0 has a non-integer index"),
+    (unit_square_lines(line7="0 1 2 9"), "line 7: element 0 references node index outside 0..3"),
+    # a document cut short inside the node or element block
+    ("xfem-mesh 1\n4 1\n0 0\n1 0\n", "unexpected end of mesh document"),
+    (UNIT_SQUARE_DOC.split("0 1 2 3")[0], "unexpected end of mesh document"),
+    # a bad line before the cut is reported first
+    ("xfem-mesh 1\n4 1\n0 0\n1 x\n", "line 4: node 1 has a non-numeric coordinate"),
+    (unit_square_lines(line8="bound bottom 2"), "line 8: expected 'boundary <name> <count>'"),
+    (unit_square_lines(line8="boundary bottom"), "line 8: expected 'boundary <name> <count>'"),
+    (unit_square_lines(line8="boundary bottom two"),
+     "line 8: boundary 'bottom' has a non-integer count"),
+    (UNIT_SQUARE_DOC + "boundary bottom 1\n2\n", "line 10: duplicate boundary 'bottom'"),
+    (unit_square_lines(line9="0 x"), "line 9: boundary 'bottom' has a non-integer node index"),
+    (unit_square_lines(line9="0 1 2"), "line 9: boundary 'bottom' lists more than 2 indices"),
+    (unit_square_lines(line8="boundary bottom 3"), "unexpected end of mesh document"),
+]
+
+
 class TestMeshDocument:
     def test_unit_square(self):
         mesh = load_mesh(UNIT_SQUARE_DOC)
@@ -85,6 +126,16 @@ class TestMeshDocument:
         with pytest.raises(MeshFormatError,
                            match=r"line 11: element 1 references node index outside 0\.\.5"):
             load_mesh(doc)
+
+    @pytest.mark.parametrize("doc, message", MALFORMED_DOCS)
+    def test_malformed_document_message(self, doc, message):
+        with pytest.raises(MeshFormatError) as info:
+            load_mesh(doc)
+        assert str(info.value) == message
+
+    def test_boundary_block_may_span_lines(self):
+        mesh = load_mesh(unit_square_lines(line9="0\n\n1"))
+        assert mesh.boundary_tags["bottom"].tolist() == [0, 1]
 
     def test_degenerate_element_reported(self):
         doc = "xfem-mesh 1\n4 1\n0 0\n1 0\n1 1\n0 1\n0 2 1 3\n"
@@ -284,7 +335,7 @@ class TestShapeEval:
         h = 1e-6
         for _ in range(5):
             local = rng.uniform(-0.8, 0.8, size=2)
-            x0 = map_to_physical(mesh, 0, local)
+            x0 = reference_shape(*local)[0] @ mesh.element_coords([0])[0]
             grads = shape_eval(mesh, 0, local).gradients
 
             def values_at(x):
@@ -358,7 +409,8 @@ class TestLocatePoint:
         pts = rng.uniform([0.0, 0.0], [1.4, 1.0], size=(100, 2))
         eids, locals_ = locate_points(mesh, pts)
         for x, eid, local in zip(pts, eids, locals_):
-            np.testing.assert_allclose(map_to_physical(mesh, eid, local), x, atol=1e-10)
+            np.testing.assert_allclose(reference_shape(*local)[0] @ mesh.element_coords([eid])[0],
+                                       x, atol=1e-10)
 
     def test_shared_edge_resolves_to_lowest_id(self):
         mesh = structured_mesh(3, 3)
@@ -439,8 +491,8 @@ class TestBatchLocator:
             assert eids[i] == (expected[0] if expected.size else -1)
             if expected.size:
                 np.testing.assert_array_equal(locals_[i], local[pt == i][0])
-                np.testing.assert_allclose(map_to_physical(mesh, eids[i], locals_[i]), x,
-                                           atol=1e-9 * np.max(span))
+                at = reference_shape(*locals_[i])[0] @ mesh.element_coords([eids[i]])[0]
+                np.testing.assert_allclose(at, x, atol=1e-9 * np.max(span))
         # shared corners and edges do produce multi-element hit sets here
         assert np.max(np.bincount(pt)) >= 2
 
