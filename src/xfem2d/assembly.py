@@ -7,10 +7,13 @@ map grants them, so the jump/branch constraint is structural rather than
 penalized.
 
 Integration strategy: every element is first integrated with the plain
-2x2 rule in one vectorized pass.  The cut elements and the tip elements
-are then integrated as two batches, one elevated rule per class, from the
-gradients of :func:`~xfem2d.enrichment.enriched_basis`; each replaces its
-elements' whole block (all field couplings including the standard one).
+2x2 rule in one vectorized pass, and summed into one sparse matrix, once
+per mesh (:class:`StiffnessCache`).  The cut elements and the tip
+elements are then integrated as two batches, one elevated rule per class,
+from the gradients of :func:`~xfem2d.enrichment.enriched_basis`; each
+replaces its elements' whole block (all field couplings including the
+standard one).  A run keeps the cut elements' matrices from step to step
+and integrates only those whose enrichment or crack changed.
 Uncut elements holding a Heaviside node need no correction at all: the
 shifted factor M = H(phi(x)) - H(phi(node)) is identically zero on them,
 since the node and the whole element sit on the same side of the crack.
@@ -30,7 +33,8 @@ dofs.  The fixed dofs take their prescribed values exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -55,6 +59,7 @@ from xfem2d.mesh import (
     edge_points,
     element_geometry,
     gauss_rule,
+    point_segment_distance,
 )
 
 __all__ = [
@@ -63,7 +68,7 @@ __all__ = [
     "MaterialModel",
     "BoundaryCondition",
     "QuadratureSet",
-    "StandardStiffness",
+    "StiffnessCache",
     "DofLayout",
     "LinearSystem",
     "SolutionState",
@@ -277,7 +282,10 @@ class LinearSystem:
     """Assembled stiffness, load vector, and prescribed-value map.
 
     ``tree`` is the node-level elimination tree :func:`solve` factors
-    ``K`` on; its order, expanded to dofs, is :attr:`perm`.
+    ``K`` on; its order, expanded to dofs, is :attr:`perm`.  ``stamps``
+    holds the change stamp of each node (:class:`StiffnessCache`): a
+    factor kept from a system of the same cache reuses the fronts whose
+    nodes kept theirs.
     """
 
     K: sp.csr_matrix
@@ -285,6 +293,7 @@ class LinearSystem:
     fixed: dict[int, float]
     layout: DofLayout
     tree: DissectionTree
+    stamps: np.ndarray
 
     @property
     def perm(self) -> np.ndarray:
@@ -364,45 +373,6 @@ def _element_matrices(grads: np.ndarray, wdet: np.ndarray, D: np.ndarray) -> np.
     return K.reshape(K.shape[:-4] + (2 * S, 2 * S))
 
 
-@dataclass(frozen=True, eq=False)
-class StandardStiffness:
-    """Plain-rule stiffness of every element and its COO pattern.
-
-    It depends only on the mesh, the material and the standard rule, none
-    of which changes while a crack grows, so a run builds one and passes
-    it to :func:`assemble` at every load step.  The arrays are computed on
-    first use.
-    """
-
-    mesh: Mesh
-    material: MaterialModel
-    rule: QuadratureRule
-
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """Element stiffness of the standard field, shape (m, 8, 8)."""
-        _, dN, wdet, _ = element_geometry(self.mesh.element_coords(), self.rule)
-        return _element_matrices(dN, wdet, elasticity_matrix(self.material))
-
-    @cached_property
-    def dofs(self) -> np.ndarray:
-        """Standard dofs of every element, shape (m, 8), in matrix order."""
-        d = np.empty((self.mesh.n_elements, 8), dtype=np.int32)
-        d[:, 0::2] = 2 * self.mesh.elements
-        d[:, 1::2] = 2 * self.mesh.elements + 1
-        return d
-
-    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global (rows, cols) of every entry of ``matrices``, shape (m, 8, 8).
-
-        Read-only broadcast views of :attr:`dofs`: the two index arrays
-        would be eight times its size.
-        """
-        dofs = self.dofs
-        shape = dofs.shape + (8,)
-        return np.broadcast_to(dofs[:, :, None], shape), np.broadcast_to(dofs[:, None, :], shape)
-
-
 def _add_point_loads(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eids,
                      local, xs, load: np.ndarray, f: np.ndarray) -> None:
     """Add to ``f`` the work of point forces ``load`` (n, 2) at the given
@@ -464,12 +434,17 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
     return eid[edge], local, xs, ws[:, None] * force[edge]
 
 
-def _enriched_entries(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
-                      D: np.ndarray, K_std: np.ndarray, eids: np.ndarray,
-                      rule: QuadratureRule):
-    """COO triplets (values, rows, cols) that turn the plain-rule stiffness
-    of the elements ``eids`` into their ``rule`` integral over all coupled
-    fields: one batch for the whole class.
+def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray,
+               eids: np.ndarray, rule: QuadratureRule, used=None):
+    """Stiffness of the elements ``eids`` under ``rule`` over all coupled
+    fields, less their plain-rule stiffness: one batch for the whole class.
+
+    The matrices (n, 2S, 2S) run over the basis columns ``used`` of
+    :func:`~xfem2d.enrichment.enriched_basis`, by default those some
+    element's nodes carry, the standard ones first.  Returns them with
+    each column's node (n, S) and the columns.  With ``used`` given, an
+    element's matrix does not depend on the other elements of the batch,
+    so a matrix kept from an earlier batch is bit-equal to a fresh one.
 
     A cut element whose quadrature points all sample one side (the crack
     clips a corner sliver below rule resolution) is still integrated: the
@@ -492,61 +467,220 @@ def _enriched_entries(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout,
             )
     basis = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(rule.points, (eids.size, 1)),
                            phys.reshape(-1, 2))
-    # An element's columns are those of its first point.  Only the columns
-    # some element of the class uses are integrated (a cut element has no
-    # branch columns), the standard ones first.
-    dofs = layout.column_dofs(basis[2][::q], BASIS_FIELD)
-    used = np.nonzero((dofs >= 0).any(axis=0))[0]
+    nodes = basis[2][::q]  # an element's columns are those of its first point
+    if used is None:
+        kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
+        used = np.nonzero((kind == 0) | (emap.status[nodes] == kind).any(axis=0))[0]
     grads = basis[1].reshape(eids.size, q, 24, 2)[:, :, used]
     del basis  # the padded arrays, about as large as the integration's own
     Ke = _element_matrices(grads, wdet, D)
     Ke[:, :8, :8] -= K_std[eids]
-    pair = np.repeat(dofs[:, used], 2, axis=1).astype(np.int32)
+    return Ke, nodes[:, used], used
+
+
+def _entries(layout: DofLayout, Ke: np.ndarray, nodes: np.ndarray, fields: np.ndarray):
+    """COO triplets (values, rows, cols) of element matrices ``Ke`` whose
+    basis column s is field ``fields[s]`` of node ``nodes[:, s]``; the
+    columns a node lacks are left out."""
+    pair = np.repeat(layout.column_dofs(nodes, fields), 2, axis=1).astype(np.int32)
     pair[:, 1::2] += pair[:, 1::2] >= 0
     keep = (pair[:, :, None] >= 0) & (pair[:, None, :] >= 0)
     return (Ke[keep], np.broadcast_to(pair[:, :, None], Ke.shape)[keep],
             np.broadcast_to(pair[:, None, :], Ke.shape)[keep])
 
 
+_CUT_COLUMNS = np.arange(8)  # standard and jump columns: a cut element has no tip node
+# Change stamps, distinct across the caches of a process: a factor kept
+# from one cache's systems cannot take another's stamps for its own.
+_STAMPS = itertools.count(1)
+
+
+def _cut_signature(mesh: Mesh, emap: EnrichmentMap, eids: np.ndarray) -> np.ndarray:
+    """What a cut element's matrix depends on besides the crack around it
+    (n, 24): each node's status, crack, sign and tip, and the element's
+    :class:`~xfem2d.enrichment.CutPiece`."""
+    conn = mesh.elements[eids]
+    nodes = np.column_stack([emap.status[conn], emap.node_crack[conn], emap.node_sign[conn],
+                             emap.node_tip[conn]])
+    pieces = [(p.s0, p.s1, *p.p0, *p.p1, p.edge0, p.edge1)
+              for p in map(emap.cut_pieces.__getitem__, eids.tolist())]
+    return np.column_stack([nodes, np.array(pieces, dtype=float).reshape(-1, 8)])
+
+
+def _changed_segments(old, new) -> np.ndarray:
+    """Segments (k, 2, 2) by which two crack sets differ, a lone vertex as
+    a zero-length segment.
+
+    Of a crack in both sets, the vertices outside the longest common start
+    and end of the two polylines change, with the last common vertex on
+    either side, whose neighbours moved: a crack grown at its end changes
+    by its new segment and by its old tip vertex, now interior.
+    """
+    before = {c.id: c.vertices for c in old}
+    after = {c.id: c.vertices for c in new}
+    pieces = []
+    for cid in before.keys() | after.keys():
+        u, v = before.get(cid, np.empty((0, 2))), after.get(cid, np.empty((0, 2)))
+        if u.shape == v.shape and np.array_equal(u, v):
+            continue
+        n = min(len(u), len(v))
+        head = np.cumprod(np.all(u[:n] == v[:n], axis=1)).sum()
+        tail = min(np.cumprod(np.all(u[::-1][:n] == v[::-1][:n], axis=1)).sum(), n - head)
+        for w in (u, v):
+            piece = w[max(head - 1, 0):len(w) - max(tail - 1, 0)]
+            if len(piece):
+                pieces.append(np.stack([piece[:max(len(piece) - 1, 1)],
+                                        piece[min(len(piece) - 1, 1):]], axis=1))
+    return np.concatenate([np.empty((0, 2, 2))] + pieces)
+
+
+def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Whether a segment comes within each element's diameter of it.
+
+    Every point of a cut element lies within its diameter of its own piece
+    of crack, so beyond that a segment cannot be the nearest to any of its
+    points, and the side of the crack they lie on stands.
+    """
+    quads = mesh.element_coords(eids)[:, None]  # (n, 1, 4, 2)
+    diam = np.linalg.norm(quads[:, 0, 2:] - quads[:, 0, :2], axis=-1).max(axis=1)
+    a, b = segments[None, :, 0], segments[None, :, 1]  # (1, k, 2)
+    corners = point_segment_distance(quads, a[:, :, None], b[:, :, None]).min(axis=2)
+    ends = point_segment_distance(segments[None, :, :, None], quads[:, :, None],
+                                  np.roll(quads, -1, axis=2)[:, :, None]).min(axis=(2, 3))
+    return (np.minimum(corners, ends) <= diam[:, None]).any(axis=1)
+
+
+class StiffnessCache:
+    """The stiffness of one mesh, material and rule set across the steps of a run.
+
+    None of these changes while a crack grows, so a run builds one and
+    passes it to :func:`assemble` at every step.  It holds:
+
+    - :attr:`matrices`, the plain-rule stiffness of every element, and
+      :attr:`standard`, their sum as one CSR matrix, both computed on
+      first use;
+    - the cut-class element matrices of the last assembly, by basis
+      column (node, field), so a renumbered dof layout costs nothing.  A
+      matrix is reused while its element is still cut with the same
+      signature (:func:`_cut_signature`) and no segment or vertex by which
+      the cracks changed comes within its diameter (:func:`_near`);
+    - :attr:`stamps`, a change stamp per node, renewed on the four nodes
+      of every element an assembly integrates or evicts: the fronts of the
+      factorization whose nodes kept their stamps kept their entries of K.
+    """
+
+    def __init__(self, mesh: Mesh, material: MaterialModel, rules: QuadratureSet):
+        self.mesh, self.material, self.rules = mesh, material, rules
+        self.stamps = np.full(mesh.n_nodes, next(_STAMPS))
+        self._emap: EnrichmentMap | None = None  # the map last assembled
+        self._cut = np.empty(0, dtype=np.int64)  # its cut elements, ascending
+        self._cut_matrices = np.empty((0, 16, 16))
+        self._enriched = np.empty(0, dtype=np.int64)  # its cut and tip elements
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """Element stiffness of the standard field, shape (m, 8, 8)."""
+        _, dN, wdet, _ = element_geometry(self.mesh.element_coords(), self.rules.standard)
+        return _element_matrices(dN, wdet, elasticity_matrix(self.material))
+
+    @cached_property
+    def standard(self) -> sp.csr_matrix:
+        """Sum of :attr:`matrices` over the standard dofs, explicit zeros kept."""
+        dofs = np.empty((self.mesh.n_elements, 8), dtype=np.int32)
+        dofs[:, 0::2] = 2 * self.mesh.elements
+        dofs[:, 1::2] = 2 * self.mesh.elements + 1
+        shape = dofs.shape + (8,)
+        n = 2 * self.mesh.n_nodes
+        K = sp.coo_matrix((self.matrices.ravel(), (np.broadcast_to(dofs[:, :, None], shape).ravel(),
+                                                   np.broadcast_to(dofs[:, None, :], shape).ravel())),
+                          shape=(n, n)).tocsr()
+        # The conversion leaves the index and value arrays as views into
+        # buffers sized for every triplet; keep only the stored entries.
+        K.data, K.indices = K.data.copy(), K.indices.copy()
+        return K
+
+    def cut_matrices(self, emap: EnrichmentMap, kinds: np.ndarray):
+        """The cut elements of ``emap`` (``kinds`` 2) and their stiffness
+        corrections (n, 16, 16) over the standard and jump columns.
+
+        Matrices still valid from the last call are reused and the rest
+        integrated in one batch.  The nodes of every integrated element, of
+        every tip-class element (never reused) and of every element that
+        left the cut or tip class get new stamps.
+        """
+        cut = np.flatnonzero(kinds == 2)
+        Ke = np.empty((cut.size, 16, 16))
+        reused = np.zeros(cut.size, dtype=bool)
+        if self._emap is not None:
+            common, at, old = np.intersect1d(cut, self._cut, assume_unique=True,
+                                             return_indices=True)
+            keep = (np.all(_cut_signature(self.mesh, emap, common)
+                           == _cut_signature(self.mesh, self._emap, common), axis=1)
+                    & ~_near(self.mesh, common, _changed_segments(self._emap.cracks, emap.cracks)))
+            reused[at[keep]] = True
+            Ke[at[keep]] = self._cut_matrices[old[keep]]
+        if not reused.all():
+            Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
+                                     self.matrices, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
+        enriched = np.flatnonzero(kinds >= 2)
+        changed = np.setdiff1d(np.union1d(self._enriched, enriched), cut[reused])
+        self.stamps = self.stamps.copy()  # systems assembled earlier keep theirs
+        self.stamps[self.mesh.elements[changed]] = next(_STAMPS)
+        self._emap, self._cut, self._cut_matrices, self._enriched = emap, cut, Ke, enriched
+        return cut, Ke
+
+
+def _plus_entries(A: sp.csr_matrix, values, rows, cols, n: int) -> sp.csr_matrix:
+    """``A`` padded to n x n plus the COO triplets, as CSR.
+
+    Triplets on one entry are summed in their order, and the sum is added
+    to A's entry once; A's explicit zeros stay stored.
+    """
+    keys, inverse = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+    values = np.bincount(inverse.ravel(), weights=values, minlength=keys.size)
+    a_keys = np.repeat(np.arange(A.shape[0], dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
+    at = np.searchsorted(a_keys, keys)
+    hit = a_keys[np.minimum(at, a_keys.size - 1)] == keys
+    data = A.data.copy()
+    data[at[hit]] += values[hit]
+    data = np.insert(data, at[~hit], values[~hit])
+    indices = np.insert(A.indices, at[~hit], (keys[~hit] % n).astype(A.indices.dtype))
+    indptr = np.concatenate([A.indptr, np.full(n - A.shape[0], A.indptr[-1])])
+    indptr[1:] += np.cumsum(np.bincount(keys[~hit] // n, minlength=n)).astype(indptr.dtype)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
              rules: QuadratureSet | None = None, bcs=(),
-             standard: StandardStiffness | None = None) -> LinearSystem:
+             cache: StiffnessCache | None = None) -> LinearSystem:
     """Build the global stiffness, load vector, and prescribed-value map.
 
     Traction conditions enter the load vector here; displacement
     conditions populate ``fixed`` (standard dof values, plus zeros on all
     enrichment dofs of constrained nodes — the constrained boundary is
     assumed uncracked).  Apply them with :func:`apply_constraints`.
-    ``standard`` is the mesh's plain-rule stiffness for this material and
-    ``rules.standard``; it is built here when not given.
+    ``cache`` is the run's stiffness for this mesh, material and
+    ``rules``; a new one is built when not given.  K is its standard
+    matrix plus the cut and tip elements' corrections, which the same
+    cracks give bit for bit whatever the cache held.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
-    if standard is None:
-        standard = StandardStiffness(mesh, material, rules.standard)
-    elif (standard.mesh is not mesh or standard.material != material
-          or standard.rule is not rules.standard):
-        raise AssemblyError(
-            "standard stiffness was built for another mesh, material or rule")
+    if cache is None:
+        cache = StiffnessCache(mesh, material, rules)
+    elif cache.mesh is not mesh or cache.material != material or cache.rules is not rules:
+        raise AssemblyError("stiffness cache was built for another mesh, material or rules")
     layout = DofLayout.build(emap)
-    D = elasticity_matrix(material)
     kinds = emap.element_kinds(mesh)
 
-    K_std = standard.matrices
-    parts = [(K_std.ravel(), *(np.ravel(p) for p in standard.pattern()))]
-    for eids, rule in ((np.nonzero(kinds == 2)[0], rules.cut),
-                       (np.nonzero(kinds == 3)[0], rules.tip)):
-        if eids.size:
-            parts.append(_enriched_entries(mesh, emap, layout, D, K_std, eids, rule))
-    # Each set of triplets is released as soon as the next is built: the
-    # triplets are several times the size of the matrix they sum into.
-    data, rows, cols = (np.concatenate(a) for a in zip(*parts))
-    del parts
-    K = sp.coo_matrix((data, (rows, cols)),
-                      shape=(layout.total_dofs, layout.total_dofs)).tocsr()
-    del data, rows, cols
-    # The conversion leaves the index and value arrays as views into
-    # buffers sized for every triplet; keep only the stored entries.
-    K.data, K.indices = K.data.copy(), K.indices.copy()
+    cut, Ke = cache.cut_matrices(emap, kinds)
+    parts = [_entries(layout, Ke, np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])]
+    tip = np.flatnonzero(kinds == 3)
+    if tip.size:
+        Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.matrices,
+                                     tip, rules.tip)
+        parts.append(_entries(layout, Ke, nodes, BASIS_FIELD[used]))
+    K = _plus_entries(cache.standard, *(np.concatenate(a) for a in zip(*parts)),
+                      layout.total_dofs)
     if not np.all(np.isfinite(K.data)):
         raise AssemblyError("non-finite stiffness entry")
 
@@ -586,7 +720,7 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
                     for comp in (0, 1):
                         fixed.setdefault(layout.tip_dof(n, j, comp), 0.0)
     return LinearSystem(K=K, f=f, fixed=fixed, layout=layout,
-                        tree=mesh.nested_dissection_tree)
+                        tree=mesh.nested_dissection_tree, stamps=cache.stamps)
 
 
 def apply_constraints(system: LinearSystem, extra=None) -> LinearSystem:
@@ -604,8 +738,7 @@ def apply_constraints(system: LinearSystem, extra=None) -> LinearSystem:
         fixed[dof] = float(value)
     if fixed and (min(fixed) < 0 or max(fixed) >= system.layout.total_dofs):
         raise AssemblyError("prescribed dof index out of range")
-    return LinearSystem(K=system.K, f=system.f, fixed=fixed,
-                        layout=system.layout, tree=system.tree)
+    return replace(system, fixed=fixed)
 
 
 def solve(system: LinearSystem, load_factor: float = 1.0,
@@ -620,8 +753,10 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     (an indefinite or singular system) raises :class:`SolverError`, as do
     a non-finite solution and an infinity-norm residual above 1e-9 of the
     lifted load.  ``factor`` is the previous solve's factor on the same
-    tree, kept by a propagation run: the fronts whose inputs did not
-    change are reused.
+    tree, kept by a propagation run: it reuses the fronts that no changed
+    element touches (``system.stamps``) and whose nodes kept their layout.
+    A stale front cannot pass silently, since the residual is taken
+    against ``K`` itself.
     """
     layout, tree = system.layout, system.tree
     n = layout.total_dofs
@@ -639,11 +774,13 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     signature = 1024 * np.bincount(owner, minlength=n_nodes) + np.bincount(
         owner[free], weights=2.0 ** local[free], minlength=n_nodes).astype(np.int64)
 
+    stamps = system.stamps[tree.order]
+
     lifted = system.f - system.K @ u
     rhs = lifted[q]
     factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        stats = factor.factorize(tree, counts, signature, system.K, q)
+        stats = factor.factorize(tree, counts, signature, stamps, system.K, q)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     u[q] = factor.solve(rhs)

@@ -12,11 +12,15 @@ below it, and ``dsyrk`` forms the update matrix its parent consumes (Liu,
 "The multifrontal method for sparse matrix solution", SIAM Review 34,
 1992).
 
-A :class:`FrontalCholesky` that is factored again keeps every front whose
-inputs did not change: its free-dof layout and the entries it gathers are
-bit-equal to the previous factorization's, and all of its children were
-kept.  Every other front is refactored, and with it each of its
-ancestors, so the factor is exactly what a fresh factorization would give.
+A :class:`FrontalCholesky` that is factored again keeps every front that
+no changed element touches and whose nodes kept their layout: none of its
+pivot nodes has a new change stamp (the assembly renews the stamps of the
+four nodes of each element whose matrix it integrated or dropped), no
+pivot or row node has a new free-dof layout, and all of its children were
+kept.  Its entries of the matrix are then those of the previous
+factorization, so it is not gathered again.  Every other front is
+gathered and refactored, and with it each of its ancestors, so the factor
+is exactly what a fresh factorization would give.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ from scipy.linalg import blas, lapack
 from xfem2d.mesh import DissectionTree
 
 __all__ = ["FactorStats", "FrontalCholesky"]
-
-_RANKS = 16  # a dof is named position * _RANKS + rank; a node has at most ten dofs
-
 
 @dataclass(frozen=True)
 class FactorStats:
@@ -79,29 +80,16 @@ def _extend_add(F11, F21, F22, U, local) -> None:
                 F11[tr:tr + r1 - r0, tc:tc + c1 - c0] += block
 
 
-def _upper_entries(K: sp.csr_matrix, dofs: np.ndarray, ptr: np.ndarray,
-                   pivots: np.ndarray):
-    """The upper-triangle entries of ``K[dofs][:, dofs]``, by row.
-
-    Returns each entry's name, its value and the offset of each front's
-    first entry.  A dof is named ``_RANKS * position + rank``: its node's
-    position in the elimination order and its rank among the node's free
-    dofs (``ptr`` holds each position's first dof), a name that does not
-    change when dofs elsewhere are renumbered; an entry (i, j) is named
-    ``name(i) * _RANKS * n_positions + name(j)``.
-    """
-    n = dofs.size
+def _upper_entries(K: sp.csr_matrix, dofs: np.ndarray, rows: np.ndarray):
+    """Entries (i, j, value) with j >= i of the rows ``rows`` (ascending)
+    of ``K[dofs][:, dofs]``, by row."""
     column = np.full(K.shape[0], -1, dtype=np.int32)
-    column[dofs] = np.arange(n)
-    rows = K[dofs]
-    i = np.repeat(np.arange(n, dtype=np.int32), np.diff(rows.indptr))
-    j = column[rows.indices]
+    column[dofs] = np.arange(dofs.size)
+    block = K[dofs[rows]]
+    i = np.repeat(rows.astype(np.int32), np.diff(block.indptr))
+    j = column[block.indices]
     upper = j >= i  # fixed dofs have column -1
-    i, j, values = i[upper], j[upper], rows.data[upper]
-    position = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
-    name = _RANKS * position + np.arange(n) - ptr[position]
-    entries = name[i] * (_RANKS * (ptr.size - 1)) + name[j]
-    return entries, values, np.searchsorted(i, pivots)
+    return i[upper], j[upper], block.data[upper]
 
 
 def _front_offsets(i, j, pivots, rowdofs, row_ptr) -> np.ndarray:
@@ -132,7 +120,7 @@ class FrontalCholesky:
 
     :attr:`refactored` lists the fronts the last :meth:`factorize`
     computed.  ``keep`` makes the factor reusable by the next one: it
-    then also holds the entries each front gathered and the lower
+    then also holds the layout and stamp of each node and the lower
     triangles of the non-leaf fronts' update matrices.  A kept leaf whose
     parent is refactored recomputes its update matrix from its panel.
     Without ``keep`` each update matrix is freed once its parent has
@@ -146,20 +134,21 @@ class FrontalCholesky:
         self._panels: list = []  # per front: packed pivot block, panel
         self._updates: dict = {}  # non-leaf front -> packed lower update matrix
         self._signature = None  # per node position, of the last factorization
-        self._gathered = None  # (entry offsets per front, entry names, values)
+        self._stamps = None  # likewise
 
     def factorize(self, tree: DissectionTree, counts: np.ndarray,
-                  signature: np.ndarray, K: sp.csr_matrix,
-                  dofs: np.ndarray) -> FactorStats:
+                  signature: np.ndarray, stamps: np.ndarray,
+                  K: sp.csr_matrix, dofs: np.ndarray) -> FactorStats:
         """Factor ``K[dofs][:, dofs]``, reusing the fronts the last
         factorization left valid.
 
         ``dofs`` lists the free dofs in elimination order: the node at
-        position k of ``tree.order`` has ``counts[k]`` of them, and
-        ``signature[k]`` tells its dof layout apart from any other.  Only
-        the upper triangle of the block is read (the lower one by
-        symmetry).  Raises ``np.linalg.LinAlgError`` on a non-positive
-        pivot.
+        position k of ``tree.order`` has ``counts[k]`` of them,
+        ``signature[k]`` tells its dof layout apart from any other, and
+        ``stamps[k]`` changes whenever an element at the node changed its
+        entries of K.  Only the upper triangle of the block is read (the
+        lower one by symmetry), and only in the rows of the refactored
+        fronts.  Raises ``np.linalg.LinAlgError`` on a non-positive pivot.
         """
         n_fronts = tree.n_fronts
         ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -167,9 +156,8 @@ class FrontalCholesky:
         row_counts = counts[tree.rows]
         rowdofs = _ranges(ptr[tree.rows], row_counts)
         row_ptr = np.concatenate([[0], np.cumsum(row_counts)])[tree.row_start]
-        entries, values, entry_ptr = _upper_entries(K, dofs, ptr, pivots)
 
-        kept = self._unchanged(tree, signature, entries, values, entry_ptr)
+        kept = self._unchanged(tree, signature, stamps)
         for f in range(n_fronts):  # children come first
             if not kept[f] and tree.parent[f] >= 0:
                 kept[tree.parent[f]] = False
@@ -179,16 +167,12 @@ class FrontalCholesky:
         self._tree = None  # until every front is factored
         self._pivots, self._rowdofs, self._row_ptr = pivots, rowdofs, row_ptr
         if self.keep:
-            self._signature = signature
-            self._gathered = (entry_ptr, entries, values)
+            self._signature, self._stamps = signature, stamps
 
         self.refactored = redo = np.flatnonzero(~kept)
-        take = _ranges(entry_ptr[redo], np.diff(entry_ptr)[redo])
-        i, j = (ptr[name // _RANKS] + name % _RANKS
-                for name in divmod(entries[take], _RANKS * counts.size))
+        i, j, values = _upper_entries(K, dofs, _ranges(pivots[redo], np.diff(pivots)[redo]))
         flat = _front_offsets(i, j, pivots, rowdofs, row_ptr)
-        values = values[take]
-        take_ptr = np.concatenate([[0], np.cumsum(np.diff(entry_ptr)[redo])])
+        take_ptr = np.append(np.searchsorted(i, pivots[redo]), i.size)
         pending = {}  # front -> update matrix its parent has not consumed yet
         for k, f in enumerate(redo.tolist()):
             a, b = pivots[f], pivots[f + 1]
@@ -249,22 +233,14 @@ class FrontalCholesky:
             x[a:b] = blas.dtpsv(b - a, L11, xp, lower=1, trans=1)
         return x
 
-    def _unchanged(self, tree, signature, entries, values, entry_ptr) -> np.ndarray:
-        """Fronts whose own layout and gathered entries match the last factorization."""
-        n_fronts = tree.n_fronts
+    def _unchanged(self, tree, signature, stamps) -> np.ndarray:
+        """Fronts whose pivots kept their stamps and whose pivots and rows
+        kept their layout since the last factorization."""
         if not self.keep or self._tree is not tree:
-            return np.zeros(n_fronts, dtype=bool)
+            return np.zeros(tree.n_fronts, dtype=bool)
         moved = signature != self._signature
-        same = ~(_segment_any(moved, tree.start)
+        return ~(_segment_any(moved | (stamps != self._stamps), tree.start)
                  | _segment_any(moved[tree.rows], tree.row_start))
-        old_ptr, old_entries, old_values = self._gathered
-        new_ptr, old_ptr = entry_ptr.tolist(), old_ptr.tolist()
-        for f in np.flatnonzero(same).tolist():
-            new, old = slice(new_ptr[f], new_ptr[f + 1]), slice(old_ptr[f], old_ptr[f + 1])
-            same[f] = (np.array_equal(entries[new], old_entries[old])
-                       and np.array_equal(values[new].view(np.int64),
-                                          old_values[old].view(np.int64)))
-        return same
 
     def _kept_update(self, f: int) -> np.ndarray:
         """Update matrix of a front kept from the last factorization."""

@@ -14,16 +14,23 @@ The background mesh is never remeshed as a crack grows; only the
 enrichment changes from step to step.  So a propagation run builds the
 mesh-invariant part of its :class:`Problem` once, at the first step: it
 reads the mesh (whose adjacency, bounding boxes, boundary edges and
-spatial index are cached on the :class:`~xfem2d.mesh.Mesh`), checks the
-boundary tags, and sets up the standard element stiffness
-(:class:`~xfem2d.assembly.StandardStiffness`), integrated on first use.
-Every step then classifies its cracks on that same mesh, integrates only
-the enriched elements, solves, and extracts.  The run also keeps the
-sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`) from one step
-to the next: a step refactors only the fronts of the mesh's
-nested-dissection tree whose entries its new enrichment changed, and
-their ancestors, and reuses the rest unchanged.  The last solved step's
-problem stays on the :class:`RunHistory` for the output writers.
+spatial index are cached on the :class:`~xfem2d.mesh.Mesh`) and checks
+the boundary tags.  From step to step the run carries:
+
+- the mesh, the rules and the boundary conditions;
+- its :class:`~xfem2d.assembly.StiffnessCache`: the standard stiffness,
+  summed once, the cut elements' matrices of the last step, and a change
+  stamp per node.  A step integrates only the cut elements whose
+  enrichment or surrounding crack changed, and the tip class;
+- the sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`): a step
+  refactors only the fronts of the mesh's nested-dissection tree that an
+  element it integrated or dropped touches, or whose nodes' dof layout
+  changed, and their ancestors, and reuses the rest unchanged;
+- the current cracks, as grown after the last extraction.
+
+Every step then classifies its cracks on that same mesh, assembles,
+solves, and extracts.  The last solved step's problem stays on the
+:class:`RunHistory` for the output writers.
 
 Errors raised by the underlying modules are re-raised with a pipeline
 stage prefix (``[mesh]``, ``[classification]``, ``[assembly]``,
@@ -46,7 +53,7 @@ from xfem2d.assembly import (
     QuadratureSet,
     SolutionState,
     SolverError,
-    StandardStiffness,
+    StiffnessCache,
     apply_constraints,
     assemble,
     elasticity_matrix,
@@ -232,7 +239,8 @@ class Problem:
 
     ``emap`` and ``cracks`` belong to one crack geometry; the other fields
     depend only on the mesh and the configuration and are shared by every
-    step of a run.
+    step of a run, ``stiffness`` carrying what one step's assembly leaves
+    to the next.
     """
 
     mesh: Mesh
@@ -241,7 +249,7 @@ class Problem:
     bcs: tuple
     emap: EnrichmentMap
     cracks: tuple
-    standard: StandardStiffness
+    stiffness: StiffnessCache
 
 
 def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -> Problem:
@@ -249,8 +257,8 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
 
     ``cracks`` overrides the configured cracks.  ``base`` is a problem set
     up earlier from the same config (the previous step of a propagation
-    run): its mesh, rules, conditions and standard stiffness are reused,
-    so only the cracks are classified.  Without it, an in-memory
+    run): its mesh, rules, conditions and stiffness cache are reused, so
+    only the cracks are classified.  Without it, an in-memory
     ``config.mesh`` takes precedence over ``config.mesh_path``.
     """
     if base is None:
@@ -265,9 +273,9 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
                 )
         standard_points, cut_points, tip_points = config.quadrature
         rules = QuadratureSet.from_targets(standard_points, cut_points, tip_points)
-        standard = StandardStiffness(mesh, config.material, rules.standard)
+        stiffness = StiffnessCache(mesh, config.material, rules)
     else:
-        mesh, bcs, rules, standard = base.mesh, base.bcs, base.rules, base.standard
+        mesh, bcs, rules, stiffness = base.mesh, base.bcs, base.rules, base.stiffness
     with _stage("classification"):
         # Support-area demotion must measure with the same rule the
         # assembly integrates with, or a node could keep a jump dof that
@@ -286,7 +294,7 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
         bcs=bcs,
         emap=emap,
         cracks=tuple(used),
-        standard=standard,
+        stiffness=stiffness,
     )
 
 
@@ -306,7 +314,7 @@ def _solve_step(problem: Problem, lam: float,
     with _stage("assembly"):
         system = apply_constraints(
             assemble(problem.mesh, problem.emap, problem.material,
-                     problem.rules, bcs, standard=problem.standard)
+                     problem.rules, bcs, cache=problem.stiffness)
         )
     with _stage("solve"):
         return solve(system, load_factor=lam, factor=factor)

@@ -337,15 +337,28 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, size_tol: float):
     return eids, s, p, edge
 
 
+def _box_pairs(lo, hi, lo2, hi2, pad: float):
+    """Index pairs (i, k), by i then k, of boxes ``lo[i]..hi[i]`` and
+    ``lo2[k]..hi2[k]`` that meet once one is padded by ``pad``."""
+    meet = np.ones((len(lo), len(lo2)), dtype=bool)
+    for axis in (0, 1):
+        meet &= lo[:, None, axis] - pad <= hi2[None, :, axis]
+        meet &= hi[:, None, axis] + pad >= lo2[None, :, axis]
+    return np.nonzero(meet)
+
+
 def _detect_coincidences(mesh: Mesh, cracks) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
-    Each crack vertex and segment is checked against all nodes and edges
-    of the elements near the crack at once: a mesh node on a segment, a
-    vertex on an edge, and a segment running along an edge over a finite
-    length.  A crack end that is not a tip (a crack mouth) may sit on a
-    boundary edge.
+    Each crack's features are checked against the nodes and edges of the
+    elements near it, one batch of (feature, mesh feature) pairs per
+    check, taking only pairs whose bounding boxes meet: a mesh node on a
+    segment, a vertex on an edge, and a segment running along an edge over
+    a finite length.  A crack end that is not a tip (a crack mouth) may
+    sit on a boundary edge.  Problems are listed crack by crack, in that
+    order of checks, by segment or vertex.
     """
+    tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
     boundary = mesh.boundary_edges
     boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
@@ -356,61 +369,57 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
         if near.size == 0:
             continue
         v = crack.vertices
+        a, b = v[:-1], v[1:]
+        slo, shi = np.minimum(a, b), np.maximum(a, b)
         # edges of the near elements as sorted node pairs, keyed lo * n + hi
         quads = mesh.elements[near]
         pairs = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
         keys = np.unique(pairs[..., 0] * n_nodes + pairs[..., 1])
         e0, e1 = np.divmod(keys, n_nodes)
         p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
+        elo, ehi = np.minimum(p0, p1), np.maximum(p0, p1)
         ed = p1 - p0
         Le = np.linalg.norm(ed, axis=1)
+        found = []
+        # mesh node on a crack segment (level-set sign would be ambiguous)
         near_nodes = np.unique(quads)
-        for j in range(crack.n_segments):
-            a, b = v[j], v[j + 1]
-            # mesh node on a crack segment (level-set sign would be ambiguous)
-            d = point_segment_distance(mesh.nodes[near_nodes], a, b)
-            for node in near_nodes[d <= _COINCIDENCE_TOL]:
-                problems.append(
-                    f"crack {crack.id} segment {j} passes through mesh node {node}"
-                )
-                bad_cracks.add(crack.id)
+        xy = mesh.nodes[near_nodes]
+        j, k = _box_pairs(slo, shi, xy, xy, tol)
+        on = point_segment_distance(xy[k], a[j], b[j]) <= tol
+        found += [f"segment {jj} passes through mesh node {node}"
+                  for jj, node in zip(j[on].tolist(), near_nodes[k[on]].tolist())]
         # crack vertex on an element edge; endpoints that are not tips may
         # legitimately sit on the domain boundary (crack mouths)
-        boundary_edge = np.isin(keys, boundary_keys)
-        for vi in range(v.shape[0]):
-            hits = point_segment_distance(v[vi], p0, p1) <= _COINCIDENCE_TOL
-            is_mouth = (vi == 0 and not crack.tip_start) or (
-                vi == v.shape[0] - 1 and not crack.tip_end
-            )
-            if is_mouth:
-                hits &= ~boundary_edge
-            if hits.any():
-                k = np.argmax(hits)
-                problems.append(
-                    f"crack {crack.id} vertex {vi} lies on mesh edge ({e0[k]},{e1[k]})"
-                )
-                bad_cracks.add(crack.id)
-        # segment collinear with an edge over a finite overlap
-        for j in range(crack.n_segments):
-            a = v[j]
-            ab = v[j + 1] - a
-            Ls = float(np.linalg.norm(ab))
-            parallel = (np.abs(ab[0] * ed[:, 1] - ab[1] * ed[:, 0])
-                        <= _COINCIDENCE_TOL * Ls * Le)
-            # perpendicular distance of the edge from the segment line
-            off = p0 - a
-            dist = np.abs(ab[0] * off[:, 1] - ab[1] * off[:, 0]) / Ls
-            t0 = (off @ ab) / (Ls * Ls)
-            t1 = ((p1 - a) @ ab) / (Ls * Ls)
-            overlap = (np.minimum(np.maximum(t0, t1), 1.0)
-                       - np.maximum(np.minimum(t0, t1), 0.0))
-            along = parallel & (dist <= _COINCIDENCE_TOL) & (overlap > _COINCIDENCE_TOL / Ls)
-            if along.any():
-                k = np.argmax(along)
-                problems.append(
-                    f"crack {crack.id} segment {j} runs along mesh edge ({e0[k]},{e1[k]})"
-                )
-                bad_cracks.add(crack.id)
+        i, k = _box_pairs(v, v, elo, ehi, tol)
+        mouth = np.zeros(v.shape[0], dtype=bool)
+        mouth[[0, -1]] = not crack.tip_start, not crack.tip_end
+        hits = ((point_segment_distance(v[i], p0[k], p1[k]) <= tol)
+                & ~(mouth[i] & np.isin(keys[k], boundary_keys)))
+        vi, first = np.unique(i[hits], return_index=True)
+        found += [f"vertex {vv} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
+                  zip(vi.tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
+        # segment collinear with an edge over a finite overlap: an edge within
+        # tol of the segment's line, at an angle whose sine is within tol,
+        # comes within tol * (1 + Le) of the segment where they overlap
+        j, k = _box_pairs(slo, shi, elo, ehi, tol * (1.0 + Le.max()))
+        ab = b[j] - a[j]
+        Ls = np.linalg.norm(ab, axis=1)
+        parallel = (np.abs(ab[:, 0] * ed[k, 1] - ab[:, 1] * ed[k, 0])
+                    <= tol * Ls * Le[k])
+        # perpendicular distance of the edge from the segment line
+        off = p0[k] - a[j]
+        dist = np.abs(ab[:, 0] * off[:, 1] - ab[:, 1] * off[:, 0]) / Ls
+        t0 = np.sum(off * ab, axis=1) / (Ls * Ls)
+        t1 = np.sum((p1[k] - a[j]) * ab, axis=1) / (Ls * Ls)
+        overlap = (np.minimum(np.maximum(t0, t1), 1.0)
+                   - np.maximum(np.minimum(t0, t1), 0.0))
+        along = parallel & (dist <= tol) & (overlap > tol / Ls)
+        js, first = np.unique(j[along], return_index=True)
+        found += [f"segment {jj} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
+                  zip(js.tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
+        if found:
+            problems += [f"crack {crack.id} {text}" for text in found]
+            bad_cracks.add(crack.id)
     if problems:
         raise CrackMeshDegeneracyError(
             "crack/mesh coincidence: " + "; ".join(problems[:5]),

@@ -503,11 +503,13 @@ def point_segment_distance(p, a, b) -> np.ndarray:
 
     All three are arrays of shape (..., 2) that broadcast against each
     other, e.g. many points against one segment or one point against many.
+    A segment of zero length is its one point.
     """
     p = np.asarray(p, dtype=float)
     ab = b - a
     rel = p - a
-    t = np.sum(rel * ab, axis=-1) / np.sum(ab * ab, axis=-1)
+    length2 = np.sum(ab * ab, axis=-1)
+    t = np.sum(rel * ab, axis=-1) / np.where(length2 > 0.0, length2, 1.0)
     return np.linalg.norm(rel - np.clip(t, 0.0, 1.0)[..., None] * ab, axis=-1)
 
 

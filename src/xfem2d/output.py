@@ -54,6 +54,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _fmt_rows(values: np.ndarray, row: str) -> str:
+    """The rows of ``values`` (n, k) as n lines of ``row``, whose k ``{}``
+    fields each take a number as :func:`_fmt` writes it, in one pass."""
+    values = np.asarray(values, dtype=float)
+    return "\n".join([row.replace("{}", "%.9g")] * len(values)) % tuple(values.ravel().tolist())
+
+
 # ---------------------------------------------------------------------------
 # tabular artifacts
 # ---------------------------------------------------------------------------
@@ -325,8 +332,7 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {points.shape[0]} double",
     ]
-    for p in points:
-        lines.append(f"{_fmt(p[0])} {_fmt(p[1])} 0")
+    lines.append(_fmt_rows(points, "{} {} 0"))
     n_cells = owner.size
     lines.append(f"CELLS {n_cells} {cell_size}")
     lines.extend(cell_text)
@@ -334,8 +340,7 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     lines.extend(map(str, cell_types.tolist()))
     lines.append(f"POINT_DATA {points.shape[0]}")
     lines.append("VECTORS displacement double")
-    for u in disp:
-        lines.append(f"{_fmt(u[0])} {_fmt(u[1])} 0")
+    lines.append(_fmt_rows(disp, "{} {} 0"))
     lines.append(f"CELL_DATA {n_cells}")
     for name, values in (
         ("stress_xx", cell_sig[:, 0]),
@@ -345,7 +350,7 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     ):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in values)
+        lines.append(_fmt_rows(values[:, None], "{}"))
     with open(os.fspath(path), "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfem2d.assembly import (
     AssemblyError,
@@ -13,23 +15,27 @@ from xfem2d.assembly import (
     MaterialModel,
     QuadratureSet,
     SolverError,
-    StandardStiffness,
+    StiffnessCache,
     apply_constraints,
     assemble,
     elasticity_matrix,
     solve,
     stress_strain_at,
     stress_strain_batch,
+    _changed_segments,
     _element_matrices,
+    _near,
 )
 from xfem2d import enrichment
 from xfem2d.cholesky import FrontalCholesky
-from xfem2d.cracks import CrackPath
+from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
     BASIS_FIELD,
     HEAVISIDE,
+    EnrichmentError,
     FieldTriplet,
     classify_enrichment,
+    classify_with_remedy,
     crack_opening,
     enriched_basis,
 )
@@ -41,6 +47,12 @@ STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
 
 def uncracked(mesh):
     return classify_enrichment(mesh, [])
+
+
+def assert_bit_equal(A, B):
+    """Two CSR matrices with the same stored entries, bit for bit."""
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(A, name), getattr(B, name))
 
 
 def solve_with(mesh, emap, material, bcs, extra_fixed=None):
@@ -369,19 +381,20 @@ class TestStandardStiffness:
         crack = CrackPath(vertices=np.array([[0.15, 0.55], [0.85, 0.55]]), id=0)
         emap = classify_enrichment(mesh, [crack])
         rules = QuadratureSet.from_targets()
-        standard = StandardStiffness(mesh, STEEL, rules.standard)
+        cache = StiffnessCache(mesh, STEEL, rules)
         fresh = assemble(mesh, emap, STEEL, rules)
-        reused = assemble(mesh, emap, STEEL, rules, standard=standard)
-        assert (fresh.K != reused.K).nnz == 0
-        np.testing.assert_array_equal(fresh.f, reused.f)
+        for _ in range(2):  # the second assembly reuses every cut element
+            reused = assemble(mesh, emap, STEEL, rules, cache=cache)
+            assert_bit_equal(reused.K, fresh.K)
+            np.testing.assert_array_equal(fresh.f, reused.f)
 
     def test_block_of_another_material_rejected(self):
         mesh = uniform_rect(1.0, 1.0, 4, 4)
         rules = QuadratureSet.from_targets()
         soft = MaterialModel(E=1e9, nu=0.3)
-        standard = StandardStiffness(mesh, soft, rules.standard)
+        cache = StiffnessCache(mesh, soft, rules)
         with pytest.raises(AssemblyError, match="another mesh"):
-            assemble(mesh, uncracked(mesh), STEEL, rules, standard=standard)
+            assemble(mesh, uncracked(mesh), STEEL, rules, cache=cache)
 
 
 class TestConstraints:
@@ -447,7 +460,8 @@ class TestSolver:
         K = A.T @ A + 50 * np.eye(50)
         f = rng.normal(size=50)
         system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={},
-                              layout=plain_layout(25), tree=one_front(25))
+                              layout=plain_layout(25), tree=one_front(25),
+                              stamps=np.zeros(25, dtype=np.int64))
         state = solve(system)
         expected = np.linalg.solve(K, f)
         assert np.abs(state.u - expected).max() < 1e-9 * np.abs(expected).max()
@@ -455,7 +469,8 @@ class TestSolver:
     def test_singular_system_reported(self):
         K = sp.csr_matrix(np.zeros((2, 2)))
         system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
-                              layout=plain_layout(1), tree=one_front(1))
+                              layout=plain_layout(1), tree=one_front(1),
+                              stamps=np.zeros(1, dtype=np.int64))
         with pytest.raises(SolverError):
             solve(system)
 
@@ -464,7 +479,8 @@ class TestSolver:
         # gets through it, Cholesky must not.
         K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
-                              layout=plain_layout(1), tree=one_front(1))
+                              layout=plain_layout(1), tree=one_front(1),
+                              stamps=np.zeros(1, dtype=np.int64))
         with pytest.raises(SolverError, match="positive definite"):
             solve(system)
 
@@ -526,8 +542,10 @@ class TestFactorReuse:
         K = system.K.copy()  # keeps the explicit zeros of the pattern
         K[np.ix_(dofs, dofs)] = (system.K[np.ix_(dofs, dofs)].toarray()
                                  + 1e-3 * abs(system.K).max())
+        stamps = system.stamps.copy()  # as an assembly that changed the element
+        stamps[mesh.elements[eid]] += 1
         stiffer = LinearSystem(K=K, f=system.f, fixed=system.fixed,
-                               layout=system.layout, tree=tree)
+                               layout=system.layout, tree=tree, stamps=stamps)
         state = solve(stiffer, factor=factor)
         position = np.empty(mesh.n_nodes, dtype=np.int64)
         position[tree.order] = np.arange(mesh.n_nodes)
@@ -546,8 +564,10 @@ class TestFactorReuse:
         first = solve(system, factor=factor)
         K = system.K.copy()
         K[100, 100] = -K[100, 100]  # no longer positive definite
+        stamps = system.stamps.copy()
+        stamps[50] += 1  # the node of dof 100
         broken = LinearSystem(K=K, f=system.f, fixed=system.fixed,
-                              layout=system.layout, tree=system.tree)
+                              layout=system.layout, tree=system.tree, stamps=stamps)
         for _ in range(2):  # nothing of the failed attempt is kept
             with pytest.raises(SolverError, match="positive definite"):
                 solve(broken, factor=factor)
@@ -559,9 +579,141 @@ class TestFactorReuse:
         _, _, system = center_crack_with_tips()
         factor = FrontalCholesky()
         first = solve(system, factor=factor)
-        again = solve(system, factor=factor)
+        same = LinearSystem(K=system.K.copy(), f=system.f, fixed=system.fixed,
+                            layout=system.layout, tree=system.tree,
+                            stamps=system.stamps.copy())  # unchanged stamps
+        again = solve(same, factor=factor)
         assert again.factor.fronts_refactored == 0
         np.testing.assert_array_equal(again.u, first.u)
+
+
+_RANKS = 16  # a dof is named position * _RANKS + rank; a node has at most ten dofs
+
+
+def named_upper_entries(system):
+    """The upper-triangle entries of the free-free block, by row, as the
+    factorization orders it: each entry's name, its value and the offset of
+    each front's first entry.
+
+    A dof is named ``_RANKS * position + rank``: its node's position in the
+    elimination order and its rank among the node's free dofs, a name that
+    does not change when dofs elsewhere are renumbered; an entry (i, j) is
+    named ``name(i) * _RANKS * n_positions + name(j)``.
+    """
+    tree, K = system.tree, system.K
+    perm, owner, _ = system.layout.node_dofs(tree.order)
+    free = ~np.isin(perm, list(system.fixed))
+    dofs = perm[free]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(owner[free], minlength=tree.order.size))])
+    n = dofs.size
+    column = np.full(K.shape[0], -1, dtype=np.int64)
+    column[dofs] = np.arange(n)
+    rows = K[dofs]
+    i = np.repeat(np.arange(n), np.diff(rows.indptr))
+    j = column[rows.indices]
+    upper = j >= i
+    i, j, values = i[upper], j[upper], rows.data[upper]
+    position = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    name = _RANKS * position + np.arange(n) - ptr[position]
+    entries = name[i] * (_RANKS * (ptr.size - 1)) + name[j]
+    return entries, values, np.searchsorted(i, ptr[tree.start])
+
+
+def random_kinked_crack(rng):
+    """A crack of two or three segments in the middle of the unit square."""
+    start = rng.uniform(0.3, 0.7, size=2)
+    angles = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(rng.uniform(-0.7, 0.7, rng.integers(2, 4)))
+    steps = rng.uniform(0.05, 0.1, size=(angles.size, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)])
+    return CrackPath(vertices=np.vstack([start, start + np.cumsum(steps, axis=0)]),
+                     tip_start=bool(rng.integers(2)), id=0)
+
+
+STAMP_MESH = uniform_rect(1.0, 1.0, 16, 16)
+STAMP_BCS = [BoundaryCondition("bottom", "displacement", (None, 0.0)),
+             BoundaryCondition("top", "traction", (0.0, 1e6))]
+
+
+class TestStampRule:
+    """The change stamps against the rule they replace: a front is kept
+    only when its gathered entries are bit-equal to the last ones."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tip_enrichment=st.booleans())
+    def test_kept_fronts_and_cached_matrices_are_unchanged(self, seed, tip_enrichment):
+        mesh, rng = STAMP_MESH, np.random.default_rng(seed)
+        rules = QuadratureSet.from_targets()
+        cache, factor = StiffnessCache(mesh, STEEL, rules), FrontalCholesky()
+        crack, last = random_kinked_crack(rng), None
+        for _ in range(4):
+            try:
+                emap, (crack,) = classify_with_remedy(mesh, [crack], rule=rules.cut,
+                                                      tip_enrichment=tip_enrichment)
+                system = apply_constraints(assemble(mesh, emap, STEEL, rules, STAMP_BCS,
+                                                    cache=cache), {0: 0.0})
+            except (EnrichmentError, AssemblyError):  # the crack left the mesh
+                break
+            kinds = emap.element_kinds(mesh)
+            cut, Ke = StiffnessCache(mesh, STEEL, rules).cut_matrices(emap, kinds)
+            np.testing.assert_array_equal(cache._cut, cut)
+            np.testing.assert_array_equal(cache._cut_matrices, Ke)
+            solve(system, factor=factor)
+            entries, values, ptr = named_upper_entries(system)
+            if last is not None:
+                old_entries, old_values, old_ptr = last
+                kept = np.setdiff1d(np.arange(system.tree.n_fronts), factor.refactored)
+                for f in kept.tolist():
+                    new, old = slice(ptr[f], ptr[f + 1]), slice(old_ptr[f], old_ptr[f + 1])
+                    np.testing.assert_array_equal(entries[new], old_entries[old])
+                    np.testing.assert_array_equal(values[new].view(np.int64),
+                                                  old_values[old].view(np.int64))
+            last = entries, values, np.append(ptr, entries.size)
+            tip = int(rng.choice(crack.active_tips()))
+            try:
+                crack = extend_crack(crack, tip, rng.uniform(-0.6, 0.6), rng.uniform(0.02, 0.08))
+            except CrackGeometryError:
+                break
+
+
+class TestCutCacheRules:
+    def test_changed_segments_of_growth(self):
+        a, b, c, d = np.array([[0.1, 0.5], [0.3, 0.52], [0.5, 0.5], [0.6, 0.55]])
+        old = CrackPath(vertices=np.array([a, b, c]), id=0)
+        at_end = CrackPath(vertices=np.array([a, b, c, d]), id=0)
+        # the new segment and the old tip vertex, now interior
+        np.testing.assert_array_equal(_changed_segments([old], [at_end]), [[c, c], [c, d]])
+        z = np.array([0.02, 0.45])
+        at_start = CrackPath(vertices=np.array([z, a, b, c]), id=0)
+        np.testing.assert_array_equal(_changed_segments([old], [at_start]), [[a, a], [z, a]])
+        assert _changed_segments([old], [old]).shape == (0, 2, 2)
+        other = CrackPath(vertices=np.array([a, d]), id=1)
+        np.testing.assert_array_equal(_changed_segments([old], [old, other]), [[a, d]])
+
+    def test_near_within_the_element_diameter(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.55, 0.55], axis=1)))
+        diam = 0.1 * np.sqrt(2.0)  # the element is [0.5, 0.6]^2
+        for gap, near in ((0.99 * diam, True), (1.01 * diam, False)):
+            point = np.array([0.6 + gap, 0.55])  # a lone vertex
+            vertical = np.array([[0.6 + gap, -1.0], [0.6 + gap, 2.0]])
+            through = np.array([[0.55, 0.55], [0.6 + 2 * gap, 0.55]])
+            segments = np.array([[point, point], vertical, through])
+            np.testing.assert_array_equal(
+                [_near(mesh, np.array([eid]), segments[k:k + 1])[0] for k in range(3)],
+                [near, near, True])
+
+    def test_node_that_gains_a_jump_is_integrated_again(self):
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.87, 0.512]]), id=0)
+        rules = QuadratureSet.from_targets()
+        cache = StiffnessCache(mesh, STEEL, rules)
+        # the same crack, with and without the nodes of small support shares
+        coarse, fine = (classify_enrichment(mesh, [crack], delta=delta, rule=rules.cut)
+                        for delta in (0.3, 0.002))
+        assert fine.n_heaviside > coarse.n_heaviside
+        for emap in (coarse, fine, coarse):
+            reused = assemble(mesh, emap, STEEL, rules, cache=cache)
+            assert_bit_equal(reused.K, assemble(mesh, emap, STEEL, rules).K)
 
 
 class TestElementMatrix:

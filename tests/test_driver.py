@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from xfem2d import assembly
 from xfem2d.assembly import (
     AssemblyError,
     BoundaryCondition,
     DofLayout,
     MaterialModel,
+    StiffnessCache,
+    apply_constraints,
 )
 from xfem2d.config import ContourSpec, RunConfig
-from xfem2d.cracks import CrackPath, distance_batch
+from xfem2d.cracks import CrackPath, distance_batch, extend_crack
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
@@ -132,6 +135,110 @@ def grown_solves(grown):
         patch.setattr(driver, "solve", recording)
         run_propagation(config)
     return solves
+
+
+def edge_crack(length=0.3, y=0.52):
+    return CrackPath(vertices=np.array([[0.0, y], [length, y]]), tip_start=False, id=0)
+
+
+def snapped_growth(mesh, at_call):
+    """``extend_crack`` whose growth number ``at_call`` puts the new end
+    tip on the nearest vertical mesh line, where the coincidence remedy of
+    the next classification must perturb the crack."""
+    columns = np.unique(mesh.nodes[:, 0])
+    calls = []
+
+    def grow(crack, tip_id, theta_c, delta_a):
+        grown = extend_crack(crack, tip_id, theta_c, delta_a)
+        calls.append(tip_id)
+        if len(calls) != at_call:
+            return grown
+        v = grown.vertices.copy()
+        v[-1, 0] = columns[np.argmin(np.abs(columns - v[-1, 0]))]
+        return CrackPath(vertices=v, tip_start=crack.tip_start, tip_end=crack.tip_end,
+                         id=crack.id)
+    return grow
+
+
+INCREMENTAL_RUNS = {
+    # grown at its end only: the cut elements behind the tip are reused
+    "end growth": (lambda: edge_crack(), 4, None),
+    # grown at both ends: the start tip shifts every arc length
+    "both ends": (lambda: center_crack(a=0.1), 3, None),
+    # the second growth lands the tip on a mesh edge
+    "remedy": (lambda: edge_crack(), 4, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(INCREMENTAL_RUNS))
+def incremental_run(request):
+    """Every assembly, solve and cut-element integration count of a
+    propagation run."""
+    make_crack, steps, snap_at = INCREMENTAL_RUNS[request.param]
+    mesh = pinned_mesh()
+    config = make_config(mesh=mesh, cracks=[make_crack()],
+                         schedule=LoadSchedule.uniform(steps),
+                         propagation=PropagationParams(delta_a=0.05))
+    steps, integrated = [], []
+
+    def assembling(mesh, emap, material, rules, bcs, cache):
+        system = assembly.assemble(mesh, emap, material, rules, bcs, cache=cache)
+        steps.append([(mesh, emap, material, rules, bcs), system])
+        return system
+
+    def solving(system, load_factor=1.0, factor=None):
+        state = solve(system, load_factor, factor)
+        steps[-1].append(state)
+        return state
+
+    def integrating(mesh, emap, D, K_std, eids, rule, used=None):
+        if used is not None:  # the cut class
+            integrated.append(len(eids))
+        return real_integrate(mesh, emap, D, K_std, eids, rule, used)
+
+    real_integrate = assembly._integrate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(driver, "assemble", assembling)
+        patch.setattr(driver, "solve", solving)
+        patch.setattr(assembly, "_integrate", integrating)
+        if snap_at is not None:
+            patch.setattr(driver, "extend_crack", snapped_growth(mesh, snap_at))
+        history = run_propagation(config)
+    return request.param, history, steps, integrated
+
+
+class TestIncrementalStep:
+    """Each step of a run against an assembly with an empty cache and a
+    fresh factorization on the same cracks."""
+
+    def test_every_step_matches_a_fresh_one(self, incremental_run):
+        name, history, steps, _ = incremental_run
+        assert len(steps) == len(history.steps) >= 3
+        assert history.n_increments >= 3
+        for (mesh, emap, material, rules, bcs), system, state in steps:
+            fresh = assembly.assemble(mesh, emap, material, rules, bcs,
+                                      cache=StiffnessCache(mesh, material, rules))
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(system.K, part), getattr(fresh.K, part))
+            np.testing.assert_array_equal(system.f, fresh.f)
+            again = solve(apply_constraints(fresh), state.load_factor)
+            assert np.abs(state.u - again.u).max() <= 1e-12 * np.abs(again.u).max()
+
+    def test_cut_elements_integrated_only_when_changed(self, incremental_run):
+        name, history, steps, integrated = incremental_run
+        cut = [np.count_nonzero(emap.element_kinds(mesh) == 2)
+               for (mesh, emap, *_), *_ in steps]
+        # the remedy moves every vertex of a crack it perturbs
+        perturbed = [not np.array_equal(emap.source_cracks[0].vertices, record.cracks[0].vertices)
+                     for ((_, emap, *_), *_), record in zip(steps, history.steps)]
+        moved = [True] + [name == "both ends" or (perturbed[k] and not perturbed[k - 1])
+                          for k in range(1, len(steps))]
+        assert any(perturbed) == (name == "remedy")
+        for k in range(len(steps)):
+            if moved[k]:
+                assert integrated[k] == cut[k]
+            else:  # new cut elements only
+                assert 0 < integrated[k] < cut[k]
 
 
 class TestRunStationary:

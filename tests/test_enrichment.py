@@ -687,6 +687,128 @@ class TestDegeneracyRemedy:
         assert emap.n_heaviside == 10
 
 
+def loop_detect_coincidences(mesh, cracks):
+    """Segment-by-segment and vertex-by-vertex reference for
+    ``enrichment._detect_coincidences``."""
+    tol = enrichment._COINCIDENCE_TOL
+    n_nodes = mesh.n_nodes
+    boundary = mesh.boundary_edges
+    boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
+    problems = []
+    bad_cracks = set()
+    for crack in cracks:
+        near = enrichment._near_elements(mesh, crack, margin=1e-9)
+        if near.size == 0:
+            continue
+        v = crack.vertices
+        quads = mesh.elements[near]
+        pairs = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
+        keys = np.unique(pairs[..., 0] * n_nodes + pairs[..., 1])
+        e0, e1 = np.divmod(keys, n_nodes)
+        p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
+        ed = p1 - p0
+        Le = np.linalg.norm(ed, axis=1)
+        near_nodes = np.unique(quads)
+        for j in range(crack.n_segments):
+            d = point_segment_distance(mesh.nodes[near_nodes], v[j], v[j + 1])
+            for node in near_nodes[d <= tol]:
+                problems.append(f"crack {crack.id} segment {j} passes through mesh node {node}")
+                bad_cracks.add(crack.id)
+        boundary_edge = np.isin(keys, boundary_keys)
+        for vi in range(v.shape[0]):
+            hits = point_segment_distance(v[vi], p0, p1) <= tol
+            if (vi == 0 and not crack.tip_start) or (vi == v.shape[0] - 1 and not crack.tip_end):
+                hits &= ~boundary_edge
+            if hits.any():
+                k = np.argmax(hits)
+                problems.append(f"crack {crack.id} vertex {vi} lies on mesh edge ({e0[k]},{e1[k]})")
+                bad_cracks.add(crack.id)
+        for j in range(crack.n_segments):
+            a = v[j]
+            ab = v[j + 1] - a
+            Ls = float(np.linalg.norm(ab))
+            parallel = np.abs(ab[0] * ed[:, 1] - ab[1] * ed[:, 0]) <= tol * Ls * Le
+            off = p0 - a
+            dist = np.abs(ab[0] * off[:, 1] - ab[1] * off[:, 0]) / Ls
+            t0 = (off @ ab) / (Ls * Ls)
+            t1 = ((p1 - a) @ ab) / (Ls * Ls)
+            overlap = np.minimum(np.maximum(t0, t1), 1.0) - np.maximum(np.minimum(t0, t1), 0.0)
+            along = parallel & (dist <= tol) & (overlap > tol / Ls)
+            if along.any():
+                k = np.argmax(along)
+                problems.append(f"crack {crack.id} segment {j} runs along mesh edge ({e0[k]},{e1[k]})")
+                bad_cracks.add(crack.id)
+    if problems:
+        raise CrackMeshDegeneracyError(
+            "crack/mesh coincidence: " + "; ".join(problems[:5]), crack_ids=bad_cracks)
+
+
+def planted_crack(rng, mesh, kind, crack_id):
+    """A random crack with a planted coincidence of the given kind, or None."""
+    turn = rng.uniform(0.05, 0.1) * np.array([np.cos(t := rng.uniform(0, 2 * np.pi)), np.sin(t)])
+    if kind == "mouth":  # a crack end on a boundary edge, a mouth or a tip
+        n0, n1 = mesh.boundary_edges[rng.integers(len(mesh.boundary_edges)), :2]
+        q = mesh.nodes[n0] + rng.uniform(0.2, 0.8) * (mesh.nodes[n1] - mesh.nodes[n0])
+        inward = 0.5 - q
+        vertices = np.array([q, q + 0.2 * inward, q + 0.2 * inward + turn])
+        tip_start = bool(rng.integers(2))
+    else:
+        quad = mesh.elements[rng.integers(mesh.n_elements)]
+        c = rng.integers(4)
+        p0, p1 = mesh.nodes[quad[c]], mesh.nodes[quad[(c + 1) % 4]]
+        if kind == "node":  # a segment through a mesh node
+            vertices = np.array([p0 - turn, p0 + 0.7 * turn, p0 + 0.7 * turn + turn[::-1]])
+        elif kind == "vertex":  # a vertex on an element edge
+            q = p0 + rng.uniform(0.2, 0.8) * (p1 - p0)
+            vertices = np.array([q - turn, q, q + turn[::-1]])
+        else:  # a segment along an element edge, between its nodes
+            x0, x1 = p0 + 0.2 * (p1 - p0), p0 + 0.7 * (p1 - p0)
+            vertices = np.array([x0 + turn, x0, x1, x1 + turn[::-1]])
+        tip_start = True
+    try:
+        return CrackPath(vertices=vertices, tip_start=tip_start, id=crack_id)
+    except CrackGeometryError:
+        return None
+
+
+def coincidence_outcome(detect, mesh, cracks):
+    try:
+        detect(mesh, cracks)
+    except CrackMeshDegeneracyError as exc:
+        return str(exc), exc.crack_ids
+    return None
+
+
+class TestCoincidences:
+    """The batched coincidence checks against the feature-by-feature loop."""
+
+    @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
+    def test_same_problems_as_feature_loop(self, name):
+        mesh = SUPPORT_MESHES[name]()
+        rng = np.random.default_rng(71)
+        kinds = ("node", "vertex", "along", "mouth")
+        seen = dict.fromkeys(kinds + ("exempt mouth", "clean", "more than five"), 0)
+        for _ in range(120):
+            cracks = [random_polyline(rng, i) for i in range(2)]
+            cracks += [planted_crack(rng, mesh, kinds[k], 2 + i)
+                       for i, k in enumerate(rng.choice(4, size=rng.integers(4)))]
+            cracks = [c for c in cracks if c is not None]
+            got = coincidence_outcome(enrichment._detect_coincidences, mesh, cracks)
+            expected = coincidence_outcome(loop_detect_coincidences, mesh, cracks)
+            assert got == expected
+            if expected is None:
+                seen["clean"] += 1
+                seen["exempt mouth"] += any(not c.tip_start for c in cracks)
+                continue
+            message = expected[0]
+            seen["node"] += "passes through mesh node" in message
+            seen["vertex"] += "vertex 0 lies" not in message and "lies on mesh edge" in message
+            seen["along"] += "runs along mesh edge" in message
+            seen["mouth"] += "vertex 0 lies on mesh edge" in message
+            seen["more than five"] += message.count(";") == 4
+        assert all(seen.values()), seen
+
+
 def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):
     """The per-element field evaluation the batched kernel replaced."""
     conn = mesh.elements[eid]
