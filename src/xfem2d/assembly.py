@@ -48,6 +48,8 @@ from xfem2d.enrichment import (
     TIP,
     EnrichmentMap,
     FieldTriplet,
+    _changed_segments,
+    _near,
     basis_batches,
     enriched_basis,
     evaluate_fields,
@@ -59,7 +61,6 @@ from xfem2d.mesh import (
     edge_points,
     element_geometry,
     gauss_rule,
-    point_segment_distance,
 )
 
 __all__ = [
@@ -507,49 +508,6 @@ def _cut_signature(mesh: Mesh, emap: EnrichmentMap, eids: np.ndarray) -> np.ndar
     return np.column_stack([nodes, np.array(pieces, dtype=float).reshape(-1, 8)])
 
 
-def _changed_segments(old, new) -> np.ndarray:
-    """Segments (k, 2, 2) by which two crack sets differ, a lone vertex as
-    a zero-length segment.
-
-    Of a crack in both sets, the vertices outside the longest common start
-    and end of the two polylines change, with the last common vertex on
-    either side, whose neighbours moved: a crack grown at its end changes
-    by its new segment and by its old tip vertex, now interior.
-    """
-    before = {c.id: c.vertices for c in old}
-    after = {c.id: c.vertices for c in new}
-    pieces = []
-    for cid in before.keys() | after.keys():
-        u, v = before.get(cid, np.empty((0, 2))), after.get(cid, np.empty((0, 2)))
-        if u.shape == v.shape and np.array_equal(u, v):
-            continue
-        n = min(len(u), len(v))
-        head = np.cumprod(np.all(u[:n] == v[:n], axis=1)).sum()
-        tail = min(np.cumprod(np.all(u[::-1][:n] == v[::-1][:n], axis=1)).sum(), n - head)
-        for w in (u, v):
-            piece = w[max(head - 1, 0):len(w) - max(tail - 1, 0)]
-            if len(piece):
-                pieces.append(np.stack([piece[:max(len(piece) - 1, 1)],
-                                        piece[min(len(piece) - 1, 1):]], axis=1))
-    return np.concatenate([np.empty((0, 2, 2))] + pieces)
-
-
-def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Whether a segment comes within each element's diameter of it.
-
-    Every point of a cut element lies within its diameter of its own piece
-    of crack, so beyond that a segment cannot be the nearest to any of its
-    points, and the side of the crack they lie on stands.
-    """
-    quads = mesh.element_coords(eids)[:, None]  # (n, 1, 4, 2)
-    diam = np.linalg.norm(quads[:, 0, 2:] - quads[:, 0, :2], axis=-1).max(axis=1)
-    a, b = segments[None, :, 0], segments[None, :, 1]  # (1, k, 2)
-    corners = point_segment_distance(quads, a[:, :, None], b[:, :, None]).min(axis=2)
-    ends = point_segment_distance(segments[None, :, :, None], quads[:, :, None],
-                                  np.roll(quads, -1, axis=2)[:, :, None]).min(axis=(2, 3))
-    return (np.minimum(corners, ends) <= diam[:, None]).any(axis=1)
-
-
 class StiffnessCache:
     """The stiffness of one mesh, material and rule set across the steps of a run.
 
@@ -563,7 +521,9 @@ class StiffnessCache:
       column (node, field), so a renumbered dof layout costs nothing.  A
       matrix is reused while its element is still cut with the same
       signature (:func:`_cut_signature`) and no segment or vertex by which
-      the cracks changed comes within its diameter (:func:`_near`);
+      the cracks changed (:func:`~xfem2d.enrichment._changed_segments`, the
+      rule classification's band follows too) comes within its diameter
+      (:func:`~xfem2d.enrichment._near`);
     - :attr:`stamps`, a change stamp per node, renewed on the four nodes
       of every element an assembly integrates or evicts: the fronts of the
       factorization whose nodes kept their stamps kept their entries of K.

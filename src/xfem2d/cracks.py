@@ -128,15 +128,14 @@ def _closest_on_segments(vertices: np.ndarray, xs: np.ndarray):
     """
     a = vertices[:-1]  # (k, 2)
     seg = np.diff(vertices, axis=0)
-    seg_len2 = np.einsum("ka,ka->k", seg, seg)
-    rel = xs[:, None, :] - a[None, :, :]  # (n, k, 2)
-    t = np.clip(np.einsum("nka,ka->nk", rel, seg) / seg_len2, 0.0, 1.0)
-    foot = a[None] + t[..., None] * seg[None]
-    diff = xs[:, None, :] - foot
-    d2 = np.einsum("nka,nka->nk", diff, diff)
+    sx, sy = seg[:, 0], seg[:, 1]
+    rx = xs[:, 0, None] - a[:, 0]  # (n, k), the point relative to each segment start
+    ry = xs[:, 1, None] - a[:, 1]
+    t = np.clip((rx * sx + ry * sy) / (sx * sx + sy * sy), 0.0, 1.0)
+    dx = xs[:, 0, None] - (a[:, 0] + t * sx)  # the point relative to its foot
+    dy = xs[:, 1, None] - (a[:, 1] + t * sy)
     # cross = seg_x * rel_y - seg_y * rel_x, positive on the left of the segment
-    cross = seg[None, :, 0] * rel[..., 1] - seg[None, :, 1] * rel[..., 0]
-    return d2, t, cross
+    return dx * dx + dy * dy, t, sx * ry - sy * rx
 
 
 def signed_distance_batch(crack: CrackPath, xs: np.ndarray) -> np.ndarray:
@@ -159,13 +158,12 @@ def signed_distance_batch(crack: CrackPath, xs: np.ndarray) -> np.ndarray:
     # segments; decide the side against the average of the two tangents.
     seg = np.diff(v, axis=0)
     unit = seg / np.linalg.norm(seg, axis=1, keepdims=True)
-    interior_vertex = ((tj <= 0.0) & (j > 0)) | ((tj >= 1.0) & (j < crack.n_segments - 1))
-    for i in np.nonzero(interior_vertex)[0]:
-        jv = j[i] if t[i, j[i]] <= 0.0 else j[i] + 1  # vertex index
-        bisect = unit[jv - 1] + unit[jv]
-        rel = xs[i] - v[jv]
-        c = bisect[0] * rel[1] - bisect[1] * rel[0]
-        sign[i] = 1.0 if c >= 0.0 else -1.0
+    at = np.nonzero(((tj <= 0.0) & (j > 0)) | ((tj >= 1.0) & (j < crack.n_segments - 1)))[0]
+    jv = np.where(tj[at] <= 0.0, j[at], j[at] + 1)  # vertex index
+    bisect = unit[jv - 1] + unit[jv]
+    rel = xs[at] - v[jv]
+    c = bisect[:, 0] * rel[:, 1] - bisect[:, 1] * rel[:, 0]
+    sign[at] = np.where(c >= 0.0, 1.0, -1.0)
     return sign * dist
 
 

@@ -26,7 +26,11 @@ the boundary tags.  From step to step the run carries:
   refactors only the fronts of the mesh's nested-dissection tree that an
   element it integrated or dropped touches, or whose nodes' dof layout
   changed, and their ancestors, and reuses the rest unchanged;
-- the current cracks, as grown after the last extraction.
+- the last step's :class:`~xfem2d.enrichment.EnrichmentMap`: a step
+  classifies again only what the features its cracks changed by can
+  reach (the narrow band of :mod:`xfem2d.enrichment`);
+- the current cracks, as the coincidence remedy left them and grown after
+  the last extraction.
 
 Every step then classifies its cracks on that same mesh, assembles,
 solves, and extracts.  The last solved step's problem stays on the
@@ -63,6 +67,7 @@ from xfem2d.assembly import (
 from xfem2d.cholesky import FactorStats, FrontalCholesky
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
+    BandStats,
     EnrichmentError,
     EnrichmentMap,
     classify_with_remedy,
@@ -194,8 +199,10 @@ class FreezeEvent:
 class StepRecord:
     """Everything one load step produced.
 
-    ``cracks`` is the geometry this step's solve used; ``extensions``
-    were applied after extraction and shape the next step's geometry.
+    ``cracks`` is the geometry this step's solve used, as the coincidence
+    remedy left it; ``extensions`` were applied to it after extraction
+    and shape the next step's geometry.  ``classification`` tells how much
+    of the step's classification was worked out afresh.
     """
 
     step: int
@@ -210,6 +217,7 @@ class StepRecord:
     residual: float = 0.0
     demotions: tuple = ()
     factor: FactorStats | None = None
+    classification: BandStats | None = None
 
 
 @dataclass
@@ -257,8 +265,9 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
 
     ``cracks`` overrides the configured cracks.  ``base`` is a problem set
     up earlier from the same config (the previous step of a propagation
-    run): its mesh, rules, conditions and stiffness cache are reused, so
-    only the cracks are classified.  Without it, an in-memory
+    run): its mesh, rules, conditions and stiffness cache are reused, and
+    the cracks are classified against its map, so only what their change
+    can reach is classified again.  Without it, an in-memory
     ``config.mesh`` takes precedence over ``config.mesh_path``.
     """
     if base is None:
@@ -286,6 +295,7 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
             delta=config.delta,
             rule=rules.cut,
             tip_enrichment=config.tip_enrichment,
+            base=base.emap if base is not None else None,
         )
     return Problem(
         mesh=mesh,
@@ -371,6 +381,7 @@ def stationary_history(problem: Problem, state: SolutionState,
         residual=state.residual,
         demotions=problem.emap.demotions,
         factor=state.factor,
+        classification=problem.emap.band,
     )
     return RunHistory(steps=[record], final_state=state,
                       final_problem=problem, final_cracks=problem.cracks,
@@ -407,7 +418,6 @@ def run_propagation(config: RunConfig) -> RunHistory:
 
     problem = setup_problem(config)
     factor = FrontalCholesky()
-    cracks = problem.cracks
     history = RunHistory(final_problem=problem)
     frozen: set = set()
     increments = 0
@@ -415,6 +425,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
     for k, lam in enumerate(schedule.steps):
         if k > 0:
             problem = setup_problem(config, cracks=cracks, base=problem)
+        cracks = problem.cracks  # as the coincidence remedy left them
         try:
             state = _solve_step(problem, lam, factor)
         except SolverError as exc:
@@ -450,6 +461,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
             residual=state.residual,
             demotions=problem.emap.demotions,
             factor=state.factor,
+            classification=problem.emap.band,
         )
         history.steps.append(record)
         history.final_state = state

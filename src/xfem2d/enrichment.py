@@ -20,6 +20,32 @@ clipped in one batch, and every bisected element keeps its piece of the
 crack (:class:`CutPiece`: arc lengths, end points, entry and exit edges)
 in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
 
+A propagation step classifies against the last step's map, in a narrow
+band around what changed (after the narrow-band level-set update of
+Stolarska, Chopp, Moës & Belytschko, IJNME 51, 2001).  The changed
+features of a crack are its vertices outside the longest common start
+and end of its old and new polylines, with the last common vertex on
+either side, and the segments between them (:func:`_changed_segments`,
+the rule the assembly's cut-element cache follows too): for growth at an
+end, the new segment and the old tip vertex.  Then:
+
+- the coincidence checks run on the changed features only, since the
+  others passed them before;
+- only the changed segments are clipped against the elements; the clips
+  of the others are kept, by segment, so a crack grown at its start gets
+  its arc lengths from its new vertex numbering;
+- the tips, tip elements, cut pieces, Heaviside candidates and endpoint
+  demotions are then derived again from all clips, which is cheap;
+- a node's support-area ratio and sign are carried over unless a changed
+  feature comes within three support radii of it, where it could become
+  the nearest crack feature to a point of the support and flip the side
+  that point lies on (:func:`_in_reach`).
+
+Without a map, or once the coincidence remedy has moved every vertex of
+a crack, every feature has changed and the band is the whole crack, so
+classification from scratch is the same routine.  The result is the same
+map, bit for bit, and the same error.
+
 The enriched basis is defined once, in one batched kernel,
 :func:`enriched_basis`: at points given by element, reference and
 physical coordinates it returns every corner's standard, jump and branch
@@ -68,6 +94,7 @@ __all__ = [
     "CrackMeshDegeneracyError",
     "TipInfo",
     "CutPiece",
+    "BandStats",
     "FieldTriplet",
     "EnrichmentMap",
     "classify_enrichment",
@@ -137,6 +164,36 @@ class CutPiece(NamedTuple):
     edge1: int
 
 
+@dataclass(frozen=True)
+class BandStats:
+    """How much of one classification was worked out afresh.
+
+    ``clipped`` of the ``crossed`` elements the cracks enter were clipped
+    against a segment that changed since the map classified against, and
+    ``measured`` of the ``candidates`` Heaviside candidates had their
+    support-area ratio measured; from scratch, all of them.
+    """
+
+    clipped: int
+    crossed: int
+    measured: int
+    candidates: int
+
+
+@dataclass(frozen=True, eq=False)
+class _Carry:
+    """What a later classification on the same mesh and rule carries over:
+    each effective crack's :func:`_clips` by id, and per node the support
+    area ratio last measured (NaN if none) and the crack it was measured
+    against (-1 if none)."""
+
+    mesh: Mesh
+    rule: QuadratureRule
+    clips: dict
+    ratio: np.ndarray
+    ratio_crack: np.ndarray
+
+
 @dataclass
 class FieldTriplet:
     """Nodal coefficients of the three displacement fields.
@@ -189,6 +246,8 @@ class EnrichmentMap:
         The cracks as supplied (after any degeneracy perturbation).
     demotions : tuple
         (node, ratio, reason) records for the run log.
+    band : BandStats
+        What this classification worked out afresh.
     """
 
     status: np.ndarray
@@ -204,7 +263,9 @@ class EnrichmentMap:
     tip_enrichment: bool
     delta: float
     demotions: tuple = ()
+    band: BandStats | None = None
     _crack_index: dict[int, CrackPath] = field(default=None, repr=False)
+    _carry: _Carry | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._crack_index = {c.id: c for c in self.cracks}
@@ -286,20 +347,57 @@ def _ray_exit_distance(quad: np.ndarray, origin: np.ndarray, direction: np.ndarr
     return float(t1[0]) * diam if inside[0] else 0.0
 
 
-def _near_elements(mesh: Mesh, crack: CrackPath, margin: float = 0.0) -> np.ndarray:
-    """Elements whose bounding box meets the crack's inflated bounding box."""
-    lo, hi = mesh.element_bboxes
-    clo = crack.vertices.min(axis=0) - margin
-    chi = crack.vertices.max(axis=0) + margin
-    mask = np.all(lo <= chi, axis=1) & np.all(hi >= clo, axis=1)
-    return np.nonzero(mask)[0]
-
-
-def _crack_pieces(mesh: Mesh, crack: CrackPath, size_tol: float):
-    """Every maximal piece of the crack polyline inside an element, at once.
+def _clips(mesh: Mesh, v: np.ndarray, js: np.ndarray, size_tol: float):
+    """Where the segments ``js`` of the polyline ``v`` run inside elements.
 
     All (element, segment) pairs whose bounding boxes, padded by
-    ``size_tol``, meet are clipped together.  Returns per piece longer
+    ``size_tol``, meet are clipped together.  Returns, by element and then
+    segment, each non-empty clip's element, segment and parameter interval
+    (n, 2) along the segment.  A clip depends on its element and segment
+    alone, so the clips of a polyline are those of its segments.
+    """
+    if js.size == 0:
+        return np.empty(0, dtype=np.int64), js, np.empty((0, 2))
+    a, b = v[js], v[js + 1]
+    slo, shi = np.minimum(a, b), np.maximum(a, b)
+    near = mesh.elements_meeting(slo.min(axis=0) - size_tol, shi.max(axis=0) + size_tol)
+    lo, hi = (bound[near, None] for bound in mesh.element_bboxes)
+    meet = np.all((lo - size_tol <= shi + size_tol) & (hi + size_tol >= slo - size_tol), axis=2)
+    el, k = np.nonzero(meet)  # by element, then segment
+    eids, j = near[el], js[k]
+    t0, t1, inside = _clip_segments(mesh.element_coords(eids), v[j], v[j + 1])
+    keep = inside & (t1 - t0 > 0.0)
+    return eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
+
+
+def _crack_clips(mesh: Mesh, crack: CrackPath, old: CrackPath | None, old_clips,
+                 size_tol: float):
+    """:func:`_clips` of every segment of ``crack``, and the elements clipped
+    afresh.
+
+    The clips of the segments ``crack`` shares with ``old`` (of
+    :func:`_changed_span`) are taken from ``old_clips``, renumbered when
+    the crack grew at its start; only the other segments are clipped.
+    """
+    v = crack.vertices
+    if old is None:
+        clips = _clips(mesh, v, np.arange(len(v) - 1), size_tol)
+        return clips, clips[0]
+    span, old_span = _changed_span(old.vertices, v), _changed_span(v, old.vertices)
+    eids, j, t = old_clips
+    tail = j >= old_span.stop - 1  # segments of the common end
+    kept = tail | (j < span.start)
+    j = np.where(tail, j + (span.stop - old_span.stop), j)
+    fresh = _clips(mesh, v, np.arange(span.start, max(span.stop - 1, span.start)), size_tol)
+    eids, j, t = (np.concatenate([a[kept], b]) for a, b in zip((eids, j, t), fresh))
+    order = np.lexsort((j, eids))
+    return (eids[order], j[order], t[order]), fresh[0]
+
+
+def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
+    """Every maximal piece of the crack polyline inside an element.
+
+    ``clips`` are the crack's :func:`_clips`.  Returns per piece longer
     than ``_COINCIDENCE_TOL``, elements ascending: the element, arc
     lengths (n, 2), end points (n, 2, 2) and the local edge each end lies
     on within ``size_tol`` (n, 2), else -1; of two equally near, the later.
@@ -308,15 +406,7 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, size_tol: float):
     seg = np.diff(v, axis=0)
     lens = np.linalg.norm(seg, axis=1)
     cum = np.concatenate([[0.0], np.cumsum(lens)])
-    near = _near_elements(mesh, crack, margin=size_tol)
-    lo, hi = (bound[near, None] for bound in mesh.element_bboxes)
-    slo, shi = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
-    meet = np.all((lo - size_tol <= shi + size_tol) & (hi + size_tol >= slo - size_tol), axis=2)
-    el, j = np.nonzero(meet)  # by element, then segment
-    eids = near[el]
-    t0, t1, inside = _clip_segments(mesh.element_coords(eids), v[j], v[j + 1])
-    keep = inside & (t1 - t0 > 0.0)
-    eids, j, t = eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
+    eids, j, t = clips
     s = cum[j, None] + t * lens[j, None]
     p = v[j, None] + t[..., None] * seg[j, None]
     # A piece continues the one before it in the same element when it starts
@@ -337,6 +427,83 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, size_tol: float):
     return eids, s, p, edge
 
 
+# ---------------------------------------------------------------------------
+# what changed between two crack sets
+# ---------------------------------------------------------------------------
+
+def _changed_span(old: np.ndarray | None, new: np.ndarray) -> slice:
+    """The vertices of the polyline ``new`` that differ from ``old``.
+
+    Those outside the longest common start and end of the two vertex
+    lists, with the last common vertex on either side, whose neighbours
+    moved; all of them without ``old``, none when the two are equal.  A
+    crack grown at its end changes by its new tip and its old one.
+    """
+    if old is None:
+        return slice(0, len(new))
+    if old.shape == new.shape and np.array_equal(old, new):
+        return slice(0, 0)
+    n = min(len(old), len(new))
+    head = int(np.cumprod(np.all(old[:n] == new[:n], axis=1)).sum())
+    tail = min(int(np.cumprod(np.all(old[::-1][:n] == new[::-1][:n], axis=1)).sum()), n - head)
+    return slice(max(head - 1, 0), len(new) - max(tail - 1, 0))
+
+
+def _changed_segments(old, new) -> np.ndarray:
+    """Segments (k, 2, 2) by which two crack sets differ, a lone vertex as
+    a zero-length segment: of each crack, the :func:`_changed_span` of its
+    old and of its new polyline.  A crack grown at its end changes by its
+    new segment and by its old tip vertex, now interior.
+    """
+    before = {c.id: c.vertices for c in old}
+    after = {c.id: c.vertices for c in new}
+    pieces = []
+    for cid in before.keys() | after.keys():
+        u, v = before.get(cid), after.get(cid)
+        for w, other in ((u, v), (v, u)):
+            piece = w[_changed_span(other, w)] if w is not None else ()
+            if len(piece):
+                pieces.append(np.stack([piece[:max(len(piece) - 1, 1)],
+                                        piece[min(len(piece) - 1, 1):]], axis=1))
+    return np.concatenate([np.empty((0, 2, 2))] + pieces)
+
+
+def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Whether a segment comes within each element's diameter of it.
+
+    Every point of a cut element lies within its diameter of its own piece
+    of crack, so beyond that a segment cannot be the nearest to any of its
+    points, and the side of the crack they lie on stands.
+    """
+    quads = mesh.element_coords(eids)[:, None]  # (n, 1, 4, 2)
+    diam = mesh.element_sizes[eids]
+    a, b = segments[None, :, 0], segments[None, :, 1]  # (1, k, 2)
+    corners = point_segment_distance(quads, a[:, :, None], b[:, :, None]).min(axis=2)
+    ends = point_segment_distance(segments[None, :, :, None], quads[:, :, None],
+                                  np.roll(quads, -1, axis=2)[:, :, None]).min(axis=(2, 3))
+    return (np.minimum(corners, ends) <= diam[:, None]).any(axis=1)
+
+
+def _in_reach(mesh: Mesh, nodes: np.ndarray, old: CrackPath, new: CrackPath) -> np.ndarray:
+    """Whether a feature by which ``old`` and ``new`` differ can be the
+    nearest crack feature at some point of each node's support, for nodes
+    of elements both cracks cross or end in.
+
+    Elsewhere the nearest feature is one the two polylines share, so the
+    side of the crack each point lies on stands.  The support lies within
+    the node's support radius r of it, so both cracks pass within r of
+    the node and within 2r of each point of the support; a changed
+    feature farther than 3r from the node is farther from each such point
+    than the crack is.
+    """
+    changed = _changed_segments([old], [new])
+    if changed.size == 0:
+        return np.zeros(nodes.size, dtype=bool)
+    xy = mesh.nodes[nodes]
+    gap = point_segment_distance(xy[:, None], changed[None, :, 0], changed[None, :, 1])
+    return gap.min(axis=1) <= 3.0 * (1.0 + 1e-9) * mesh.support_radii[nodes]
+
+
 def _box_pairs(lo, hi, lo2, hi2, pad: float):
     """Index pairs (i, k), by i then k, of boxes ``lo[i]..hi[i]`` and
     ``lo2[k]..hi2[k]`` that meet once one is padded by ``pad``."""
@@ -347,7 +514,7 @@ def _box_pairs(lo, hi, lo2, hi2, pad: float):
     return np.nonzero(meet)
 
 
-def _detect_coincidences(mesh: Mesh, cracks) -> None:
+def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
     Each crack's features are checked against the nodes and edges of the
@@ -356,7 +523,9 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
     segment, a vertex on an edge, and a segment running along an edge over
     a finite length.  A crack end that is not a tip (a crack mouth) may
     sit on a boundary edge.  Problems are listed crack by crack, in that
-    order of checks, by segment or vertex.
+    order of checks, by segment or vertex.  ``spans`` limits the check to
+    a slice of each crack's vertices and the segments between them; a
+    feature's problems do not depend on the rest of its crack.
     """
     tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
@@ -364,11 +533,16 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
     boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
     problems = []
     bad_cracks: set[int] = set()
-    for crack in cracks:
-        near = _near_elements(mesh, crack, margin=1e-9)
+    if spans is None:
+        spans = [slice(0, len(c.vertices)) for c in cracks]
+    for crack, span in zip(cracks, spans):
+        v = crack.vertices[span]
+        if len(v) == 0:
+            continue
+        near = mesh.elements_meeting(v.min(axis=0) - 1e-9, v.max(axis=0) + 1e-9)
         if near.size == 0:
             continue
-        v = crack.vertices
+        first_vertex = span.start
         a, b = v[:-1], v[1:]
         slo, shi = np.minimum(a, b), np.maximum(a, b)
         # edges of the near elements as sorted node pairs, keyed lo * n + hi
@@ -386,17 +560,18 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
         xy = mesh.nodes[near_nodes]
         j, k = _box_pairs(slo, shi, xy, xy, tol)
         on = point_segment_distance(xy[k], a[j], b[j]) <= tol
-        found += [f"segment {jj} passes through mesh node {node}"
+        found += [f"segment {jj + first_vertex} passes through mesh node {node}"
                   for jj, node in zip(j[on].tolist(), near_nodes[k[on]].tolist())]
         # crack vertex on an element edge; endpoints that are not tips may
         # legitimately sit on the domain boundary (crack mouths)
         i, k = _box_pairs(v, v, elo, ehi, tol)
-        mouth = np.zeros(v.shape[0], dtype=bool)
+        mouth = np.zeros(len(crack.vertices), dtype=bool)
         mouth[[0, -1]] = not crack.tip_start, not crack.tip_end
+        mouth = mouth[span]
         hits = ((point_segment_distance(v[i], p0[k], p1[k]) <= tol)
                 & ~(mouth[i] & np.isin(keys[k], boundary_keys)))
         vi, first = np.unique(i[hits], return_index=True)
-        found += [f"vertex {vv} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
+        found += [f"vertex {vv + first_vertex} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
                   zip(vi.tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
         # segment collinear with an edge over a finite overlap: an edge within
         # tol of the segment's line, at an angle whose sine is within tol,
@@ -415,7 +590,7 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
                    - np.maximum(np.minimum(t0, t1), 0.0))
         along = parallel & (dist <= tol) & (overlap > tol / Ls)
         js, first = np.unique(j[along], return_index=True)
-        found += [f"segment {jj} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
+        found += [f"segment {jj + first_vertex} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
                   zip(js.tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
         if found:
             problems += [f"crack {crack.id} {text}" for text in found]
@@ -464,14 +639,15 @@ def _support_area_ratios(mesh: Mesh, crack: CrackPath, nodes: np.ndarray,
     return np.minimum(a_pos, a_neg) / (a_pos + a_neg)
 
 
-def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float):
+def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float, clips):
     """``cut_elements`` and ``cut_pieces`` of :class:`EnrichmentMap`.
 
-    Apart from its own tip elements, an element a crack enters must hold
-    one piece of it, which bisects it when its ends lie on distinct edges
-    more than ``size_tol`` apart (not a piece ending inside or leaving by
-    its entry edge).  Errors name the first offending element, crack by
-    crack in ascending element id.
+    ``clips`` holds each crack's :func:`_clips` by crack id.  Apart from
+    its own tip elements, an element a crack enters must hold one piece of
+    it, which bisects it when its ends lie on distinct edges more than
+    ``size_tol`` apart (not a piece ending inside or leaving by its entry
+    edge).  Errors name the first offending element, crack by crack in
+    ascending element id.
     """
     tip_crack = np.full(mesh.n_elements, -1)
     for eid, owners in tip_elements.items():
@@ -480,7 +656,7 @@ def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float):
     cut_elements: dict[int, int] = {}
     cut_pieces: dict[int, CutPiece] = {}
     for crack in cracks:
-        eids, s, p, edge = _crack_pieces(mesh, crack, size_tol)
+        eids, s, p, edge = _crack_pieces(mesh, crack, clips[crack.id], size_tol)
         elems, first, count = np.unique(eids, return_index=True, return_counts=True)
         owner, earlier = tip_crack[elems], cut_crack[elems]
         s, p, edge = s[first], p[first], edge[first]
@@ -522,6 +698,7 @@ def classify_enrichment(
     delta: float = 0.002,
     rule: QuadratureRule | None = None,
     tip_enrichment: bool = True,
+    base: EnrichmentMap | None = None,
 ) -> EnrichmentMap:
     """Classify nodes and elements for the given crack set.
 
@@ -537,6 +714,13 @@ def classify_enrichment(
     with mesh features (see :func:`classify_with_remedy`) and
     :class:`EnrichmentError` for unsupported topologies (two cracks
     claiming one node, multiple crossings of one element, ...).
+
+    ``base`` is an earlier classification on the same mesh with the same
+    ``rule`` object, such as the last step's of a propagation run; any
+    other is ignored.  Only what the features by which the cracks changed
+    since then can reach is worked out again, the rest carried over (the
+    band rule of the module notes).  The map and any error are the same
+    as without it.
     """
     if not 0.0 <= delta < 0.5:
         raise EnrichmentError(f"delta must be in [0, 0.5), got {delta}")
@@ -545,9 +729,19 @@ def classify_enrichment(
     ids = [c.id for c in cracks]
     if len(set(ids)) != len(ids):
         raise EnrichmentError("crack ids must be unique")
-    _detect_coincidences(mesh, cracks)
+    prior = base._carry if base is not None else None
+    if prior is None or prior.mesh is not mesh or prior.rule is not rule:
+        base = prior = None
+    old_sources = {c.id: c for c in base.source_cracks} if base is not None else {}
+    old_cracks = {c.id: c for c in base.cracks} if base is not None else {}
+    spans = []
+    for crack in cracks:
+        old = old_sources.get(crack.id)
+        same = old is not None and old.active_tips() == crack.active_tips()
+        spans.append(_changed_span(old.vertices if same else None, crack.vertices))
+    _detect_coincidences(mesh, cracks, spans)
 
-    size_tol = 1e-9 * float(np.max(mesh.element_sizes(), initial=1.0))
+    size_tol = 1e-9 * float(np.max(mesh.element_sizes, initial=1.0))
 
     # Live tips, each homed in its lowest-id containing element; without
     # tip enrichment each crack grows virtually to the far edge of that
@@ -607,7 +801,14 @@ def classify_enrichment(
             else:
                 tip_elements[tinfo.element] = (gti,)
 
-    cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol)
+    clips, clipped = {}, [np.empty(0, dtype=np.int64)]
+    for crack in eff_cracks:
+        old = old_cracks.get(crack.id)
+        old_clips = prior.clips[crack.id] if old is not None else None
+        clips[crack.id], fresh = _crack_clips(mesh, crack, old, old_clips, size_tol)
+        clipped.append(fresh)
+    cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol,
+                                             clips)
 
     # Heaviside candidates: nodes of cut elements.
     candidates: dict[int, int] = {}
@@ -651,35 +852,54 @@ def classify_enrichment(
     demotions: list[tuple[int, float, str]] = []
 
     # A candidate whose support strictly contains a crack endpoint cannot
-    # carry a full jump; the opening must close at that endpoint.  An
-    # endpoint outside the mesh or on its boundary is not interior.
+    # carry a full jump; the opening must close at that endpoint.  Its
+    # support holds the endpoint's every element when it is a corner of
+    # each.  An endpoint outside the mesh or on its boundary is not
+    # interior.
     ends = np.array([p for crack in eff_cracks
                      for p in (crack.vertices[0], crack.vertices[-1])]).reshape(-1, 2)
     pt, eid, _ = locate_hits(mesh, ends)
-    endpoint_owners = [set(eid[pt == i].tolist()) for i in range(ends.shape[0])]
-    endpoint_owners = [owners for owners, p in zip(endpoint_owners, ends)
-                       if owners and mesh.boundary_distance(p) > size_tol]
-    node_elems = mesh.node_to_elements
-    for n in sorted(candidates):
-        support = set(int(e) for e in node_elems[n])
-        for owners in endpoint_owners:
-            if owners and owners <= support:
-                demotions.append((n, 0.0, "crack endpoint inside support"))
-                del candidates[n]
-                break
+    closing: set[int] = set()
+    for i, p in enumerate(ends):
+        owners = eid[pt == i].tolist()
+        if owners and mesh.boundary_distance(p) > size_tol:
+            closing |= set.intersection(*(set(mesh.elements[e].tolist()) for e in owners))
+    for n in sorted(closing.intersection(candidates)):
+        demotions.append((n, 0.0, "crack endpoint inside support"))
+        del candidates[n]
 
-    # Remark-style support-area demotion.
-    crack_lookup = {c.id: c for c in eff_cracks}
-    ratios = {}
-    for cid in set(candidates.values()):
-        nodes = [n for n, c in candidates.items() if c == cid]
-        ratios.update(zip(nodes, _support_area_ratios(mesh, crack_lookup[cid], nodes, rule)))
+    # The band: the nodes of each crack that a feature by which it changed
+    # since ``base`` can reach; all of them without one.
+    owner = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    owner[list(candidates)] = list(candidates.values())
+    owner[list(tip_claim)] = [tips[gti].crack_id for gti in tip_claim.values()]
+    stale = np.ones(mesh.n_nodes, dtype=bool)
+    for crack in eff_cracks:
+        if crack.id in old_cracks:
+            mine = np.flatnonzero(owner == crack.id)
+            stale[mine] = _in_reach(mesh, mine, old_cracks[crack.id], crack)
+
+    # Remark-style support-area demotion, with the ratios of candidates
+    # outside the band carried over.
+    nodes = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
+    ratio = np.full(mesh.n_nodes, np.nan)
+    ratio_crack = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    ratio_crack[nodes] = owner[nodes]
+    kept = ~stale[nodes]
+    if prior is not None:
+        kept &= prior.ratio_crack[nodes] == ratio_crack[nodes]
+        ratio[nodes[kept]] = prior.ratio[nodes[kept]]
+    todo = nodes[~kept]
+    for crack in eff_cracks:
+        mine = todo[ratio_crack[todo] == crack.id]
+        if mine.size:
+            ratio[mine] = _support_area_ratios(mesh, crack, mine, rule)
     for n in sorted(candidates):
-        if ratios[n] < delta:
-            demotions.append((n, float(ratios[n]), "support area ratio below delta"))
+        if ratio[n] < delta:
+            demotions.append((n, float(ratio[n]), "support area ratio below delta"))
             del candidates[n]
 
-    # Build the per-node arrays.
+    # Build the per-node arrays; the signs outside the band carry over.
     status = np.zeros(mesh.n_nodes, dtype=np.int8)
     node_crack = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_tip = np.full(mesh.n_nodes, -1, dtype=np.int64)
@@ -693,7 +913,14 @@ def classify_enrichment(
         node_tip[n] = gti
     for crack in eff_cracks:
         mine = np.nonzero(node_crack == crack.id)[0]
+        if base is not None:
+            same = ~stale[mine] & (base.node_crack[mine] == crack.id)
+            node_sign[mine[same]] = base.node_sign[mine[same]]
+            mine = mine[~same]
         node_sign[mine] = heaviside(signed_distance_batch(crack, mesh.nodes[mine]))
+
+    crossed = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
+                                       + [c[0] for c in clips.values()]))
 
     return EnrichmentMap(
         status=status,
@@ -709,6 +936,9 @@ def classify_enrichment(
         tip_enrichment=tip_enrichment,
         delta=delta,
         demotions=tuple(demotions),
+        band=BandStats(clipped=np.unique(np.concatenate(clipped)).size, crossed=crossed.size,
+                       measured=todo.size, candidates=nodes.size),
+        _carry=_Carry(mesh=mesh, rule=rule, clips=clips, ratio=ratio, ratio_crack=ratio_crack),
     )
 
 
@@ -718,6 +948,7 @@ def classify_with_remedy(
     delta: float = 0.002,
     rule: QuadratureRule | None = None,
     tip_enrichment: bool = True,
+    base: EnrichmentMap | None = None,
 ):
     """Classification with the standard coincidence remedy.
 
@@ -725,18 +956,20 @@ def classify_with_remedy(
     cracks are nudged off it (first along the local normal, then along
     normal-minus-tangent) and classification is retried.  Returns
     ``(map, cracks)`` where ``cracks`` are the possibly perturbed inputs.
+    Every attempt is classified against ``base`` (see
+    :func:`classify_enrichment`); a nudge moves every vertex of its crack.
     """
     original = {c.id: c for c in cracks}
     current = list(cracks)
     for attempt in range(2):
         try:
-            return classify_enrichment(mesh, current, delta, rule, tip_enrichment), current
+            return classify_enrichment(mesh, current, delta, rule, tip_enrichment, base), current
         except CrackMeshDegeneracyError as exc:
             current = [
                 _perturbed(original[c.id], attempt) if c.id in exc.crack_ids else c
                 for c in current
             ]
-    return classify_enrichment(mesh, current, delta, rule, tip_enrichment), current
+    return classify_enrichment(mesh, current, delta, rule, tip_enrichment, base), current
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,8 @@ class Mesh:
     The mesh never changes during a run: a growing crack changes only the
     enrichment classified on top of it.  So everything derived from the
     mesh alone is a cached property, built on first use and kept for the
-    mesh's life: the node adjacency :attr:`node_to_elements`, the
+    mesh's life: the :attr:`element_sizes` and per-node
+    :attr:`support_radii`, the node adjacency :attr:`node_to_elements`, the
     :attr:`boundary_edges` array with their owners, the
     :attr:`element_bboxes`, the :attr:`point_grid` point location reads
     (cell offsets and ascending element ids, built with array operations)
@@ -257,24 +258,40 @@ class Mesh:
     def element_centroids(self) -> np.ndarray:
         return self.element_coords().mean(axis=1)
 
-    def element_sizes(self) -> np.ndarray:
-        """Per-element diameter (max of the two diagonals)."""
-        xy = self.element_coords()
-        d1 = np.linalg.norm(xy[:, 2] - xy[:, 0], axis=1)
-        d2 = np.linalg.norm(xy[:, 3] - xy[:, 1], axis=1)
-        return np.maximum(d1, d2)
-
     def bbox(self):
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
     # -- derived data: built on first use, then kept for the mesh's life ---
     @cached_property
+    def element_sizes(self) -> np.ndarray:
+        """Per-element diameter (max of the two diagonals), read-only."""
+        xy = self.element_coords()
+        d1 = np.linalg.norm(xy[:, 2] - xy[:, 0], axis=1)
+        d2 = np.linalg.norm(xy[:, 3] - xy[:, 1], axis=1)
+        sizes = np.maximum(d1, d2)
+        sizes.setflags(write=False)
+        return sizes
+
+    @cached_property
+    def support_radii(self) -> np.ndarray:
+        """Per node, the largest distance to a corner of an element holding
+        it, read-only: the node's whole support lies within it."""
+        xy = self.element_coords()
+        edges = np.linalg.norm(np.roll(xy, -1, axis=1) - xy, axis=2)  # corner k to k + 1
+        diagonals = np.linalg.norm(xy[:, 2:] - xy[:, :2], axis=2)  # corner k to k + 2
+        far = np.maximum(np.maximum(edges, np.roll(edges, 1, axis=1)), np.tile(diagonals, 2))
+        radii = np.zeros(self.n_nodes)
+        np.maximum.at(radii, self.elements, far)
+        radii.setflags(write=False)
+        return radii
+
+    @cached_property
     def node_to_elements(self) -> list[np.ndarray]:
         """Incident element ids per node (the node's support), ascending."""
         flat = self.elements.ravel()
-        order = np.argsort(flat, kind="stable")  # element-major, so ids ascend
-        counts = np.bincount(flat, minlength=self.n_nodes)
-        return np.split(order // 4, np.cumsum(counts)[:-1])
+        order = np.argsort(flat, kind="stable") // 4  # element-major, so ids ascend
+        ends = np.cumsum(np.bincount(flat, minlength=self.n_nodes)).tolist()
+        return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:
@@ -298,6 +315,20 @@ class Mesh:
         """Per-element coordinate minima and maxima, each (n_elements, 2)."""
         xy = self.element_coords()
         return xy.min(axis=1), xy.max(axis=1)
+
+    def elements_meeting(self, lo, hi) -> np.ndarray:
+        """Ids, ascending, of the elements whose bounding box meets the box
+        ``lo``..``hi``: those :attr:`point_grid` lists in the cells the box
+        covers, one cell wider on each side, filtered by their boxes."""
+        origin, cell, (nx, ny), start, elements = self.point_grid
+        top = (nx - 1, ny - 1)
+        ilo = np.clip(np.floor((np.asarray(lo) - origin) / cell) - 1, 0, top).astype(np.int64)
+        ihi = np.clip(np.floor((np.asarray(hi) - origin) / cell) + 1, 0, top).astype(np.int64)
+        columns = np.arange(ilo[0], ihi[0] + 1) * ny  # each a run of cells in ``start``
+        runs = zip(start[columns + ilo[1]].tolist(), start[columns + ihi[1] + 1].tolist())
+        near = np.unique(np.concatenate([elements[a:b] for a, b in runs]))
+        elo, ehi = self.element_bboxes
+        return near[np.all(elo[near] <= hi, axis=1) & np.all(ehi[near] >= lo, axis=1)]
 
     def boundary_distance(self, point) -> float:
         """Distance from ``point`` to the nearest boundary edge."""
@@ -342,7 +373,8 @@ class Mesh:
 
     @cached_property
     def point_grid(self) -> tuple:
-        """Uniform grid of element bounding boxes that point location reads.
+        """Uniform grid of element bounding boxes that point location and
+        :meth:`elements_meeting` read.
 
         Returns ``(origin, cell, shape, start, elements)``: cell (ix, iy)
         is flat index ``ix * shape[1] + iy``, and the ids of the elements

@@ -368,8 +368,10 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
 
     Records mesh statistics, the material, per-step enriched-node counts
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
-    totals, solver residuals, the factorization's size (free dofs,
-    entries of L) and the fronts it refactored, the nodes demoted to standard
+    totals, solver residuals, how much of the classification was redone
+    (crossed elements clipped, candidate nodes whose support ratio was
+    measured), the factorization's size (free dofs, entries of L) and the
+    fronts it refactored, the nodes demoted to standard
     approximation with the measured support ratios, every extraction,
     growth increment, and tip deactivation, and the stop reason.
     """
@@ -400,6 +402,12 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
         )
         lines.append(f"  dofs: {rec.n_dofs}")
         lines.append(f"  residual: {rec.residual:.6e}")
+        if rec.classification is not None:
+            band = rec.classification
+            lines.append(
+                f"  classification: {band.clipped} of {band.crossed} crossed elements "
+                f"and {band.measured} of {band.candidates} candidate nodes re-examined"
+            )
         if rec.factor is not None:
             lines.append(
                 f"  factor: {rec.factor.free_dofs} free dofs, "

@@ -22,9 +22,7 @@ from xfem2d.assembly import (
     solve,
     stress_strain_at,
     stress_strain_batch,
-    _changed_segments,
     _element_matrices,
-    _near,
 )
 from xfem2d import enrichment
 from xfem2d.cholesky import FrontalCholesky
@@ -38,6 +36,8 @@ from xfem2d.enrichment import (
     classify_with_remedy,
     crack_opening,
     enriched_basis,
+    _changed_segments,
+    _near,
 )
 from xfem2d.mesh import DissectionTree, Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect

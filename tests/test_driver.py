@@ -28,7 +28,7 @@ from xfem2d.driver import (
     tip_trajectory,
     _stage,
 )
-from xfem2d import driver
+from xfem2d import driver, enrichment
 from xfem2d.assembly import solve
 from xfem2d.enrichment import CrackMeshDegeneracyError
 from xfem2d.mesh import Mesh
@@ -173,13 +173,14 @@ INCREMENTAL_RUNS = {
 @pytest.fixture(scope="module", params=sorted(INCREMENTAL_RUNS))
 def incremental_run(request):
     """Every assembly, solve and cut-element integration count of a
-    propagation run."""
+    propagation run, and per step whether each classification attempt
+    raised."""
     make_crack, steps, snap_at = INCREMENTAL_RUNS[request.param]
     mesh = pinned_mesh()
     config = make_config(mesh=mesh, cracks=[make_crack()],
                          schedule=LoadSchedule.uniform(steps),
                          propagation=PropagationParams(delta_a=0.05))
-    steps, integrated = [], []
+    steps, integrated, attempts = [], [], []
 
     def assembling(mesh, emap, material, rules, bcs, cache):
         system = assembly.assemble(mesh, emap, material, rules, bcs, cache=cache)
@@ -196,15 +197,31 @@ def incremental_run(request):
             integrated.append(len(eids))
         return real_integrate(mesh, emap, D, K_std, eids, rule, used)
 
+    def remedying(*args, **kwargs):
+        attempts.append([])
+        return real_remedy(*args, **kwargs)
+
+    def classifying(*args, **kwargs):
+        try:
+            emap = real_classify(*args, **kwargs)
+        except enrichment.EnrichmentError:
+            attempts[-1].append(True)
+            raise
+        attempts[-1].append(False)
+        return emap
+
     real_integrate = assembly._integrate
+    real_remedy, real_classify = driver.classify_with_remedy, enrichment.classify_enrichment
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(driver, "assemble", assembling)
         patch.setattr(driver, "solve", solving)
         patch.setattr(assembly, "_integrate", integrating)
+        patch.setattr(driver, "classify_with_remedy", remedying)
+        patch.setattr(enrichment, "classify_enrichment", classifying)
         if snap_at is not None:
             patch.setattr(driver, "extend_crack", snapped_growth(mesh, snap_at))
         history = run_propagation(config)
-    return request.param, history, steps, integrated
+    return request.param, history, steps, integrated, attempts
 
 
 class TestIncrementalStep:
@@ -212,7 +229,7 @@ class TestIncrementalStep:
     fresh factorization on the same cracks."""
 
     def test_every_step_matches_a_fresh_one(self, incremental_run):
-        name, history, steps, _ = incremental_run
+        name, history, steps, *_ = incremental_run
         assert len(steps) == len(history.steps) >= 3
         assert history.n_increments >= 3
         for (mesh, emap, material, rules, bcs), system, state in steps:
@@ -224,15 +241,36 @@ class TestIncrementalStep:
             again = solve(apply_constraints(fresh), state.load_factor)
             assert np.abs(state.u - again.u).max() <= 1e-12 * np.abs(again.u).max()
 
+    def test_remedy_fires_at_the_snapped_step_only(self, incremental_run):
+        name, history, steps, _, attempts = incremental_run
+        assert len(attempts) == len(steps)
+        raised = [k for k, outcomes in enumerate(attempts) if any(outcomes)]
+        assert raised == ([2] if name == "remedy" else [])
+        assert all(outcomes[-1] is False for outcomes in attempts)
+        # every step solves and grows the cracks the remedy returned
+        for ((_, emap, *_), *_), record in zip(steps, history.steps):
+            assert len(record.cracks) == len(emap.source_cracks)
+            assert all(a is b for a, b in zip(record.cracks, emap.source_cracks))
+
+    def test_classification_reexamines_what_assembly_integrates_again(self, incremental_run):
+        # both follow one change rule: the whole crack where every cut
+        # element is integrated again, a band around the new segment where
+        # only some are
+        name, history, steps, integrated, _ = incremental_run
+        for k, ((mesh, emap, *_), *_) in enumerate(steps):
+            band = history.steps[k].classification
+            assert band is emap.band
+            cut = np.count_nonzero(emap.element_kinds(mesh) == 2)
+            whole = (band.clipped, band.measured) == (band.crossed, band.candidates)
+            assert whole == (integrated[k] == cut)
+
     def test_cut_elements_integrated_only_when_changed(self, incremental_run):
-        name, history, steps, integrated = incremental_run
+        name, history, steps, integrated, attempts = incremental_run
         cut = [np.count_nonzero(emap.element_kinds(mesh) == 2)
                for (mesh, emap, *_), *_ in steps]
         # the remedy moves every vertex of a crack it perturbs
-        perturbed = [not np.array_equal(emap.source_cracks[0].vertices, record.cracks[0].vertices)
-                     for ((_, emap, *_), *_), record in zip(steps, history.steps)]
-        moved = [True] + [name == "both ends" or (perturbed[k] and not perturbed[k - 1])
-                          for k in range(1, len(steps))]
+        perturbed = [any(outcomes) for outcomes in attempts]
+        moved = [True] + [name == "both ends" or perturbed[k] for k in range(1, len(steps))]
         assert any(perturbed) == (name == "remedy")
         for k in range(len(steps)):
             if moved[k]:

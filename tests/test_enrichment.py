@@ -7,6 +7,8 @@ so every classification count can be stated by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xfem2d import enrichment
 from xfem2d.assembly import (
@@ -436,11 +438,13 @@ def loop_edge_of_point(quad, p, tol):
     return k if d[k] <= tol else None
 
 
-def loop_cut_elements(mesh, cracks, tips, tip_elements, size_tol):
-    """Element-by-element reference for ``enrichment._cut_elements``."""
+def loop_cut_elements(mesh, cracks, tips, tip_elements, size_tol, clips):
+    """Element-by-element reference for ``enrichment._cut_elements``, which
+    finds the crossings itself instead of reading the batched ``clips``."""
     cut_elements, cut_pieces = {}, {}
     for crack in cracks:
-        for eid in enrichment._near_elements(mesh, crack, margin=size_tol):
+        v = crack.vertices
+        for eid in mesh.elements_meeting(v.min(axis=0) - size_tol, v.max(axis=0) + size_tol):
             quad = mesh.element_coords([eid])[0]
             chunks = [c for c in loop_crack_chunks(quad, crack)
                       if c[1] - c[0] > enrichment._COINCIDENCE_TOL]
@@ -697,7 +701,8 @@ def loop_detect_coincidences(mesh, cracks):
     problems = []
     bad_cracks = set()
     for crack in cracks:
-        near = enrichment._near_elements(mesh, crack, margin=1e-9)
+        near = mesh.elements_meeting(crack.vertices.min(axis=0) - 1e-9,
+                                     crack.vertices.max(axis=0) + 1e-9)
         if near.size == 0:
             continue
         v = crack.vertices
@@ -807,6 +812,139 @@ class TestCoincidences:
             seen["mouth"] += "vertex 0 lies on mesh edge" in message
             seen["more than five"] += message.count(";") == 4
         assert all(seen.values()), seen
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_cracks(got, expected):
+    assert [(c.id, c.tip_start, c.tip_end) for c in got] == \
+        [(c.id, c.tip_start, c.tip_end) for c in expected]
+    assert [bits(c.vertices) for c in got] == [bits(c.vertices) for c in expected]
+
+
+def assert_same_map(got, expected):
+    """Two classifications equal field by field, floats bit for bit."""
+    for name in ("status", "node_crack", "node_tip"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+    assert bits(got.node_sign) == bits(expected.node_sign)
+    assert list(got.cut_elements.items()) == list(expected.cut_elements.items())
+    assert list(got.cut_pieces) == list(expected.cut_pieces)
+    for eid, piece in expected.cut_pieces.items():
+        mine = got.cut_pieces[eid]
+        assert (mine.edge0, mine.edge1) == (piece.edge0, piece.edge1)
+        assert bits([mine.s0, mine.s1, *mine.p0, *mine.p1]) == \
+            bits([piece.s0, piece.s1, *piece.p0, *piece.p1])
+    assert list(got.tip_elements.items()) == list(expected.tip_elements.items())
+    assert [(t.crack_id, t.tip_id, t.element, bits(t.virtual_extension),
+             bits([t.frame.origin, t.frame.tangent, t.frame.normal])) for t in got.tips] == \
+        [(t.crack_id, t.tip_id, t.element, bits(t.virtual_extension),
+          bits([t.frame.origin, t.frame.tangent, t.frame.normal])) for t in expected.tips]
+    assert_same_cracks(got.cracks, expected.cracks)
+    assert_same_cracks(got.source_cracks, expected.source_cracks)
+    assert [(n, bits(r), why) for n, r, why in got.demotions] == \
+        [(n, bits(r), why) for n, r, why in expected.demotions]
+    # the ratios a later step may carry over
+    assert bits(got._carry.ratio) == bits(expected._carry.ratio)
+
+
+def remedy_outcome(mesh, cracks, tip_enrichment, base=None):
+    try:
+        return classify_with_remedy(mesh, cracks, tip_enrichment=tip_enrichment, base=base)
+    except (EnrichmentError, CrackGeometryError) as exc:  # a virtual extension may cross its crack
+        return exc
+
+
+BAND_MESH = uniform_rect(1.0, 1.0, 16, 16)
+BAND_COLUMNS = np.unique(BAND_MESH.nodes[:, 0])
+# a straight crack the growing one may run into
+BAND_OBSTACLE = CrackPath(vertices=np.array([[0.08, 0.13], [0.3, 0.13]]), id=1)
+
+
+def grown_tip(rng, crack, tip, target=None, snap=None):
+    """``crack`` grown at ``tip``: by a random kink and length, or straight
+    to ``target``.  ``snap`` "line" moves the new tip onto the nearest
+    vertical mesh line, "node" stretches the new segment through the mesh
+    node nearest its end."""
+    v = crack.vertices if tip == 1 else crack.vertices[::-1]
+    if target is None:
+        direction = v[-1] - v[-2]
+        turn = rng.uniform(-0.6, 0.6)
+        c, s = np.cos(turn), np.sin(turn)
+        direction = np.array([[c, -s], [s, c]]) @ direction / np.linalg.norm(direction)
+        target = v[-1] + rng.uniform(0.02, 0.08) * direction
+    target = np.array(target, dtype=float)
+    if snap == "line":
+        target[0] = BAND_COLUMNS[np.argmin(np.abs(BAND_COLUMNS - target[0]))]
+    elif snap == "node":
+        node = BAND_MESH.nodes[np.argmin(np.linalg.norm(BAND_MESH.nodes - target, axis=1))]
+        target = v[-1] + 1.3 * (node - v[-1])
+    v = np.vstack([v, target])
+    return CrackPath(vertices=v if tip == 1 else v[::-1], tip_start=crack.tip_start,
+                     tip_end=crack.tip_end, id=crack.id)
+
+
+class TestNarrowBand:
+    """Classification against the last step's map against classification
+    from scratch, in the style of the stamp rule's pinning test."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tip_enrichment=st.booleans())
+    def test_every_step_equals_a_classification_from_scratch(self, seed, tip_enrichment):
+        rng = np.random.default_rng(seed)
+        start = rng.uniform(0.35, 0.65, size=2)
+        angles = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(rng.uniform(-0.7, 0.7, rng.integers(2, 4)))
+        steps = rng.uniform(0.05, 0.1, size=(angles.size, 1)) * np.column_stack(
+            [np.cos(angles), np.sin(angles)])
+        crack = CrackPath(vertices=np.vstack([start, start + np.cumsum(steps, axis=0)]),
+                          tip_start=bool(rng.integers(2)), id=0)
+        snap_at, node_at, hit_at = rng.choice(np.arange(1, 6), size=3, replace=False)
+        cracks, base = [crack, BAND_OBSTACLE], None
+        for step in range(6):
+            expected = remedy_outcome(BAND_MESH, cracks, tip_enrichment)
+            got = remedy_outcome(BAND_MESH, cracks, tip_enrichment, base)
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected)
+                assert str(got) == str(expected)
+                break
+            (emap, used), (base, cracks) = expected, got
+            assert_same_map(base, emap)
+            assert_same_cracks(cracks, used)
+            crack = cracks[0]
+            tip = int(rng.choice(crack.active_tips()))
+            target = None
+            if step + 1 == hit_at:  # into the nearest element the obstacle cuts
+                cut = [e for e, c in emap.cut_elements.items() if c == 1]
+                centers = BAND_MESH.element_centroids()[cut]
+                target = centers[np.argmin(np.linalg.norm(centers - crack.tip_coord(tip), axis=1))]
+            try:
+                snap = {snap_at: "line", node_at: "node"}.get(step + 1)
+                cracks = [grown_tip(rng, crack, tip, target, snap)] + cracks[1:]
+            except CrackGeometryError:
+                break
+
+    def test_growth_at_an_end_reexamines_only_the_band(self):
+        mesh = uniform_rect(1.0, 1.0, 40, 40)
+        crack = CrackPath(vertices=np.array([[0.0, 0.512], [0.31, 0.512]]), tip_start=False, id=0)
+        base = classify_enrichment(mesh, [crack])
+        assert (base.band.clipped, base.band.measured) == (base.band.crossed,
+                                                           base.band.candidates)
+        for tip in ([0.34, 0.515], [0.37, 0.522], [0.41, 0.531], [0.44, 0.545]):
+            crack = grown_tip(None, crack, 1, tip)
+            emap = classify_enrichment(mesh, [crack], base=base)
+            assert_same_map(emap, classify_enrichment(mesh, [crack]))
+            # the elements the new segment enters, the nodes near its ends
+            assert 0 < emap.band.clipped <= 4 < emap.band.crossed
+            assert 0 < emap.band.measured < emap.band.candidates / 2
+            base = emap
+
+    def test_base_of_another_rule_is_ignored(self):
+        mesh, crack = grid(), center_crack()
+        base = classify_enrichment(mesh, [crack], rule=gauss_rule(16))
+        emap = classify_enrichment(mesh, [crack], base=base)
+        assert emap.band.measured == emap.band.candidates > 0
+        assert_same_map(emap, classify_enrichment(mesh, [crack]))
 
 
 def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):
