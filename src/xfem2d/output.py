@@ -8,6 +8,9 @@ two polygons with private copies of the points on the crack faces, so
 the displacement jump renders as an actual gap.  The split reads where
 the crack crosses the element from the classification's record
 (:attr:`~xfem2d.enrichment.EnrichmentMap.cut_pieces`); it clips nothing.
+A mesh node's displacement is read from its own coefficients and a plain
+element's stresses from ``u_cont``; only enriched elements and the
+crack-face points go through the enriched basis.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from xfem2d.config import RunConfig
 from xfem2d.cracks import nearest_point, signed_distance_batch
 from xfem2d.driver import RunHistory, cod_profile
 from xfem2d.enrichment import (
-    CutPiece,
     EnrichmentMap,
     FieldTriplet,
+    branch_functions,
     element_fields,
     evaluate_fields,
 )
@@ -143,57 +146,51 @@ def write_cod_csv(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
 def _corners_between(start: float, stop: float) -> list[int]:
     """Corner indices strictly inside the CCW perimeter arc start->stop."""
     span = (stop - start) % 4.0
-    found = []
-    for j in range(4):
-        off = (j - start) % 4.0
-        if 1e-9 < off < span - 1e-9:
-            found.append((off, j))
-    return [j for _, j in sorted(found)]
+    offsets = sorted(((j - start) % 4.0, j) for j in range(4))
+    return [j for off, j in offsets if 1e-9 < off < span - 1e-9]
 
 
-def _split_cut_element(quad: np.ndarray, crack, piece: CutPiece):
-    """Two CCW polygons of a bisected quad, split along the crack.
+def _split_cut_elements(mesh: Mesh, emap: EnrichmentMap) -> dict:
+    """The two CCW polygons of each bisected element, split along its crack.
 
-    ``piece`` is where the crack crosses the quad.  Returns ``(chain,
-    poly_plus, poly_minus)`` where ``chain`` is the crack polyline inside
-    the quad and each polygon lists mixed entries: ints are quad corner
-    indices, ``("c", i)`` refers to chain point i.  ``None`` when a side
-    holds no corner.
+    Returns ``{eid: (chain, normals, poly_plus, poly_minus)}``: ``chain``
+    (c, 2) is the crack polyline inside the element, ``normals`` its face
+    normals there, and a polygon lists local points, 0-3 the corners and
+    4 + i chain point i.  An element with no corner on one side is left
+    out.  Each crack's face normals and side tests take one batched call.
     """
-    v = crack.vertices
-    seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    slack = 1e-12 * max(1.0, float(cum[-1]))
-    inner = [np.asarray(v[j], dtype=float) for j in range(1, len(v) - 1)
-             if piece.s0 + slack < cum[j] < piece.s1 - slack]
-    chain = [piece.p0] + inner + [piece.p1]
-
-    # Perimeter coordinates of the chain ends: edge index plus edge fraction.
-    edges = np.array([piece.edge0, piece.edge1])
-    a, e = quad[edges], quad[(edges + 1) % 4] - quad[edges]
-    t = np.clip(np.sum((np.array([piece.p0, piece.p1]) - a) * e, axis=1)
-                / np.sum(e * e, axis=1), 0.0, 1.0)
-    start, stop = (edges + t).tolist()
-    corners_ab = _corners_between(start, stop)
-    corners_ba = _corners_between(stop, start)
-    if not corners_ab or not corners_ba:
-        return None
-
-    last = len(chain) - 1
-    # Walking the perimeter CCW and returning along the crack keeps both
-    # polygons counter-clockwise.
-    poly_ab = [("c", 0)] + corners_ab + [("c", last)] \
-        + [("c", i) for i in range(last - 1, 0, -1)]
-    poly_ba = [("c", last)] + corners_ba + [("c", 0)] \
-        + [("c", i) for i in range(1, last)]
-
-    def side_of(corners: list[int]) -> float:
-        d = signed_distance_batch(crack, quad[corners])
-        return 1.0 if d[np.argmax(np.abs(d))] > 0.0 else -1.0
-
-    if side_of(corners_ab) > 0.0:
-        return chain, poly_ab, poly_ba
-    return chain, poly_ba, poly_ab
+    found = {}
+    for crack in emap.cracks:
+        v = crack.vertices
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(v, axis=0), axis=1))])
+        slack = 1e-12 * max(1.0, float(cum[-1]))
+        parts = []  # eid, quad, chain, corners on the arc start->stop, the others
+        for eid in sorted(e for e in emap.cut_pieces if emap.cut_elements[e] == crack.id):
+            quad, piece = mesh.nodes[mesh.elements[eid]], emap.cut_pieces[eid]
+            # Perimeter coordinates of the chain ends: edge index plus edge fraction.
+            edges = np.array([piece.edge0, piece.edge1])
+            a, e = quad[edges], quad[(edges + 1) % 4] - quad[edges]
+            t = np.clip(np.sum((np.array([piece.p0, piece.p1]) - a) * e, axis=1)
+                        / np.sum(e * e, axis=1), 0.0, 1.0)
+            start, stop = (edges + t).tolist()
+            ab, ba = _corners_between(start, stop), _corners_between(stop, start)
+            if ab and ba:
+                inner = v[1:-1][(piece.s0 + slack < cum[1:-1]) & (cum[1:-1] < piece.s1 - slack)]
+                parts.append((eid, quad, np.vstack([piece.p0, inner, piece.p1]), ab, ba))
+        if not parts:
+            continue
+        normals = nearest_point(crack, np.vstack([part[2] for part in parts]))[1]
+        sides = signed_distance_batch(crack, np.vstack([quad[ab] for _, quad, _, ab, _ in parts]))
+        for eid, _, chain, ab, ba in parts:
+            last = len(chain) + 3  # the local point of the chain's end
+            d, sides = sides[:len(ab)], sides[len(ab):]
+            # Walking the perimeter CCW and returning along the crack keeps
+            # both polygons counter-clockwise.
+            polys = [4] + ab + list(range(last, 4, -1)), [last] + ba + list(range(4, last))
+            plus_first = d[np.argmax(np.abs(d))] > 0.0
+            found[eid] = (chain, normals[:len(chain)], *(polys if plus_first else polys[::-1]))
+            normals = normals[len(chain):]
+    return found
 
 
 def _von_mises(sig: np.ndarray, material: MaterialModel) -> np.ndarray:
@@ -211,10 +208,25 @@ def _weighted_means(sig: np.ndarray, vm: np.ndarray, w: np.ndarray):
             (w * vm).sum(axis=1) / total)
 
 
+def _node_displacements(fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap) -> np.ndarray:
+    """Total displacement (n_nodes, 2) of the mesh nodes: at its node only a
+    node's own shape function is nonzero (1) and its shifted Heaviside
+    vanishes, so only a tip node adds to its standard coefficient."""
+    disp = fields.u_cont.copy()
+    for gti, tinfo in enumerate(emap.tips):
+        nodes = np.nonzero(emap.node_tip == gti)[0]
+        if nodes.size:
+            _, F, _ = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id),
+                                       mesh.nodes[nodes])
+            disp[nodes] += np.einsum("kj,kja->ka", F, fields.u_tip[nodes])
+    return disp
+
+
 def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                    material: MaterialModel, rules: QuadratureSet):
     """Quadrature-weighted mean stress and von Mises stress of every element,
-    one batch per integration class.
+    one batch per integration class; a plain element (no enriched corner)
+    differentiates ``u_cont`` alone.
 
     Returns whole-element means (m, 3) and (m,), and side means (2, m, 3)
     and (2, m) over a bisected element's points on the positive (0) and
@@ -235,12 +247,17 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
     cut_crack = np.full(m, -1, dtype=np.int64)
     cut_crack[list(emap.cut_elements)] = list(emap.cut_elements.values())
-    for eids, rule in rules.classes(emap.element_kinds(mesh)):
-        _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
-        _, grad = element_fields(mesh, emap, fields, np.repeat(eids, rule.n_points),
-                                 np.tile(rule.points, (eids.size, 1)),
-                                 phys.reshape(-1, 2))
-        sig = (voigt_strain(grad) @ D.T).reshape(phys.shape[:2] + (3,))
+    kinds = emap.element_kinds(mesh)
+    for eids, rule in rules.classes(kinds):
+        _, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+        grad = np.einsum("eqcb,eca->eqab", dN, fields.u_cont[mesh.elements[eids]])
+        rich = np.nonzero(kinds[eids] > 0)[0]
+        if rich.size:
+            grad[rich] = element_fields(
+                mesh, emap, fields, np.repeat(eids[rich], rule.n_points),
+                np.tile(rule.points, (rich.size, 1)), phys[rich].reshape(-1, 2),
+            )[1].reshape(rich.size, rule.n_points, 2, 2)
+        sig = voigt_strain(grad) @ D.T
         vm = _von_mises(sig, material)
         sig_mean[eids], vm_mean[eids] = _weighted_means(sig, vm, wdet)
         side_sig[:, eids], side_vm[:, eids] = sig_mean[eids], vm_mean[eids]
@@ -266,44 +283,38 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     the two polygons on either side of the crack, each with its own
     copies of the crack-face points, so the displacement jump renders.
     Nodal total displacement plus per-cell averaged stress components
-    and von Mises stress are attached.
+    and von Mises stress are attached.  Only the private crack-face
+    points are located; the mesh nodes move by :func:`_node_displacements`.
     """
     if rules is None:
         rules = QuadratureSet.from_targets()
-    node_disp, _ = evaluate_fields(mesh.nodes, mesh, emap, state.fields,
-                                   want_grad=False)
+    node_disp = _node_displacements(state.fields, mesh, emap)
     sig_mean, vm_mean, side_sig, side_vm = _cell_stresses(state, mesh, emap,
                                                           material, rules)
 
     # Plain elements are quads; a bisected element becomes its two sides'
     # polygons, in its place, with private copies of the crack-face points.
-    cell_text = [f"4 {a} {b} {c} {d}" for a, b, c, d in mesh.elements.tolist()]
+    cells = ["4 %d %d %d %d"] * mesh.n_elements
     cell_size = 5 * mesh.n_elements  # the point counts and points of all cells
     split = np.zeros(mesh.n_elements, dtype=bool)
     extra_pos: list[np.ndarray] = []   # geometric position of private points
     extra_probe: list[np.ndarray] = []  # offset position for evaluation
-    for eid in sorted(emap.cut_pieces):
-        quad = mesh.nodes[mesh.elements[eid]]
-        crack = emap.crack_by_id(emap.cut_elements[eid])
-        parts = _split_cut_element(quad, crack, emap.cut_pieces[eid])
-        if parts is None:
-            continue
-        chain, poly_plus, poly_minus = parts
-        normals = nearest_point(crack, np.array(chain))[1]
-        eps = 1e-6 * float(np.max(quad.max(axis=0) - quad.min(axis=0)))
+    for eid, (chain, normals, poly_plus, poly_minus) in sorted(
+            _split_cut_elements(mesh, emap).items()):
+        conn = mesh.elements[eid].tolist()
+        eps = 1e-6 * float(np.ptp(mesh.nodes[conn], axis=0).max())
         polys = []
         for sign, poly in ((1.0, poly_plus), (-1.0, poly_minus)):
             ids = []
-            for entry in poly:
-                if isinstance(entry, tuple):
-                    i = entry[1]
-                    ids.append(mesh.n_nodes + len(extra_pos))
-                    extra_pos.append(chain[i])
-                    extra_probe.append(chain[i] + sign * eps * normals[i])
-                else:
-                    ids.append(int(mesh.elements[eid][entry]))
+            for k in poly:
+                if k < 4:
+                    ids.append(conn[k])
+                    continue
+                ids.append(mesh.n_nodes + len(extra_pos))
+                extra_pos.append(chain[k - 4])
+                extra_probe.append(chain[k - 4] + sign * eps * normals[k - 4])
             polys.append([len(ids)] + ids)
-        cell_text[eid] = "\n".join(" ".join(map(str, poly)) for poly in polys)
+        cells[eid] = "\n".join(" ".join(map(str, poly)) for poly in polys)
         cell_size += len(polys[0]) + len(polys[1]) - 5
         split[eid] = True
     # Cell k belongs to element owner[k]; the second cell of a split element
@@ -335,7 +346,7 @@ def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     lines.append(_fmt_rows(points, "{} {} 0"))
     n_cells = owner.size
     lines.append(f"CELLS {n_cells} {cell_size}")
-    lines.extend(cell_text)
+    lines.append("\n".join(cells) % tuple(mesh.elements[~split].ravel().tolist()))
     lines.append(f"CELL_TYPES {n_cells}")
     lines.extend(map(str, cell_types.tolist()))
     lines.append(f"POINT_DATA {points.shape[0]}")

@@ -10,9 +10,11 @@ from xfem2d.assembly import (
     DofLayout,
     MaterialModel,
     SolutionState,
+    elasticity_matrix,
+    voigt_strain,
 )
 from xfem2d.config import ContourSpec, RunConfig
-from xfem2d.cracks import CrackPath
+from xfem2d.cracks import CrackPath, signed_distance_batch
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
@@ -23,8 +25,15 @@ from xfem2d.driver import (
     setup_problem,
     stationary_history,
 )
-from xfem2d.enrichment import FieldTriplet, classify_with_remedy, crack_opening
-from xfem2d.mesh import Mesh
+from xfem2d.enrichment import (
+    TIP,
+    FieldTriplet,
+    classify_with_remedy,
+    crack_opening,
+    element_fields,
+    evaluate_fields,
+)
+from xfem2d.mesh import Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect
 from xfem2d.output import (
     COD_HEADER,
@@ -34,6 +43,9 @@ from xfem2d.output import (
     write_field_dump,
     write_run_log,
     write_sif_csv,
+    _cell_stresses,
+    _fmt,
+    _node_displacements,
 )
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
@@ -377,6 +389,92 @@ class TestFieldDump:
         again = tmp_path / "again.vtk"
         write_field_dump(state, problem.mesh, problem.emap, STEEL, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def node_lines(path, n_nodes):
+    """The dump's displacement lines of the first ``n_nodes`` points."""
+    lines = path.read_text().splitlines()
+    at = lines.index("VECTORS displacement double") + 1
+    return lines[at:at + n_nodes]
+
+
+class TestNodeDisplacements:
+    """Mesh-node displacements are read from the coefficients, not evaluated."""
+
+    def test_equal_to_field_evaluation(self, dumped):
+        problem, state, _, path = dumped
+        mesh, emap = problem.mesh, problem.emap
+        assert emap.n_tip > 0
+        disp = _node_displacements(state.fields, mesh, emap)
+        expected, _ = evaluate_fields(mesh.nodes, mesh, emap, state.fields, want_grad=False)
+        assert np.abs(disp - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert node_lines(path, mesh.n_nodes) == [f"{_fmt(x)} {_fmt(y)} 0"
+                                                  for x, y in disp.tolist()]
+
+    def test_standard_coefficient_off_tip_nodes(self, dumped):
+        problem, state, _, _ = dumped
+        disp = _node_displacements(state.fields, problem.mesh, problem.emap)
+        off = problem.emap.status != TIP
+        np.testing.assert_array_equal(disp[off], state.fields.u_cont[off])
+        assert np.all(disp[~off] != state.fields.u_cont[~off])
+
+    def test_constrained_nodes_dump_exact_zero(self, dumped):
+        problem, _, data, _ = dumped
+        # tension_bcs: u_y = 0 along the bottom, u_x = 0 at the pin (node 0)
+        assert np.all(data["vectors"][problem.mesh.boundary_tags["bottom"], 1] == 0.0)
+        assert data["vectors"][0, 0] == 0.0
+
+
+def _von_mises_oracle(sig, material):
+    sxx, syy, sxy = sig.T
+    szz = material.nu * (sxx + syy) if material.plane_strain else 0.0
+    return np.sqrt(((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2) / 2.0
+                   + 3.0 * sxy ** 2)
+
+
+def element_by_element_stresses(state, mesh, emap, material, rules):
+    """Oracle for the dumped cell stresses: each element on its own, at the
+    points of its class's rule, through ``element_fields``; whole-element
+    means and, for a bisected element, the means on each side."""
+    fields = FieldTriplet(u_cont=state.fields.u_cont - state.fields.u_cont.mean(axis=0),
+                          u_disc=state.fields.u_disc, u_tip=state.fields.u_tip)
+    D = elasticity_matrix(material)
+    rule_of = (rules.standard, rules.standard, rules.cut, rules.tip)
+    m = mesh.n_elements
+    sig_mean, vm_mean = np.empty((m, 3)), np.empty(m)
+    side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
+    for eid, kind in enumerate(emap.element_kinds(mesh).tolist()):
+        rule = rule_of[kind]
+        _, _, wdet, phys = element_geometry(mesh.element_coords([eid])[0], rule)
+        _, grad = element_fields(mesh, emap, fields, np.full(rule.n_points, eid),
+                                 rule.points, phys)
+        sig = voigt_strain(grad) @ D.T
+        vm = _von_mises_oracle(sig, material)
+        sig_mean[eid], vm_mean[eid] = wdet @ sig / wdet.sum(), wdet @ vm / wdet.sum()
+        plus = np.ones(rule.n_points, dtype=bool)
+        if eid in emap.cut_elements:
+            crack = emap.crack_by_id(emap.cut_elements[eid])
+            plus = signed_distance_batch(crack, phys) > 0.0
+        for side, mask in enumerate((plus, ~plus)):
+            w = wdet * mask if mask.any() else wdet
+            side_sig[side, eid], side_vm[side, eid] = w @ sig / w.sum(), w @ vm / w.sum()
+    return sig_mean, vm_mean, side_sig, side_vm
+
+
+class TestCellStresses:
+    def test_every_class_matches_element_by_element(self, stationary_run):
+        config, problem, state, _ = stationary_run
+        mesh, emap = problem.mesh, problem.emap
+        kinds = emap.element_kinds(mesh)
+        assert set(kinds.tolist()) == {0, 1, 2, 3}
+        # kind 3 also holds elements that only have tip-enriched corners
+        assert np.count_nonzero(kinds == 3) > len(emap.tip_elements)
+        got = _cell_stresses(state, mesh, emap, config.material, problem.rules)
+        want = element_by_element_stresses(state, mesh, emap, config.material,
+                                           problem.rules)
+        for name, a, b in zip(("stress", "von Mises", "side stress", "side von Mises"),
+                              got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
 
 # ---------------------------------------------------------------------------
