@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from xfem2d.cholesky import FactorStats, FrontalCholesky
+from xfem2d.cholesky import FactorStats, FrontalCholesky, _ranges
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
     BASIS_FIELD,
@@ -237,17 +237,11 @@ class DofLayout:
                         np.where(field == 1, np.where(disc >= 0, base_disc + 2 * disc, -1),
                                  np.where(tip >= 0, base_tip + 8 * tip + 2 * (field - 2), -1)))
 
-    def permutation(self, node_order: np.ndarray) -> np.ndarray:
-        """Dof order that follows ``node_order`` with each node's dofs together.
-
-        Entry k is the dof placed k-th: a node's two standard dofs, then
-        its jump pair or its eight branch dofs (a node has one status),
-        for the nodes in turn.
-        """
-        return self.node_dofs(node_order)[0]
-
     def node_dofs(self, node_order: np.ndarray):
-        """:meth:`permutation` of ``node_order``, with the position in
+        """Dof order that follows ``node_order`` with each node's dofs
+        together: entry k is the dof placed k-th, a node's two standard
+        dofs, then its jump pair or its eight branch dofs (a node has one
+        status), for the nodes in turn.  Also returns the position in
         ``node_order`` of each entry's node and the entry's place (0-9)
         among that node's dofs."""
         node_order = np.asarray(node_order, dtype=np.int64)
@@ -300,7 +294,7 @@ class LinearSystem:
     def perm(self) -> np.ndarray:
         """Dof order of the factorization: entry k is the dof eliminated
         k-th, fixed dofs included."""
-        return self.layout.permutation(self.tree.order)
+        return self.layout.node_dofs(self.tree.order)[0]
 
 
 @dataclass
@@ -591,22 +585,30 @@ class StiffnessCache:
 
 
 def _plus_entries(A: sp.csr_matrix, values, rows, cols, n: int) -> sp.csr_matrix:
-    """``A`` padded to n x n plus the COO triplets, as CSR.
+    """``A`` (m x m) padded to n x n plus the COO triplets, as CSR.
 
     Triplets on one entry are summed in their order, and the sum is added
-    to A's entry once; A's explicit zeros stay stored.
-    """
+    to A's entry once; A's explicit zeros stay stored.  A triplet in A's
+    rows and columns must hit a stored entry, so new entries go after A's
+    entries of their row or into the new rows: both in one pass."""
     keys, inverse = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
     values = np.bincount(inverse.ravel(), weights=values, minlength=keys.size)
-    a_keys = np.repeat(np.arange(A.shape[0], dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
-    at = np.searchsorted(a_keys, keys)
-    hit = a_keys[np.minimum(at, a_keys.size - 1)] == keys
-    data = A.data.copy()
-    data[at[hit]] += values[hit]
-    data = np.insert(data, at[~hit], values[~hit])
-    indices = np.insert(A.indices, at[~hit], (keys[~hit] % n).astype(A.indices.dtype))
-    indptr = np.concatenate([A.indptr, np.full(n - A.shape[0], A.indptr[-1])])
-    indptr[1:] += np.cumsum(np.bincount(keys[~hit] // n, minlength=n)).astype(indptr.dtype)
+    m = A.shape[0]
+    r, c = keys // n, keys % n
+    new = (r >= m) | (c >= m)
+    hit = r[~new]  # ascending; A's keys are built for these rows only
+    hit_rows = hit[np.diff(hit, prepend=-1) != 0]
+    span = _ranges(A.indptr[hit_rows], np.diff(A.indptr)[hit_rows])
+    at = span[np.searchsorted(np.repeat(hit_rows * m, np.diff(A.indptr)[hit_rows])
+                              + A.indices[span], hit * m + c[~new])]
+    indptr = np.concatenate([A.indptr, np.full(n - m, A.indptr[-1])])
+    slot = np.zeros(A.nnz + np.count_nonzero(new), dtype=bool)
+    slot[indptr[r[new] + 1] + np.arange(np.count_nonzero(new))] = True
+    indptr[1:] += np.cumsum(np.bincount(r[new], minlength=n)).astype(indptr.dtype)
+    data, indices = np.empty(slot.size), np.empty(slot.size, dtype=A.indices.dtype)
+    data[~slot], indices[~slot] = A.data, A.indices
+    data[slot], indices[slot] = values[new], c[new]
+    data[at + indptr[hit] - A.indptr[hit]] += values[~new]
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -710,7 +712,8 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     fixed, is factored by supernodal Cholesky on ``system.tree`` in its
     dof order, the load is lifted by ``K`` times the prescribed values,
     and the fixed dofs take those values exactly.  A non-positive pivot
-    (an indefinite or singular system) raises :class:`SolverError`, as do
+    (an indefinite or singular system) raises :class:`SolverError` naming
+    the node, field and component of its dof, as do
     a non-finite solution and an infinity-norm residual above 1e-9 of the
     lifted load.  ``factor`` is the previous solve's factor on the same
     tree, kept by a propagation run: it reuses the fronts that no changed
@@ -742,6 +745,12 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     try:
         stats = factor.factorize(tree, counts, signature, stamps, system.K, q)
     except np.linalg.LinAlgError as exc:
+        if hasattr(exc, "pivot"):  # name the dof: its node, field and component
+            k = np.flatnonzero(free)[exc.pivot]
+            node, ext = int(tree.order[owner[k]]), int(local[k]) - 2
+            field = ("standard" if ext < 0 else "jump" if layout.disc_slot[node] >= 0
+                     else f"branch {ext // 2}")
+            exc.args = (f"{exc} (node {node}, {field} {'xy'[ext % 2]})",)
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     u[q] = factor.solve(rhs)
     if not np.all(np.isfinite(u)):

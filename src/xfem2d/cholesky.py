@@ -10,7 +10,10 @@ pivot columns plus the update matrices of its children (extend-add).
 LAPACK's ``dpotrf`` factors its pivot block, ``dtrsm`` gives the panel
 below it, and ``dsyrk`` forms the update matrix its parent consumes (Liu,
 "The multifrontal method for sparse matrix solution", SIAM Review 34,
-1992).
+1992).  Where each child row lands in its parent's front, and the runs of
+consecutive rows its update matrix is added in, are found for all the
+children of the refactored fronts in one array pass before the first
+front (:func:`_extend_add_plan`); the loop over the fronts only adds.
 
 A :class:`FrontalCholesky` that is factored again keeps every front that
 no changed element touches and whose nodes kept their layout: none of its
@@ -62,18 +65,34 @@ def _segment_any(mask: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return total[ptr[1:]] > total[ptr[:-1]]
 
 
-def _extend_add(F11, F21, F22, U, local) -> None:
-    """Add a child's update matrix U to its parent's front.
+def _extend_add_plan(tree: DissectionTree, redo, pivots, row_ptr, rowdofs, keys):
+    """Where the rows of the children of the fronts ``redo`` go in their
+    parents' fronts, for all of them in one pass: child c's rows fall into
+    ``runs[run_ptr[c]:run_ptr[c + 1]]``, each ``(first, end, place)``: its
+    rows ``first:end`` are the front rows ``place:place + end - first``,
+    all pivots or all panel rows."""
+    kids = np.flatnonzero(np.isin(tree.parent, redo))
+    sizes = np.diff(row_ptr)[kids]
+    at, kid = _ranges(row_ptr[kids], sizes), np.repeat(np.arange(kids.size), sizes)
+    f = tree.parent[kids][kid]
+    p = np.diff(pivots)[f]
+    # A row's place in column 0 is its pivot row, or p * p + k for row dof k.
+    place = _front_offsets(f, pivots[f], rowdofs[at], pivots, row_ptr, keys)
+    place = np.where(place < p * p, place, place - p * p + p)
+    first = np.flatnonzero((np.diff(place, prepend=-2) != 1) | np.diff(kid, prepend=-1)
+                           | np.diff(place >= p, prepend=True))
+    lo = (at - row_ptr[kids][kid])[first]
+    runs = list(zip(lo.tolist(), (lo + np.diff(first, append=at.size)).tolist(),
+                    place[first].tolist()))
+    return runs, np.searchsorted(kids[kid[first]], np.arange(tree.n_fronts + 1)).tolist()
 
-    Row k of U is row ``local[k]`` (ascending) of the front, whose pivot
-    block is F11, panel F21 and trailing block F22.  The rows fall into a
-    few runs of consecutive front rows, so the lower triangle of U is
-    added block by block as slices.
+
+def _extend_add(F11, F21, F22, U, runs) -> None:
+    """Add a child's update matrix U to its parent's front, whose pivot
+    block is F11, panel F21 and trailing block F22, block by block as
+    slices of U's lower triangle: by ``runs`` (:func:`_extend_add_plan`).
     """
     p = F11.shape[0]
-    cuts = np.union1d(np.flatnonzero(np.diff(local) != 1) + 1,
-                      [0, np.searchsorted(local, p), local.size])
-    runs = [(i, j, int(local[i])) for i, j in zip(cuts[:-1], cuts[1:]) if j > i]
     for n, (c0, c1, tc) in enumerate(runs):
         for r0, r1, tr in runs[n:]:
             block = U[r0:r1, c0:c1]
@@ -97,21 +116,17 @@ def _upper_entries(K: sp.csr_matrix, dofs: np.ndarray, rows: np.ndarray):
     return i[upper], j[upper], block.data[upper]
 
 
-def _front_offsets(i, j, pivots, rowdofs, row_ptr) -> np.ndarray:
-    """Place of each matrix entry (i, j), j >= i, in its front.
-
-    The front of pivot i holds it as entry (j, i) of its pivot block (p, p)
-    or, from ``p * p`` on, of its panel (r, p), both in Fortran order.
-    """
-    f = np.searchsorted(pivots, i, side="right") - 1
+def _front_offsets(f, i, j, pivots, row_ptr, keys) -> np.ndarray:
+    """Place of each matrix entry (i, j), j >= i, in front ``f``: entry
+    (j, i) of its pivot block (p, p) or, from ``p * p`` on, of its panel
+    (r, p), both in Fortran order.  ``keys`` are ``front * n + dof`` of
+    every front's row dofs."""
     a, b = pivots[f], pivots[f + 1]
     p, r = b - a, row_ptr[f + 1] - row_ptr[f]
     col = i - a
     flat = j - a + col * p
     out = np.flatnonzero(j >= b)
-    n_fronts, n = pivots.size - 1, pivots[-1]
-    keys = np.repeat(np.arange(n_fronts), np.diff(row_ptr)) * n + rowdofs
-    want = f[out] * n + j[out]
+    want = f[out] * pivots[-1] + j[out]
     hit = np.minimum(np.searchsorted(keys, want), keys.size - 1)
     if out.size and np.any(keys[hit] != want):
         raise np.linalg.LinAlgError(
@@ -153,7 +168,8 @@ class FrontalCholesky:
         ``stamps[k]`` changes whenever an element at the node changed its
         entries of K.  Only the upper triangle of the block is read (the
         lower one by symmetry), and only in the rows of the refactored
-        fronts.  Raises ``np.linalg.LinAlgError`` on a non-positive pivot.
+        fronts.  Raises ``np.linalg.LinAlgError`` on a non-positive pivot,
+        whose place in ``dofs`` is the error's ``pivot``.
         """
         n_fronts = tree.n_fronts
         ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -176,14 +192,14 @@ class FrontalCholesky:
 
         self.refactored = redo = np.flatnonzero(~kept)
         i, j, values = _upper_entries(K, dofs, _ranges(pivots[redo], np.diff(pivots)[redo]))
-        flat = _front_offsets(i, j, pivots, rowdofs, row_ptr)
+        keys = np.repeat(np.arange(n_fronts), np.diff(row_ptr)) * ptr[-1] + rowdofs
+        flat = _front_offsets(np.repeat(np.arange(n_fronts), np.diff(pivots))[i], i, j,
+                              pivots, row_ptr, keys)
+        runs, run_ptr = _extend_add_plan(tree, redo, pivots, row_ptr, rowdofs, keys)
         take_ptr = np.append(np.searchsorted(i, pivots[redo]), i.size)
         pending = {}  # front -> update matrix its parent has not consumed yet
         for k, f in enumerate(redo.tolist()):
-            a, b = pivots[f], pivots[f + 1]
-            p = b - a
-            rows = rowdofs[row_ptr[f]:row_ptr[f + 1]]
-            r = rows.size
+            a, p, r = pivots[f], pivots[f + 1] - pivots[f], row_ptr[f + 1] - row_ptr[f]
             F11 = np.zeros((p, p), order="F")
             F21 = np.zeros((r, p), order="F")
             F22 = np.zeros((r, r), order="F")
@@ -193,17 +209,14 @@ class FrontalCholesky:
             F21.reshape(-1, order="F")[at[~block] - p * p] = v[~block]
             for c in tree.children[f]:
                 U = pending.pop(c) if c in pending else self._kept_update(c)
-                crows = rowdofs[row_ptr[c]:row_ptr[c + 1]]
-                split = np.searchsorted(crows, b)
-                local = np.concatenate([crows[:split] - a,
-                                        p + np.searchsorted(rows, crows[split:])])
-                _extend_add(F11, F21, F22, U, local)
+                _extend_add(F11, F21, F22, U, runs[run_ptr[c]:run_ptr[c + 1]])
             if p:
                 _, info = lapack.dpotrf(F11, lower=1, clean=0, overwrite_a=1)
                 if info > 0:
-                    raise np.linalg.LinAlgError(
-                        f"non-positive pivot {info} of {p} in front {f}: the "
-                        "matrix is not positive definite")
+                    exc = np.linalg.LinAlgError(f"non-positive pivot {info} of {p} in front "
+                                                f"{f}: the matrix is not positive definite")
+                    exc.pivot = a + info - 1  # its place in ``dofs``
+                    raise exc
                 if r:
                     blas.dtrsm(1.0, F11, F21, side=1, lower=1, trans_a=1, overwrite_b=1)
                     blas.dsyrk(-1.0, F21, beta=1.0, c=F22, lower=1, overwrite_c=1)

@@ -348,28 +348,31 @@ class Mesh:
         separator, and the order lists the lower half, the upper half and
         then the separator, recursively, down to parts of ``_ND_LEAF``
         nodes, which keep their index order.  Each leaf part and each
-        separator is one front of the tree.
+        separator is one front of the tree.  Each level is one array pass
+        over all parts, kept sorted in x and in y, and the row sets are
+        merged by sorting (:func:`_distinct`: ``np.unique`` is slower here).
         """
         n = self.n_nodes
         pairs = _element_node_pairs(self.elements, n)
         key = np.zeros(n, dtype=np.int64)  # base-3 digits: 0 lower, 1 upper, 2 separator
         part = np.zeros(n, dtype=np.int64)  # -1 once a node's place is fixed
-        live_pairs = pairs
-        while True:
+        height = np.full(n, -n - 1)  # -level of a separator, below all of them in a leaf
+        by_axis = np.argsort(self.nodes, axis=0, kind="stable").T  # nodes by x, by y
+        ends = np.ascontiguousarray(pairs.T, dtype=np.int32)
+        for level in itertools.count(1):
             live = np.nonzero(part >= 0)[0]
             small = np.bincount(part[live])[part[live]] <= _ND_LEAF
             part[live[small]] = -1
             if small.all():
                 break
-            side, sep = _dissect_level(self.nodes, live_pairs, part)
+            by_axis = by_axis[part[by_axis] >= 0].reshape(2, -1)
+            side, sep, by_axis = _dissect_level(self.nodes, ends, part, by_axis)
             key *= 3
             key += np.maximum(side, 0) + sep
             part = np.where(side >= 0, 2 * part + side, -1)
-            part[sep] = -1
-            live_pairs = live_pairs[(part[live_pairs[:, 0]] >= 0)
-                                    & (part[live_pairs[:, 1]] >= 0)]
+            part[sep], height[sep] = -1, -level
         order = np.argsort(key, kind="stable")
-        return DissectionTree.build(order, key[order], pairs)
+        return DissectionTree.build(order, key[order], pairs, height[order])
 
     @cached_property
     def point_grid(self) -> tuple:
@@ -415,6 +418,14 @@ _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
 _LOCATE_TOL = 1e-9  # reference-square slack of point location
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of an integer array, by a sort and a neighbour mask."""
+    # NumPy 2 sends a value-only np.unique through a hash table: 13.8 ms on
+    # the 141k node-pair keys of the Table 1 plate, against 1.0 ms here.
+    a = np.sort(a, axis=None)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
+
+
 def _element_node_pairs(elements: np.ndarray, n_nodes: int) -> np.ndarray:
     """Distinct node pairs that share an element, shape (k, 2), ascending.
 
@@ -423,40 +434,36 @@ def _element_node_pairs(elements: np.ndarray, n_nodes: int) -> np.ndarray:
     """
     i, j = np.triu_indices(4, 1)
     a, b = elements[:, i].ravel(), elements[:, j].ravel()
-    key = np.unique(np.minimum(a, b) * n_nodes + np.maximum(a, b))
+    key = _distinct(np.minimum(a, b) * n_nodes + np.maximum(a, b))
     return np.column_stack([key // n_nodes, key % n_nodes])
 
 
-def _dissect_level(nodes: np.ndarray, pairs: np.ndarray, part: np.ndarray):
+def _dissect_level(nodes: np.ndarray, ends: np.ndarray, part: np.ndarray,
+                   by_axis: np.ndarray):
     """Split every open part once, as one level of nested dissection.
 
-    ``part`` holds each node's part id, or -1 for nodes already placed.
-    Each part is cut at the median rank along the longer side of its
-    bounding box, ties going by node index.  Returns ``side`` (n,), -1 for
-    placed nodes, 0 for the lower half and 1 for the upper, and the
-    separator mask (n,): the upper endpoint of every pair in ``pairs``
-    that crosses a cut.  No pair joins the two halves of a part once the
-    separator is taken out.
+    ``part`` holds each node's part id, or -1 for nodes already placed;
+    ``by_axis`` (2, k) lists the open nodes part by part, ascending in x
+    and in y, ties going by node index.  Each part is cut at the median
+    rank along the longer side of its bounding box.  Returns ``side``
+    (n,), -1 for placed nodes, 0 for the lower half and 1 for the upper,
+    the separator mask (n,): the upper end of every pair ``ends`` (2, m)
+    that crosses a cut, and ``by_axis`` with each lower half moved first.
     """
-    live = np.nonzero(part >= 0)[0]
-    _, p = np.unique(part[live], return_inverse=True)
-    sizes = np.bincount(p)
-    starts = np.cumsum(sizes) - sizes
-    xy = nodes[live]
-    by_part = np.argsort(p, kind="stable")
-    span = (np.maximum.reduceat(xy[by_part], starts)
-            - np.minimum.reduceat(xy[by_part], starts))
-    c = xy[np.arange(live.size), np.argmax(span, axis=1)[p]]
-    order = np.lexsort((c, p))
-    rank = np.empty(live.size, dtype=np.int64)
-    rank[order] = np.arange(live.size) - starts[p[order]]
-    side = np.full(nodes.shape[0], -1, dtype=np.int64)
-    side[live] = rank >= sizes[p] // 2
-    sa, sb = side[pairs[:, 0]], side[pairs[:, 1]]
-    cross = (sa >= 0) & (sb >= 0) & (sa != sb)
+    starts = np.flatnonzero(np.diff(part[by_axis[0]], prepend=-1))
+    sizes = np.diff(starts, append=by_axis.shape[1])
+    p = np.repeat(np.arange(starts.size), sizes)  # the part's rank
+    span = [nodes[by_axis[a, starts + sizes - 1], a] - nodes[by_axis[a, starts], a]
+            for a in (0, 1)]  # a part's first and last nodes are its extremes
+    side = np.full(nodes.shape[0], -1, dtype=np.int8)
+    side[np.where((span[1] > span[0])[p], by_axis[1], by_axis[0])] = (
+        np.arange(p.size) - starts[p] >= sizes[p] // 2)
+    sa, sb = side[ends[0]], side[ends[1]]
+    cross = (sa ^ sb) == 1  # one end 0 and the other 1; -1 marks placed nodes
     sep = np.zeros(nodes.shape[0], dtype=bool)
-    sep[np.where(sa[cross] == 1, pairs[cross, 0], pairs[cross, 1])] = True
-    return side, sep
+    sep[np.where(sa[cross] == 1, ends[0, cross], ends[1, cross])] = True
+    halves = (2 * p + side[by_axis]).astype(np.min_scalar_type(2 * p[-1] + 1))
+    return side, sep, by_axis[[[0], [1]], np.argsort(halves, axis=1, kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,10 +486,12 @@ class DissectionTree:
     rows: np.ndarray
 
     @classmethod
-    def build(cls, order: np.ndarray, keys: np.ndarray,
-              pairs: np.ndarray) -> "DissectionTree":
+    def build(cls, order: np.ndarray, keys: np.ndarray, pairs: np.ndarray,
+              height: np.ndarray) -> "DissectionTree":
         """Tree of ``order`` whose fronts are its runs of equal ``keys``,
-        for the node coupling ``pairs`` (k, 2)."""
+        for the node coupling ``pairs`` (k, 2).  ``height`` (per position)
+        grows from each front to those its rows lie in, as in nested
+        dissection; all fronts of one height are built in one pass."""
         n = order.size
         start = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1, [n]])
         n_fronts = start.size - 1
@@ -492,25 +501,24 @@ class DissectionTree:
         ends = np.sort(position[pairs], axis=1)
         owner = front[ends[:, 0]]
         out = ends[:, 1] >= start[owner + 1]
-        direct = np.unique(owner[out] * n + ends[out, 1])
-        bounds = np.searchsorted(direct // n, np.arange(n_fronts + 1))
-        direct %= n
+        direct = _distinct(owner[out] * n + ends[out, 1])  # front * n + row
+        level = np.append(height, 0)[start[:-1]]  # a mesh without nodes has one empty front
         parent = np.full(n_fronts, -1, dtype=np.int64)
-        rows = []
-        inherited: list[list] = [[] for _ in range(n_fronts)]
-        for f in range(n_fronts):
-            end = start[f + 1]
-            r = direct[bounds[f]:bounds[f + 1]]
-            if inherited[f]:
-                r = np.unique(np.concatenate([r] + [c[c >= end] for c in inherited[f]]))
-                inherited[f] = []
-            rows.append(r)
-            if r.size:
-                parent[f] = front[r[0]]
-                inherited[parent[f]].append(r)
+        inherited = np.empty(0, dtype=np.int64)  # parent * n + row of a child
+        done = []
+        for h in _distinct(level).tolist():
+            mine = level[inherited // n] == h
+            rows = _distinct(np.concatenate([direct[level[direct // n] == h], inherited[mine]]))
+            f, r = rows // n, rows % n
+            first = np.flatnonzero(np.diff(f, prepend=-1))
+            parent[f[first]] = front[r[first]]
+            up = r >= start[parent[f] + 1]
+            inherited = np.concatenate([inherited[~mine], parent[f[up]] * n + r[up]])
+            done.append(rows)
+        rows = np.sort(np.concatenate([direct[:0], *done]))
+        counts = np.bincount(rows // n, minlength=n_fronts)
         return cls(order=order, start=start, parent=parent,
-                   row_start=np.cumsum([0] + [r.size for r in rows]),
-                   rows=np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+                   row_start=np.concatenate([[0], np.cumsum(counts)]), rows=rows % n)
 
     def __post_init__(self):
         for a in (self.order, self.start, self.parent, self.row_start, self.rows):

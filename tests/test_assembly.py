@@ -25,8 +25,8 @@ from xfem2d.assembly import (
     stress_strain_batch,
     _element_matrices,
 )
-from xfem2d import enrichment
-from xfem2d.cholesky import FrontalCholesky
+from xfem2d import assembly, enrichment
+from xfem2d.cholesky import FrontalCholesky, _extend_add_plan
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
     BASIS_FIELD,
@@ -570,7 +570,7 @@ class TestFactorReuse:
         broken = LinearSystem(K=K, f=system.f, fixed=system.fixed,
                               layout=system.layout, tree=system.tree, stamps=stamps)
         for _ in range(2):  # nothing of the failed attempt is kept
-            with pytest.raises(SolverError, match="positive definite"):
+            with pytest.raises(SolverError, match=r"positive definite \(node 50, standard x\)"):
                 solve(broken, factor=factor)
         again = solve(system, factor=factor)
         assert again.factor.fronts_refactored == again.factor.fronts
@@ -586,6 +586,143 @@ class TestFactorReuse:
         again = solve(same, factor=factor)
         assert again.factor.fronts_refactored == 0
         np.testing.assert_array_equal(again.u, first.u)
+
+
+class TestPivotReport:
+    def test_zeroed_jump_dof_names_its_node(self):
+        _, _, system = center_crack_with_tips()
+        node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
+        dof = system.layout.disc_dof(node, 1)
+        K = system.K.tocoo()
+        zero = (K.row == dof) | (K.col == dof)
+        K = sp.csr_matrix((np.where(zero, 0.0, K.data), (K.row, K.col)), shape=K.shape)
+        broken = LinearSystem(K=K, f=system.f, fixed=system.fixed, layout=system.layout,
+                              tree=system.tree, stamps=system.stamps)
+        with pytest.raises(SolverError, match=rf"not positive definite \(node {node}, jump y\)"):
+            solve(broken)
+
+
+def reference_places(factor, c):
+    """Child c's places in its parent's front and the cuts between its
+    runs, computed per child as the factorization first did."""
+    tree, pivots, rowdofs, row_ptr = factor._tree, factor._pivots, factor._rowdofs, factor._row_ptr
+    f = tree.parent[c]
+    a, b = pivots[f], pivots[f + 1]
+    p = b - a
+    rows = rowdofs[row_ptr[f]:row_ptr[f + 1]]
+    crows = rowdofs[row_ptr[c]:row_ptr[c + 1]]
+    split = np.searchsorted(crows, b)
+    local = np.concatenate([crows[:split] - a, p + np.searchsorted(rows, crows[split:])])
+    cuts = np.union1d(np.flatnonzero(np.diff(local) != 1) + 1,
+                      [0, np.searchsorted(local, p), local.size])
+    return local, cuts
+
+
+def assert_plan_matches_reference(factor):
+    tree, pivots, rowdofs, row_ptr = factor._tree, factor._pivots, factor._rowdofs, factor._row_ptr
+    keys = np.repeat(np.arange(tree.n_fronts), np.diff(row_ptr)) * pivots[-1] + rowdofs
+    runs, run_ptr = _extend_add_plan(tree, factor.refactored, pivots, row_ptr, rowdofs, keys)
+    planned = 0
+    for f in factor.refactored.tolist():
+        for c in tree.children[f]:
+            local, cuts = reference_places(factor, c)
+            mine = runs[run_ptr[c]:run_ptr[c + 1]]
+            np.testing.assert_array_equal(
+                np.concatenate([np.arange(at, at + end - first) for first, end, at in mine]
+                               + [np.empty(0, dtype=np.int64)]), local)
+            np.testing.assert_array_equal([first for first, _, _ in mine]
+                                          + [mine[-1][1] if mine else 0], cuts)
+            planned += 1
+    # The planned children are exactly those of the refactored fronts.
+    assert run_ptr[-1] == len(runs) and planned == np.isin(tree.parent, factor.refactored).sum()
+    return planned
+
+
+class TestExtendAddPlan:
+    def test_tip_enriched_layout(self):
+        _, _, system = center_crack_with_tips()
+        factor = FrontalCholesky()
+        solve(system, factor=factor)
+        assert assert_plan_matches_reference(factor) == system.tree.n_fronts - 1
+
+    def test_growth_step_with_kept_fronts(self):
+        mesh = uniform_rect(1.0, 1.0, 20, 20)
+        rules = QuadratureSet.from_targets()
+        cache, factor = StiffnessCache(mesh, STEEL, rules), FrontalCholesky()
+        bcs = [BoundaryCondition("bottom", "displacement", (None, 0.0)),
+               BoundaryCondition("top", "traction", (0.0, 1e6))]
+        crack = CrackPath(vertices=np.array([[0.0, 0.52], [0.31, 0.52]]), tip_start=False, id=0)
+        for _ in range(2):
+            emap = classify_enrichment(mesh, [crack], rule=rules.cut)
+            system = apply_constraints(assemble(mesh, emap, STEEL, rules, bcs, cache=cache),
+                                       {0: 0.0})
+            solve(system, factor=factor)
+            crack = extend_crack(crack, 1, 0.2, 0.06)
+        kept = np.setdiff1d(np.arange(system.tree.n_fronts), factor.refactored)
+        assert kept.size and np.isin(system.tree.parent[kept], factor.refactored).any()
+        assert 0 < assert_plan_matches_reference(factor) < system.tree.n_fronts - 1
+
+
+def plus_entries_by_insert(A, values, rows, cols, n):
+    """``A`` padded to n x n plus the COO triplets, by two ``np.insert``
+    into A's arrays: the reference for ``assembly._plus_entries``."""
+    keys, inverse = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
+    values = np.bincount(inverse.ravel(), weights=values, minlength=keys.size)
+    a_keys = np.repeat(np.arange(A.shape[0], dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
+    at = np.searchsorted(a_keys, keys)
+    hit = a_keys[np.minimum(at, a_keys.size - 1)] == keys
+    data = A.data.copy()
+    data[at[hit]] += values[hit]
+    data = np.insert(data, at[~hit], values[~hit])
+    indices = np.insert(A.indices, at[~hit], (keys[~hit] % n).astype(A.indices.dtype))
+    indptr = np.concatenate([A.indptr, np.full(n - A.shape[0], A.indptr[-1])])
+    indptr[1:] += np.cumsum(np.bincount(keys[~hit] // n, minlength=n)).astype(indptr.dtype)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def assert_same_bytes(A, B):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(A, name), getattr(B, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestPlusEntries:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_triplets_match_the_insert_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = 30, 30 + int(rng.integers(0, 12))
+        A = sp.random(m, m, density=0.2, random_state=seed, format="csr")
+        A = (A + A.T).tocsr()
+        A.data[rng.random(A.nnz) < 0.1] = 0.0  # explicit zeros stay stored
+        a_keys = np.repeat(np.arange(m) * m, np.diff(A.indptr)) + A.indices
+        hits = rng.choice(a_keys, size=int(rng.integers(0, 40)))
+        rows = np.concatenate([hits // m, rng.integers(0, n, 30), rng.integers(m, n + 1, 10) - 1])
+        cols = np.concatenate([hits % m, rng.integers(m, n + 1, 30) - 1, rng.integers(0, n, 10)])
+        keep = (rows >= m) | (cols >= m) | np.isin(rows * m + cols, a_keys)
+        rows, cols = rows[keep], cols[keep]
+        values = rng.normal(size=rows.size)
+        assert_same_bytes(assembly._plus_entries(A, values, rows, cols, n),
+                          plus_entries_by_insert(A, values, rows, cols, n))
+
+    def test_growth_steps_match_the_insert_reference(self, monkeypatch):
+        seen, real = [], assembly._plus_entries
+
+        def spy(A, *triplets):
+            K = real(A, *triplets)
+            seen.append((K, plus_entries_by_insert(A, *triplets)))
+            return K
+
+        monkeypatch.setattr(assembly, "_plus_entries", spy)
+        mesh, rules = uniform_rect(1.0, 1.0, 20, 20), QuadratureSet.from_targets()
+        cache = StiffnessCache(mesh, STEEL, rules)
+        crack = CrackPath(vertices=np.array([[0.31, 0.52], [0.47, 0.52]]), id=0)
+        for _ in range(3):
+            emap, (crack,) = classify_with_remedy(mesh, [crack], rule=rules.cut)
+            assemble(mesh, emap, STEEL, rules, cache=cache)
+            crack = extend_crack(crack, 1, -0.3, 0.07)
+        assert len(seen) == 3
+        for K, expected in seen:
+            assert_same_bytes(K, expected)
 
 
 def substitute_every_front(factor, rhs):

@@ -9,11 +9,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xfem2d.benchmarks import hole_attraction_config
+from xfem2d.benchmarks import hole_attraction_config, table1_config
 from xfem2d.mesh import (
+    _ND_LEAF,
+    DissectionTree,
     Mesh,
     MeshFormatError,
     _dissect_level,
+    _distinct,
     _element_node_pairs,
     dump_mesh,
     gauss_rule,
@@ -254,8 +257,8 @@ class TestNestedDissection:
     def test_top_level_separator_splits_the_graph(self, name):
         mesh = ORDERING_MESHES[name]()
         pairs = _element_node_pairs(mesh.elements, mesh.n_nodes)
-        side, sep = _dissect_level(mesh.nodes, pairs,
-                                   np.zeros(mesh.n_nodes, dtype=np.int64))
+        side, sep, _ = _dissect_level(mesh.nodes, pairs.T, np.zeros(mesh.n_nodes, dtype=np.int64),
+                                      np.argsort(mesh.nodes, axis=0, kind="stable").T)
         assert abs(np.sum(side == 0) - np.sum(side == 1)) <= 1
         a, b = pairs.T
         assert not np.any((side[a] != side[b]) & ~sep[a] & ~sep[b])
@@ -318,6 +321,116 @@ class TestNestedDissection:
         np.testing.assert_array_equal(mesh.nested_dissection_tree.order,
                                       np.arange(mesh.n_nodes))
         assert mesh.nested_dissection_tree.n_fronts == 1
+
+
+def reference_tree(mesh):
+    """The nested-dissection tree as first built: one ``np.unique`` per
+    level and per front, a lexsort per level, a Python loop over the
+    fronts.  The reference the whole-array build must match exactly."""
+    n = mesh.n_nodes
+    i, j = np.triu_indices(4, 1)
+    a, b = mesh.elements[:, i].ravel(), mesh.elements[:, j].ravel()
+    pair_keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    pairs = np.column_stack([pair_keys // n, pair_keys % n])
+    key = np.zeros(n, dtype=np.int64)
+    part = np.zeros(n, dtype=np.int64)
+    live_pairs = pairs
+    while True:
+        live = np.nonzero(part >= 0)[0]
+        small = np.bincount(part[live])[part[live]] <= _ND_LEAF
+        part[live[small]] = -1
+        if small.all():
+            break
+        live = np.nonzero(part >= 0)[0]
+        _, p = np.unique(part[live], return_inverse=True)
+        sizes = np.bincount(p)
+        starts = np.cumsum(sizes) - sizes
+        xy = mesh.nodes[live]
+        by_part = np.argsort(p, kind="stable")
+        span = (np.maximum.reduceat(xy[by_part], starts)
+                - np.minimum.reduceat(xy[by_part], starts))
+        c = xy[np.arange(live.size), np.argmax(span, axis=1)[p]]
+        order = np.lexsort((c, p))
+        rank = np.empty(live.size, dtype=np.int64)
+        rank[order] = np.arange(live.size) - starts[p[order]]
+        side = np.full(n, -1, dtype=np.int64)
+        side[live] = rank >= sizes[p] // 2
+        sa, sb = side[live_pairs[:, 0]], side[live_pairs[:, 1]]
+        cross = (sa >= 0) & (sb >= 0) & (sa != sb)
+        sep = np.zeros(n, dtype=bool)
+        sep[np.where(sa[cross] == 1, live_pairs[cross, 0], live_pairs[cross, 1])] = True
+        key *= 3
+        key += np.maximum(side, 0) + sep
+        part = np.where(side >= 0, 2 * part + side, -1)
+        part[sep] = -1
+        live_pairs = live_pairs[(part[live_pairs[:, 0]] >= 0)
+                                & (part[live_pairs[:, 1]] >= 0)]
+    order = np.argsort(key, kind="stable")
+    keys = key[order]
+    start = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1, [n]])
+    n_fronts = start.size - 1
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    front = np.repeat(np.arange(n_fronts), np.diff(start))
+    ends = np.sort(position[pairs], axis=1)
+    owner = front[ends[:, 0]]
+    out = ends[:, 1] >= start[owner + 1]
+    direct = np.unique(owner[out] * n + ends[out, 1])
+    bounds = np.searchsorted(direct // n, np.arange(n_fronts + 1))
+    direct %= n
+    parent = np.full(n_fronts, -1, dtype=np.int64)
+    rows = []
+    inherited = [[] for _ in range(n_fronts)]
+    for f in range(n_fronts):
+        end = start[f + 1]
+        r = direct[bounds[f]:bounds[f + 1]]
+        if inherited[f]:
+            r = np.unique(np.concatenate([r] + [c[c >= end] for c in inherited[f]]))
+        rows.append(r)
+        if r.size:
+            parent[f] = front[r[0]]
+            inherited[parent[f]].append(r)
+    return DissectionTree(order=order, start=start, parent=parent,
+                          row_start=np.cumsum([0] + [r.size for r in rows]),
+                          rows=np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+
+
+def perturbed_grid():
+    """A uniform grid with every interior node moved at random, so that
+    coordinates rarely tie."""
+    mesh = uniform_rect(1.2, 1.0, 30, 25)
+    rng = np.random.default_rng(11)
+    inner = np.all((mesh.nodes > 1e-9) & (mesh.nodes < [1.2 - 1e-9, 1.0 - 1e-9]), axis=1)
+    nodes = mesh.nodes + inner[:, None] * rng.uniform(-0.01, 0.01, mesh.nodes.shape)
+    return Mesh(nodes=nodes, elements=mesh.elements, boundary_tags=mesh.boundary_tags)
+
+
+class TestSymbolicPlan:
+    """The whole-array tree build against the reference it replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: table1_config(12.5).mesh,
+        lambda: hole_attraction_config().mesh,
+        lambda: uniform_rect(1.0, 1.0, 6, 6),
+        perturbed_grid,
+    ], ids=["table1-plate", "hole", "one-front", "perturbed"])
+    def test_tree_arrays_match_the_reference(self, make):
+        mesh = make()
+        tree, expected = mesh.nested_dissection_tree, reference_tree(mesh)
+        for name in ("order", "start", "parent", "row_start", "rows"):
+            got, want = getattr(tree, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-40, 40) | st.integers(-2**31, 2**31 - 1),
+                           max_size=60),
+           dtype=st.sampled_from([np.int32, np.int64]))
+    def test_distinct_is_unique(self, values, dtype):
+        a = np.array(values, dtype=dtype)
+        got, want = _distinct(a), np.unique(a)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 class TestJacobian:
