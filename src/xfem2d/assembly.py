@@ -58,9 +58,9 @@ from xfem2d.mesh import (
     DissectionTree,
     Mesh,
     QuadratureRule,
+    QuadratureSet,
     edge_points,
     element_geometry,
-    gauss_rule,
 )
 
 __all__ = [
@@ -148,41 +148,6 @@ class BoundaryCondition:
             return self
         value = tuple(None if v is None else v * lam for v in self.value)
         return BoundaryCondition(self.boundary, self.kind, value, scaled=False)
-
-
-@dataclass(frozen=True)
-class QuadratureSet:
-    """Element rules per class: plain, cut (jump), and tip (branch).
-
-    The tip rule is always a tensor rule with an even per-axis count:
-    odd rules sample the element center, which coincides with the crack
-    tip whenever a crack is aligned with element-center rows, and the
-    branch gradient is singular there.
-    """
-
-    standard: QuadratureRule
-    cut: QuadratureRule
-    tip: QuadratureRule
-
-    @classmethod
-    def from_targets(cls, standard: int = 4, cut: int = 35,
-                     tip: int = 40) -> "QuadratureSet":
-        n = int(np.ceil(np.sqrt(tip)))
-        n += n % 2
-        return cls(
-            standard=gauss_rule(standard),
-            cut=gauss_rule(cut),
-            tip=gauss_rule(n * n),
-        )
-
-    def classes(self, kinds: np.ndarray) -> list:
-        """``(element ids, rule)`` of each non-empty integration class of
-        :meth:`~xfem2d.enrichment.EnrichmentMap.element_kinds`: plain and
-        blending elements, cut elements, tip elements."""
-        pairs = ((np.nonzero(kinds < 2)[0], self.standard),
-                 (np.nonzero(kinds == 2)[0], self.cut),
-                 (np.nonzero(kinds == 3)[0], self.tip))
-        return [(eids, rule) for eids, rule in pairs if eids.size]
 
 
 @dataclass(frozen=True)
@@ -444,9 +409,10 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray
     A cut element whose quadrature points all sample one side (the crack
     clips a corner sliver below rule resolution) is still integrated: the
     jump factors are then constant over the element, which is exactly the
-    limit of a vanishing sliver.  Nodes whose whole support samples
-    one-sided are removed during classification, so no dof can end up
-    without jump stiffness.
+    limit of a vanishing sliver.  Classification keeps a Heaviside node
+    only when its cut- and tip-class elements hold two or more points of
+    their class's rule on the far side of the crack from it, where M is
+    not zero, so each jump dof is integrated at two points at least.
     """
     q = rule.n_points
     _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)

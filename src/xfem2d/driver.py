@@ -286,14 +286,13 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
     else:
         mesh, bcs, rules, stiffness = base.mesh, base.bcs, base.rules, base.stiffness
     with _stage("classification"):
-        # Support-area demotion must measure with the same rule the
-        # assembly integrates with, or a node could keep a jump dof that
-        # the stiffness integral never samples on one side.
+        # Demotion counts the points each class's rule integrates the jump
+        # at, so classification takes the rules the assembly uses.
         emap, used = classify_with_remedy(
             mesh,
             cracks if cracks is not None else config.cracks,
             delta=config.delta,
-            rule=rules.cut,
+            rules=rules,
             tip_enrichment=config.tip_enrichment,
             base=base.emap if base is not None else None,
         )

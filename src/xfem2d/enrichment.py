@@ -36,10 +36,10 @@ end, the new segment and the old tip vertex.  Then:
   its arc lengths from its new vertex numbering;
 - the tips, tip elements, cut pieces, Heaviside candidates and endpoint
   demotions are then derived again from all clips, which is cheap;
-- a node's support-area ratio and sign are carried over unless a changed
-  feature comes within three support radii of it, where it could become
-  the nearest crack feature to a point of the support and flip the side
-  that point lies on (:func:`_in_reach`).
+- a cut-class element's :func:`_point_sides` are carried over while it
+  stays cut-class and no changed feature comes within its diameter
+  (:func:`_near`, the rule of the assembly's cut-element cache); the
+  tip-class elements and the enriched nodes' signs are measured afresh.
 
 Without a map, or once the coincidence remedy has moved every vertex of
 a crack, every feature has changed and the band is the whole crack, so
@@ -77,8 +77,9 @@ from xfem2d.cracks import (
 from xfem2d.mesh import (
     Mesh,
     QuadratureRule,
+    QuadratureSet,
+    _distinct,
     element_geometry,
-    gauss_rule,
     jacobian,
     locate_hits,
     locate_points,
@@ -170,8 +171,8 @@ class BandStats:
 
     ``clipped`` of the ``crossed`` elements the cracks enter were clipped
     against a segment that changed since the map classified against, and
-    ``measured`` of the ``candidates`` Heaviside candidates had their
-    support-area ratio measured; from scratch, all of them.
+    ``measured`` of the ``candidates`` cut-class elements had the sides of
+    their rule points measured; from scratch, all of them.
     """
 
     clipped: int
@@ -182,16 +183,15 @@ class BandStats:
 
 @dataclass(frozen=True, eq=False)
 class _Carry:
-    """What a later classification on the same mesh and rule carries over:
-    each effective crack's :func:`_clips` by id, and per node the support
-    area ratio last measured (NaN if none) and the crack it was measured
-    against (-1 if none)."""
+    """What a later classification on the same mesh and cut rule carries
+    over: each effective crack's :func:`_clips` by id, and the cut-class
+    elements, ascending, with their :func:`_point_sides`."""
 
     mesh: Mesh
     rule: QuadratureRule
     clips: dict
-    ratio: np.ndarray
-    ratio_crack: np.ndarray
+    cut: np.ndarray
+    sides: np.ndarray
 
 
 @dataclass
@@ -304,16 +304,21 @@ class EnrichmentMap:
         uncut elements, so no elevation is needed), 2 = cut (bisected),
         3 = singular (contains a tip or any branch-enriched node).
         """
-        kinds = np.zeros(mesh.n_elements, dtype=np.int8)
-        node_enr = self.status != STANDARD
-        has_enr = node_enr[mesh.elements].any(axis=1)
-        kinds[has_enr] = 1
-        kinds[list(self.cut_elements)] = 2
-        node_tip = self.status == TIP
-        has_tip = node_tip[mesh.elements].any(axis=1)
-        kinds[has_tip] = 3
-        kinds[list(self.tip_elements)] = 3
-        return kinds
+        return _element_kinds(mesh, self.status, self.cut_elements, self.tip_elements)
+
+
+def _element_kinds(mesh: Mesh, status, cut_elements, tip_elements) -> np.ndarray:
+    """:meth:`EnrichmentMap.element_kinds` of these node statuses, marked
+    through the supports of the few enriched nodes."""
+    def support(nodes):
+        return np.concatenate([np.empty(0, dtype=np.int64)]
+                              + [mesh.node_to_elements[n] for n in nodes.tolist()])
+    kinds = np.zeros(mesh.n_elements, dtype=np.int8)
+    kinds[support(np.flatnonzero(status != STANDARD))] = 1
+    kinds[list(cut_elements)] = 2
+    kinds[support(np.flatnonzero(status == TIP))] = 3
+    kinds[list(tip_elements)] = 3
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +489,6 @@ def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
     return (np.minimum(corners, ends) <= diam[:, None]).any(axis=1)
 
 
-def _in_reach(mesh: Mesh, nodes: np.ndarray, old: CrackPath, new: CrackPath) -> np.ndarray:
-    """Whether a feature by which ``old`` and ``new`` differ can be the
-    nearest crack feature at some point of each node's support, for nodes
-    of elements both cracks cross or end in.
-
-    Elsewhere the nearest feature is one the two polylines share, so the
-    side of the crack each point lies on stands.  The support lies within
-    the node's support radius r of it, so both cracks pass within r of
-    the node and within 2r of each point of the support; a changed
-    feature farther than 3r from the node is farther from each such point
-    than the crack is.
-    """
-    changed = _changed_segments([old], [new])
-    if changed.size == 0:
-        return np.zeros(nodes.size, dtype=bool)
-    xy = mesh.nodes[nodes]
-    gap = point_segment_distance(xy[:, None], changed[None, :, 0], changed[None, :, 1])
-    return gap.min(axis=1) <= 3.0 * (1.0 + 1e-9) * mesh.support_radii[nodes]
-
-
 def _box_pairs(lo, hi, lo2, hi2, pad: float):
     """Index pairs (i, k), by i then k, of boxes ``lo[i]..hi[i]`` and
     ``lo2[k]..hi2[k]`` that meet once one is padded by ``pad``."""
@@ -548,7 +533,7 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
         # edges of the near elements as sorted node pairs, keyed lo * n + hi
         quads = mesh.elements[near]
         pairs = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
-        keys = np.unique(pairs[..., 0] * n_nodes + pairs[..., 1])
+        keys = _distinct(pairs[..., 0] * n_nodes + pairs[..., 1])
         e0, e1 = np.divmod(keys, n_nodes)
         p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
         elo, ehi = np.minimum(p0, p1), np.maximum(p0, p1)
@@ -556,7 +541,7 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
         Le = np.linalg.norm(ed, axis=1)
         found = []
         # mesh node on a crack segment (level-set sign would be ambiguous)
-        near_nodes = np.unique(quads)
+        near_nodes = _distinct(quads)
         xy = mesh.nodes[near_nodes]
         j, k = _box_pairs(slo, shi, xy, xy, tol)
         on = point_segment_distance(xy[k], a[j], b[j]) <= tol
@@ -619,24 +604,29 @@ def _perturbed(crack: CrackPath, attempt: int) -> CrackPath:
 # classification
 # ---------------------------------------------------------------------------
 
-def _support_area_ratios(mesh: Mesh, crack: CrackPath, nodes: np.ndarray,
-                         rule: QuadratureRule) -> np.ndarray:
-    """Smaller share of each node's support area on one side of ``crack``.
+# Two nodes whose only far-side rule point is the same one share its three
+# strain rows among their four jump dofs, and K is singular; so a node
+# needs two far-side points, whatever share of its support they weigh.
+_MIN_FAR_POINTS = 2
 
-    Areas are Jacobian-weighted counts of ``rule`` points by the sign of
-    the crack's signed distance (zero counts as positive); each support
-    element is integrated once, however many of ``nodes`` share it.
-    """
-    support = [mesh.node_to_elements[n] for n in nodes]
-    elems, inv = np.unique(np.concatenate(support), return_inverse=True)
-    _, _, w, phys = element_geometry(mesh.element_coords(elems), rule)  # w: (elements, q)
-    phi = signed_distance_batch(crack, phys.reshape(-1, 2)).reshape(w.shape)
-    a_pos = np.where(phi >= 0.0, w, 0.0).sum(axis=1)
-    a_neg = np.where(phi < 0.0, w, 0.0).sum(axis=1)
-    owner = np.repeat(np.arange(len(support)), [s.size for s in support])
-    a_pos = np.bincount(owner, weights=a_pos[inv], minlength=len(support))
-    a_neg = np.bincount(owner, weights=a_neg[inv], minlength=len(support))
-    return np.minimum(a_pos, a_neg) / (a_pos + a_neg)
+
+def _point_sides(mesh: Mesh, crack: CrackPath, batches) -> list:
+    """For each ``(eids, rule)`` of ``batches``, per element (n, 4): the
+    ``w detJ`` weight of the rule points with ``heaviside`` of the signed
+    distance to ``crack`` +1, of those with -1, and the counts of each, at
+    the points :func:`enriched_basis` evaluates M at.  An element's row
+    depends on it alone."""
+    geometry = [element_geometry(mesh.element_coords(eids), rule)[2:] for eids, rule in batches]
+    phi = signed_distance_batch(crack, np.concatenate([phys.reshape(-1, 2)
+                                                       for _, phys in geometry]))
+    sides, at = [], 0
+    for w, _ in geometry:  # w: (elements, q)
+        pos = heaviside(phi[at:at + w.size]).reshape(w.shape) > 0.0
+        at += w.size
+        sides.append(np.column_stack([np.where(pos, w, 0.0).sum(axis=1),
+                                      np.where(pos, 0.0, w).sum(axis=1),
+                                      pos.sum(axis=1), (~pos).sum(axis=1)]))
+    return sides
 
 
 def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float, clips):
@@ -696,7 +686,7 @@ def classify_enrichment(
     mesh: Mesh,
     cracks,
     delta: float = 0.002,
-    rule: QuadratureRule | None = None,
+    rules: QuadratureSet | None = None,
     tip_enrichment: bool = True,
     base: EnrichmentMap | None = None,
 ) -> EnrichmentMap:
@@ -705,10 +695,13 @@ def classify_enrichment(
     An element is *cut* when a crack polyline enters and leaves it through
     two distinct boundary points away from live tips; the element holding
     a live tip is a *tip element*.  Nodes of cut elements become Heaviside
-    candidates; a candidate is dropped when a crack endpoint lies strictly
-    inside its support (the jump must close there) or when the smaller of
-    its two support areas, measured by Jacobian-weighted quadrature-point
-    counting with ``rule``, falls below the fraction ``delta``.
+    candidates.  A candidate is dropped when a crack endpoint lies
+    strictly inside its support (the jump must close there), or by its
+    far side: the points of ``rules`` at which the stiffness integrates its
+    jump, those of its cut- and tip-class elements at their class's rule,
+    on the other side of the crack.  When their ``w detJ`` weight, or the
+    rest of its support area, is below ``delta`` times that area (Moës,
+    Dolbow & Belytschko, IJNME 46, 1999), or they are fewer than two.
 
     Raises :class:`CrackMeshDegeneracyError` for crack features coincident
     with mesh features (see :func:`classify_with_remedy`) and
@@ -716,7 +709,7 @@ def classify_enrichment(
     claiming one node, multiple crossings of one element, ...).
 
     ``base`` is an earlier classification on the same mesh with the same
-    ``rule`` object, such as the last step's of a propagation run; any
+    cut rule object, such as the last step's of a propagation run; any
     other is ignored.  Only what the features by which the cracks changed
     since then can reach is worked out again, the rest carried over (the
     band rule of the module notes).  The map and any error are the same
@@ -724,13 +717,13 @@ def classify_enrichment(
     """
     if not 0.0 <= delta < 0.5:
         raise EnrichmentError(f"delta must be in [0, 0.5), got {delta}")
-    rule = rule if rule is not None else gauss_rule(35)
+    rules = rules if rules is not None else QuadratureSet.from_targets()
     cracks = list(cracks)
     ids = [c.id for c in cracks]
     if len(set(ids)) != len(ids):
         raise EnrichmentError("crack ids must be unique")
     prior = base._carry if base is not None else None
-    if prior is None or prior.mesh is not mesh or prior.rule is not rule:
+    if prior is None or prior.mesh is not mesh or prior.rule is not rules.cut:
         base = prior = None
     old_sources = {c.id: c for c in base.source_cracks} if base is not None else {}
     old_cracks = {c.id: c for c in base.cracks} if base is not None else {}
@@ -862,44 +855,17 @@ def classify_enrichment(
     closing: set[int] = set()
     for i, p in enumerate(ends):
         owners = eid[pt == i].tolist()
-        if owners and mesh.boundary_distance(p) > size_tol:
-            closing |= set.intersection(*(set(mesh.elements[e].tolist()) for e in owners))
+        if owners:
+            inner = set.intersection(*(set(mesh.elements[e].tolist()) for e in owners))
+            if inner & candidates.keys() and mesh.boundary_distance(p) > size_tol:
+                closing |= inner
     for n in sorted(closing.intersection(candidates)):
         demotions.append((n, 0.0, "crack endpoint inside support"))
         del candidates[n]
 
-    # The band: the nodes of each crack that a feature by which it changed
-    # since ``base`` can reach; all of them without one.
-    owner = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    owner[list(candidates)] = list(candidates.values())
-    owner[list(tip_claim)] = [tips[gti].crack_id for gti in tip_claim.values()]
-    stale = np.ones(mesh.n_nodes, dtype=bool)
-    for crack in eff_cracks:
-        if crack.id in old_cracks:
-            mine = np.flatnonzero(owner == crack.id)
-            stale[mine] = _in_reach(mesh, mine, old_cracks[crack.id], crack)
-
-    # Remark-style support-area demotion, with the ratios of candidates
-    # outside the band carried over.
-    nodes = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-    ratio = np.full(mesh.n_nodes, np.nan)
-    ratio_crack = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    ratio_crack[nodes] = owner[nodes]
-    kept = ~stale[nodes]
-    if prior is not None:
-        kept &= prior.ratio_crack[nodes] == ratio_crack[nodes]
-        ratio[nodes[kept]] = prior.ratio[nodes[kept]]
-    todo = nodes[~kept]
-    for crack in eff_cracks:
-        mine = todo[ratio_crack[todo] == crack.id]
-        if mine.size:
-            ratio[mine] = _support_area_ratios(mesh, crack, mine, rule)
-    for n in sorted(candidates):
-        if ratio[n] < delta:
-            demotions.append((n, float(ratio[n]), "support area ratio below delta"))
-            del candidates[n]
-
-    # Build the per-node arrays; the signs outside the band carry over.
+    # The per-node arrays before the far-side demotion below; the cut- and
+    # tip-class elements, where the assembly integrates the jump, do not
+    # depend on it.
     status = np.zeros(mesh.n_nodes, dtype=np.int8)
     node_crack = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_tip = np.full(mesh.n_nodes, -1, dtype=np.int64)
@@ -912,14 +878,54 @@ def classify_enrichment(
         node_crack[n] = tips[gti].crack_id
         node_tip[n] = gti
     for crack in eff_cracks:
-        mine = np.nonzero(node_crack == crack.id)[0]
-        if base is not None:
-            same = ~stale[mine] & (base.node_crack[mine] == crack.id)
-            node_sign[mine[same]] = base.node_sign[mine[same]]
-            mine = mine[~same]
+        mine = np.flatnonzero(node_crack == crack.id)
         node_sign[mine] = heaviside(signed_distance_batch(crack, mesh.nodes[mine]))
+    kinds = _element_kinds(mesh, status, cut_elements, tip_elements)
 
-    crossed = np.unique(np.concatenate([np.empty(0, dtype=np.int64)]
+    # The point sides of the cut-class elements, carried over from ``base``
+    # where no changed feature comes near (the band); the tip class afresh.
+    cut = np.flatnonzero(kinds == 2)
+    sides = np.empty((cut.size, 4))
+    fresh = np.ones(cut.size, dtype=bool)
+    if prior is not None:
+        common, at, old = np.intersect1d(cut, prior.cut, assume_unique=True, return_indices=True)
+        keep = ~_near(mesh, common, _changed_segments(base.cracks, eff_cracks))
+        sides[at[keep]] = prior.sides[old[keep]]
+        fresh[at[keep]] = False
+    cut_crack = np.array([cut_elements[e] for e in cut.tolist()], dtype=np.int64)
+    nodes = np.array(sorted(candidates), dtype=np.int64)
+    support = [mesh.node_to_elements[n] for n in nodes]
+    pair_node = np.repeat(np.arange(nodes.size), [e.size for e in support])
+    pair_elem = np.concatenate([np.empty(0, dtype=np.int64)] + support)
+    pair_sides = np.zeros((pair_elem.size, 4))
+    is_cut, is_tip = kinds[pair_elem] == 2, kinds[pair_elem] == 3
+    for crack in eff_cracks:
+        at_cut = fresh & (cut_crack == crack.id)
+        at_tip = is_tip & (node_crack[nodes[pair_node]] == crack.id)
+        if at_cut.any() or at_tip.any():
+            elems, inv = np.unique(pair_elem[at_tip], return_inverse=True)
+            sides[at_cut], tip_sides = _point_sides(mesh, crack, [(cut[at_cut], rules.cut),
+                                                                  (elems, rules.tip)])
+            pair_sides[at_tip] = tip_sides[inv]
+    pair_sides[is_cut] = sides[np.searchsorted(cut, pair_elem[is_cut])]
+
+    # Demotion by the far side of each candidate: its points in the
+    # cut- and tip-class elements of its support, where M is not zero.
+    above = node_sign[nodes[pair_node]] > 0.0
+    far_side = np.where(above[:, None], pair_sides[:, 1::2], pair_sides[:, ::2])  # weight, count
+    xy = mesh.element_coords(pair_elem)
+    d1, d2 = xy[:, 2] - xy[:, 0], xy[:, 3] - xy[:, 1]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])  # of each quad, by its diagonals
+    far, points, area = (np.bincount(pair_node, x, minlength=nodes.size)
+                         for x in (far_side[:, 0], far_side[:, 1], areas))
+    ratio = np.minimum(far, area - far) / area
+    for n, r, k in zip(nodes.tolist(), ratio.tolist(), points.tolist()):
+        if r < delta or k < _MIN_FAR_POINTS:
+            demotions.append((n, r, "support area ratio below delta" if r < delta
+                              else "fewer than two far-side rule points"))
+            status[n], node_crack[n], node_sign[n] = STANDARD, -1, 0.0
+
+    crossed = _distinct(np.concatenate([np.empty(0, dtype=np.int64)]
                                        + [c[0] for c in clips.values()]))
 
     return EnrichmentMap(
@@ -936,9 +942,9 @@ def classify_enrichment(
         tip_enrichment=tip_enrichment,
         delta=delta,
         demotions=tuple(demotions),
-        band=BandStats(clipped=np.unique(np.concatenate(clipped)).size, crossed=crossed.size,
-                       measured=todo.size, candidates=nodes.size),
-        _carry=_Carry(mesh=mesh, rule=rule, clips=clips, ratio=ratio, ratio_crack=ratio_crack),
+        band=BandStats(clipped=_distinct(np.concatenate(clipped)).size, crossed=crossed.size,
+                       measured=int(fresh.sum()), candidates=cut.size),
+        _carry=_Carry(mesh=mesh, rule=rules.cut, clips=clips, cut=cut, sides=sides),
     )
 
 
@@ -946,7 +952,7 @@ def classify_with_remedy(
     mesh: Mesh,
     cracks,
     delta: float = 0.002,
-    rule: QuadratureRule | None = None,
+    rules: QuadratureSet | None = None,
     tip_enrichment: bool = True,
     base: EnrichmentMap | None = None,
 ):
@@ -963,13 +969,13 @@ def classify_with_remedy(
     current = list(cracks)
     for attempt in range(2):
         try:
-            return classify_enrichment(mesh, current, delta, rule, tip_enrichment, base), current
+            return classify_enrichment(mesh, current, delta, rules, tip_enrichment, base), current
         except CrackMeshDegeneracyError as exc:
             current = [
                 _perturbed(original[c.id], attempt) if c.id in exc.crack_ids else c
                 for c in current
             ]
-    return classify_enrichment(mesh, current, delta, rule, tip_enrichment, base), current
+    return classify_enrichment(mesh, current, delta, rules, tip_enrichment, base), current
 
 
 # ---------------------------------------------------------------------------

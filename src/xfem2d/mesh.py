@@ -24,6 +24,7 @@ __all__ = [
     "Mesh",
     "DissectionTree",
     "QuadratureRule",
+    "QuadratureSet",
     "ShapeEval",
     "MeshFormatError",
     "load_mesh",
@@ -159,6 +160,41 @@ def gauss_rule(points_target: int) -> QuadratureRule:
 
 
 @dataclass(frozen=True)
+class QuadratureSet:
+    """Element rules per class: plain, cut (jump), and tip (branch).
+
+    The tip rule is always a tensor rule with an even per-axis count:
+    odd rules sample the element center, which coincides with the crack
+    tip whenever a crack is aligned with element-center rows, and the
+    branch gradient is singular there.
+    """
+
+    standard: QuadratureRule
+    cut: QuadratureRule
+    tip: QuadratureRule
+
+    @classmethod
+    def from_targets(cls, standard: int = 4, cut: int = 35,
+                     tip: int = 40) -> "QuadratureSet":
+        n = int(np.ceil(np.sqrt(tip)))
+        n += n % 2
+        return cls(
+            standard=gauss_rule(standard),
+            cut=gauss_rule(cut),
+            tip=gauss_rule(n * n),
+        )
+
+    def classes(self, kinds: np.ndarray) -> list:
+        """``(element ids, rule)`` of each non-empty integration class of
+        :meth:`~xfem2d.enrichment.EnrichmentMap.element_kinds`: plain and
+        blending elements, cut elements, tip elements."""
+        pairs = ((np.nonzero(kinds < 2)[0], self.standard),
+                 (np.nonzero(kinds == 2)[0], self.cut),
+                 (np.nonzero(kinds == 3)[0], self.tip))
+        return [(eids, rule) for eids, rule in pairs if eids.size]
+
+
+@dataclass(frozen=True)
 class ShapeEval:
     """Shape-function data at one point of one element.
 
@@ -185,13 +221,12 @@ class Mesh:
     The mesh never changes during a run: a growing crack changes only the
     enrichment classified on top of it.  So everything derived from the
     mesh alone is a cached property, built on first use and kept for the
-    mesh's life: the :attr:`element_sizes` and per-node
-    :attr:`support_radii`, the node adjacency :attr:`node_to_elements`, the
-    :attr:`boundary_edges` array with their owners, the
-    :attr:`element_bboxes`, the :attr:`point_grid` point location reads
-    (cell offsets and ascending element ids, built with array operations)
-    and the :attr:`nested_dissection_tree` whose fronts the sparse solve
-    factors.
+    mesh's life: the :attr:`element_sizes`, the node adjacency
+    :attr:`node_to_elements`, the :attr:`boundary_edges` array with their
+    owners, the :attr:`element_bboxes`, the :attr:`point_grid` point
+    location reads (cell offsets and ascending element ids, built with
+    array operations) and the :attr:`nested_dissection_tree` whose fronts
+    the sparse solve factors.
     A propagation run reads its mesh once and reuses all of these at
     every load step.
 
@@ -273,19 +308,6 @@ class Mesh:
         return sizes
 
     @cached_property
-    def support_radii(self) -> np.ndarray:
-        """Per node, the largest distance to a corner of an element holding
-        it, read-only: the node's whole support lies within it."""
-        xy = self.element_coords()
-        edges = np.linalg.norm(np.roll(xy, -1, axis=1) - xy, axis=2)  # corner k to k + 1
-        diagonals = np.linalg.norm(xy[:, 2:] - xy[:, :2], axis=2)  # corner k to k + 2
-        far = np.maximum(np.maximum(edges, np.roll(edges, 1, axis=1)), np.tile(diagonals, 2))
-        radii = np.zeros(self.n_nodes)
-        np.maximum.at(radii, self.elements, far)
-        radii.setflags(write=False)
-        return radii
-
-    @cached_property
     def node_to_elements(self) -> list[np.ndarray]:
         """Incident element ids per node (the node's support), ascending."""
         flat = self.elements.ravel()
@@ -326,7 +348,7 @@ class Mesh:
         ihi = np.clip(np.floor((np.asarray(hi) - origin) / cell) + 1, 0, top).astype(np.int64)
         columns = np.arange(ilo[0], ihi[0] + 1) * ny  # each a run of cells in ``start``
         runs = zip(start[columns + ilo[1]].tolist(), start[columns + ihi[1] + 1].tolist())
-        near = np.unique(np.concatenate([elements[a:b] for a, b in runs]))
+        near = _distinct(np.concatenate([elements[a:b] for a, b in runs]))
         elo, ehi = self.element_bboxes
         return near[np.all(elo[near] <= hi, axis=1) & np.all(ehi[near] >= lo, axis=1)]
 

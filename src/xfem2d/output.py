@@ -380,7 +380,7 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
     Records mesh statistics, the material, per-step enriched-node counts
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
     totals, solver residuals, how much of the classification was redone
-    (crossed elements clipped, candidate nodes whose support ratio was
+    (crossed elements clipped, cut elements whose rule points' sides were
     measured), the factorization's size (free dofs, entries of L) and the
     fronts it refactored, the nodes demoted to standard
     approximation with the measured support ratios, every extraction,
@@ -417,7 +417,7 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
             band = rec.classification
             lines.append(
                 f"  classification: {band.clipped} of {band.crossed} crossed elements "
-                f"and {band.measured} of {band.candidates} candidate nodes re-examined"
+                f"clipped and {band.measured} of {band.candidates} cut elements measured"
             )
         if rec.factor is not None:
             lines.append(

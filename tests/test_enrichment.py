@@ -18,9 +18,11 @@ from xfem2d.assembly import (
     elasticity_matrix,
     voigt_strain,
 )
+from xfem2d.benchmarks import many_cracks_config
 from xfem2d.cracks import (
     CrackGeometryError,
     CrackPath,
+    heaviside,
     signed_distance,
     signed_distance_batch,
     tip_frame,
@@ -47,7 +49,6 @@ from xfem2d.enrichment import (
 )
 from xfem2d.mesh import (
     element_geometry,
-    gauss_rule,
     jacobian,
     locate_points,
     point_segment_distance,
@@ -292,23 +293,44 @@ class TestDemotion:
             classify_enrichment(mesh, [center_crack()], delta=0.5)
 
 
-def loop_support_area_ratios(mesh, crack, nodes, rule):
-    """Element-by-element reference for ``enrichment._support_area_ratios``."""
-    qpts, qd = reference_shape(rule.points[:, 0], rule.points[:, 1])
-    ratios = []
-    for n in nodes:
-        a_pos = a_neg = 0.0
-        for eid in mesh.node_to_elements[n]:
-            xy = mesh.element_coords([eid])[0]
-            phys = qpts @ xy  # (nq, 2)
-            J = np.einsum("ia,qib->qab", xy, qd)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            w = rule.weights * det
-            phi = signed_distance_batch(crack, phys)
-            a_pos += float(w[phi >= 0.0].sum())
-            a_neg += float(w[phi < 0.0].sum())
-        ratios.append(min(a_pos, a_neg) / (a_pos + a_neg))
-    return np.array(ratios)
+def loop_far_side(mesh, emap, rules, node, crack):
+    """Element-by-element reference for the measure classification demotes
+    a Heaviside candidate by: the ``w detJ`` weight and the count of the
+    rule points of its cut- and tip-class elements, each at its class's
+    rule, on the other side of ``crack`` from it, and its support area,
+    the sum of its elements' areas."""
+    kinds = emap.element_kinds(mesh)
+    sign = heaviside(signed_distance_batch(crack, mesh.nodes[node][None]))[0]
+    far = area = 0.0
+    points = 0
+    for eid in mesh.node_to_elements[node]:
+        xy = mesh.element_coords([eid])
+        d1, d2 = xy[0, 2] - xy[0, 0], xy[0, 3] - xy[0, 1]
+        area += 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+        if kinds[eid] >= 2:
+            _, _, w, phys = element_geometry(xy, rules.cut if kinds[eid] == 2 else rules.tip)
+            other = heaviside(signed_distance_batch(crack, phys[0])) != sign
+            far += np.where(other, w[0], 0.0).sum()
+            points += int(np.count_nonzero(other))
+    return far, points, area
+
+
+def loop_demotions(mesh, emap, rules, delta):
+    """The area and point-floor demotions of ``emap`` by :func:`loop_far_side`,
+    over the nodes of its cut elements that are neither tip nodes nor
+    demoted for a crack endpoint."""
+    crack_of = {int(n): cid for eid, cid in emap.cut_elements.items()
+                for n in mesh.elements[eid]}
+    ends = {n for n, _, why in emap.demotions if why == "crack endpoint inside support"}
+    records = []
+    for n in sorted(set(crack_of) - ends - set(emap.tip_nodes().tolist())):
+        far, points, area = loop_far_side(mesh, emap, rules, n, emap.crack_by_id(crack_of[n]))
+        ratio = min(far, area - far) / area
+        if ratio < delta:
+            records.append((n, ratio, "support area ratio below delta"))
+        elif points < 2:
+            records.append((n, ratio, "fewer than two far-side rule points"))
+    return records
 
 
 def random_polyline(rng, crack_id):
@@ -330,50 +352,57 @@ SUPPORT_MESHES = {
 }
 
 
-class TestSupportAreaRatios:
-    @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
-    def test_ratios_match_element_loop(self, name):
-        mesh = SUPPORT_MESHES[name]()
-        rule = gauss_rule(35)
-        rng = np.random.default_rng(31)
-        checked = 0
-        while checked < 20:
-            crack = random_polyline(rng, 0)
-            if crack is None:
-                continue
-            near = np.abs(signed_distance_batch(crack, mesh.nodes)) < 0.12
-            nodes = np.nonzero(near)[0]
-            ratios = enrichment._support_area_ratios(mesh, crack, nodes, rule)
-            expected = loop_support_area_ratios(mesh, crack, nodes, rule)
-            np.testing.assert_allclose(ratios, expected, rtol=0.0, atol=1e-12)
-            for delta in (0.002, 0.02, 0.1, 0.3):
-                np.testing.assert_array_equal(ratios < delta, expected < delta)
-            checked += 1
+class TestFarSide:
+    """The batched far-side measure against the element-by-element loop."""
 
     @pytest.mark.parametrize("name", sorted(SUPPORT_MESHES))
-    def test_same_demotions_as_element_loop(self, name, monkeypatch):
+    def test_demotions_match_element_loop(self, name):
         mesh = SUPPORT_MESHES[name]()
+        rules = QuadratureSet.from_targets()
         rng = np.random.default_rng(43)
-        classified = demoted = 0
-        for _ in range(60):
+        classified = tip_class = 0
+        reasons = set()
+        for k in range(60):
             cracks = [c for c in (random_polyline(rng, i) for i in range(2)) if c]
+            tip_enrichment = k % 2 == 0
             try:
-                emap = classify_enrichment(mesh, cracks, delta=0.05)
+                classify_enrichment(mesh, cracks, rules=rules, tip_enrichment=tip_enrichment)
             except EnrichmentError:  # junctions, tips off the mesh, coincidences
                 continue
-            with monkeypatch.context() as patch:
-                patch.setattr(enrichment, "_support_area_ratios",
-                              loop_support_area_ratios)
-                expected = classify_enrichment(mesh, cracks, delta=0.05)
-            got = [(n, r) for n, r, _ in emap.demotions]
-            ref = [(n, r) for n, r, _ in expected.demotions]
-            assert [n for n, _ in got] == [n for n, _ in ref]
-            np.testing.assert_allclose([r for _, r in got], [r for _, r in ref],
-                                       rtol=0.0, atol=1e-12)
-            np.testing.assert_array_equal(emap.status, expected.status)
+            # delta just below 1/2 records the ratio of nearly every candidate
+            for delta in (0.0, 0.05, 0.4999):
+                emap = classify_enrichment(mesh, cracks, delta=delta, rules=rules,
+                                           tip_enrichment=tip_enrichment)
+                got = [(n, r, why) for n, r, why in emap.demotions
+                       if why != "crack endpoint inside support"]
+                expected = loop_demotions(mesh, emap, rules, delta)
+                assert [(n, bits(r), why) for n, r, why in got] == \
+                    [(n, bits(r), why) for n, r, why in expected]
+                reasons |= {why for _, _, why in got}
+            kinds = emap.element_kinds(mesh)
+            # a candidate of a cut element of the tip class
+            cut_tip = {int(n) for e in emap.cut_elements if kinds[e] == 3 for n in mesh.elements[e]}
+            tip_class += any(n in cut_tip for n, _, _ in got)
             classified += 1
-            demoted += len(got)
-        assert classified >= 15 and demoted > 0
+        assert classified >= 15 and tip_class > 0
+        assert reasons == {"support area ratio below delta",
+                           "fewer than two far-side rule points"}
+
+    def test_cut_element_of_the_tip_class_is_measured_at_the_tip_rule(self):
+        # Node 3045 of `many_cracks_config` has its far side in a cut element
+        # that shares a tip node: one point of the cut rule falls there, two
+        # of the tip rule the assembly integrates it with, so it keeps its jump.
+        config = many_cracks_config()
+        rules = QuadratureSet.from_targets(*config.quadrature)
+        emap = classify_enrichment(config.mesh, config.cracks, config.delta, rules)
+        node = 3045
+        assert emap.status[node] == HEAVISIDE
+        crack = emap.crack_by_id(int(emap.node_crack[node]))
+        far, points, area = loop_far_side(config.mesh, emap, rules, node, crack)
+        assert points == 2 and config.delta * area <= far
+        as_cut = QuadratureSet(rules.standard, rules.cut, rules.cut)
+        far, points, area = loop_far_side(config.mesh, emap, as_cut, node, crack)
+        assert points == 1 and far < config.delta * area
 
 
 def loop_clip_segment_to_quad(quad, a, b):
@@ -845,8 +874,9 @@ def assert_same_map(got, expected):
     assert_same_cracks(got.source_cracks, expected.source_cracks)
     assert [(n, bits(r), why) for n, r, why in got.demotions] == \
         [(n, bits(r), why) for n, r, why in expected.demotions]
-    # the ratios a later step may carry over
-    assert bits(got._carry.ratio) == bits(expected._carry.ratio)
+    # the point sides a later step may carry over
+    np.testing.assert_array_equal(got._carry.cut, expected._carry.cut)
+    assert bits(got._carry.sides) == bits(expected._carry.sides)
 
 
 def remedy_outcome(mesh, cracks, tip_enrichment, base=None):
@@ -941,7 +971,7 @@ class TestNarrowBand:
 
     def test_base_of_another_rule_is_ignored(self):
         mesh, crack = grid(), center_crack()
-        base = classify_enrichment(mesh, [crack], rule=gauss_rule(16))
+        base = classify_enrichment(mesh, [crack], rules=QuadratureSet.from_targets(cut=16))
         emap = classify_enrichment(mesh, [crack], base=base)
         assert emap.band.measured == emap.band.candidates > 0
         assert_same_map(emap, classify_enrichment(mesh, [crack]))

@@ -176,21 +176,17 @@ class TestMeshDocument:
 class TestDerivedData:
     def test_built_once_per_mesh(self):
         mesh = structured_mesh(3, 2)
-        for name in ("element_sizes", "support_radii", "node_to_elements", "boundary_edges",
+        for name in ("element_sizes", "node_to_elements", "boundary_edges",
                      "element_bboxes", "point_grid", "nested_dissection_tree"):
             assert getattr(mesh, name) is getattr(mesh, name)
-        for name in ("element_sizes", "support_radii"):
-            assert not getattr(mesh, name).flags.writeable
+        assert not mesh.element_sizes.flags.writeable
 
-    def test_sizes_and_support_radii_match_corner_loops(self):
+    def test_sizes_match_corner_loops(self):
         for mesh in (structured_mesh(4, 3, 2.0, 1.5), hole_attraction_config().mesh):
             xy = mesh.element_coords()
             np.testing.assert_allclose(mesh.element_sizes, [
                 max(np.linalg.norm(q[2] - q[0]), np.linalg.norm(q[3] - q[1])) for q in xy],
                 rtol=1e-15)
-            radii = [max(np.linalg.norm(c - mesh.nodes[n]) for e in mesh.node_to_elements[n]
-                         for c in xy[e]) for n in range(0, mesh.n_nodes, 7)]
-            np.testing.assert_allclose(mesh.support_radii[::7], radii, rtol=1e-15)
 
     def test_elements_meeting_a_box_match_a_scan(self):
         mesh = hole_attraction_config().mesh

@@ -511,8 +511,8 @@ class TestRunLog:
         assert text.count("  factor: ") == len(history.steps)
         for rec in history.steps:
             band = rec.classification
-            assert (f"  classification: {band.clipped} of {band.crossed} crossed elements and "
-                    f"{band.measured} of {band.candidates} candidate nodes re-examined") in text
+            assert (f"  classification: {band.clipped} of {band.crossed} crossed elements "
+                    f"clipped and {band.measured} of {band.candidates} cut elements measured") in text
         assert text.count("  classification: ") == len(history.steps)
         assert text.count("extension: crack 0") == sum(
             len(rec.extensions) for rec in history.steps)
