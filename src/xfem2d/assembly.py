@@ -48,8 +48,6 @@ from xfem2d.enrichment import (
     TIP,
     EnrichmentMap,
     FieldTriplet,
-    _changed_segments,
-    _near,
     basis_batches,
     enriched_basis,
     evaluate_fields,
@@ -457,15 +455,12 @@ _STAMPS = itertools.count(1)
 
 
 def _cut_signature(mesh: Mesh, emap: EnrichmentMap, eids: np.ndarray) -> np.ndarray:
-    """What a cut element's matrix depends on besides the crack around it
-    (n, 24): each node's status, crack, sign and tip, and the element's
-    :class:`~xfem2d.enrichment.CutPiece`."""
+    """What a cut element's matrix depends on besides the crack around it,
+    which the map's change set covers (n, 16): each node's status, crack,
+    sign and tip."""
     conn = mesh.elements[eids]
-    nodes = np.column_stack([emap.status[conn], emap.node_crack[conn], emap.node_sign[conn],
-                             emap.node_tip[conn]])
-    pieces = [(p.s0, p.s1, *p.p0, *p.p1, p.edge0, p.edge1)
-              for p in map(emap.cut_pieces.__getitem__, eids.tolist())]
-    return np.column_stack([nodes, np.array(pieces, dtype=float).reshape(-1, 8)])
+    return np.column_stack([emap.status[conn], emap.node_crack[conn], emap.node_sign[conn],
+                            emap.node_tip[conn]])
 
 
 class StiffnessCache:
@@ -479,11 +474,12 @@ class StiffnessCache:
       first use;
     - the cut-class element matrices of the last assembly, by basis
       column (node, field), so a renumbered dof layout costs nothing.  A
-      matrix is reused while its element is still cut with the same
-      signature (:func:`_cut_signature`) and no segment or vertex by which
-      the cracks changed (:func:`~xfem2d.enrichment._changed_segments`, the
-      rule classification's band follows too) comes within its diameter
-      (:func:`~xfem2d.enrichment._near`);
+      matrix is reused only when the map was classified against the one
+      last assembled, its element is among those the map's change set
+      left untouched (cut in both, no changed feature near, the band of
+      :mod:`xfem2d.enrichment`), and its signature
+      (:func:`_cut_signature`) is the same; any other map is integrated
+      whole;
     - :attr:`stamps`, a change stamp per node, renewed on the four nodes
       of every element an assembly integrates or evicts: the fronts of the
       factorization whose nodes kept their stamps kept their entries of K.
@@ -519,8 +515,8 @@ class StiffnessCache:
         K.data, K.indices = K.data.copy(), K.indices.copy()
         return K
 
-    def cut_matrices(self, emap: EnrichmentMap, kinds: np.ndarray):
-        """The cut elements of ``emap`` (``kinds`` 2) and their stiffness
+    def cut_matrices(self, emap: EnrichmentMap):
+        """The cut elements of ``emap`` (kind 2) and their stiffness
         corrections (n, 16, 16) over the standard and jump columns.
 
         Matrices still valid from the last call are reused and the rest
@@ -528,21 +524,20 @@ class StiffnessCache:
         every tip-class element (never reused) and of every element that
         left the cut or tip class get new stamps.
         """
-        cut = np.flatnonzero(kinds == 2)
+        cut = np.flatnonzero(emap.kinds == 2)
         Ke = np.empty((cut.size, 16, 16))
         reused = np.zeros(cut.size, dtype=bool)
-        if self._emap is not None:
-            common, at, old = np.intersect1d(cut, self._cut, assume_unique=True,
-                                             return_indices=True)
-            keep = (np.all(_cut_signature(self.mesh, emap, common)
-                           == _cut_signature(self.mesh, self._emap, common), axis=1)
-                    & ~_near(self.mesh, common, _changed_segments(self._emap.cracks, emap.cracks)))
-            reused[at[keep]] = True
-            Ke[at[keep]] = self._cut_matrices[old[keep]]
+        if self._emap is not None and emap._against is self._emap._carry:
+            kept = emap._untouched  # cut in this map and in the last
+            kept = kept[np.all(_cut_signature(self.mesh, emap, kept)
+                               == _cut_signature(self.mesh, self._emap, kept), axis=1)]
+            at = np.searchsorted(cut, kept)
+            reused[at] = True
+            Ke[at] = self._cut_matrices[np.searchsorted(self._cut, kept)]
         if not reused.all():
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
                                      self.matrices, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
-        enriched = np.flatnonzero(kinds >= 2)
+        enriched = np.flatnonzero(emap.kinds >= 2)
         changed = np.setdiff1d(np.union1d(self._enriched, enriched), cut[reused])
         self.stamps = self.stamps.copy()  # systems assembled earlier keep theirs
         self.stamps[self.mesh.elements[changed]] = next(_STAMPS)
@@ -598,9 +593,9 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     elif cache.mesh is not mesh or cache.material != material or cache.rules is not rules:
         raise AssemblyError("stiffness cache was built for another mesh, material or rules")
     layout = DofLayout.build(emap)
-    kinds = emap.element_kinds(mesh)
+    kinds = emap.kinds
 
-    cut, Ke = cache.cut_matrices(emap, kinds)
+    cut, Ke = cache.cut_matrices(emap)
     parts = [_entries(layout, Ke, np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])]
     tip = np.flatnonzero(kinds == 3)
     if tip.size:

@@ -18,17 +18,18 @@ spatial index are cached on the :class:`~xfem2d.mesh.Mesh`) and checks
 the boundary tags.  From step to step the run carries:
 
 - the mesh, the rules and the boundary conditions;
+- the last step's :class:`~xfem2d.enrichment.EnrichmentMap`: a step
+  classifies against it, works out once which features its cracks
+  changed by, and classifies again only what those can reach (the narrow
+  band of :mod:`xfem2d.enrichment`); the new map records that decision;
 - its :class:`~xfem2d.assembly.StiffnessCache`: the standard stiffness,
   summed once, the cut elements' matrices of the last step, and a change
-  stamp per node.  A step integrates only the cut elements whose
-  enrichment or surrounding crack changed, and the tip class;
+  stamp per node.  A step integrates the tip class and only the cut
+  elements the map's change set reaches or whose enrichment changed;
 - the sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`): a step
   refactors only the fronts of the mesh's nested-dissection tree that an
   element it integrated or dropped touches, or whose nodes' dof layout
   changed, and their ancestors, and reuses the rest unchanged;
-- the last step's :class:`~xfem2d.enrichment.EnrichmentMap`: a step
-  classifies again only what the features its cracks changed by can
-  reach (the narrow band of :mod:`xfem2d.enrichment`);
 - the current cracks, as the coincidence remedy left them and grown after
   the last extraction.
 
@@ -579,7 +580,7 @@ def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     D = elasticity_matrix(material)
     total = 0.0
     area = 0.0
-    for eids, rule in rules.classes(emap.element_kinds(mesh)):
+    for eids, rule in rules.classes(emap.kinds):
         _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
         wdet, phys = wdet.ravel(), phys.reshape(-1, 2)
         w = (np.asarray(region(phys), dtype=float) if region is not None

@@ -22,29 +22,32 @@ in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
 
 A propagation step classifies against the last step's map, in a narrow
 band around what changed (after the narrow-band level-set update of
-Stolarska, Chopp, Moës & Belytschko, IJNME 51, 2001).  The changed
-features of a crack are its vertices outside the longest common start
-and end of its old and new polylines, with the last common vertex on
-either side, and the segments between them (:func:`_changed_segments`,
-the rule the assembly's cut-element cache follows too): for growth at an
-end, the new segment and the old tip vertex.  Then:
+Stolarska, Chopp, Moës & Belytschko, IJNME 51, 2001).  What changed is
+worked out once per crack, by one alignment rule (:func:`_change`): the
+longest run of the old polyline's vertices found, in order and bit-equal,
+in the new one.  The changed features are the segments outside that run
+and their vertices: for growth at one end or both, the new segments and
+the old tip vertices.  Then:
 
 - the coincidence checks run on the changed features only, since the
   others passed them before;
 - only the changed segments are clipped against the elements; the clips
-  of the others are kept, by segment, so a crack grown at its start gets
-  its arc lengths from its new vertex numbering;
+  of the run's segments are kept, renumbered by its offset, so a crack
+  grown at its start gets its arc lengths from its new vertex numbering;
 - the tips, tip elements, cut pieces, Heaviside candidates and endpoint
   demotions are then derived again from all clips, which is cheap;
 - a cut-class element's :func:`_point_sides` are carried over while it
-  stays cut-class and no changed feature comes within its diameter
-  (:func:`_near`, the rule of the assembly's cut-element cache); the
-  tip-class elements and the enriched nodes' signs are measured afresh.
+  stays cut-class and no changed segment of either polyline comes within
+  its diameter (:func:`_near`); the tip-class elements and the enriched
+  nodes' signs are measured afresh.
 
-Without a map, or once the coincidence remedy has moved every vertex of
-a crack, every feature has changed and the band is the whole crack, so
-classification from scratch is the same routine.  The result is the same
-map, bit for bit, and the same error.
+The map keeps those carried elements and the base it was classified
+against, and the assembly's cut-element cache reuses a matrix only on
+that decision, so both follow the one change set.  Without a map, or once
+the coincidence remedy has moved every vertex of a crack, nothing aligns
+and the band is the whole crack, so classification from scratch is the
+same routine.  The result is the same map, bit for bit, and the same
+error.
 
 The enriched basis is defined once, in one batched kernel,
 :func:`enriched_basis`: at points given by element, reference and
@@ -246,6 +249,10 @@ class EnrichmentMap:
         The cracks as supplied (after any degeneracy perturbation).
     demotions : tuple
         (node, ratio, reason) records for the run log.
+    kinds : ndarray of int8
+        Per-element integration class: 0 plain 2x2, 1 enriched at standard
+        order (Heaviside blending: M is constant on uncut elements), 2 cut
+        (bisected), 3 singular (holds a tip or a branch-enriched node).
     band : BandStats
         What this classification worked out afresh.
     """
@@ -262,10 +269,15 @@ class EnrichmentMap:
     source_cracks: tuple[CrackPath, ...]
     tip_enrichment: bool
     delta: float
+    kinds: np.ndarray
     demotions: tuple = ()
     band: BandStats | None = None
     _crack_index: dict[int, CrackPath] = field(default=None, repr=False)
     _carry: _Carry | None = field(default=None, repr=False)
+    # The carry of the base this map was classified against, and the
+    # cut-class elements, ascending, no feature changed since comes near.
+    _against: _Carry | None = field(default=None, repr=False)
+    _untouched: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._crack_index = {c.id: c for c in self.cracks}
@@ -296,20 +308,14 @@ class EnrichmentMap:
         """Half of the crack's total length including virtual extensions."""
         return self.crack_by_id(crack_id).length / 2.0
 
-    def element_kinds(self, mesh: Mesh):
-        """Per-element integration class.
-
-        Returns an int array: 0 = plain 2x2, 1 = enriched at standard
-        order (Heaviside blending: M is piecewise constant and vanishes on
-        uncut elements, so no elevation is needed), 2 = cut (bisected),
-        3 = singular (contains a tip or any branch-enriched node).
-        """
-        return _element_kinds(mesh, self.status, self.cut_elements, self.tip_elements)
+    def element_kinds(self, mesh: Mesh | None = None) -> np.ndarray:
+        """:attr:`kinds`, for callers that pass the mesh."""
+        return self.kinds
 
 
 def _element_kinds(mesh: Mesh, status, cut_elements, tip_elements) -> np.ndarray:
-    """:meth:`EnrichmentMap.element_kinds` of these node statuses, marked
-    through the supports of the few enriched nodes."""
+    """:attr:`EnrichmentMap.kinds` of these node statuses, marked through
+    the supports of the few enriched nodes."""
     def support(nodes):
         return np.concatenate([np.empty(0, dtype=np.int64)]
                               + [mesh.node_to_elements[n] for n in nodes.tolist()])
@@ -375,26 +381,22 @@ def _clips(mesh: Mesh, v: np.ndarray, js: np.ndarray, size_tol: float):
     return eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
 
 
-def _crack_clips(mesh: Mesh, crack: CrackPath, old: CrackPath | None, old_clips,
-                 size_tol: float):
+_NO_CLIPS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty((0, 2)))
+
+
+def _crack_clips(mesh: Mesh, crack: CrackPath, change: "_Change", old_clips, size_tol: float):
     """:func:`_clips` of every segment of ``crack``, and the elements clipped
     afresh.
 
-    The clips of the segments ``crack`` shares with ``old`` (of
-    :func:`_changed_span`) are taken from ``old_clips``, renumbered when
-    the crack grew at its start; only the other segments are clipped.
+    The clips of the segments in the run ``change`` aligned with the old
+    polyline are taken from ``old_clips``, the old polyline's, renumbered
+    by the run's offset; only the changed segments are clipped.
     """
-    v = crack.vertices
-    if old is None:
-        clips = _clips(mesh, v, np.arange(len(v) - 1), size_tol)
-        return clips, clips[0]
-    span, old_span = _changed_span(old.vertices, v), _changed_span(v, old.vertices)
     eids, j, t = old_clips
-    tail = j >= old_span.stop - 1  # segments of the common end
-    kept = tail | (j < span.start)
-    j = np.where(tail, j + (span.stop - old_span.stop), j)
-    fresh = _clips(mesh, v, np.arange(span.start, max(span.stop - 1, span.start)), size_tol)
-    eids, j, t = (np.concatenate([a[kept], b]) for a, b in zip((eids, j, t), fresh))
+    kept = (j >= change.start) & (j < change.stop - 1)
+    fresh = _clips(mesh, crack.vertices, np.flatnonzero(change.segments), size_tol)
+    eids, j, t = (np.concatenate([a[kept], b])
+                  for a, b in zip((eids, j + change.offset, t), fresh))
     order = np.lexsort((j, eids))
     return (eids[order], j[order], t[order]), fresh[0]
 
@@ -436,41 +438,45 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
 # what changed between two crack sets
 # ---------------------------------------------------------------------------
 
-def _changed_span(old: np.ndarray | None, new: np.ndarray) -> slice:
-    """The vertices of the polyline ``new`` that differ from ``old``.
+class _Change(NamedTuple):
+    """How one crack's polyline changed (:func:`_change`): its old vertices
+    ``start:stop`` are its new ones ``start + offset:stop + offset``;
+    ``segments`` masks the new polyline's changed segments and ``reach``
+    (k, 2, 2) holds the changed segments of both polylines."""
 
-    Those outside the longest common start and end of the two vertex
-    lists, with the last common vertex on either side, whose neighbours
-    moved; all of them without ``old``, none when the two are equal.  A
-    crack grown at its end changes by its new tip and its old one.
+    start: int
+    stop: int
+    offset: int
+    segments: np.ndarray
+    reach: np.ndarray
+
+
+def _change(old: np.ndarray | None, new: np.ndarray | None) -> _Change:
+    """The alignment rule: what changed from polyline ``old`` to ``new``.
+
+    The two share the longest run of consecutive vertices of ``old`` found,
+    in order and bit-equal, in ``new``.  The changed features of either are
+    its segments outside the run and their vertices, so also the run's end
+    vertex on each side where a neighbour changed: growth at one end or
+    both, with or without virtual extensions, changes by the new segments,
+    the extensions they replace and the old tip vertices.  Without ``old``
+    (a crack added) or ``new`` (dropped), without a shared vertex (moved by
+    the coincidence remedy) or with two longest runs, all of it changed.
     """
-    if old is None:
-        return slice(0, len(new))
-    if old.shape == new.shape and np.array_equal(old, new):
-        return slice(0, 0)
-    n = min(len(old), len(new))
-    head = int(np.cumprod(np.all(old[:n] == new[:n], axis=1)).sum())
-    tail = min(int(np.cumprod(np.all(old[::-1][:n] == new[::-1][:n], axis=1)).sum()), n - head)
-    return slice(max(head - 1, 0), len(new) - max(tail - 1, 0))
-
-
-def _changed_segments(old, new) -> np.ndarray:
-    """Segments (k, 2, 2) by which two crack sets differ, a lone vertex as
-    a zero-length segment: of each crack, the :func:`_changed_span` of its
-    old and of its new polyline.  A crack grown at its end changes by its
-    new segment and by its old tip vertex, now interior.
-    """
-    before = {c.id: c.vertices for c in old}
-    after = {c.id: c.vertices for c in new}
-    pieces = []
-    for cid in before.keys() | after.keys():
-        u, v = before.get(cid), after.get(cid)
-        for w, other in ((u, v), (v, u)):
-            piece = w[_changed_span(other, w)] if w is not None else ()
-            if len(piece):
-                pieces.append(np.stack([piece[:max(len(piece) - 1, 1)],
-                                        piece[min(len(piece) - 1, 1):]], axis=1))
-    return np.concatenate([np.empty((0, 2, 2))] + pieces)
+    old, new = (np.empty((0, 2)) if v is None else v for v in (old, new))
+    i, j = np.nonzero(np.all(old.view(np.int64)[:, None] == new.view(np.int64)[None], axis=2))
+    key = np.sort((j - i) * (len(old) + 1) + i)  # by diagonal j - i, then along it
+    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 2) != 1)  # of each run
+    length = np.diff(np.append(first, key.size))
+    start = stop = offset = 0
+    if length.size and np.count_nonzero(length == length.max()) == 1:
+        offset, start = (int(x) for x in np.divmod(key[first[np.argmax(length)]], len(old) + 1))
+        stop = start + int(length.max())
+    masks = [np.ones(max(len(v) - 1, 0), dtype=bool) for v in (old, new)]
+    for segments, at in zip(masks, (start, start + offset)):
+        segments[at:at + max(stop - start - 1, 0)] = False
+    reach = [np.stack([v[:-1][m], v[1:][m]], axis=1) for v, m in zip((old, new), masks)]
+    return _Change(start, stop, offset, masks[1], np.concatenate(reach))
 
 
 def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -499,7 +505,7 @@ def _box_pairs(lo, hi, lo2, hi2, pad: float):
     return np.nonzero(meet)
 
 
-def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
+def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
     Each crack's features are checked against the nodes and edges of the
@@ -508,9 +514,9 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
     segment, a vertex on an edge, and a segment running along an edge over
     a finite length.  A crack end that is not a tip (a crack mouth) may
     sit on a boundary edge.  Problems are listed crack by crack, in that
-    order of checks, by segment or vertex.  ``spans`` limits the check to
-    a slice of each crack's vertices and the segments between them; a
-    feature's problems do not depend on the rest of its crack.
+    order of checks, by segment or vertex.  ``segments`` limits the check
+    to the segments each mask of it holds and their vertices; a feature's
+    problems do not depend on the rest of its crack.
     """
     tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
@@ -518,17 +524,18 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
     boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
     problems = []
     bad_cracks: set[int] = set()
-    if spans is None:
-        spans = [slice(0, len(c.vertices)) for c in cracks]
-    for crack, span in zip(cracks, spans):
-        v = crack.vertices[span]
+    if segments is None:
+        segments = [np.ones(len(c.vertices) - 1, dtype=bool) for c in cracks]
+    for crack, mask in zip(cracks, segments):
+        sj = np.flatnonzero(mask)
+        vi = np.union1d(sj, sj + 1)
+        v = crack.vertices[vi]
         if len(v) == 0:
             continue
         near = mesh.elements_meeting(v.min(axis=0) - 1e-9, v.max(axis=0) + 1e-9)
         if near.size == 0:
             continue
-        first_vertex = span.start
-        a, b = v[:-1], v[1:]
+        a, b = crack.vertices[sj], crack.vertices[sj + 1]
         slo, shi = np.minimum(a, b), np.maximum(a, b)
         # edges of the near elements as sorted node pairs, keyed lo * n + hi
         quads = mesh.elements[near]
@@ -545,19 +552,19 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
         xy = mesh.nodes[near_nodes]
         j, k = _box_pairs(slo, shi, xy, xy, tol)
         on = point_segment_distance(xy[k], a[j], b[j]) <= tol
-        found += [f"segment {jj + first_vertex} passes through mesh node {node}"
-                  for jj, node in zip(j[on].tolist(), near_nodes[k[on]].tolist())]
+        found += [f"segment {jj} passes through mesh node {node}"
+                  for jj, node in zip(sj[j[on]].tolist(), near_nodes[k[on]].tolist())]
         # crack vertex on an element edge; endpoints that are not tips may
         # legitimately sit on the domain boundary (crack mouths)
         i, k = _box_pairs(v, v, elo, ehi, tol)
         mouth = np.zeros(len(crack.vertices), dtype=bool)
         mouth[[0, -1]] = not crack.tip_start, not crack.tip_end
-        mouth = mouth[span]
+        mouth = mouth[vi]
         hits = ((point_segment_distance(v[i], p0[k], p1[k]) <= tol)
                 & ~(mouth[i] & np.isin(keys[k], boundary_keys)))
-        vi, first = np.unique(i[hits], return_index=True)
-        found += [f"vertex {vv + first_vertex} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
-                  zip(vi.tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
+        iv, first = np.unique(i[hits], return_index=True)
+        found += [f"vertex {vv} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
+                  zip(vi[iv].tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
         # segment collinear with an edge over a finite overlap: an edge within
         # tol of the segment's line, at an angle whose sine is within tol,
         # comes within tol * (1 + Le) of the segment where they overlap
@@ -575,8 +582,8 @@ def _detect_coincidences(mesh: Mesh, cracks, spans=None) -> None:
                    - np.maximum(np.minimum(t0, t1), 0.0))
         along = parallel & (dist <= tol) & (overlap > tol / Ls)
         js, first = np.unique(j[along], return_index=True)
-        found += [f"segment {jj + first_vertex} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
-                  zip(js.tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
+        found += [f"segment {jj} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
+                  zip(sj[js].tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
         if found:
             problems += [f"crack {crack.id} {text}" for text in found]
             bad_cracks.add(crack.id)
@@ -726,13 +733,12 @@ def classify_enrichment(
     if prior is None or prior.mesh is not mesh or prior.rule is not rules.cut:
         base = prior = None
     old_sources = {c.id: c for c in base.source_cracks} if base is not None else {}
-    old_cracks = {c.id: c for c in base.cracks} if base is not None else {}
-    spans = []
+    changed = []
     for crack in cracks:
         old = old_sources.get(crack.id)
         same = old is not None and old.active_tips() == crack.active_tips()
-        spans.append(_changed_span(old.vertices if same else None, crack.vertices))
-    _detect_coincidences(mesh, cracks, spans)
+        changed.append(_change(old.vertices if same else None, crack.vertices).segments)
+    _detect_coincidences(mesh, cracks, changed)
 
     size_tol = 1e-9 * float(np.max(mesh.element_sizes, initial=1.0))
 
@@ -753,68 +759,53 @@ def classify_enrichment(
     eff_cracks: list[CrackPath] = []
     tips: list[TipInfo] = []
     for crack in cracks:
-        effective = crack
-        extensions = {}
-        for tid in crack.active_tips():
-            origin = crack.tip_coord(tid)
-            if not tip_enrichment:
-                frame = tip_frame(crack, tid)
-                quad = mesh.element_coords([home[crack.id, tid]])[0]
-                t_exit = _ray_exit_distance(quad, origin, frame.tangent)
-                extensions[tid] = t_exit
-                if t_exit > _COINCIDENCE_TOL:
-                    effective = extend_crack(effective, tid, 0.0, t_exit)
+        effective, extensions = crack, {}
+        for tid in crack.active_tips() if not tip_enrichment else ():
+            quad = mesh.element_coords([home[crack.id, tid]])[0]
+            t_exit = _ray_exit_distance(quad, crack.tip_coord(tid), tip_frame(crack, tid).tangent)
+            extensions[tid] = t_exit
+            if t_exit > _COINCIDENCE_TOL:
+                effective = extend_crack(effective, tid, 0.0, t_exit)
         eff_cracks.append(effective)
-        for tid in crack.active_tips():
-            tips.append(
-                TipInfo(
-                    crack_id=crack.id,
-                    tip_id=tid,
-                    frame=tip_frame(effective, tid),
-                    element=home[crack.id, tid],
-                    virtual_extension=extensions.get(tid, 0.0),
-                )
-            )
+        tips += [TipInfo(crack.id, tid, tip_frame(effective, tid), home[crack.id, tid],
+                         extensions.get(tid, 0.0)) for tid in crack.active_tips()]
 
     # Tip elements (only with tip enrichment) and cut elements.  An
     # element may host both tips of one short crack; tips of different
     # cracks in one element are a junction-scale configuration we reject.
     tip_elements: dict[int, tuple[int, ...]] = {}
-    if tip_enrichment:
-        for gti, tinfo in enumerate(tips):
-            existing = tip_elements.get(tinfo.element)
-            if existing is not None:
-                other = tips[existing[0]]
-                if other.crack_id != tinfo.crack_id:
-                    raise EnrichmentError(
-                        f"element {tinfo.element} contains tips of cracks "
-                        f"{other.crack_id} and {tinfo.crack_id}; refine the mesh"
-                    )
-                tip_elements[tinfo.element] = existing + (gti,)
-            else:
-                tip_elements[tinfo.element] = (gti,)
+    for gti, tinfo in enumerate(tips if tip_enrichment else ()):
+        existing = tip_elements.get(tinfo.element, ())
+        if existing and tips[existing[0]].crack_id != tinfo.crack_id:
+            raise EnrichmentError(
+                f"element {tinfo.element} contains tips of cracks "
+                f"{tips[existing[0]].crack_id} and {tinfo.crack_id}; refine the mesh"
+            )
+        tip_elements[tinfo.element] = existing + (gti,)
 
+    # The change set of the effective cracks, those dropped since ``base`` too.
+    before = {c.id: c.vertices for c in base.cracks} if base is not None else {}
+    after = {c.id: c.vertices for c in eff_cracks}
+    changes = {cid: _change(before.get(cid), after.get(cid))
+               for cid in before.keys() | after.keys()}
+    carried = prior.clips if prior is not None else {}
     clips, clipped = {}, [np.empty(0, dtype=np.int64)]
     for crack in eff_cracks:
-        old = old_cracks.get(crack.id)
-        old_clips = prior.clips[crack.id] if old is not None else None
-        clips[crack.id], fresh = _crack_clips(mesh, crack, old, old_clips, size_tol)
+        clips[crack.id], fresh = _crack_clips(mesh, crack, changes[crack.id],
+                                              carried.get(crack.id, _NO_CLIPS), size_tol)
         clipped.append(fresh)
     cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol,
                                              clips)
 
     # Heaviside candidates: nodes of cut elements.
     candidates: dict[int, int] = {}
-    for eid in sorted(cut_elements):
-        cid = cut_elements[eid]
-        for n in mesh.elements[eid]:
-            n = int(n)
-            if n in candidates and candidates[n] != cid:
+    for eid, cid in sorted(cut_elements.items()):
+        for n in mesh.elements[eid].tolist():
+            if candidates.setdefault(n, cid) != cid:
                 raise EnrichmentError(
                     f"node {n} has its support cut by cracks {candidates[n]} and {cid} "
                     "(junction enrichment unsupported)"
                 )
-            candidates[n] = cid
 
     # Tip statuses win over Heaviside candidacy for the same crack.  When
     # two tips of one crack reach the same node, the lower tip index keeps
@@ -823,8 +814,7 @@ def classify_enrichment(
     for eid in sorted(tip_elements):
         for gti in tip_elements[eid]:
             tinfo = tips[gti]
-            for n in mesh.elements[eid]:
-                n = int(n)
+            for n in mesh.elements[eid].tolist():
                 prev = tip_claim.get(n)
                 if prev is not None:
                     other = tips[prev]
@@ -887,11 +877,13 @@ def classify_enrichment(
     cut = np.flatnonzero(kinds == 2)
     sides = np.empty((cut.size, 4))
     fresh = np.ones(cut.size, dtype=bool)
+    untouched = np.empty(0, dtype=np.int64)
     if prior is not None:
         common, at, old = np.intersect1d(cut, prior.cut, assume_unique=True, return_indices=True)
-        keep = ~_near(mesh, common, _changed_segments(base.cracks, eff_cracks))
+        keep = ~_near(mesh, common, np.concatenate([c.reach for c in changes.values()]))
         sides[at[keep]] = prior.sides[old[keep]]
         fresh[at[keep]] = False
+        untouched = common[keep]
     cut_crack = np.array([cut_elements[e] for e in cut.tolist()], dtype=np.int64)
     nodes = np.array(sorted(candidates), dtype=np.int64)
     support = [mesh.node_to_elements[n] for n in nodes]
@@ -924,6 +916,9 @@ def classify_enrichment(
             demotions.append((n, r, "support area ratio below delta" if r < delta
                               else "fewer than two far-side rule points"))
             status[n], node_crack[n], node_sign[n] = STANDARD, -1, 0.0
+    # Of the element kinds, only blending depends on the demotion above.
+    blend = np.flatnonzero(kinds == 1)
+    kinds[blend[(status[mesh.elements[blend]] == STANDARD).all(axis=1)]] = 0
 
     crossed = _distinct(np.concatenate([np.empty(0, dtype=np.int64)]
                                        + [c[0] for c in clips.values()]))
@@ -941,10 +936,13 @@ def classify_enrichment(
         source_cracks=tuple(cracks),
         tip_enrichment=tip_enrichment,
         delta=delta,
+        kinds=kinds,
         demotions=tuple(demotions),
         band=BandStats(clipped=_distinct(np.concatenate(clipped)).size, crossed=crossed.size,
                        measured=int(fresh.sum()), candidates=cut.size),
         _carry=_Carry(mesh=mesh, rule=rules.cut, clips=clips, cut=cut, sides=sides),
+        _against=prior,
+        _untouched=untouched,
     )
 
 

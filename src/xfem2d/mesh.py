@@ -186,7 +186,7 @@ class QuadratureSet:
 
     def classes(self, kinds: np.ndarray) -> list:
         """``(element ids, rule)`` of each non-empty integration class of
-        :meth:`~xfem2d.enrichment.EnrichmentMap.element_kinds`: plain and
+        :attr:`~xfem2d.enrichment.EnrichmentMap.kinds`: plain and
         blending elements, cut elements, tip elements."""
         pairs = ((np.nonzero(kinds < 2)[0], self.standard),
                  (np.nonzero(kinds == 2)[0], self.cut),

@@ -247,7 +247,7 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
     cut_crack = np.full(m, -1, dtype=np.int64)
     cut_crack[list(emap.cut_elements)] = list(emap.cut_elements.values())
-    kinds = emap.element_kinds(mesh)
+    kinds = emap.kinds
     for eids, rule in rules.classes(kinds):
         _, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
         grad = np.einsum("eqcb,eca->eqab", dN, fields.u_cont[mesh.elements[eids]])

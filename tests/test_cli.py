@@ -244,7 +244,7 @@ class TestErrorPaths:
 
     def test_unremedied_degeneracy_exits_one(self, tmp_path, capsys,
                                              monkeypatch):
-        def always_degenerate(mesh, cracks, spans=None):
+        def always_degenerate(mesh, cracks, segments=None):
             raise xfem2d.enrichment.CrackMeshDegeneracyError(
                 "crack/mesh coincidence: crack 0 vertex 0 lies on mesh edge",
                 crack_ids={0})

@@ -163,7 +163,8 @@ def snapped_growth(mesh, at_call):
 INCREMENTAL_RUNS = {
     # grown at its end only: the cut elements behind the tip are reused
     "end growth": (lambda: edge_crack(), 4, None),
-    # grown at both ends: the start tip shifts every arc length
+    # grown at both ends: the start tip shifts every arc length, and the
+    # cut elements between the tips are reused
     "both ends": (lambda: center_crack(a=0.1), 3, None),
     # the second growth lands the tip on a mesh edge
     "remedy": (lambda: edge_crack(), 4, 2),
@@ -260,23 +261,25 @@ class TestIncrementalStep:
         for k, ((mesh, emap, *_), *_) in enumerate(steps):
             band = history.steps[k].classification
             assert band is emap.band
-            cut = np.count_nonzero(emap.element_kinds(mesh) == 2)
+            cut = np.count_nonzero(emap.kinds == 2)
             whole = (band.clipped, band.measured) == (band.crossed, band.candidates)
             assert whole == (integrated[k] == cut)
 
     def test_cut_elements_integrated_only_when_changed(self, incremental_run):
         name, history, steps, integrated, attempts = incremental_run
-        cut = [np.count_nonzero(emap.element_kinds(mesh) == 2)
+        cut = [np.count_nonzero(emap.kinds == 2)
                for (mesh, emap, *_), *_ in steps]
         # the remedy moves every vertex of a crack it perturbs
         perturbed = [any(outcomes) for outcomes in attempts]
-        moved = [True] + [name == "both ends" or perturbed[k] for k in range(1, len(steps))]
+        moved = [True] + perturbed[1:]
         assert any(perturbed) == (name == "remedy")
         for k in range(len(steps)):
+            band = history.steps[k].classification
             if moved[k]:
                 assert integrated[k] == cut[k]
-            else:  # new cut elements only
+            else:  # new cut elements only, in a band short of the whole crack
                 assert 0 < integrated[k] < cut[k]
+                assert band.clipped < band.crossed and band.measured < band.candidates
 
 
 class TestRunStationary:

@@ -7,7 +7,7 @@ so every classification count can be stated by hand.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfem2d import enrichment
@@ -223,7 +223,7 @@ class TestClassifyCenterCrack:
         )
 
     def test_element_kinds(self):
-        kinds = self.emap.element_kinds(self.mesh)
+        kinds = self.emap.kinds
         assert kinds[element_at(self.mesh, 0.15, 0.55)] == 3  # tip element
         assert kinds[element_at(self.mesh, 0.25, 0.55)] == 3  # cut, shares tip nodes
         assert kinds[element_at(self.mesh, 0.45, 0.55)] == 2  # plain cut
@@ -299,7 +299,7 @@ def loop_far_side(mesh, emap, rules, node, crack):
     rule points of its cut- and tip-class elements, each at its class's
     rule, on the other side of ``crack`` from it, and its support area,
     the sum of its elements' areas."""
-    kinds = emap.element_kinds(mesh)
+    kinds = emap.kinds
     sign = heaviside(signed_distance_batch(crack, mesh.nodes[node][None]))[0]
     far = area = 0.0
     points = 0
@@ -379,7 +379,7 @@ class TestFarSide:
                 assert [(n, bits(r), why) for n, r, why in got] == \
                     [(n, bits(r), why) for n, r, why in expected]
                 reasons |= {why for _, _, why in got}
-            kinds = emap.element_kinds(mesh)
+            kinds = emap.kinds
             # a candidate of a cut element of the tip class
             cut_tip = {int(n) for e in emap.cut_elements if kinds[e] == 3 for n in mesh.elements[e]}
             tip_class += any(n in cut_tip for n, _, _ in got)
@@ -874,6 +874,10 @@ def assert_same_map(got, expected):
     assert_same_cracks(got.source_cracks, expected.source_cracks)
     assert [(n, bits(r), why) for n, r, why in got.demotions] == \
         [(n, bits(r), why) for n, r, why in expected.demotions]
+    np.testing.assert_array_equal(got.kinds, expected.kinds)
+    # the kinds marked before the demotions, with the blending ones cleared
+    np.testing.assert_array_equal(expected.kinds, enrichment._element_kinds(
+        expected._carry.mesh, expected.status, expected.cut_elements, expected.tip_elements))
     # the point sides a later step may carry over
     np.testing.assert_array_equal(got._carry.cut, expected._carry.cut)
     assert bits(got._carry.sides) == bits(expected._carry.sides)
@@ -920,15 +924,20 @@ class TestNarrowBand:
     from scratch, in the style of the stamp rule's pinning test."""
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), tip_enrichment=st.booleans())
-    def test_every_step_equals_a_classification_from_scratch(self, seed, tip_enrichment):
+    @given(seed=st.integers(0, 2**32 - 1), tip_enrichment=st.booleans(),
+           both_tips=st.booleans())
+    @example(seed=6, tip_enrichment=False, both_tips=True)
+    @example(seed=6, tip_enrichment=True, both_tips=True)
+    def test_every_step_equals_a_classification_from_scratch(self, seed, tip_enrichment,
+                                                             both_tips):
+        # with ``both_tips`` the crack grows at both of its tips in each step
         rng = np.random.default_rng(seed)
         start = rng.uniform(0.35, 0.65, size=2)
         angles = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(rng.uniform(-0.7, 0.7, rng.integers(2, 4)))
         steps = rng.uniform(0.05, 0.1, size=(angles.size, 1)) * np.column_stack(
             [np.cos(angles), np.sin(angles)])
         crack = CrackPath(vertices=np.vstack([start, start + np.cumsum(steps, axis=0)]),
-                          tip_start=bool(rng.integers(2)), id=0)
+                          tip_start=bool(rng.integers(2)) or both_tips, id=0)
         snap_at, node_at, hit_at = rng.choice(np.arange(1, 6), size=3, replace=False)
         cracks, base = [crack, BAND_OBSTACLE], None
         for step in range(6):
@@ -950,7 +959,10 @@ class TestNarrowBand:
                 target = centers[np.argmin(np.linalg.norm(centers - crack.tip_coord(tip), axis=1))]
             try:
                 snap = {snap_at: "line", node_at: "node"}.get(step + 1)
-                cracks = [grown_tip(rng, crack, tip, target, snap)] + cracks[1:]
+                crack = grown_tip(rng, crack, tip, target, snap)
+                if both_tips and crack.tip_start:
+                    crack = grown_tip(rng, crack, 1 - tip)
+                cracks = [crack] + cracks[1:]
             except CrackGeometryError:
                 break
 
@@ -1076,7 +1088,7 @@ class TestBatchedKernel:
         u, v = rng.normal(size=(2, system.layout.total_dofs))
         D = elasticity_matrix(material)
         energy = 0.0
-        for eids, rule in rules.classes(emap.element_kinds(mesh)):
+        for eids, rule in rules.classes(emap.kinds):
             _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
             at = (np.repeat(eids, rule.n_points), np.tile(rule.points, (eids.size, 1)),
                   phys.reshape(-1, 2))

@@ -443,7 +443,7 @@ def element_by_element_stresses(state, mesh, emap, material, rules):
     m = mesh.n_elements
     sig_mean, vm_mean = np.empty((m, 3)), np.empty(m)
     side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
-    for eid, kind in enumerate(emap.element_kinds(mesh).tolist()):
+    for eid, kind in enumerate(emap.kinds.tolist()):
         rule = rule_of[kind]
         _, _, wdet, phys = element_geometry(mesh.element_coords([eid])[0], rule)
         _, grad = element_fields(mesh, emap, fields, np.full(rule.n_points, eid),
@@ -465,7 +465,7 @@ class TestCellStresses:
     def test_every_class_matches_element_by_element(self, stationary_run):
         config, problem, state, _ = stationary_run
         mesh, emap = problem.mesh, problem.emap
-        kinds = emap.element_kinds(mesh)
+        kinds = emap.kinds
         assert set(kinds.tolist()) == {0, 1, 2, 3}
         # kind 3 also holds elements that only have tip-enriched corners
         assert np.count_nonzero(kinds == 3) > len(emap.tip_elements)
