@@ -3,7 +3,7 @@
 Cracks are represented as polylines independent of a fixed background mesh
 of bilinear quads.  Displacement jumps and crack-tip singularities enter
 through Heaviside and branch-function enrichment; stress intensity factors
-come from a path-form interaction integral; quasi-static growth follows the
+come from a domain-form interaction integral; quasi-static growth follows the
 maximum hoop stress direction.
 """
 

@@ -144,8 +144,8 @@ def table1_config(ratio: float, with_tip: bool = True) -> RunConfig:
 
     ``ratio`` is crack half length over element size; the mesh is a
     5 m x 5 m plate graded from a uniform window around the crack, under
-    1 MPa remote tension, with the extraction circle fixed at the crack
-    half length.
+    1 MPa remote tension, with the extraction domain's radius fixed at the
+    crack half length.
     """
     spacing, window_x, window_y = _table1_case(ratio)
     mesh = _with_pin(windowed_rect(

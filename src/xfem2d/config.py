@@ -21,7 +21,7 @@ Sections::
                       traction; optional scaled
     [quadrature]      standard, heaviside, tip
     [enrichment]      delta, tip_enrichment
-    [contour]         radius (auto | <m> | <mult>a), n_points
+    [contour]         radius (auto | <m> | <mult>a)
     [propagation]     delta_a, k_ic, max_increments
     [schedule]        load_factors
     [outputs]         directory, artifacts
@@ -64,11 +64,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Extraction-contour sizing: radius rule and angular resolution."""
+    """Extraction-domain sizing: the radius rule."""
 
     rule: str = "auto"
     value: float | None = None
-    n_points: int = 128
 
     def __post_init__(self):
         if self.rule not in ("auto", "absolute", "relative"):
@@ -78,8 +77,6 @@ class ContourSpec:
                 raise ValueError("the auto radius rule takes no value")
         elif not (self.value is not None and self.value > 0.0):
             raise ValueError("contour radius value must be positive")
-        if self.n_points < 32:
-            raise ValueError("contour needs at least 32 sample points")
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,7 @@ _KEYS = {
     "boundary": {"fixed", "displacement", "traction", "scaled"},
     "quadrature": {"standard", "heaviside", "tip"},
     "enrichment": {"delta", "tip_enrichment"},
-    "contour": {"radius", "n_points"},
+    "contour": {"radius"},
     "propagation": {"delta_a", "k_ic", "max_increments"},
     "schedule": {"load_factors"},
     "outputs": {"directory", "artifacts"},
@@ -388,12 +385,8 @@ def _build_contour(section: _Section) -> ContourSpec:
         else:
             rule = "absolute"
             value = _float(raw, line, "radius")
-    n_points = 128
-    if "n_points" in section.entries:
-        raw, line = section.entries["n_points"]
-        n_points = _int(raw, line, "n_points")
     try:
-        return ContourSpec(rule=rule, value=value, n_points=n_points)
+        return ContourSpec(rule=rule, value=value)
     except ValueError as exc:
         raise ConfigError(f"line {section.lineno}: {exc}") from None
 
@@ -627,8 +620,7 @@ def serialize_config(config: RunConfig) -> str:
         radius = f"{_format_float(contour.value)}a"
     else:
         radius = _format_float(contour.value)
-    lines += ["[contour]", f"radius = {radius}",
-              f"n_points = {contour.n_points}", ""]
+    lines += ["[contour]", f"radius = {radius}", ""]
     if config.propagation is not None:
         p = config.propagation
         lines += ["[propagation]", f"delta_a = {_format_float(p.delta_a)}"]

@@ -5,10 +5,13 @@ solution depends on the current crack geometry alone; growth decided after a
 step's extraction simply changes the geometry the next step classifies.
 A tip that comes within one element size (or one growth increment, if
 that is larger) of the domain boundary or of another crack is
-deactivated: its extraction contour would be invalid and a further
+deactivated: its extraction domain would be invalid and a further
 increment could leave the domain, so it stops producing intensity
 factors and stops growing, while keeping its enrichment so the
-displacement field stays well posed.
+displacement field stays well posed.  So is a tip whose extraction
+domain :mod:`xfem2d.fracture` rejects: the smallest domain, the tip
+element and a ring of elements around it, can reach the boundary or
+another crack from a little farther off.
 
 The background mesh is never remeshed as a crack grows; only the
 enrichment changes from step to step.  So a propagation run builds the
@@ -331,20 +334,25 @@ def _solve_step(problem: Problem, lam: float,
 
 
 def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
-                  skip=frozenset()):
+                  skip=frozenset(), freezes: list | None = None):
+    """The SIFs of every live tip not in ``skip``.  Given ``freezes``, a tip
+    whose extraction domain is rejected gets a :class:`FreezeEvent` there,
+    with the reason, instead of failing the step."""
     results = []
     with _stage("fracture"):
         for tinfo in problem.emap.tips:
-            if (tinfo.crack_id, tinfo.tip_id) in skip:
+            key = (tinfo.crack_id, tinfo.tip_id)
+            if key in skip:
                 continue
             radius = _contour_radius(contour, problem.emap, tinfo.crack_id)
-            results.append(
-                extract_sifs(
-                    state, problem.mesh, problem.emap, problem.material,
-                    tinfo.crack_id, tinfo.tip_id,
-                    radius=radius, n_points=contour.n_points,
-                )
-            )
+            try:
+                results.append(extract_sifs(state, problem.mesh, problem.emap,
+                                            problem.material, *key, radius=radius,
+                                            rules=problem.rules))
+            except FractureError as exc:
+                if freezes is None:
+                    raise
+                freezes.append(FreezeEvent(*key, str(exc)))
     return tuple(results)
 
 
@@ -448,7 +456,9 @@ def run_propagation(config: RunConfig) -> RunHistory:
                     "of the boundary or another crack",
                 ))
 
-        sifs = _extract_step(problem, state, contour, skip=frozen)
+        # a tip too near the boundary or another crack for any domain freezes
+        sifs = _extract_step(problem, state, contour, skip=frozen, freezes=freezes)
+        frozen.update((e.crack_id, e.tip_id) for e in freezes)
         record = StepRecord(
             step=k,
             load_factor=lam,

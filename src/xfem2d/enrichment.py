@@ -742,20 +742,20 @@ def classify_enrichment(
 
     size_tol = 1e-9 * float(np.max(mesh.element_sizes, initial=1.0))
 
-    # Live tips, each homed in its lowest-id containing element; without
-    # tip enrichment each crack grows virtually to the far edge of that
-    # element.
-    live = [(crack, tid) for crack in cracks for tid in crack.active_tips()]
-    origins = np.array([crack.tip_coord(tid) for crack, tid in live]).reshape(-1, 2)
-    owners, _ = locate_points(mesh, origins)
-    if np.any(owners < 0):
-        k = int(np.argmax(owners < 0))
-        crack, tid = live[k]
-        raise EnrichmentError(
-            f"crack {crack.id} tip {tid} at ({origins[k, 0]:g}, {origins[k, 1]:g}) "
-            "lies outside the mesh"
-        )
-    home = {(crack.id, tid): int(e) for (crack, tid), e in zip(live, owners)}
+    # The crack ends, located once: every element holding each, ascending.
+    # A live tip is homed in the lowest-id one; without tip enrichment each
+    # crack grows virtually to the far edge of that element.
+    ends = np.array([crack.vertices[[0, -1]] for crack in cracks]).reshape(-1, 2)
+    hit_pt, hit_eid, _ = locate_hits(mesh, ends)
+    lowest = dict(zip(hit_pt[::-1].tolist(), hit_eid[::-1].tolist()))
+    home = {}
+    for k, crack in enumerate(cracks):
+        for tid in crack.active_tips():
+            if 2 * k + tid not in lowest:
+                x, y = ends[2 * k + tid]
+                raise EnrichmentError(
+                    f"crack {crack.id} tip {tid} at ({x:g}, {y:g}) lies outside the mesh")
+            home[crack.id, tid] = lowest[2 * k + tid]
     eff_cracks: list[CrackPath] = []
     tips: list[TipInfo] = []
     for crack in cracks:
@@ -838,13 +838,15 @@ def classify_enrichment(
     # carry a full jump; the opening must close at that endpoint.  Its
     # support holds the endpoint's every element when it is a corner of
     # each.  An endpoint outside the mesh or on its boundary is not
-    # interior.
-    ends = np.array([p for crack in eff_cracks
-                     for p in (crack.vertices[0], crack.vertices[-1])]).reshape(-1, 2)
-    pt, eid, _ = locate_hits(mesh, ends)
+    # interior.  A virtual extension moves a live end to the far edge of
+    # its element, so then the ends are located again.
+    moved_to = np.array([crack.vertices[[0, -1]] for crack in eff_cracks]).reshape(-1, 2)
+    if np.any(moved_to != ends):
+        ends = moved_to
+        hit_pt, hit_eid, _ = locate_hits(mesh, ends)
     closing: set[int] = set()
     for i, p in enumerate(ends):
-        owners = eid[pt == i].tolist()
+        owners = hit_eid[hit_pt == i].tolist()
         if owners:
             inner = set.intersection(*(set(mesh.elements[e].tolist()) for e in owners))
             if inner & candidates.keys() and mesh.boundary_distance(p) > size_tol:

@@ -1,11 +1,30 @@
 """Stress intensity factors, energy release rate, and kink angle.
 
-Mixed-mode SIFs come from a path-form interaction integral evaluated on a
-circle around the tip: the solved field is paired with the closed-form
-unit-intensity crack-tip (Williams) fields of each mode, and the contour
-integrand is sampled at uniformly spaced midpoint angles so that no sample
-falls exactly on the crack faces.  The kink direction follows the maximum
-hoop stress criterion.
+Mixed-mode SIFs come from the interaction integral in its equivalent
+domain form (Li, Shih & Needleman, EFM 21, 1985; Moës, Dolbow &
+Belytschko, IJNME 46, 1999).  In the tip frame,
+
+    I = ∫ [σ_ij u^aux_i,1 + σ^aux_ij u_i,1 − W^(1,2) δ_1j] q_,j dA,
+
+with W^(1,2) = σ_ij ε^aux_ij, pairs the solved field with the closed-form
+unit-intensity (Williams) field of one mode, and K = E' I / 2.  Half the
+same integral of the solved field with itself is the J integral.
+
+The weight q is bilinear on the mesh: 1 at the nodes strictly inside a
+radius R around the tip, 0 at the others.  So q_,j vanishes outside the
+*ring* of elements with corners on both sides of that circle, and the
+integral runs over the ring alone: each of its integration classes at the
+rule the stiffness takes for it, the solved field from one
+:func:`~xfem2d.enrichment.element_fields` call over all its points.  The
+auxiliary angle has its magnitude from the tip frame and its sign from
+the side of the crack (:func:`~xfem2d.enrichment.branch_theta`), so its
+discontinuity lies on the faces of a kinked crack as well.
+
+A domain is rejected when the tip element is not wholly inside R (the
+ring would reach the singular point, or be empty), and when the circle
+through the ring's outermost node meets the domain boundary, the crack's
+other end, a face of its own crack that has left the circle, or another
+crack.  The kink direction follows the maximum hoop stress criterion.
 """
 
 from __future__ import annotations
@@ -16,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
-from xfem2d.cracks import CrackPath, signed_distance_batch
-from xfem2d.enrichment import EnrichmentMap, TipInfo, evaluate_fields
-from xfem2d.mesh import Mesh, point_segment_distance
+from xfem2d.enrichment import EnrichmentMap, TipInfo, branch_theta, element_fields
+from xfem2d.mesh import Mesh, QuadratureSet, element_geometry, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -34,11 +52,8 @@ __all__ = [
     "tip_clearance",
 ]
 
-_FACE_TOL = 1e-9  # relative to the contour radius
-
-
 class FractureError(ValueError):
-    """Invalid contour or degenerate stress intensity input."""
+    """Invalid extraction domain or degenerate stress intensity input."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +149,7 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
 
 
 # ---------------------------------------------------------------------------
-# contour construction
+# the integration domain
 # ---------------------------------------------------------------------------
 
 def tip_clearance(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
@@ -160,17 +175,16 @@ def _other_crack_distances(emap: EnrichmentMap, crack_id: int, point):
 
 def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                            tip_id: int) -> float:
-    """Largest sensible circle: the effective half length, shrunk away from
-    other cracks and the domain boundary."""
-    radius = min(
-        emap.effective_half_length(crack_id),
-        0.9 * tip_clearance(mesh, emap, crack_id, tip_id),
-    )
-    if radius <= 0.0:
-        raise FractureError(
-            f"no admissible contour radius at crack {crack_id} tip {tip_id}"
-        )
-    return radius
+    """Largest sensible domain radius: the effective half length, shrunk
+    to 0.9 of the tip's clearance less the tip element's diameter, so the
+    ring beyond the radius stays clear of other cracks and the boundary,
+    but never below the smallest radius holding the tip element."""
+    tinfo = _find_tip(emap, crack_id, tip_id)
+    corners = mesh.element_coords([tinfo.element])[0] - tinfo.frame.origin
+    smallest = 1.001 * float(np.max(np.linalg.norm(corners, axis=1)))
+    return min(emap.effective_half_length(crack_id),
+               max(0.9 * tip_clearance(mesh, emap, crack_id, tip_id)
+                   - mesh.element_sizes[tinfo.element], smallest))
 
 
 def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
@@ -180,56 +194,26 @@ def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
     raise FractureError(f"crack {crack_id} has no active tip {tip_id}")
 
 
-def _contour_points(tinfo: TipInfo, crack: CrackPath, radius: float,
-                    n_points: int):
-    """Sample points on the circle at midpoint angles, nudged off the faces.
-
-    Angles are measured in the tip frame from the prolongation direction,
-    so the crack faces sit near +-pi and the midpoint offsets keep every
-    sample strictly off them.  Returns (points (n,2), angles (n,)).
-    """
-    step = 2.0 * np.pi / n_points
-    angles = -np.pi + (np.arange(n_points) + 0.5) * step
-    t_hat, n_hat = tinfo.frame.tangent, tinfo.frame.normal
-    points = (tinfo.frame.origin[None, :]
-              + radius * np.cos(angles)[:, None] * t_hat[None, :]
-              + radius * np.sin(angles)[:, None] * n_hat[None, :])
-    dist = np.abs(signed_distance_batch(crack, points))
-    close = dist < _FACE_TOL * radius
-    if np.any(close):
-        shift = np.sign(np.sin(angles[close]))[:, None] * (
-            10.0 * _FACE_TOL * radius
-        ) * n_hat[None, :]
-        points = points.copy()
-        points[close] += shift
-        still = np.abs(signed_distance_batch(crack, points[close]))
-        if np.any(still < _FACE_TOL * radius):
-            raise FractureError(
-                "contour samples could not be moved off the crack face"
-            )
-    return points, angles
-
-
-def _check_contour(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
-                   tip_id: int, origin: np.ndarray, radius: float) -> None:
-    far_end = emap.crack_by_id(crack_id).vertices[-1 if tip_id == 0 else 0]
-    if np.linalg.norm(far_end - origin) <= radius:
-        raise FractureError(
-            f"contour of radius {radius:g} around crack {crack_id} tip "
-            f"{tip_id} reaches the crack's other end"
-        )
-    ids, distances = _other_crack_distances(emap, crack_id, origin)
+def _check_domain(mesh: Mesh, emap: EnrichmentMap, tinfo: TipInfo, reach: float,
+                  where: str) -> None:
+    """Reject a domain whose circle of radius ``reach`` (through the ring's
+    outermost node) meets the boundary, its own crack's other end or a
+    face the crack comes back with, or another crack."""
+    origin = tinfo.frame.origin
+    if mesh.boundary_distance(origin) <= reach:
+        raise FractureError(f"{where} leaves the domain")
+    own = emap.crack_by_id(tinfo.crack_id).vertices
+    path = own if tinfo.tip_id == 0 else own[::-1]  # from the tip
+    far = np.linalg.norm(path - origin, axis=1) > reach
+    if not far[-1]:
+        raise FractureError(f"{where} reaches the crack's other end")
+    out = int(np.argmax(far))  # the first vertex past the circle
+    if np.any(point_segment_distance(origin, path[out:-1], path[out + 1:]) <= reach):
+        raise FractureError(f"{where} is re-entered by its own crack")
+    ids, distances = _other_crack_distances(emap, tinfo.crack_id, origin)
     for other, d in zip(ids, distances.tolist()):
-        if d <= radius:
-            raise FractureError(
-                f"contour of radius {radius:g} around crack {crack_id} tip "
-                f"{tip_id} intersects crack {other}"
-            )
-    if mesh.boundary_distance(origin) <= radius:
-        raise FractureError(
-            f"contour of radius {radius:g} around crack {crack_id} tip "
-            f"{tip_id} leaves the domain"
-        )
+        if d <= reach:
+            raise FractureError(f"{where} intersects crack {other}")
 
 
 def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
@@ -238,87 +222,83 @@ def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sig[..., [[0, 2], [2, 1]]])
 
 
-def _contour_fields(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                    material: MaterialModel, crack_id: int, tip_id: int,
-                    radius: float | None, n_points: int):
-    """Check one tip's contour and evaluate the solved field on it.
+def _domain_fields(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
+                   material: MaterialModel, crack_id: int, tip_id: int,
+                   radius: float | None, rules: QuadratureSet | None):
+    """Check one tip's domain and evaluate the solved field on its ring.
 
-    Returns ``(sigma, grad, angles, radius)``: stress and displacement
-    gradient tensors (n, 2, 2) rotated into the tip frame, the sample
-    angles and the radius used.
+    Returns, at the ring's rule points, the tip-polar coordinates ``r``
+    and ``theta`` of the auxiliary fields, ``w detJ`` times the gradient
+    of q (n, 2), the Voigt stress (n, 3) and the displacement gradient
+    (n, 2, 2), all in the tip frame.
     """
-    if n_points < 32:
-        raise ValueError("n_points must be at least 32")
     tinfo = _find_tip(emap, crack_id, tip_id)
     if radius is None:
         radius = default_contour_radius(mesh, emap, crack_id, tip_id)
     if radius <= 0.0:
         raise ValueError("contour radius must be positive")
-    _check_contour(mesh, emap, crack_id, tip_id, tinfo.frame.origin, radius)
-    points, angles = _contour_points(tinfo, emap.crack_by_id(crack_id), radius,
-                                     n_points)
-    _, grad = evaluate_fields(points, mesh, emap, state.fields)
-    S = _voigt_to_tensor(voigt_strain(grad) @ elasticity_matrix(material).T)
+    rules = rules if rules is not None else QuadratureSet.from_targets()
+    origin = tinfo.frame.origin
+    where = f"domain of radius {radius:g} around crack {crack_id} tip {tip_id}"
+    near = mesh.elements_meeting(origin - radius, origin + radius)
+    dist = np.linalg.norm(mesh.element_coords(near) - origin, axis=2)  # (elements, 4)
+    if not np.all(dist[np.searchsorted(near, tinfo.element)] < radius):
+        raise FractureError(f"{where} does not hold its tip element, of size "
+                            f"{mesh.element_sizes[tinfo.element]:g}")
+    inside = dist < radius
+    at = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
+    ring, q = near[at], inside[at].astype(float)
+    _check_domain(mesh, emap, tinfo, float(np.max(dist[at], initial=radius)), where)
+
     Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
-    sig_t = np.einsum("ar,nrs,sb->nab", Q.T, S, Q)
-    grad_t = np.einsum("ar,nrs,sb->nab", Q.T, grad, Q)
-    return sig_t, grad_t, angles, radius
+    eids, local, xs, dq = [], [], [], []
+    for k, rule in rules.classes(emap.kinds[ring]):
+        _, dN, wdet, phys = element_geometry(mesh.element_coords(ring[k]), rule)
+        eids.append(np.repeat(ring[k], rule.n_points))
+        local.append(np.tile(rule.points, (k.size, 1)))
+        xs.append(phys.reshape(-1, 2))
+        dq.append((wdet[..., None] * np.einsum("eqia,ei->eqa", dN, q[k])).reshape(-1, 2))
+    eids, local, xs, dq = (np.concatenate(a) for a in (eids, local, xs, dq))
+    grad = Q.T @ element_fields(mesh, emap, state.fields, eids, local, xs)[1] @ Q
+    r, theta = branch_theta(tinfo, emap.crack_by_id(crack_id), xs)
+    # branch_theta's angle grows toward the crack's positive side, which is
+    # the frame normal's at tip 1 and the opposite at tip 0
+    theta = theta if tip_id == 1 else -theta
+    # the material is isotropic, so D gives the stress in any frame
+    return r, theta, dq @ Q, voigt_strain(grad) @ elasticity_matrix(material).T, grad
 
 
-def _contour_integral(sig_act, grad_act, sig_aux, grad_aux, angles,
-                      radius: float) -> float:
-    """Path-form interaction integral of two fields sampled on the circle;
-    of the solved field with itself it is twice the J integral."""
-    eps_act = 0.5 * (grad_act + np.swapaxes(grad_act, 1, 2))
-    eps_aux = 0.5 * (grad_aux + np.swapaxes(grad_aux, 1, 2))
-    w_mutual = 0.5 * (
-        np.einsum("nab,nab->n", sig_act, eps_aux)
-        + np.einsum("nab,nab->n", sig_aux, eps_act)
-    )
-    normal = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    t_act = np.einsum("nab,nb->na", sig_act, normal)
-    t_aux = np.einsum("nab,nb->na", sig_aux, normal)
-    integrand = (
-        w_mutual * normal[:, 0]
-        - np.einsum("na,na->n", t_act, grad_aux[:, :, 0])
-        - np.einsum("na,na->n", t_aux, grad_act[:, :, 0])
-    )
-    return float(np.sum(integrand) * radius * (2.0 * np.pi / angles.size))
-
-
-def _mode_integral(sig_act, grad_act, angles, radius: float, mode: int,
-                   material: MaterialModel) -> float:
-    """Interaction integral of the solved field with one unit mode."""
-    sig_aux, grad_aux = auxiliary_fields(mode, np.full(angles.shape, radius),
-                                         angles, material)
-    return _contour_integral(sig_act, grad_act, _voigt_to_tensor(sig_aux),
-                             grad_aux, angles, radius)
+def _interaction(sig, grad, sig_aux, grad_aux, dq) -> float:
+    """Domain-form interaction integral of two fields at the ring's points,
+    stresses in Voigt form; of the solved field with itself it is twice
+    the J integral."""
+    sig, sig_aux = _voigt_to_tensor(sig), _voigt_to_tensor(sig_aux)
+    flux = (np.einsum("nab,na->nb", sig, grad_aux[:, :, 0])
+            + np.einsum("nab,na->nb", sig_aux, grad[:, :, 0]))
+    flux[:, 0] -= np.einsum("nab,nab->n", sig, grad_aux)  # W^(1,2): sigma is symmetric
+    return float(np.einsum("nb,nb->", flux, dq))
 
 
 def interaction_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                          material: MaterialModel, crack_id: int, tip_id: int,
                          mode: int, radius: float | None = None,
-                         n_points: int = 128) -> float:
-    """Path-form interaction integral of the solution with one unit mode.
-
-    The integrand combines the mutual strain energy density and the
-    traction/gradient cross terms of the solved and auxiliary fields on a
-    circle of the given radius around the tip.
-    """
-    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
-                                                crack_id, tip_id, radius, n_points)
-    return _mode_integral(sig, grad, angles, radius, mode, material)
+                         rules: QuadratureSet | None = None) -> float:
+    """Domain-form interaction integral of the solution with one unit mode,
+    over the ring of the domain of the given radius around the tip."""
+    r, theta, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
+                                             radius, rules)
+    return _interaction(sig, grad, *auxiliary_fields(mode, r, theta, material), dq)
 
 
 def direct_j_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                       material: MaterialModel, crack_id: int, tip_id: int,
                       radius: float | None = None,
-                      n_points: int = 128) -> float:
-    """Energy release rate from the solved field alone on the same contour:
+                      rules: QuadratureSet | None = None) -> float:
+    """Energy release rate from the solved field alone on the same domain:
     half the interaction integral of the solved field with itself."""
-    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
-                                                crack_id, tip_id, radius, n_points)
-    return 0.5 * _contour_integral(sig, grad, sig, grad, angles, radius)
+    _, _, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
+                                         radius, rules)
+    return 0.5 * _interaction(sig, grad, sig, grad, dq)
 
 
 def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
@@ -328,16 +308,17 @@ def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
 
 def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                  material: MaterialModel, crack_id: int, tip_id: int,
-                 radius: float | None = None, n_points: int = 128) -> SifResult:
+                 radius: float | None = None,
+                 rules: QuadratureSet | None = None) -> SifResult:
     """Mixed-mode SIFs, energy release rate, and kink angle at one tip.
 
-    The contour is built, checked and evaluated once for both modes.
+    The domain is built, checked and evaluated once for both modes.
     """
-    sig, grad, angles, radius = _contour_fields(state, mesh, emap, material,
-                                                crack_id, tip_id, radius, n_points)
-    half = 0.5 * material.E_effective
-    K_I = half * _mode_integral(sig, grad, angles, radius, 1, material)
-    K_II = half * _mode_integral(sig, grad, angles, radius, 2, material)
+    r, theta, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
+                                             radius, rules)
+    K_I, K_II = (0.5 * material.E_effective
+                 * _interaction(sig, grad, *auxiliary_fields(mode, r, theta, material), dq)
+                 for mode in (1, 2))
     try:
         theta = propagation_angle(K_I, K_II)
     except FractureError:

@@ -233,6 +233,15 @@ class TestErrorPaths:
         assert "[config]" in stderr
         assert "Poisson" in stderr
 
+    def test_contour_sample_count_is_rejected(self, tmp_path, capsys):
+        config = write_case(tmp_path, extra="\n[contour]\nn_points = 128\n")
+        code = main(["solve", "--config", config,
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert "[config]" in stderr
+        assert "line 26: unknown key 'n_points'" in stderr
+
     def test_dangling_boundary_tag(self, tmp_path, capsys):
         config = write_case(tmp_path, extra="\n[boundary lid]\nfixed = on\n")
         code = main(["solve", "--config", config,

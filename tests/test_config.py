@@ -230,9 +230,10 @@ class TestKnobSections:
         relative = parse_config(MINIMAL + "[contour]\nradius = 0.9a\n").contour
         assert relative == ContourSpec(rule="relative", value=0.9)
 
-    def test_contour_point_floor(self):
-        with pytest.raises(ConfigError, match="at least 32"):
-            parse_config(MINIMAL + "[contour]\nn_points = 8\n")
+    def test_contour_sample_count_is_not_a_key(self):
+        # the domain integral samples its ring at the stiffness rules
+        with pytest.raises(ConfigError, match=r"line 9: unknown key 'n_points'"):
+            parse_config(MINIMAL + "[contour]\nradius = auto\nn_points = 128\n")
 
     def test_propagation(self):
         text = MINIMAL + ("[propagation]\ndelta_a = 0.003\nk_ic = 47.4e6\n"
@@ -285,7 +286,7 @@ def full_config():
         quadrature=(4, 25, 64),
         delta=0.01,
         tip_enrichment=True,
-        contour=ContourSpec(rule="relative", value=0.9, n_points=96),
+        contour=ContourSpec(rule="relative", value=0.9),
         propagation=PropagationParams(delta_a=0.003, k_ic=47.4e6,
                                       max_increments=20),
         schedule=LoadSchedule.uniform(5),

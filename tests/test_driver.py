@@ -353,7 +353,7 @@ class TestRunStationary:
         config, _, _, sifs_auto = stationary_run
         fixed = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=ContourSpec(rule="absolute", value=0.12, n_points=128),
+            contour=ContourSpec(rule="absolute", value=0.12),
         )
         _, sifs = run_stationary(fixed)
         # same solve, slightly different contour: close but not identical
@@ -364,12 +364,11 @@ class TestRunStationary:
         config, _, _, _ = stationary_run
         rel = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=ContourSpec(rule="relative", value=0.8, n_points=96),
+            contour=ContourSpec(rule="relative", value=0.8),
         )
         ab = make_config(
             mesh=config.mesh, cracks=[center_crack()],
-            contour=ContourSpec(rule="absolute", value=0.8 * 0.15,
-                                n_points=96),
+            contour=ContourSpec(rule="absolute", value=0.8 * 0.15),
         )
         _, sr = run_stationary(rel)
         _, sa = run_stationary(ab)
@@ -505,6 +504,24 @@ class TestRunPropagation:
         assert history.stop_reason in ("schedule exhausted",
                                        "all tips deactivated")
 
+    def test_tip_without_a_domain_freezes(self):
+        # Steps shorter than an element bring the end tip nearer the
+        # boundary (0.1 off) than its smallest ring reaches, but not within
+        # the clearance rule's reach (one element, 0.048): the rejected
+        # domain freezes it, with the reason, and the run goes on.
+        crack = CrackPath(vertices=np.array([[0.4013, 0.5013], [0.7013, 0.5013]]), id=0)
+        config = make_config(
+            mesh=pinned_mesh(), cracks=[crack],
+            schedule=LoadSchedule.uniform(6),
+            propagation=PropagationParams(delta_a=0.04),
+        )
+        history = run_propagation(config)
+        events = [e for rec in history.steps for e in rec.frozen]
+        assert [(e.crack_id, e.tip_id) for e in events] == [(0, 1)]
+        assert "crack 0 tip 1 leaves the domain" in events[0].reason
+        assert history.n_increments == 6
+        assert history.final_cracks[0].vertices[-1, 0] == pytest.approx(0.9011, abs=1e-3)
+
 
 class TestCodProfile:
     @pytest.fixture()
@@ -575,7 +592,8 @@ class TestCodProfile:
             vertices=np.array([[2.2 * h, 2.4 * h], [2.8 * h, 2.6 * h]]), id=0)
         config = make_config(mesh=pinned_mesh(5, 5), cracks=[tiny])
         problem = setup_problem(config)
-        state, _ = run_stationary(config, problem=problem)
+        # solved without extraction: no domain around a tip fits in the crack
+        state = driver._solve_step(problem, 1.0)
         with pytest.raises(ValueError, match="single"):
             cod_profile(state, problem.mesh, problem.emap, 0)
 

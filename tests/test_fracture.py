@@ -1,4 +1,4 @@
-"""Checks for tip-field formulas, the contour integral, and the kink angle."""
+"""Checks for tip-field formulas, the domain integral, and the kink angle."""
 
 import math
 
@@ -182,14 +182,6 @@ class TestInteractionIntegral:
         for v in values:
             assert abs(v - ref) / ref < 0.02
 
-    def test_contour_resolution(self, tension_plate):
-        mesh, emap, state = tension_plate
-        coarse = interaction_integral(state, mesh, emap, STEEL, 0, 1, 1,
-                                      radius=0.2, n_points=128)
-        fine = interaction_integral(state, mesh, emap, STEEL, 0, 1, 1,
-                                    radius=0.2, n_points=256)
-        assert abs(fine - coarse) / abs(fine) < 0.005
-
     def test_energy_release_consistency(self, tension_plate):
         mesh, emap, state = tension_plate
         res = extract_sifs(state, mesh, emap, STEEL, 0, 1)
@@ -257,12 +249,6 @@ class TestInteractionIntegral:
         with pytest.raises(FractureError, match="no active tip"):
             extract_sifs(state, mesh, emap, STEEL, 0, 5)
 
-    def test_contour_point_count_floor(self, tension_plate):
-        mesh, emap, state = tension_plate
-        with pytest.raises(ValueError, match="at least 32"):
-            interaction_integral(state, mesh, emap, STEEL, 0, 1, 1,
-                                 radius=0.2, n_points=16)
-
 
 class TestInclinedCrack:
     def test_mixed_mode_signs_and_values(self):
@@ -287,14 +273,38 @@ class TestContourValidity:
         self.state = type("S", (), {"fields": fields})()
 
     def test_default_radius_shrinks_near_neighbor(self):
-        # tip 1 of crack 0 sits 0.15 below crack 1
+        # tip 1 of crack 0 sits 0.15 below crack 1; the ring reaches up to
+        # one tip element diameter beyond the radius
         radius = default_contour_radius(self.mesh, self.emap, 0, 1)
-        assert radius == pytest.approx(0.9 * 0.15)
+        assert radius == pytest.approx(0.9 * 0.15 - 0.05 * math.sqrt(2.0))
 
-    def test_crossing_other_crack_rejected(self):
+    def test_domain_must_hold_the_tip_element(self):
+        # the tip's element corners lie 0.035 away: at a radius of 0.03 the
+        # ring would hold the singular point, or be empty
+        with pytest.raises(FractureError, match=r"radius 0\.03 .* tip element, of size 0\.0707"):
+            interaction_integral(self.state, self.mesh, self.emap, STEEL,
+                                 0, 1, 1, radius=0.03)
+
+    def test_own_crack_coming_back_rejected(self):
+        # a crack folded back on itself: from tip 1 it runs away to the
+        # right, turns down, and then passes 0.1 below the tip
+        mesh = uniform_rect(1.0, 1.0, 40, 40)
+        folded = CrackPath(vertices=np.array([[0.2013, 0.4513], [0.7013, 0.4513],
+                                              [0.7013, 0.5513], [0.5513, 0.5513]]), id=0)
+        emap = classify_enrichment(mesh, [folded])
+        state = type("S", (), {"fields": FieldTriplet.zeros(mesh.n_nodes)})()
+        with pytest.raises(FractureError,
+                           match="crack 0 tip 1 is re-entered by its own crack"):
+            interaction_integral(state, mesh, emap, STEEL, 0, 1, 1, radius=0.12)
+        assert interaction_integral(state, mesh, emap, STEEL, 0, 1, 1, radius=0.05) == 0.0
+
+    # crack 1 passes 0.15 from the tip: a radius of 0.14 stays short of it,
+    # but the ring's outer nodes reach up to one element diameter beyond
+    @pytest.mark.parametrize("radius", [0.2, 0.14])
+    def test_crossing_other_crack_rejected(self, radius):
         with pytest.raises(FractureError, match="intersects crack 1"):
             interaction_integral(self.state, self.mesh, self.emap, STEEL,
-                                 0, 1, 1, radius=0.2)
+                                 0, 1, 1, radius=radius)
 
     def test_clearance_is_the_nearest_other_crack_segment(self):
         cracks = [
