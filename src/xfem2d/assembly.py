@@ -610,11 +610,9 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     f = np.zeros(layout.total_dofs)
     _add_point_loads(mesh, emap, layout, *_traction_points(mesh, emap, bcs), f)
     if any(material.body_force):
-        for eids, rule in rules.classes(kinds):
-            _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
-            _add_point_loads(mesh, emap, layout, np.repeat(eids, rule.n_points),
-                             np.tile(rule.points, (eids.size, 1)), phys.reshape(-1, 2),
-                             wdet.reshape(-1, 1) * np.asarray(material.body_force), f)
+        eids, local, _, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), kinds)
+        _add_point_loads(mesh, emap, layout, eids, local, phys,
+                         wdet[:, None] * np.asarray(material.body_force), f)
 
     fixed: dict[int, float] = {}
     for bc in bcs:

@@ -131,9 +131,10 @@ def _cmd_solve(args) -> int:
         f"{problem.mesh.n_elements} elements")
     log(f"[classification] |m_disc| = {problem.emap.n_heaviside}, "
         f"|m_tip| = {problem.emap.n_tip}")
-    state, results = run_stationary(config, problem=problem)
+    unresolved = []
+    state, results = run_stationary(config, problem=problem, unresolved=unresolved)
     log(f"[solve] residual {state.residual:.3e}")
-    history = stationary_history(problem, state, results)
+    history = stationary_history(problem, state, results, unresolved)
     directory = _out_dir(args, config)
     _emit_artifacts(config, problem, state, history, directory, log)
     for res in results:
@@ -144,6 +145,8 @@ def _cmd_solve(args) -> int:
             f"J = {res.J:.6g} J/m^2, "
             f"theta_c = {math.degrees(res.theta_c):.4g} deg"
         )
+    for ev in unresolved:
+        print(f"crack {ev.crack_id} tip {ev.tip_id}: unresolved -- {ev.reason}")
     print(f"artifacts in {directory}")
     return 0
 

@@ -86,7 +86,7 @@ from xfem2d.fracture import (
     k_equivalent,
     tip_clearance,
 )
-from xfem2d.mesh import Mesh, MeshFormatError, element_geometry, read_mesh
+from xfem2d.mesh import Mesh, MeshFormatError, read_mesh
 
 if TYPE_CHECKING:  # config imports this module
     from xfem2d.config import ContourSpec, RunConfig
@@ -336,8 +336,8 @@ def _solve_step(problem: Problem, lam: float,
 def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
                   skip=frozenset(), freezes: list | None = None):
     """The SIFs of every live tip not in ``skip``.  Given ``freezes``, a tip
-    whose extraction domain is rejected gets a :class:`FreezeEvent` there,
-    with the reason, instead of failing the step."""
+    without an admissible ``auto`` domain gets a :class:`FreezeEvent` there,
+    with the reason, instead of failing the step; a set radius never does."""
     results = []
     with _stage("fracture"):
         for tinfo in problem.emap.tips:
@@ -350,39 +350,44 @@ def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
                                             problem.material, *key, radius=radius,
                                             rules=problem.rules))
             except FractureError as exc:
-                if freezes is None:
+                if freezes is None or radius is not None:
                     raise
                 freezes.append(FreezeEvent(*key, str(exc)))
     return tuple(results)
 
 
-def run_stationary(config: RunConfig, problem: Problem | None = None):
+def run_stationary(config: RunConfig, problem: Problem | None = None,
+                   unresolved: list | None = None):
     """Single solve at the final load factor plus one extraction per tip.
 
     Returns ``(state, results)``; pass a prepared ``problem`` to skip the
     mesh/classification phase (the command-line driver reuses it for
-    output generation).
+    output generation).  Given a list ``unresolved``, a tip without an
+    admissible ``auto`` domain is left out of ``results`` and gets a
+    :class:`FreezeEvent` there; without it, that tip fails the run.
     """
     if problem is None:
         problem = setup_problem(config)
     lam = config.schedule.steps[-1] if config.schedule is not None else 1.0
     state = _solve_step(problem, lam)
-    results = _extract_step(problem, state, config.contour)
+    results = _extract_step(problem, state, config.contour, freezes=unresolved)
     return state, results
 
 
 def stationary_history(problem: Problem, state: SolutionState,
-                       results) -> RunHistory:
+                       results, unresolved=()) -> RunHistory:
     """Package one stationary solve as a single-step run history.
 
     The output writers consume histories; this adapter lets a plain
-    solve share the same emission path as a propagation run.
+    solve share the same emission path as a propagation run; the
+    ``unresolved`` tips of :func:`run_stationary` are its ``frozen`` ones.
     """
     record = StepRecord(
         step=0,
         load_factor=state.load_factor,
         cracks=problem.cracks,
         sifs=tuple(results),
+        frozen=tuple(unresolved),
         n_dofs=state.layout.total_dofs,
         n_heaviside=problem.emap.n_heaviside,
         n_tip=problem.emap.n_tip,
@@ -456,7 +461,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
                     "of the boundary or another crack",
                 ))
 
-        # a tip too near the boundary or another crack for any domain freezes
+        # a tip with no admissible domain under the auto rule freezes
         sifs = _extract_step(problem, state, contour, skip=frozen, freezes=freezes)
         frozen.update((e.crack_id, e.tip_id) for e in freezes)
         record = StepRecord(
@@ -587,24 +592,16 @@ def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     the measured region area.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
-    D = elasticity_matrix(material)
-    total = 0.0
-    area = 0.0
-    for eids, rule in rules.classes(emap.kinds):
-        _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
-        wdet, phys = wdet.ravel(), phys.reshape(-1, 2)
-        w = (np.asarray(region(phys), dtype=float) if region is not None
-             else np.ones(phys.shape[0]))
-        keep = np.nonzero(w > 0.0)[0]
-        if keep.size == 0:
-            continue
-        local = np.tile(rule.points, (eids.size, 1))[keep]
-        _, grad = element_fields(mesh, emap, state.fields,
-                                 np.repeat(eids, rule.n_points)[keep], local, phys[keep])
-        diff = voigt_strain(grad) - np.asarray(reference(phys[keep]), dtype=float)
-        wk = wdet[keep] * w[keep]
-        total += float(np.einsum("n,ni,ij,nj->", wk, diff, D, diff))
-        area += float(wk.sum())
+    eids, local, _, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements),
+                                                   emap.kinds)
+    w = (np.asarray(region(phys), dtype=float) if region is not None
+         else np.ones(phys.shape[0]))
+    keep = np.nonzero(w > 0.0)[0]
+    wk = wdet[keep] * w[keep]
+    area = float(wk.sum())
     if area <= 0.0:
         raise ValueError("the region excludes every quadrature point")
+    _, grad = element_fields(mesh, emap, state.fields, eids[keep], local[keep], phys[keep])
+    diff = voigt_strain(grad) - np.asarray(reference(phys[keep]), dtype=float)
+    total = float(np.einsum("n,ni,ij,nj->", wk, diff, elasticity_matrix(material), diff))
     return math.sqrt(max(total, 0.0)) / area

@@ -24,7 +24,10 @@ A domain is rejected when the tip element is not wholly inside R (the
 ring would reach the singular point, or be empty), and when the circle
 through the ring's outermost node meets the domain boundary, the crack's
 other end, a face of its own crack that has left the circle, or another
-crack.  The kink direction follows the maximum hoop stress criterion.
+crack.  The ``auto`` radius is the largest, up to a nominal one, whose
+ring stays inside the tip's clearance from the boundary and the other
+cracks; when none holds the tip element, no radius is admissible.  The
+kink direction follows the maximum hoop stress criterion.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.enrichment import EnrichmentMap, TipInfo, branch_theta, element_fields
-from xfem2d.mesh import Mesh, QuadratureSet, element_geometry, point_segment_distance
+from xfem2d.mesh import Mesh, QuadratureSet, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -73,25 +76,6 @@ class SifResult:
 # ---------------------------------------------------------------------------
 # closed-form unit-intensity tip fields
 # ---------------------------------------------------------------------------
-
-def _aux_displacement(mode: int, r, theta, material: MaterialModel):
-    """Tip-frame displacement of the unit-intensity field, shape (..., 2)."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    kappa = material.kolosov
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    amp = np.sqrt(r / (2.0 * np.pi)) / (2.0 * material.shear_modulus)
-    if mode == 1:
-        gx = c * (kappa - 1.0 + 2.0 * s * s)
-        gy = s * (kappa + 1.0 - 2.0 * c * c)
-    elif mode == 2:
-        gx = s * (kappa + 1.0 + 2.0 * c * c)
-        gy = -c * (kappa - 1.0 - 2.0 * s * s)
-    else:
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    return np.stack([amp * gx, amp * gy], axis=-1)
-
 
 def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
     """Unit-intensity near-tip stress and displacement gradient.
@@ -173,18 +157,44 @@ def _other_crack_distances(emap: EnrichmentMap, crack_id: int, point):
     return [c.id for c in others], np.minimum.reduceat(d, starts)
 
 
+def _corner_distances(mesh: Mesh, origin, radius: float):
+    """Ids, ascending, of the elements whose boxes meet the box of the disc
+    of ``radius`` at ``origin``, and their corners' distances from it."""
+    near = mesh.elements_meeting(origin - radius, origin + radius)
+    return near, np.linalg.norm(mesh.element_coords(near) - origin, axis=2)
+
+
 def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
                            tip_id: int) -> float:
-    """Largest sensible domain radius: the effective half length, shrunk
-    to 0.9 of the tip's clearance less the tip element's diameter, so the
-    ring beyond the radius stays clear of other cracks and the boundary,
-    but never below the smallest radius holding the tip element."""
-    tinfo = _find_tip(emap, crack_id, tip_id)
-    corners = mesh.element_coords([tinfo.element])[0] - tinfo.frame.origin
-    smallest = 1.001 * float(np.max(np.linalg.norm(corners, axis=1)))
-    return min(emap.effective_half_length(crack_id),
-               max(0.9 * tip_clearance(mesh, emap, crack_id, tip_id)
-                   - mesh.element_sizes[tinfo.element], smallest))
+    """The domain radius of the ``auto`` rule."""
+    return _auto_domain(mesh, emap, _find_tip(emap, crack_id, tip_id))[0]
+
+
+def _auto_domain(mesh: Mesh, emap: EnrichmentMap, tinfo: TipInfo):
+    """The ``auto`` radius, and :func:`_corner_distances` at the nominal one.
+
+    The nominal radius is the effective half length, cut to 0.9 of the
+    clearance, but never below the smallest radius holding the tip
+    element.  It shrinks to the largest radius whose ring has no node as
+    far as the clearance.  If that no longer holds the tip element, no
+    domain clear of the boundary and the other cracks does.
+    """
+    origin = tinfo.frame.origin
+    clearance = tip_clearance(mesh, emap, tinfo.crack_id, tinfo.tip_id)
+    held = np.linalg.norm(mesh.element_coords([tinfo.element])[0] - origin, axis=1)
+    smallest = float(np.nextafter(np.max(held), np.inf))
+    nominal = max(min(emap.effective_half_length(tinfo.crack_id), 0.9 * clearance), smallest)
+    near, dist = _corner_distances(mesh, origin, nominal)
+    # an element reaching the clearance is in the ring of every radius in
+    # (its nearest corner, its farthest corner]
+    radius = min(nominal, float(np.min(dist.min(axis=1)[dist.max(axis=1) >= clearance],
+                                       initial=np.inf)))
+    if radius < smallest:
+        raise FractureError(
+            f"no domain around crack {tinfo.crack_id} tip {tinfo.tip_id} holds its tip "
+            f"element, of size {mesh.element_sizes[tinfo.element]:g}, within its "
+            f"clearance {clearance:g}")
+    return radius, near, dist
 
 
 def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
@@ -233,32 +243,24 @@ def _domain_fields(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     (n, 2, 2), all in the tip frame.
     """
     tinfo = _find_tip(emap, crack_id, tip_id)
-    if radius is None:
-        radius = default_contour_radius(mesh, emap, crack_id, tip_id)
-    if radius <= 0.0:
+    if radius is not None and radius <= 0.0:
         raise ValueError("contour radius must be positive")
+    radius, near, dist = (_auto_domain(mesh, emap, tinfo) if radius is None else
+                          (radius, *_corner_distances(mesh, tinfo.frame.origin, radius)))
     rules = rules if rules is not None else QuadratureSet.from_targets()
-    origin = tinfo.frame.origin
     where = f"domain of radius {radius:g} around crack {crack_id} tip {tip_id}"
-    near = mesh.elements_meeting(origin - radius, origin + radius)
-    dist = np.linalg.norm(mesh.element_coords(near) - origin, axis=2)  # (elements, 4)
     if not np.all(dist[np.searchsorted(near, tinfo.element)] < radius):
         raise FractureError(f"{where} does not hold its tip element, of size "
                             f"{mesh.element_sizes[tinfo.element]:g}")
     inside = dist < radius
     at = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
-    ring, q = near[at], inside[at].astype(float)
+    ring = near[at]
     _check_domain(mesh, emap, tinfo, float(np.max(dist[at], initial=radius)), where)
 
+    eids, local, dN, wdet, xs = rules.rule_points(mesh, ring, emap.kinds[ring])
+    q = inside[at][np.searchsorted(ring, eids)].astype(float)  # at each point's corners
+    dq = wdet[:, None] * np.einsum("nia,ni->na", dN, q)
     Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
-    eids, local, xs, dq = [], [], [], []
-    for k, rule in rules.classes(emap.kinds[ring]):
-        _, dN, wdet, phys = element_geometry(mesh.element_coords(ring[k]), rule)
-        eids.append(np.repeat(ring[k], rule.n_points))
-        local.append(np.tile(rule.points, (k.size, 1)))
-        xs.append(phys.reshape(-1, 2))
-        dq.append((wdet[..., None] * np.einsum("eqia,ei->eqa", dN, q[k])).reshape(-1, 2))
-    eids, local, xs, dq = (np.concatenate(a) for a in (eids, local, xs, dq))
     grad = Q.T @ element_fields(mesh, emap, state.fields, eids, local, xs)[1] @ Q
     r, theta = branch_theta(tinfo, emap.crack_by_id(crack_id), xs)
     # branch_theta's angle grows toward the crack's positive side, which is

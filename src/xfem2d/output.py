@@ -253,10 +253,9 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         grad = np.einsum("eqcb,eca->eqab", dN, fields.u_cont[mesh.elements[eids]])
         rich = np.nonzero(kinds[eids] > 0)[0]
         if rich.size:
-            grad[rich] = element_fields(
-                mesh, emap, fields, np.repeat(eids[rich], rule.n_points),
-                np.tile(rule.points, (rich.size, 1)), phys[rich].reshape(-1, 2),
-            )[1].reshape(rich.size, rule.n_points, 2, 2)
+            pe, local, _, _, xs = rules.rule_points(mesh, eids[rich], kinds[eids[rich]])
+            grad[rich] = element_fields(mesh, emap, fields, pe, local, xs)[1].reshape(
+                rich.size, rule.n_points, 2, 2)
         sig = voigt_strain(grad) @ D.T
         vm = _von_mises(sig, material)
         sig_mean[eids], vm_mean[eids] = _weighted_means(sig, vm, wdet)

@@ -89,6 +89,21 @@ class TestSolve:
         for row in rows:
             assert row["K_I"] == pytest.approx(exact, rel=0.2)
 
+    def test_tip_without_a_domain_is_reported(self, tmp_path, capsys):
+        # the second crack lies inside one element: no domain around its
+        # tips fits in it, and the first crack's SIFs are still reported
+        config = write_case(tmp_path, "\n[crack 7]\nvertices = 0.51 0.21 ; 0.54 0.21\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "crack 0 tip 0: K_I" in stdout and "crack 0 tip 1: K_I" in stdout
+        for tip in (0, 1):
+            assert (f"crack 7 tip {tip}: unresolved -- domain of radius" in stdout)
+        assert [(r["crack_id"], r["tip_id"]) for r in read_sif_csv(out / "sif_history.csv")] \
+            == [(0, 0), (0, 1)]
+        log = (out / "run_log.txt").read_text()
+        assert "deactivated: crack 7 tip 1 -- domain of radius" in log
+
     def test_verbose_reports_stages(self, tmp_path, capsys):
         config = write_case(tmp_path)
         code = main(["solve", "--config", config,

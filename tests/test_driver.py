@@ -31,6 +31,7 @@ from xfem2d.driver import (
 from xfem2d import driver, enrichment
 from xfem2d.assembly import solve
 from xfem2d.enrichment import CrackMeshDegeneracyError
+from xfem2d.fracture import FractureError
 from xfem2d.mesh import Mesh
 from xfem2d.meshgen import uniform_rect
 
@@ -518,9 +519,21 @@ class TestRunPropagation:
         history = run_propagation(config)
         events = [e for rec in history.steps for e in rec.frozen]
         assert [(e.crack_id, e.tip_id) for e in events] == [(0, 1)]
-        assert "crack 0 tip 1 leaves the domain" in events[0].reason
+        assert events[0].reason.startswith("no domain around crack 0 tip 1 holds its tip element")
         assert history.n_increments == 6
         assert history.final_cracks[0].vertices[-1, 0] == pytest.approx(0.9011, abs=1e-3)
+
+    def test_set_radius_too_small_fails(self):
+        # a configured radius short of the tip element is an input error,
+        # not a tip without a domain
+        config = make_config(
+            mesh=pinned_mesh(), cracks=[center_crack()],
+            contour=ContourSpec(rule="absolute", value=0.01),
+            schedule=LoadSchedule.uniform(2),
+            propagation=PropagationParams(delta_a=0.04),
+        )
+        with pytest.raises(FractureError, match="radius 0.01 .* does not hold its tip element"):
+            run_propagation(config)
 
 
 class TestCodProfile:
@@ -592,8 +605,13 @@ class TestCodProfile:
             vertices=np.array([[2.2 * h, 2.4 * h], [2.8 * h, 2.6 * h]]), id=0)
         config = make_config(mesh=pinned_mesh(5, 5), cracks=[tiny])
         problem = setup_problem(config)
-        # solved without extraction: no domain around a tip fits in the crack
-        state = driver._solve_step(problem, 1.0)
+        # no domain around either tip fits in the crack: both go unresolved
+        unresolved = []
+        state, sifs = run_stationary(config, problem=problem, unresolved=unresolved)
+        assert sifs == ()
+        assert [(e.crack_id, e.tip_id) for e in unresolved] == [(0, 0), (0, 1)]
+        assert all(e.reason.startswith(f"no domain around crack 0 tip {e.tip_id} holds "
+                                       "its tip element") for e in unresolved)
         with pytest.raises(ValueError, match="single"):
             cod_profile(state, problem.mesh, problem.emap, 0)
 

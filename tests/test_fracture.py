@@ -17,7 +17,6 @@ from xfem2d.cracks import CrackPath, signed_distance
 from xfem2d.enrichment import FieldTriplet, classify_enrichment
 from xfem2d.fracture import (
     FractureError,
-    _aux_displacement,
     auxiliary_fields,
     default_contour_radius,
     direct_j_integral,
@@ -31,6 +30,16 @@ from xfem2d.fracture import (
 from xfem2d.meshgen import uniform_rect
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
+
+
+def williams_displacement(mode, r, theta, material):
+    """Tip-frame displacement of the unit-intensity field of one mode."""
+    kappa = material.kolosov
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    amp = math.sqrt(r / (2.0 * math.pi)) / (2.0 * material.shear_modulus)
+    if mode == 1:
+        return amp * np.array([c * (kappa - 1.0 + 2.0 * s * s), s * (kappa + 1.0 - 2.0 * c * c)])
+    return amp * np.array([s * (kappa + 1.0 + 2.0 * c * c), -c * (kappa - 1.0 - 2.0 * s * s)])
 
 
 class TestAuxiliaryFields:
@@ -80,13 +89,13 @@ class TestAuxiliaryFields:
             _, grad = auxiliary_fields(mode, r, theta, STEEL)
             fd = np.empty((2, 2))
             for b, (dx, dy) in enumerate([(h, 0.0), (0.0, h)]):
-                up = _aux_displacement(
+                up = williams_displacement(
                     mode,
                     math.hypot(x + dx, y + dy),
                     math.atan2(y + dy, x + dx),
                     STEEL,
                 )
-                dn = _aux_displacement(
+                dn = williams_displacement(
                     mode,
                     math.hypot(x - dx, y - dy),
                     math.atan2(y - dy, x - dx),
@@ -273,10 +282,22 @@ class TestContourValidity:
         self.state = type("S", (), {"fields": fields})()
 
     def test_default_radius_shrinks_near_neighbor(self):
-        # tip 1 of crack 0 sits 0.15 below crack 1; the ring reaches up to
-        # one tip element diameter beyond the radius
+        # tip 1 of crack 0 sits 0.15 below crack 1, so the nominal radius is
+        # 0.135; the element with corners (0.075, 0.075) and (0.125, 0.125)
+        # away from the tip reaches past 0.15, and the radius stops at its
+        # nearest corner
         radius = default_contour_radius(self.mesh, self.emap, 0, 1)
-        assert radius == pytest.approx(0.9 * 0.15 - 0.05 * math.sqrt(2.0))
+        assert radius == pytest.approx(0.075 * math.sqrt(2.0))
+        assert interaction_integral(self.state, self.mesh, self.emap, STEEL, 0, 1, 1) == 0.0
+
+    def test_no_default_radius_within_the_clearance(self):
+        # a tip 0.075 from the boundary: every ring holding its tip element
+        # (corners 0.035 away) has the boundary nodes beside it
+        crack = CrackPath(vertices=np.array([[0.525, 0.425], [0.925, 0.425]]), id=0)
+        emap = classify_enrichment(self.mesh, [crack])
+        with pytest.raises(FractureError, match="no domain around crack 0 tip 1 holds "
+                                                r"its tip element, of size 0\.0707"):
+            default_contour_radius(self.mesh, emap, 0, 1)
 
     def test_domain_must_hold_the_tip_element(self):
         # the tip's element corners lie 0.035 away: at a radius of 0.03 the

@@ -20,7 +20,6 @@ from xfem2d.driver import (
     PropagationParams,
     RunHistory,
     StepRecord,
-    _solve_step,
     run_propagation,
     run_stationary,
     setup_problem,
@@ -214,8 +213,13 @@ class TestCodCsv:
                              cracks=[center_crack(), tiny],
                              tip_enrichment=True)
         problem = setup_problem(config)
-        # solved without extraction: no domain around a tip fits in crack 7
-        state = _solve_step(problem, 1.0)
+        # no domain around a tip fits in crack 7: its tips go unresolved
+        unresolved = []
+        state, sifs = run_stationary(config, problem=problem, unresolved=unresolved)
+        assert [(r.crack_id, r.tip_id) for r in sifs] == [(0, 0), (0, 1)]
+        assert [(e.crack_id, e.tip_id) for e in unresolved] == [(7, 0), (7, 1)]
+        assert all(e.reason.endswith(f"crack 7 tip {e.tip_id} reaches the crack's other end")
+                   for e in unresolved)
         path = tmp_path / "cod.csv"
         write_cod_csv(state, problem.mesh, problem.emap, path, n_samples=11)
         ids = {int(line.split(",")[2])
