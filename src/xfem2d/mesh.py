@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -441,10 +442,12 @@ class Mesh:
 
 
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Jacobian determinants at the four reference corners of every element."""
-    _, dref = reference_shape(_CORNERS[:, 0], _CORNERS[:, 1])  # (4, 4, 2)
-    det, _ = jacobian(nodes[elements][:, None], dref)
-    return det
+    """Jacobian determinants at the four reference corners of every element:
+    at corner k, 0.25 * cross(x[k+1] - x[k], x[k-1] - x[k])."""
+    x = nodes[elements]
+    out = x[:, [1, 2, 3, 0]] - x  # edge k, leaving corner k
+    into = out[:, [3, 0, 1, 2]]  # edge k-1, entering corner k
+    return 0.25 * (into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0])
 
 
 _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
@@ -675,6 +678,13 @@ def locate_points(mesh: Mesh, xs, tol: float = _LOCATE_TOL):
 
 # -- mesh document I/O -----------------------------------------------------
 
+def _index(token: str) -> int:
+    """``int(token)``, with an index past the int64 range read as -1: outside
+    ``0..n-1`` either way, so the range check names its line."""
+    value = int(token)
+    return value if -2**63 <= value < 2**63 else -1
+
+
 def load_mesh(source: str) -> Mesh:
     """Parse a mesh document.
 
@@ -683,6 +693,13 @@ def load_mesh(source: str) -> Mesh:
     connectivity lines (0-based, counter-clockwise), then optional
     ``boundary <name> <k>`` blocks each followed by ``k`` node indices.
     ``#`` starts a comment.
+
+    The node block and the element block are each parsed by one
+    ``np.loadtxt`` over their lines.  NumPy's parser rejects some tokens
+    that Python's ``float``/``int`` accept (``1_0``, ``٣``, integers past
+    int64), so a block it refuses, or reads to the wrong shape, is parsed
+    again token by token with ``float``/``int``; only when that fails too
+    are its lines checked one by one for the first offending line.
     """
     lines = source.splitlines()
     if "#" in source:
@@ -702,11 +719,21 @@ def load_mesh(source: str) -> Mesh:
         return numbers[pos - 1], texts[pos - 1].split()
 
     def block(rows, width, convert, dtype, bad_width, bad_token):
-        """The next ``rows`` lines as a (rows, width) array, parsed at once;
-        only a failed parse goes through them one by one for the first
-        offending line."""
+        """The next ``rows`` lines as a (rows, width) array, parsed at once."""
         nonlocal pos
-        tokens = list(map(str.split, texts[pos:pos + rows]))
+        lines = texts[pos:pos + rows]
+        if rows and len(lines) == rows:
+            try:
+                with warnings.catch_warnings():
+                    # NumPy 1.x reads "3.0" as an integer, with this warning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    values = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2)
+                if values.shape == (rows, width):
+                    pos += rows
+                    return values
+            except (ValueError, DeprecationWarning):
+                pass
+        tokens = list(map(str.split, lines))
         if len(tokens) == rows and set(map(len, tokens)) <= {width}:
             try:
                 values = np.fromiter(map(convert, itertools.chain.from_iterable(tokens)),
@@ -735,10 +762,15 @@ def load_mesh(source: str) -> Mesh:
     if n_nodes < 0 or n_elems < 0:
         raise MeshFormatError(f"line {lineno}: counts must be non-negative")
 
+    first_node = pos
     nodes = block(n_nodes, 2, float, float, "node {} needs exactly two coordinates",
                   "node {} has a non-numeric coordinate")
+    bad = np.nonzero(~np.isfinite(nodes).all(axis=1))[0]
+    if bad.size:
+        v = int(bad[0])
+        raise MeshFormatError(f"line {numbers[first_node + v]}: node {v} has a non-finite coordinate")
     first_element = pos
-    elements = block(n_elems, 4, int, np.int64, "element {} needs exactly four node indices",
+    elements = block(n_elems, 4, _index, np.int64, "element {} needs exactly four node indices",
                      "element {} has a non-integer index")
     bad = np.nonzero(((elements < 0) | (elements >= n_nodes)).any(axis=1))[0]
     if bad.size:
@@ -763,13 +795,18 @@ def load_mesh(source: str) -> Mesh:
         ids: list[int] = []
         while len(ids) < k:
             lineno, tokens = take()
-            for t in tokens:
-                try:
-                    ids.append(int(t))
-                except ValueError:
-                    raise MeshFormatError(
-                        f"line {lineno}: boundary '{name}' has a non-integer node index"
-                    ) from None
+            try:
+                row = list(map(int, tokens))
+            except ValueError:
+                raise MeshFormatError(
+                    f"line {lineno}: boundary '{name}' has a non-integer node index"
+                ) from None
+            if min(row) < 0 or max(row) >= n_nodes:
+                raise MeshFormatError(
+                    f"line {lineno}: boundary '{name}' references node index "
+                    f"outside 0..{n_nodes - 1}"
+                )
+            ids += row
         if len(ids) != k:
             raise MeshFormatError(f"line {lineno}: boundary '{name}' lists more than {k} indices")
         boundary_tags[name] = np.array(ids, dtype=np.int64)
@@ -778,17 +815,23 @@ def load_mesh(source: str) -> Mesh:
 
 
 def dump_mesh(mesh: Mesh) -> str:
-    """Serialize a mesh to document text that :func:`load_mesh` round-trips."""
-    out = ["xfem-mesh 1", f"{mesh.n_nodes} {mesh.n_elements}"]
-    for x, y in mesh.nodes:
-        out.append(f"{x:.17g} {y:.17g}")
-    for quad in mesh.elements:
-        out.append(" ".join(str(int(i)) for i in quad))
+    """Serialize a mesh to document text that :func:`load_mesh` round-trips.
+
+    The node and the element block are each written by one ``%`` over a
+    row template repeated once per line; ``%.17g`` keeps every coordinate
+    exact.  Boundary blocks list 16 indices a line.
+    """
+    parts = [
+        f"xfem-mesh 1\n{mesh.n_nodes} {mesh.n_elements}\n",
+        ("%.17g %.17g\n" * mesh.n_nodes) % tuple(mesh.nodes.ravel().tolist()),
+        ("%d %d %d %d\n" * mesh.n_elements) % tuple(mesh.elements.ravel().tolist()),
+    ]
     for name, ids in mesh.boundary_tags.items():
-        out.append(f"boundary {name} {ids.size}")
-        for start in range(0, ids.size, 16):
-            out.append(" ".join(str(int(i)) for i in ids[start:start + 16]))
-    return "\n".join(out) + "\n"
+        ids = ids.tolist()
+        parts.append(f"boundary {name} {len(ids)}\n")
+        parts += [" ".join(map(str, ids[start:start + 16])) + "\n"
+                  for start in range(0, len(ids), 16)]
+    return "".join(parts)
 
 
 def read_mesh(path) -> Mesh:

@@ -266,6 +266,23 @@ class TestErrorPaths:
         assert "[mesh]" in stderr
         assert "lid" in stderr
 
+    @pytest.mark.parametrize("block, message", [
+        ("element", "element 0 references node index outside 0..483"),
+        ("boundary", "boundary 'bottom' references node index outside 0..483"),
+    ])
+    def test_index_past_int64_is_staged(self, tmp_path, capsys, block, message):
+        config = write_case(tmp_path)
+        lines = (tmp_path / "plate.mesh").read_text().splitlines()
+        row = 2 + int(lines[1].split()[0]) if block == "element" else next(
+            i for i, line in enumerate(lines) if line.startswith("boundary bottom")) + 1
+        lines[row] = lines[row].rsplit(" ", 1)[0] + " 99999999999999999999"
+        (tmp_path / "plate.mesh").write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert f"[mesh] line {row + 1}: {message}" in stderr
+        assert "Traceback" not in stderr
+
     def test_unremedied_degeneracy_exits_one(self, tmp_path, capsys,
                                              monkeypatch):
         def always_degenerate(mesh, cracks, segments=None):

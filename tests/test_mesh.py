@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfem2d.benchmarks import hole_attraction_config, table1_config
@@ -93,6 +93,17 @@ MALFORMED_DOCS = [
     (unit_square_lines(line7="0 1 2"), "line 7: element 0 needs exactly four node indices"),
     (unit_square_lines(line7="0 1 2 3.0"), "line 7: element 0 has a non-integer index"),
     (unit_square_lines(line7="0 1 2 9"), "line 7: element 0 references node index outside 0..3"),
+    # indices past int64, which NumPy cannot hold, are out of range too
+    (unit_square_lines(line7="0 1 2 99999999999999999999"),
+     "line 7: element 0 references node index outside 0..3"),
+    (unit_square_lines(line7="0 -99999999999999999999 2 3"),
+     "line 7: element 0 references node index outside 0..3"),
+    (unit_square_lines(line4="1e999 0"), "line 4: node 1 has a non-finite coordinate"),
+    (unit_square_lines(line5="1 nan"), "line 5: node 2 has a non-finite coordinate"),
+    (unit_square_lines(line3="-inf 0", line6="0 inf"),
+     "line 3: node 0 has a non-finite coordinate"),
+    (unit_square_lines(line3="0 0\n# comment", line6="inf 1"),
+     "line 7: node 3 has a non-finite coordinate"),
     # a document cut short inside the node or element block
     ("xfem-mesh 1\n4 1\n0 0\n1 0\n", "unexpected end of mesh document"),
     (UNIT_SQUARE_DOC.split("0 1 2 3")[0], "unexpected end of mesh document"),
@@ -105,6 +116,12 @@ MALFORMED_DOCS = [
     (UNIT_SQUARE_DOC + "boundary bottom 1\n2\n", "line 10: duplicate boundary 'bottom'"),
     (unit_square_lines(line9="0 x"), "line 9: boundary 'bottom' has a non-integer node index"),
     (unit_square_lines(line9="0 1 2"), "line 9: boundary 'bottom' lists more than 2 indices"),
+    (unit_square_lines(line9="0 4"),
+     "line 9: boundary 'bottom' references node index outside 0..3"),
+    (unit_square_lines(line9="0\n\n-1"),
+     "line 11: boundary 'bottom' references node index outside 0..3"),
+    (unit_square_lines(line9="99999999999999999999 1"),
+     "line 9: boundary 'bottom' references node index outside 0..3"),
     (unit_square_lines(line8="boundary bottom 3"), "unexpected end of mesh document"),
 ]
 
@@ -171,6 +188,150 @@ class TestMeshDocument:
         np.testing.assert_array_equal(
             mesh.boundary_tags["bottom"], again.boundary_tags["bottom"]
         )
+
+
+def dump_mesh_by_line(mesh):
+    """Reference writer: one f-string per node, element and index row."""
+    out = ["xfem-mesh 1", f"{mesh.n_nodes} {mesh.n_elements}"]
+    for x, y in mesh.nodes:
+        out.append(f"{x:.17g} {y:.17g}")
+    for quad in mesh.elements:
+        out.append(" ".join(str(int(i)) for i in quad))
+    for name, ids in mesh.boundary_tags.items():
+        out.append(f"boundary {name} {ids.size}")
+        for start in range(0, ids.size, 16):
+            out.append(" ".join(str(int(i)) for i in ids[start:start + 16]))
+    return "\n".join(out) + "\n"
+
+
+def parse_by_token(doc):
+    """Reference parse of a document's node and element blocks: comments
+    and blank lines dropped, then ``float``/``int`` on every token."""
+    rows = [r for r in (line.split("#", 1)[0].split() for line in doc.splitlines()) if r]
+    n, m = (int(t) for t in rows[1])
+    nodes = np.array([[float(t) for t in r] for r in rows[2:2 + n]], dtype=float)
+    elements = np.array([[int(t) for t in r] for r in rows[2 + n:2 + n + m]], dtype=np.int64)
+    return nodes.reshape(n, 2), elements.reshape(m, 4)
+
+
+def assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+# Finite floats with the edge cases a writer can get wrong drawn often.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3])
+FINITE_FLOATS = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def meshes(draw):
+    """A grid of valid quads plus free nodes that no element uses, so any
+    finite coordinate can appear, and boundary tags of any size."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lx, ly = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    grid = structured_mesh(nx, ny, lx, ly)
+    free = draw(st.lists(st.tuples(FINITE_FLOATS, FINITE_FLOATS), max_size=12))
+    nodes = np.vstack([grid.nodes, np.array(free, dtype=float).reshape(-1, 2)])
+    elements = grid.elements if draw(st.booleans()) else np.zeros((0, 4), dtype=np.int64)
+    names = draw(st.lists(st.text("abyz_09", min_size=1, max_size=5), unique=True, max_size=3))
+    index = st.integers(0, len(nodes) - 1)
+    tags = {name: np.array(draw(st.lists(index, max_size=40)), dtype=np.int64) for name in names}
+    return Mesh(nodes=nodes, elements=elements, boundary_tags=tags)
+
+
+EDGE_MESH = Mesh(
+    nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [-0.0, 5e-324],
+                    [1e308, -1e308], [-5e-324, 2.2250738585072014e-308]]),
+    elements=np.array([[0, 1, 2, 3]]),
+    boundary_tags={"empty": np.array([], dtype=np.int64), "long": np.arange(35) % 7},
+)
+
+
+class TestDocumentRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=meshes())
+    @example(mesh=EDGE_MESH)
+    def test_dump_matches_line_writer_and_loads_bit_equal(self, mesh):
+        text = dump_mesh(mesh)
+        assert text == dump_mesh_by_line(mesh)
+        again = load_mesh(text)
+        assert_bit_equal(again.nodes, mesh.nodes)
+        assert_bit_equal(again.elements, mesh.elements)
+        assert list(again.boundary_tags) == list(mesh.boundary_tags)
+        for name, ids in mesh.boundary_tags.items():
+            assert_bit_equal(again.boundary_tags[name], ids)
+
+
+# The unit square scaled by 10, spelt with tokens Python's float/int accept
+# and NumPy's parser may not, with tabs, trailing spaces, a comment and a
+# blank line inside the blocks.
+SPELT_SQUARES = [
+    "xfem-mesh 1\n4 1\n0 0\n1_0\t+0 \n# inside the block\n\n+10.0 ١٠\n00 1e1  # a note\n"
+    "0 01 +2 ٣\n",
+    "xfem-mesh 1\n4 1\n0\t0\n+10 -0\n10.\t\t1E1   \n\n0 .1e2\n0 0_1 2 3\n",
+    "xfem-mesh 1\n4 1\n0 0\n10 0\n10 10\n0 10\n 0\t+1   02 3 # last\n",
+    "xfem-mesh 1\n4 1\n0 0\n10 0\n10 10\n0 10\n0 1 2 3\n",
+]
+
+
+class TestParseParity:
+    @pytest.mark.parametrize("doc", SPELT_SQUARES)
+    def test_blocks_match_per_token_parse(self, doc):
+        mesh = load_mesh(doc)
+        nodes, elements = parse_by_token(doc)
+        assert_bit_equal(mesh.nodes, nodes)
+        assert_bit_equal(mesh.elements, elements)
+
+    def test_token_parse_only_for_blocks_numpy_refuses(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-token parse on a block NumPy reads")
+
+        clean = dump_mesh(hole_attraction_config().mesh)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "fromiter", refuse)
+            load_mesh(clean)
+            with pytest.raises(AssertionError):
+                load_mesh(SPELT_SQUARES[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=st.lists(
+        FINITE_FLOATS.map(repr) | FINITE_FLOATS.map("{:+.6e}".format)
+        | st.sampled_from(["nan", "-inf", "1e999", "1_0", "٣", "+3", "03", "1e", "0x1p3", "3."])
+        | st.from_regex(r"\A[+-]?[0-9_]{0,3}\.?[0-9]{0,2}([eE][+-]?[0-9]{1,3})?\Z").filter(bool),
+        min_size=2, max_size=8).filter(lambda t: len(t) % 2 == 0))
+    def test_coordinates_match_float(self, tokens):
+        """Free nodes spelt any way parse as ``float`` reads them, or fail
+        with the message of their first offending line."""
+        rows = [" ".join(tokens[i:i + 2]) for i in range(0, len(tokens), 2)]
+        doc = "xfem-mesh 1\n{} 1\n0 0\n1 0\n1 1\n0 1\n{}\n0 1 2 3\n".format(
+            4 + len(rows), "\n".join(rows))
+        values = []
+        for i, row in enumerate(rows):
+            try:
+                values += map(float, row.split())
+            except ValueError:
+                with pytest.raises(MeshFormatError,
+                                   match=rf"^line {7 + i}: node {4 + i} has a non-numeric"):
+                    load_mesh(doc)
+                return
+        if not np.all(np.isfinite(values)):
+            with pytest.raises(MeshFormatError, match="non-finite coordinate"):
+                load_mesh(doc)
+            return
+        assert_bit_equal(load_mesh(doc).nodes[4:].ravel(), np.array(values))
+
+
+class TestInMemoryMesh:
+    def test_messages_without_lines(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, np.nan]])
+        with pytest.raises(MeshFormatError, match="^node coordinates must be finite$"):
+            Mesh(nodes=square, elements=[[0, 1, 2, 3]])
+        with pytest.raises(MeshFormatError,
+                           match="^boundary 'b' references an invalid node index$"):
+            Mesh(nodes=square[:3].tolist() + [[0.0, 1.0]], elements=[[0, 1, 2, 3]],
+                 boundary_tags={"b": [4]})
 
 
 class TestDerivedData:
