@@ -7,28 +7,26 @@ map grants them, so the jump/branch constraint is structural rather than
 penalized.
 
 Integration strategy: every element is first integrated with the plain
-2x2 rule in one vectorized pass, and summed into one sparse matrix, once
-per mesh (:class:`StiffnessCache`).  The cut elements and the tip
-elements are then integrated as two batches, one elevated rule per class,
-from the gradients of :func:`~xfem2d.enrichment.enriched_basis`; each
-replaces its elements' whole block (all field couplings including the
-standard one).  A run keeps the cut elements' matrices from step to step
-and integrates only those whose enrichment or crack changed.
-Uncut elements holding a Heaviside node need no correction at all: the
-shifted factor M = H(phi(x)) - H(phi(node)) is identically zero on them,
-since the node and the whole element sit on the same side of the crack.
-Traction and body-force loads are weighted sums of the same basis at
-points of the loaded edges and of each integration class, so the
-stiffness, the loads and the evaluated fields share one definition of
-the enriched basis.
+2x2 rule in one vectorized pass, once per mesh (:class:`StiffnessCache`).
+The cut elements and the tip elements are then integrated as two
+batches, one elevated rule per class, from the gradients of
+:func:`~xfem2d.enrichment.enriched_basis`; each corrects its elements'
+whole block (all field couplings including the standard one).  A run
+keeps the cut elements' matrices from step to step and integrates only
+those whose enrichment or crack changed.  Uncut elements holding a
+Heaviside node need no correction at all: the shifted factor
+M = H(phi(x)) - H(phi(node)) is identically zero on them, since the node
+and the whole element sit on the same side of the crack.  Traction and
+body-force loads are weighted sums of the same basis at points of the
+loaded edges and of each integration class, so the stiffness, the loads
+and the evaluated fields share one definition of the enriched basis.
 
-Solve: the fixed dofs are eliminated, not pinned: the free-free block of
-the stiffness is symmetric positive definite, and a supernodal
-multifrontal Cholesky factorization (:mod:`xfem2d.cholesky`) factors it
-front by front on the mesh's nested-dissection tree
-(:attr:`~xfem2d.mesh.Mesh.nested_dissection_tree`, computed once per
-mesh), with each node's jump and branch dofs right after its two standard
-dofs.  The fixed dofs take their prescribed values exactly.
+Solve: no global matrix is formed.  The fixed dofs are eliminated, not
+pinned, and the element matrices go straight into the fronts of a
+supernodal multifrontal Cholesky factorization (:mod:`xfem2d.cholesky`)
+on the mesh's nested-dissection tree, with each node's jump and branch
+dofs right after its two standard dofs.  The fixed dofs take their
+prescribed values exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from xfem2d.cholesky import FactorStats, FrontalCholesky, _ranges
+from xfem2d.cholesky import FactorStats, FrontalCholesky, NodePairs
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
     BASIS_FIELD,
@@ -174,9 +172,6 @@ class DofLayout:
     def total_dofs(self) -> int:
         return 2 * self.n_nodes + 2 * self.n_disc + 8 * self.n_tip
 
-    def cont_dof(self, node: int, comp: int) -> int:
-        return 2 * node + comp
-
     def disc_dof(self, node: int, comp: int) -> int:
         slot = self.disc_slot[node]
         if slot < 0:
@@ -190,15 +185,16 @@ class DofLayout:
         return 2 * self.n_nodes + 2 * self.n_disc + 8 * int(slot) + 2 * branch + comp
 
     def column_dofs(self, nodes: np.ndarray, field: np.ndarray) -> np.ndarray:
-        """First dof of the x/y pair of each basis column of
+        """The x and y dofs (..., 2) of each basis column of
         :func:`~xfem2d.enrichment.enriched_basis`, given its node and field
         (0 standard, 1 jump, 2 + j branch j); -1 where the node lacks it."""
         disc, tip = self.disc_slot[nodes], self.tip_slot[nodes]
         base_disc = 2 * self.n_nodes
         base_tip = base_disc + 2 * self.n_disc
-        return np.where(field == 0, 2 * nodes,
-                        np.where(field == 1, np.where(disc >= 0, base_disc + 2 * disc, -1),
-                                 np.where(tip >= 0, base_tip + 8 * tip + 2 * (field - 2), -1)))
+        x = np.where(field == 0, 2 * nodes,
+                     np.where(field == 1, np.where(disc >= 0, base_disc + 2 * disc, -1),
+                              np.where(tip >= 0, base_tip + 8 * tip + 2 * (field - 2), -1)))
+        return np.stack([x, np.where(x >= 0, x + 1, -1)], axis=-1)
 
     def node_dofs(self, node_order: np.ndarray):
         """Dof order that follows ``node_order`` with each node's dofs
@@ -207,46 +203,37 @@ class DofLayout:
         status), for the nodes in turn.  Also returns the position in
         ``node_order`` of each entry's node and the entry's place (0-9)
         among that node's dofs."""
-        node_order = np.asarray(node_order, dtype=np.int64)
-        disc = self.disc_slot[node_order]
-        tip = self.tip_slot[node_order]
-        counts = 2 + 2 * (disc >= 0) + 8 * (tip >= 0)
-        owner = np.repeat(np.arange(node_order.size), counts)
-        local = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        node, disc, tip = node_order[owner], disc[owner], tip[owner]
-        ext = local - 2  # position among the node's enrichment dofs
-        base_disc = 2 * self.n_nodes
-        base_tip = base_disc + 2 * self.n_disc
-        perm = np.where(ext < 0, 2 * node + local,
-                        np.where(disc >= 0, base_disc + 2 * disc + ext,
-                                 base_tip + 8 * tip + ext))
-        return perm, owner, local
+        order = np.asarray(node_order, dtype=np.int64)
+        disc, tip = self.disc_slot[order] >= 0, self.tip_slot[order] >= 0
+        columns = 1 + disc + 4 * tip  # standard, then the jump or the four branches
+        owner = np.repeat(np.arange(order.size), columns)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(columns) - columns, columns)
+        dofs = self.column_dofs(order[owner], np.where(disc[owner], rank, rank + (rank > 0)))
+        return dofs.reshape(-1), np.repeat(owner, 2), (2 * rank[:, None] + [0, 1]).reshape(-1)
 
     def scatter(self, u: np.ndarray) -> FieldTriplet:
         """Spread a flat solution vector into dense per-node field arrays."""
-        fields = FieldTriplet.zeros(self.n_nodes)
-        fields.u_cont[:] = u[: 2 * self.n_nodes].reshape(-1, 2)
-        hs = np.nonzero(self.disc_slot >= 0)[0]
-        base = 2 * self.n_nodes
-        fields.u_disc[hs] = u[base: base + 2 * self.n_disc].reshape(-1, 2)
-        ts = np.nonzero(self.tip_slot >= 0)[0]
-        base += 2 * self.n_disc
-        fields.u_tip[ts] = u[base: base + 8 * self.n_tip].reshape(-1, 4, 2)
+        fields, n, n_disc = FieldTriplet.zeros(self.n_nodes), 2 * self.n_nodes, 2 * self.n_disc
+        fields.u_cont[:] = u[:n].reshape(-1, 2)
+        fields.u_disc[self.disc_slot >= 0] = u[n:n + n_disc].reshape(-1, 2)
+        fields.u_tip[self.tip_slot >= 0] = u[n + n_disc:].reshape(-1, 4, 2)
         return fields
 
 
 @dataclass
 class LinearSystem:
-    """Assembled stiffness, load vector, and prescribed-value map.
+    """Stiffness as element blocks, load vector, and prescribed-value map.
 
-    ``tree`` is the node-level elimination tree :func:`solve` factors
-    ``K`` on; its order, expanded to dofs, is :attr:`perm`.  ``stamps``
-    holds the change stamp of each node (:class:`StiffnessCache`): a
-    factor kept from a system of the same cache reuses the fronts whose
-    nodes kept theirs.
+    K is the sum of ``blocks``, each (matrices (e, m, m), dofs (e, m)), -1
+    where a node lacks a dof: assembled, the standard matrices of every
+    element, then the cut and the tip corrections.  ``pairs`` is the first
+    block summed over node pairs, which :func:`solve` factors in its place
+    on ``tree``.  ``stamps`` holds each node's change stamp: a factor kept
+    from a system of the same cache reuses the fronts whose nodes kept theirs.
     """
 
-    K: sp.csr_matrix
+    blocks: tuple
+    pairs: NodePairs
     f: np.ndarray
     fixed: dict[int, float]
     layout: DofLayout
@@ -254,10 +241,19 @@ class LinearSystem:
     stamps: np.ndarray
 
     @property
-    def perm(self) -> np.ndarray:
-        """Dof order of the factorization: entry k is the dof eliminated
-        k-th, fixed dofs included."""
-        return self.layout.node_dofs(self.tree.order)[0]
+    def K(self) -> sp.csr_matrix:
+        """The blocks summed into a CSR matrix, explicit zeros kept, in block
+        and element order: built on each call, off the path of :func:`solve`."""
+        n = self.layout.total_dofs
+        keys, values = [], []
+        for matrices, dofs in self.blocks:
+            keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+            keys.append((dofs[:, :, None] * n + dofs[:, None, :])[keep])
+            values.append(matrices[keep])
+        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        data = np.bincount(inverse, weights=np.concatenate(values), minlength=keys.size)
+        return sp.csr_matrix((data, keys % n, np.searchsorted(keys // n, np.arange(n + 1))),
+                             shape=(n, n))
 
 
 @dataclass
@@ -337,10 +333,8 @@ def _add_point_loads(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eids,
     points on every basis function."""
     for run, values, _, nodes in basis_batches(mesh, emap, eids, local, xs):
         dofs = layout.column_dofs(nodes, BASIS_FIELD)
-        has = dofs >= 0
-        for comp in (0, 1):
-            f += np.bincount(dofs[has] + comp, weights=(values * load[run, None, comp])[has],
-                             minlength=f.size)
+        weights = values[:, :, None] * load[run, None, :]
+        f += np.bincount(dofs[dofs >= 0], weights=weights[dofs >= 0], minlength=f.size)
 
 
 def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
@@ -437,15 +431,14 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray
     return Ke, nodes[:, used], used
 
 
-def _entries(layout: DofLayout, Ke: np.ndarray, nodes: np.ndarray, fields: np.ndarray):
-    """COO triplets (values, rows, cols) of element matrices ``Ke`` whose
-    basis column s is field ``fields[s]`` of node ``nodes[:, s]``; the
-    columns a node lacks are left out."""
-    pair = np.repeat(layout.column_dofs(nodes, fields), 2, axis=1).astype(np.int32)
-    pair[:, 1::2] += pair[:, 1::2] >= 0
-    keep = (pair[:, :, None] >= 0) & (pair[:, None, :] >= 0)
-    return (Ke[keep], np.broadcast_to(pair[:, :, None], Ke.shape)[keep],
-            np.broadcast_to(pair[:, None, :], Ke.shape)[keep])
+def _product(blocks, u: np.ndarray) -> np.ndarray:
+    """K u, as the sum over the element blocks of K_e u_e."""
+    out = np.zeros(u.size)
+    for matrices, dofs in blocks:
+        ue = np.where(dofs >= 0, u[dofs], 0.0)
+        out += np.bincount(dofs[dofs >= 0], minlength=u.size,
+                           weights=np.einsum("eij,ej->ei", matrices, ue)[dofs >= 0])
+    return out
 
 
 _CUT_COLUMNS = np.arange(8)  # standard and jump columns: a cut element has no tip node
@@ -470,8 +463,8 @@ class StiffnessCache:
     passes it to :func:`assemble` at every step.  It holds:
 
     - :attr:`matrices`, the plain-rule stiffness of every element, and
-      :attr:`standard`, their sum as one CSR matrix, both computed on
-      first use;
+      :attr:`pairs`, their sums over the mesh's node pairs, placed in the
+      fronts of its nested-dissection tree, both computed on first use;
     - the cut-class element matrices of the last assembly, by basis
       column (node, field), so a renumbered dof layout costs nothing.  A
       matrix is reused only when the map was classified against the one
@@ -482,12 +475,13 @@ class StiffnessCache:
       whole;
     - :attr:`stamps`, a change stamp per node, renewed on the four nodes
       of every element an assembly integrates or evicts: the fronts of the
-      factorization whose nodes kept their stamps kept their entries of K.
+      factorization whose nodes kept their stamps kept their entries.
     """
 
     def __init__(self, mesh: Mesh, material: MaterialModel, rules: QuadratureSet):
         self.mesh, self.material, self.rules = mesh, material, rules
         self.stamps = np.full(mesh.n_nodes, next(_STAMPS))
+        self.dofs = np.repeat(2 * mesh.elements, 2, axis=1) + [0, 1] * 4  # of :attr:`matrices`
         self._emap: EnrichmentMap | None = None  # the map last assembled
         self._cut = np.empty(0, dtype=np.int64)  # its cut elements, ascending
         self._cut_matrices = np.empty((0, 16, 16))
@@ -500,20 +494,11 @@ class StiffnessCache:
         return _element_matrices(dN, wdet, elasticity_matrix(self.material))
 
     @cached_property
-    def standard(self) -> sp.csr_matrix:
-        """Sum of :attr:`matrices` over the standard dofs, explicit zeros kept."""
-        dofs = np.empty((self.mesh.n_elements, 8), dtype=np.int32)
-        dofs[:, 0::2] = 2 * self.mesh.elements
-        dofs[:, 1::2] = 2 * self.mesh.elements + 1
-        shape = dofs.shape + (8,)
-        n = 2 * self.mesh.n_nodes
-        K = sp.coo_matrix((self.matrices.ravel(), (np.broadcast_to(dofs[:, :, None], shape).ravel(),
-                                                   np.broadcast_to(dofs[:, None, :], shape).ravel())),
-                          shape=(n, n)).tocsr()
-        # The conversion leaves the index and value arrays as views into
-        # buffers sized for every triplet; keep only the stored entries.
-        K.data, K.indices = K.data.copy(), K.indices.copy()
-        return K
+    def pairs(self) -> NodePairs:
+        """:attr:`matrices` summed over the node pairs of the mesh's tree."""
+        tree = self.mesh.nested_dissection_tree
+        position = np.repeat(np.argsort(tree.order), 2)  # of each dof's node
+        return NodePairs.sum(tree, [(self.matrices, self.dofs)], position)
 
     def cut_matrices(self, emap: EnrichmentMap):
         """The cut elements of ``emap`` (kind 2) and their stiffness
@@ -545,47 +530,19 @@ class StiffnessCache:
         return cut, Ke
 
 
-def _plus_entries(A: sp.csr_matrix, values, rows, cols, n: int) -> sp.csr_matrix:
-    """``A`` (m x m) padded to n x n plus the COO triplets, as CSR.
-
-    Triplets on one entry are summed in their order, and the sum is added
-    to A's entry once; A's explicit zeros stay stored.  A triplet in A's
-    rows and columns must hit a stored entry, so new entries go after A's
-    entries of their row or into the new rows: both in one pass."""
-    keys, inverse = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
-    values = np.bincount(inverse.ravel(), weights=values, minlength=keys.size)
-    m = A.shape[0]
-    r, c = keys // n, keys % n
-    new = (r >= m) | (c >= m)
-    hit = r[~new]  # ascending; A's keys are built for these rows only
-    hit_rows = hit[np.diff(hit, prepend=-1) != 0]
-    span = _ranges(A.indptr[hit_rows], np.diff(A.indptr)[hit_rows])
-    at = span[np.searchsorted(np.repeat(hit_rows * m, np.diff(A.indptr)[hit_rows])
-                              + A.indices[span], hit * m + c[~new])]
-    indptr = np.concatenate([A.indptr, np.full(n - m, A.indptr[-1])])
-    slot = np.zeros(A.nnz + np.count_nonzero(new), dtype=bool)
-    slot[indptr[r[new] + 1] + np.arange(np.count_nonzero(new))] = True
-    indptr[1:] += np.cumsum(np.bincount(r[new], minlength=n)).astype(indptr.dtype)
-    data, indices = np.empty(slot.size), np.empty(slot.size, dtype=A.indices.dtype)
-    data[~slot], indices[~slot] = A.data, A.indices
-    data[slot], indices[slot] = values[new], c[new]
-    data[at + indptr[hit] - A.indptr[hit]] += values[~new]
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
              rules: QuadratureSet | None = None, bcs=(),
              cache: StiffnessCache | None = None) -> LinearSystem:
-    """Build the global stiffness, load vector, and prescribed-value map.
+    """Build the stiffness blocks, load vector, and prescribed-value map.
 
     Traction conditions enter the load vector here; displacement
     conditions populate ``fixed`` (standard dof values, plus zeros on all
     enrichment dofs of constrained nodes — the constrained boundary is
     assumed uncracked).  Apply them with :func:`apply_constraints`.
     ``cache`` is the run's stiffness for this mesh, material and
-    ``rules``; a new one is built when not given.  K is its standard
-    matrix plus the cut and tip elements' corrections, which the same
-    cracks give bit for bit whatever the cache held.
+    ``rules``; a new one is built when not given.  The blocks are its
+    standard matrices and the cut and tip elements' corrections, which the
+    same cracks give bit for bit whatever the cache held.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
     if cache is None:
@@ -596,15 +553,15 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     kinds = emap.kinds
 
     cut, Ke = cache.cut_matrices(emap)
-    parts = [_entries(layout, Ke, np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])]
+    columns = layout.column_dofs(np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])
+    blocks = [(cache.matrices, cache.dofs), (Ke, columns.reshape(cut.size, 16))]
     tip = np.flatnonzero(kinds == 3)
     if tip.size:
         Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.matrices,
                                      tip, rules.tip)
-        parts.append(_entries(layout, Ke, nodes, BASIS_FIELD[used]))
-    K = _plus_entries(cache.standard, *(np.concatenate(a) for a in zip(*parts)),
-                      layout.total_dofs)
-    if not np.all(np.isfinite(K.data)):
+        blocks.append((Ke, layout.column_dofs(nodes, BASIS_FIELD[used]).reshape(tip.size, -1)))
+    # The standard matrices are summed once per mesh, so their sums stand for them.
+    if not all(np.isfinite(m).all() for m in [cache.pairs.blocks] + [m for m, _ in blocks[1:]]):
         raise AssemblyError("non-finite stiffness entry")
 
     f = np.zeros(layout.total_dofs)
@@ -620,28 +577,18 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
             continue
         if bc.boundary not in mesh.boundary_tags:
             raise AssemblyError(f"unknown boundary tag '{bc.boundary}'")
-        for n in mesh.boundary_tags[bc.boundary]:
-            n = int(n)
-            for comp in (0, 1):
-                v = bc.value[comp]
-                if v is None:
-                    continue
-                dof = layout.cont_dof(n, comp)
-                if dof in fixed and fixed[dof] != v:
-                    raise AssemblyError(
-                        f"conflicting prescribed values on node {n} "
-                        f"component {comp}: {fixed[dof]} vs {v}"
-                    )
-                fixed[dof] = float(v)
-            if emap.status[n] == HEAVISIDE:
-                for comp in (0, 1):
-                    fixed.setdefault(layout.disc_dof(n, comp), 0.0)
-            elif emap.status[n] == TIP:
-                for j in range(4):
-                    for comp in (0, 1):
-                        fixed.setdefault(layout.tip_dof(n, j, comp), 0.0)
-    return LinearSystem(K=K, f=f, fixed=fixed, layout=layout,
-                        tree=mesh.nested_dissection_tree, stamps=cache.stamps)
+        for n in mesh.boundary_tags[bc.boundary].tolist():
+            for dof, v in zip((2 * n, 2 * n + 1), bc.value):
+                if v is not None and dof in fixed and fixed[dof] != v:
+                    raise AssemblyError(f"conflicting prescribed values on node {n} component "
+                                        f"{dof - 2 * n}: {fixed[dof]} vs {v}")
+                if v is not None:
+                    fixed[dof] = float(v)
+            if emap.status[n]:  # its enrichment dofs
+                for dof in layout.node_dofs([n])[0][2:].tolist():
+                    fixed.setdefault(dof, 0.0)
+    return LinearSystem(blocks=tuple(blocks), pairs=cache.pairs, f=f, fixed=fixed,
+                        layout=layout, tree=mesh.nested_dissection_tree, stamps=cache.stamps)
 
 
 def apply_constraints(system: LinearSystem, extra=None) -> LinearSystem:
@@ -667,18 +614,19 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     """Direct sparse solve of the free dofs, with a residual check.
 
     The prescribed dofs of ``system.fixed`` are eliminated: the free-free
-    block of ``K``, symmetric positive definite once enough dofs are
-    fixed, is factored by supernodal Cholesky on ``system.tree`` in its
-    dof order, the load is lifted by ``K`` times the prescribed values,
-    and the fixed dofs take those values exactly.  A non-positive pivot
-    (an indefinite or singular system) raises :class:`SolverError` naming
-    the node, field and component of its dof, as do
-    a non-finite solution and an infinity-norm residual above 1e-9 of the
-    lifted load.  ``factor`` is the previous solve's factor on the same
-    tree, kept by a propagation run: it reuses the fronts that no changed
-    element touches (``system.stamps``) and whose nodes kept their layout.
-    A stale front cannot pass silently, since the residual is taken
-    against ``K`` itself.
+    block of K, symmetric positive definite once enough dofs are fixed, is
+    factored by supernodal Cholesky on ``system.tree`` in its dof order,
+    straight from the standard node pairs and the other blocks summed over
+    theirs; the load is lifted by K times the prescribed values, and the
+    fixed dofs take those values exactly.  A non-positive pivot (an
+    indefinite or singular system) raises :class:`SolverError` naming the
+    node, field and component of its dof, as do a non-finite solution and
+    an infinity-norm residual above 1e-9 of the lifted load.  ``factor``
+    is the previous solve's factor on the same tree, kept by a propagation
+    run: it reuses the fronts that no changed element touches
+    (``system.stamps``) and whose nodes kept their layout.  A stale front
+    cannot pass silently: the lift and the residual are sums of K_e u_e
+    over the element blocks, independent of the fronts.
     """
     layout, tree = system.layout, system.tree
     n = layout.total_dofs
@@ -695,14 +643,17 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     counts = np.bincount(owner[free], minlength=n_nodes)
     signature = 1024 * np.bincount(owner, minlength=n_nodes) + np.bincount(
         owner[free], weights=2.0 ** local[free], minlength=n_nodes).astype(np.int64)
+    index = np.full(n, -1, dtype=np.int64)  # each dof's place among the free ones
+    index[q] = np.arange(q.size)
+    position = np.empty(n, dtype=np.int64)  # of each dof's node in the tree's order
+    position[perm] = owner
 
-    stamps = system.stamps[tree.order]
-
-    lifted = system.f - system.K @ u
+    lifted = system.f - _product(system.blocks, u) if u.any() else system.f
     rhs = lifted[q]
     factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        stats = factor.factorize(tree, counts, signature, stamps, system.K, q)
+        stats = factor.factorize(tree, counts, signature, system.stamps[tree.order], index, (
+            system.pairs, NodePairs.sum(tree, system.blocks[1:], position)))
     except np.linalg.LinAlgError as exc:
         if hasattr(exc, "pivot"):  # name the dof: its node, field and component
             k = np.flatnonzero(free)[exc.pivot]
@@ -717,7 +668,7 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
             "linear solve produced non-finite values (singular or "
             "indefinite system; check constraints and enrichment)"
         )
-    rmax = float(np.abs((system.K @ u - system.f)[q]).max(initial=0.0))
+    rmax = float(np.abs((_product(system.blocks, u) - system.f)[q]).max(initial=0.0))
     fmax = float(np.abs(rhs).max(initial=0.0))
     residual = rmax / fmax if fmax > 0.0 else rmax
     if residual > 1e-9:

@@ -5,25 +5,26 @@ definite.  Its fronts are those of the mesh's node-level elimination tree
 (:class:`~xfem2d.mesh.DissectionTree`), expanded to the free dofs each
 node carries at this step: front f eliminates the free dofs of its own
 nodes (its pivots) and couples them to the free dofs of its row nodes.
-Each front is a dense matrix, assembled from the matrix entries of its
-pivot columns plus the update matrices of its children (extend-add).
-LAPACK's ``dpotrf`` factors its pivot block, ``dtrsm`` gives the panel
-below it, and ``dsyrk`` forms the update matrix its parent consumes (Liu,
-"The multifrontal method for sparse matrix solution", SIAM Review 34,
-1992).  Where each child row lands in its parent's front, and the runs of
-consecutive rows its update matrix is added in, are found for all the
-children of the refactored fronts in one array pass before the first
-front (:func:`_extend_add_plan`); the loop over the fronts only adds.
+Each front is a dense matrix, assembled from element matrices plus the
+update matrices of its children (extend-add).  LAPACK's ``dpotrf``
+factors its pivot block, ``dtrsm`` gives the panel below it, and
+``dsyrk`` forms the update matrix its parent consumes (Liu, SIAM Review
+34, 1992).  No global matrix is formed: as in the frontal method (Irons,
+IJNME 2, 1970; Duff & Reid, ACM TOMS 9, 1983), element entries go straight
+into the fronts that hold their nodes, summed over node pairs
+(:class:`NodePairs`) and placed by one node-level rule,
+:func:`_node_slots`, which also places each child's rows in its parent
+(:func:`_extend_add_plan`, one array pass before the first front).
 
 A :class:`FrontalCholesky` that is factored again keeps every front that
 no changed element touches and whose nodes kept their layout: none of its
 pivot nodes has a new change stamp (the assembly renews the stamps of the
 four nodes of each element whose matrix it integrated or dropped), no
 pivot or row node has a new free-dof layout, and all of its children were
-kept.  Its entries of the matrix are then those of the previous
-factorization, so it is not gathered again.  Every other front is
-gathered and refactored, and with it each of its ancestors, so the factor
-is exactly what a fresh factorization would give.
+kept.  Its entries are then those of the previous factorization, so it is
+not gathered again.  Every other front is gathered and refactored, and
+with it each of its ancestors, so the factor is exactly what a fresh
+factorization would give.
 
 The forward substitution skips each front whose incoming block is all
 +0.0, which solves to +0.0 and updates nothing: a load reaches only the
@@ -36,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 from xfem2d.mesh import DissectionTree
 
-__all__ = ["FactorStats", "FrontalCholesky"]
+__all__ = ["FactorStats", "FrontalCholesky", "NodePairs"]
+
 
 @dataclass(frozen=True)
 class FactorStats:
@@ -65,24 +66,87 @@ def _segment_any(mask: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     return total[ptr[1:]] > total[ptr[:-1]]
 
 
-def _extend_add_plan(tree: DissectionTree, redo, pivots, row_ptr, rowdofs, keys):
+def _node_slots(tree: DissectionTree, a: np.ndarray, b: np.ndarray):
+    """The front f eliminating the node at position ``a`` of ``tree.order``
+    and the slot of position ``b`` >= a in it: b itself among its pivots,
+    ``n + m`` as its row ``tree.rows[m]``; raises ``np.linalg.LinAlgError`` if neither."""
+    n = tree.order.size
+    f = np.repeat(np.arange(tree.n_fronts), np.diff(tree.start))[a]
+    slot = np.array(b, dtype=np.int64)
+    out = np.flatnonzero(slot >= tree.start[f + 1])
+    keys = np.repeat(np.arange(tree.n_fronts) * n, np.diff(tree.row_start)) + tree.rows
+    want = f[out] * n + slot[out]
+    slot[out] = n + np.searchsorted(keys, want)
+    if np.any(np.append(keys, -1)[slot[out] - n] != want):
+        raise np.linalg.LinAlgError("the matrix couples dofs that the elimination tree keeps apart")
+    return f, slot
+
+
+@dataclass(frozen=True)
+class NodePairs:
+    """Element matrices summed into a 2x2 block per pair of two-dof
+    columns (x and y of one field of one node) that share an element, in
+    block and element order.  A pair's block has the rows of its column
+    eliminated first, whose x dof is ``row``, and the columns of the other,
+    from ``col``.  Front f, which eliminates the first node, holds the
+    pairs ``ptr[f]:ptr[f + 1]``; the other node sits in ``slot`` there."""
+
+    row: np.ndarray  # int32, as col and slot
+    col: np.ndarray
+    slot: np.ndarray
+    blocks: np.ndarray
+    ptr: np.ndarray
+
+    @classmethod
+    def sum(cls, tree: DissectionTree, blocks, position: np.ndarray) -> "NodePairs":
+        """The pairs of ``blocks``, each (matrices (e, 2s, 2s), dofs (e, 2s)),
+        -1 for an absent column.  Dof d's node is at ``position[d]``, and a
+        node's columns are eliminated in the order of their dofs."""
+        rank = np.empty_like(position)  # each dof's place in the elimination order
+        rank[np.argsort(position, kind="stable")] = np.arange(position.size)
+        key, first, entries = [np.empty(0, int)], [np.empty((2, 0), int)], [np.empty((4, 0))]
+        for matrices, dofs in blocks:
+            s = dofs.shape[1] // 2
+            column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
+            e, a, b = np.nonzero((column[:, :, None] >= 0)
+                                 & (column[:, :, None] <= column[:, None, :]))
+            ea, eb = e * s + a, e * s + b  # the pair's columns, as places in ``column``
+            key.append(column.reshape(-1)[ea] * rank.size + column.reshape(-1)[eb])
+            first.append(dofs.reshape(-1)[2 * np.stack([ea, eb])])
+            corner = 4 * s * ea + 2 * b  # entry (2a, 2b) of element e
+            entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
+        key = np.concatenate(key)
+        order = np.argsort(key, kind="stable")
+        new = np.diff(key[order], prepend=-1) != 0
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(new) - 1
+        sums = [np.bincount(inverse, weights=w) for w in np.concatenate(entries, axis=1)]
+        row, col = np.concatenate(first, axis=1)[:, order[new]]
+        f, slot = _node_slots(tree, position[row], position[col])
+        return cls(row=row.astype(np.int32), col=col.astype(np.int32), slot=slot.astype(np.int32),
+                   blocks=np.stack(sums, axis=1).reshape(-1, 2, 2),
+                   ptr=np.searchsorted(f, np.arange(tree.n_fronts + 1)))
+
+
+def _extend_add_plan(tree: DissectionTree, redo, ptr, shift):
     """Where the rows of the children of the fronts ``redo`` go in their
     parents' fronts, for all of them in one pass: child c's rows fall into
     ``runs[run_ptr[c]:run_ptr[c + 1]]``, each ``(first, end, place)``: its
     rows ``first:end`` are the front rows ``place:place + end - first``,
-    all pivots or all panel rows."""
+    all pivots or all panel rows.  ``ptr`` and ``shift`` are as in
+    :meth:`FrontalCholesky.factorize`."""
     kids = np.flatnonzero(np.isin(tree.parent, redo))
-    sizes = np.diff(row_ptr)[kids]
-    at, kid = _ranges(row_ptr[kids], sizes), np.repeat(np.arange(kids.size), sizes)
-    f = tree.parent[kids][kid]
-    p = np.diff(pivots)[f]
-    # A row's place in column 0 is its pivot row, or p * p + k for row dof k.
-    place = _front_offsets(f, pivots[f], rowdofs[at], pivots, row_ptr, keys)
-    place = np.where(place < p * p, place, place - p * p + p)
+    width = np.diff(tree.row_start)[kids]
+    nodes = tree.rows[_ranges(tree.row_start[kids], width)]
+    _, slot = _node_slots(tree, tree.start[np.repeat(tree.parent[kids], width)], nodes)
+    sizes = np.diff(ptr)[nodes]
+    kid = np.repeat(np.repeat(np.arange(kids.size), width), sizes)
+    place = _ranges(ptr[nodes], sizes) + shift[np.repeat(slot, sizes)]
+    p = np.diff(ptr[tree.start])[tree.parent[kids][kid]]
     first = np.flatnonzero((np.diff(place, prepend=-2) != 1) | np.diff(kid, prepend=-1)
                            | np.diff(place >= p, prepend=True))
-    lo = (at - row_ptr[kids][kid])[first]
-    runs = list(zip(lo.tolist(), (lo + np.diff(first, append=at.size)).tolist(),
+    lo = (np.arange(kid.size) - np.searchsorted(kid, kid))[first]
+    runs = list(zip(lo.tolist(), (lo + np.diff(first, append=kid.size)).tolist(),
                     place[first].tolist()))
     return runs, np.searchsorted(kids[kid[first]], np.arange(tree.n_fronts + 1)).tolist()
 
@@ -102,37 +166,6 @@ def _extend_add(F11, F21, F22, U, runs) -> None:
                 F21[tr - p:tr - p + r1 - r0, tc:tc + c1 - c0] += block
             else:
                 F11[tr:tr + r1 - r0, tc:tc + c1 - c0] += block
-
-
-def _upper_entries(K: sp.csr_matrix, dofs: np.ndarray, rows: np.ndarray):
-    """Entries (i, j, value) with j >= i of the rows ``rows`` (ascending)
-    of ``K[dofs][:, dofs]``, by row."""
-    column = np.full(K.shape[0], -1, dtype=np.int32)
-    column[dofs] = np.arange(dofs.size)
-    block = K[dofs[rows]]
-    i = np.repeat(rows.astype(np.int32), np.diff(block.indptr))
-    j = column[block.indices]
-    upper = j >= i  # fixed dofs have column -1
-    return i[upper], j[upper], block.data[upper]
-
-
-def _front_offsets(f, i, j, pivots, row_ptr, keys) -> np.ndarray:
-    """Place of each matrix entry (i, j), j >= i, in front ``f``: entry
-    (j, i) of its pivot block (p, p) or, from ``p * p`` on, of its panel
-    (r, p), both in Fortran order.  ``keys`` are ``front * n + dof`` of
-    every front's row dofs."""
-    a, b = pivots[f], pivots[f + 1]
-    p, r = b - a, row_ptr[f + 1] - row_ptr[f]
-    col = i - a
-    flat = j - a + col * p
-    out = np.flatnonzero(j >= b)
-    want = f[out] * pivots[-1] + j[out]
-    hit = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    if out.size and np.any(keys[hit] != want):
-        raise np.linalg.LinAlgError(
-            "the matrix couples dofs that the elimination tree keeps apart")
-    flat[out] = p[out] * p[out] + col[out] * r[out] + hit - row_ptr[f[out]]
-    return flat
 
 
 class FrontalCholesky:
@@ -157,26 +190,34 @@ class FrontalCholesky:
         self._stamps = None  # likewise
 
     def factorize(self, tree: DissectionTree, counts: np.ndarray,
-                  signature: np.ndarray, stamps: np.ndarray,
-                  K: sp.csr_matrix, dofs: np.ndarray) -> FactorStats:
-        """Factor ``K[dofs][:, dofs]``, reusing the fronts the last
-        factorization left valid.
+                  signature: np.ndarray, stamps: np.ndarray, index: np.ndarray,
+                  pairs) -> FactorStats:
+        """Factor the free-free block of the sum of ``pairs``, reusing the
+        fronts the last factorization left valid.
 
-        ``dofs`` lists the free dofs in elimination order: the node at
-        position k of ``tree.order`` has ``counts[k]`` of them,
-        ``signature[k]`` tells its dof layout apart from any other, and
-        ``stamps[k]`` changes whenever an element at the node changed its
-        entries of K.  Only the upper triangle of the block is read (the
-        lower one by symmetry), and only in the rows of the refactored
-        fronts.  Raises ``np.linalg.LinAlgError`` on a non-positive pivot,
-        whose place in ``dofs`` is the error's ``pivot``.
+        ``index`` gives each dof its place among the free dofs in the
+        elimination order, -1 for a fixed one: the node at position k of
+        ``tree.order`` has ``counts[k]`` of them, ``signature[k]`` tells its
+        dof layout apart from any other, and ``stamps[k]`` changes whenever
+        an element at the node changed its matrix.  ``pairs`` holds two
+        :class:`NodePairs`: the first is put into the refactored fronts and
+        the second added to it, of a front's entries (j, i) those with j >= i.
+        Raises ``np.linalg.LinAlgError`` on a non-positive pivot, whose place
+        among the free dofs is the error's ``pivot``.
         """
         n_fronts = tree.n_fronts
         ptr = np.concatenate([[0], np.cumsum(counts)])
         pivots = ptr[tree.start]
         row_counts = counts[tree.rows]
+        row_dof_ptr = np.concatenate([[0], np.cumsum(row_counts)])
         rowdofs = _ranges(ptr[tree.rows], row_counts)
-        row_ptr = np.concatenate([[0], np.cumsum(row_counts)])[tree.row_start]
+        row_ptr = row_dof_ptr[tree.row_start]
+        # Free dof j of the node in slot s of a front is its row j + shift[s],
+        # the pivot rows first, then the panel rows.
+        owner = np.repeat(np.arange(n_fronts), np.diff(tree.row_start))
+        shift = np.concatenate([-np.repeat(pivots[:-1], np.diff(tree.start)),
+                                row_dof_ptr[:-1] - row_ptr[owner] + np.diff(pivots)[owner]
+                                - ptr[tree.rows]])
 
         kept = self._unchanged(tree, signature, stamps)
         for f in range(n_fronts):  # children come first
@@ -186,27 +227,26 @@ class FrontalCholesky:
             self._panels = [None] * n_fronts
             self._updates = {}
         self._tree = None  # until every front is factored
+        self._ptr, self._shift = ptr, shift
         self._pivots, self._rowdofs, self._row_ptr = pivots, rowdofs, row_ptr
         if self.keep:
             self._signature, self._stamps = signature, stamps
 
         self.refactored = redo = np.flatnonzero(~kept)
-        i, j, values = _upper_entries(K, dofs, _ranges(pivots[redo], np.diff(pivots)[redo]))
-        keys = np.repeat(np.arange(n_fronts), np.diff(row_ptr)) * ptr[-1] + rowdofs
-        flat = _front_offsets(np.repeat(np.arange(n_fronts), np.diff(pivots))[i], i, j,
-                              pivots, row_ptr, keys)
-        runs, run_ptr = _extend_add_plan(tree, redo, pivots, row_ptr, rowdofs, keys)
-        take_ptr = np.append(np.searchsorted(i, pivots[redo]), i.size)
+        standard, corrections = (list(self._entries(redo, index, p)) for p in pairs)
+        runs, run_ptr = _extend_add_plan(tree, redo, ptr, shift)
         pending = {}  # front -> update matrix its parent has not consumed yet
         for k, f in enumerate(redo.tolist()):
             a, p, r = pivots[f], pivots[f + 1] - pivots[f], row_ptr[f + 1] - row_ptr[f]
-            F11 = np.zeros((p, p), order="F")
-            F21 = np.zeros((r, p), order="F")
+            # Pivot block and panel, Fortran order, with a last place for the rest.
+            blocks = np.zeros(p * p + 1), np.zeros(r * p + 1)
+            for parts, add in ((standard, False), (corrections, True)):
+                for flat, (at, values, take) in zip(blocks, parts):
+                    at, values = at[take[k]:take[k + 1]], values[take[k]:take[k + 1]]
+                    flat[at] = flat[at] + values if add else values
+            F11 = blocks[0][:-1].reshape((p, p), order="F")
+            F21 = blocks[1][:-1].reshape((r, p), order="F")
             F22 = np.zeros((r, r), order="F")
-            at, v = flat[take_ptr[k]:take_ptr[k + 1]], values[take_ptr[k]:take_ptr[k + 1]]
-            block = at < p * p
-            F11.reshape(-1, order="F")[at[block]] = v[block]
-            F21.reshape(-1, order="F")[at[~block] - p * p] = v[~block]
             for c in tree.children[f]:
                 U = pending.pop(c) if c in pending else self._kept_update(c)
                 _extend_add(F11, F21, F22, U, runs[run_ptr[c]:run_ptr[c + 1]])
@@ -215,7 +255,7 @@ class FrontalCholesky:
                 if info > 0:
                     exc = np.linalg.LinAlgError(f"non-positive pivot {info} of {p} in front "
                                                 f"{f}: the matrix is not positive definite")
-                    exc.pivot = a + info - 1  # its place in ``dofs``
+                    exc.pivot = a + info - 1  # its place in the elimination order
                     raise exc
                 if r:
                     blas.dtrsm(1.0, F11, F21, side=1, lower=1, trans_a=1, overwrite_b=1)
@@ -233,6 +273,26 @@ class FrontalCholesky:
             fronts_refactored=redo.size,
             fronts=n_fronts,
         )
+
+    def _entries(self, redo, index, pairs: NodePairs):
+        """The entries ``pairs`` give the pivot blocks and then the panels
+        of the fronts ``redo``: places in Fortran order, values, and where
+        each front's own start.  Entries (j, i) with a fixed dof or j < i
+        go to the place past a block's end."""
+        sizes = np.diff(pairs.ptr)[redo]
+        sel, front = _ranges(pairs.ptr[redo], sizes), np.repeat(redo, sizes)
+        p, r = np.diff(self._pivots), np.diff(self._row_ptr)
+        for panel in (False, True):
+            mine = (pairs.slot[sel] >= self._ptr.size - 1) == panel
+            s, f = sel[mine], front[mine]
+            i, j = index[pairs.row[s, None] + [0, 1]], index[pairs.col[s, None] + [0, 1]]
+            height = (r if panel else p)[f, None]
+            row = j + (self._shift[pairs.slot[s]] - panel * p[f])[:, None]
+            at = np.where((i[:, :, None] >= 0) & (j[:, None, :] >= i[:, :, None]),
+                          row[:, None, :] + ((i - self._pivots[f, None]) * height)[:, :, None],
+                          (height * p[f, None])[:, None])
+            yield at.reshape(-1), pairs.blocks[s].reshape(-1), 4 * np.append(
+                np.searchsorted(f, redo), f.size)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L L^T x = rhs in the factored dof order."""

@@ -25,10 +25,11 @@ the boundary tags.  From step to step the run carries:
   classifies against it, works out once which features its cracks
   changed by, and classifies again only what those can reach (the narrow
   band of :mod:`xfem2d.enrichment`); the new map records that decision;
-- its :class:`~xfem2d.assembly.StiffnessCache`: the standard stiffness,
-  summed once, the cut elements' matrices of the last step, and a change
-  stamp per node.  A step integrates the tip class and only the cut
-  elements the map's change set reaches or whose enrichment changed;
+- its :class:`~xfem2d.assembly.StiffnessCache`: the standard element
+  matrices and their node-pair sums, placed once in the factorization's
+  fronts, the cut elements' matrices of the last step, and a change stamp
+  per node.  A step integrates the tip class and only the cut elements
+  the map's change set reaches or whose enrichment changed;
 - the sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`): a step
   refactors only the fronts of the mesh's nested-dissection tree that an
   element it integrated or dropped touches, or whose nodes' dof layout
@@ -374,6 +375,16 @@ def run_stationary(config: RunConfig, problem: Problem | None = None,
     return state, results
 
 
+def _step_record(step: int, problem: Problem, state: SolutionState, cracks, sifs,
+                 frozen) -> StepRecord:
+    """The record of one solved step, before its growth."""
+    emap = problem.emap
+    return StepRecord(step=step, load_factor=state.load_factor, cracks=cracks, sifs=tuple(sifs),
+                      frozen=tuple(frozen), n_dofs=state.layout.total_dofs,
+                      n_heaviside=emap.n_heaviside, n_tip=emap.n_tip, residual=state.residual,
+                      demotions=emap.demotions, factor=state.factor, classification=emap.band)
+
+
 def stationary_history(problem: Problem, state: SolutionState,
                        results, unresolved=()) -> RunHistory:
     """Package one stationary solve as a single-step run history.
@@ -382,20 +393,7 @@ def stationary_history(problem: Problem, state: SolutionState,
     solve share the same emission path as a propagation run; the
     ``unresolved`` tips of :func:`run_stationary` are its ``frozen`` ones.
     """
-    record = StepRecord(
-        step=0,
-        load_factor=state.load_factor,
-        cracks=problem.cracks,
-        sifs=tuple(results),
-        frozen=tuple(unresolved),
-        n_dofs=state.layout.total_dofs,
-        n_heaviside=problem.emap.n_heaviside,
-        n_tip=problem.emap.n_tip,
-        residual=state.residual,
-        demotions=problem.emap.demotions,
-        factor=state.factor,
-        classification=problem.emap.band,
-    )
+    record = _step_record(0, problem, state, problem.cracks, results, unresolved)
     return RunHistory(steps=[record], final_state=state,
                       final_problem=problem, final_cracks=problem.cracks,
                       stop_reason="stationary solve")
@@ -464,20 +462,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
         # a tip with no admissible domain under the auto rule freezes
         sifs = _extract_step(problem, state, contour, skip=frozen, freezes=freezes)
         frozen.update((e.crack_id, e.tip_id) for e in freezes)
-        record = StepRecord(
-            step=k,
-            load_factor=lam,
-            cracks=cracks,
-            sifs=sifs,
-            frozen=tuple(freezes),
-            n_dofs=state.layout.total_dofs,
-            n_heaviside=problem.emap.n_heaviside,
-            n_tip=problem.emap.n_tip,
-            residual=state.residual,
-            demotions=problem.emap.demotions,
-            factor=state.factor,
-            classification=problem.emap.band,
-        )
+        record = _step_record(k, problem, state, cracks, sifs, freezes)
         history.steps.append(record)
         history.final_state = state
         history.final_problem = problem

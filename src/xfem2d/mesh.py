@@ -279,12 +279,14 @@ class Mesh:
             ids.setflags(write=False)
             tags[name] = ids
         self.boundary_tags = tags
-        # Positive corner Jacobians rule out inverted and degenerate quads.
+        # Finite, positive corner Jacobians rule out overflowing, inverted
+        # and degenerate quads; a NaN would pass the sign check alone.
         jdet = _corner_jacobians(self.nodes, self.elements)
-        bad = jdet.min(axis=1) <= 0.0
-        if np.any(bad):
-            eid = int(np.nonzero(bad)[0][0])
-            raise MeshFormatError(f"element {eid} is degenerate or inverted (non-positive Jacobian)")
+        for bad, what in ((~np.isfinite(jdet).all(axis=1), "has a non-finite Jacobian"),
+                          (jdet.min(axis=1) <= 0.0,
+                           "is degenerate or inverted (non-positive Jacobian)")):
+            if bad.any():
+                raise MeshFormatError(f"element {int(np.flatnonzero(bad)[0])} {what}")
         self.nodes.setflags(write=False)
         self.elements.setflags(write=False)
 
@@ -442,12 +444,13 @@ class Mesh:
 
 
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Jacobian determinants at the four reference corners of every element:
-    at corner k, 0.25 * cross(x[k+1] - x[k], x[k-1] - x[k])."""
+    """Jacobian determinants at the four reference corners of every element,
+    not finite where they overflow: at corner k, 0.25 * cross(x[k+1] - x[k], x[k-1] - x[k])."""
     x = nodes[elements]
-    out = x[:, [1, 2, 3, 0]] - x  # edge k, leaving corner k
-    into = out[:, [3, 0, 1, 2]]  # edge k-1, entering corner k
-    return 0.25 * (into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x[:, [1, 2, 3, 0]] - x  # edge k, leaving corner k
+        into = out[:, [3, 0, 1, 2]]  # edge k-1, entering corner k
+        return 0.25 * (into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0])
 
 
 _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small

@@ -1,5 +1,6 @@
 """Stiffness assembly and solver checks against closed-form states."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from xfem2d.assembly import (
     _element_matrices,
 )
 from xfem2d import assembly, enrichment
-from xfem2d.cholesky import FrontalCholesky, _extend_add_plan
+from xfem2d.cholesky import FrontalCholesky, NodePairs, _extend_add_plan
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
     BASIS_FIELD,
@@ -457,23 +458,30 @@ def plain_layout(n_nodes):
     )
 
 
+def one_block(K, tree):
+    """A dense matrix as one element block over all of its dofs, two per
+    node of ``tree``, and its node pairs."""
+    K = np.asarray(K, dtype=float)[None]
+    blocks = ((K, np.arange(K.shape[1])[None]),)
+    position = np.repeat(np.argsort(tree.order), 2)
+    return dict(blocks=blocks, pairs=NodePairs.sum(tree, blocks, position), tree=tree)
+
+
 class TestSolver:
     def test_dense_oracle(self):
         rng = np.random.default_rng(42)
         A = rng.normal(size=(50, 50))
         K = A.T @ A + 50 * np.eye(50)
         f = rng.normal(size=50)
-        system = LinearSystem(K=sp.csr_matrix(K), f=f, fixed={},
-                              layout=plain_layout(25), tree=one_front(25),
-                              stamps=np.zeros(25, dtype=np.int64))
+        system = LinearSystem(**one_block(K, one_front(25)), f=f, fixed={},
+                              layout=plain_layout(25), stamps=np.zeros(25, dtype=np.int64))
         state = solve(system)
         expected = np.linalg.solve(K, f)
         assert np.abs(state.u - expected).max() < 1e-9 * np.abs(expected).max()
 
     def test_singular_system_reported(self):
-        K = sp.csr_matrix(np.zeros((2, 2)))
-        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
-                              layout=plain_layout(1), tree=one_front(1),
+        system = LinearSystem(**one_block(np.zeros((2, 2)), one_front(1)),
+                              f=np.array([1.0, 0.0]), fixed={}, layout=plain_layout(1),
                               stamps=np.zeros(1, dtype=np.int64))
         with pytest.raises(SolverError):
             solve(system)
@@ -481,9 +489,8 @@ class TestSolver:
     def test_indefinite_system_reported(self):
         # Nonsingular, eigenvalues 3 and -1: elimination without pivoting
         # gets through it, Cholesky must not.
-        K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        system = LinearSystem(K=K, f=np.array([1.0, 0.0]), fixed={},
-                              layout=plain_layout(1), tree=one_front(1),
+        system = LinearSystem(**one_block([[1.0, 2.0], [2.0, 1.0]], one_front(1)),
+                              f=np.array([1.0, 0.0]), fixed={}, layout=plain_layout(1),
                               stamps=np.zeros(1, dtype=np.int64))
         with pytest.raises(SolverError, match="positive definite"):
             solve(system)
@@ -520,11 +527,11 @@ class TestOrderedSolve:
     def test_permutation_follows_node_order_with_dofs_together(self):
         mesh, emap, system = center_crack_with_tips()
         layout = system.layout
-        perm = system.perm
+        perm = layout.node_dofs(system.tree.order)[0]
         np.testing.assert_array_equal(np.sort(perm), np.arange(layout.total_dofs))
         expected = []
         for n in mesh.nested_dissection_tree.order.tolist():
-            expected += [layout.cont_dof(n, 0), layout.cont_dof(n, 1)]
+            expected += [2 * n, 2 * n + 1]
             if layout.disc_slot[n] >= 0:
                 expected += [layout.disc_dof(n, c) for c in (0, 1)]
             if layout.tip_slot[n] >= 0:
@@ -543,13 +550,11 @@ class TestFactorReuse:
         # by a positive semidefinite block.
         eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.1, 0.85], axis=1)))
         dofs = np.ravel(np.column_stack([2 * mesh.elements[eid], 2 * mesh.elements[eid] + 1]))
-        K = system.K.copy()  # keeps the explicit zeros of the pattern
-        K[np.ix_(dofs, dofs)] = (system.K[np.ix_(dofs, dofs)].toarray()
-                                 + 1e-3 * abs(system.K).max())
+        stiffening = np.full((1, 8, 8), 1e-3 * abs(system.K).max())
         stamps = system.stamps.copy()  # as an assembly that changed the element
         stamps[mesh.elements[eid]] += 1
-        stiffer = LinearSystem(K=K, f=system.f, fixed=system.fixed,
-                               layout=system.layout, tree=tree, stamps=stamps)
+        stiffer = replace(system, blocks=system.blocks + ((stiffening, dofs[None]),),
+                          stamps=stamps)
         state = solve(stiffer, factor=factor)
         position = np.empty(mesh.n_nodes, dtype=np.int64)
         position[tree.order] = np.arange(mesh.n_nodes)
@@ -566,12 +571,12 @@ class TestFactorReuse:
         _, _, system = center_crack_with_tips()
         factor = FrontalCholesky()
         first = solve(system, factor=factor)
-        K = system.K.copy()
-        K[100, 100] = -K[100, 100]  # no longer positive definite
+        negate = np.zeros((1, 2, 2))
+        negate[0, 0, 0] = -2.0 * system.K[100, 100]  # no longer positive definite
         stamps = system.stamps.copy()
         stamps[50] += 1  # the node of dof 100
-        broken = LinearSystem(K=K, f=system.f, fixed=system.fixed,
-                              layout=system.layout, tree=system.tree, stamps=stamps)
+        broken = replace(system, blocks=system.blocks + ((negate, np.array([[100, 101]])),),
+                         stamps=stamps)
         for _ in range(2):  # nothing of the failed attempt is kept
             with pytest.raises(SolverError, match=r"positive definite \(node 50, standard x\)"):
                 solve(broken, factor=factor)
@@ -583,12 +588,112 @@ class TestFactorReuse:
         _, _, system = center_crack_with_tips()
         factor = FrontalCholesky()
         first = solve(system, factor=factor)
-        same = LinearSystem(K=system.K.copy(), f=system.f, fixed=system.fixed,
-                            layout=system.layout, tree=system.tree,
-                            stamps=system.stamps.copy())  # unchanged stamps
+        same = replace(system, blocks=tuple((m.copy(), d.copy()) for m, d in system.blocks),
+                       stamps=system.stamps.copy())  # unchanged stamps
         again = solve(same, factor=factor)
         assert again.factor.fronts_refactored == 0
         np.testing.assert_array_equal(again.u, first.u)
+
+    def test_residual_catches_a_stale_front(self):
+        # A far element made twice as stiff while its nodes keep their
+        # stamps: every front is kept, so only the residual, taken over the
+        # element blocks and not the fronts, sees the change.
+        mesh, _, system = center_crack_with_tips()
+        factor = FrontalCholesky()
+        solve(system, factor=factor)
+        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.1, 0.85], axis=1)))
+        (matrices, dofs), *corrections = system.blocks
+        matrices = matrices.copy()
+        matrices[eid] *= 2.0
+        stale = replace(system, blocks=((matrices, dofs), *corrections))
+        with pytest.raises(SolverError, match="residual"):
+            solve(stale, factor=factor)
+        assert factor.refactored.size == 0
+
+
+class TestSolvePath:
+    def test_growth_steps_build_no_sparse_matrix(self, monkeypatch):
+        # Assembly and solve go from element matrices to the fronts: with
+        # every scipy.sparse constructor and LinearSystem.K refusing, three
+        # growth steps of a centre crack still assemble, factor and solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve path built a sparse matrix")
+
+        for name in dir(sp):
+            if name.endswith(("_matrix", "_array")):
+                monkeypatch.setattr(sp, name, refuse)
+        monkeypatch.setattr(LinearSystem, "K", property(refuse), raising=False)
+        mesh, rules = uniform_rect(1.0, 1.0, 20, 20), QuadratureSet.from_targets()
+        cache, factor = StiffnessCache(mesh, STEEL, rules), FrontalCholesky()
+        crack, emap = CrackPath(vertices=np.array([[0.36, 0.52], [0.62, 0.52]]), id=0), None
+        for _ in range(3):
+            emap, (crack,) = classify_with_remedy(mesh, [crack], rules=rules, base=emap)
+            system = apply_constraints(assemble(mesh, emap, STEEL, rules, STAMP_BCS, cache=cache),
+                                       {0: 0.0})
+            state = solve(system, factor=factor)
+            crack = extend_crack(extend_crack(crack, 0, 0.3, 0.05), 1, -0.3, 0.05)
+        assert state.residual <= 1e-9
+        assert 0 < state.factor.fronts_refactored < state.factor.fronts
+
+    def test_element_products_match_the_assembled_matrix(self):
+        _, _, system = center_crack_with_tips()
+        u = np.random.default_rng(3).normal(size=system.layout.total_dofs)
+        expected = system.K @ u
+        got = assembly._product(system.blocks, u)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def dense_sum(blocks, n):
+    """The element blocks summed into a dense n x n matrix, element by element."""
+    K = np.zeros((n, n))
+    for matrices, dofs in blocks:
+        for Ke, d in zip(matrices, dofs):
+            has = d >= 0
+            K[np.ix_(d[has], d[has])] += Ke[np.ix_(has, has)]
+    return K
+
+
+class TestNodePairs:
+    def test_upper_pairs_sum_the_element_matrices(self):
+        mesh, _, system = center_crack_with_tips()
+        pairs, tree = system.pairs, system.tree
+        K = dense_sum(system.blocks[:1], system.layout.total_dofs)
+        rows, cols = pairs.row[:, None] + [0, 1], pairs.col[:, None] + [0, 1]
+        np.testing.assert_array_equal(pairs.blocks.view(np.int64),
+                                      K[rows[:, :, None], cols[:, None, :]].view(np.int64))
+        # each node pair that shares an element once, its first node first
+        position = np.empty(mesh.n_nodes, dtype=np.int64)
+        position[tree.order] = np.arange(mesh.n_nodes)
+        a, b = position[pairs.row // 2], position[pairs.col // 2]
+        assert np.all(a <= b)
+        linked = (K[::2, ::2] != 0) | (K[1::2, 1::2] != 0)
+        assert np.unique(a * mesh.n_nodes + b).size == a.size == np.count_nonzero(np.triu(
+            linked[np.ix_(tree.order, tree.order)]))
+        # in front order, the later node in its slot of the first one's front
+        front = np.searchsorted(tree.start, a, side="right") - 1
+        np.testing.assert_array_equal(np.repeat(np.arange(tree.n_fronts), np.diff(pairs.ptr)),
+                                      front)
+        pivot = pairs.slot < mesh.n_nodes
+        np.testing.assert_array_equal(pairs.slot[pivot], b[pivot])
+        assert np.all(b[pivot] < tree.start[front[pivot] + 1])
+        m, f = pairs.slot[~pivot] - mesh.n_nodes, front[~pivot]
+        np.testing.assert_array_equal(tree.rows[m], b[~pivot])
+        assert np.all((tree.row_start[f] <= m) & (m < tree.row_start[f + 1]))
+
+    def test_coupling_outside_the_tree_is_refused(self):
+        # Two nodes in two fronts that share no rows: a block coupling them
+        # has no place in any front.
+        tree = DissectionTree(order=np.arange(2), start=np.array([0, 1, 2]),
+                              parent=np.array([-1, -1]), row_start=np.array([0, 0, 0]),
+                              rows=np.empty(0, dtype=np.int64))
+        own = (np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
+        coupling = (np.full((1, 4, 4), 0.1), np.arange(4)[None])
+        system = LinearSystem(blocks=(own, coupling),
+                              pairs=NodePairs.sum(tree, [own], np.repeat([0, 1], 2)),
+                              f=np.ones(4), fixed={}, layout=plain_layout(2), tree=tree,
+                              stamps=np.zeros(2, dtype=np.int64))
+        with pytest.raises(SolverError, match="keeps apart"):
+            solve(system)
 
 
 class TestPivotReport:
@@ -596,11 +701,11 @@ class TestPivotReport:
         _, _, system = center_crack_with_tips()
         node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
         dof = system.layout.disc_dof(node, 1)
-        K = system.K.tocoo()
-        zero = (K.row == dof) | (K.col == dof)
-        K = sp.csr_matrix((np.where(zero, 0.0, K.data), (K.row, K.col)), shape=K.shape)
-        broken = LinearSystem(K=K, f=system.f, fixed=system.fixed, layout=system.layout,
-                              tree=system.tree, stamps=system.stamps)
+        blocks = []
+        for matrices, dofs in system.blocks:
+            hit = dofs == dof
+            blocks.append((np.where(hit[:, :, None] | hit[:, None, :], 0.0, matrices), dofs))
+        broken = replace(system, blocks=tuple(blocks))
         with pytest.raises(SolverError, match=rf"not positive definite \(node {node}, jump y\)"):
             solve(broken)
 
@@ -623,8 +728,7 @@ def reference_places(factor, c):
 
 def assert_plan_matches_reference(factor):
     tree, pivots, rowdofs, row_ptr = factor._tree, factor._pivots, factor._rowdofs, factor._row_ptr
-    keys = np.repeat(np.arange(tree.n_fronts), np.diff(row_ptr)) * pivots[-1] + rowdofs
-    runs, run_ptr = _extend_add_plan(tree, factor.refactored, pivots, row_ptr, rowdofs, keys)
+    runs, run_ptr = _extend_add_plan(tree, factor.refactored, factor._ptr, factor._shift)
     planned = 0
     for f in factor.refactored.tolist():
         for c in tree.children[f]:
@@ -664,68 +768,6 @@ class TestExtendAddPlan:
         kept = np.setdiff1d(np.arange(system.tree.n_fronts), factor.refactored)
         assert kept.size and np.isin(system.tree.parent[kept], factor.refactored).any()
         assert 0 < assert_plan_matches_reference(factor) < system.tree.n_fronts - 1
-
-
-def plus_entries_by_insert(A, values, rows, cols, n):
-    """``A`` padded to n x n plus the COO triplets, by two ``np.insert``
-    into A's arrays: the reference for ``assembly._plus_entries``."""
-    keys, inverse = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
-    values = np.bincount(inverse.ravel(), weights=values, minlength=keys.size)
-    a_keys = np.repeat(np.arange(A.shape[0], dtype=np.int64) * n, np.diff(A.indptr)) + A.indices
-    at = np.searchsorted(a_keys, keys)
-    hit = a_keys[np.minimum(at, a_keys.size - 1)] == keys
-    data = A.data.copy()
-    data[at[hit]] += values[hit]
-    data = np.insert(data, at[~hit], values[~hit])
-    indices = np.insert(A.indices, at[~hit], (keys[~hit] % n).astype(A.indices.dtype))
-    indptr = np.concatenate([A.indptr, np.full(n - A.shape[0], A.indptr[-1])])
-    indptr[1:] += np.cumsum(np.bincount(keys[~hit] // n, minlength=n)).astype(indptr.dtype)
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def assert_same_bytes(A, B):
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(A, name), getattr(B, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-
-
-class TestPlusEntries:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_triplets_match_the_insert_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = 30, 30 + int(rng.integers(0, 12))
-        A = sp.random(m, m, density=0.2, random_state=seed, format="csr")
-        A = (A + A.T).tocsr()
-        A.data[rng.random(A.nnz) < 0.1] = 0.0  # explicit zeros stay stored
-        a_keys = np.repeat(np.arange(m) * m, np.diff(A.indptr)) + A.indices
-        hits = rng.choice(a_keys, size=int(rng.integers(0, 40)))
-        rows = np.concatenate([hits // m, rng.integers(0, n, 30), rng.integers(m, n + 1, 10) - 1])
-        cols = np.concatenate([hits % m, rng.integers(m, n + 1, 30) - 1, rng.integers(0, n, 10)])
-        keep = (rows >= m) | (cols >= m) | np.isin(rows * m + cols, a_keys)
-        rows, cols = rows[keep], cols[keep]
-        values = rng.normal(size=rows.size)
-        assert_same_bytes(assembly._plus_entries(A, values, rows, cols, n),
-                          plus_entries_by_insert(A, values, rows, cols, n))
-
-    def test_growth_steps_match_the_insert_reference(self, monkeypatch):
-        seen, real = [], assembly._plus_entries
-
-        def spy(A, *triplets):
-            K = real(A, *triplets)
-            seen.append((K, plus_entries_by_insert(A, *triplets)))
-            return K
-
-        monkeypatch.setattr(assembly, "_plus_entries", spy)
-        mesh, rules = uniform_rect(1.0, 1.0, 20, 20), QuadratureSet.from_targets()
-        cache = StiffnessCache(mesh, STEEL, rules)
-        crack = CrackPath(vertices=np.array([[0.31, 0.52], [0.47, 0.52]]), id=0)
-        for _ in range(3):
-            emap, (crack,) = classify_with_remedy(mesh, [crack], rules=rules)
-            assemble(mesh, emap, STEEL, rules, cache=cache)
-            crack = extend_crack(crack, 1, -0.3, 0.07)
-        assert len(seen) == 3
-        for K, expected in seen:
-            assert_same_bytes(K, expected)
 
 
 def substitute_every_front(factor, rhs):
@@ -1041,7 +1083,7 @@ class TestElementMatrix:
         _, _, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
         _, grads, nodes = enriched_basis(mesh, emap, np.full(rule.n_points, eid),
                                          rule.points, phys)
-        grads = grads[:, DofLayout.build(emap).column_dofs(nodes[0], BASIS_FIELD) >= 0]
+        grads = grads[:, DofLayout.build(emap).column_dofs(nodes[0], BASIS_FIELD)[:, 0] >= 0]
         B = np.zeros((rule.n_points, 3, 2 * grads.shape[1]))  # Voigt strain matrix
         B[:, 0, 0::2] = B[:, 2, 1::2] = grads[..., 0]
         B[:, 1, 1::2] = B[:, 2, 0::2] = grads[..., 1]

@@ -104,6 +104,9 @@ MALFORMED_DOCS = [
      "line 3: node 0 has a non-finite coordinate"),
     (unit_square_lines(line3="0 0\n# comment", line6="inf 1"),
      "line 7: node 3 has a non-finite coordinate"),
+    # finite corners whose Jacobians overflow
+    (unit_square_lines(line3="-1e308 -1e308", line4="1e308 -1e308", line5="1e308 1e308",
+                       line6="-1e308 1e308"), "element 0 has a non-finite Jacobian"),
     # a document cut short inside the node or element block
     ("xfem-mesh 1\n4 1\n0 0\n1 0\n", "unexpected end of mesh document"),
     (UNIT_SQUARE_DOC.split("0 1 2 3")[0], "unexpected end of mesh document"),
@@ -332,6 +335,13 @@ class TestInMemoryMesh:
                            match="^boundary 'b' references an invalid node index$"):
             Mesh(nodes=square[:3].tolist() + [[0.0, 1.0]], elements=[[0, 1, 2, 3]],
                  boundary_tags={"b": [4]})
+
+    def test_overflowing_jacobian_rejected(self):
+        # Finite corners 2e308 apart: every corner Jacobian overflows, which
+        # a sign check alone lets through (an infinite or NaN determinant).
+        big = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]]
+        with pytest.raises(MeshFormatError, match="^element 0 has a non-finite Jacobian$"):
+            Mesh(nodes=big, elements=[[0, 1, 2, 3]])
 
 
 class TestDerivedData:
