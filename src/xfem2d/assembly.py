@@ -13,7 +13,8 @@ batches, one elevated rule per class, from the gradients of
 :func:`~xfem2d.enrichment.enriched_basis`; each corrects its elements'
 whole block (all field couplings including the standard one).  A run
 keeps the cut elements' matrices from step to step and integrates only
-those whose enrichment or crack changed.  Uncut elements holding a
+those whose corners' enrichment changed or one of whose rule points
+changed sides of the crack.  Uncut elements holding a
 Heaviside node need no correction at all: the shifted factor
 M = H(phi(x)) - H(phi(node)) is identically zero on them, since the node
 and the whole element sit on the same side of the crack.  Traction and
@@ -447,13 +448,15 @@ _CUT_COLUMNS = np.arange(8)  # standard and jump columns: a cut element has no t
 _STAMPS = itertools.count(1)
 
 
-def _cut_signature(mesh: Mesh, emap: EnrichmentMap, eids: np.ndarray) -> np.ndarray:
-    """What a cut element's matrix depends on besides the crack around it,
-    which the map's change set covers (n, 16): each node's status, crack,
-    sign and tip."""
-    conn = mesh.elements[eids]
+def _cut_keys(mesh: Mesh, emap: EnrichmentMap, cut: np.ndarray) -> np.ndarray:
+    """All a cut-class element's matrix depends on besides the element
+    itself (n, 16 + q), for the map's cut-class elements ``cut``: each
+    corner's status, crack, sign and tip, and the side of its crack each
+    cut-rule point lies on (:attr:`~xfem2d.enrichment.EnrichmentMap.cut_sides`),
+    which fixes the jump factor M there."""
+    conn = mesh.elements[cut]
     return np.column_stack([emap.status[conn], emap.node_crack[conn], emap.node_sign[conn],
-                            emap.node_tip[conn]])
+                            emap.node_tip[conn], emap.cut_sides])
 
 
 class StiffnessCache:
@@ -465,14 +468,12 @@ class StiffnessCache:
     - :attr:`matrices`, the plain-rule stiffness of every element, and
       :attr:`pairs`, their sums over the mesh's node pairs, placed in the
       fronts of its nested-dissection tree, both computed on first use;
-    - the cut-class element matrices of the last assembly, by basis
-      column (node, field), so a renumbered dof layout costs nothing.  A
-      matrix is reused only when the map was classified against the one
-      last assembled, its element is among those the map's change set
-      left untouched (cut in both, no changed feature near, the band of
-      :mod:`xfem2d.enrichment`), and its signature
-      (:func:`_cut_signature`) is the same; any other map is integrated
-      whole;
+    - the cut-class elements of the last assembly, their matrices by
+      basis column (node, field), so a renumbered dof layout costs
+      nothing, and their keys (:func:`_cut_keys`).  A matrix is reused
+      exactly where the element is cut-class in both maps and its key row
+      is equal, whichever maps they are: the key holds all the matrix
+      depends on;
     - :attr:`stamps`, a change stamp per node, renewed on the four nodes
       of every element an assembly integrates or evicts: the fronts of the
       factorization whose nodes kept their stamps kept their entries.
@@ -482,10 +483,12 @@ class StiffnessCache:
         self.mesh, self.material, self.rules = mesh, material, rules
         self.stamps = np.full(mesh.n_nodes, next(_STAMPS))
         self.dofs = np.repeat(2 * mesh.elements, 2, axis=1) + [0, 1] * 4  # of :attr:`matrices`
-        self._emap: EnrichmentMap | None = None  # the map last assembled
-        self._cut = np.empty(0, dtype=np.int64)  # its cut elements, ascending
+        # The last assembly's cut elements, ascending, their matrices and
+        # keys, and its cut and tip elements.
+        self._cut = np.empty(0, dtype=np.int64)
         self._cut_matrices = np.empty((0, 16, 16))
-        self._enriched = np.empty(0, dtype=np.int64)  # its cut and tip elements
+        self._keys = np.empty((0, 16 + rules.cut.n_points))
+        self._enriched = np.empty(0, dtype=np.int64)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -504,21 +507,21 @@ class StiffnessCache:
         """The cut elements of ``emap`` (kind 2) and their stiffness
         corrections (n, 16, 16) over the standard and jump columns.
 
-        Matrices still valid from the last call are reused and the rest
-        integrated in one batch.  The nodes of every integrated element, of
-        every tip-class element (never reused) and of every element that
-        left the cut or tip class get new stamps.
+        The matrix of an element whose key row equals the last call's is
+        reused, and the rest integrated in one batch; a map whose point
+        sides are of another cut rule reuses none.  The nodes of every
+        integrated element, of every tip-class element (never reused) and
+        of every element that left the cut or tip class get new stamps.
         """
         cut = np.flatnonzero(emap.kinds == 2)
+        keys = _cut_keys(self.mesh, emap, cut)
         Ke = np.empty((cut.size, 16, 16))
         reused = np.zeros(cut.size, dtype=bool)
-        if self._emap is not None and emap._against is self._emap._carry:
-            kept = emap._untouched  # cut in this map and in the last
-            kept = kept[np.all(_cut_signature(self.mesh, emap, kept)
-                               == _cut_signature(self.mesh, self._emap, kept), axis=1)]
-            at = np.searchsorted(cut, kept)
-            reused[at] = True
-            Ke[at] = self._cut_matrices[np.searchsorted(self._cut, kept)]
+        if keys.shape[1] == self._keys.shape[1] == 16 + self.rules.cut.n_points:
+            _, at, old = np.intersect1d(cut, self._cut, assume_unique=True, return_indices=True)
+            same = np.all(keys[at] == self._keys[old], axis=1)
+            reused[at[same]] = True
+            Ke[at[same]] = self._cut_matrices[old[same]]
         if not reused.all():
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
                                      self.matrices, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
@@ -526,7 +529,7 @@ class StiffnessCache:
         changed = np.setdiff1d(np.union1d(self._enriched, enriched), cut[reused])
         self.stamps = self.stamps.copy()  # systems assembled earlier keep theirs
         self.stamps[self.mesh.elements[changed]] = next(_STAMPS)
-        self._emap, self._cut, self._cut_matrices, self._enriched = emap, cut, Ke, enriched
+        self._cut, self._cut_matrices, self._keys, self._enriched = cut, Ke, keys, enriched
         return cut, Ke
 
 

@@ -21,15 +21,12 @@ spatial index are cached on the :class:`~xfem2d.mesh.Mesh`) and checks
 the boundary tags.  From step to step the run carries:
 
 - the mesh, the rules and the boundary conditions;
-- the last step's :class:`~xfem2d.enrichment.EnrichmentMap`: a step
-  classifies against it, works out once which features its cracks
-  changed by, and classifies again only what those can reach (the narrow
-  band of :mod:`xfem2d.enrichment`); the new map records that decision;
-- its :class:`~xfem2d.assembly.StiffnessCache`: the standard element
+- the :class:`~xfem2d.assembly.StiffnessCache`: the standard element
   matrices and their node-pair sums, placed once in the factorization's
-  fronts, the cut elements' matrices of the last step, and a change stamp
-  per node.  A step integrates the tip class and only the cut elements
-  the map's change set reaches or whose enrichment changed;
+  fronts, the cut elements' matrices and keys of the last step, and a
+  change stamp per node.  A step integrates the tip class and only the
+  cut elements whose key changed: its corners' enrichment, or the side of
+  the crack one of its cut-rule points lies on;
 - the sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`): a step
   refactors only the fronts of the mesh's nested-dissection tree that an
   element it integrated or dropped touches, or whose nodes' dof layout
@@ -37,7 +34,8 @@ the boundary tags.  From step to step the run carries:
 - the current cracks, as the coincidence remedy left them and grown after
   the last extraction.
 
-Every step then classifies its cracks on that same mesh, assembles,
+Every step then classifies its cracks from scratch on that same mesh, as
+the paper redoes its level sets and enrichment at each step, assembles,
 solves, and extracts.  The last solved step's problem stays on the
 :class:`RunHistory` for the output writers.
 
@@ -72,7 +70,6 @@ from xfem2d.assembly import (
 from xfem2d.cholesky import FactorStats, FrontalCholesky
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
-    BandStats,
     EnrichmentError,
     EnrichmentMap,
     classify_with_remedy,
@@ -206,8 +203,7 @@ class StepRecord:
 
     ``cracks`` is the geometry this step's solve used, as the coincidence
     remedy left it; ``extensions`` were applied to it after extraction
-    and shape the next step's geometry.  ``classification`` tells how much
-    of the step's classification was worked out afresh.
+    and shape the next step's geometry.
     """
 
     step: int
@@ -222,7 +218,6 @@ class StepRecord:
     residual: float = 0.0
     demotions: tuple = ()
     factor: FactorStats | None = None
-    classification: BandStats | None = None
 
 
 @dataclass
@@ -270,10 +265,9 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
 
     ``cracks`` overrides the configured cracks.  ``base`` is a problem set
     up earlier from the same config (the previous step of a propagation
-    run): its mesh, rules, conditions and stiffness cache are reused, and
-    the cracks are classified against its map, so only what their change
-    can reach is classified again.  Without it, an in-memory
-    ``config.mesh`` takes precedence over ``config.mesh_path``.
+    run): its mesh, rules, conditions and stiffness cache are reused,
+    while the cracks are classified from scratch.  Without it, an
+    in-memory ``config.mesh`` takes precedence over ``config.mesh_path``.
     """
     if base is None:
         with _stage("mesh"):
@@ -299,7 +293,6 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
             delta=config.delta,
             rules=rules,
             tip_enrichment=config.tip_enrichment,
-            base=base.emap if base is not None else None,
         )
     return Problem(
         mesh=mesh,
@@ -382,7 +375,7 @@ def _step_record(step: int, problem: Problem, state: SolutionState, cracks, sifs
     return StepRecord(step=step, load_factor=state.load_factor, cracks=cracks, sifs=tuple(sifs),
                       frozen=tuple(frozen), n_dofs=state.layout.total_dofs,
                       n_heaviside=emap.n_heaviside, n_tip=emap.n_tip, residual=state.residual,
-                      demotions=emap.demotions, factor=state.factor, classification=emap.band)
+                      demotions=emap.demotions, factor=state.factor)
 
 
 def stationary_history(problem: Problem, state: SolutionState,

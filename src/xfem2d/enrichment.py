@@ -20,34 +20,13 @@ clipped in one batch, and every bisected element keeps its piece of the
 crack (:class:`CutPiece`: arc lengths, end points, entry and exit edges)
 in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
 
-A propagation step classifies against the last step's map, in a narrow
-band around what changed (after the narrow-band level-set update of
-Stolarska, Chopp, Moës & Belytschko, IJNME 51, 2001).  What changed is
-worked out once per crack, by one alignment rule (:func:`_change`): the
-longest run of the old polyline's vertices found, in order and bit-equal,
-in the new one.  The changed features are the segments outside that run
-and their vertices: for growth at one end or both, the new segments and
-the old tip vertices.  Then:
-
-- the coincidence checks run on the changed features only, since the
-  others passed them before;
-- only the changed segments are clipped against the elements; the clips
-  of the run's segments are kept, renumbered by its offset, so a crack
-  grown at its start gets its arc lengths from its new vertex numbering;
-- the tips, tip elements, cut pieces, Heaviside candidates and endpoint
-  demotions are then derived again from all clips, which is cheap;
-- a cut-class element's :func:`_point_sides` are carried over while it
-  stays cut-class and no changed segment of either polyline comes within
-  its diameter (:func:`_near`); the tip-class elements and the enriched
-  nodes' signs are measured afresh.
-
-The map keeps those carried elements and the base it was classified
-against, and the assembly's cut-element cache reuses a matrix only on
-that decision, so both follow the one change set.  Without a map, or once
-the coincidence remedy has moved every vertex of a crack, nothing aligns
-and the band is the whole crack, so classification from scratch is the
-same routine.  The result is the same map, bit for bit, and the same
-error.
+Every classification works from scratch on the cracks it is given, as
+the paper redoes its level-set update and enrichment choice at each
+propagation step.  The map keeps the side of its crack each cut-rule
+point of every cut-class element lies on (:attr:`EnrichmentMap.cut_sides`).
+With the element and its corners' enrichment, that is all the element's
+stiffness depends on, so a growth run's assembly reuses a cut element's
+matrix exactly where these agree.
 
 The enriched basis is defined once, in one batched kernel,
 :func:`enriched_basis`: at points given by element, reference and
@@ -79,7 +58,6 @@ from xfem2d.cracks import (
 )
 from xfem2d.mesh import (
     Mesh,
-    QuadratureRule,
     QuadratureSet,
     _distinct,
     element_geometry,
@@ -98,7 +76,6 @@ __all__ = [
     "CrackMeshDegeneracyError",
     "TipInfo",
     "CutPiece",
-    "BandStats",
     "FieldTriplet",
     "EnrichmentMap",
     "classify_enrichment",
@@ -168,35 +145,6 @@ class CutPiece(NamedTuple):
     edge1: int
 
 
-@dataclass(frozen=True)
-class BandStats:
-    """How much of one classification was worked out afresh.
-
-    ``clipped`` of the ``crossed`` elements the cracks enter were clipped
-    against a segment that changed since the map classified against, and
-    ``measured`` of the ``candidates`` cut-class elements had the sides of
-    their rule points measured; from scratch, all of them.
-    """
-
-    clipped: int
-    crossed: int
-    measured: int
-    candidates: int
-
-
-@dataclass(frozen=True, eq=False)
-class _Carry:
-    """What a later classification on the same mesh and cut rule carries
-    over: each effective crack's :func:`_clips` by id, and the cut-class
-    elements, ascending, with their :func:`_point_sides`."""
-
-    mesh: Mesh
-    rule: QuadratureRule
-    clips: dict
-    cut: np.ndarray
-    sides: np.ndarray
-
-
 @dataclass
 class FieldTriplet:
     """Nodal coefficients of the three displacement fields.
@@ -253,8 +201,10 @@ class EnrichmentMap:
         Per-element integration class: 0 plain 2x2, 1 enriched at standard
         order (Heaviside blending: M is constant on uncut elements), 2 cut
         (bisected), 3 singular (holds a tip or a branch-enriched node).
-    band : BandStats
-        What this classification worked out afresh.
+    cut_sides : ndarray of bool
+        Per cut-class element (kind 2), ascending, and per point of the cut
+        rule (n, q): whether the point lies on the +1 side of the element's
+        crack, where :func:`enriched_basis` evaluates M.
     """
 
     status: np.ndarray
@@ -270,14 +220,9 @@ class EnrichmentMap:
     tip_enrichment: bool
     delta: float
     kinds: np.ndarray
+    cut_sides: np.ndarray
     demotions: tuple = ()
-    band: BandStats | None = None
     _crack_index: dict[int, CrackPath] = field(default=None, repr=False)
-    _carry: _Carry | None = field(default=None, repr=False)
-    # The carry of the base this map was classified against, and the
-    # cut-class elements, ascending, no feature changed since comes near.
-    _against: _Carry | None = field(default=None, repr=False)
-    _untouched: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self._crack_index = {c.id: c for c in self.cracks}
@@ -358,47 +303,24 @@ def _ray_exit_distance(quad: np.ndarray, origin: np.ndarray, direction: np.ndarr
     return float(t1[0]) * diam if inside[0] else 0.0
 
 
-def _clips(mesh: Mesh, v: np.ndarray, js: np.ndarray, size_tol: float):
-    """Where the segments ``js`` of the polyline ``v`` run inside elements.
+def _clips(mesh: Mesh, v: np.ndarray, size_tol: float):
+    """Where the segments of the polyline ``v`` run inside elements.
 
     All (element, segment) pairs whose bounding boxes, padded by
     ``size_tol``, meet are clipped together.  Returns, by element and then
     segment, each non-empty clip's element, segment and parameter interval
-    (n, 2) along the segment.  A clip depends on its element and segment
-    alone, so the clips of a polyline are those of its segments.
+    (n, 2) along the segment.
     """
-    if js.size == 0:
-        return np.empty(0, dtype=np.int64), js, np.empty((0, 2))
-    a, b = v[js], v[js + 1]
+    a, b = v[:-1], v[1:]
     slo, shi = np.minimum(a, b), np.maximum(a, b)
     near = mesh.elements_meeting(slo.min(axis=0) - size_tol, shi.max(axis=0) + size_tol)
     lo, hi = (bound[near, None] for bound in mesh.element_bboxes)
     meet = np.all((lo - size_tol <= shi + size_tol) & (hi + size_tol >= slo - size_tol), axis=2)
-    el, k = np.nonzero(meet)  # by element, then segment
-    eids, j = near[el], js[k]
+    el, j = np.nonzero(meet)  # by element, then segment
+    eids = near[el]
     t0, t1, inside = _clip_segments(mesh.element_coords(eids), v[j], v[j + 1])
     keep = inside & (t1 - t0 > 0.0)
     return eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
-
-
-_NO_CLIPS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty((0, 2)))
-
-
-def _crack_clips(mesh: Mesh, crack: CrackPath, change: "_Change", old_clips, size_tol: float):
-    """:func:`_clips` of every segment of ``crack``, and the elements clipped
-    afresh.
-
-    The clips of the segments in the run ``change`` aligned with the old
-    polyline are taken from ``old_clips``, the old polyline's, renumbered
-    by the run's offset; only the changed segments are clipped.
-    """
-    eids, j, t = old_clips
-    kept = (j >= change.start) & (j < change.stop - 1)
-    fresh = _clips(mesh, crack.vertices, np.flatnonzero(change.segments), size_tol)
-    eids, j, t = (np.concatenate([a[kept], b])
-                  for a, b in zip((eids, j + change.offset, t), fresh))
-    order = np.lexsort((j, eids))
-    return (eids[order], j[order], t[order]), fresh[0]
 
 
 def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
@@ -434,67 +356,6 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
     return eids, s, p, edge
 
 
-# ---------------------------------------------------------------------------
-# what changed between two crack sets
-# ---------------------------------------------------------------------------
-
-class _Change(NamedTuple):
-    """How one crack's polyline changed (:func:`_change`): its old vertices
-    ``start:stop`` are its new ones ``start + offset:stop + offset``;
-    ``segments`` masks the new polyline's changed segments and ``reach``
-    (k, 2, 2) holds the changed segments of both polylines."""
-
-    start: int
-    stop: int
-    offset: int
-    segments: np.ndarray
-    reach: np.ndarray
-
-
-def _change(old: np.ndarray | None, new: np.ndarray | None) -> _Change:
-    """The alignment rule: what changed from polyline ``old`` to ``new``.
-
-    The two share the longest run of consecutive vertices of ``old`` found,
-    in order and bit-equal, in ``new``.  The changed features of either are
-    its segments outside the run and their vertices, so also the run's end
-    vertex on each side where a neighbour changed: growth at one end or
-    both, with or without virtual extensions, changes by the new segments,
-    the extensions they replace and the old tip vertices.  Without ``old``
-    (a crack added) or ``new`` (dropped), without a shared vertex (moved by
-    the coincidence remedy) or with two longest runs, all of it changed.
-    """
-    old, new = (np.empty((0, 2)) if v is None else v for v in (old, new))
-    i, j = np.nonzero(np.all(old.view(np.int64)[:, None] == new.view(np.int64)[None], axis=2))
-    key = np.sort((j - i) * (len(old) + 1) + i)  # by diagonal j - i, then along it
-    first = np.flatnonzero(np.diff(key, prepend=key[:1] - 2) != 1)  # of each run
-    length = np.diff(np.append(first, key.size))
-    start = stop = offset = 0
-    if length.size and np.count_nonzero(length == length.max()) == 1:
-        offset, start = (int(x) for x in np.divmod(key[first[np.argmax(length)]], len(old) + 1))
-        stop = start + int(length.max())
-    masks = [np.ones(max(len(v) - 1, 0), dtype=bool) for v in (old, new)]
-    for segments, at in zip(masks, (start, start + offset)):
-        segments[at:at + max(stop - start - 1, 0)] = False
-    reach = [np.stack([v[:-1][m], v[1:][m]], axis=1) for v, m in zip((old, new), masks)]
-    return _Change(start, stop, offset, masks[1], np.concatenate(reach))
-
-
-def _near(mesh: Mesh, eids: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Whether a segment comes within each element's diameter of it.
-
-    Every point of a cut element lies within its diameter of its own piece
-    of crack, so beyond that a segment cannot be the nearest to any of its
-    points, and the side of the crack they lie on stands.
-    """
-    quads = mesh.element_coords(eids)[:, None]  # (n, 1, 4, 2)
-    diam = mesh.element_sizes[eids]
-    a, b = segments[None, :, 0], segments[None, :, 1]  # (1, k, 2)
-    corners = point_segment_distance(quads, a[:, :, None], b[:, :, None]).min(axis=2)
-    ends = point_segment_distance(segments[None, :, :, None], quads[:, :, None],
-                                  np.roll(quads, -1, axis=2)[:, :, None]).min(axis=(2, 3))
-    return (np.minimum(corners, ends) <= diam[:, None]).any(axis=1)
-
-
 def _box_pairs(lo, hi, lo2, hi2, pad: float):
     """Index pairs (i, k), by i then k, of boxes ``lo[i]..hi[i]`` and
     ``lo2[k]..hi2[k]`` that meet once one is padded by ``pad``."""
@@ -505,7 +366,7 @@ def _box_pairs(lo, hi, lo2, hi2, pad: float):
     return np.nonzero(meet)
 
 
-def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
+def _detect_coincidences(mesh: Mesh, cracks) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
     Each crack's features are checked against the nodes and edges of the
@@ -514,9 +375,7 @@ def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
     segment, a vertex on an edge, and a segment running along an edge over
     a finite length.  A crack end that is not a tip (a crack mouth) may
     sit on a boundary edge.  Problems are listed crack by crack, in that
-    order of checks, by segment or vertex.  ``segments`` limits the check
-    to the segments each mask of it holds and their vertices; a feature's
-    problems do not depend on the rest of its crack.
+    order of checks, by segment or vertex.
     """
     tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
@@ -524,18 +383,12 @@ def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
     boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
     problems = []
     bad_cracks: set[int] = set()
-    if segments is None:
-        segments = [np.ones(len(c.vertices) - 1, dtype=bool) for c in cracks]
-    for crack, mask in zip(cracks, segments):
-        sj = np.flatnonzero(mask)
-        vi = np.union1d(sj, sj + 1)
-        v = crack.vertices[vi]
-        if len(v) == 0:
-            continue
+    for crack in cracks:
+        v = crack.vertices
         near = mesh.elements_meeting(v.min(axis=0) - 1e-9, v.max(axis=0) + 1e-9)
         if near.size == 0:
             continue
-        a, b = crack.vertices[sj], crack.vertices[sj + 1]
+        a, b = v[:-1], v[1:]
         slo, shi = np.minimum(a, b), np.maximum(a, b)
         # edges of the near elements as sorted node pairs, keyed lo * n + hi
         quads = mesh.elements[near]
@@ -553,18 +406,17 @@ def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
         j, k = _box_pairs(slo, shi, xy, xy, tol)
         on = point_segment_distance(xy[k], a[j], b[j]) <= tol
         found += [f"segment {jj} passes through mesh node {node}"
-                  for jj, node in zip(sj[j[on]].tolist(), near_nodes[k[on]].tolist())]
+                  for jj, node in zip(j[on].tolist(), near_nodes[k[on]].tolist())]
         # crack vertex on an element edge; endpoints that are not tips may
         # legitimately sit on the domain boundary (crack mouths)
         i, k = _box_pairs(v, v, elo, ehi, tol)
-        mouth = np.zeros(len(crack.vertices), dtype=bool)
+        mouth = np.zeros(len(v), dtype=bool)
         mouth[[0, -1]] = not crack.tip_start, not crack.tip_end
-        mouth = mouth[vi]
         hits = ((point_segment_distance(v[i], p0[k], p1[k]) <= tol)
                 & ~(mouth[i] & np.isin(keys[k], boundary_keys)))
         iv, first = np.unique(i[hits], return_index=True)
         found += [f"vertex {vv} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
-                  zip(vi[iv].tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
+                  zip(iv.tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
         # segment collinear with an edge over a finite overlap: an edge within
         # tol of the segment's line, at an angle whose sine is within tol,
         # comes within tol * (1 + Le) of the segment where they overlap
@@ -583,7 +435,7 @@ def _detect_coincidences(mesh: Mesh, cracks, segments=None) -> None:
         along = parallel & (dist <= tol) & (overlap > tol / Ls)
         js, first = np.unique(j[along], return_index=True)
         found += [f"segment {jj} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
-                  zip(sj[js].tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
+                  zip(js.tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
         if found:
             problems += [f"crack {crack.id} {text}" for text in found]
             bad_cracks.add(crack.id)
@@ -618,22 +470,26 @@ _MIN_FAR_POINTS = 2
 
 
 def _point_sides(mesh: Mesh, crack: CrackPath, batches) -> list:
-    """For each ``(eids, rule)`` of ``batches``, per element (n, 4): the
-    ``w detJ`` weight of the rule points with ``heaviside`` of the signed
-    distance to ``crack`` +1, of those with -1, and the counts of each, at
-    the points :func:`enriched_basis` evaluates M at.  An element's row
-    depends on it alone."""
+    """For each ``(eids, rule)`` of ``batches``, per element and rule point
+    (n, q): whether ``heaviside`` of the signed distance to ``crack`` is +1
+    there, at the points :func:`enriched_basis` evaluates M at, and the
+    point's ``w detJ`` weight.  An element's rows depend on it alone."""
     geometry = [element_geometry(mesh.element_coords(eids), rule)[2:] for eids, rule in batches]
     phi = signed_distance_batch(crack, np.concatenate([phys.reshape(-1, 2)
                                                        for _, phys in geometry]))
     sides, at = [], 0
     for w, _ in geometry:  # w: (elements, q)
-        pos = heaviside(phi[at:at + w.size]).reshape(w.shape) > 0.0
+        sides.append((heaviside(phi[at:at + w.size]).reshape(w.shape) > 0.0, w))
         at += w.size
-        sides.append(np.column_stack([np.where(pos, w, 0.0).sum(axis=1),
-                                      np.where(pos, 0.0, w).sum(axis=1),
-                                      pos.sum(axis=1), (~pos).sum(axis=1)]))
     return sides
+
+
+def _side_sums(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per element (n, 4) of :func:`_point_sides`' ``pos`` and ``w``: the
+    weight of the points on the +1 side, of those on the -1 side, and the
+    counts of each."""
+    return np.column_stack([np.where(pos, w, 0.0).sum(axis=1), np.where(pos, 0.0, w).sum(axis=1),
+                            pos.sum(axis=1), (~pos).sum(axis=1)])
 
 
 def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float, clips):
@@ -695,7 +551,6 @@ def classify_enrichment(
     delta: float = 0.002,
     rules: QuadratureSet | None = None,
     tip_enrichment: bool = True,
-    base: EnrichmentMap | None = None,
 ) -> EnrichmentMap:
     """Classify nodes and elements for the given crack set.
 
@@ -715,12 +570,9 @@ def classify_enrichment(
     :class:`EnrichmentError` for unsupported topologies (two cracks
     claiming one node, multiple crossings of one element, ...).
 
-    ``base`` is an earlier classification on the same mesh with the same
-    cut rule object, such as the last step's of a propagation run; any
-    other is ignored.  Only what the features by which the cracks changed
-    since then can reach is worked out again, the rest carried over (the
-    band rule of the module notes).  The map and any error are the same
-    as without it.
+    It carries nothing from an earlier call: a growth step classifies its
+    cracks from scratch, and its map records the cut-rule point sides
+    (:attr:`EnrichmentMap.cut_sides`) the assembly's cut-matrix reuse keys on.
     """
     if not 0.0 <= delta < 0.5:
         raise EnrichmentError(f"delta must be in [0, 0.5), got {delta}")
@@ -729,16 +581,7 @@ def classify_enrichment(
     ids = [c.id for c in cracks]
     if len(set(ids)) != len(ids):
         raise EnrichmentError("crack ids must be unique")
-    prior = base._carry if base is not None else None
-    if prior is None or prior.mesh is not mesh or prior.rule is not rules.cut:
-        base = prior = None
-    old_sources = {c.id: c for c in base.source_cracks} if base is not None else {}
-    changed = []
-    for crack in cracks:
-        old = old_sources.get(crack.id)
-        same = old is not None and old.active_tips() == crack.active_tips()
-        changed.append(_change(old.vertices if same else None, crack.vertices).segments)
-    _detect_coincidences(mesh, cracks, changed)
+    _detect_coincidences(mesh, cracks)
 
     size_tol = 1e-9 * float(np.max(mesh.element_sizes, initial=1.0))
 
@@ -783,17 +626,7 @@ def classify_enrichment(
             )
         tip_elements[tinfo.element] = existing + (gti,)
 
-    # The change set of the effective cracks, those dropped since ``base`` too.
-    before = {c.id: c.vertices for c in base.cracks} if base is not None else {}
-    after = {c.id: c.vertices for c in eff_cracks}
-    changes = {cid: _change(before.get(cid), after.get(cid))
-               for cid in before.keys() | after.keys()}
-    carried = prior.clips if prior is not None else {}
-    clips, clipped = {}, [np.empty(0, dtype=np.int64)]
-    for crack in eff_cracks:
-        clips[crack.id], fresh = _crack_clips(mesh, crack, changes[crack.id],
-                                              carried.get(crack.id, _NO_CLIPS), size_tol)
-        clipped.append(fresh)
+    clips = {crack.id: _clips(mesh, crack.vertices, size_tol) for crack in eff_cracks}
     cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol,
                                              clips)
 
@@ -874,18 +707,10 @@ def classify_enrichment(
         node_sign[mine] = heaviside(signed_distance_batch(crack, mesh.nodes[mine]))
     kinds = _element_kinds(mesh, status, cut_elements, tip_elements)
 
-    # The point sides of the cut-class elements, carried over from ``base``
-    # where no changed feature comes near (the band); the tip class afresh.
+    # The point sides of the cut- and tip-class elements.
     cut = np.flatnonzero(kinds == 2)
+    cut_sides = np.empty((cut.size, rules.cut.n_points), dtype=bool)
     sides = np.empty((cut.size, 4))
-    fresh = np.ones(cut.size, dtype=bool)
-    untouched = np.empty(0, dtype=np.int64)
-    if prior is not None:
-        common, at, old = np.intersect1d(cut, prior.cut, assume_unique=True, return_indices=True)
-        keep = ~_near(mesh, common, np.concatenate([c.reach for c in changes.values()]))
-        sides[at[keep]] = prior.sides[old[keep]]
-        fresh[at[keep]] = False
-        untouched = common[keep]
     cut_crack = np.array([cut_elements[e] for e in cut.tolist()], dtype=np.int64)
     nodes = np.array(sorted(candidates), dtype=np.int64)
     support = [mesh.node_to_elements[n] for n in nodes]
@@ -894,13 +719,14 @@ def classify_enrichment(
     pair_sides = np.zeros((pair_elem.size, 4))
     is_cut, is_tip = kinds[pair_elem] == 2, kinds[pair_elem] == 3
     for crack in eff_cracks:
-        at_cut = fresh & (cut_crack == crack.id)
+        at_cut = cut_crack == crack.id
         at_tip = is_tip & (node_crack[nodes[pair_node]] == crack.id)
         if at_cut.any() or at_tip.any():
             elems, inv = np.unique(pair_elem[at_tip], return_inverse=True)
-            sides[at_cut], tip_sides = _point_sides(mesh, crack, [(cut[at_cut], rules.cut),
-                                                                  (elems, rules.tip)])
-            pair_sides[at_tip] = tip_sides[inv]
+            (pos, w), tip_sides = _point_sides(mesh, crack, [(cut[at_cut], rules.cut),
+                                                             (elems, rules.tip)])
+            cut_sides[at_cut], sides[at_cut] = pos, _side_sums(pos, w)
+            pair_sides[at_tip] = _side_sums(*tip_sides)[inv]
     pair_sides[is_cut] = sides[np.searchsorted(cut, pair_elem[is_cut])]
 
     # Demotion by the far side of each candidate: its points in the
@@ -922,9 +748,6 @@ def classify_enrichment(
     blend = np.flatnonzero(kinds == 1)
     kinds[blend[(status[mesh.elements[blend]] == STANDARD).all(axis=1)]] = 0
 
-    crossed = _distinct(np.concatenate([np.empty(0, dtype=np.int64)]
-                                       + [c[0] for c in clips.values()]))
-
     return EnrichmentMap(
         status=status,
         node_crack=node_crack,
@@ -939,12 +762,8 @@ def classify_enrichment(
         tip_enrichment=tip_enrichment,
         delta=delta,
         kinds=kinds,
+        cut_sides=cut_sides,
         demotions=tuple(demotions),
-        band=BandStats(clipped=_distinct(np.concatenate(clipped)).size, crossed=crossed.size,
-                       measured=int(fresh.sum()), candidates=cut.size),
-        _carry=_Carry(mesh=mesh, rule=rules.cut, clips=clips, cut=cut, sides=sides),
-        _against=prior,
-        _untouched=untouched,
     )
 
 
@@ -954,7 +773,6 @@ def classify_with_remedy(
     delta: float = 0.002,
     rules: QuadratureSet | None = None,
     tip_enrichment: bool = True,
-    base: EnrichmentMap | None = None,
 ):
     """Classification with the standard coincidence remedy.
 
@@ -962,20 +780,19 @@ def classify_with_remedy(
     cracks are nudged off it (first along the local normal, then along
     normal-minus-tangent) and classification is retried.  Returns
     ``(map, cracks)`` where ``cracks`` are the possibly perturbed inputs.
-    Every attempt is classified against ``base`` (see
-    :func:`classify_enrichment`); a nudge moves every vertex of its crack.
+    A nudge moves every vertex of its crack.
     """
     original = {c.id: c for c in cracks}
     current = list(cracks)
     for attempt in range(2):
         try:
-            return classify_enrichment(mesh, current, delta, rules, tip_enrichment, base), current
+            return classify_enrichment(mesh, current, delta, rules, tip_enrichment), current
         except CrackMeshDegeneracyError as exc:
             current = [
                 _perturbed(original[c.id], attempt) if c.id in exc.crack_ids else c
                 for c in current
             ]
-    return classify_enrichment(mesh, current, delta, rules, tip_enrichment, base), current
+    return classify_enrichment(mesh, current, delta, rules, tip_enrichment), current
 
 
 # ---------------------------------------------------------------------------

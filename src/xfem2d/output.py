@@ -378,10 +378,8 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
 
     Records mesh statistics, the material, per-step enriched-node counts
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
-    totals, solver residuals, how much of the classification was redone
-    (crossed elements clipped, cut elements whose rule points' sides were
-    measured), the factorization's size (free dofs, entries of L) and the
-    fronts it refactored, the nodes demoted to standard
+    totals, solver residuals, the factorization's size (free dofs, entries
+    of L) and the fronts it refactored, the nodes demoted to standard
     approximation with the measured support ratios, every extraction,
     growth increment, and tip deactivation, and the stop reason.
     """
@@ -412,12 +410,6 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
         )
         lines.append(f"  dofs: {rec.n_dofs}")
         lines.append(f"  residual: {rec.residual:.6e}")
-        if rec.classification is not None:
-            band = rec.classification
-            lines.append(
-                f"  classification: {band.clipped} of {band.crossed} crossed elements "
-                f"clipped and {band.measured} of {band.candidates} cut elements measured"
-            )
         if rec.factor is not None:
             lines.append(
                 f"  factor: {rec.factor.free_dofs} free dofs, "

@@ -40,9 +40,6 @@ from xfem2d.enrichment import (
     classify_with_remedy,
     crack_opening,
     enriched_basis,
-    _change,
-    _near,
-    _perturbed,
 )
 from xfem2d.mesh import DissectionTree, Mesh, element_geometry
 from xfem2d.meshgen import uniform_rect
@@ -625,9 +622,9 @@ class TestSolvePath:
         monkeypatch.setattr(LinearSystem, "K", property(refuse), raising=False)
         mesh, rules = uniform_rect(1.0, 1.0, 20, 20), QuadratureSet.from_targets()
         cache, factor = StiffnessCache(mesh, STEEL, rules), FrontalCholesky()
-        crack, emap = CrackPath(vertices=np.array([[0.36, 0.52], [0.62, 0.52]]), id=0), None
+        crack = CrackPath(vertices=np.array([[0.36, 0.52], [0.62, 0.52]]), id=0)
         for _ in range(3):
-            emap, (crack,) = classify_with_remedy(mesh, [crack], rules=rules, base=emap)
+            emap, (crack,) = classify_with_remedy(mesh, [crack], rules=rules)
             system = apply_constraints(assemble(mesh, emap, STEEL, rules, STAMP_BCS, cache=cache),
                                        {0: 0.0})
             state = solve(system, factor=factor)
@@ -858,14 +855,14 @@ STAMP_BCS = [BoundaryCondition("bottom", "displacement", (None, 0.0)),
 
 def growth_steps(seed, tip_enrichment, rules, delta=0.002, cache=None):
     """A random kinked crack on ``STAMP_MESH``, grown by a random kink at a
-    random tip, up to four steps, each classified against the last: each
-    step's map and constrained system, until the crack leaves the mesh."""
+    random tip, up to four steps: each step's map and constrained system,
+    until the crack leaves the mesh."""
     rng = np.random.default_rng(seed)
-    crack, emap = random_kinked_crack(rng), None
+    crack = random_kinked_crack(rng)
     for _ in range(4):
         try:
             emap, (crack,) = classify_with_remedy(STAMP_MESH, [crack], delta, rules,
-                                                  tip_enrichment, emap)
+                                                  tip_enrichment)
             system = apply_constraints(assemble(STAMP_MESH, emap, STEEL, rules, STAMP_BCS,
                                                 cache=cache), {0: 0.0})
         except (EnrichmentError, AssemblyError):  # the crack left the mesh
@@ -882,10 +879,8 @@ class TestStampRule:
     """The change stamps against the rule they replace: a front is kept
     only when its gathered entries are bit-equal to the last ones."""
 
-    # The pinned draws below whose cache reuses cut matrices: every growth
-    # step of seed 574 without tip enrichment reaches all of its few cut
-    # elements, so it reuses none, under this rule or the one before it.
-    REUSING = ((254, False), (533, False), (592, False), (592, True))
+    # The pinned draws below whose cache reuses cut matrices: all of them.
+    REUSING = ((254, False), (533, False), (574, False), (592, False), (592, True))
 
     @staticmethod
     def check(seed, tip_enrichment):
@@ -966,113 +961,103 @@ class TestJumpStiffness:
         assert emap.status[75] == 0
 
 
-def counting_cut_integrations(monkeypatch):
-    """The sizes of the cut-class batches ``assembly._integrate`` integrates
-    from now on, in a list the caller may clear."""
-    sizes, real = [], assembly._integrate
+def recording_cut_integrations(monkeypatch):
+    """The element ids of the cut-class batches ``assembly._integrate``
+    integrates from now on, in a list the caller may clear."""
+    batches, real = [], assembly._integrate
 
-    def counting(mesh, emap, D, K_std, eids, rule, used=None):
+    def recording(mesh, emap, D, K_std, eids, rule, used=None):
         if used is not None:
-            sizes.append(eids.size)
+            batches.append(eids)
         return real(mesh, emap, D, K_std, eids, rule, used)
 
-    monkeypatch.setattr(assembly, "_integrate", counting)
-    return sizes
+    monkeypatch.setattr(assembly, "_integrate", recording)
+    return batches
 
 
 class TestCutCacheRules:
-    def test_alignment_rule(self):
-        def changed(old, new):
-            """The aligned run and the changed segments of ``new``."""
-            change = _change(old, new)
-            return ((change.start, change.stop, change.offset),
-                    np.flatnonzero(change.segments).tolist())
-
-        a, b, c, d, z = np.array([[0.1, 0.5], [0.3, 0.52], [0.5, 0.5], [0.6, 0.55],
-                                  [0.02, 0.45]])
-        old = np.array([a, b, c])
-        # growth at the end, the start and both: the new segments, the kept
-        # run renumbered by the new start
-        assert changed(old, np.array([a, b, c, d])) == ((0, 3, 0), [2])
-        assert changed(old, np.array([z, a, b, c])) == ((0, 3, 1), [0])
-        assert changed(old, np.array([z, a, b, c, d])) == ((0, 3, 1), [0, 3])
-        np.testing.assert_array_equal(_change(old, np.array([z, a, b, c, d])).reach,
-                                      [[z, a], [c, d]])
-        # unchanged: nothing
-        assert changed(old, old.copy()) == ((0, 3, 0), [])
-        assert _change(old, old.copy()).reach.shape == (0, 2, 2)
-        # moved by the remedy, or two longest runs: the whole crack
-        moved = _perturbed(CrackPath(vertices=old, id=0), 0).vertices
-        assert changed(old, moved) == ((0, 0, 0), [0, 1])
-        np.testing.assert_array_equal(_change(old, moved).reach,
-                                      [[a, b], [b, c], moved[:2], moved[1:]])
-        assert changed(np.array([a, b]), np.array([a, b, c, a, b])) == ((0, 0, 0), [0, 1, 2, 3])
-        # added: every new segment; dropped: every old one reaches
-        assert changed(None, old) == ((0, 0, 0), [0, 1])
-        np.testing.assert_array_equal(_change(old, None).reach, [[a, b], [b, c]])
-        # both ends without tip enrichment: the effective cracks end in
-        # virtual extensions, [a', a, b, b'] and [z', z, a, b, c, c'], so
-        # only a-b stays and the replaced extensions reach too
+    @pytest.mark.parametrize("tip_enrichment", [True, False])
+    def test_segment_near_an_unflipped_element_reuses_it(self, tip_enrichment, monkeypatch):
+        # The edge crack grows straight on from x = 0.31 to 0.45.  The new
+        # segment passes 0.11 from the cut element [0.1, 0.2] x [0.5, 0.6],
+        # inside its diameter 0.14, but flips none of its rule points'
+        # sides, so its key and its matrix stay.
         mesh = uniform_rect(1.0, 1.0, 10, 10)
-        crack = CrackPath(vertices=np.array([[0.33, 0.512], [0.57, 0.512]]), id=0)
-        grown = extend_crack(extend_crack(crack, 0, 0.0, 0.1), 1, 0.0, 0.1)
-        old, new = (classify_enrichment(mesh, [c], tip_enrichment=False).cracks[0].vertices
-                    for c in (crack, grown))
-        assert (len(old), len(new)) == (4, 6)
-        assert changed(old, new) == ((1, 3, 1), [0, 1, 3, 4])
-        np.testing.assert_array_equal(_change(old, new).reach[:2], [old[:2], old[2:]])
-
-    def test_near_within_the_element_diameter(self):
-        mesh = uniform_rect(1.0, 1.0, 10, 10)
-        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.55, 0.55], axis=1)))
-        diam = 0.1 * np.sqrt(2.0)  # the element is [0.5, 0.6]^2
-        for gap, near in ((0.99 * diam, True), (1.01 * diam, False)):
-            point = np.array([0.6 + gap, 0.55])  # a lone vertex
-            vertical = np.array([[0.6 + gap, -1.0], [0.6 + gap, 2.0]])
-            through = np.array([[0.55, 0.55], [0.6 + 2 * gap, 0.55]])
-            segments = np.array([[point, point], vertical, through])
-            np.testing.assert_array_equal(
-                [_near(mesh, np.array([eid]), segments[k:k + 1])[0] for k in range(3)],
-                [near, near, True])
+        rules = QuadratureSet.from_targets()
+        crack = CrackPath(vertices=np.array([[0.0, 0.512], [0.31, 0.512]]), tip_start=False, id=0)
+        before, after = (classify_enrichment(mesh, [c], rules=rules, tip_enrichment=tip_enrichment)
+                         for c in (crack, extend_crack(crack, 1, 0.0, 0.14)))
+        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.15, 0.55], axis=1)))
+        assert before.kinds[eid] == after.kinds[eid] == 2
+        keys = []
+        for emap in (before, after):
+            cut = np.flatnonzero(emap.kinds == 2)
+            keys.append(assembly._cut_keys(mesh, emap, cut)[np.searchsorted(cut, eid)])
+        np.testing.assert_array_equal(keys[0], keys[1])
+        cache = StiffnessCache(mesh, STEEL, rules)
+        assemble(mesh, before, STEEL, rules, cache=cache)
+        integrated = recording_cut_integrations(monkeypatch)
+        K = assemble(mesh, after, STEEL, rules, cache=cache).K
+        assert len(integrated) == 1 and eid not in integrated[0]
+        assert 0 < integrated[0].size < np.count_nonzero(after.kinds == 2)
+        assert_bit_equal(K, assemble(mesh, after, STEEL, rules).K)
 
     def test_node_that_gains_a_jump_is_integrated_again(self, monkeypatch):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
         crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.87, 0.512]]), id=0)
         rules = QuadratureSet.from_targets()
         cache = StiffnessCache(mesh, STEEL, rules)
-        # the same crack, with and without the nodes of small support shares,
-        # each map classified against the one before: no feature changed, so
-        # the signatures alone force the integration
-        coarse = classify_enrichment(mesh, [crack], delta=0.3, rules=rules)
-        fine = classify_enrichment(mesh, [crack], delta=0.002, rules=rules, base=coarse)
-        again = classify_enrichment(mesh, [crack], delta=0.3, rules=rules, base=fine)
+        # the same crack, with and without the nodes of small support
+        # shares: the point sides are the same, so the signatures alone
+        # force the integration
+        coarse, fine, again = (classify_enrichment(mesh, [crack], delta=delta, rules=rules)
+                               for delta in (0.3, 0.002, 0.3))
         assert fine.n_heaviside > coarse.n_heaviside
-        integrated = counting_cut_integrations(monkeypatch)
+        integrated = recording_cut_integrations(monkeypatch)
         for emap in (coarse, fine, again):
             integrated.clear()
             reused = assemble(mesh, emap, STEEL, rules, cache=cache)
-            assert emap is coarse or emap.band.measured == 0
-            assert integrated == [np.count_nonzero(emap.kinds == 2)]
+            np.testing.assert_array_equal(emap.cut_sides, coarse.cut_sides)
+            np.testing.assert_array_equal(np.concatenate(integrated),
+                                          np.flatnonzero(emap.kinds == 2))
             assert_bit_equal(reused.K, assemble(mesh, emap, STEEL, rules).K)
 
-    def test_map_of_another_lineage_is_integrated_whole(self, monkeypatch):
+    def test_reuse_follows_the_keys_not_the_lineage(self, monkeypatch):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
         rules = QuadratureSet.from_targets()
         crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.57, 0.512]]), id=0)
         first, other = (classify_enrichment(mesh, [crack], rules=rules) for _ in range(2))
-        grown = classify_enrichment(mesh, [extend_crack(crack, 1, 0.0, 0.1)], rules=rules,
-                                    base=other)
+        grown = classify_enrichment(mesh, [extend_crack(crack, 1, 0.0, 0.1)], rules=rules)
         cut = np.count_nonzero(grown.kinds == 2)
-        integrated = counting_cut_integrations(monkeypatch)
-        # after its own base the cache reuses; after a map of the same cracks
-        # that is not its base, it integrates every cut element
-        for last, whole in ((other, False), (first, True)):
+        integrated = recording_cut_integrations(monkeypatch)
+        # two classifications of the same cracks leave the cache the same
+        # keys, so it reuses the same matrices after either
+        counts = []
+        for last in (other, first):
             cache = StiffnessCache(mesh, STEEL, rules)
             assemble(mesh, last, STEEL, rules, cache=cache)
             integrated.clear()
             K = assemble(mesh, grown, STEEL, rules, cache=cache).K
-            assert (integrated == [cut]) == whole
+            counts.append(integrated[0].size)
             assert_bit_equal(K, assemble(mesh, grown, STEEL, rules).K)
+        assert counts[0] == counts[1] < cut
+
+    def test_map_of_another_cut_rule_is_integrated_whole(self, monkeypatch):
+        # Sides measured at a 16-point cut rule say nothing of the cache's
+        # 36 points, so two such maps in a row share no matrix.
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        rules, other = QuadratureSet.from_targets(), QuadratureSet.from_targets(cut=16)
+        crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.57, 0.512]]), id=0)
+        emap = classify_enrichment(mesh, [crack], rules=other)
+        assert emap.cut_sides.shape[1] == 16 != rules.cut.n_points
+        cache = StiffnessCache(mesh, STEEL, rules)
+        integrated = recording_cut_integrations(monkeypatch)
+        for _ in range(2):
+            integrated.clear()
+            K = assemble(mesh, emap, STEEL, rules, cache=cache).K
+            np.testing.assert_array_equal(np.concatenate(integrated),
+                                          np.flatnonzero(emap.kinds == 2))
+        assert_bit_equal(K, assemble(mesh, emap, STEEL, rules).K)
 
 
 class TestElementMatrix:

@@ -285,7 +285,7 @@ class TestErrorPaths:
 
     def test_unremedied_degeneracy_exits_one(self, tmp_path, capsys,
                                              monkeypatch):
-        def always_degenerate(mesh, cracks, segments=None):
+        def always_degenerate(mesh, cracks):
             raise xfem2d.enrichment.CrackMeshDegeneracyError(
                 "crack/mesh coincidence: crack 0 vertex 0 lies on mesh edge",
                 crack_ids={0})

@@ -5,15 +5,18 @@ horizontal crack threading the element row 0.5 < y < 0.6 at mid height,
 so every classification count can be stated by hand.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xfem2d import enrichment
+from xfem2d import benchmarks, enrichment
 from xfem2d.assembly import (
     MaterialModel,
     QuadratureSet,
+    StiffnessCache,
     assemble,
     elasticity_matrix,
     voigt_strain,
@@ -27,6 +30,7 @@ from xfem2d.cracks import (
     signed_distance_batch,
     tip_frame,
 )
+from xfem2d.driver import LoadSchedule, run_propagation, setup_problem
 from xfem2d.enrichment import (
     HEAVISIDE,
     STANDARD,
@@ -42,6 +46,7 @@ from xfem2d.enrichment import (
     classify_with_remedy,
     crack_opening,
     element_fields,
+    enriched_basis,
     evaluate_fields,
     psi_at,
     shifted_heaviside,
@@ -853,8 +858,8 @@ def assert_same_cracks(got, expected):
     assert [bits(c.vertices) for c in got] == [bits(c.vertices) for c in expected]
 
 
-def assert_same_map(got, expected):
-    """Two classifications equal field by field, floats bit for bit."""
+def assert_same_map(got, expected, mesh):
+    """Two classifications on ``mesh`` equal field by field, floats bit for bit."""
     for name in ("status", "node_crack", "node_tip"):
         np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
     assert bits(got.node_sign) == bits(expected.node_sign)
@@ -877,23 +882,22 @@ def assert_same_map(got, expected):
     np.testing.assert_array_equal(got.kinds, expected.kinds)
     # the kinds marked before the demotions, with the blending ones cleared
     np.testing.assert_array_equal(expected.kinds, enrichment._element_kinds(
-        expected._carry.mesh, expected.status, expected.cut_elements, expected.tip_elements))
-    # the point sides a later step may carry over
-    np.testing.assert_array_equal(got._carry.cut, expected._carry.cut)
-    assert bits(got._carry.sides) == bits(expected._carry.sides)
+        mesh, expected.status, expected.cut_elements, expected.tip_elements))
+    np.testing.assert_array_equal(got.cut_sides, expected.cut_sides)
 
 
-def remedy_outcome(mesh, cracks, tip_enrichment, base=None):
+def remedy_outcome(mesh, cracks, tip_enrichment, rules):
     try:
-        return classify_with_remedy(mesh, cracks, tip_enrichment=tip_enrichment, base=base)
+        return classify_with_remedy(mesh, cracks, rules=rules, tip_enrichment=tip_enrichment)
     except (EnrichmentError, CrackGeometryError) as exc:  # a virtual extension may cross its crack
         return exc
 
 
-BAND_MESH = uniform_rect(1.0, 1.0, 16, 16)
-BAND_COLUMNS = np.unique(BAND_MESH.nodes[:, 0])
+STEEL = MaterialModel(E=200e9, nu=0.3)
+GROWTH_MESH = uniform_rect(1.0, 1.0, 16, 16)
+GROWTH_COLUMNS = np.unique(GROWTH_MESH.nodes[:, 0])
 # a straight crack the growing one may run into
-BAND_OBSTACLE = CrackPath(vertices=np.array([[0.08, 0.13], [0.3, 0.13]]), id=1)
+GROWTH_OBSTACLE = CrackPath(vertices=np.array([[0.08, 0.13], [0.3, 0.13]]), id=1)
 
 
 def grown_tip(rng, crack, tip, target=None, snap=None):
@@ -910,26 +914,26 @@ def grown_tip(rng, crack, tip, target=None, snap=None):
         target = v[-1] + rng.uniform(0.02, 0.08) * direction
     target = np.array(target, dtype=float)
     if snap == "line":
-        target[0] = BAND_COLUMNS[np.argmin(np.abs(BAND_COLUMNS - target[0]))]
+        target[0] = GROWTH_COLUMNS[np.argmin(np.abs(GROWTH_COLUMNS - target[0]))]
     elif snap == "node":
-        node = BAND_MESH.nodes[np.argmin(np.linalg.norm(BAND_MESH.nodes - target, axis=1))]
+        node = GROWTH_MESH.nodes[np.argmin(np.linalg.norm(GROWTH_MESH.nodes - target, axis=1))]
         target = v[-1] + 1.3 * (node - v[-1])
     v = np.vstack([v, target])
     return CrackPath(vertices=v if tip == 1 else v[::-1], tip_start=crack.tip_start,
                      tip_end=crack.tip_end, id=crack.id)
 
 
-class TestNarrowBand:
-    """Classification against the last step's map against classification
-    from scratch, in the style of the stamp rule's pinning test."""
+class TestCutCacheOracle:
+    """A growth run's cut-matrix cache against a fresh one at every step,
+    in the style of the stamp rule's pinning test."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), tip_enrichment=st.booleans(),
            both_tips=st.booleans())
     @example(seed=6, tip_enrichment=False, both_tips=True)
     @example(seed=6, tip_enrichment=True, both_tips=True)
-    def test_every_step_equals_a_classification_from_scratch(self, seed, tip_enrichment,
-                                                             both_tips):
+    def test_every_step_cut_matrices_equal_a_fresh_cache(self, seed, tip_enrichment,
+                                                         both_tips):
         # with ``both_tips`` the crack grows at both of its tips in each step
         rng = np.random.default_rng(seed)
         start = rng.uniform(0.35, 0.65, size=2)
@@ -939,23 +943,28 @@ class TestNarrowBand:
         crack = CrackPath(vertices=np.vstack([start, start + np.cumsum(steps, axis=0)]),
                           tip_start=bool(rng.integers(2)) or both_tips, id=0)
         snap_at, node_at, hit_at = rng.choice(np.arange(1, 6), size=3, replace=False)
-        cracks, base = [crack, BAND_OBSTACLE], None
+        rules = QuadratureSet.from_targets()
+        cache = StiffnessCache(GROWTH_MESH, STEEL, rules)
+        cracks = [crack, GROWTH_OBSTACLE]
         for step in range(6):
-            expected = remedy_outcome(BAND_MESH, cracks, tip_enrichment)
-            got = remedy_outcome(BAND_MESH, cracks, tip_enrichment, base)
-            if isinstance(expected, Exception):
-                assert type(got) is type(expected)
-                assert str(got) == str(expected)
+            outcome = remedy_outcome(GROWTH_MESH, cracks, tip_enrichment, rules)
+            if isinstance(outcome, Exception):
                 break
-            (emap, used), (base, cracks) = expected, got
-            assert_same_map(base, emap)
-            assert_same_cracks(cracks, used)
+            emap, cracks = outcome
+            # nothing is carried between classifications: the cracks the
+            # remedy settled on classify to the same map directly
+            assert_same_map(classify_enrichment(GROWTH_MESH, cracks, rules=rules,
+                                                tip_enrichment=tip_enrichment), emap, GROWTH_MESH)
+            ids, Ke = cache.cut_matrices(emap)
+            fresh_ids, fresh_Ke = StiffnessCache(GROWTH_MESH, STEEL, rules).cut_matrices(emap)
+            np.testing.assert_array_equal(ids, fresh_ids)
+            assert bits(Ke) == bits(fresh_Ke)
             crack = cracks[0]
             tip = int(rng.choice(crack.active_tips()))
             target = None
             if step + 1 == hit_at:  # into the nearest element the obstacle cuts
                 cut = [e for e, c in emap.cut_elements.items() if c == 1]
-                centers = BAND_MESH.element_centroids()[cut]
+                centers = GROWTH_MESH.element_centroids()[cut]
                 target = centers[np.argmin(np.linalg.norm(centers - crack.tip_coord(tip), axis=1))]
             try:
                 snap = {snap_at: "line", node_at: "node"}.get(step + 1)
@@ -966,27 +975,43 @@ class TestNarrowBand:
             except CrackGeometryError:
                 break
 
-    def test_growth_at_an_end_reexamines_only_the_band(self):
-        mesh = uniform_rect(1.0, 1.0, 40, 40)
-        crack = CrackPath(vertices=np.array([[0.0, 0.512], [0.31, 0.512]]), tip_start=False, id=0)
-        base = classify_enrichment(mesh, [crack])
-        assert (base.band.clipped, base.band.measured) == (base.band.crossed,
-                                                           base.band.candidates)
-        for tip in ([0.34, 0.515], [0.37, 0.522], [0.41, 0.531], [0.44, 0.545]):
-            crack = grown_tip(None, crack, 1, tip)
-            emap = classify_enrichment(mesh, [crack], base=base)
-            assert_same_map(emap, classify_enrichment(mesh, [crack]))
-            # the elements the new segment enters, the nodes near its ends
-            assert 0 < emap.band.clipped <= 4 < emap.band.crossed
-            assert 0 < emap.band.measured < emap.band.candidates / 2
-            base = emap
 
-    def test_base_of_another_rule_is_ignored(self):
-        mesh, crack = grid(), center_crack()
-        base = classify_enrichment(mesh, [crack], rules=QuadratureSet.from_targets(cut=16))
-        emap = classify_enrichment(mesh, [crack], base=base)
-        assert emap.band.measured == emap.band.candidates > 0
-        assert_same_map(emap, classify_enrichment(mesh, [crack]))
+def grown_hole_attraction():
+    """The hole-attraction problem after five growth increments."""
+    config = benchmarks.hole_attraction_config()
+    return run_propagation(replace(config, schedule=LoadSchedule.uniform(6))).final_problem
+
+
+SIDE_PROBLEMS = {
+    "table 1 plate": lambda: setup_problem(benchmarks.table1_config(12.5)),
+    "many cracks": lambda: setup_problem(many_cracks_config()),
+    "grown hole attraction": grown_hole_attraction,
+}
+
+
+class TestCutSides:
+    """The premise of the cut-matrix key: the point sides classification
+    stores are those the assembly's jump columns take."""
+
+    @pytest.mark.parametrize("name", sorted(SIDE_PROBLEMS))
+    def test_point_sides_match_the_jump_columns(self, name):
+        problem = SIDE_PROBLEMS[name]()
+        mesh, emap, rule = problem.mesh, problem.emap, problem.rules.cut
+        cut = np.flatnonzero(emap.kinds == 2)
+        q = rule.n_points
+        assert emap.cut_sides.shape == (cut.size, q)
+        _, _, _, phys = element_geometry(mesh.element_coords(cut), rule)
+        values, _, _ = enriched_basis(mesh, emap, np.repeat(cut, q),
+                                      np.tile(rule.points, (cut.size, 1)), phys.reshape(-1, 2))
+        jump = values[:, 4:8].reshape(cut.size, q, 4)  # N_i M_i of each corner i
+        conn = mesh.elements[cut][:, None, :]
+        has = np.broadcast_to(emap.status[conn] == HEAVISIDE, jump.shape)
+        # M = H(phi(x)) - H(phi(node)) and N > 0 inside: a zero column puts
+        # the point on its node's side, else its sign is the point's side
+        side = np.where(jump != 0.0, np.sign(jump), emap.node_sign[conn])
+        stored = np.broadcast_to(np.where(emap.cut_sides, 1.0, -1.0)[..., None], jump.shape)
+        assert has.any(axis=2).all(axis=1).sum() > 0.9 * cut.size > 0
+        np.testing.assert_array_equal(side[has], stored[has])
 
 
 def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):

@@ -515,11 +515,6 @@ class TestRunLog:
             assert (f"  factor: {f.free_dofs} free dofs, {f.factor_entries} entries in L, "
                     f"{f.fronts_refactored} of {f.fronts} fronts refactored") in text
         assert text.count("  factor: ") == len(history.steps)
-        for rec in history.steps:
-            band = rec.classification
-            assert (f"  classification: {band.clipped} of {band.crossed} crossed elements "
-                    f"clipped and {band.measured} of {band.candidates} cut elements measured") in text
-        assert text.count("  classification: ") == len(history.steps)
         assert text.count("extension: crack 0") == sum(
             len(rec.extensions) for rec in history.steps)
         assert "stop: schedule exhausted" in text
@@ -560,7 +555,6 @@ class TestStationaryHistory:
         assert rec.n_heaviside == problem.emap.n_heaviside
         assert rec.n_tip == problem.emap.n_tip
         assert rec.factor is state.factor
-        assert rec.classification is problem.emap.band
         assert rec.factor.fronts_refactored == rec.factor.fronts
         assert history.final_state is state
         assert history.final_cracks == problem.cracks
