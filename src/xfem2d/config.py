@@ -440,7 +440,7 @@ def parse_config(text: str) -> RunConfig:
         )
     material = _build_material(by_name["material"])
 
-    quadrature = [4, 35, 40]
+    quadrature = list(RunConfig.quadrature)
     if "quadrature" in by_name:
         section = by_name["quadrature"]
         for i, key in enumerate(("standard", "heaviside", "tip")):
@@ -453,7 +453,7 @@ def parse_config(text: str) -> RunConfig:
                     )
                 quadrature[i] = n
 
-    delta, tip_enrichment = 0.002, False
+    delta, tip_enrichment = RunConfig.delta, RunConfig.tip_enrichment
     if "enrichment" in by_name:
         section = by_name["enrichment"]
         if "delta" in section.entries:
@@ -480,7 +480,7 @@ def parse_config(text: str) -> RunConfig:
         if "k_ic" in section.entries:
             raw, line = section.entries["k_ic"]
             k_ic = _float(raw, line, "k_ic")
-        max_increments = 1000
+        max_increments = PropagationParams.max_increments
         if "max_increments" in section.entries:
             raw, line = section.entries["max_increments"]
             max_increments = _int(raw, line, "max_increments")
@@ -502,8 +502,7 @@ def parse_config(text: str) -> RunConfig:
     outputs = OutputSpec()
     if "outputs" in by_name:
         section = by_name["outputs"]
-        directory = "out"
-        artifacts = ARTIFACTS
+        directory, artifacts = outputs.directory, outputs.artifacts
         if "directory" in section.entries:
             directory, _ = section.entries["directory"]
         if "artifacts" in section.entries:

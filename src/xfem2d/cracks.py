@@ -25,7 +25,6 @@ __all__ = [
     "tip_frame",
     "tip_local_coords",
     "extend_crack",
-    "segments_intersect",
 ]
 
 
@@ -34,6 +33,7 @@ class CrackGeometryError(ValueError):
 
 
 _MIN_SEGMENT = 1e-12
+_ORIENT_TOL = 1e-12  # relative; see _polyline_self_intersects
 
 
 @dataclass(frozen=True)
@@ -272,60 +272,35 @@ def extend_crack(crack: CrackPath, tip_id: int, theta_c: float, delta_a: float) 
         ) from None
 
 
-def segments_intersect(p0, p1, q0, q1, tol: float = 0.0) -> bool:
-    """Whether closed segments [p0,p1] and [q0,q1] intersect.
-
-    Uses orientation tests; collinear overlaps count as intersections.
-    """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    q1 = np.asarray(q1, dtype=float)
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(v) <= tol:
-            return 0
-        return 1 if v > 0 else -1
-
-    o1 = orient(p0, p1, q0)
-    o2 = orient(p0, p1, q1)
-    o3 = orient(q0, q1, p0)
-    o4 = orient(q0, q1, p1)
-    if o1 != o2 and o3 != o4:
-        return True
-
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) - tol <= c[0] <= max(a[0], b[0]) + tol
-                and min(a[1], b[1]) - tol <= c[1] <= max(a[1], b[1]) + tol)
-
-    if o1 == 0 and on_segment(p0, p1, q0):
-        return True
-    if o2 == 0 and on_segment(p0, p1, q1):
-        return True
-    if o3 == 0 and on_segment(q0, q1, p0):
-        return True
-    if o4 == 0 and on_segment(q0, q1, p1):
-        return True
-    return False
-
-
 def _polyline_self_intersects(vertices: np.ndarray) -> bool:
-    """Pairwise segment check; adjacent segments only touch at the shared vertex."""
-    k = vertices.shape[0] - 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            if segments_intersect(vertices[i], vertices[i + 1], vertices[j], vertices[j + 1]):
-                if j == i + 1:
-                    # Sharing exactly the common vertex is fine; a fold-back
-                    # (next segment re-entering the previous one) is not.
-                    a, b = vertices[i], vertices[i + 1]
-                    c = vertices[j + 1]
-                    ab = b - a
-                    t = np.dot(c - a, ab) / np.dot(ab, ab)
-                    cross = ab[0] * (c[1] - a[1]) - ab[1] * (c[0] - a[0])
-                    if abs(cross) < 1e-14 * np.linalg.norm(ab) and t < 1.0:
-                        return True
-                    continue
-                return True
-    return False
+    """Whether two segments of the polyline meet, other than adjacent ones
+    at their shared vertex: one array pass over the pairs whose boxes meet.
+
+    Two other segments meet when each straddles the other's line, or an
+    end of one lies on the other (touches and collinear overlaps count).
+    An orientation is zero within ``_ORIENT_TOL`` of the product of the two
+    lengths it multiplies: on a straight polyline rounding leaves a noise
+    of about 1e-19 whose sign means nothing.  A segment meets the one
+    before it only where it folds back along it.
+    """
+    a, b = vertices[:-1], vertices[1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    i, j = np.nonzero(np.triu(np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]),
+                                     axis=2), 1))
+    p0, p1, q0, q1 = a[i], b[i], a[j], b[j]
+
+    def orient(o, d, x):
+        u, w = d - o, x - o
+        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        zero = np.abs(cross) <= _ORIENT_TOL * np.hypot(*u.T) * np.hypot(*w.T)
+        return np.where(zero, 0.0, np.sign(cross))
+
+    def on(k, x):  # x within the box of segment k, so on it when collinear
+        return np.all((lo[k] <= x) & (x <= hi[k]), axis=1)
+
+    o1, o2, o3, o4 = orient(p0, p1, q0), orient(p0, p1, q1), orient(q0, q1, p0), orient(q0, q1, p1)
+    meet = (((o1 != o2) & (o3 != o4)) | ((o1 == 0) & on(i, q0)) | ((o2 == 0) & on(i, q1))
+            | ((o3 == 0) & on(j, p0)) | ((o4 == 0) & on(j, p1)))
+    # adjacent: q0 is p1, and q folds back when q1 lies on p's line behind p1
+    folds = (o2 == 0) & (np.sum((q1 - p1) * (p1 - p0), axis=1) < 0.0)
+    return bool(np.any(np.where(j == i + 1, folds, meet)))

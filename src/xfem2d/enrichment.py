@@ -15,8 +15,9 @@ element edges; the resulting effective half-length is reported so results
 can be compared against the matching closed-form value.
 
 Where each crack crosses each element is decided here, once per
-classification: all candidate (element, segment) pairs of a crack are
-clipped in one batch, and every bisected element keeps its piece of the
+classification: the (segment, element) pairs of every crack, from one
+grid query of each segment's box (:meth:`~xfem2d.mesh.Mesh.box_query`),
+are clipped in one batch, and every bisected element keeps its piece of the
 crack (:class:`CutPiece`: arc lengths, end points, entry and exit edges)
 in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
 
@@ -59,7 +60,7 @@ from xfem2d.cracks import (
 from xfem2d.mesh import (
     Mesh,
     QuadratureSet,
-    _distinct,
+    _runs,
     element_geometry,
     jacobian,
     locate_hits,
@@ -303,24 +304,35 @@ def _ray_exit_distance(quad: np.ndarray, origin: np.ndarray, direction: np.ndarr
     return float(t1[0]) * diam if inside[0] else 0.0
 
 
-def _clips(mesh: Mesh, v: np.ndarray, size_tol: float):
-    """Where the segments of the polyline ``v`` run inside elements.
+def _segments(cracks):
+    """The vertices of ``cracks`` stacked (n, 2), each one's crack index and
+    index in its crack, and each segment as the index of its first vertex."""
+    v = np.concatenate([np.empty((0, 2))] + [c.vertices for c in cracks])
+    crack, local = _runs(np.array([c.vertices.shape[0] for c in cracks], dtype=np.int64))
+    return v, crack, local, np.flatnonzero(crack[1:] == crack[:-1])
 
-    All (element, segment) pairs whose bounding boxes, padded by
-    ``size_tol``, meet are clipped together.  Returns, by element and then
-    segment, each non-empty clip's element, segment and parameter interval
-    (n, 2) along the segment.
+
+def _clips(mesh: Mesh, cracks, size_tol: float) -> dict:
+    """Where the segments of each crack run inside elements.
+
+    Each segment is clipped to the elements whose padded boxes meet its
+    box, padded by twice ``size_tol``: one grid query and one clip for all
+    the cracks.  Returns by crack id, by element and then segment, each
+    non-empty clip's element, segment and parameter interval (n, 2) along
+    the segment.
     """
-    a, b = v[:-1], v[1:]
-    slo, shi = np.minimum(a, b), np.maximum(a, b)
-    near = mesh.elements_meeting(slo.min(axis=0) - size_tol, shi.max(axis=0) + size_tol)
-    lo, hi = (bound[near, None] for bound in mesh.element_bboxes)
-    meet = np.all((lo - size_tol <= shi + size_tol) & (hi + size_tol >= slo - size_tol), axis=2)
-    el, j = np.nonzero(meet)  # by element, then segment
-    eids = near[el]
+    v, crack, local, g = _segments(cracks)
+    a, b = v[g], v[g + 1]
+    j, eids = mesh.box_query(np.minimum(a, b) - 2.0 * size_tol, np.maximum(a, b) + 2.0 * size_tol)
+    j = g[j]
+    order = np.lexsort((j, eids, crack[j]))
+    j, eids = j[order], eids[order]
     t0, t1, inside = _clip_segments(mesh.element_coords(eids), v[j], v[j + 1])
     keep = inside & (t1 - t0 > 0.0)
-    return eids[keep], j[keep], np.column_stack([t0[keep], t1[keep]])
+    j, eids, t = j[keep], eids[keep], np.column_stack([t0[keep], t1[keep]])
+    ends = np.searchsorted(crack[j], np.arange(len(cracks) + 1))
+    return {c.id: (eids[lo:hi], local[j[lo:hi]], t[lo:hi])
+            for c, lo, hi in zip(cracks, ends[:-1], ends[1:])}
 
 
 def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
@@ -356,93 +368,94 @@ def _crack_pieces(mesh: Mesh, crack: CrackPath, clips, size_tol: float):
     return eids, s, p, edge
 
 
-def _box_pairs(lo, hi, lo2, hi2, pad: float):
-    """Index pairs (i, k), by i then k, of boxes ``lo[i]..hi[i]`` and
-    ``lo2[k]..hi2[k]`` that meet once one is padded by ``pad``."""
-    meet = np.ones((len(lo), len(lo2)), dtype=bool)
-    for axis in (0, 1):
-        meet &= lo[:, None, axis] - pad <= hi2[None, :, axis]
-        meet &= hi[:, None, axis] + pad >= lo2[None, :, axis]
-    return np.nonzero(meet)
+def _distinct_pairs(i: np.ndarray, k: np.ndarray):
+    """The distinct pairs (i, k), by i and then k."""
+    order = np.lexsort((k, i))
+    i, k = i[order], k[order]
+    new = np.ones(i.size, dtype=bool)
+    new[1:] = (i[1:] != i[:-1]) | (k[1:] != k[:-1])
+    return i[new], k[new]
 
 
 def _detect_coincidences(mesh: Mesh, cracks) -> None:
     """Raise when crack features sit on mesh features within tolerance.
 
-    Each crack's features are checked against the nodes and edges of the
-    elements near it, one batch of (feature, mesh feature) pairs per
-    check, taking only pairs whose bounding boxes meet: a mesh node on a
-    segment, a vertex on an edge, and a segment running along an edge over
-    a finite length.  A crack end that is not a tip (a crack mouth) may
-    sit on a boundary edge.  Problems are listed crack by crack, in that
-    order of checks, by segment or vertex.
+    Each crack segment is checked against the corner nodes and edges of
+    the elements whose padded boxes meet its box, from one grid query for
+    all the cracks (:meth:`Mesh.box_query`), one batch of (feature, mesh
+    feature) pairs per check: a mesh node on a segment, a vertex on an
+    edge (a vertex meets the elements of both its segments), and a segment
+    running along an edge over a finite length.  A crack end that is not a
+    tip (a crack mouth) may sit on a boundary edge.  Problems are listed
+    crack by crack, in that order of checks, by segment or vertex and then
+    by node or edge.
     """
+    cracks = list(cracks)
     tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
     boundary = mesh.boundary_edges
     boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
-    problems = []
-    bad_cracks: set[int] = set()
-    for crack in cracks:
-        v = crack.vertices
-        near = mesh.elements_meeting(v.min(axis=0) - 1e-9, v.max(axis=0) + 1e-9)
-        if near.size == 0:
-            continue
-        a, b = v[:-1], v[1:]
-        slo, shi = np.minimum(a, b), np.maximum(a, b)
-        # edges of the near elements as sorted node pairs, keyed lo * n + hi
-        quads = mesh.elements[near]
-        pairs = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
-        keys = _distinct(pairs[..., 0] * n_nodes + pairs[..., 1])
-        e0, e1 = np.divmod(keys, n_nodes)
-        p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
-        elo, ehi = np.minimum(p0, p1), np.maximum(p0, p1)
-        ed = p1 - p0
-        Le = np.linalg.norm(ed, axis=1)
-        found = []
-        # mesh node on a crack segment (level-set sign would be ambiguous)
-        near_nodes = _distinct(quads)
-        xy = mesh.nodes[near_nodes]
-        j, k = _box_pairs(slo, shi, xy, xy, tol)
-        on = point_segment_distance(xy[k], a[j], b[j]) <= tol
-        found += [f"segment {jj} passes through mesh node {node}"
-                  for jj, node in zip(j[on].tolist(), near_nodes[k[on]].tolist())]
-        # crack vertex on an element edge; endpoints that are not tips may
-        # legitimately sit on the domain boundary (crack mouths)
-        i, k = _box_pairs(v, v, elo, ehi, tol)
-        mouth = np.zeros(len(v), dtype=bool)
-        mouth[[0, -1]] = not crack.tip_start, not crack.tip_end
-        hits = ((point_segment_distance(v[i], p0[k], p1[k]) <= tol)
-                & ~(mouth[i] & np.isin(keys[k], boundary_keys)))
-        iv, first = np.unique(i[hits], return_index=True)
-        found += [f"vertex {vv} lies on mesh edge ({n0},{n1})" for vv, n0, n1 in
-                  zip(iv.tolist(), e0[k[hits]][first].tolist(), e1[k[hits]][first].tolist())]
-        # segment collinear with an edge over a finite overlap: an edge within
-        # tol of the segment's line, at an angle whose sine is within tol,
-        # comes within tol * (1 + Le) of the segment where they overlap
-        j, k = _box_pairs(slo, shi, elo, ehi, tol * (1.0 + Le.max()))
-        ab = b[j] - a[j]
-        Ls = np.linalg.norm(ab, axis=1)
-        parallel = (np.abs(ab[:, 0] * ed[k, 1] - ab[:, 1] * ed[k, 0])
-                    <= tol * Ls * Le[k])
-        # perpendicular distance of the edge from the segment line
-        off = p0[k] - a[j]
-        dist = np.abs(ab[:, 0] * off[:, 1] - ab[:, 1] * off[:, 0]) / Ls
-        t0 = np.sum(off * ab, axis=1) / (Ls * Ls)
-        t1 = np.sum((p1[k] - a[j]) * ab, axis=1) / (Ls * Ls)
-        overlap = (np.minimum(np.maximum(t0, t1), 1.0)
-                   - np.maximum(np.minimum(t0, t1), 0.0))
-        along = parallel & (dist <= tol) & (overlap > tol / Ls)
-        js, first = np.unique(j[along], return_index=True)
-        found += [f"segment {jj} runs along mesh edge ({n0},{n1})" for jj, n0, n1 in
-                  zip(js.tolist(), e0[k[along]][first].tolist(), e1[k[along]][first].tolist())]
-        if found:
-            problems += [f"crack {crack.id} {text}" for text in found]
-            bad_cracks.add(crack.id)
-    if problems:
+    # An edge along a segment comes within tol * (1 + its length) of it, and
+    # no side of a convex quad is as long as twice its longer diagonal.
+    pad = tol * (1.0 + 2.0 * float(np.max(mesh.element_sizes, initial=0.0)))
+    v, crack, local, g = _segments(cracks)
+    a, b = v[g], v[g + 1]
+    seg, near = mesh.box_query(np.minimum(a, b) - pad, np.maximum(a, b) + pad)
+    seg = g[seg]  # the first vertex of each pair's segment
+    quads = mesh.elements[near]
+    # each pair's edges as sorted node pairs, keyed lo * n + hi
+    ends = np.sort(np.stack([quads, np.roll(quads, -1, axis=1)], axis=2), axis=2)
+    edge_keys = (ends[..., 0] * n_nodes + ends[..., 1]).ravel()
+    found = []  # (crack, check, text), each check by segment or vertex
+    # mesh node on a crack segment (level-set sign would be ambiguous)
+    j, node = _distinct_pairs(np.repeat(seg, 4), quads.ravel())
+    on = point_segment_distance(mesh.nodes[node], v[j], v[j + 1]) <= tol
+    found += [(c, 0, f"segment {jj} passes through mesh node {nn}") for c, jj, nn in
+              zip(crack[j[on]].tolist(), local[j[on]].tolist(), node[on].tolist())]
+    # crack vertex on an element edge; endpoints that are not tips may
+    # legitimately sit on the domain boundary (crack mouths)
+    i, key = _distinct_pairs(np.concatenate([np.repeat(seg, 4), np.repeat(seg + 1, 4)]),
+                             np.tile(edge_keys, 2))
+    e0, e1 = np.divmod(key, n_nodes)
+    first_vertex = local == 0
+    mouth = np.zeros(len(v), dtype=bool)
+    mouth[first_vertex] = [not c.tip_start for c in cracks]
+    mouth[np.roll(first_vertex, -1)] = [not c.tip_end for c in cracks]
+    hits = ((point_segment_distance(v[i], mesh.nodes[e0], mesh.nodes[e1]) <= tol)
+            & ~(mouth[i] & np.isin(key, boundary_keys)))
+    iv, first = np.unique(i[hits], return_index=True)
+    found += [(c, 1, f"vertex {vv} lies on mesh edge ({n0},{n1})") for c, vv, n0, n1 in
+              zip(crack[iv].tolist(), local[iv].tolist(), e0[hits][first].tolist(),
+                  e1[hits][first].tolist())]
+    # segment collinear with an edge over a finite overlap: an edge within
+    # tol of the segment's line, at an angle whose sine is within tol
+    j, key = _distinct_pairs(np.repeat(seg, 4), edge_keys)
+    e0, e1 = np.divmod(key, n_nodes)
+    p0, p1 = mesh.nodes[e0], mesh.nodes[e1]
+    ed = p1 - p0
+    Le = np.linalg.norm(ed, axis=1)
+    ab = v[j + 1] - v[j]
+    Ls = np.linalg.norm(ab, axis=1)
+    parallel = (np.abs(ab[:, 0] * ed[:, 1] - ab[:, 1] * ed[:, 0])
+                <= tol * Ls * Le)
+    # perpendicular distance of the edge from the segment line
+    off = p0 - v[j]
+    dist = np.abs(ab[:, 0] * off[:, 1] - ab[:, 1] * off[:, 0]) / Ls
+    t0 = np.sum(off * ab, axis=1) / (Ls * Ls)
+    t1 = np.sum((p1 - v[j]) * ab, axis=1) / (Ls * Ls)
+    overlap = (np.minimum(np.maximum(t0, t1), 1.0)
+               - np.maximum(np.minimum(t0, t1), 0.0))
+    along = parallel & (dist <= tol) & (overlap > tol / Ls)
+    js, first = np.unique(j[along], return_index=True)
+    found += [(c, 2, f"segment {jj} runs along mesh edge ({n0},{n1})") for c, jj, n0, n1 in
+              zip(crack[js].tolist(), local[js].tolist(), e0[along][first].tolist(),
+                  e1[along][first].tolist())]
+    if found:
+        found.sort(key=lambda f: f[:2])  # stable: crack by crack, check by check
         raise CrackMeshDegeneracyError(
-            "crack/mesh coincidence: " + "; ".join(problems[:5]),
-            crack_ids=bad_cracks,
+            "crack/mesh coincidence: " + "; ".join(f"crack {cracks[c].id} {text}"
+                                                   for c, _, text in found[:5]),
+            crack_ids={cracks[c].id for c, _, _ in found},
         )
 
 
@@ -495,7 +508,7 @@ def _side_sums(pos: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _cut_elements(mesh: Mesh, cracks, tips, tip_elements, size_tol: float, clips):
     """``cut_elements`` and ``cut_pieces`` of :class:`EnrichmentMap`.
 
-    ``clips`` holds each crack's :func:`_clips` by crack id.  Apart from
+    ``clips`` are the cracks' :func:`_clips`, by crack id.  Apart from
     its own tip elements, an element a crack enters must hold one piece of
     it, which bisects it when its ends lie on distinct edges more than
     ``size_tol`` apart (not a piece ending inside or leaving by its entry
@@ -626,7 +639,7 @@ def classify_enrichment(
             )
         tip_elements[tinfo.element] = existing + (gti,)
 
-    clips = {crack.id: _clips(mesh, crack.vertices, size_tol) for crack in eff_cracks}
+    clips = _clips(mesh, eff_cracks, size_tol)
     cut_elements, cut_pieces = _cut_elements(mesh, eff_cracks, tips, tip_elements, size_tol,
                                              clips)
 

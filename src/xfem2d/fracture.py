@@ -158,9 +158,10 @@ def _other_crack_distances(emap: EnrichmentMap, crack_id: int, point):
 
 
 def _corner_distances(mesh: Mesh, origin, radius: float):
-    """Ids, ascending, of the elements whose boxes meet the box of the disc
-    of ``radius`` at ``origin``, and their corners' distances from it."""
-    near = mesh.elements_meeting(origin - radius, origin + radius)
+    """Ids, ascending, of the elements whose padded boxes meet the box of
+    the disc of ``radius`` at ``origin``, and their corners' distances from
+    it."""
+    near = mesh.box_query(origin - radius, origin + radius)[1]
     return near, np.linalg.norm(mesh.element_coords(near) - origin, axis=2)
 
 

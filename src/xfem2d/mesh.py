@@ -2,10 +2,12 @@
 
 Provides the immutable :class:`Mesh` container, bilinear shape-function
 evaluation, tensor-product Gauss-Legendre quadrature rules, and point
-location.  Location is one batched routine, :func:`locate_hits`: it looks
-every point up in an array grid of element bounding boxes
-(:attr:`Mesh.point_grid`, built once per mesh) and inverts the bilinear
-map of all its candidate elements in one batched Newton iteration;
+location.  Every search for the elements near some place is one batched
+grid query, :meth:`Mesh.box_query`: it takes k boxes and returns their
+(box, element) pairs from a uniform grid of padded element bounding
+boxes (:attr:`Mesh.point_grid`, built once per mesh).  Point location,
+:func:`locate_hits`, asks it about the points and inverts the bilinear
+map of each candidate in one batched Newton iteration;
 :func:`locate_points` keeps each point's lowest-id hit.  The mesh never
 changes during a simulation; cracks live on top of it as independent
 geometry.
@@ -235,10 +237,11 @@ class Mesh:
     mesh alone is a cached property, built on first use and kept for the
     mesh's life: the :attr:`element_sizes`, the node adjacency
     :attr:`node_to_elements`, the :attr:`boundary_edges` array with their
-    owners, the :attr:`element_bboxes`, the :attr:`point_grid` point
-    location reads (cell offsets and ascending element ids, built with
-    array operations) and the :attr:`nested_dissection_tree` whose fronts
-    the sparse solve factors.
+    owners, the :attr:`point_grid` (cell offsets, ascending element ids and
+    padded element bounding boxes, built with array operations) that
+    :meth:`box_query`, the one query of the elements near a place, reads,
+    and the :attr:`nested_dissection_tree` whose fronts the sparse solve
+    factors.
     A propagation run reads its mesh once and reuses all of these at
     every load step.
 
@@ -346,25 +349,31 @@ class Mesh:
         edges.setflags(write=False)
         return edges
 
-    @cached_property
-    def element_bboxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element coordinate minima and maxima, each (n_elements, 2)."""
-        xy = self.element_coords()
-        return xy.min(axis=1), xy.max(axis=1)
+    def box_query(self, lo, hi):
+        """Every (box, element) pair of the boxes ``lo[i]``..``hi[i]`` (k, 2)
+        and the elements whose padded :attr:`point_grid` box meets them.
 
-    def elements_meeting(self, lo, hi) -> np.ndarray:
-        """Ids, ascending, of the elements whose bounding box meets the box
-        ``lo``..``hi``: those :attr:`point_grid` lists in the cells the box
-        covers, one cell wider on each side, filtered by their boxes."""
-        origin, cell, (nx, ny), start, elements = self.point_grid
+        The one reader of the grid's cells: each box gathers the elements
+        listed in the cells it covers, and keeps those whose padded box
+        meets it.  Returns ``(boxes, elements)``, by box and then element
+        id; a point is the box with ``lo == hi``.
+        """
+        origin, cell, (nx, ny), start, listed, elo, ehi = self.point_grid
+        lo = np.asarray(lo, dtype=float).reshape(-1, 2)
+        hi = np.asarray(hi, dtype=float).reshape(-1, 2)
+        # The cell index is monotone in the coordinate, so a box that meets
+        # an element's padded box covers a cell that lists the element.
         top = (nx - 1, ny - 1)
-        ilo = np.clip(np.floor((np.asarray(lo) - origin) / cell) - 1, 0, top).astype(np.int64)
-        ihi = np.clip(np.floor((np.asarray(hi) - origin) / cell) + 1, 0, top).astype(np.int64)
-        columns = np.arange(ilo[0], ihi[0] + 1) * ny  # each a run of cells in ``start``
-        runs = zip(start[columns + ilo[1]].tolist(), start[columns + ihi[1] + 1].tolist())
-        near = _distinct(np.concatenate([elements[a:b] for a, b in runs]))
-        elo, ehi = self.element_bboxes
-        return near[np.all(elo[near] <= hi, axis=1) & np.all(ehi[near] >= lo, axis=1)]
+        ilo = np.clip(np.floor((lo - origin) / cell), 0, top).astype(np.int64)
+        ext = np.clip(np.floor((hi - origin) / cell), 0, top).astype(np.int64) - ilo + 1
+        ext = np.maximum(ext, 0)  # cells covered along x and y
+        box, k = _runs(ext[:, 0] * ext[:, 1])
+        cells = (ilo[box, 0] + k // ext[box, 1]) * ny + ilo[box, 1] + k % ext[box, 1]
+        at, k = _runs(start[cells + 1] - start[cells])
+        key = _distinct(box[at] * self.n_elements + listed[start[cells[at]] + k])
+        box, eid = np.divmod(key, self.n_elements)
+        meet = np.all(elo[eid] <= hi[box], axis=1) & np.all(ehi[eid] >= lo[box], axis=1)
+        return box[meet], eid[meet]
 
     def boundary_distance(self, point) -> float:
         """Distance from ``point`` to the nearest boundary edge."""
@@ -412,18 +421,20 @@ class Mesh:
 
     @cached_property
     def point_grid(self) -> tuple:
-        """Uniform grid of element bounding boxes that point location and
-        :meth:`elements_meeting` read.
+        """Uniform grid of padded element bounding boxes that
+        :meth:`box_query` reads (Franklin et al., Auto-Carto 9, 1989).
 
-        Returns ``(origin, cell, shape, start, elements)``: cell (ix, iy)
-        is flat index ``ix * shape[1] + iy``, and the ids of the elements
-        whose bounding box meets it are ``elements[start[c]:start[c + 1]]``,
-        ascending.  There are about as many cells as elements.  Each box is
-        padded by ``_LOCATE_TOL`` times the element's extent, so a point
-        that :func:`locate_hits` accepts an ulp outside a box, or on the
-        border of two cells, still finds the element.
+        Returns ``(origin, cell, shape, start, elements, lo, hi)``: cell
+        (ix, iy) is flat index ``ix * shape[1] + iy``, and the ids of the
+        elements whose padded box meets it are
+        ``elements[start[c]:start[c + 1]]``, ascending.  There are about as
+        many cells as elements.  ``lo`` and ``hi`` (n_elements, 2) are each
+        element's bounding box padded by ``_LOCATE_TOL`` times its extent,
+        so a point that :func:`locate_hits` accepts an ulp outside a box
+        still finds the element.
         """
-        lo, hi = self.element_bboxes
+        xy = self.element_coords()
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
         pad = _LOCATE_TOL * np.max(hi - lo, axis=1, keepdims=True)
         lo, hi = lo - pad, hi + pad
         gmin, gmax = self.bbox()
@@ -433,14 +444,11 @@ class Mesh:
         ny = max(1, int(round(ncell * np.sqrt(span[1] / span[0]))))
         cell = span / (nx, ny)
         ilo = np.clip(((lo - gmin) / cell).astype(int), 0, (nx - 1, ny - 1))
-        ihi = np.clip(((hi - gmin) / cell).astype(int), 0, (nx - 1, ny - 1))
-        ext = ihi - ilo + 1  # cells covered along x and y
-        counts = ext[:, 0] * ext[:, 1]
-        eid = np.repeat(np.arange(self.n_elements), counts)
-        k = np.arange(eid.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        ext = np.clip(((hi - gmin) / cell).astype(int), 0, (nx - 1, ny - 1)) - ilo + 1
+        eid, k = _runs(ext[:, 0] * ext[:, 1])
         flat = (ilo[eid, 0] + k // ext[eid, 1]) * ny + ilo[eid, 1] + k % ext[eid, 1]
         start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nx * ny))])
-        return gmin, cell, (nx, ny), start, eid[np.argsort(flat, kind="stable")]
+        return gmin, cell, (nx, ny), start, eid[np.argsort(flat, kind="stable")], lo, hi
 
 
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -455,6 +463,14 @@ def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
 
 _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
 _LOCATE_TOL = 1e-9  # reference-square slack of point location
+
+
+def _runs(counts: np.ndarray):
+    """Owner and rank of each item when owner i has ``counts[i]`` items:
+    ``np.repeat(np.arange(len(counts)), counts)`` and each item's position
+    in its owner's run."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -628,15 +644,18 @@ def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
     p = targets.shape[0]
     local = np.zeros((p, 2))
     converged = np.zeros(p, dtype=bool)
+    live = np.arange(p)  # each pair stops at its own convergence
     for _ in range(max_iter):
-        values, dref = reference_shape(local[:, 0], local[:, 1])
-        pos = np.einsum("pi,pia->pa", values, xy)
-        _, Jinv = jacobian(xy, dref)
+        values, dref = reference_shape(local[live, 0], local[live, 1])
+        pos = np.einsum("pi,pia->pa", values, xy[live])
+        _, Jinv = jacobian(xy[live], dref)
         # A singular Jacobian gives a non-finite step, which never converges.
-        step = np.einsum("pab,pb->pa", Jinv, pos - targets)
-        local -= step
-        converged = np.max(np.abs(step), axis=1) < tol
-        if converged.all():
+        step = np.einsum("pab,pb->pa", Jinv, pos - targets[live])
+        local[live] -= step
+        done = np.max(np.abs(step), axis=1) < tol
+        converged[live[done]] = True
+        live = live[~done]
+        if not live.size:
             break
     return local, converged
 
@@ -644,22 +663,15 @@ def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,
 def locate_hits(mesh: Mesh, xs, tol: float = _LOCATE_TOL):
     """Every (point, element) pair whose element's closed hull holds the point.
 
-    Candidates for the points ``xs`` (n, 2) come from :attr:`Mesh.point_grid`;
-    one is a hit when Newton inversion of its bilinear map converges within
-    ``1 + tol`` of the reference square.  Returns ``(points, elements,
-    local)``: point indices ascending, each point's element ids ascending,
-    and the reference coordinates (k, 2) of each hit.
+    Candidates for the points ``xs`` (n, 2) are the elements whose padded
+    box holds them (:meth:`Mesh.box_query`); one is a hit when Newton
+    inversion of its bilinear map converges within ``1 + tol`` of the
+    reference square.  Returns ``(points, elements, local)``: point indices
+    ascending, each point's element ids ascending, and the reference
+    coordinates (k, 2) of each hit.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
-    origin, cell, (nx, ny), start, grid_elements = mesh.point_grid
-    rel = (xs - origin) / cell
-    ix = np.clip(np.floor(rel[:, 0]), 0, nx - 1).astype(np.int64)
-    iy = np.clip(np.floor(rel[:, 1]), 0, ny - 1).astype(np.int64)
-    first = start[ix * ny + iy]
-    counts = start[ix * ny + iy + 1] - first
-    pt = np.repeat(np.arange(xs.shape[0]), counts)
-    k = np.arange(pt.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    eid = grid_elements[first[pt] + k]
+    pt, eid = mesh.box_query(xs, xs)
     local, ok = _newton_invert(mesh.element_coords(eid), xs[pt])
     inside = ok & (np.max(np.abs(local), axis=1) <= 1.0 + tol)
     return pt[inside], eid[inside], local[inside]
@@ -701,8 +713,8 @@ def load_mesh(source: str) -> Mesh:
     ``np.loadtxt`` over their lines.  NumPy's parser rejects some tokens
     that Python's ``float``/``int`` accept (``1_0``, ``٣``, integers past
     int64), so a block it refuses, or reads to the wrong shape, is parsed
-    again token by token with ``float``/``int``; only when that fails too
-    are its lines checked one by one for the first offending line.
+    again line by line with ``float``/``int``, which names the first
+    offending line.
     """
     lines = source.splitlines()
     if "#" in source:
@@ -736,23 +748,18 @@ def load_mesh(source: str) -> Mesh:
                     return values
             except (ValueError, DeprecationWarning):
                 pass
-        tokens = list(map(str.split, lines))
-        if len(tokens) == rows and set(map(len, tokens)) <= {width}:
-            try:
-                values = np.fromiter(map(convert, itertools.chain.from_iterable(tokens)),
-                                     dtype=dtype, count=rows * width)
-                pos += rows
-                return values.reshape(rows, width)
-            except ValueError:
-                pass
-        for i, row in enumerate(tokens):
+        values = []
+        for i, row in enumerate(map(str.split, lines)):
             if len(row) != width:
                 raise MeshFormatError(f"line {numbers[pos + i]}: {bad_width.format(i)}")
             try:
-                list(map(convert, row))
+                values += map(convert, row)
             except ValueError:
                 raise MeshFormatError(f"line {numbers[pos + i]}: {bad_token.format(i)}") from None
-        raise MeshFormatError("unexpected end of mesh document")
+        if len(lines) < rows:
+            raise MeshFormatError("unexpected end of mesh document")
+        pos += rows
+        return np.array(values, dtype=dtype).reshape(rows, width)
 
     lineno, tokens = take()
     if tokens != ["xfem-mesh", "1"]:

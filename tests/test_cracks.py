@@ -8,6 +8,7 @@ import pytest
 from xfem2d.cracks import (
     CrackGeometryError,
     CrackPath,
+    _polyline_self_intersects,
     extend_crack,
     heaviside,
     nearest_point,
@@ -40,10 +41,99 @@ class TestCrackPath:
         with pytest.raises(CrackGeometryError, match="self-intersect"):
             CrackPath(vertices=vertices)
 
+    @pytest.mark.parametrize("vertices", [
+        [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 0.0]],  # end on a segment
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]],  # end on a vertex
+        [[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]],  # folds back along the segment before
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.5, 1.0], [1.5, 0.0], [0.5, 0.0]],  # overlap
+    ])
+    def test_rejects_touches_fold_backs_and_overlaps(self, vertices):
+        with pytest.raises(CrackGeometryError, match="self-intersect"):
+            CrackPath(vertices=np.array(vertices))
+
+    @pytest.mark.parametrize("degrees", [13.0, 30.0, 77.0])
+    def test_rejects_touch_and_fold_back_within_rounding_noise(self, degrees):
+        # Each computed end lies on an earlier segment up to an orientation
+        # of about 1e-20, of either sign.
+        t = np.deg2rad(degrees)
+        d, n = np.array([np.cos(t), np.sin(t)]), np.array([-np.sin(t), np.cos(t)])
+        p = np.array([0.0513, 0.0527])
+        m = p + 0.0074 * d
+        for v in ([p, p + 0.01 * d, p + 0.004 * d],
+                  [p, p + 0.02 * d, p + 0.02 * d + 0.01 * n, m + 0.01 * n, m]):
+            with pytest.raises(CrackGeometryError, match="self-intersect"):
+                CrackPath(vertices=np.array(v))
+
+    def test_accepts_straight_polyline_with_rounding_noise(self):
+        # Orientations of its far-apart segments are +-2e-19 of noise.
+        v = np.array([0.0513, 0.0527]) + np.arange(41)[:, None] * 0.01 * np.array(
+            [1.0, 1.0]) / np.sqrt(2.0)
+        assert not _polyline_self_intersects(v)
+        assert CrackPath(vertices=v).n_segments == 40
+
+    @pytest.mark.parametrize("degrees", [30.0, 60.0, 77.0])
+    def test_straight_growth_is_not_refused(self, degrees):
+        t = np.deg2rad(degrees)
+        start = np.array([0.0513, 0.0527])
+        crack = CrackPath(vertices=np.array([start, start + 0.2 * np.array([np.cos(t), np.sin(t)])]))
+        for _ in range(10):
+            crack = extend_crack(crack, 1, 0.0, 0.003)
+        assert crack.n_segments == 11
+
+    def test_matches_pair_loop_on_random_polylines(self):
+        rng = np.random.default_rng(5)
+        outcomes = []
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            turns = np.cumsum(rng.normal(0.0, rng.uniform(0.2, 2.0), n))
+            steps = rng.uniform(0.01, 0.1, n)[:, None] * np.column_stack([np.cos(turns),
+                                                                         np.sin(turns)])
+            v = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+            outcomes.append(_polyline_self_intersects(v))
+            assert outcomes[-1] == loop_self_intersects(v)
+        assert 30 < sum(outcomes) < 270
+
     def test_length(self):
         # positions at given arc lengths: TestCodProfile in test_driver
         crack = kinked_crack()
         assert crack.length == pytest.approx(0.5 + np.hypot(0.3, 0.25))
+
+
+def segments_intersect(p0, p1, q0, q1):
+    """Whether closed segments [p0,p1] and [q0,q1] meet, by orientation
+    tests with an exact zero; right where no orientation is rounding noise."""
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if v == 0.0 else (1 if v > 0 else -1)
+
+    def on_segment(a, b, c):
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    o1, o2, o3, o4 = orient(p0, p1, q0), orient(p0, p1, q1), orient(q0, q1, p0), orient(q0, q1, p1)
+    return ((o1 != o2 and o3 != o4) or (o1 == 0 and on_segment(p0, p1, q0))
+            or (o2 == 0 and on_segment(p0, p1, q1)) or (o3 == 0 and on_segment(q0, q1, p0))
+            or (o4 == 0 and on_segment(q0, q1, p1)))
+
+
+def loop_self_intersects(vertices):
+    """Pair-by-pair reference for ``cracks._polyline_self_intersects`` on
+    polylines without collinear or touching segments: adjacent segments
+    meet only at their shared vertex unless the later folds back."""
+    k = vertices.shape[0] - 1
+    for i in range(k):
+        for j in range(i + 1, k):
+            if segments_intersect(vertices[i], vertices[i + 1], vertices[j], vertices[j + 1]):
+                if j == i + 1:
+                    a, b, c = vertices[i], vertices[i + 1], vertices[j + 1]
+                    ab = b - a
+                    t = np.dot(c - a, ab) / np.dot(ab, ab)
+                    cross = ab[0] * (c[1] - a[1]) - ab[1] * (c[0] - a[0])
+                    if abs(cross) < 1e-14 * np.linalg.norm(ab) and t < 1.0:
+                        return True
+                    continue
+                return True
+    return False
 
 
 class TestSignedDistance:

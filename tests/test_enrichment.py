@@ -53,6 +53,7 @@ from xfem2d.enrichment import (
     total_displacement,
 )
 from xfem2d.mesh import (
+    Mesh,
     element_geometry,
     jacobian,
     locate_points,
@@ -478,7 +479,7 @@ def loop_cut_elements(mesh, cracks, tips, tip_elements, size_tol, clips):
     cut_elements, cut_pieces = {}, {}
     for crack in cracks:
         v = crack.vertices
-        for eid in mesh.elements_meeting(v.min(axis=0) - size_tol, v.max(axis=0) + size_tol):
+        for eid in mesh.box_query(v.min(axis=0) - size_tol, v.max(axis=0) + size_tol)[1]:
             quad = mesh.element_coords([eid])[0]
             chunks = [c for c in loop_crack_chunks(quad, crack)
                       if c[1] - c[0] > enrichment._COINCIDENCE_TOL]
@@ -735,8 +736,8 @@ def loop_detect_coincidences(mesh, cracks):
     problems = []
     bad_cracks = set()
     for crack in cracks:
-        near = mesh.elements_meeting(crack.vertices.min(axis=0) - 1e-9,
-                                     crack.vertices.max(axis=0) + 1e-9)
+        near = mesh.box_query(crack.vertices.min(axis=0) - 1e-9,
+                              crack.vertices.max(axis=0) + 1e-9)[1]
         if near.size == 0:
             continue
         v = crack.vertices
@@ -846,6 +847,38 @@ class TestCoincidences:
             seen["mouth"] += "vertex 0 lies on mesh edge" in message
             seen["more than five"] += message.count(";") == 4
         assert all(seen.values()), seen
+
+
+def zigzag(length, step=0.01, amplitude=0.002):
+    """A polyline at 45 degrees whose vertices alternate ``amplitude`` to
+    either side of its axis."""
+    n = int(round(length / step))
+    along = np.arange(n + 1)[:, None] * step * np.array([1.0, 1.0]) / np.sqrt(2.0)
+    side = np.where(np.arange(n + 1) % 2, amplitude, -amplitude)[:, None]
+    return np.array([0.0513, 0.0527]) + along + side * np.array([-1.0, 1.0]) / np.sqrt(2.0)
+
+
+def test_candidate_pairs_grow_linearly_along_a_diagonal(monkeypatch):
+    # The clip and the coincidence checks ask the grid about each segment's
+    # box, never the whole crack's, whose element count grows like the
+    # square of a diagonal crack's length.
+    mesh = uniform_rect(1.0, 1.0, 200, 200)
+    size_tol = 1e-9 * float(mesh.element_sizes.max())
+    pairs = []
+    query = Mesh.box_query
+
+    def counted(self, lo, hi):
+        box, eid = query(self, lo, hi)
+        pairs[-1] += box.size
+        return box, eid
+
+    monkeypatch.setattr(Mesh, "box_query", counted)
+    for length in (0.4, 0.8, 1.2):
+        pairs.append(0)
+        crack = CrackPath(vertices=zigzag(length))
+        enrichment._detect_coincidences(mesh, [crack])
+        assert enrichment._clips(mesh, [crack], size_tol)[crack.id][0].size
+    assert 0 < pairs[0] and pairs[1] <= 2.2 * pairs[0] and pairs[2] <= 3.3 * pairs[0], pairs
 
 
 def bits(x):

@@ -3,6 +3,8 @@ quadrature, and point location."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -287,16 +289,22 @@ class TestParseParity:
         assert_bit_equal(mesh.nodes, nodes)
         assert_bit_equal(mesh.elements, elements)
 
-    def test_token_parse_only_for_blocks_numpy_refuses(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("per-token parse on a block NumPy reads")
+    def test_line_parse_only_for_blocks_numpy_refuses(self, monkeypatch):
+        read = []
+        loadtxt = np.loadtxt
 
-        clean = dump_mesh(hole_attraction_config().mesh)
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "fromiter", refuse)
-            load_mesh(clean)
-            with pytest.raises(AssertionError):
-                load_mesh(SPELT_SQUARES[0])
+        def recorded(*args, **kwargs):
+            read.append(loadtxt(*args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(np, "loadtxt", recorded)
+        mesh = load_mesh(dump_mesh(hole_attraction_config().mesh))
+        # both blocks are the very arrays NumPy's parser returned
+        assert len(read) == 2 and mesh.nodes is read[0] and mesh.elements is read[1]
+        read.clear()
+        mesh = load_mesh(SPELT_SQUARES[0])
+        assert read == []  # NumPy refuses both of its blocks, parsed line by line
+        assert_bit_equal(mesh.nodes, parse_by_token(SPELT_SQUARES[0])[0])
 
     @settings(max_examples=150, deadline=None)
     @given(tokens=st.lists(
@@ -344,11 +352,99 @@ class TestInMemoryMesh:
             Mesh(nodes=big, elements=[[0, 1, 2, 3]])
 
 
+def element_boxes(mesh):
+    """Each element's coordinate minima and maxima, each (n_elements, 2)."""
+    xy = mesh.element_coords()
+    return xy.min(axis=1), xy.max(axis=1)
+
+
+def padded_boxes(mesh):
+    """Each element's box, padded by 1e-9 of its extent."""
+    lo, hi = element_boxes(mesh)
+    pad = 1e-9 * np.max(hi - lo, axis=1, keepdims=True)
+    return lo - pad, hi + pad
+
+
+def assert_pairs_match_scan(mesh, lo, hi, box, eid):
+    """``box_query``'s pairs are those of a scan of every element's padded
+    box against every query box, in that order."""
+    elo, ehi = padded_boxes(mesh)
+    meet = (np.all(elo[None] <= hi[:, None], axis=2)
+            & np.all(ehi[None] >= lo[:, None], axis=2))
+    expected_box, expected_eid = np.nonzero(meet)
+    np.testing.assert_array_equal(box, expected_box)
+    np.testing.assert_array_equal(eid, expected_eid)
+
+
+QUERY_MESHES = {
+    "uniform": lambda: uniform_rect(1.0, 1.0, 12, 9),
+    "perturbed": lambda: perturbed_grid(),
+    "holed": lambda: hole_attraction_config().mesh,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def query_mesh(name):
+    return QUERY_MESHES[name]()
+
+
+@st.composite
+def query_boxes(draw, mesh):
+    """Boxes around and beyond ``mesh``: points (zero-size boxes), boxes on
+    element corners, boxes that end exactly on an element's padded box,
+    boxes wider than the mesh and boxes outside it."""
+    lo, hi = mesh.bbox()
+    span = hi - lo
+    coord = st.floats(-0.5, 1.5).map(float)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["box", "point", "corner", "touch", "outside", "whole"]))
+        a = lo + span * [draw(coord), draw(coord)]
+        b = lo + span * [draw(coord), draw(coord)]
+        if kind == "point":
+            b = a
+        elif kind == "corner":
+            a = b = mesh.nodes[mesh.elements[draw(st.integers(0, mesh.n_elements - 1)),
+                                             draw(st.integers(0, 3))]]
+        elif kind == "touch":
+            plo, phi = (x[draw(st.integers(0, mesh.n_elements - 1))] for x in padded_boxes(mesh))
+            a, b = (plo - span * draw(st.floats(0.0, 0.5)), plo) if draw(st.booleans()) else (
+                phi, phi + span * draw(st.floats(0.0, 0.5)))
+        elif kind == "outside":
+            a = hi + span * draw(st.floats(1e-6, 1.0))
+            b = a + span * draw(st.floats(0.0, 1.0))
+        elif kind == "whole":
+            a, b = lo - span, hi + span
+        boxes.append((np.minimum(a, b), np.maximum(a, b)))
+    lo_q, hi_q = (np.array(x, dtype=float) for x in zip(*boxes))
+    return lo_q, hi_q
+
+
+class TestBoxQuery:
+    """The grid's one query against a scan of every element box."""
+
+    @pytest.mark.parametrize("name", sorted(QUERY_MESHES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_scan(self, name, data):
+        mesh = query_mesh(name)
+        lo, hi = data.draw(query_boxes(mesh))
+        box, eid = mesh.box_query(lo, hi)
+        assert_pairs_match_scan(mesh, lo, hi, box, eid)
+
+    def test_one_box_and_no_boxes(self):
+        mesh = uniform_rect(1.0, 1.0, 4, 4)
+        box, eid = mesh.box_query([0.3, 0.3], [0.3, 0.3])
+        assert box.tolist() == [0] and eid.tolist() == [5]
+        box, eid = mesh.box_query(np.empty((0, 2)), np.empty((0, 2)))
+        assert box.size == 0 and eid.size == 0
+
+
 class TestDerivedData:
     def test_built_once_per_mesh(self):
         mesh = structured_mesh(3, 2)
         for name in ("element_sizes", "node_to_elements", "boundary_edges",
-                     "element_bboxes", "point_grid", "nested_dissection_tree"):
+                     "point_grid", "nested_dissection_tree"):
             assert getattr(mesh, name) is getattr(mesh, name)
         assert not mesh.element_sizes.flags.writeable
 
@@ -359,18 +455,16 @@ class TestDerivedData:
                 max(np.linalg.norm(q[2] - q[0]), np.linalg.norm(q[3] - q[1])) for q in xy],
                 rtol=1e-15)
 
-    def test_elements_meeting_a_box_match_a_scan(self):
+    def test_box_query_matches_a_scan(self):
         mesh = hole_attraction_config().mesh
-        lo, hi = mesh.element_bboxes
         rng = np.random.default_rng(11)
-        for _ in range(40):
-            a, b = np.sort(rng.uniform(-0.01, 0.11, size=(2, 2)), axis=0)
-            b = a + rng.choice([0.0, 1.0]) * (b - a)  # points as well as boxes
-            expected = np.nonzero(np.all(lo <= b, axis=1) & np.all(hi >= a, axis=1))[0]
-            np.testing.assert_array_equal(mesh.elements_meeting(a, b), expected)
+        a, b = np.sort(rng.uniform(-0.01, 0.11, size=(2, 40, 2)), axis=0)
+        b = a + rng.choice([0.0, 1.0], size=(40, 1)) * (b - a)  # points as well as boxes
+        box, eid = mesh.box_query(a, b)
+        assert_pairs_match_scan(mesh, a, b, box, eid)
         # a box on an element's corner meets every element sharing it
         corner = mesh.nodes[mesh.elements[100, 2]]
-        assert 100 in mesh.elements_meeting(corner, corner)
+        assert 100 in mesh.box_query(corner, corner)[1]
 
     def test_node_supports_ascend(self):
         mesh = structured_mesh(3, 2)
@@ -742,12 +836,25 @@ class TestLocatePoint:
             if eid[0] >= 0:
                 np.testing.assert_allclose(locals_[i], local[0], atol=1e-9)
 
+    def test_batch_matches_scalar_bit_for_bit_on_distorted_quads(self):
+        # Each Newton pair stops at its own convergence, so a point's
+        # reference coordinates do not depend on what else is in the batch,
+        # such as candidates that never converge.
+        mesh = hole_attraction_config().mesh
+        lo, hi = mesh.bbox()
+        pts = np.random.default_rng(4).uniform(lo - 0.01, hi + 0.01, size=(300, 2))
+        eids, locals_ = locate_points(mesh, pts)
+        for i, x in enumerate(pts):
+            eid, local = locate_points(mesh, x[None])
+            assert eid[0] == eids[i]
+            assert local[0].tobytes() == locals_[i].tobytes()
+
 
 def _brute_force_hits(mesh, x, tol=1e-9):
     """Ids of every element whose closed hull holds ``x``: Newton inversion
     on every element whose bounding box, widened by a margin far above the
     tolerance, holds it."""
-    lo, hi = mesh.element_bboxes
+    lo, hi = element_boxes(mesh)
     margin = 1e-6 * (hi - lo)
     near = np.nonzero(np.all((lo - margin <= x) & (x <= hi + margin), axis=1))[0]
     local, ok = _newton_invert(mesh.element_coords(near),
@@ -803,9 +910,11 @@ class TestBatchLocator:
 
     def test_grid_lists_every_overlapping_element_ascending(self):
         mesh = ORDERING_MESHES["graded"]()
-        origin, cell, (nx, ny), start, elements = mesh.point_grid
+        origin, cell, (nx, ny), start, elements, plo, phi = mesh.point_grid
         assert start.size == nx * ny + 1 and start[-1] == elements.size
-        lo, hi = mesh.element_bboxes
+        lo, hi = element_boxes(mesh)
+        for mine, expected in zip((plo, phi), padded_boxes(mesh)):
+            np.testing.assert_array_equal(mine, expected)
         for c in np.random.default_rng(2).choice(nx * ny, 50, replace=False):
             ix, iy = divmod(int(c), ny)
             members = elements[start[c]:start[c + 1]]
