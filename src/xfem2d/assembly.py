@@ -7,7 +7,8 @@ map grants them, so the jump/branch constraint is structural rather than
 penalized.
 
 Integration strategy: every element is first integrated with the plain
-2x2 rule in one vectorized pass, once per mesh (:class:`StiffnessCache`).
+2x2 rule in one vectorized pass, once per mesh and distinct element shape
+(:class:`StiffnessCache`).
 The cut elements and the tip elements are then integrated as two
 batches, one elevated rule per class, from the gradients of
 :func:`~xfem2d.enrichment.enriched_basis`; each corrects its elements'
@@ -37,7 +38,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from xfem2d.cholesky import FactorStats, FrontalCholesky, NodePairs
 from xfem2d.cracks import signed_distance_batch
@@ -242,9 +242,12 @@ class LinearSystem:
     stamps: np.ndarray
 
     @property
-    def K(self) -> sp.csr_matrix:
-        """The blocks summed into a CSR matrix, explicit zeros kept, in block
-        and element order: built on each call, off the path of :func:`solve`."""
+    def K(self):
+        """The blocks summed into a ``scipy.sparse.csr_matrix``, explicit
+        zeros kept, in block and element order: built on each call, off the
+        path of :func:`solve`, which is why scipy.sparse is imported here."""
+        import scipy.sparse as sp
+
         n = self.layout.total_dofs
         keys, values = [], []
         for matrices, dofs in self.blocks:
@@ -465,9 +468,11 @@ class StiffnessCache:
     None of these changes while a crack grows, so a run builds one and
     passes it to :func:`assemble` at every step.  It holds:
 
-    - :attr:`matrices`, the plain-rule stiffness of every element, and
-      :attr:`pairs`, their sums over the mesh's node pairs, placed in the
-      fronts of its nested-dissection tree, both computed on first use;
+    - :attr:`matrices`, the plain-rule stiffness of every element,
+      integrated once per distinct shape (a structured mesh has a few
+      hundred), and :attr:`pairs`, their sums over the mesh's node pairs,
+      placed in the fronts of its nested-dissection tree, both computed on
+      first use;
     - the cut-class elements of the last assembly, their matrices by
       basis column (node, field), so a renumbered dof layout costs
       nothing, and their keys (:func:`_cut_keys`).  A matrix is reused
@@ -492,9 +497,25 @@ class StiffnessCache:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """Element stiffness of the standard field, shape (m, 8, 8)."""
-        _, dN, wdet, _ = element_geometry(self.mesh.element_coords(), self.rules.standard)
-        return _element_matrices(dN, wdet, elasticity_matrix(self.material))
+        """Element stiffness of the standard field, shape (m, 8, 8).
+
+        It is integrated from the corners' offsets from corner 0, once per
+        distinct shape (offsets equal bit for bit), so the elements of one
+        shape, and those of a mesh translated exactly, share its bits."""
+        xy = self.mesh.element_coords()
+        offsets = xy - xy[:, :1]
+        bits = offsets[:, 1:].reshape(-1, 6).view(np.uint64)
+        mix = np.zeros(len(bits), dtype=np.uint64)
+        for word in bits.T:
+            mix = (mix ^ word) * np.uint64(0x100000001B3)  # the 64-bit FNV prime
+        order = np.argsort(mix)  # any element of a shape may stand for it
+        bits = bits[order]
+        new = np.ones(order.size, dtype=bool)  # a new shape wherever neighbours differ,
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)  # so equal mixes merge nothing
+        shape = np.empty_like(order)
+        shape[order] = np.cumsum(new) - 1
+        _, dN, wdet, _ = element_geometry(offsets[order[new]], self.rules.standard)
+        return _element_matrices(dN, wdet, elasticity_matrix(self.material))[shape]
 
     @cached_property
     def pairs(self) -> NodePairs:

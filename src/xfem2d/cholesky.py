@@ -101,27 +101,35 @@ class NodePairs:
     def sum(cls, tree: DissectionTree, blocks, position: np.ndarray) -> "NodePairs":
         """The pairs of ``blocks``, each (matrices (e, 2s, 2s), dofs (e, 2s)),
         -1 for an absent column.  Dof d's node is at ``position[d]``, and a
-        node's columns are eliminated in the order of their dofs."""
-        rank = np.empty_like(position)  # each dof's place in the elimination order
-        rank[np.argsort(position, kind="stable")] = np.arange(position.size)
-        key, first, entries = [np.empty(0, int)], [np.empty((2, 0), int)], [np.empty((4, 0))]
+        node's columns are eliminated in the order of their dofs.
+
+        An element's pairs are its s(s+1)/2 pairs of columns i <= j, each
+        turned so that its row is the column eliminated first.  A pair is
+        keyed by the two columns' places in the elimination order, -1 if one
+        is absent, and dropped after the sort."""
+        by_rank = np.argsort(position, kind="stable")  # the dofs in elimination order
+        rank = np.empty_like(position)
+        rank[by_rank] = np.arange(position.size)
+        key, entries = [np.empty(0, int)], [np.empty((4, 0))]
         for matrices, dofs in blocks:
             s = dofs.shape[1] // 2
             column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
-            e, a, b = np.nonzero((column[:, :, None] >= 0)
-                                 & (column[:, :, None] <= column[:, None, :]))
-            ea, eb = e * s + a, e * s + b  # the pair's columns, as places in ``column``
-            key.append(column.reshape(-1)[ea] * rank.size + column.reshape(-1)[eb])
-            first.append(dofs.reshape(-1)[2 * np.stack([ea, eb])])
-            corner = 4 * s * ea + 2 * b  # entry (2a, 2b) of element e
+            i, j = np.triu_indices(s)
+            ci, cj = column[:, i], column[:, j]
+            lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+            key.append(np.where(lo >= 0, lo * rank.size + hi, -1).reshape(-1))
+            a, b = np.where(ci > cj, j, i), np.where(ci > cj, i, j)  # the pair's row, column
+            corner = (np.arange(len(dofs))[:, None] * 4 * s * s + 4 * s * a + 2 * b).reshape(-1)
             entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
         key = np.concatenate(key)
         order = np.argsort(key, kind="stable")
-        new = np.diff(key[order], prepend=-1) != 0
+        new = np.diff(key[order], prepend=-2) != 0
         inverse = np.empty_like(order)
         inverse[order] = np.cumsum(new) - 1
-        sums = [np.bincount(inverse, weights=w) for w in np.concatenate(entries, axis=1)]
-        row, col = np.concatenate(first, axis=1)[:, order[new]]
+        absent = int(key.size > 0 and key[order[0]] < 0)  # the group of key -1, if any
+        sums = [np.bincount(inverse, weights=w)[absent:] for w in np.concatenate(entries, axis=1)]
+        pair = key[order[new][absent:]]
+        row, col = by_rank[pair // rank.size], by_rank[pair % rank.size]
         f, slot = _node_slots(tree, position[row], position[col])
         return cls(row=row.astype(np.int32), col=col.astype(np.int32), slot=slot.astype(np.int32),
                    blocks=np.stack(sums, axis=1).reshape(-1, 2, 2),

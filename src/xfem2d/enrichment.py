@@ -259,16 +259,21 @@ class EnrichmentMap:
         return self.kinds
 
 
+def _supports(mesh: Mesh, nodes: np.ndarray):
+    """The supports of ``nodes`` one after another: each element's node, as
+    a place in ``nodes``, and the element, ascending per node."""
+    ptr, ids = mesh.node_to_elements
+    owner, k = _runs(np.diff(ptr)[nodes])
+    return owner, ids[ptr[nodes][owner] + k]
+
+
 def _element_kinds(mesh: Mesh, status, cut_elements, tip_elements) -> np.ndarray:
     """:attr:`EnrichmentMap.kinds` of these node statuses, marked through
     the supports of the few enriched nodes."""
-    def support(nodes):
-        return np.concatenate([np.empty(0, dtype=np.int64)]
-                              + [mesh.node_to_elements[n] for n in nodes.tolist()])
     kinds = np.zeros(mesh.n_elements, dtype=np.int8)
-    kinds[support(np.flatnonzero(status != STANDARD))] = 1
+    kinds[_supports(mesh, np.flatnonzero(status != STANDARD))[1]] = 1
     kinds[list(cut_elements)] = 2
-    kinds[support(np.flatnonzero(status == TIP))] = 3
+    kinds[_supports(mesh, np.flatnonzero(status == TIP))[1]] = 3
     kinds[list(tip_elements)] = 3
     return kinds
 
@@ -726,9 +731,7 @@ def classify_enrichment(
     sides = np.empty((cut.size, 4))
     cut_crack = np.array([cut_elements[e] for e in cut.tolist()], dtype=np.int64)
     nodes = np.array(sorted(candidates), dtype=np.int64)
-    support = [mesh.node_to_elements[n] for n in nodes]
-    pair_node = np.repeat(np.arange(nodes.size), [e.size for e in support])
-    pair_elem = np.concatenate([np.empty(0, dtype=np.int64)] + support)
+    pair_node, pair_elem = _supports(mesh, nodes)
     pair_sides = np.zeros((pair_elem.size, 4))
     is_cut, is_tip = kinds[pair_elem] == 2, kinds[pair_elem] == 3
     for crack in eff_cracks:
@@ -905,6 +908,15 @@ BASIS_FIELD = np.repeat(np.arange(6), 4)  # field of each basis column
 _BASIS_BATCH = 4096  # points per enriched_basis call of basis_batches
 
 
+def _label_rows(labels: np.ndarray):
+    """Each label >= 0 in ``labels`` (n, 4), ascending, with the rows that
+    hold it, ascending: one sort of the (label, row) pairs."""
+    hit = labels >= 0
+    label, row = _distinct_pairs(labels[hit], np.nonzero(hit)[0])
+    start = np.flatnonzero(np.diff(label, prepend=-1))
+    return zip(label[start].tolist(), np.split(row, start[1:]))
+
+
 def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
     """The enriched scalar basis at points of known elements, padded.
 
@@ -923,22 +935,17 @@ def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
     dN = dref @ jacobian(mesh.nodes[conn], dref)[1]  # physical gradients
     values, grads = np.zeros((conn.shape[0], 6, 4)), np.zeros((conn.shape[0], 6, 4, 2))
     values[:, 0], grads[:, 0] = N, dN
-    status, node_crack = emap.status[conn], emap.node_crack[conn]
-    jump = status == HEAVISIDE
-    for cid in np.unique(node_crack[jump]).tolist():
-        own = jump & (node_crack == cid)
-        rows = np.nonzero(own.any(axis=1))[0]
+    jump_crack = np.where(emap.status[conn] == HEAVISIDE, emap.node_crack[conn], -1)
+    for cid, rows in _label_rows(jump_crack):
         phi = signed_distance_batch(emap.crack_by_id(cid), xs[rows])
-        M = shifted_heaviside(emap.node_sign[conn[rows]], phi[:, None]) * own[rows]
+        M = shifted_heaviside(emap.node_sign[conn[rows]], phi[:, None]) * (jump_crack[rows] == cid)
         values[rows, 1] = N[rows] * M
         grads[rows, 1] = M[..., None] * dN[rows]
     node_tip = emap.node_tip[conn]  # -1 off TIP nodes
-    for gti in np.unique(node_tip[node_tip >= 0]).tolist():
-        own = node_tip == gti
-        rows = np.nonzero(own.any(axis=1))[0]
+    for gti, rows in _label_rows(node_tip):
         tinfo = emap.tips[gti]
         _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs[rows])
-        mask = own[rows][:, None, :]  # (points, branch, corner)
+        mask = (node_tip[rows] == gti)[:, None, :]  # (points, branch, corner)
         values[rows, 2:] = N[rows, None, :] * F[:, :, None] * mask
         grads[rows, 2:] = (F[:, :, None, None] * dN[rows, None]
                            + N[rows, None, :, None] * dF[:, :, None, :]) * mask[..., None]

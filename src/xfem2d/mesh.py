@@ -325,12 +325,15 @@ class Mesh:
         return sizes
 
     @cached_property
-    def node_to_elements(self) -> list[np.ndarray]:
-        """Incident element ids per node (the node's support), ascending."""
+    def node_to_elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Incident element ids per node (the node's support), ascending, as
+        read-only arrays ``(ptr, ids)``: node n's are ``ids[ptr[n]:ptr[n + 1]]``."""
         flat = self.elements.ravel()
-        order = np.argsort(flat, kind="stable") // 4  # element-major, so ids ascend
-        ends = np.cumsum(np.bincount(flat, minlength=self.n_nodes)).tolist()
-        return [order[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        ids = np.argsort(flat, kind="stable") // 4  # element-major, so ids ascend
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=self.n_nodes))])
+        ptr.setflags(write=False)
+        ids.setflags(write=False)
+        return ptr, ids
 
     @cached_property
     def boundary_edges(self) -> np.ndarray:

@@ -29,6 +29,7 @@ from xfem2d.assembly import (
     _element_matrices,
 )
 from xfem2d import assembly, enrichment
+from xfem2d.benchmarks import hole_attraction_config, table1_config
 from xfem2d.cholesky import FrontalCholesky, NodePairs, _extend_add_plan
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
@@ -390,6 +391,45 @@ class TestStandardStiffness:
             assert_bit_equal(reused.K, fresh.K)
             np.testing.assert_array_equal(fresh.f, reused.f)
 
+    def test_elements_of_one_shape_share_bits(self):
+        mesh = table1_config(5.0).mesh
+        matrices = StiffnessCache(mesh, STEEL, QuadratureSet.from_targets()).matrices
+        xy = mesh.element_coords()
+        offsets = (xy - xy[:, :1]).reshape(-1, 8).view(np.int64)
+        shapes, first, inverse = np.unique(offsets, axis=0, return_index=True,
+                                           return_inverse=True)
+        assert len(shapes) < mesh.n_elements // 10
+        np.testing.assert_array_equal(matrices.view(np.int64),
+                                      matrices[first[inverse.ravel()]].view(np.int64))
+
+    def test_exact_translation_keeps_every_bit(self):
+        # Corners on a 2**-20 grid, so adding (1e3, -7e2) is exact; every
+        # element has its own shape.
+        mesh = uniform_rect(1.0, 0.5, 16, 8)
+        rng = np.random.default_rng(4)
+        nodes = mesh.nodes + rng.integers(-600, 601, size=mesh.nodes.shape) * 2.0**-20
+        rules = QuadratureSet.from_targets()
+        a, b = (StiffnessCache(Mesh(nodes + shift, mesh.elements), STEEL, rules).matrices
+                for shift in ([0.0, 0.0], [1e3, -7e2]))
+        assert len(np.unique(a.reshape(len(a), -1), axis=0)) == mesh.n_elements
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+    @pytest.mark.parametrize("name", ["plate", "hole", "perturbed plate"])
+    def test_match_each_element_integrated_alone(self, name):
+        mesh = hole_attraction_config().mesh if name == "hole" else table1_config(12.5).mesh
+        if name == "perturbed plate":  # interior nodes moved by up to 1 % of the least size
+            rng = np.random.default_rng(9)
+            inside = np.ones(mesh.n_nodes, dtype=bool)
+            inside[np.concatenate(list(mesh.boundary_tags.values()))] = False
+            nodes = mesh.nodes + inside[:, None] * rng.uniform(
+                -0.01, 0.01, size=mesh.nodes.shape) * mesh.element_sizes.min()
+            mesh = Mesh(nodes, mesh.elements)
+        rules = QuadratureSet.from_targets()
+        _, dN, wdet, _ = element_geometry(mesh.element_coords(), rules.standard)
+        expected = _element_matrices(dN, wdet, elasticity_matrix(STEEL))
+        got = StiffnessCache(mesh, STEEL, rules).matrices
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_block_of_another_material_rejected(self):
         mesh = uniform_rect(1.0, 1.0, 4, 4)
         rules = QuadratureSet.from_targets()
@@ -650,7 +690,59 @@ def dense_sum(blocks, n):
     return K
 
 
+def masked_pair_sum(blocks, position):
+    """Reference for :meth:`NodePairs.sum`: each element's upper pairs
+    taken by an (e, s, s) mask of its columns in elimination order."""
+    rank = np.empty_like(position)
+    rank[np.argsort(position, kind="stable")] = np.arange(position.size)
+    key, first, entries = [np.empty(0, int)], [np.empty((2, 0), int)], [np.empty((4, 0))]
+    for matrices, dofs in blocks:
+        s = dofs.shape[1] // 2
+        column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
+        e, a, b = np.nonzero((column[:, :, None] >= 0)
+                             & (column[:, :, None] <= column[:, None, :]))
+        ea, eb = e * s + a, e * s + b
+        key.append(column.reshape(-1)[ea] * rank.size + column.reshape(-1)[eb])
+        first.append(dofs.reshape(-1)[2 * np.stack([ea, eb])])
+        corner = 4 * s * ea + 2 * b
+        entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
+    key = np.concatenate(key)
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    sums = [np.bincount(inverse, weights=w) for w in np.concatenate(entries, axis=1)]
+    row, col = np.concatenate(first, axis=1)[:, order[new]]
+    return row, col, np.stack(sums, axis=1).reshape(-1, 2, 2)
+
+
 class TestNodePairs:
+    @settings(max_examples=40, deadline=None)
+    @given(nx=st.integers(1, 6), ny=st.integers(1, 6), share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sums_match_the_masked_reference(self, nx, ny, share, seed):
+        # A standard block of every element and a block of standard and
+        # jump columns on some, the jump columns absent (-1) off jump nodes.
+        mesh = uniform_rect(1.0, 1.0, nx, ny)
+        tree, n = mesh.nested_dissection_tree, mesh.n_nodes
+        rng = np.random.default_rng(seed)
+        jump = rng.random(n) < share
+        node = np.concatenate([np.repeat(np.arange(n), 2), np.repeat(np.flatnonzero(jump), 2)])
+        position = np.argsort(tree.order)[node]
+        x = np.where(jump, 2 * n + 2 * (np.cumsum(jump) - 1), -1)[mesh.elements]
+        jump_dofs = np.where(x[:, :, None] >= 0, x[:, :, None] + [0, 1], -1).reshape(-1, 8)
+        std_dofs = (2 * mesh.elements[:, :, None] + [0, 1]).reshape(-1, 8)
+        some = rng.random(mesh.n_elements) < 0.5
+        standard = (rng.normal(size=(mesh.n_elements, 8, 8)), std_dofs)
+        correction = (rng.normal(size=(int(some.sum()), 16, 16)),
+                      np.concatenate([std_dofs[some], jump_dofs[some]], axis=1))
+        for blocks in ([standard], [correction], [standard, correction], []):
+            pairs = NodePairs.sum(tree, blocks, position)
+            row, col, sums = masked_pair_sum(blocks, position)
+            np.testing.assert_array_equal(pairs.row, row)
+            np.testing.assert_array_equal(pairs.col, col)
+            np.testing.assert_array_equal(pairs.blocks.view(np.int64), sums.view(np.int64))
+
     def test_upper_pairs_sum_the_element_matrices(self):
         mesh, _, system = center_crack_with_tips()
         pairs, tree = system.pairs, system.tree

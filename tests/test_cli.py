@@ -317,6 +317,19 @@ class TestSubprocessEntry:
         assert "K_I" in result.stdout
         assert (tmp_path / "out" / "sif_history.csv").is_file()
 
+    def test_solve_never_imports_scipy_sparse(self, tmp_path):
+        # Only LinearSystem.K builds a sparse matrix; every process start
+        # would pay for the import otherwise.
+        config = write_case(tmp_path)
+        script = ("import sys, xfem2d, xfem2d.cli\n"
+                  f"code = xfem2d.cli.main(['solve', '--config', {config!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}])\n"
+                  "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=_package_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "0 []"
+
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "xfem2d"],

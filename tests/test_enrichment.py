@@ -212,9 +212,9 @@ class TestClassifyCenterCrack:
 
     def test_enriched_nodes_touch_enriched_elements(self):
         marked = set(self.emap.cut_elements) | set(self.emap.tip_elements)
-        incidence = self.mesh.node_to_elements
+        ptr, ids = self.mesh.node_to_elements
         for n in np.nonzero(self.emap.status != STANDARD)[0]:
-            assert marked & set(int(e) for e in incidence[n])
+            assert marked & set(ids[ptr[n]:ptr[n + 1]].tolist())
 
     def test_psi_indicator(self):
         assert psi_at(self.emap, self.mesh, (0.3, 0.5)) == pytest.approx(1.0)
@@ -309,7 +309,8 @@ def loop_far_side(mesh, emap, rules, node, crack):
     sign = heaviside(signed_distance_batch(crack, mesh.nodes[node][None]))[0]
     far = area = 0.0
     points = 0
-    for eid in mesh.node_to_elements[node]:
+    ptr, ids = mesh.node_to_elements
+    for eid in ids[ptr[node]:ptr[node + 1]]:
         xy = mesh.element_coords([eid])
         d1, d2 = xy[0, 2] - xy[0, 0], xy[0, 3] - xy[0, 1]
         area += 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])

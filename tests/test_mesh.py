@@ -468,11 +468,12 @@ class TestDerivedData:
 
     def test_node_supports_ascend(self):
         mesh = structured_mesh(3, 2)
-        supports = mesh.node_to_elements
-        assert len(supports) == mesh.n_nodes
-        for n, eids in enumerate(supports):
+        ptr, ids = mesh.node_to_elements
+        assert ptr.size == mesh.n_nodes + 1 and ptr[0] == 0 and ptr[-1] == ids.size
+        assert not ptr.flags.writeable and not ids.flags.writeable
+        for n in range(mesh.n_nodes):
             expected = [e for e, quad in enumerate(mesh.elements) if n in quad]
-            assert eids.tolist() == expected
+            assert ids[ptr[n]:ptr[n + 1]].tolist() == expected
 
     def test_boundary_edges(self):
         assert structured_mesh(3, 2).boundary_edges.shape == (2 * (3 + 2), 4)
