@@ -10,13 +10,11 @@ maximum hoop stress direction.
 from xfem2d.mesh import (
     Mesh,
     QuadratureRule,
-    ShapeEval,
     MeshFormatError,
     load_mesh,
     dump_mesh,
     read_mesh,
     write_mesh,
-    shape_eval,
     gauss_rule,
     locate_hits,
     locate_points,
@@ -27,9 +25,7 @@ from xfem2d.cracks import (
     TipFrame,
     extend_crack,
     heaviside,
-    signed_distance,
     tip_frame,
-    tip_local_coords,
 )
 from xfem2d.enrichment import (
     CrackMeshDegeneracyError,
@@ -41,9 +37,7 @@ from xfem2d.enrichment import (
     classify_enrichment,
     classify_with_remedy,
     crack_opening,
-    psi_at,
     shifted_heaviside,
-    total_displacement,
 )
 from xfem2d.assembly import (
     AssemblyError,
@@ -58,7 +52,6 @@ from xfem2d.assembly import (
     assemble,
     elasticity_matrix,
     solve,
-    stress_strain_at,
     stress_strain_batch,
 )
 from xfem2d.fracture import (
@@ -68,7 +61,6 @@ from xfem2d.fracture import (
     default_contour_radius,
     direct_j_integral,
     extract_sifs,
-    interaction_integral,
     j_from_sifs,
     k_equivalent,
     propagation_angle,

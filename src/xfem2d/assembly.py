@@ -75,7 +75,6 @@ __all__ = [
     "assemble",
     "apply_constraints",
     "solve",
-    "stress_strain_at",
     "stress_strain_batch",
 ]
 
@@ -172,18 +171,6 @@ class DofLayout:
     @property
     def total_dofs(self) -> int:
         return 2 * self.n_nodes + 2 * self.n_disc + 8 * self.n_tip
-
-    def disc_dof(self, node: int, comp: int) -> int:
-        slot = self.disc_slot[node]
-        if slot < 0:
-            raise KeyError(f"node {node} has no jump degrees of freedom")
-        return 2 * self.n_nodes + 2 * int(slot) + comp
-
-    def tip_dof(self, node: int, branch: int, comp: int) -> int:
-        slot = self.tip_slot[node]
-        if slot < 0:
-            raise KeyError(f"node {node} has no branch degrees of freedom")
-        return 2 * self.n_nodes + 2 * self.n_disc + 8 * int(slot) + 2 * branch + comp
 
     def column_dofs(self, nodes: np.ndarray, field: np.ndarray) -> np.ndarray:
         """The x and y dofs (..., 2) of each basis column of
@@ -705,14 +692,6 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
         residual=residual,
         factor=stats,
     )
-
-
-def stress_strain_at(x, state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                     material: MaterialModel):
-    """Voigt strain and stress at one point (not on a crack face)."""
-    eps, sig = stress_strain_batch(np.asarray(x, dtype=float)[None, :], state,
-                                   mesh, emap, material)
-    return eps[0], sig[0]
 
 
 def stress_strain_batch(xs, state: SolutionState, mesh: Mesh,

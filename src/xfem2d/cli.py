@@ -28,18 +28,15 @@ import math
 import os
 import sys
 
-from xfem2d.assembly import AssemblyError, SolverError
-from xfem2d.config import ConfigError, load_config
-from xfem2d.cracks import CrackGeometryError
+from xfem2d.assembly import SolverError
+from xfem2d.config import load_config
 from xfem2d.driver import (
+    _staged,
     run_propagation,
     run_stationary,
     setup_problem,
     stationary_history,
 )
-from xfem2d.enrichment import EnrichmentError
-from xfem2d.fracture import FractureError
-from xfem2d.mesh import MeshFormatError
 from xfem2d.output import (
     write_cod_csv,
     write_field_dump,
@@ -49,17 +46,9 @@ from xfem2d.output import (
 
 __all__ = ["main"]
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    MeshFormatError,
-    CrackGeometryError,
-    EnrichmentError,
-    AssemblyError,
-    FractureError,
-    OSError,
-    ValueError,
-    KeyError,
-)
+# Every error class of the package that is not a solver failure
+# subclasses ValueError.
+_VALIDATION_ERRORS = (ValueError, OSError, KeyError)
 
 
 class _UsageError(Exception):
@@ -73,11 +62,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
         raise _UsageError(message, self.format_usage())
-
-
-def _staged(message: str, stage: str) -> str:
-    """Prefix a message with its pipeline stage unless already tagged."""
-    return message if message.startswith("[") else f"[{stage}] {message}"
 
 
 def _fail(message: str, stage: str) -> None:

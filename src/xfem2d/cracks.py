@@ -17,13 +17,10 @@ __all__ = [
     "TipFrame",
     "CrackGeometryError",
     "heaviside",
-    "signed_distance",
     "signed_distance_batch",
-    "distance_batch",
     "nearest_point",
     "vertex_tangents",
     "tip_frame",
-    "tip_local_coords",
     "extend_crack",
 ]
 
@@ -167,18 +164,6 @@ def signed_distance_batch(crack: CrackPath, xs: np.ndarray) -> np.ndarray:
     return sign * dist
 
 
-def signed_distance(crack: CrackPath, x) -> float:
-    """Scalar version of :func:`signed_distance_batch`."""
-    return float(signed_distance_batch(crack, np.asarray(x, dtype=float)[None, :])[0])
-
-
-def distance_batch(crack: CrackPath, xs: np.ndarray) -> np.ndarray:
-    """Unsigned distance from each point to the crack polyline."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    d2, _, _ = _closest_on_segments(crack.vertices, xs)
-    return np.sqrt(d2.min(axis=1))
-
-
 def vertex_tangents(crack: CrackPath) -> np.ndarray:
     """Unit tangent (k, 2) at each vertex: an end segment's own at the ends,
     the unit bisector of the two adjacent segments' at interior vertices."""
@@ -224,24 +209,6 @@ def tip_frame(crack: CrackPath, tip_id: int) -> TipFrame:
     tangent = tangent / np.linalg.norm(tangent)
     normal = np.array([-tangent[1], tangent[0]])
     return TipFrame(origin=origin.copy(), tangent=tangent, normal=normal)
-
-
-def tip_local_coords(frame: TipFrame, x):
-    """Polar coordinates (r, theta) of ``x`` in the tip frame.
-
-    theta is measured from the tangent, positive toward the normal, in
-    (-pi, pi]; r = 0 maps to theta = 0.
-    """
-    rel = np.asarray(x, dtype=float) - frame.origin
-    xp = rel @ frame.tangent
-    yp = rel @ frame.normal
-    r = np.hypot(xp, yp)
-    theta = np.where(r == 0.0, 0.0, np.arctan2(yp, xp))
-    # atan2 returns -pi for points exactly on the negative axis; fold to +pi.
-    theta = np.where(theta == -np.pi, np.pi, theta)
-    if np.ndim(r) == 0:
-        return float(r), float(theta)
-    return r, theta
 
 
 def extend_crack(crack: CrackPath, tip_id: int, theta_c: float, delta_a: float) -> CrackPath:

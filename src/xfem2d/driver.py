@@ -3,7 +3,8 @@
 Linear elastic fracture carries no path memory, so every load step's
 solution depends on the current crack geometry alone; growth decided after a
 step's extraction simply changes the geometry the next step classifies.
-A tip that comes within one element size (or one growth increment, if
+A tip that comes within the diameter of its element
+(:attr:`~xfem2d.mesh.Mesh.element_sizes`; or one growth increment, if
 that is larger) of the domain boundary or of another crack is
 deactivated: its extraction domain would be invalid and a further
 increment could leave the domain, so it stops producing intensity
@@ -55,7 +56,6 @@ import numpy as np
 
 from xfem2d.assembly import (
     AssemblyError,
-    BoundaryCondition,
     MaterialModel,
     QuadratureSet,
     SolutionState,
@@ -79,7 +79,6 @@ from xfem2d.enrichment import (
 )
 from xfem2d.fracture import (
     FractureError,
-    SifResult,
     extract_sifs,
     k_equivalent,
     tip_clearance,
@@ -118,6 +117,11 @@ _STAGE_ERRORS = (
 )
 
 
+def _staged(message: str, stage: str) -> str:
+    """Prefix a message with its pipeline stage unless already tagged."""
+    return message if message.startswith("[") else f"[{stage}] {message}"
+
+
 @contextmanager
 def _stage(name: str):
     """Re-raise module errors with the pipeline stage spelled out.
@@ -130,8 +134,9 @@ def _stage(name: str):
         yield
     except _STAGE_ERRORS as exc:
         message = str(exc)
-        if not message.startswith("["):
-            exc.args = (f"[{name}] {message}",)
+        staged = _staged(message, name)
+        if staged != message:
+            exc.args = (staged,)
         raise
 
 
@@ -392,11 +397,6 @@ def stationary_history(problem: Problem, state: SolutionState,
                       stop_reason="stationary solve")
 
 
-def _element_size(mesh: Mesh, eid: int) -> float:
-    xy = mesh.nodes[mesh.elements[eid]]
-    return float((xy.max(axis=0) - xy.min(axis=0)).max())
-
-
 def _replace_crack(cracks: list, crack_id: int, new: CrackPath) -> None:
     for i, c in enumerate(cracks):
         if c.id == crack_id:
@@ -442,7 +442,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
             key = (tinfo.crack_id, tinfo.tip_id)
             if key in frozen:
                 continue
-            reach = max(_element_size(problem.mesh, tinfo.element), prop.delta_a)
+            reach = max(problem.mesh.element_sizes[tinfo.element], prop.delta_a)
             clearance = tip_clearance(problem.mesh, problem.emap, *key)
             if clearance <= reach:
                 frozen.add(key)

@@ -47,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from xfem2d.cracks import (
-    CrackGeometryError,
     CrackPath,
     TipFrame,
     extend_crack,
@@ -86,9 +85,7 @@ __all__ = [
     "branch_theta",
     "branch_frame",
     "branch_functions",
-    "total_displacement",
     "crack_opening",
-    "psi_at",
     "evaluate_fields",
     "BASIS_FIELD",
     "enriched_basis",
@@ -218,8 +215,6 @@ class EnrichmentMap:
     tips: tuple[TipInfo, ...]
     cracks: tuple[CrackPath, ...]
     source_cracks: tuple[CrackPath, ...]
-    tip_enrichment: bool
-    delta: float
     kinds: np.ndarray
     cut_sides: np.ndarray
     demotions: tuple = ()
@@ -227,11 +222,6 @@ class EnrichmentMap:
 
     def __post_init__(self):
         self._crack_index = {c.id: c for c in self.cracks}
-
-    @property
-    def psi(self) -> np.ndarray:
-        """0/1 indicator of enriched nodes."""
-        return (self.status != STANDARD).astype(float)
 
     def crack_by_id(self, crack_id: int) -> CrackPath:
         return self._crack_index[crack_id]
@@ -243,12 +233,6 @@ class EnrichmentMap:
     @property
     def n_tip(self) -> int:
         return int(np.count_nonzero(self.status == TIP))
-
-    def heaviside_nodes(self) -> np.ndarray:
-        return np.nonzero(self.status == HEAVISIDE)[0]
-
-    def tip_nodes(self) -> np.ndarray:
-        return np.nonzero(self.status == TIP)[0]
 
     def effective_half_length(self, crack_id: int) -> float:
         """Half of the crack's total length including virtual extensions."""
@@ -775,8 +759,6 @@ def classify_enrichment(
         tips=tuple(tips),
         cracks=tuple(eff_cracks),
         source_cracks=tuple(cracks),
-        tip_enrichment=tip_enrichment,
-        delta=delta,
         kinds=kinds,
         cut_sides=cut_sides,
         demotions=tuple(demotions),
@@ -1000,22 +982,6 @@ def evaluate_fields(xs, mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     return element_fields(mesh, emap, fields, eids, locs, xs, want_grad)
 
 
-def total_displacement(x, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap):
-    """Total displacement vector at one point."""
-    u, _ = evaluate_fields(np.asarray(x, dtype=float)[None, :], mesh, emap, fields,
-                           want_grad=False)
-    return u[0]
-
-
-def _shape_at(mesh: Mesh, xs):
-    """Corner nodes (n, 4) and shape values (n, 4) of the elements holding
-    the points ``xs`` (n, 2)."""
-    eids, locs = locate_points(mesh, xs)
-    if np.any(eids < 0):
-        raise ValueError("point is outside the mesh")
-    return mesh.elements[eids], reference_shape(locs[:, 0], locs[:, 1])[0]
-
-
 def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap,
                   crack_id: int):
     """Opening displacement (normal jump) at points of the crack polyline.
@@ -1031,15 +997,13 @@ def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: Enrichment
     crack = emap.crack_by_id(crack_id)
     if np.any(np.abs(signed_distance_batch(crack, xs)) > 1e-6 * max(1.0, crack.length)):
         raise ValueError("point does not lie on the crack polyline")
-    conn, values = _shape_at(mesh, xs)
+    eids, locs = locate_points(mesh, xs)
+    if np.any(eids < 0):
+        raise ValueError("point is outside the mesh")
+    conn, values = mesh.elements[eids], reference_shape(locs[:, 0], locs[:, 1])[0]
     own = (emap.status[conn] == HEAVISIDE) & (emap.node_crack[conn] == crack_id)
     jump = 2.0 * ((values * own)[:, None] @ fields.u_disc[conn])[:, 0]
     _, normal, _ = nearest_point(crack, xs)
     opening = np.sum(jump * normal, axis=1)
     return float(opening[0]) if x.ndim == 1 else opening
 
-
-def psi_at(emap: EnrichmentMap, mesh: Mesh, x) -> float:
-    """Bilinear interpolation of the 0/1 enriched-node indicator."""
-    conn, values = _shape_at(mesh, np.asarray(x, dtype=float)[None])
-    return float(values[0] @ emap.psi[conn[0]])

@@ -45,7 +45,6 @@ __all__ = [
     "FractureError",
     "SifResult",
     "auxiliary_fields",
-    "interaction_integral",
     "direct_j_integral",
     "extract_sifs",
     "j_from_sifs",
@@ -280,17 +279,6 @@ def _interaction(sig, grad, sig_aux, grad_aux, dq) -> float:
             + np.einsum("nab,na->nb", sig_aux, grad[:, :, 0]))
     flux[:, 0] -= np.einsum("nab,nab->n", sig, grad_aux)  # W^(1,2): sigma is symmetric
     return float(np.einsum("nb,nb->", flux, dq))
-
-
-def interaction_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                         material: MaterialModel, crack_id: int, tip_id: int,
-                         mode: int, radius: float | None = None,
-                         rules: QuadratureSet | None = None) -> float:
-    """Domain-form interaction integral of the solution with one unit mode,
-    over the ring of the domain of the given radius around the tip."""
-    r, theta, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
-                                             radius, rules)
-    return _interaction(sig, grad, *auxiliary_fields(mode, r, theta, material), dq)
 
 
 def direct_j_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,

@@ -28,13 +28,11 @@ __all__ = [
     "DissectionTree",
     "QuadratureRule",
     "QuadratureSet",
-    "ShapeEval",
     "MeshFormatError",
     "load_mesh",
     "dump_mesh",
     "read_mesh",
     "write_mesh",
-    "shape_eval",
     "gauss_rule",
     "jacobian",
     "edge_points",
@@ -206,26 +204,6 @@ class QuadratureSet:
             parts.append((np.repeat(eids[k], rule.n_points), np.tile(rule.points, (k.size, 1)),
                           dN.reshape(-1, 4, 2), wdet.ravel(), phys.reshape(-1, 2)))
         return tuple(np.concatenate(a) for a in zip(*parts))
-
-
-@dataclass(frozen=True)
-class ShapeEval:
-    """Shape-function data at one point of one element.
-
-    Attributes
-    ----------
-    values : ndarray, shape (4,)
-        Bilinear shape-function values; sum to 1.
-    gradients : ndarray, shape (4, 2)
-        Physical-coordinate gradients d(N_i)/d(x, y); rows sum to zero.
-    jacobian_det : float
-        Determinant of the reference-to-physical Jacobian; positive for
-        valid elements.
-    """
-
-    values: np.ndarray
-    gradients: np.ndarray
-    jacobian_det: float
 
 
 @dataclass
@@ -609,23 +587,6 @@ def point_segment_distance(p, a, b) -> np.ndarray:
     length2 = np.sum(ab * ab, axis=-1)
     t = np.sum(rel * ab, axis=-1) / np.where(length2 > 0.0, length2, 1.0)
     return np.linalg.norm(rel - np.clip(t, 0.0, 1.0)[..., None] * ab, axis=-1)
-
-
-def shape_eval(mesh: Mesh, element_id: int, local) -> ShapeEval:
-    """Evaluate shape functions of one element at reference point ``local``.
-
-    Returns values, physical-coordinate gradients, and the Jacobian
-    determinant of the bilinear map.
-    """
-    xi, eta = float(local[0]), float(local[1])
-    values, dref = reference_shape(xi, eta)
-    det, Jinv = jacobian(mesh.nodes[mesh.elements[element_id]], dref)
-    if det <= 0.0:
-        raise MeshFormatError(
-            f"element {element_id} has non-positive Jacobian {det:g} at ({xi:g}, {eta:g})"
-        )
-    gradients = dref @ Jinv  # dN_i/dx_a = dN_i/dxi_b * dxi_b/dx_a
-    return ShapeEval(values=values, gradients=gradients, jacobian_det=float(det))
 
 
 def _newton_invert(xy: np.ndarray, targets: np.ndarray, max_iter: int = 30,

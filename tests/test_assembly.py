@@ -24,7 +24,6 @@ from xfem2d.assembly import (
     assemble,
     elasticity_matrix,
     solve,
-    stress_strain_at,
     stress_strain_batch,
     _element_matrices,
 )
@@ -97,8 +96,9 @@ class TestDofLayout:
         assert layout.total_dofs == 2 * 121 + 2 * 10 + 8 * 8
         hs = np.nonzero(layout.disc_slot >= 0)[0]
         assert np.all(np.diff(layout.disc_slot[hs]) > 0)  # ascending node order
-        with pytest.raises(KeyError):
-            layout.disc_dof(0, 0)
+        # node 0 has neither jump nor branch dofs
+        np.testing.assert_array_equal(layout.column_dofs(np.zeros(2, dtype=int), np.array([1, 2])),
+                                      -1)
 
     def test_scatter_round_trip(self):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
@@ -112,9 +112,9 @@ class TestDofLayout:
         np.testing.assert_array_equal(fields.u_cont.ravel(), u[: 2 * n])
         # a specific enriched node round-trips
         node = int(np.nonzero(layout.disc_slot >= 0)[0][3])
-        assert fields.u_disc[node, 1] == u[layout.disc_dof(node, 1)]
+        assert fields.u_disc[node, 1] == u[layout.column_dofs(node, 1)[1]]
         tnode = int(np.nonzero(layout.tip_slot >= 0)[0][2])
-        assert fields.u_tip[tnode, 3, 0] == u[layout.tip_dof(tnode, 3, 0)]
+        assert fields.u_tip[tnode, 3, 0] == u[layout.column_dofs(tnode, 2 + 3)[0]]
         # zero rows where enrichment is absent
         assert np.all(fields.u_disc[layout.disc_slot < 0] == 0.0)
 
@@ -164,9 +164,10 @@ class TestPatchTest:
         scale = np.abs(exact).max()
         assert np.abs(state.fields.u_cont - exact).max() < 1e-10 * scale
 
-        for probe in [(0.3, 0.3), (0.7, 0.6), (0.51, 0.52)]:
-            _, sig = stress_strain_at(probe, state, mesh, emap, STEEL)
-            np.testing.assert_allclose(sig, sigma, rtol=1e-9)
+        _, sig = stress_strain_batch([(0.3, 0.3), (0.7, 0.6), (0.51, 0.52)], state, mesh, emap,
+                                     STEEL)
+        for row in sig:
+            np.testing.assert_allclose(row, sigma, rtol=1e-9)
 
     def test_work_balance(self):
         mesh = uniform_rect(1.0, 1.0, 8, 8)
@@ -195,11 +196,10 @@ class TestUniaxialOracle:
         state, _ = solve_with(mesh, emap, STEEL, bcs, pin)
         e_prime = STEEL.E / (1.0 - STEEL.nu**2)
         expected = e_prime * delta  # height H = 1
-        for probe in [(0.31, 0.42), (0.77, 0.18), (0.5, 0.93)]:
-            _, sig = stress_strain_at(probe, state, mesh, emap, STEEL)
-            assert sig[1] == pytest.approx(expected, rel=1e-9)
-            assert abs(sig[0]) < 1e-9 * expected
-            assert abs(sig[2]) < 1e-9 * expected
+        _, sig = stress_strain_batch([(0.31, 0.42), (0.77, 0.18), (0.5, 0.93)], state, mesh,
+                                     emap, STEEL)
+        np.testing.assert_allclose(sig[:, 1], expected, rtol=1e-9)
+        assert np.abs(sig[:, [0, 2]]).max() < 1e-9 * expected
 
 
 class TestRigidBodyStrain:
@@ -241,7 +241,7 @@ class TestCutStrip:
         for x in (0.2, 0.5, 0.8):
             opening = crack_opening((x, 1.55), state.fields, mesh, emap, 0)
             assert opening == pytest.approx(delta, rel=1e-8)
-        _, sig = stress_strain_at((0.5, 0.4), state, mesh, emap, STEEL)
+        _, sig = stress_strain_batch([(0.5, 0.4)], state, mesh, emap, STEEL)
         assert np.abs(sig).max() < 1e-6 * STEEL.E * delta
 
     def test_crack_parallel_to_load_is_transparent(self):
@@ -261,9 +261,9 @@ class TestCutStrip:
         assert np.abs(state.fields.u_disc).max() < 1e-2 * scale
         # branch coefficients scale like displacement / sqrt(length)
         assert np.abs(state.fields.u_tip).max() < 5e-2 * scale
-        for probe in [(0.2, 0.3), (0.8, 0.7), (0.53, 0.5)]:
-            _, sig = stress_strain_at(probe, state, mesh, emap, STEEL)
-            assert sig[1] == pytest.approx(sigma, rel=1e-3)
+        _, sig = stress_strain_batch([(0.2, 0.3), (0.8, 0.7), (0.53, 0.5)], state, mesh, emap,
+                                     STEEL)
+        np.testing.assert_allclose(sig[:, 1], sigma, rtol=1e-3)
         e_prime = STEEL.E / (1.0 - STEEL.nu**2)
         energy = 0.5 * float(state.u @ (system.K @ state.u))
         assert energy == pytest.approx(sigma**2 / (2 * e_prime), rel=1e-3)
@@ -289,8 +289,9 @@ class TestEnrichedLoads:
             t_c = abs(x_c - mesh.nodes[n, 0]) / L
             expected = ty * L * (emap.node_sign[other] - emap.node_sign[n]) * (1 - t_c) ** 2 / 2
             assert expected != 0.0
-            assert system.f[system.layout.disc_dof(n, 1)] == pytest.approx(expected, rel=1e-12)
-            assert system.f[system.layout.disc_dof(n, 0)] == 0.0
+            x, y = system.layout.column_dofs(n, 1)
+            assert system.f[y] == pytest.approx(expected, rel=1e-12)
+            assert system.f[x] == 0.0
 
     def test_gravity_column_nodal_values_exact(self):
         # Rollers on both sides and a fixed base leave a uniaxial-strain
@@ -566,13 +567,15 @@ class TestOrderedSolve:
         layout = system.layout
         perm = layout.node_dofs(system.tree.order)[0]
         np.testing.assert_array_equal(np.sort(perm), np.arange(layout.total_dofs))
+        # standard pairs first, then jump pairs, then eight branch dofs per node
+        jump, branch = 2 * mesh.n_nodes, 2 * mesh.n_nodes + 2 * layout.n_disc
         expected = []
         for n in mesh.nested_dissection_tree.order.tolist():
             expected += [2 * n, 2 * n + 1]
             if layout.disc_slot[n] >= 0:
-                expected += [layout.disc_dof(n, c) for c in (0, 1)]
+                expected += [jump + 2 * layout.disc_slot[n] + c for c in (0, 1)]
             if layout.tip_slot[n] >= 0:
-                expected += [layout.tip_dof(n, j, c) for j in range(4) for c in (0, 1)]
+                expected += [branch + 8 * layout.tip_slot[n] + k for k in range(8)]
         np.testing.assert_array_equal(perm, expected)
 
 
@@ -789,7 +792,7 @@ class TestPivotReport:
     def test_zeroed_jump_dof_names_its_node(self):
         _, _, system = center_crack_with_tips()
         node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
-        dof = system.layout.disc_dof(node, 1)
+        dof = system.layout.column_dofs(node, 1)[1]
         blocks = []
         for matrices, dofs in system.blocks:
             hit = dofs == dof
@@ -1286,6 +1289,6 @@ class TestStressOnFace:
         fields = FieldTriplet.zeros(mesh.n_nodes)
         state = type("S", (), {"fields": fields})()
         with pytest.raises(ValueError, match="face"):
-            stress_strain_at((0.45, 0.55), state, mesh, emap, STEEL)
+            stress_strain_batch([(0.45, 0.55)], state, mesh, emap, STEEL)
         # off-face probes work
-        stress_strain_at((0.45, 0.56), state, mesh, emap, STEEL)
+        stress_strain_batch([(0.45, 0.56)], state, mesh, emap, STEEL)

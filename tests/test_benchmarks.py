@@ -138,3 +138,24 @@ def test_hole_attraction_path_is_first_order_in_the_increment():
     paths = [_hole_path(steps) for steps in (20, 40, 80)]
     order = np.log2(_path_gap(*paths[:2]) / _path_gap(*paths[1:]))
     assert order >= 0.8
+
+
+@pytest.mark.slow
+def test_convergence_ladder_is_first_order():
+    # The ladder measures m_h = ||u_h - u_ref||, not the true error
+    # e_h = ||u_h - u||.  By the triangle inequality |m_h - e_h| <= e_ref,
+    # and at the bilinear rate e_h = C h and e_ref = C h_ref, so
+    # m_h = C h (1 + d_h) with |d_h| <= rho_h = h_ref / h: 1/12, 1/6 and 1/3
+    # on the default rungs.  The fitted slope is 1 + sum_h w_h log(1 + d_h),
+    # w_h the least-squares weights of log h, so over every admissible d_h
+    # it lies in [1 + sum w log(1 - sign(w) rho), 1 + sum w log(1 + sign(w) rho)],
+    # about [0.73, 1.35] here.  A slope outside cannot come from first-order
+    # rungs measured against a first-order reference.
+    sizes = np.asarray(benchmarks.LADDER_SIZES)
+    x = np.log(sizes) - np.log(sizes).mean()
+    w = x / (x @ x)
+    rho = benchmarks.LADDER_REFERENCE_SIZE / sizes
+    low = 1.0 + w @ np.log(1.0 - np.sign(w) * rho)
+    high = 1.0 + w @ np.log(1.0 + np.sign(w) * rho)
+    assert low < 1.0 < high
+    assert low <= benchmarks.convergence_ladder().slope <= high

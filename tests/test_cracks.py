@@ -12,10 +12,8 @@ from xfem2d.cracks import (
     extend_crack,
     heaviside,
     nearest_point,
-    signed_distance,
     signed_distance_batch,
     tip_frame,
-    tip_local_coords,
 )
 
 
@@ -139,13 +137,13 @@ def loop_self_intersects(vertices):
 class TestSignedDistance:
     def test_above_and_below_horizontal(self):
         crack = horizontal_crack()
-        assert signed_distance(crack, (0.5, 0.01)) == pytest.approx(0.01)
-        assert signed_distance(crack, (0.5, -0.02)) == pytest.approx(-0.02)
+        phi = signed_distance_batch(crack, [(0.5, 0.01), (0.5, -0.02)])
+        np.testing.assert_allclose(phi, [0.01, -0.02])
 
     def test_beyond_endpoint(self):
         crack = horizontal_crack()
-        assert abs(signed_distance(crack, (0.7, 0.0))) == pytest.approx(0.1)
-        assert abs(signed_distance(crack, (0.3, 0.04))) == pytest.approx(np.hypot(0.1, 0.04))
+        phi = signed_distance_batch(crack, [(0.7, 0.0), (0.3, 0.04)])
+        np.testing.assert_allclose(np.abs(phi), [0.1, np.hypot(0.1, 0.04)])
 
     def test_matches_dense_sampling_oracle(self):
         crack = kinked_crack()
@@ -168,14 +166,11 @@ class TestSignedDistance:
 
     def test_sign_consistent_around_kink(self):
         crack = kinked_crack()
-        # Points clearly above (left of travel) vs below the polyline.
-        assert signed_distance(crack, (0.25, 0.1)) > 0
-        assert signed_distance(crack, (0.6, 0.3)) > 0
-        assert signed_distance(crack, (0.25, -0.1)) < 0
-        assert signed_distance(crack, (0.65, -0.1)) < 0
-        # Near the kink vertex on both sides.
-        assert signed_distance(crack, (0.5, 0.05)) > 0
-        assert signed_distance(crack, (0.52, -0.05)) < 0
+        # Points clearly above (left of travel) vs below the polyline, then
+        # near the kink vertex on both sides.
+        phi = signed_distance_batch(crack, [(0.25, 0.1), (0.6, 0.3), (0.25, -0.1),
+                                            (0.65, -0.1), (0.5, 0.05), (0.52, -0.05)])
+        np.testing.assert_array_equal(np.sign(phi), [1, 1, -1, -1, 1, -1])
 
     def test_lipschitz(self):
         crack = kinked_crack()
@@ -229,16 +224,6 @@ class TestTipFrame:
         np.testing.assert_allclose(frame.origin, [0.4, 0.0])
         np.testing.assert_allclose(frame.tangent, [-1.0, 0.0])
         np.testing.assert_allclose(frame.normal, [0.0, -1.0])
-
-    def test_tip_local_coords(self):
-        frame = tip_frame(horizontal_crack(), 1)
-        r, theta = tip_local_coords(frame, frame.origin + 0.1 * frame.tangent)
-        assert (r, theta) == (pytest.approx(0.1), pytest.approx(0.0))
-        r, theta = tip_local_coords(frame, frame.origin + 0.1 * frame.normal)
-        assert (r, theta) == (pytest.approx(0.1), pytest.approx(np.pi / 2))
-        r, theta = tip_local_coords(frame, frame.origin - 0.1 * frame.tangent)
-        assert (r, theta) == (pytest.approx(0.1), pytest.approx(np.pi))
-        assert tip_local_coords(frame, frame.origin) == (0.0, 0.0)
 
 
 class TestExtendCrack:

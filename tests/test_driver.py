@@ -15,7 +15,7 @@ from xfem2d.assembly import (
     apply_constraints,
 )
 from xfem2d.config import ContourSpec, RunConfig
-from xfem2d.cracks import CrackPath, distance_batch, extend_crack
+from xfem2d.cracks import CrackPath, extend_crack, signed_distance_batch
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
@@ -561,7 +561,7 @@ class TestCodProfile:
         np.testing.assert_array_equal(crack.vertices, vertices)  # not perturbed
         first = np.linalg.norm(vertices[1] - vertices[0])
         np.testing.assert_allclose(prof[[0, -1], 1:3], vertices[[0, -1]], atol=1e-15)
-        np.testing.assert_allclose(distance_batch(crack, prof[:, 1:3]), 0.0, atol=1e-15)
+        np.testing.assert_allclose(signed_distance_batch(crack, prof[:, 1:3]), 0.0, atol=1e-15)
         along = np.where(prof[:, 0] <= first,
                          np.linalg.norm(prof[:, 1:3] - vertices[0], axis=1),
                          first + np.linalg.norm(prof[:, 1:3] - vertices[1], axis=1))

@@ -26,7 +26,6 @@ from xfem2d.cracks import (
     CrackGeometryError,
     CrackPath,
     heaviside,
-    signed_distance,
     signed_distance_batch,
     tip_frame,
 )
@@ -48,9 +47,7 @@ from xfem2d.enrichment import (
     element_fields,
     enriched_basis,
     evaluate_fields,
-    psi_at,
     shifted_heaviside,
-    total_displacement,
 )
 from xfem2d.mesh import (
     Mesh,
@@ -152,9 +149,11 @@ class TestBranchTheta:
         )
 
     def test_ahead_of_tip(self):
-        r, th = branch_theta(self.tinfo, self.crack, np.array([[0.7, 0.5]]))
-        assert r[0] == pytest.approx(0.1)
-        assert th[0] == pytest.approx(0.0, abs=1e-12)
+        # ahead, on the frame normal, and at the tip itself
+        r, th = branch_theta(self.tinfo, self.crack, np.array([[0.7, 0.5], [0.6, 0.6],
+                                                               [0.6, 0.5]]))
+        np.testing.assert_allclose(r, [0.1, 0.1, 0.0], atol=1e-15)
+        np.testing.assert_allclose(th, [0.0, np.pi / 2, 0.0], atol=1e-12)
 
     def test_signs_follow_crack_side(self):
         _, th_up = branch_theta(self.tinfo, self.crack, np.array([[0.5, 0.51]]))
@@ -216,17 +215,14 @@ class TestClassifyCenterCrack:
         for n in np.nonzero(self.emap.status != STANDARD)[0]:
             assert marked & set(ids[ptr[n]:ptr[n + 1]].tolist())
 
-    def test_psi_indicator(self):
-        assert psi_at(self.emap, self.mesh, (0.3, 0.5)) == pytest.approx(1.0)
-        assert psi_at(self.emap, self.mesh, (0.3, 0.4)) == pytest.approx(0.0)
-        # centroid above an edge whose two lower nodes are the only
-        # enriched nodes of that element
-        assert psi_at(self.emap, self.mesh, (0.45, 0.65)) == pytest.approx(0.5)
-
-    def test_psi_matches_status(self):
-        np.testing.assert_array_equal(
-            self.emap.psi == 1.0, self.emap.status != STANDARD
-        )
+    def test_enriched_nodes_around_the_crack(self):
+        assert self.emap.status[node_at(self.mesh, 0.3, 0.5)] != STANDARD
+        assert self.emap.status[node_at(self.mesh, 0.3, 0.4)] == STANDARD
+        # the element above the cut row: its two lower nodes are its only
+        # enriched ones
+        quad = self.mesh.elements[element_at(self.mesh, 0.45, 0.65)]
+        enriched = quad[self.emap.status[quad] != STANDARD]
+        np.testing.assert_allclose(self.mesh.nodes[enriched, 1], [0.6, 0.6])
 
     def test_element_kinds(self):
         kinds = self.emap.kinds
@@ -250,12 +246,8 @@ class TestThroughCrack:
         assert len(emap.cut_elements) == 10
         assert emap.tip_elements == {}
         assert emap.n_heaviside == 22
-        ys = mesh.nodes[emap.heaviside_nodes(), 1]
+        ys = mesh.nodes[emap.status == HEAVISIDE, 1]
         assert set(np.round(ys, 12)) == {0.5, 0.6}
-        assert all(
-            psi_at(emap, mesh, tuple(mesh.nodes[n])) == pytest.approx(1.0)
-            for n in emap.heaviside_nodes()[:5]
-        )
 
 
 class TestSingleElementCrack:
@@ -275,8 +267,7 @@ class TestDemotion:
         mesh = grid()
         crack = CrackPath(vertices=np.array([[0.15, 0.5002], [0.85, 0.5002]]), id=0)
         emap = classify_enrichment(mesh, [crack], delta=0.002)
-        hs = emap.heaviside_nodes()
-        np.testing.assert_allclose(mesh.nodes[hs, 1], 0.5)
+        np.testing.assert_allclose(mesh.nodes[emap.status == HEAVISIDE, 1], 0.5)
         reasons = {r for (_, _, r) in emap.demotions}
         assert "support area ratio below delta" in reasons
         # upper-row candidates away from the tips were all demoted
@@ -330,7 +321,7 @@ def loop_demotions(mesh, emap, rules, delta):
                 for n in mesh.elements[eid]}
     ends = {n for n, _, why in emap.demotions if why == "crack endpoint inside support"}
     records = []
-    for n in sorted(set(crack_of) - ends - set(emap.tip_nodes().tolist())):
+    for n in sorted(set(crack_of) - ends - set(np.flatnonzero(emap.status == TIP).tolist())):
         far, points, area = loop_far_side(mesh, emap, rules, n, emap.crack_by_id(crack_of[n]))
         ratio = min(far, area - far) / area
         if ratio < delta:
@@ -1163,10 +1154,10 @@ class TestFieldEvaluation:
         rng = np.random.default_rng(seed)
         fields = FieldTriplet.zeros(mesh.n_nodes)
         fields.u_cont[:] = rng.normal(size=(mesh.n_nodes, 2))
-        hs = emap.heaviside_nodes()
-        fields.u_disc[hs] = rng.normal(size=(hs.size, 2))
-        ts = emap.tip_nodes()
-        fields.u_tip[ts] = rng.normal(size=(ts.size, 4, 2))
+        hs = emap.status == HEAVISIDE
+        fields.u_disc[hs] = rng.normal(size=(hs.sum(), 2))
+        ts = emap.status == TIP
+        fields.u_tip[ts] = rng.normal(size=(ts.sum(), 4, 2))
         return fields
 
     def test_reduces_to_standard_interpolation(self):
@@ -1189,8 +1180,8 @@ class TestFieldEvaluation:
         fields = self._random_fields(mesh, emap)
         n = node_at(mesh, 0.4, 0.5)
         assert emap.status[n] == HEAVISIDE
-        u = total_displacement(mesh.nodes[n], fields, mesh, emap)
-        np.testing.assert_allclose(u, fields.u_cont[n], atol=1e-12)
+        u, _ = evaluate_fields(mesh.nodes[n][None], mesh, emap, fields, want_grad=False)
+        np.testing.assert_allclose(u[0], fields.u_cont[n], atol=1e-12)
 
     def test_jump_equals_hand_formula(self):
         mesh = grid()
@@ -1233,7 +1224,7 @@ class TestFieldEvaluation:
                 continue
             pa, pb = mesh.nodes[a], mesh.nodes[b]
             point = pa + 0.3 * (pb - pa)
-            if abs(signed_distance(crack, point)) < 1e-6:
+            if abs(signed_distance_batch(crack, point)[0]) < 1e-6:
                 continue
             us = []
             for eid in owners:
@@ -1299,8 +1290,7 @@ class TestFieldEvaluation:
         emap = classify_enrichment(mesh, [crack])
         fields = FieldTriplet.zeros(mesh.n_nodes)
         c = 0.013
-        for n in emap.heaviside_nodes():
-            fields.u_disc[n] = c * np.array([0.0, 1.0])
+        fields.u_disc[emap.status == HEAVISIDE] = c * np.array([0.0, 1.0])
         for x in (0.25, 0.43, 0.77):
             assert crack_opening((x, 0.55), fields, mesh, emap, 0) == pytest.approx(
                 2.0 * c, abs=1e-12
@@ -1333,5 +1323,9 @@ class TestFieldEvaluation:
         fields = FieldTriplet.zeros(mesh.n_nodes)
         with pytest.raises(ValueError, match="outside"):
             evaluate_fields([[1.5, 0.5]], mesh, emap, fields)
+        # a through crack starts outside the mesh
+        through = classify_enrichment(mesh, [CrackPath(
+            vertices=np.array([[-0.01, 0.55], [1.01, 0.55]]), tip_start=False, tip_end=False,
+            id=0)])
         with pytest.raises(ValueError, match="outside"):
-            psi_at(emap, mesh, (1.5, 0.5))
+            crack_opening((-0.005, 0.55), fields, mesh, through, 0)

@@ -13,7 +13,7 @@ from xfem2d.assembly import (
     elasticity_matrix,
     solve,
 )
-from xfem2d.cracks import CrackPath, signed_distance
+from xfem2d.cracks import CrackPath, signed_distance_batch
 from xfem2d.enrichment import FieldTriplet, classify_enrichment
 from xfem2d.fracture import (
     FractureError,
@@ -21,7 +21,6 @@ from xfem2d.fracture import (
     default_contour_radius,
     direct_j_integral,
     extract_sifs,
-    interaction_integral,
     j_from_sifs,
     k_equivalent,
     propagation_angle,
@@ -218,11 +217,10 @@ class TestInteractionIntegral:
             u=2.0 * state.u,
             residual=state.residual,
         )
-        base = interaction_integral(state, mesh, emap, STEEL, 0, 1, 1,
-                                    radius=0.2)
-        twice = interaction_integral(doubled, mesh, emap, STEEL, 0, 1, 1,
-                                     radius=0.2)
-        assert twice == pytest.approx(2.0 * base, rel=1e-12)
+        base = extract_sifs(state, mesh, emap, STEEL, 0, 1, radius=0.2)
+        twice = extract_sifs(doubled, mesh, emap, STEEL, 0, 1, radius=0.2)
+        assert twice.K_I == pytest.approx(2.0 * base.K_I, rel=1e-12)
+        assert twice.K_II == pytest.approx(2.0 * base.K_II, rel=1e-12)
 
     def test_rigid_translation_decouples(self, tension_plate):
         mesh, emap, state = tension_plate
@@ -235,10 +233,9 @@ class TestInteractionIntegral:
             u=np.zeros_like(state.u),
             residual=0.0,
         )
-        for mode in (1, 2):
-            value = interaction_integral(still, mesh, emap, STEEL, 0, 1, mode,
-                                         radius=0.2)
-            assert abs(value) < 1e-10
+        res = extract_sifs(still, mesh, emap, STEEL, 0, 1, radius=0.2)
+        # K = E' I / 2 of an interaction integral I below 1e-10
+        assert max(abs(res.K_I), abs(res.K_II)) < 0.5 * STEEL.E_effective * 1e-10
 
     @pytest.mark.parametrize("radius", [0.4, 0.5])
     def test_circle_reaching_the_other_end_rejected(self, tension_plate, radius):
@@ -279,7 +276,7 @@ class TestContourValidity:
         ]
         self.emap = classify_enrichment(self.mesh, cracks)
         fields = FieldTriplet.zeros(self.mesh.n_nodes)
-        self.state = type("S", (), {"fields": fields})()
+        self.state = type("S", (), {"fields": fields, "load_factor": 1.0})()
 
     def test_default_radius_shrinks_near_neighbor(self):
         # tip 1 of crack 0 sits 0.15 below crack 1, so the nominal radius is
@@ -288,7 +285,7 @@ class TestContourValidity:
         # nearest corner
         radius = default_contour_radius(self.mesh, self.emap, 0, 1)
         assert radius == pytest.approx(0.075 * math.sqrt(2.0))
-        assert interaction_integral(self.state, self.mesh, self.emap, STEEL, 0, 1, 1) == 0.0
+        assert extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1).K_I == 0.0
 
     def test_no_default_radius_within_the_clearance(self):
         # a tip 0.075 from the boundary: every ring holding its tip element
@@ -303,8 +300,7 @@ class TestContourValidity:
         # the tip's element corners lie 0.035 away: at a radius of 0.03 the
         # ring would hold the singular point, or be empty
         with pytest.raises(FractureError, match=r"radius 0\.03 .* tip element, of size 0\.0707"):
-            interaction_integral(self.state, self.mesh, self.emap, STEEL,
-                                 0, 1, 1, radius=0.03)
+            extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1, radius=0.03)
 
     def test_own_crack_coming_back_rejected(self):
         # a crack folded back on itself: from tip 1 it runs away to the
@@ -313,19 +309,18 @@ class TestContourValidity:
         folded = CrackPath(vertices=np.array([[0.2013, 0.4513], [0.7013, 0.4513],
                                               [0.7013, 0.5513], [0.5513, 0.5513]]), id=0)
         emap = classify_enrichment(mesh, [folded])
-        state = type("S", (), {"fields": FieldTriplet.zeros(mesh.n_nodes)})()
+        state = type("S", (), {"fields": FieldTriplet.zeros(mesh.n_nodes), "load_factor": 1.0})()
         with pytest.raises(FractureError,
                            match="crack 0 tip 1 is re-entered by its own crack"):
-            interaction_integral(state, mesh, emap, STEEL, 0, 1, 1, radius=0.12)
-        assert interaction_integral(state, mesh, emap, STEEL, 0, 1, 1, radius=0.05) == 0.0
+            extract_sifs(state, mesh, emap, STEEL, 0, 1, radius=0.12)
+        assert extract_sifs(state, mesh, emap, STEEL, 0, 1, radius=0.05).K_I == 0.0
 
     # crack 1 passes 0.15 from the tip: a radius of 0.14 stays short of it,
     # but the ring's outer nodes reach up to one element diameter beyond
     @pytest.mark.parametrize("radius", [0.2, 0.14])
     def test_crossing_other_crack_rejected(self, radius):
         with pytest.raises(FractureError, match="intersects crack 1"):
-            interaction_integral(self.state, self.mesh, self.emap, STEEL,
-                                 0, 1, 1, radius=radius)
+            extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1, radius=radius)
 
     def test_clearance_is_the_nearest_other_crack_segment(self):
         cracks = [
@@ -337,7 +332,7 @@ class TestContourValidity:
         for tinfo in emap.tips:
             origin = tinfo.frame.origin
             expected = min([self.mesh.boundary_distance(origin)] + [
-                abs(signed_distance(c, origin)) for c in cracks if c.id != tinfo.crack_id])
+                abs(signed_distance_batch(c, origin)[0]) for c in cracks if c.id != tinfo.crack_id])
             got = tip_clearance(self.mesh, emap, tinfo.crack_id, tinfo.tip_id)
             assert got == pytest.approx(expected, rel=1e-15)
 
@@ -347,8 +342,7 @@ class TestContourValidity:
             [CrackPath(vertices=np.array([[0.275, 0.425], [0.675, 0.425]]), id=0)],
         )
         with pytest.raises(FractureError, match="leaves the domain"):
-            interaction_integral(self.state, self.mesh, lone, STEEL,
-                                 0, 1, 1, radius=0.35)
+            extract_sifs(self.state, self.mesh, lone, STEEL, 0, 1, radius=0.35)
 
 
 class TestEnergyReleaseMap:

@@ -27,8 +27,8 @@ from xfem2d.mesh import (
     locate_hits,
     locate_points,
     _newton_invert,
+    element_geometry,
     reference_shape,
-    shape_eval,
 )
 from xfem2d.meshgen import uniform_rect, windowed_rect
 
@@ -137,7 +137,8 @@ class TestMeshDocument:
         assert mesh.n_nodes == 4
         assert mesh.n_elements == 1
         for local in [(-1, -1), (0.3, -0.7), (0, 0), (1, 1)]:
-            assert shape_eval(mesh, 0, local).jacobian_det == pytest.approx(0.25)
+            det, _ = jacobian(mesh.element_coords([0])[0], reference_shape(*local)[1])
+            assert det == pytest.approx(0.25)
         assert list(mesh.boundary_tags["bottom"]) == [0, 1]
 
     def test_out_of_range_index_names_element(self):
@@ -178,12 +179,8 @@ class TestMeshDocument:
     def test_grid_area_by_quadrature(self):
         mesh = structured_mesh(10, 10)
         assert mesh.n_elements == 100
-        rule = gauss_rule(4)
-        total = 0.0
-        for e in range(mesh.n_elements):
-            for (xi, eta), w in zip(rule.points, rule.weights):
-                total += w * shape_eval(mesh, e, (xi, eta)).jacobian_det
-        assert total == pytest.approx(1.0, rel=1e-10)
+        _, _, wdet, _ = element_geometry(mesh.element_coords(np.arange(100)), gauss_rule(4))
+        assert wdet.sum() == pytest.approx(1.0, rel=1e-10)
 
     def test_round_trip(self):
         mesh = load_mesh(UNIT_SQUARE_DOC)
@@ -714,33 +711,33 @@ class TestJacobian:
         np.testing.assert_array_equal(inv1, inv[2, 3])
 
 
-class TestShapeEval:
+class TestShapeFunctions:
     def test_center_values(self):
-        mesh = load_mesh(UNIT_SQUARE_DOC)
-        np.testing.assert_allclose(shape_eval(mesh, 0, (0, 0)).values, 0.25)
+        np.testing.assert_allclose(reference_shape(0.0, 0.0)[0], 0.25)
 
     def test_kronecker_property(self):
-        mesh = load_mesh(UNIT_SQUARE_DOC)
         corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
         for i, corner in enumerate(corners):
             expected = np.zeros(4)
             expected[i] = 1.0
-            np.testing.assert_allclose(shape_eval(mesh, 0, corner).values, expected, atol=1e-15)
+            np.testing.assert_allclose(reference_shape(*corner)[0], expected, atol=1e-15)
 
     def test_gradients_match_finite_differences(self):
         # Distorted (but convex) quad so the physical gradient is nontrivial.
         nodes = np.array([[0.0, 0.0], [1.1, -0.1], [1.3, 0.9], [-0.2, 1.2]])
         mesh = Mesh(nodes=nodes, elements=np.array([[0, 1, 2, 3]]))
+        xy = mesh.element_coords([0])[0]
         rng = np.random.default_rng(42)
         h = 1e-6
         for _ in range(5):
             local = rng.uniform(-0.8, 0.8, size=2)
-            x0 = reference_shape(*local)[0] @ mesh.element_coords([0])[0]
-            grads = shape_eval(mesh, 0, local).gradients
+            values, dref = reference_shape(*local)
+            x0 = values @ xy
+            grads = dref @ jacobian(xy, dref)[1]
 
             def values_at(x):
                 eids, locs = locate_points(mesh, x[None])
-                return shape_eval(mesh, eids[0], locs[0]).values
+                return reference_shape(*locs[0])[0]
 
             fd = np.empty((4, 2))
             for k in range(2):
