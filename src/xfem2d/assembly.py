@@ -56,6 +56,7 @@ from xfem2d.mesh import (
     Mesh,
     QuadratureRule,
     QuadratureSet,
+    _gauss_1d,
     edge_points,
     element_geometry,
 )
@@ -232,7 +233,10 @@ class LinearSystem:
     def K(self):
         """The blocks summed into a ``scipy.sparse.csr_matrix``, explicit
         zeros kept, in block and element order: built on each call, off the
-        path of :func:`solve`, which is why scipy.sparse is imported here."""
+        path of :func:`solve`.  It is the one path of the package that
+        imports ``scipy.sparse``, and through it scipy's array-API layer
+        (``numpy.f2py`` and more, about 0.16 s on the first call), which is
+        why the import is here."""
         import scipy.sparse as sp
 
         n = self.layout.total_dofs
@@ -368,7 +372,7 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
                                      np.ones(eid.size)]), axis=1)
     edge, k = np.nonzero(np.diff(knots, axis=1) >= 1e-14)
     t0, t1 = knots[edge, k], knots[edge, k + 1]
-    gp, gw = np.polynomial.legendre.leggauss(6)
+    gp, gw = _gauss_1d(6)
     ts = (0.5 * (t0 + t1))[:, None] + (0.5 * (t1 - t0))[:, None] * gp  # (pieces, 6)
     length = np.linalg.norm(pb - pa, axis=1)[edge]
     ws = ((0.5 * (t1 - t0) * length)[:, None] * gw).ravel()

@@ -30,18 +30,52 @@ The forward substitution skips each front whose incoming block is all
 +0.0, which solves to +0.0 and updates nothing: a load reaches only the
 fronts on the paths from its support to the root (Gilbert & Peierls, SIAM
 J. Sci. Stat. Comput. 9, 1988).  The back substitution walks every front.
+
+The six LAPACK and BLAS routines used here are scipy's own f2py wrapper
+objects, the ones ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+re-export, taken from the compiled modules ``scipy.linalg._flapack`` and
+``scipy.linalg._fblas``.  Those load in about 11 ms.  Importing them
+through ``scipy.linalg`` would also run its ``__init__``, whose array-API
+layer runs ``from numpy import *`` and so loads ``numpy.f2py``,
+``numpy.testing`` and more: about 0.2 s and 22 MiB of every process start
+(``python -X importtime``).  So :func:`_scipy_linalg_extension` loads the
+two modules from scipy's directory without that ``__init__``; a later
+``import scipy.linalg`` finds them in ``sys.modules`` and reuses them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from xfem2d.mesh import DissectionTree
 
 __all__ = ["FactorStats", "FrontalCholesky", "NodePairs"]
+
+
+def _scipy_linalg_extension(name: str):
+    """The compiled module ``scipy.linalg.<name>``, loaded without running
+    ``scipy.linalg``'s ``__init__`` unless scipy has loaded it already."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    # Imports the top-level scipy package only, not scipy.linalg.
+    locations = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(full, locations)
+    if spec is None:
+        raise ImportError(f"no module named {full!r} in {list(locations)}", name=full)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+blas = _scipy_linalg_extension("_fblas")
+lapack = _scipy_linalg_extension("_flapack")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+# A value-only np.unique (np.isin and np.union1d call one) asks np.ma
+# whether its input is masked, which would import numpy.ma (about 18 ms)
+# inside the first run rather than with the package.
+import numpy.ma  # noqa: F401
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Mesh",
@@ -138,8 +143,7 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gauss_1d(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return leggauss(n)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
 """Stiffness assembly and solver checks against closed-form states."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -800,6 +803,34 @@ class TestPivotReport:
         broken = replace(system, blocks=tuple(blocks))
         with pytest.raises(SolverError, match=rf"not positive definite \(node {node}, jump y\)"):
             solve(broken)
+
+
+def run_child(script):
+    """Last line ``script`` prints in a child interpreter that imports
+    this xfem2d."""
+    src = os.path.dirname(os.path.dirname(assembly.__file__))
+    result = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                             + script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
+
+
+class TestScipyWrappers:
+    """The factorization calls scipy's own BLAS/LAPACK wrapper objects in
+    either import order, so no routine is loaded twice."""
+
+    def test_scipy_linalg_first(self):
+        assert run_child(
+            "import scipy.linalg, xfem2d.cholesky as c\n"
+            "print(c.blas is sys.modules['scipy.linalg._fblas'],"
+            " c.lapack is sys.modules['scipy.linalg._flapack'])") == "True True"
+
+    def test_xfem2d_first(self):
+        assert run_child(
+            "import xfem2d.cholesky as c\n"
+            "from scipy.linalg import blas, lapack\n"
+            "print(all(getattr(blas, n) is getattr(c.blas, n) for n in ('dtrsm', 'dsyrk', 'dtpsv')),"
+            " lapack.dpotrf is c.lapack.dpotrf)") == "True True"
 
 
 def reference_places(factor, c):

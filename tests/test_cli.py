@@ -317,18 +317,26 @@ class TestSubprocessEntry:
         assert "K_I" in result.stdout
         assert (tmp_path / "out" / "sif_history.csv").is_file()
 
-    def test_solve_never_imports_scipy_sparse(self, tmp_path):
-        # Only LinearSystem.K builds a sparse matrix; every process start
-        # would pay for the import otherwise.
-        config = write_case(tmp_path)
+    def test_run_imports_only_what_the_package_loaded(self, tmp_path):
+        # Every run is a fresh process that pays its imports again.  The
+        # package skips scipy.linalg's __init__ (and the numpy.f2py its
+        # array-API layer loads), and a run imports nothing more: only
+        # LinearSystem.K, off the run path, would import scipy.sparse.
+        runs = []
+        for command, extra in (("solve", ""), ("propagate", GROWTH_SECTIONS)):
+            case = tmp_path / command
+            case.mkdir()
+            runs.append([command, "--config", write_case(case, extra), "--out", str(case / "out")])
         script = ("import sys, xfem2d, xfem2d.cli\n"
-                  f"code = xfem2d.cli.main(['solve', '--config', {config!r}, '--out', "
-                  f"{str(tmp_path / 'out')!r}])\n"
-                  "print(code, sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+                  "loaded = set(sys.modules)\n"
+                  "print('@', sorted({'scipy.linalg', 'numpy.f2py'} & loaded))\n"
+                  f"for argv in {runs!r}:\n"
+                  "    print('@', xfem2d.cli.main(argv), sorted(set(sys.modules) - loaded))\n")
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=_package_env())
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "0 []"
+        assert [line for line in result.stdout.splitlines() if line.startswith("@ ")] == [
+            "@ []", "@ 0 []", "@ 0 []"]
 
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
