@@ -65,6 +65,7 @@ from xfem2d.fracture import (
     k_equivalent,
     propagation_angle,
     tip_clearance,
+    williams_displacement,
 )
 from xfem2d.driver import (
     ExtensionEvent,
@@ -80,7 +81,6 @@ from xfem2d.driver import (
     run_stationary,
     setup_problem,
     stationary_history,
-    strain_evaluator,
     tip_trajectory,
 )
 from xfem2d.config import (

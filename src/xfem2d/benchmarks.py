@@ -12,7 +12,9 @@ Benchmark families
   against ``K_I = sigma * sqrt(pi * a)``;
 * the same plate with the crack inclined (``inclined_config``), against
   the closed-form mixed-mode pair;
-* an energy-norm convergence ladder (``convergence_ladder``);
+* an edge crack ending at the centre of a square whose boundary carries
+  the exact mode-I Williams displacement (``convergence_ladder``),
+  against that closed form everywhere: energy-norm error and K_I;
 * a growing edge crack attracted by an off-axis hole
   (``hole_attraction_config``);
 * two antisymmetric edge cracks among two holes (``twin_holes_config``);
@@ -26,17 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xfem2d.assembly import BoundaryCondition, MaterialModel
+from xfem2d.assembly import (BoundaryCondition, MaterialModel, apply_constraints, assemble,
+                             solve, voigt_strain)
 from xfem2d.config import ContourSpec, OutputSpec, RunConfig
 from xfem2d.cracks import CrackPath
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
     energy_error_norm,
-    run_stationary,
     setup_problem,
-    strain_evaluator,
 )
+from xfem2d.fracture import auxiliary_fields, extract_sifs, williams_displacement
 from xfem2d.mesh import Mesh
 from xfem2d.meshgen import punch_holes, uniform_rect, windowed_rect
 
@@ -50,8 +52,6 @@ __all__ = [
     "inclined_config",
     "inclined_exact",
     "LADDER_SIZES",
-    "LADDER_REFERENCE_SIZE",
-    "ladder_config",
     "ConvergenceResult",
     "convergence_ladder",
     "hole_attraction_config",
@@ -82,11 +82,12 @@ _TABLE1_CASES = {
 INCLINED_BETAS = tuple(range(10, 81, 10))
 _INCLINED_SPACING = 1.0 / 120.0
 
-LADDER_SIZES = (0.048, 0.024, 0.012)
-LADDER_REFERENCE_SIZE = 0.004
-_LADDER_EXTENT = 0.96
-_LADDER_CRACK = ((0.2976, 0.4416), (0.5856, 0.4416))
-_LADDER_MASK_RADIUS = 0.12
+# Convergence ladder: the square [-1, 1]^2 meshed n x n with n odd, so the
+# crack row and the tip at the centre sit at element centres on every
+# rung; the element size is h = 2 / n.
+LADDER_SIZES = tuple(2.0 / n for n in (11, 21, 41, 81))
+_LADDER_MATERIAL = MaterialModel(E=1.0, nu=0.3, plane_strain=True)
+_LADDER_RADIUS = 0.5  # of the K_I extraction domain
 
 # Frozen random layout: seventeen segments of length 0.2 in the unit
 # square, kept at least 0.045 apart and 0.06 off the boundary.
@@ -204,110 +205,95 @@ def inclined_config(beta_deg: float, with_tip: bool = True) -> RunConfig:
     )
 
 
-def ladder_config(spacing: float) -> RunConfig:
-    """Center-crack square plate meshed uniformly at one ladder spacing.
-
-    The plate side is a common multiple of every ladder spacing, and the
-    crack endpoints sit 0.2 cells inside their elements at the coarsest
-    rung.  Halving the spacing cycles that offset through 0.4, 0.8 and
-    0.6 cells, so every rung cuts its elements well away from node lines
-    and the measured error reflects resolution, not cut-pattern phase.
-    """
-    n = round(_LADDER_EXTENT / spacing)
-    if abs(n * spacing - _LADDER_EXTENT) > 1e-9:
-        raise ValueError(
-            f"spacing {spacing:g} does not divide the plate side "
-            f"{_LADDER_EXTENT:g}"
-        )
-    mesh = _with_pin(uniform_rect(_LADDER_EXTENT, _LADDER_EXTENT, n, n))
-    crack = CrackPath(vertices=np.array(_LADDER_CRACK), id=0)
-    return RunConfig(
-        material=STEEL,
-        mesh=mesh,
-        cracks=(crack,),
-        bcs=_tension_bcs(TABLE1_SIGMA),
-        tip_enrichment=True,
-        outputs=OutputSpec(),
-    )
-
-
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Energy-norm ladder outcome with its log-log line fit."""
+    """Ladder outcome: each rung's energy error and K_I - 1, with the
+    log-log line fit of the energy errors."""
 
     sizes: tuple
     errors: tuple
+    ki_errors: tuple
     slope: float
     r_squared: float
 
 
-def _ladder_region_mask():
-    """Weight ramping smoothly from 0 on the crack band to 1 far away.
+def _ladder_cells(size: float) -> int:
+    """The odd cell count n = 2 / h of the ladder square at element size h,
+    which may carry the rounding of six significant digits."""
+    n = 2.0 / size if size > 0.0 else 0.0
+    cells = round(n) if math.isfinite(n) else 0
+    if cells % 2 == 0 or abs(n - cells) > 1e-5 * cells:
+        raise ValueError(f"element size {size:g} does not make 2/h an odd whole number "
+                         f"(the default sizes are {', '.join(f'{h:g}' for h in LADDER_SIZES)})")
+    return cells
 
-    Zero within one mask radius of the crack segment, one beyond two
-    radii, with a C1 ramp between; a hard cutoff would re-select nearby
-    quadrature points at every rung and add noise right where the error
-    density is largest.
+
+def _ladder_rung(cells: int):
+    """Energy error and K_I - 1 of one rung against the exact field.
+
+    The crack runs from the middle of the left side to the tip at the
+    origin, so the tip frame is the global one.  Every boundary node's
+    standard dofs carry the exact unit mode-I displacement; the jump dofs
+    of the crack mouth's nodes stay free.
     """
-    a = np.array(_LADDER_CRACK[0])
-    b = np.array(_LADDER_CRACK[1])
-    ab = b - a
-    ab2 = float(ab @ ab)
+    mesh = uniform_rect(2.0, 2.0, cells, cells, origin=(-1.0, -1.0))
+    crack = CrackPath(vertices=np.array([[-1.0, 0.0], [0.0, 0.0]]), tip_start=False, id=0)
+    material = _LADDER_MATERIAL
+    problem = setup_problem(RunConfig(material=material, mesh=mesh, cracks=(crack,),
+                                      tip_enrichment=True))
+    nodes = np.unique(mesh.boundary_edges[:, :2])
+    x, y = mesh.nodes[nodes].T
+    u = williams_displacement(1, np.hypot(x, y), np.arctan2(y, x), material)
+    dofs = 2 * nodes[:, None] + np.arange(2)
+    system = apply_constraints(
+        assemble(mesh, problem.emap, material, problem.rules, cache=problem.stiffness),
+        dict(zip(dofs.ravel().tolist(), u.ravel().tolist())))
+    state = solve(system)
 
-    def mask(xs: np.ndarray) -> np.ndarray:
-        t = np.clip((xs - a) @ ab / ab2, 0.0, 1.0)
-        d = np.linalg.norm(xs - (a + t[:, None] * ab), axis=1)
-        ramp = np.clip(d / _LADDER_MASK_RADIUS - 1.0, 0.0, 1.0)
-        return ramp * ramp * (3.0 - 2.0 * ramp)
+    def exact_strain(xs):
+        _, grad = auxiliary_fields(1, np.hypot(*xs.T), np.arctan2(xs[:, 1], xs[:, 0]),
+                                   material)
+        return voigt_strain(grad)
 
-    return mask
+    error = energy_error_norm(state, mesh, problem.emap, material, exact_strain,
+                              rules=problem.rules)
+    sif = extract_sifs(state, mesh, problem.emap, material, 0, 1, radius=_LADDER_RADIUS,
+                       rules=problem.rules)
+    return error, float(sif.K_I) - 1.0
 
 
-def convergence_ladder(sizes=None, reference_size=None, progress=None):
-    """Energy error of each ladder rung against a deep reference solve.
+def convergence_ladder(sizes=None, progress=None):
+    """Each rung's error against the closed-form unit mode-I field.
 
-    Returns a :class:`ConvergenceResult`; the error region excludes a
-    band around the whole crack (faces and tips) so the comparison
-    measures the smooth part of the field, where bilinear elements
-    should lose accuracy linearly in the spacing.
+    ``sizes`` are element sizes h (default :data:`LADDER_SIZES`); each
+    must make 2/h odd, and at least two must differ, which is checked
+    before the first solve.  The energy error covers the whole square,
+    tip included, so with the tip element alone enriched it falls like
+    h^(1/2); the K_I error falls like h.  Returns a
+    :class:`ConvergenceResult` whose slope fits the energy errors.
     """
-    sizes = tuple(sizes) if sizes is not None else LADDER_SIZES
-    reference_size = (reference_size if reference_size is not None
-                      else LADDER_REFERENCE_SIZE)
+    cells = [_ladder_cells(float(h)) for h in (sizes if sizes is not None else LADDER_SIZES)]
+    if len(set(cells)) < 2:
+        raise ValueError("the convergence ladder needs at least two distinct element sizes")
+    sizes = tuple(2.0 / n for n in cells)
     log = progress if progress is not None else (lambda text: None)
 
-    log(f"[converge] reference solve at h = {reference_size:g}")
-    ref_config = ladder_config(reference_size)
-    ref_problem = setup_problem(ref_config)
-    ref_state, _ = run_stationary(ref_config, problem=ref_problem)
-    reference = strain_evaluator(ref_state, ref_problem.mesh,
-                                 ref_problem.emap)
+    errors, ki_errors = [], []
+    for h, n in zip(sizes, cells):
+        log(f"[converge] rung at h = {h:g} ({n} x {n} elements)")
+        error, ki_error = _ladder_rung(n)
+        errors.append(error)
+        ki_errors.append(ki_error)
 
-    mask = _ladder_region_mask()
-    errors = []
-    for spacing in sizes:
-        log(f"[converge] rung at h = {spacing:g}")
-        config = ladder_config(spacing)
-        problem = setup_problem(config)
-        state, _ = run_stationary(config, problem=problem)
-        err = energy_error_norm(state, problem.mesh, problem.emap,
-                                config.material, reference, region=mask,
-                                rules=problem.rules)
-        errors.append(err)
-
-    logs = np.log(np.asarray(sizes, dtype=float))
-    loge = np.log(np.asarray(errors, dtype=float))
+    logs = np.log(sizes)
+    loge = np.log(errors)
     slope, intercept = np.polyfit(logs, loge, 1)
     fitted = slope * logs + intercept
     ss_res = float(np.sum((loge - fitted) ** 2))
     ss_tot = float(np.sum((loge - loge.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return ConvergenceResult(
-        sizes=tuple(float(s) for s in sizes),
-        errors=tuple(float(e) for e in errors),
-        slope=float(slope),
-        r_squared=float(r_squared),
-    )
+    return ConvergenceResult(sizes=sizes, errors=tuple(errors), ki_errors=tuple(ki_errors),
+                             slope=float(slope), r_squared=float(r_squared))
 
 
 def hole_attraction_config() -> RunConfig:

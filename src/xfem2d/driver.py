@@ -75,7 +75,6 @@ from xfem2d.enrichment import (
     classify_with_remedy,
     crack_opening,
     element_fields,
-    evaluate_fields,
 )
 from xfem2d.fracture import (
     FractureError,
@@ -102,7 +101,6 @@ __all__ = [
     "stationary_history",
     "cod_profile",
     "energy_error_norm",
-    "strain_evaluator",
     "tip_trajectory",
 ]
 
@@ -315,9 +313,7 @@ def _contour_radius(contour: ContourSpec, emap: EnrichmentMap, crack_id: int) ->
         return None
     if contour.rule == "absolute":
         return float(contour.value)
-    if contour.rule == "relative":
-        return float(contour.value) * emap.effective_half_length(crack_id)
-    raise ValueError(f"unknown contour radius rule '{contour.rule}'")
+    return float(contour.value) * emap.effective_half_length(crack_id)  # "relative"
 
 
 def _solve_step(problem: Problem, lam: float,
@@ -548,38 +544,19 @@ def cod_profile(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     return np.column_stack([s, xs, opening])
 
 
-def strain_evaluator(state: SolutionState, mesh: Mesh, emap: EnrichmentMap):
-    """Callable mapping points to engineering strains of a solved state."""
-
-    def evaluate(xs):
-        return voigt_strain(evaluate_fields(xs, mesh, emap, state.fields)[1])
-
-    return evaluate
-
-
 def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                      material: MaterialModel, reference, region=None,
+                      material: MaterialModel, reference,
                       rules: QuadratureSet | None = None) -> float:
-    """Region-averaged energy norm of the strain error against a reference.
+    """Energy norm of the strain error against a reference strain field.
 
-    ``reference`` maps points (n, 2) to engineering strains (n, 3);
-    ``region`` optionally weights quadrature points: it may return
-    booleans (hard mask) or floats in [0, 1] (a smooth weight keeps the
-    measured quantity continuous under mesh refinement).  The integral
-    runs over each element's own quadrature class and is normalized by
-    the measured region area.
+    ``reference`` maps points (n, 2) to engineering strains (n, 3).
+    Returns sqrt(∫ (ε_h − ε)ᵀ D (ε_h − ε) dA) over the whole mesh, each
+    element integrated at its own quadrature class's rule.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
     eids, local, _, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements),
                                                    emap.kinds)
-    w = (np.asarray(region(phys), dtype=float) if region is not None
-         else np.ones(phys.shape[0]))
-    keep = np.nonzero(w > 0.0)[0]
-    wk = wdet[keep] * w[keep]
-    area = float(wk.sum())
-    if area <= 0.0:
-        raise ValueError("the region excludes every quadrature point")
-    _, grad = element_fields(mesh, emap, state.fields, eids[keep], local[keep], phys[keep])
-    diff = voigt_strain(grad) - np.asarray(reference(phys[keep]), dtype=float)
-    total = float(np.einsum("n,ni,ij,nj->", wk, diff, elasticity_matrix(material), diff))
-    return math.sqrt(max(total, 0.0)) / area
+    _, grad = element_fields(mesh, emap, state.fields, eids, local, phys)
+    diff = voigt_strain(grad) - np.asarray(reference(phys), dtype=float)
+    total = float(np.einsum("n,ni,ij,nj->", wdet, diff, elasticity_matrix(material), diff))
+    return math.sqrt(max(total, 0.0))

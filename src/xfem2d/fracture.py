@@ -52,6 +52,7 @@ __all__ = [
     "k_equivalent",
     "default_contour_radius",
     "tip_clearance",
+    "williams_displacement",
 ]
 
 class FractureError(ValueError):
@@ -76,6 +77,39 @@ class SifResult:
 # closed-form unit-intensity tip fields
 # ---------------------------------------------------------------------------
 
+def _williams_angular(mode: int, c, s, kappa: float):
+    """Angular functions g(theta) and g'(theta), shape (..., 2), of the
+    unit-intensity displacement u = sqrt(r) g(theta) / (2 mu sqrt(2 pi)),
+    given c = cos(theta/2) and s = sin(theta/2)."""
+    if mode == 1:
+        g = np.stack([c * (kappa - 1.0 + 2.0 * s * s),
+                      s * (kappa + 1.0 - 2.0 * c * c)], axis=-1)
+        gp = np.stack(
+            [-0.5 * s * (kappa - 1.0) + s * (2.0 * c * c - s * s),
+             0.5 * c * (kappa + 1.0) - c**3 + 2.0 * s * s * c],
+            axis=-1,
+        )
+    elif mode == 2:
+        g = np.stack([s * (kappa + 1.0 + 2.0 * c * c),
+                      -c * (kappa - 1.0 - 2.0 * s * s)], axis=-1)
+        gp = np.stack(
+            [0.5 * c * (kappa + 1.0) + c**3 - 2.0 * s * s * c,
+             0.5 * s * (kappa - 1.0) - s**3 + 2.0 * s * c * c],
+            axis=-1,
+        )
+    else:
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    return g, gp
+
+
+def williams_displacement(mode: int, r, theta, material: MaterialModel):
+    """Unit-intensity near-tip displacement (..., 2) in the tip frame."""
+    half = np.asarray(theta, dtype=float) / 2.0
+    g, _ = _williams_angular(mode, np.cos(half), np.sin(half), material.kolosov)
+    amp_u = 1.0 / (2.0 * material.shear_modulus * np.sqrt(2.0 * np.pi))
+    return (amp_u * np.sqrt(r))[..., None] * g
+
+
 def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
     """Unit-intensity near-tip stress and displacement gradient.
 
@@ -87,7 +121,6 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
     theta = np.asarray(theta, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("auxiliary fields require r > 0")
-    kappa = material.kolosov
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
     c3 = np.cos(3.0 * theta / 2.0)
@@ -97,26 +130,11 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
         sxx = amp * c * (1.0 - s * s3)
         syy = amp * c * (1.0 + s * s3)
         sxy = amp * c * s * c3
-        g = np.stack([c * (kappa - 1.0 + 2.0 * s * s),
-                      s * (kappa + 1.0 - 2.0 * c * c)], axis=-1)
-        gp = np.stack(
-            [-0.5 * s * (kappa - 1.0) + s * (2.0 * c * c - s * s),
-             0.5 * c * (kappa + 1.0) - c**3 + 2.0 * s * s * c],
-            axis=-1,
-        )
-    elif mode == 2:
+    else:
         sxx = -amp * s * (2.0 + c * c3)
         syy = amp * s * c * c3
         sxy = amp * c * (1.0 - s * s3)
-        g = np.stack([s * (kappa + 1.0 + 2.0 * c * c),
-                      -c * (kappa - 1.0 - 2.0 * s * s)], axis=-1)
-        gp = np.stack(
-            [0.5 * c * (kappa + 1.0) + c**3 - 2.0 * s * s * c,
-             0.5 * s * (kappa - 1.0) - s**3 + 2.0 * s * c * c],
-            axis=-1,
-        )
-    else:
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    g, gp = _williams_angular(mode, c, s, material.kolosov)  # rejects modes but 1 and 2
     sigma = np.stack([sxx, syy, sxy], axis=-1)
 
     # grad u from u = A sqrt(r) g(theta), A = 1/(2 mu sqrt(2 pi)):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import xfem2d.benchmarks
 import xfem2d.cli
 import xfem2d.driver
 import xfem2d.enrichment
@@ -205,6 +206,44 @@ class TestPropagate:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "[config]" in capsys.readouterr().err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before the arguments were checked")
+
+
+class TestBenchmarkCommands:
+    def test_converge_writes_table(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["converge", "--sizes", "0.181818,0.0952381", "--out", str(out)]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert lines[0] == "h,energy_error,ki_error"
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx(
+            [2.0 / 11, 2.0 / 21])
+        assert "fitted slope" in capsys.readouterr().out
+
+    def test_sweep_writes_table(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep-table1", "--ratios", "2", "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("a_over_s,K_I_tip")
+        assert len(lines) == 2 and lines[1].startswith("2,")
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("0.048", "element size 0.048 does not make 2/h an odd whole number"),
+        ("0.05,0.024", "element size 0.05 does not make 2/h an odd whole number"),
+        ("0.181818,0.181818", "the convergence ladder needs at least two distinct element sizes"),
+    ])
+    def test_converge_rejects_sizes_before_any_solve(self, capsys, monkeypatch,
+                                                      sizes, message):
+        monkeypatch.setattr(xfem2d.benchmarks, "_ladder_rung", _no_solve)
+        assert main(["converge", "--sizes", sizes]) == 1
+        assert f"[config] {message}" in capsys.readouterr().err
+
+    def test_sweep_rejects_unknown_ratio_before_any_solve(self, capsys, monkeypatch):
+        monkeypatch.setattr(xfem2d.cli, "run_stationary", _no_solve)
+        assert main(["sweep-table1", "--ratios", "12.5,3"]) == 1
+        assert "[config] unknown refinement ratio 3" in capsys.readouterr().err
 
 
 class TestArgumentHandling:

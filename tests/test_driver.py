@@ -13,6 +13,7 @@ from xfem2d.assembly import (
     MaterialModel,
     StiffnessCache,
     apply_constraints,
+    stress_strain_batch,
 )
 from xfem2d.config import ContourSpec, RunConfig
 from xfem2d.cracks import CrackPath, extend_crack, signed_distance_batch
@@ -24,7 +25,6 @@ from xfem2d.driver import (
     run_propagation,
     run_stationary,
     setup_problem,
-    strain_evaluator,
     tip_trajectory,
     _stage,
 )
@@ -621,7 +621,10 @@ class TestEnergyErrorNorm:
 
     def test_self_reference_is_zero(self, solved):
         problem, state = solved
-        ref = strain_evaluator(state, problem.mesh, problem.emap)
+        # the solved strain, evaluated by point location off the crack faces
+        def ref(xs):
+            return stress_strain_batch(xs, state, problem.mesh, problem.emap, STEEL)[0]
+
         err = energy_error_norm(state, problem.mesh, problem.emap, STEEL, ref)
         scale = energy_error_norm(state, problem.mesh, problem.emap, STEEL,
                                   lambda xs: np.zeros((len(xs), 3)))
@@ -656,28 +659,19 @@ class TestEnergyErrorNorm:
                                   lambda xs: np.zeros((len(xs), 3)))
         assert err < 1e-10 * scale
 
-    def test_region_normalization_exact(self, solved):
-        problem, _ = solved
-        # zero state against a constant reference: the norm depends on the
-        # region only through its area, which the mask keeps exact when it
-        # selects whole element columns
-        config = make_config(mesh=problem.mesh, cracks=[center_crack()],
+    def test_constant_reference_integrates_the_whole_area(self):
+        # an unloaded state against a constant strain: the norm squared is
+        # the energy density times the area, 3 here, whatever the rules of
+        # the cut and tip elements
+        grid = uniform_rect(2.0, 1.5, 20, 15)
+        mesh = Mesh(nodes=grid.nodes, elements=grid.elements,
+                    boundary_tags={**grid.boundary_tags, "pin": np.array([0])})
+        config = make_config(mesh=mesh, cracks=[center_crack(a=0.25, y=0.75)],
                              bcs=tension_bcs(traction=(0.0, 0.0)))
-        state, _ = run_stationary(config)
+        problem = setup_problem(config)
+        state, _ = run_stationary(config, problem=problem)
         const = np.array([1e-4, -2e-4, 3e-4])
-
-        def ref(xs):
-            return np.broadcast_to(const, (len(xs), 3)).copy()
-
-        full = energy_error_norm(state, problem.mesh, problem.emap, STEEL, ref)
-        frac = 10.0 / 21.0
-        part = energy_error_norm(state, problem.mesh, problem.emap, STEEL, ref,
-                                 region=lambda xs: xs[:, 0] < frac)
-        assert part == pytest.approx(full / math.sqrt(frac), rel=1e-12)
-
-    def test_empty_region_rejected(self, solved):
-        problem, state = solved
-        ref = strain_evaluator(state, problem.mesh, problem.emap)
-        with pytest.raises(ValueError, match="region"):
-            energy_error_norm(state, problem.mesh, problem.emap, STEEL, ref,
-                              region=lambda xs: np.zeros(len(xs), dtype=bool))
+        err = energy_error_norm(state, problem.mesh, problem.emap, STEEL,
+                                lambda xs: np.broadcast_to(const, (len(xs), 3)))
+        density = const @ assembly.elasticity_matrix(STEEL) @ const
+        assert err == pytest.approx(math.sqrt(3.0 * density), rel=1e-12)

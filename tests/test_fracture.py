@@ -25,13 +25,14 @@ from xfem2d.fracture import (
     k_equivalent,
     propagation_angle,
     tip_clearance,
+    williams_displacement,
 )
 from xfem2d.meshgen import uniform_rect
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
 
 
-def williams_displacement(mode, r, theta, material):
+def closed_form_displacement(mode, r, theta, material):
     """Tip-frame displacement of the unit-intensity field of one mode."""
     kappa = material.kolosov
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -88,13 +89,13 @@ class TestAuxiliaryFields:
             _, grad = auxiliary_fields(mode, r, theta, STEEL)
             fd = np.empty((2, 2))
             for b, (dx, dy) in enumerate([(h, 0.0), (0.0, h)]):
-                up = williams_displacement(
+                up = closed_form_displacement(
                     mode,
                     math.hypot(x + dx, y + dy),
                     math.atan2(y + dy, x + dx),
                     STEEL,
                 )
-                dn = williams_displacement(
+                dn = closed_form_displacement(
                     mode,
                     math.hypot(x - dx, y - dy),
                     math.atan2(y - dy, x - dx),
@@ -103,11 +104,30 @@ class TestAuxiliaryFields:
                 fd[:, b] = (up - dn) / (2.0 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_displacement_matches_closed_form(self, mode):
+        rng = np.random.default_rng(5)
+        r = rng.uniform(0.05, 2.0, size=20)
+        theta = rng.uniform(-math.pi, math.pi, size=20)
+        expected = [closed_form_displacement(mode, a, b, STEEL) for a, b in zip(r, theta)]
+        np.testing.assert_allclose(williams_displacement(mode, r, theta, STEEL), expected,
+                                   rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+    def test_mode_one_opens_the_faces(self):
+        # the crack opening of unit K_I: (kappa + 1) / mu * sqrt(r / (2 pi))
+        r = 0.3
+        upper, lower = williams_displacement(1, r, [math.pi, -math.pi], STEEL)
+        opening = (STEEL.kolosov + 1.0) / STEEL.shear_modulus * math.sqrt(r / (2.0 * math.pi))
+        assert upper[1] - lower[1] == pytest.approx(opening, rel=1e-14)
+        assert upper[0] - lower[0] == pytest.approx(0.0, abs=1e-14 * opening)
+
     def test_invalid_input(self):
         with pytest.raises(ValueError, match="r > 0"):
             auxiliary_fields(1, 0.0, 0.0, STEEL)
         with pytest.raises(ValueError, match="mode"):
             auxiliary_fields(3, 1.0, 0.0, STEEL)
+        with pytest.raises(ValueError, match="mode"):
+            williams_displacement(3, 1.0, 0.0, STEEL)
 
 
 class TestKinkAngle:
