@@ -65,6 +65,7 @@ from xfem2d.fracture import (
     k_equivalent,
     propagation_angle,
     tip_clearance,
+    tip_rings,
     williams_displacement,
 )
 from xfem2d.driver import (

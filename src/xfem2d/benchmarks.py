@@ -12,6 +12,9 @@ Benchmark families
   against ``K_I = sigma * sqrt(pi * a)``;
 * the same plate with the crack inclined (``inclined_config``), against
   the closed-form mixed-mode pair;
+* an edge crack to half the width of a plate in tension
+  (``edge_tension_config``), against Tada, Paris & Irwin's
+  ``K_I = sigma * sqrt(pi * a) * F(a / W)`` (``edge_tension_exact_ki``);
 * an edge crack ending at the centre of a square whose boundary carries
   the exact mode-I Williams displacement (``convergence_ladder``),
   against that closed form everywhere: energy-norm error and K_I;
@@ -51,6 +54,8 @@ __all__ = [
     "INCLINED_BETAS",
     "inclined_config",
     "inclined_exact",
+    "edge_tension_config",
+    "edge_tension_exact_ki",
     "LADDER_SIZES",
     "ConvergenceResult",
     "convergence_ladder",
@@ -78,6 +83,10 @@ _TABLE1_CASES = {
     9.1: (0.011, (-0.495, 0.495), (-0.5005, 0.5005)),
     12.5: (0.008, (-0.504, 0.504), (-0.5, 0.5)),
 }
+
+# Edge-crack plate: width W and crack depth a, at a / W = 0.5.
+_EDGE_WIDTH = 1.0
+_EDGE_DEPTH = 0.5
 
 INCLINED_BETAS = tuple(range(10, 81, 10))
 _INCLINED_SPACING = 1.0 / 120.0
@@ -201,6 +210,42 @@ def inclined_config(beta_deg: float, with_tip: bool = True) -> RunConfig:
         bcs=_tension_bcs(TABLE1_SIGMA),
         tip_enrichment=with_tip,
         contour=ContourSpec("relative", 0.9),
+        outputs=OutputSpec(),
+    )
+
+
+def edge_tension_exact_ki() -> float:
+    """Opening-mode intensity of :func:`edge_tension_config`'s crack,
+    sigma sqrt(pi a) F(a / W) with the F of Tada, Paris & Irwin (The Stress
+    Analysis of Cracks Handbook, 2000), stated accurate to 0.5 % for
+    a / W <= 0.6."""
+    s = _EDGE_DEPTH / _EDGE_WIDTH
+    return TABLE1_SIGMA * math.sqrt(math.pi * _EDGE_DEPTH) * (
+        1.12 - 0.231 * s + 10.55 * s**2 - 21.72 * s**3 + 30.39 * s**4)
+
+
+def edge_tension_config(cells: int = 41) -> RunConfig:
+    """Edge crack to half the width of a plate in tension.
+
+    A 1 m wide, 2 m tall plate meshed ``cells`` elements across and
+    2 ``cells`` + 1 high, both odd, so the crack row at mid-height and the
+    tip at mid-width sit at element centres.  The crack runs from the left
+    edge to a / W = 0.5, the bottom rests on rollers and the top carries
+    1 MPa of tension; the domain takes the ``auto`` radius.
+    """
+    if cells < 3 or cells % 2 == 0:
+        raise ValueError(f"the edge-crack plate needs an odd cell count of 3 or more, got {cells}")
+    height = 2.0 * _EDGE_WIDTH
+    mesh = _with_pin(uniform_rect(_EDGE_WIDTH, height, cells, 2 * cells + 1))
+    crack = CrackPath(vertices=np.array([[0.0, 0.5 * height], [_EDGE_DEPTH, 0.5 * height]]),
+                      tip_start=False, id=0)
+    return RunConfig(
+        material=STEEL,
+        mesh=mesh,
+        cracks=(crack,),
+        bcs=_tension_bcs(TABLE1_SIGMA),
+        tip_enrichment=True,
+        contour=ContourSpec("auto"),
         outputs=OutputSpec(),
     )
 

@@ -37,8 +37,11 @@ the boundary tags.  From step to step the run carries:
 
 Every step then classifies its cracks from scratch on that same mesh, as
 the paper redoes its level sets and enrichment at each step, assembles,
-solves, and extracts.  The last solved step's problem stays on the
-:class:`RunHistory` for the output writers.
+solves, and extracts the intensities of all its live tips from one pass
+(:func:`~xfem2d.fracture.tip_rings`), whose distance pass
+(:func:`~xfem2d.fracture.tip_clearance`) the freeze check shares.  The
+last solved step's problem stays on the :class:`RunHistory` for the
+output writers.
 
 Errors raised by the underlying modules are re-raised with a pipeline
 stage prefix (``[mesh]``, ``[classification]``, ``[assembly]``,
@@ -78,9 +81,11 @@ from xfem2d.enrichment import (
 )
 from xfem2d.fracture import (
     FractureError,
+    TipDistances,
     extract_sifs,
     k_equivalent,
     tip_clearance,
+    tip_rings,
 )
 from xfem2d.mesh import Mesh, MeshFormatError, read_mesh
 
@@ -328,27 +333,32 @@ def _solve_step(problem: Problem, lam: float,
         return solve(system, load_factor=lam, factor=factor)
 
 
-def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec,
-                  skip=frozenset(), freezes: list | None = None):
-    """The SIFs of every live tip not in ``skip``.  Given ``freezes``, a tip
-    without an admissible ``auto`` domain gets a :class:`FreezeEvent` there,
-    with the reason, instead of failing the step; a set radius never does."""
-    results = []
+def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec, tips,
+                  freezes: list | None = None, near: TipDistances | None = None):
+    """The SIFs of ``tips``: one :func:`~xfem2d.fracture.tip_rings` pass
+    (one grid query for every domain, one field evaluation over every
+    ring), with ``near`` the tips' distances if the step has found them
+    already, then :func:`~xfem2d.fracture.extract_sifs` on each tip of it.
+
+    A rejected domain fails the step with its reason, that of the first
+    such tip in ``tips``, when the radius is set or no ``freezes`` list is
+    given; otherwise each tip without an admissible ``auto`` domain gets a
+    :class:`FreezeEvent` there, with the reason, and the others go on.
+    """
     with _stage("fracture"):
-        for tinfo in problem.emap.tips:
-            key = (tinfo.crack_id, tinfo.tip_id)
-            if key in skip:
-                continue
-            radius = _contour_radius(contour, problem.emap, tinfo.crack_id)
-            try:
-                results.append(extract_sifs(state, problem.mesh, problem.emap,
-                                            problem.material, *key, radius=radius,
-                                            rules=problem.rules))
-            except FractureError as exc:
-                if freezes is None or radius is not None:
-                    raise
-                freezes.append(FreezeEvent(*key, str(exc)))
-    return tuple(results)
+        mesh, emap, material = problem.mesh, problem.emap, problem.material
+        rings = tip_rings(state, mesh, emap, material, tips,
+                          [_contour_radius(contour, emap, t.crack_id) for t in tips],
+                          rules=problem.rules, near=near)
+        failures = [(t, f) for t, f in zip(tips, rings.failures) if f is not None]
+        if failures and (freezes is None or contour.rule != "auto"):
+            raise FractureError(failures[0][1])
+        results = tuple(extract_sifs(state, mesh, emap, material, t.crack_id, t.tip_id,
+                                     rings=rings)
+                        for t, f in zip(tips, rings.failures) if f is None)
+    if freezes is not None:
+        freezes.extend(FreezeEvent(t.crack_id, t.tip_id, reason) for t, reason in failures)
+    return results
 
 
 def run_stationary(config: RunConfig, problem: Problem | None = None,
@@ -365,7 +375,8 @@ def run_stationary(config: RunConfig, problem: Problem | None = None,
         problem = setup_problem(config)
     lam = config.schedule.steps[-1] if config.schedule is not None else 1.0
     state = _solve_step(problem, lam)
-    results = _extract_step(problem, state, config.contour, freezes=unresolved)
+    results = _extract_step(problem, state, config.contour, problem.emap.tips,
+                            freezes=unresolved)
     return state, results
 
 
@@ -433,23 +444,26 @@ def run_propagation(config: RunConfig) -> RunHistory:
             history.stop_reason = "solver failure"
             break
 
+        # one distance pass over the live tips serves the freeze check here
+        # and the extraction's domains
         freezes = []
-        for tinfo in problem.emap.tips:
-            key = (tinfo.crack_id, tinfo.tip_id)
-            if key in frozen:
-                continue
+        live = [t for t in problem.emap.tips if (t.crack_id, t.tip_id) not in frozen]
+        near = tip_clearance(problem.mesh, problem.emap, live)
+        kept = []
+        for i, (tinfo, clearance) in enumerate(zip(live, near.clearance.tolist())):
             reach = max(problem.mesh.element_sizes[tinfo.element], prop.delta_a)
-            clearance = tip_clearance(problem.mesh, problem.emap, *key)
             if clearance <= reach:
-                frozen.add(key)
                 freezes.append(FreezeEvent(
-                    key[0], key[1],
+                    tinfo.crack_id, tinfo.tip_id,
                     f"clearance {clearance:.4g} m within reach {reach:.4g} m "
                     "of the boundary or another crack",
                 ))
+            else:
+                kept.append(i)
 
         # a tip with no admissible domain under the auto rule freezes
-        sifs = _extract_step(problem, state, contour, skip=frozen, freezes=freezes)
+        sifs = _extract_step(problem, state, contour, [live[i] for i in kept], freezes,
+                             near.take(kept))
         frozen.update((e.crack_id, e.tip_id) for e in freezes)
         record = _step_record(k, problem, state, cracks, sifs, freezes)
         history.steps.append(record)

@@ -82,6 +82,7 @@ __all__ = [
     "classify_with_remedy",
     "shifted_heaviside",
     "branch_eval",
+    "tip_polar",
     "branch_theta",
     "branch_frame",
     "branch_functions",
@@ -844,21 +845,26 @@ def branch_eval(r, theta):
     return values, np.stack([dx, dy], axis=-1)
 
 
+def tip_polar(tinfo: TipInfo, xs: np.ndarray):
+    """Distance r from the tip and unsigned angle |theta| from its tangent,
+    each (k,), at points ``xs`` (k, 2)."""
+    rel = np.atleast_2d(xs) - tinfo.frame.origin
+    xp = rel @ tinfo.frame.tangent
+    yp = rel @ tinfo.frame.normal
+    return np.hypot(xp, yp), np.abs(np.arctan2(yp, xp))
+
+
 def branch_theta(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
     """Tip-polar coordinates with theta's sign taken from the crack side.
 
     The branch discontinuity must fall exactly on the crack face, so the
-    angle magnitude comes from the tip frame while its sign comes from the
-    signed distance to the (possibly kinked) crack polyline.
+    angle magnitude comes from the tip frame (:func:`tip_polar`) while its
+    sign comes from the signed distance to the (possibly kinked) crack
+    polyline.
     """
     xs = np.atleast_2d(xs)
-    rel = xs - tinfo.frame.origin
-    xp = rel @ tinfo.frame.tangent
-    yp = rel @ tinfo.frame.normal
-    r = np.hypot(xp, yp)
-    theta = np.abs(np.arctan2(yp, xp))
-    side = heaviside(signed_distance_batch(crack, xs))
-    return r, side * theta
+    r, theta = tip_polar(tinfo, xs)
+    return r, heaviside(signed_distance_batch(crack, xs)) * theta
 
 
 def branch_frame(tinfo: TipInfo) -> np.ndarray:
@@ -887,7 +893,7 @@ def branch_functions(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 BASIS_FIELD = np.repeat(np.arange(6), 4)  # field of each basis column
-_BASIS_BATCH = 4096  # points per enriched_basis call of basis_batches
+_BASIS_BATCH = 4096  # points per run of element_fields, plain or enriched
 
 
 def _label_rows(labels: np.ndarray):
@@ -948,22 +954,36 @@ def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     """Total displacement (n, 2) and gradient (n, 2, 2) at points of known elements.
 
     Point k lies in element ``eids[k]`` at reference coordinates ``local[k]``
-    and physical position ``xs[k]``: the enriched basis contracted with
-    each column's field coefficients.  Only the columns whose node carries
-    their field at some point of a run are contracted.  ``grad`` is
-    ``None`` when not wanted.
+    and physical position ``xs[k]``.  A plain element's points (no
+    enriched corner) take the standard basis with ``u_cont`` alone; the
+    others, the enriched basis contracted with each column's field
+    coefficients, only the columns whose node carries their field at some
+    point of a run contracted.  ``grad`` is ``None`` when not wanted.
     """
+    u = np.empty((len(eids), 2))
+    grad = np.empty((len(eids), 2, 2)) if want_grad else None
+    rich = emap.kinds[eids] > 0
+    plain = np.flatnonzero(~rich)
+    for start in range(0, plain.size, _BASIS_BATCH):  # runs, as basis_batches takes
+        at = plain[start:start + _BASIS_BATCH]
+        conn = mesh.elements[eids[at]]
+        N, dref = reference_shape(local[at, 0], local[at, 1])
+        c = fields.u_cont[conn]
+        u[at] = np.einsum("ki,kia->ka", N, c)
+        if want_grad:
+            dN = dref @ jacobian(mesh.nodes[conn], dref)[1]
+            grad[at] = np.einsum("kib,kia->kab", dN, c)
+    rich = np.flatnonzero(rich)
     coef = np.concatenate([fields.u_cont[:, None], fields.u_disc[:, None], fields.u_tip],
                           axis=1)  # (n_nodes, 6, 2), by BASIS_FIELD
     kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
-    u = np.empty((len(eids), 2))
-    grad = np.empty((len(eids), 2, 2)) if want_grad else None
-    for run, values, grads, nodes in basis_batches(mesh, emap, eids, local, xs):
+    for run, values, grads, nodes in basis_batches(mesh, emap, eids[rich], local[rich],
+                                                   xs[rich]):
         used = np.nonzero((kind == STANDARD) | (emap.status[nodes] == kind).any(axis=0))[0]
         c = coef[nodes[:, used], BASIS_FIELD[used]]
-        u[run] = np.einsum("kc,kca->ka", values[:, used], c)
+        u[rich[run]] = np.einsum("kc,kca->ka", values[:, used], c)
         if want_grad:
-            grad[run] = np.einsum("kcb,kca->kab", grads[:, used], c)
+            grad[rich[run]] = np.einsum("kcb,kca->kab", grads[:, used], c)
     return u, grad
 
 

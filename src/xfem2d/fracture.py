@@ -13,12 +13,11 @@ same integral of the solved field with itself is the J integral.
 The weight q is bilinear on the mesh: 1 at the nodes strictly inside a
 radius R around the tip, 0 at the others.  So q_,j vanishes outside the
 *ring* of elements with corners on both sides of that circle, and the
-integral runs over the ring alone: each of its integration classes at the
-rule the stiffness takes for it, the solved field from one
-:func:`~xfem2d.enrichment.element_fields` call over all its points.  The
-auxiliary angle has its magnitude from the tip frame and its sign from
-the side of the crack (:func:`~xfem2d.enrichment.branch_theta`), so its
-discontinuity lies on the faces of a kinked crack as well.
+integral runs over the ring alone, each of its integration classes at the
+rule the stiffness takes for it.  The auxiliary angle has its magnitude
+from the tip frame and its sign from the side of the crack (as in
+:func:`~xfem2d.enrichment.branch_theta`), so its discontinuity lies on
+the faces of a kinked crack as well.
 
 A domain is rejected when the tip element is not wholly inside R (the
 ring would reach the singular point, or be empty), and when the circle
@@ -28,22 +27,41 @@ crack.  The ``auto`` radius is the largest, up to a nominal one, whose
 ring stays inside the tip's clearance from the boundary and the other
 cracks; when none holds the tip element, no radius is admissible.  The
 kink direction follows the maximum hoop stress criterion.
+
+:func:`tip_rings` serves every tip of a step in one pass:
+:func:`tip_clearance` finds each tip's distances to the boundary and to
+every crack in one array pass (the driver's freeze check shares it); all
+domains come from one :meth:`~xfem2d.mesh.Mesh.box_query` and are checked
+with array operations; the rings' rule points and the solved field on
+them come from one :meth:`~xfem2d.mesh.QuadratureSet.rule_points` and one
+:func:`~xfem2d.enrichment.element_fields` call; the crack side from one
+signed distance per crack; and the auxiliary fields of both modes from one
+trigonometric pass.  The points are then regrouped by tip, stably, so
+each tip's integrals sum the same terms in the same order as a pass over
+that tip alone: the result at a tip does not depend on which other tips
+share its pass.  :func:`extract_sifs` integrates one tip of such a pass,
+or makes the pass of that tip alone; :func:`direct_j_integral` and
+:func:`default_contour_radius` are the pass at one tip.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
-from xfem2d.enrichment import EnrichmentMap, TipInfo, branch_theta, element_fields
+from xfem2d.cracks import heaviside, signed_distance_batch
+from xfem2d.enrichment import EnrichmentMap, TipInfo, element_fields, tip_polar
 from xfem2d.mesh import Mesh, QuadratureSet, point_segment_distance
 
 __all__ = [
     "FractureError",
     "SifResult",
+    "TipDistances",
+    "TipRings",
     "auxiliary_fields",
     "direct_j_integral",
     "extract_sifs",
@@ -52,6 +70,7 @@ __all__ = [
     "k_equivalent",
     "default_contour_radius",
     "tip_clearance",
+    "tip_rings",
     "williams_displacement",
 ]
 
@@ -71,6 +90,7 @@ class SifResult:
     theta_c: float  # kink angle, radians, in the tip frame
     a_eff: float
     load_factor: float = 1.0
+    radius: float = math.nan  # of the integration domain
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +137,12 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
     components (xx, yy, xy) with shape (..., 3) and ``grad_u[..., a, b]``
     is du_a/dx_b with shape (..., 2, 2).  Valid for r > 0.
     """
+    return _auxiliary_fields((mode,), r, theta, material)[0]
+
+
+def _auxiliary_fields(modes, r, theta, material: MaterialModel):
+    """:func:`auxiliary_fields` of each of ``modes``, from one pass of the
+    trigonometric and radial factors they share."""
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(r <= 0.0):
@@ -126,93 +152,74 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
     c3 = np.cos(3.0 * theta / 2.0)
     s3 = np.sin(3.0 * theta / 2.0)
     amp = 1.0 / np.sqrt(2.0 * np.pi * r)
-    if mode == 1:
-        sxx = amp * c * (1.0 - s * s3)
-        syy = amp * c * (1.0 + s * s3)
-        sxy = amp * c * s * c3
-    else:
-        sxx = -amp * s * (2.0 + c * c3)
-        syy = amp * s * c * c3
-        sxy = amp * c * (1.0 - s * s3)
-    g, gp = _williams_angular(mode, c, s, material.kolosov)  # rejects modes but 1 and 2
-    sigma = np.stack([sxx, syy, sxy], axis=-1)
-
     # grad u from u = A sqrt(r) g(theta), A = 1/(2 mu sqrt(2 pi)):
     # du/dx = (A/sqrt(r)) (g cos/2 - g' sin); du/dy = (A/sqrt(r)) (g sin/2 + g' cos)
     amp_u = 1.0 / (2.0 * material.shear_modulus * np.sqrt(2.0 * np.pi))
-    inv = amp_u / np.sqrt(r)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    dudx = inv[..., None] * (0.5 * g * cos_t[..., None] - gp * sin_t[..., None])
-    dudy = inv[..., None] * (0.5 * g * sin_t[..., None] + gp * cos_t[..., None])
-    grad = np.stack([dudx, dudy], axis=-1)  # [..., a, b]
-    return sigma, grad
+    inv = (amp_u / np.sqrt(r))[..., None]
+    cos_t = np.cos(theta)[..., None]
+    sin_t = np.sin(theta)[..., None]
+    fields = []
+    for mode in modes:
+        if mode == 1:
+            sxx = amp * c * (1.0 - s * s3)
+            syy = amp * c * (1.0 + s * s3)
+            sxy = amp * c * s * c3
+        else:
+            sxx = -amp * s * (2.0 + c * c3)
+            syy = amp * s * c * c3
+            sxy = amp * c * (1.0 - s * s3)
+        g, gp = _williams_angular(mode, c, s, material.kolosov)  # rejects modes but 1 and 2
+        dudx = inv * (0.5 * g * cos_t - gp * sin_t)
+        dudy = inv * (0.5 * g * sin_t + gp * cos_t)
+        fields.append((np.stack([sxx, syy, sxy], axis=-1),
+                       np.stack([dudx, dudy], axis=-1)))  # grad [..., a, b]
+    return fields
 
 
 # ---------------------------------------------------------------------------
-# the integration domain
+# the integration domains of all requested tips, in one pass
 # ---------------------------------------------------------------------------
 
-def tip_clearance(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
-                  tip_id: int) -> float:
-    """Distance from a tip to the nearest other crack or boundary edge."""
-    origin = _find_tip(emap, crack_id, tip_id).frame.origin
-    _, distances = _other_crack_distances(emap, crack_id, origin)
-    return min(mesh.boundary_distance(origin), float(np.min(distances, initial=np.inf)))
+@dataclass(frozen=True)
+class TipDistances:
+    """Distances from tips' origins, found in one array pass.
 
-
-def _other_crack_distances(emap: EnrichmentMap, crack_id: int, point):
-    """Ids of the cracks other than ``crack_id``, in map order, and the
-    distance from ``point`` to each: one distance query over all their
-    segments."""
-    others = [c for c in emap.cracks if c.id != crack_id]
-    if not others:
-        return [], np.empty(0)
-    d = point_segment_distance(point, np.concatenate([c.vertices[:-1] for c in others]),
-                               np.concatenate([c.vertices[1:] for c in others]))
-    starts = np.cumsum([0] + [c.n_segments for c in others[:-1]])
-    return [c.id for c in others], np.minimum.reduceat(d, starts)
-
-
-def _corner_distances(mesh: Mesh, origin, radius: float):
-    """Ids, ascending, of the elements whose padded boxes meet the box of
-    the disc of ``radius`` at ``origin``, and their corners' distances from
-    it."""
-    near = mesh.box_query(origin - radius, origin + radius)[1]
-    return near, np.linalg.norm(mesh.element_coords(near) - origin, axis=2)
-
-
-def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
-                           tip_id: int) -> float:
-    """The domain radius of the ``auto`` rule."""
-    return _auto_domain(mesh, emap, _find_tip(emap, crack_id, tip_id))[0]
-
-
-def _auto_domain(mesh: Mesh, emap: EnrichmentMap, tinfo: TipInfo):
-    """The ``auto`` radius, and :func:`_corner_distances` at the nominal one.
-
-    The nominal radius is the effective half length, cut to 0.9 of the
-    clearance, but never below the smallest radius holding the tip
-    element.  It shrinks to the largest radius whose ring has no node as
-    far as the clearance.  If that no longer holds the tip element, no
-    domain clear of the boundary and the other cracks does.
+    ``boundary`` (T,) is each tip's distance to the nearest boundary edge,
+    ``cracks`` (T, C) its distance to each crack of the map, in map order,
+    with ``inf`` at its own crack.
     """
-    origin = tinfo.frame.origin
-    clearance = tip_clearance(mesh, emap, tinfo.crack_id, tinfo.tip_id)
-    held = np.linalg.norm(mesh.element_coords([tinfo.element])[0] - origin, axis=1)
-    smallest = float(np.nextafter(np.max(held), np.inf))
-    nominal = max(min(emap.effective_half_length(tinfo.crack_id), 0.9 * clearance), smallest)
-    near, dist = _corner_distances(mesh, origin, nominal)
-    # an element reaching the clearance is in the ring of every radius in
-    # (its nearest corner, its farthest corner]
-    radius = min(nominal, float(np.min(dist.min(axis=1)[dist.max(axis=1) >= clearance],
-                                       initial=np.inf)))
-    if radius < smallest:
-        raise FractureError(
-            f"no domain around crack {tinfo.crack_id} tip {tinfo.tip_id} holds its tip "
-            f"element, of size {mesh.element_sizes[tinfo.element]:g}, within its "
-            f"clearance {clearance:g}")
-    return radius, near, dist
+
+    boundary: np.ndarray
+    cracks: np.ndarray
+
+    @property
+    def clearance(self) -> np.ndarray:
+        """Distance (T,) to the nearest other crack or boundary edge."""
+        return np.minimum(self.boundary, self.cracks.min(axis=1, initial=np.inf))
+
+    def take(self, rows) -> TipDistances:
+        """The distances of the tips at places ``rows``."""
+        return TipDistances(self.boundary[rows], self.cracks[rows])
+
+
+def _origins(tips) -> np.ndarray:
+    return np.array([t.frame.origin for t in tips], dtype=float).reshape(-1, 2)
+
+
+def tip_clearance(mesh: Mesh, emap: EnrichmentMap, tips) -> TipDistances:
+    """The :class:`TipDistances` of ``tips``: every tip against every
+    boundary edge and every crack segment, in two broadcasts."""
+    if not tips:
+        return TipDistances(np.empty(0), np.empty((0, len(emap.cracks))))
+    origins = _origins(tips)
+    starts = np.cumsum([0] + [c.n_segments for c in emap.cracks])[:-1]
+    d = point_segment_distance(origins[:, None],
+                               np.concatenate([c.vertices[:-1] for c in emap.cracks]),
+                               np.concatenate([c.vertices[1:] for c in emap.cracks]))
+    cracks = np.minimum.reduceat(d, starts, axis=1)
+    place = {c.id: k for k, c in enumerate(emap.cracks)}
+    cracks[np.arange(len(tips)), [place[t.crack_id] for t in tips]] = np.inf
+    return TipDistances(mesh.boundary_distance(origins), cracks)
 
 
 def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
@@ -222,26 +229,124 @@ def _find_tip(emap: EnrichmentMap, crack_id: int, tip_id: int) -> TipInfo:
     raise FractureError(f"crack {crack_id} has no active tip {tip_id}")
 
 
-def _check_domain(mesh: Mesh, emap: EnrichmentMap, tinfo: TipInfo, reach: float,
-                  where: str) -> None:
-    """Reject a domain whose circle of radius ``reach`` (through the ring's
-    outermost node) meets the boundary, its own crack's other end or a
-    face the crack comes back with, or another crack."""
-    origin = tinfo.frame.origin
-    if mesh.boundary_distance(origin) <= reach:
-        raise FractureError(f"{where} leaves the domain")
-    own = emap.crack_by_id(tinfo.crack_id).vertices
-    path = own if tinfo.tip_id == 0 else own[::-1]  # from the tip
-    far = np.linalg.norm(path - origin, axis=1) > reach
-    if not far[-1]:
-        raise FractureError(f"{where} reaches the crack's other end")
-    out = int(np.argmax(far))  # the first vertex past the circle
-    if np.any(point_segment_distance(origin, path[out:-1], path[out + 1:]) <= reach):
-        raise FractureError(f"{where} is re-entered by its own crack")
-    ids, distances = _other_crack_distances(emap, tinfo.crack_id, origin)
-    for other, d in zip(ids, distances.tolist()):
-        if d <= reach:
-            raise FractureError(f"{where} intersects crack {other}")
+class _Domains(NamedTuple):
+    """The checked domains of T tips.
+
+    ``radius`` (T,) is each tip's domain radius (nan where no ``auto``
+    radius is admissible) and ``failures`` why each domain is rejected, or
+    None.  The (tip, element) pairs ``box``, ``eid`` (P,) of the elements
+    near each tip come by tip and then element; ``inside`` (P, 4) tells
+    which of a pair's corners lie strictly inside the tip's radius, and
+    ``ring`` (P,) whether the element is in the tip's ring.
+    """
+
+    radius: np.ndarray
+    failures: list
+    box: np.ndarray
+    eid: np.ndarray
+    inside: np.ndarray
+    ring: np.ndarray
+
+
+_NO_DOMAINS = _Domains(np.empty(0), [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty((0, 4), dtype=bool), np.empty(0, dtype=bool))
+
+
+def _own_crack_checks(emap: EnrichmentMap, tips, origins, reach):
+    """Whether the circle of radius ``reach`` (T,) around each tip holds its
+    crack's other end, and whether a face of its crack that has left the
+    circle comes back into it: one pass over every tip's crack, walked
+    from the tip."""
+    paths = [emap.crack_by_id(t.crack_id).vertices[::1 if t.tip_id == 0 else -1] for t in tips]
+    sizes = np.array([len(p) for p in paths])
+    owner = np.repeat(np.arange(len(tips)), sizes)
+    path = np.concatenate(paths)
+    far = np.linalg.norm(path - origins[owner], axis=1) > reach[owner]
+    index = np.arange(len(path))
+    first_far = np.full(len(tips), len(path))  # the first vertex past the circle
+    np.minimum.at(first_far, owner[far], index[far])
+    seg = np.flatnonzero((owner[:-1] == owner[1:]) & (index[:-1] >= first_far[owner[:-1]]))
+    back = (point_segment_distance(origins[owner[seg]], path[seg], path[seg + 1])
+            <= reach[owner[seg]])
+    reentered = np.zeros(len(tips), dtype=bool)
+    reentered[owner[seg[back]]] = True
+    return ~far[np.cumsum(sizes) - 1], reentered
+
+
+def _domains(mesh: Mesh, emap: EnrichmentMap, tips, radii,
+             near: TipDistances | None = None) -> _Domains:
+    """Build and check the domains of ``tips``, of radius ``radii[i]`` or,
+    where that is None, the ``auto`` radius, with one grid query for all.
+
+    The ``auto`` rule's nominal radius is the effective half length, cut to
+    0.9 of the clearance, but never below the smallest radius holding the
+    tip element.  It shrinks to the largest radius whose ring has no node as
+    far as the clearance.  If that no longer holds the tip element, no
+    domain clear of the boundary and the other cracks does.  Each failure
+    is the first, in this order, of: no ``auto`` radius, the tip element
+    not held, and a circle through the ring's outermost node that meets the
+    boundary, its own crack's other end or a face it comes back with, or
+    another crack.
+    """
+    if any(r is not None and r <= 0.0 for r in radii):
+        raise ValueError("contour radius must be positive")
+    near = near if near is not None else tip_clearance(mesh, emap, tips)
+    n = len(tips)
+    origins = _origins(tips)
+    element = np.array([t.element for t in tips], dtype=np.int64)
+    auto = np.array([r is None for r in radii], dtype=bool)
+    clearance = near.clearance
+    held = np.linalg.norm(mesh.element_coords(element) - origins[:, None], axis=2)
+    smallest = np.nextafter(held.max(axis=1), np.inf)
+    half = np.array([emap.effective_half_length(t.crack_id) for t in tips])
+    nominal = np.maximum(np.minimum(half, 0.9 * clearance), smallest)
+    radius = np.where(auto, nominal, [np.nan if r is None else r for r in radii])
+    box, eid = mesh.box_query(origins - radius[:, None], origins + radius[:, None])
+    dist = np.linalg.norm(mesh.element_coords(eid) - origins[box, None], axis=2)
+    closest, farthest = dist.min(axis=1), dist.max(axis=1)
+    # an element reaching the clearance is in the ring of every radius in
+    # (its nearest corner, its farthest corner]
+    stop = np.full(n, np.inf)
+    np.minimum.at(stop, box, np.where(farthest >= clearance[box], closest, np.inf))
+    radius = np.where(auto, np.minimum(radius, stop), radius)
+    unheld = auto & (radius < smallest)
+    inside = dist < radius[box, None]
+    ring = inside.any(axis=1) & ~inside.all(axis=1)
+    holds = inside[np.searchsorted(box * mesh.n_elements + eid,
+                                   np.arange(n) * mesh.n_elements + element)].all(axis=1)
+    reach = radius.copy()  # of the circle through the ring's outermost node
+    np.maximum.at(reach, box[ring], farthest[ring])
+    other_end, reentered = _own_crack_checks(emap, tips, origins, reach)
+    crossed = near.cracks <= reach[:, None]
+    failures = []
+    for i, t in enumerate(tips):
+        where = f"domain of radius {radius[i]:g} around crack {t.crack_id} tip {t.tip_id}"
+        size = mesh.element_sizes[t.element]
+        if unheld[i]:
+            failures.append(f"no domain around crack {t.crack_id} tip {t.tip_id} holds its tip "
+                            f"element, of size {size:g}, within its clearance {clearance[i]:g}")
+        elif not holds[i]:
+            failures.append(f"{where} does not hold its tip element, of size {size:g}")
+        elif near.boundary[i] <= reach[i]:
+            failures.append(f"{where} leaves the domain")
+        elif other_end[i]:
+            failures.append(f"{where} reaches the crack's other end")
+        elif reentered[i]:
+            failures.append(f"{where} is re-entered by its own crack")
+        elif crossed[i].any():
+            failures.append(f"{where} intersects crack {emap.cracks[crossed[i].argmax()].id}")
+        else:
+            failures.append(None)
+    return _Domains(np.where(unheld, np.nan, radius), failures, box, eid, inside, ring)
+
+
+def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
+                           tip_id: int) -> float:
+    """The domain radius of the ``auto`` rule."""
+    domains = _domains(mesh, emap, [_find_tip(emap, crack_id, tip_id)], [None])
+    if np.isnan(domains.radius[0]):
+        raise FractureError(domains.failures[0])
+    return float(domains.radius[0])
 
 
 def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
@@ -250,42 +355,88 @@ def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sig[..., [[0, 2], [2, 1]]])
 
 
-def _domain_fields(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                   material: MaterialModel, crack_id: int, tip_id: int,
-                   radius: float | None, rules: QuadratureSet | None):
-    """Check one tip's domain and evaluate the solved field on its ring.
+class TipRings(NamedTuple):
+    """The solved and auxiliary fields on the rings of T tips' domains.
 
-    Returns, at the ring's rule points, the tip-polar coordinates ``r``
-    and ``theta`` of the auxiliary fields, ``w detJ`` times the gradient
-    of q (n, 2), the Voigt stress (n, 3) and the displacement gradient
-    (n, 2, 2), all in the tip frame.
+    ``tips`` are the tips in the order asked, ``radius`` (T,) each one's
+    domain radius (nan where no ``auto`` radius is admissible) and
+    ``failures`` why each domain is rejected, or None.  Tip i's points are
+    ``spans[i]`` (None where its domain is rejected) of the per-point
+    arrays, all in the tip's frame: ``w detJ`` times the gradient of q
+    ``dq`` (n, 2), the Voigt stress ``sig`` (n, 3), the displacement
+    gradient ``grad`` (n, 2, 2), and ``aux``, the unit-intensity
+    ``(sigma, grad_u)`` of modes 1 and 2.
     """
-    tinfo = _find_tip(emap, crack_id, tip_id)
-    if radius is not None and radius <= 0.0:
-        raise ValueError("contour radius must be positive")
-    radius, near, dist = (_auto_domain(mesh, emap, tinfo) if radius is None else
-                          (radius, *_corner_distances(mesh, tinfo.frame.origin, radius)))
-    rules = rules if rules is not None else QuadratureSet.from_targets()
-    where = f"domain of radius {radius:g} around crack {crack_id} tip {tip_id}"
-    if not np.all(dist[np.searchsorted(near, tinfo.element)] < radius):
-        raise FractureError(f"{where} does not hold its tip element, of size "
-                            f"{mesh.element_sizes[tinfo.element]:g}")
-    inside = dist < radius
-    at = np.flatnonzero(inside.any(axis=1) & ~inside.all(axis=1))
-    ring = near[at]
-    _check_domain(mesh, emap, tinfo, float(np.max(dist[at], initial=radius)), where)
 
-    eids, local, dN, wdet, xs = rules.rule_points(mesh, ring, emap.kinds[ring])
-    q = inside[at][np.searchsorted(ring, eids)].astype(float)  # at each point's corners
+    tips: list
+    radius: np.ndarray
+    failures: list
+    spans: list
+    dq: np.ndarray
+    sig: np.ndarray
+    grad: np.ndarray
+    aux: list
+
+
+def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
+              material: MaterialModel, tips, radii, rules: QuadratureSet | None = None,
+              near: TipDistances | None = None) -> TipRings:
+    """Check the domains of ``tips`` and evaluate the fields on the rings
+    of the admissible ones, in one pass.
+
+    ``radii[i]`` is tip i's domain radius, None for the ``auto`` rule, and
+    ``near`` the tips' :func:`tip_clearance` when already found.  One
+    rule-point and one field evaluation cover every ring (two rings may
+    share elements), and the auxiliary fields of both modes come from one
+    trigonometric pass.  The points are regrouped by tip, stably, so each
+    tip's come in the order its ring alone gives them (by integration
+    class, then element), and its integrals sum the same terms in the same
+    order.
+    """
+    domains = _domains(mesh, emap, tips, radii, near) if tips else _NO_DOMAINS
+    rules = rules if rules is not None else QuadratureSet.from_targets()
+    admissible = np.array([f is None for f in domains.failures], dtype=bool)
+    pair = np.flatnonzero(domains.ring & admissible[domains.box])
+    if not pair.size:
+        empty = [np.empty((0, *shape)) for shape in ((2,), (3,), (2, 2))]
+        return TipRings(tips, domains.radius, domains.failures, [None] * len(tips), *empty,
+                        _auxiliary_fields((1, 2), np.empty(0), np.empty(0), material))
+    kinds = emap.kinds[domains.eid[pair]]
+    eids, local, dN, wdet, xs = rules.rule_points(mesh, domains.eid[pair], kinds)
+    grad = element_fields(mesh, emap, state.fields, eids, local, xs)[1]
+    # rule_points lists each class's elements in order
+    place = np.concatenate([np.repeat(k, rule.n_points) for k, rule in rules.classes(kinds)])
+    order = np.argsort(domains.box[pair[place]], kind="stable")
+    dN, wdet, xs, grad = dN[order], wdet[order], xs[order], grad[order]
+    place = pair[place[order]]
+    owner = domains.box[place]
+    q = domains.inside[place].astype(float)  # at each point's corners
     dq = wdet[:, None] * np.einsum("nia,ni->na", dN, q)
-    Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
-    grad = Q.T @ element_fields(mesh, emap, state.fields, eids, local, xs)[1] @ Q
-    r, theta = branch_theta(tinfo, emap.crack_by_id(crack_id), xs)
-    # branch_theta's angle grows toward the crack's positive side, which is
-    # the frame normal's at tip 1 and the opposite at tip 0
-    theta = theta if tip_id == 1 else -theta
-    # the material is isotropic, so D gives the stress in any frame
-    return r, theta, dq @ Q, voigt_strain(grad) @ elasticity_matrix(material).T, grad
+    side = np.empty(len(xs))  # of the tip's crack
+    crack_of = np.array([t.crack_id for t in tips])[owner]
+    for crack_id in np.unique(crack_of).tolist():
+        rows = np.flatnonzero(crack_of == crack_id)
+        side[rows] = heaviside(signed_distance_batch(emap.crack_by_id(crack_id), xs[rows]))
+    ends = np.searchsorted(owner, np.arange(len(tips) + 1))
+    D = elasticity_matrix(material).T
+    r, theta, sig = np.empty(len(xs)), np.empty(len(xs)), np.empty((len(xs), 3))
+    spans = []
+    for i, tinfo in enumerate(tips):
+        span = slice(ends[i], ends[i + 1]) if admissible[i] else None
+        spans.append(span)
+        if span is None:
+            continue
+        r[span], theta[span] = tip_polar(tinfo, xs[span])
+        # the branch angle grows toward the crack's positive side, which is
+        # the frame normal's at tip 1 and the opposite at tip 0
+        theta[span] *= side[span] if tinfo.tip_id == 1 else -side[span]
+        Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
+        grad[span] = Q.T @ grad[span] @ Q
+        dq[span] = dq[span] @ Q
+        # the material is isotropic, so D gives the stress in any frame
+        sig[span] = voigt_strain(grad[span]) @ D
+    return TipRings(tips, domains.radius, domains.failures, spans, dq, sig, grad,
+                    _auxiliary_fields((1, 2), r, theta, material))
 
 
 def _interaction(sig, grad, sig_aux, grad_aux, dq) -> float:
@@ -305,9 +456,11 @@ def direct_j_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                       rules: QuadratureSet | None = None) -> float:
     """Energy release rate from the solved field alone on the same domain:
     half the interaction integral of the solved field with itself."""
-    _, _, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
-                                         radius, rules)
-    return 0.5 * _interaction(sig, grad, sig, grad, dq)
+    rings = tip_rings(state, mesh, emap, material, [_find_tip(emap, crack_id, tip_id)],
+                      [radius], rules)
+    if rings.failures[0] is not None:
+        raise FractureError(rings.failures[0])
+    return 0.5 * _interaction(rings.sig, rings.grad, rings.sig, rings.grad, rings.dq)
 
 
 def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
@@ -318,16 +471,26 @@ def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
 def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                  material: MaterialModel, crack_id: int, tip_id: int,
                  radius: float | None = None,
-                 rules: QuadratureSet | None = None) -> SifResult:
-    """Mixed-mode SIFs, energy release rate, and kink angle at one tip.
+                 rules: QuadratureSet | None = None,
+                 rings: TipRings | None = None) -> SifResult:
+    """Mixed-mode SIFs, energy release rate and kink angle at one tip.
 
-    The domain is built, checked and evaluated once for both modes.
+    ``rings`` is a :func:`tip_rings` pass holding the tip, made once for
+    all the tips of a step, whose radius and rules the tip then takes.
+    Without it the tip gets a pass of its own, at ``radius`` (None for the
+    ``auto`` rule) with ``rules``.  A rejected domain raises its reason.
     """
-    r, theta, dq, sig, grad = _domain_fields(state, mesh, emap, material, crack_id, tip_id,
-                                             radius, rules)
+    if rings is None:
+        rings = tip_rings(state, mesh, emap, material, [_find_tip(emap, crack_id, tip_id)],
+                          [radius], rules)
+    i = [(t.crack_id, t.tip_id) for t in rings.tips].index((crack_id, tip_id))
+    span = rings.spans[i]
+    if span is None:
+        raise FractureError(rings.failures[i])
     K_I, K_II = (0.5 * material.E_effective
-                 * _interaction(sig, grad, *auxiliary_fields(mode, r, theta, material), dq)
-                 for mode in (1, 2))
+                 * _interaction(rings.sig[span], rings.grad[span], sig_aux[span],
+                                grad_aux[span], rings.dq[span])
+                 for sig_aux, grad_aux in rings.aux)
     try:
         theta = propagation_angle(K_I, K_II)
     except FractureError:
@@ -341,6 +504,7 @@ def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         theta_c=theta,
         a_eff=emap.effective_half_length(crack_id),
         load_factor=state.load_factor,
+        radius=float(rings.radius[i]),
     )
 
 

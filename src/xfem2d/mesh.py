@@ -360,12 +360,13 @@ class Mesh:
         meet = np.all(elo[eid] <= hi[box], axis=1) & np.all(ehi[eid] >= lo[box], axis=1)
         return box[meet], eid[meet]
 
-    def boundary_distance(self, point) -> float:
-        """Distance from ``point`` to the nearest boundary edge."""
+    def boundary_distance(self, points):
+        """Distance (...) from each of ``points`` (..., 2) to the nearest
+        boundary edge."""
         edges = self.boundary_edges
-        d = point_segment_distance(point, self.nodes[edges[:, 0]],
-                                   self.nodes[edges[:, 1]])
-        return float(np.min(d, initial=np.inf))
+        d = point_segment_distance(np.asarray(points, dtype=float)[..., None, :],
+                                   self.nodes[edges[:, 0]], self.nodes[edges[:, 1]])
+        return np.min(d, axis=-1, initial=np.inf)
 
     @cached_property
     def nested_dissection_tree(self) -> DissectionTree:

@@ -249,6 +249,8 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     cut_crack[list(emap.cut_elements)] = list(emap.cut_elements.values())
     kinds = emap.kinds
     for eids, rule in rules.classes(kinds):
+        # element_geometry gives every element's shape gradients already;
+        # element_fields would find the plain ones' Jacobians again
         _, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
         grad = np.einsum("eqcb,eca->eqab", dN, fields.u_cont[mesh.elements[eids]])
         rich = np.nonzero(kinds[eids] > 0)[0]
@@ -380,8 +382,9 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
     totals, solver residuals, the factorization's size (free dofs, entries
     of L) and the fronts it refactored, the nodes demoted to standard
-    approximation with the measured support ratios, every extraction,
-    growth increment, and tip deactivation, and the stop reason.
+    approximation with the measured support ratios, every extraction with
+    the radius R of its domain, every growth increment and tip
+    deactivation, and the stop reason.
     """
     material = config.material
     lo, hi = mesh.bbox()
@@ -430,7 +433,7 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
                 f"K_I = {_log_float(res.K_I)}, K_II = {_log_float(res.K_II)}, "
                 f"J = {_log_float(res.J)}, "
                 f"theta_c = {_log_float(math.degrees(res.theta_c))} deg, "
-                f"a_eff = {_log_float(res.a_eff)}"
+                f"a_eff = {_log_float(res.a_eff)}, R = {_log_float(res.radius)}"
             )
         for ev in rec.extensions:
             lines.append(

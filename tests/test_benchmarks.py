@@ -3,7 +3,9 @@
 The bound on the stationary examples is 1 %, the tolerance the
 benchmark's own output checks use.  The 5 m plate's finite width accounts
 for about +0.10 % of the Table 1 error (sqrt(sec(pi a / W)) with
-a = 0.1 m, W = 5 m); the rest is mesh and extraction error.  The growth
+a = 0.1 m, W = 5 m); the rest is mesh and extraction error.  The edge
+crack in tension is gated on its handbook reference's stated accuracy
+plus its own first-order discretization error.  The growth
 example is gated on the direction physics gives it: a hole attracts a
 crack passing beside it, and on the convergence of its path as the
 growth increment shrinks.  The convergence ladder is gated on the rates
@@ -18,7 +20,7 @@ import pytest
 
 from xfem2d import benchmarks
 from xfem2d.driver import LoadSchedule, run_propagation, run_stationary, setup_problem
-from xfem2d.fracture import extract_sifs
+from xfem2d.fracture import default_contour_radius, extract_sifs
 
 TOLERANCE = 0.01
 EXACT_KI = benchmarks.center_crack_exact_ki(benchmarks.TABLE1_SIGMA,
@@ -58,6 +60,44 @@ def test_table1_sif_is_independent_of_the_domain(ratio):
                                rules=problem.rules).K_I
                   for m in (0.5, 0.7, 1.0)]
         assert max(values) - min(values) < 0.0025 * EXACT_KI
+
+
+def test_table1_results_carry_the_radius_they_took():
+    problem, state, results = _table1(5.0)
+    mesh, emap, material, rules = problem.mesh, problem.emap, problem.material, problem.rules
+    # the configured radius, the crack half length
+    assert [res.radius for res in results] == [benchmarks.TABLE1_HALF_LENGTH] * 2
+    for tip in (0, 1):
+        assert extract_sifs(state, mesh, emap, material, 0, tip, radius=0.07,
+                            rules=rules).radius == 0.07
+        auto = extract_sifs(state, mesh, emap, material, 0, tip, rules=rules)
+        assert auto.radius == default_contour_radius(mesh, emap, 0, tip)
+
+
+# The edge crack in tension at a/W = 0.5.  The reference F(a/W) of Tada,
+# Paris & Irwin is stated accurate to 0.5 %.  The extraction's K_I error
+# is first order in h (the ladder below gates that rate on the closed-form
+# field): K_h = K + A h
+# + O(h^2).  Two rungs h > h' then give the finer one's error to first
+# order, e' = (K_h' - K_h) h' / (h - h'), and the finer rung lies within
+# the reference's 0.5 % plus |e'| of the reference, up to the O(h^2)
+# remainder that the first-order estimate leaves out.
+EDGE_REFERENCE_ACCURACY = 0.005
+
+
+def test_edge_crack_in_tension_matches_the_handbook():
+    coarse, fine = 41, 81  # cells across the width: h = W / cells
+    k_coarse, k_fine = (run_stationary(benchmarks.edge_tension_config(n))[1][0].K_I
+                        for n in (coarse, fine))
+    error = (k_fine - k_coarse) * (1.0 / fine) / (1.0 / coarse - 1.0 / fine)
+    exact = benchmarks.edge_tension_exact_ki()
+    # the error shrinks toward the reference as h halves ...
+    assert abs(k_fine - exact) < abs(k_coarse - exact)
+    # ... and what is left once it is taken off is the reference's own
+    assert abs(k_fine - exact) <= EDGE_REFERENCE_ACCURACY * exact + abs(error)
+    # an even count would put the tip on a node line
+    with pytest.raises(ValueError, match="odd cell count"):
+        benchmarks.edge_tension_config(40)
 
 
 # 30 degrees in a quick run; the whole sweep, every angle inside the bound

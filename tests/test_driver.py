@@ -368,6 +368,19 @@ class TestRunStationary:
         # identical up to the rounding of the stored effective length
         assert sr[0].K_I == pytest.approx(sa[0].K_I, rel=1e-12)
 
+    def test_set_radius_fails_at_the_first_rejected_tip(self, stationary_run):
+        # crack 0's domains hold; every circle of radius 0.1 around either
+        # tip of the shorter crack 1 holds its other end, and a set radius
+        # fails the run at the first of them, even with unresolved tips asked for
+        config, _, _, _ = stationary_run
+        short = CrackPath(vertices=np.array([[0.45, 0.8], [0.53, 0.8]]), id=1)
+        fixed = make_config(mesh=config.mesh, cracks=[center_crack(), short],
+                            contour=ContourSpec(rule="absolute", value=0.1))
+        with pytest.raises(FractureError) as info:
+            run_stationary(fixed, unresolved=[])
+        assert str(info.value) == ("[fracture] domain of radius 0.1 around crack 1 tip 0 "
+                                   "reaches the crack's other end")
+
 
 class TestRunPropagation:
     def test_requires_schedule_and_params(self):

@@ -1,19 +1,25 @@
-"""Checks for tip-field formulas, the domain integral, and the kink angle."""
+"""Checks for tip-field formulas, the domain integral, its one pass over
+all of a step's tips, and the kink angle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from xfem2d import benchmarks, fracture
 from xfem2d.assembly import (
     BoundaryCondition,
     MaterialModel,
+    QuadratureSet,
     apply_constraints,
     assemble,
     elasticity_matrix,
     solve,
 )
+from xfem2d.config import ContourSpec
 from xfem2d.cracks import CrackPath, signed_distance_batch
+from xfem2d.driver import _extract_step, run_stationary, setup_problem
 from xfem2d.enrichment import FieldTriplet, classify_enrichment
 from xfem2d.fracture import (
     FractureError,
@@ -25,6 +31,7 @@ from xfem2d.fracture import (
     k_equivalent,
     propagation_angle,
     tip_clearance,
+    tip_rings,
     williams_displacement,
 )
 from xfem2d.meshgen import uniform_rect
@@ -353,8 +360,12 @@ class TestContourValidity:
             origin = tinfo.frame.origin
             expected = min([self.mesh.boundary_distance(origin)] + [
                 abs(signed_distance_batch(c, origin)[0]) for c in cracks if c.id != tinfo.crack_id])
-            got = tip_clearance(self.mesh, emap, tinfo.crack_id, tinfo.tip_id)
+            got = tip_clearance(self.mesh, emap, [tinfo]).clearance[0]
             assert got == pytest.approx(expected, rel=1e-15)
+        # one pass over every tip gives each the same
+        together = tip_clearance(self.mesh, emap, emap.tips).clearance
+        assert together.tolist() == [tip_clearance(self.mesh, emap, [t]).clearance[0]
+                                     for t in emap.tips]
 
     def test_leaving_domain_rejected(self):
         lone = classify_enrichment(
@@ -370,3 +381,105 @@ class TestEnergyReleaseMap:
         J = j_from_sifs(2e6, 1e6, STEEL)
         e_prime = 200e9 / (1.0 - 0.09)
         assert J == pytest.approx((4e12 + 1e12) / e_prime, rel=1e-12)
+
+
+def _kinked(crack):
+    """The crack with its midpoint moved 0.013 off its line."""
+    a, b = crack.vertices
+    normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+    return CrackPath(vertices=np.array([a, 0.5 * (a + b) + 0.013 * normal, b]), id=crack.id)
+
+
+@pytest.fixture(scope="module", params=["straight", "kinked"])
+def crack_field(request):
+    """The seventeen-crack field, as laid out and with every crack kinked,
+    solved once each."""
+    config = benchmarks.many_cracks_config()
+    if request.param == "kinked":
+        config = replace(config, cracks=tuple(_kinked(c) for c in config.cracks))
+    problem = setup_problem(config)
+    state, _ = run_stationary(config, problem)
+    return problem, state
+
+
+def _outcome(res):
+    """Every number of a result, bit for bit."""
+    return tuple(float(v).hex() for v in (res.K_I, res.K_II, res.J, res.theta_c, res.radius))
+
+
+class TestBatchedPass:
+    """All of a step's tips in one pass give, bit for bit, what each tip
+    gives alone: every tip's integrals sum the same points in the same
+    order, whatever other tips share the pass."""
+
+    @pytest.mark.parametrize("scale", [None, 0.5])
+    def test_one_pass_equals_each_tip_alone(self, crack_field, scale):
+        problem, state = crack_field
+        mesh, emap, material, rules = problem.mesh, problem.emap, problem.material, problem.rules
+        tips = emap.tips
+        radii = [None if scale is None else scale * emap.effective_half_length(t.crack_id)
+                 for t in tips]
+        # some elements lie in the rings of two tips
+        domains = fracture._domains(mesh, emap, tips, radii)
+        assert np.unique(domains.eid[domains.ring]).size < np.count_nonzero(domains.ring)
+
+        def outcomes(rings=None):
+            out = {}
+            for tinfo, radius in zip(tips, radii):
+                key = (tinfo.crack_id, tinfo.tip_id)
+                try:
+                    out[key] = _outcome(extract_sifs(state, mesh, emap, material, *key,
+                                                     radius=radius, rules=rules, rings=rings))
+                except FractureError as exc:
+                    out[key] = str(exc)
+            return out
+
+        rings = tip_rings(state, mesh, emap, material, tips, radii, rules)
+        alone = outcomes()
+        assert outcomes(rings) == alone
+        # the pass holds each tip's rejection, in the tips' order
+        assert rings.failures == [v if isinstance(v, str) else None for v in alone.values()]
+        if scale is not None:  # the set radius rejects the rings some cracks cross
+            failures = [f for f in rings.failures if f is not None]
+            assert failures and all("intersects crack" in f for f in failures)
+
+    def test_one_field_evaluation_whatever_the_tip_count(self, crack_field, monkeypatch):
+        problem, state = crack_field
+        calls = {"element_fields": 0, "rule_points": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fracture, "element_fields",
+                            counted("element_fields", fracture.element_fields))
+        monkeypatch.setattr(QuadratureSet, "rule_points",
+                            counted("rule_points", QuadratureSet.rule_points))
+        auto = ContourSpec("auto")
+        for tips in (problem.emap.tips[:1], problem.emap.tips[:5], problem.emap.tips):
+            calls.update(element_fields=0, rule_points=0)
+            sifs = _extract_step(problem, state, auto, tips, freezes=[])
+            assert [(r.crack_id, r.tip_id) for r in sifs] == [(t.crack_id, t.tip_id)
+                                                              for t in tips]
+            assert calls == {"element_fields": 1, "rule_points": 1}
+
+    def test_tips_without_a_domain_reported_in_tip_order(self):
+        # crack 7 lies inside one element: every domain around either of its
+        # tips holds its other end, while crack 0's are admissible
+        mesh = uniform_rect(1.0, 1.0, 20, 20)
+        cracks = [CrackPath(vertices=np.array([[0.275, 0.425], [0.675, 0.425]]), id=0),
+                  CrackPath(vertices=np.array([[0.51, 0.71], [0.54, 0.71]]), id=7)]
+        emap = classify_enrichment(mesh, cracks)
+        state = type("S", (), {"fields": FieldTriplet.zeros(mesh.n_nodes), "load_factor": 1.0})()
+        rings = tip_rings(state, mesh, emap, STEEL, emap.tips, [None] * len(emap.tips))
+        assert [extract_sifs(state, mesh, emap, STEEL, 0, tip, rings=rings).tip_id
+                for tip in (0, 1)] == [0, 1]
+        failures = [(t, f) for t, f in zip(rings.tips, rings.failures) if f is not None]
+        assert [(t.crack_id, t.tip_id) for t, _ in failures] == [(7, 0), (7, 1)]
+        for tinfo, reason in failures:
+            with pytest.raises(FractureError) as alone:
+                extract_sifs(state, mesh, emap, STEEL, 7, tinfo.tip_id)
+            assert reason == str(alone.value)
+            assert reason.endswith(f"crack 7 tip {tinfo.tip_id} reaches the crack's other end")
