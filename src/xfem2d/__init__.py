@@ -58,7 +58,6 @@ from xfem2d.fracture import (
     FractureError,
     SifResult,
     auxiliary_fields,
-    default_contour_radius,
     direct_j_integral,
     extract_sifs,
     j_from_sifs,

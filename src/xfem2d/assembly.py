@@ -59,6 +59,7 @@ from xfem2d.mesh import (
     _gauss_1d,
     edge_points,
     element_geometry,
+    shape_functions,
 )
 
 __all__ = [
@@ -323,10 +324,10 @@ def _element_matrices(grads: np.ndarray, wdet: np.ndarray, D: np.ndarray) -> np.
 
 
 def _add_point_loads(mesh: Mesh, emap: EnrichmentMap, layout: DofLayout, eids,
-                     local, xs, load: np.ndarray, f: np.ndarray) -> None:
+                     N, dN, xs, load: np.ndarray, f: np.ndarray) -> None:
     """Add to ``f`` the work of point forces ``load`` (n, 2) at the given
     points on every basis function."""
-    for run, values, _, nodes in basis_batches(mesh, emap, eids, local, xs):
+    for run, values, _, nodes in basis_batches(mesh, emap, eids, N, dN, xs):
         dofs = layout.column_dofs(nodes, BASIS_FIELD)
         weights = values[:, :, None] * load[run, None, :]
         f += np.bincount(dofs[dofs >= 0], weights=weights[dofs >= 0], minlength=f.size)
@@ -338,7 +339,7 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
     Each edge is split where any crack segment crosses it, so the
     piecewise-constant jump factor is integrated exactly: the crossings
     of every (edge, segment) pair are found at once.  Returns the points'
-    elements, reference and physical coordinates and forces (n, 2).
+    elements, shape values and gradients, positions and forces (n, 2).
     """
     edges = mesh.boundary_edges
     loaded, force = [np.empty(0, dtype=np.int64)], [np.empty((0, 2))]
@@ -378,7 +379,8 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
     ws = ((0.5 * (t1 - t0) * length)[:, None] * gw).ravel()
     edge, ts = np.repeat(edge, gp.size), ts.ravel()
     local, xs = edge_points(side[edge], ts, pa[edge], pb[edge])
-    return eid[edge], local, xs, ws[:, None] * force[edge]
+    N, dN, _ = shape_functions(mesh.element_coords(eid[edge]), local)
+    return eid[edge], N, dN, xs, ws[:, None] * force[edge]
 
 
 def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray,
@@ -402,7 +404,7 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray
     not zero, so each jump dof is integrated at two points at least.
     """
     q = rule.n_points
-    _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+    N, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
     node_tip = emap.node_tip[mesh.elements[eids]]  # branch gradients are singular at a tip
     for gti in np.unique(node_tip[node_tip >= 0]).tolist():
         tinfo = emap.tips[gti]
@@ -413,8 +415,8 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray
                 f"a quadrature point of element {eids[on[0]]} coincides with the "
                 f"tip of crack {tinfo.crack_id}; change the rule or mesh"
             )
-    basis = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(rule.points, (eids.size, 1)),
-                           phys.reshape(-1, 2))
+    basis = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(N, (eids.size, 1)),
+                           dN.reshape(-1, 4, 2), phys.reshape(-1, 2))
     nodes = basis[2][::q]  # an element's columns are those of its first point
     if used is None:
         kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
@@ -582,8 +584,8 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     f = np.zeros(layout.total_dofs)
     _add_point_loads(mesh, emap, layout, *_traction_points(mesh, emap, bcs), f)
     if any(material.body_force):
-        eids, local, _, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), kinds)
-        _add_point_loads(mesh, emap, layout, eids, local, phys,
+        eids, N, dN, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), kinds)
+        _add_point_loads(mesh, emap, layout, eids, N, dN, phys,
                          wdet[:, None] * np.asarray(material.body_force), f)
 
     fixed: dict[int, float] = {}

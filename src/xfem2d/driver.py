@@ -568,9 +568,8 @@ def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     element integrated at its own quadrature class's rule.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
-    eids, local, _, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements),
-                                                   emap.kinds)
-    _, grad = element_fields(mesh, emap, state.fields, eids, local, phys)
+    eids, N, dN, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), emap.kinds)
+    _, grad = element_fields(mesh, emap, state.fields, eids, N, dN, phys)
     diff = voigt_strain(grad) - np.asarray(reference(phys), dtype=float)
     total = float(np.einsum("n,ni,ij,nj->", wdet, diff, elasticity_matrix(material), diff))
     return math.sqrt(max(total, 0.0))

@@ -30,13 +30,15 @@ stiffness depends on, so a growth run's assembly reuses a cut element's
 matrix exactly where these agree.
 
 The enriched basis is defined once, in one batched kernel,
-:func:`enriched_basis`: at points given by element, reference and
-physical coordinates it returns every corner's standard, jump and branch
-functions, padded to 24 columns, their gradients and each column's node.
+:func:`enriched_basis`: at points given by element, standard N_i and
+grad N_i, and physical position, it returns every corner's standard, jump
+and branch functions, padded to 24 columns, their gradients and each
+column's node.  It computes no Jacobian: the caller that makes a point
+takes its N_i and grad N_i from :func:`~xfem2d.mesh.shape_functions`.
 Assembly integrates the stiffness and both loads from it;
 :func:`element_fields` contracts it with the nodal coefficients, and
-:func:`evaluate_fields` is :func:`~xfem2d.mesh.locate_points` plus that
-contraction.
+:func:`evaluate_fields` is :func:`~xfem2d.mesh.locate_points`, the shape
+functions there and that contraction.
 """
 
 from __future__ import annotations
@@ -61,11 +63,11 @@ from xfem2d.mesh import (
     QuadratureSet,
     _runs,
     element_geometry,
-    jacobian,
     locate_hits,
     locate_points,
     point_segment_distance,
     reference_shape,
+    shape_functions,
 )
 
 __all__ = [
@@ -893,7 +895,7 @@ def branch_functions(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 BASIS_FIELD = np.repeat(np.arange(6), 4)  # field of each basis column
-_BASIS_BATCH = 4096  # points per run of element_fields, plain or enriched
+_BASIS_BATCH = 4096  # points per run of basis_batches
 
 
 def _label_rows(labels: np.ndarray):
@@ -905,22 +907,19 @@ def _label_rows(labels: np.ndarray):
     return zip(label[start].tolist(), np.split(row, start[1:]))
 
 
-def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
+def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, N, dN, xs):
     """The enriched scalar basis at points of known elements, padded.
 
-    Point k lies in element ``eids[k]`` at reference coordinates
-    ``local[k]`` and physical position ``xs[k]``.  Column ``4 f + i`` is
-    field f (``BASIS_FIELD`` of the column) of the element's corner i: 0 the
-    standard N_i, 1 the jump N_i M_i, 2 + j the branch N_i F_j.  A column
-    is zero where the corner node lacks its field.  Returns the
-    values (n, 24), their physical gradients (n, 24, 2) and the node of
-    each column (n, 24).  The jump part takes one signed distance per
-    crack, over the points whose element holds its jump nodes, the branch
-    part one evaluation per tip.
+    Point k lies in element ``eids[k]``, with shape values ``N[k]`` (4,) and
+    gradients ``dN[k]`` (4, 2), at ``xs[k]``.  Column ``4 f + i`` is field f
+    (``BASIS_FIELD`` of the column) of the element's corner i: 0 the standard
+    N_i, 1 the jump N_i M_i, 2 + j the branch N_i F_j.  A column is zero where
+    the corner node lacks its field.  Returns the values (n, 24), their
+    physical gradients (n, 24, 2) and the node of each column (n, 24).  The
+    jump part takes one signed distance per crack, over the points whose
+    element holds its jump nodes, the branch part one evaluation per tip.
     """
     conn = mesh.elements[eids]
-    N, dref = reference_shape(local[:, 0], local[:, 1])  # (n, 4), (n, 4, 2)
-    dN = dref @ jacobian(mesh.nodes[conn], dref)[1]  # physical gradients
     values, grads = np.zeros((conn.shape[0], 6, 4)), np.zeros((conn.shape[0], 6, 4, 2))
     values[:, 0], grads[:, 0] = N, dN
     jump_crack = np.where(emap.status[conn] == HEAVISIDE, emap.node_crack[conn], -1)
@@ -940,21 +939,21 @@ def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
     return values.reshape(-1, 24), grads.reshape(-1, 24, 2), np.tile(conn, 6)
 
 
-def basis_batches(mesh: Mesh, emap: EnrichmentMap, eids, local, xs):
+def basis_batches(mesh: Mesh, emap: EnrichmentMap, eids, N, dN, xs):
     """:func:`enriched_basis` over consecutive runs of at most a few
     thousand points, so the padded arrays stay a few MB however many points
     there are: yields each run's slice, values, gradients and nodes."""
     for start in range(0, len(eids), _BASIS_BATCH):
         run = slice(start, start + _BASIS_BATCH)
-        yield (run, *enriched_basis(mesh, emap, eids[run], local[run], xs[run]))
+        yield (run, *enriched_basis(mesh, emap, eids[run], N[run], dN[run], xs[run]))
 
 
 def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
-                   eids, local, xs, want_grad: bool = True):
+                   eids, N, dN, xs, want_grad: bool = True):
     """Total displacement (n, 2) and gradient (n, 2, 2) at points of known elements.
 
-    Point k lies in element ``eids[k]`` at reference coordinates ``local[k]``
-    and physical position ``xs[k]``.  A plain element's points (no
+    Point k lies in element ``eids[k]``, with shape values ``N[k]`` and
+    gradients ``dN[k]``, at ``xs[k]``.  A plain element's points (no
     enriched corner) take the standard basis with ``u_cont`` alone; the
     others, the enriched basis contracted with each column's field
     coefficients, only the columns whose node carries their field at some
@@ -964,20 +963,15 @@ def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     grad = np.empty((len(eids), 2, 2)) if want_grad else None
     rich = emap.kinds[eids] > 0
     plain = np.flatnonzero(~rich)
-    for start in range(0, plain.size, _BASIS_BATCH):  # runs, as basis_batches takes
-        at = plain[start:start + _BASIS_BATCH]
-        conn = mesh.elements[eids[at]]
-        N, dref = reference_shape(local[at, 0], local[at, 1])
-        c = fields.u_cont[conn]
-        u[at] = np.einsum("ki,kia->ka", N, c)
-        if want_grad:
-            dN = dref @ jacobian(mesh.nodes[conn], dref)[1]
-            grad[at] = np.einsum("kib,kia->kab", dN, c)
+    c = fields.u_cont[mesh.elements[eids[plain]]]
+    u[plain] = np.einsum("ki,kia->ka", N[plain], c)
+    if want_grad:
+        grad[plain] = np.einsum("kib,kia->kab", dN[plain], c)
     rich = np.flatnonzero(rich)
     coef = np.concatenate([fields.u_cont[:, None], fields.u_disc[:, None], fields.u_tip],
                           axis=1)  # (n_nodes, 6, 2), by BASIS_FIELD
     kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
-    for run, values, grads, nodes in basis_batches(mesh, emap, eids[rich], local[rich],
+    for run, values, grads, nodes in basis_batches(mesh, emap, eids[rich], N[rich], dN[rich],
                                                    xs[rich]):
         used = np.nonzero((kind == STANDARD) | (emap.status[nodes] == kind).any(axis=0))[0]
         c = coef[nodes[:, used], BASIS_FIELD[used]]
@@ -999,7 +993,8 @@ def evaluate_fields(xs, mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     if np.any(eids < 0):
         bad = xs[eids < 0][0]
         raise ValueError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the mesh")
-    return element_fields(mesh, emap, fields, eids, locs, xs, want_grad)
+    N, dN, _ = shape_functions(mesh.element_coords(eids), locs)
+    return element_fields(mesh, emap, fields, eids, N, dN, xs, want_grad)
 
 
 def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap,

@@ -40,8 +40,8 @@ trigonometric pass.  The points are then regrouped by tip, stably, so
 each tip's integrals sum the same terms in the same order as a pass over
 that tip alone: the result at a tip does not depend on which other tips
 share its pass.  :func:`extract_sifs` integrates one tip of such a pass,
-or makes the pass of that tip alone; :func:`direct_j_integral` and
-:func:`default_contour_radius` are the pass at one tip.
+or makes the pass of that tip alone, and its result records the radius the
+tip took; :func:`direct_j_integral` is the pass at one tip.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ __all__ = [
     "j_from_sifs",
     "propagation_angle",
     "k_equivalent",
-    "default_contour_radius",
     "tip_clearance",
     "tip_rings",
     "williams_displacement",
@@ -288,8 +287,8 @@ def _domains(mesh: Mesh, emap: EnrichmentMap, tips, radii,
     boundary, its own crack's other end or a face it comes back with, or
     another crack.
     """
-    if any(r is not None and r <= 0.0 for r in radii):
-        raise ValueError("contour radius must be positive")
+    if any(r is not None and not 0.0 < r < math.inf for r in radii):
+        raise ValueError("contour radius must be positive and finite")
     near = near if near is not None else tip_clearance(mesh, emap, tips)
     n = len(tips)
     origins = _origins(tips)
@@ -338,15 +337,6 @@ def _domains(mesh: Mesh, emap: EnrichmentMap, tips, radii,
         else:
             failures.append(None)
     return _Domains(np.where(unheld, np.nan, radius), failures, box, eid, inside, ring)
-
-
-def default_contour_radius(mesh: Mesh, emap: EnrichmentMap, crack_id: int,
-                           tip_id: int) -> float:
-    """The domain radius of the ``auto`` rule."""
-    domains = _domains(mesh, emap, [_find_tip(emap, crack_id, tip_id)], [None])
-    if np.isnan(domains.radius[0]):
-        raise FractureError(domains.failures[0])
-    return float(domains.radius[0])
 
 
 def _voigt_to_tensor(sig: np.ndarray) -> np.ndarray:
@@ -402,8 +392,8 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         return TipRings(tips, domains.radius, domains.failures, [None] * len(tips), *empty,
                         _auxiliary_fields((1, 2), np.empty(0), np.empty(0), material))
     kinds = emap.kinds[domains.eid[pair]]
-    eids, local, dN, wdet, xs = rules.rule_points(mesh, domains.eid[pair], kinds)
-    grad = element_fields(mesh, emap, state.fields, eids, local, xs)[1]
+    eids, N, dN, wdet, xs = rules.rule_points(mesh, domains.eid[pair], kinds)
+    grad = element_fields(mesh, emap, state.fields, eids, N, dN, xs)[1]
     # rule_points lists each class's elements in order
     place = np.concatenate([np.repeat(k, rule.n_points) for k, rule in rules.classes(kinds)])
     order = np.argsort(domains.box[pair[place]], kind="stable")
@@ -478,12 +468,16 @@ def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     ``rings`` is a :func:`tip_rings` pass holding the tip, made once for
     all the tips of a step, whose radius and rules the tip then takes.
     Without it the tip gets a pass of its own, at ``radius`` (None for the
-    ``auto`` rule) with ``rules``.  A rejected domain raises its reason.
+    ``auto`` rule) with ``rules``.  A rejected domain raises its reason, and
+    so does a tip that ``rings`` does not hold.
     """
     if rings is None:
         rings = tip_rings(state, mesh, emap, material, [_find_tip(emap, crack_id, tip_id)],
                           [radius], rules)
-    i = [(t.crack_id, t.tip_id) for t in rings.tips].index((crack_id, tip_id))
+    held = [(t.crack_id, t.tip_id) for t in rings.tips]
+    if (crack_id, tip_id) not in held:
+        raise FractureError(f"crack {crack_id} tip {tip_id} is not in the given rings")
+    i = held.index((crack_id, tip_id))
     span = rings.spans[i]
     if span is None:
         raise FractureError(rings.failures[i])

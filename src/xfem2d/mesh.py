@@ -2,15 +2,16 @@
 
 Provides the immutable :class:`Mesh` container, bilinear shape-function
 evaluation, tensor-product Gauss-Legendre quadrature rules, and point
-location.  Every search for the elements near some place is one batched
-grid query, :meth:`Mesh.box_query`: it takes k boxes and returns their
-(box, element) pairs from a uniform grid of padded element bounding
-boxes (:attr:`Mesh.point_grid`, built once per mesh).  Point location,
-:func:`locate_hits`, asks it about the points and inverts the bilinear
-map of each candidate in one batched Newton iteration;
-:func:`locate_points` keeps each point's lowest-id hit.  The mesh never
-changes during a simulation; cracks live on top of it as independent
-geometry.
+location.  Every point's shape data come from one kernel,
+:func:`shape_functions`, where the point is made.  Every search for the
+elements near some place is one batched grid query,
+:meth:`Mesh.box_query`: it takes k boxes and returns their (box, element)
+pairs from a uniform grid of padded element bounding boxes
+(:attr:`Mesh.point_grid`, built once per mesh).  Point location,
+:func:`locate_hits`, asks it about the points and inverts the bilinear map
+of each candidate in one batched Newton iteration; :func:`locate_points`
+keeps each point's lowest-id hit.  The mesh never changes during a
+simulation; cracks live on top of it as independent geometry.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "locate_points",
     "point_segment_distance",
     "reference_shape",
+    "shape_functions",
 ]
 
 # Reference-square corner coordinates in CCW connectivity order.
@@ -87,8 +89,7 @@ def jacobian(xy, dref):
 
     ``xy`` holds element corners (..., 4, 2) and ``dref`` the reference
     gradients of :func:`reference_shape` (..., 4, 2); their leading shapes
-    broadcast.  J[a, b] = d x_a / d xi_b, so physical shape gradients are
-    ``dref @ inv``; ``inv`` is non-finite where ``det`` is zero.
+    broadcast.  J[a, b] = d x_a / d xi_b; ``inv`` is non-finite where ``det`` is zero.
     """
     J = np.swapaxes(xy, -1, -2) @ dref
     det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -99,6 +100,15 @@ def jacobian(xy, dref):
     adj[..., 1, 1] = J[..., 0, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return det, adj / det[..., None, None]
+
+
+def shape_functions(xy, local):
+    """Shape values ``N`` (..., 4), physical gradients ``dN`` (..., 4, 2) and
+    Jacobian determinants ``det`` (...) at reference coordinates ``local``
+    (..., 2) of elements with corners ``xy`` (..., 4, 2); leading shapes broadcast."""
+    N, dref = reference_shape(local[..., 0], local[..., 1])
+    det, Jinv = jacobian(xy, dref)
+    return N, dref @ Jinv, det
 
 
 def edge_points(side, t, a, b):
@@ -116,9 +126,8 @@ def element_geometry(xy: np.ndarray, rule: QuadratureRule):
     weights times Jacobian determinants ``wdet`` (..., q) and the physical
     points ``phys`` (..., q, 2); ``...`` is the leading shape of ``xy``.
     """
-    values, dref = reference_shape(rule.points[:, 0], rule.points[:, 1])
-    det, Jinv = jacobian(xy[..., None, :, :], dref)
-    return values, dref @ Jinv, rule.weights * det, values @ xy
+    values, dN, det = shape_functions(xy[..., None, :, :], rule.points)
+    return values, dN, rule.weights * det, values @ xy
 
 
 @dataclass(frozen=True)
@@ -199,13 +208,13 @@ class QuadratureSet:
         return [(eids, rule) for eids, rule in pairs if eids.size]
 
     def rule_points(self, mesh: "Mesh", eids: np.ndarray, kinds: np.ndarray):
-        """Each point's element (n,), reference coordinates (n, 2), shape
-        gradients (n, 4, 2), w·detJ (n,) and position (n, 2) over the elements
-        ``eids`` of kinds ``kinds``, each class at its own rule, by class."""
+        """Each point's element (n,), shape values (n, 4), shape gradients
+        (n, 4, 2), w·detJ (n,) and position (n, 2) over the elements ``eids``
+        of kinds ``kinds``, each class at its own rule, by class."""
         parts = []
         for k, rule in self.classes(kinds):
-            _, dN, wdet, phys = element_geometry(mesh.element_coords(eids[k]), rule)
-            parts.append((np.repeat(eids[k], rule.n_points), np.tile(rule.points, (k.size, 1)),
+            N, dN, wdet, phys = element_geometry(mesh.element_coords(eids[k]), rule)
+            parts.append((np.repeat(eids[k], rule.n_points), np.tile(N, (k.size, 1)),
                           dN.reshape(-1, 4, 2), wdet.ravel(), phys.reshape(-1, 2)))
         return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -348,10 +357,10 @@ class Mesh:
         hi = np.asarray(hi, dtype=float).reshape(-1, 2)
         # The cell index is monotone in the coordinate, so a box that meets
         # an element's padded box covers a cell that lists the element.
-        top = (nx - 1, ny - 1)
-        ilo = np.clip(np.floor((lo - origin) / cell), 0, top).astype(np.int64)
-        ext = np.clip(np.floor((hi - origin) / cell), 0, top).astype(np.int64) - ilo + 1
-        ext = np.maximum(ext, 0)  # cells covered along x and y
+        finite = (np.isfinite(lo) & np.isfinite(hi)).all(axis=1, keepdims=True)  # else no cell
+        ilo, ihi = (np.clip(np.floor((np.where(finite, v, origin) - origin) / cell), 0,
+                            (nx - 1, ny - 1)).astype(np.int64) for v in (lo, hi))
+        ext = np.maximum(ihi - ilo + 1, 0) * finite  # cells covered along x and y
         box, k = _runs(ext[:, 0] * ext[:, 1])
         cells = (ilo[box, 0] + k // ext[box, 1]) * ny + ilo[box, 1] + k % ext[box, 1]
         at, k = _runs(start[cells + 1] - start[cells])

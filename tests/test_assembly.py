@@ -1191,9 +1191,8 @@ class TestElementMatrix:
         mesh, emap, _ = center_crack_with_tips()
         eid = emap.tips[0].element
         rule = QuadratureSet.from_targets().tip
-        _, _, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
-        _, grads, nodes = enriched_basis(mesh, emap, np.full(rule.n_points, eid),
-                                         rule.points, phys)
+        N, dN, wdet, phys = element_geometry(mesh.element_coords(eid), rule)
+        _, grads, nodes = enriched_basis(mesh, emap, np.full(rule.n_points, eid), N, dN, phys)
         grads = grads[:, DofLayout.build(emap).column_dofs(nodes[0], BASIS_FIELD)[:, 0] >= 0]
         B = np.zeros((rule.n_points, 3, 2 * grads.shape[1]))  # Voigt strain matrix
         B[:, 0, 0::2] = B[:, 2, 1::2] = grads[..., 0]
@@ -1222,11 +1221,11 @@ class TestEnrichedBasis:
             monkeypatch.setattr(enrichment, name, counting(name))
         eids = np.nonzero(emap.kinds >= 2)[0]
         rule = QuadratureSet.from_targets().tip
-        _, _, _, phys = element_geometry(mesh.element_coords(eids), rule)
+        N, dN, _, phys = element_geometry(mesh.element_coords(eids), rule)
         nodes = mesh.elements[eids]
         assert np.any((emap.status[nodes] == HEAVISIDE).sum(axis=1) >= 2)
-        enriched_basis(mesh, emap, np.repeat(eids, rule.n_points),
-                       np.tile(rule.points, (eids.size, 1)), phys.reshape(-1, 2))
+        enriched_basis(mesh, emap, np.repeat(eids, rule.n_points), np.tile(N, (eids.size, 1)),
+                       dN.reshape(-1, 4, 2), phys.reshape(-1, 2))
         # One evaluation per tip, each taking the crack side of its angle
         # from one distance, and one distance for the jump part.
         assert calls.count("branch_functions") == len(emap.tips) == 2

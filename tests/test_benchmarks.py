@@ -20,7 +20,7 @@ import pytest
 
 from xfem2d import benchmarks
 from xfem2d.driver import LoadSchedule, run_propagation, run_stationary, setup_problem
-from xfem2d.fracture import default_contour_radius, extract_sifs
+from xfem2d.fracture import extract_sifs, tip_rings
 
 TOLERANCE = 0.01
 EXACT_KI = benchmarks.center_crack_exact_ki(benchmarks.TABLE1_SIGMA,
@@ -71,7 +71,8 @@ def test_table1_results_carry_the_radius_they_took():
         assert extract_sifs(state, mesh, emap, material, 0, tip, radius=0.07,
                             rules=rules).radius == 0.07
         auto = extract_sifs(state, mesh, emap, material, 0, tip, rules=rules)
-        assert auto.radius == default_contour_radius(mesh, emap, 0, tip)
+        tinfo = [t for t in emap.tips if t.tip_id == tip]
+        assert auto.radius == tip_rings(state, mesh, emap, material, tinfo, [None]).radius[0]
 
 
 # The edge crack in tension at a/W = 0.5.  The reference F(a/W) of Tada,

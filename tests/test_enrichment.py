@@ -5,6 +5,7 @@ horizontal crack threading the element row 0.5 < y < 0.6 at mid height,
 so every classification count can be stated by hand.
 """
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,7 @@ from xfem2d.mesh import (
     locate_points,
     point_segment_distance,
     reference_shape,
+    shape_functions,
 )
 from xfem2d.meshgen import punch_holes, uniform_rect
 
@@ -1025,9 +1027,9 @@ class TestCutSides:
         cut = np.flatnonzero(emap.kinds == 2)
         q = rule.n_points
         assert emap.cut_sides.shape == (cut.size, q)
-        _, _, _, phys = element_geometry(mesh.element_coords(cut), rule)
-        values, _, _ = enriched_basis(mesh, emap, np.repeat(cut, q),
-                                      np.tile(rule.points, (cut.size, 1)), phys.reshape(-1, 2))
+        N, dN, _, phys = element_geometry(mesh.element_coords(cut), rule)
+        values, _, _ = enriched_basis(mesh, emap, np.repeat(cut, q), np.tile(N, (cut.size, 1)),
+                                      dN.reshape(-1, 4, 2), phys.reshape(-1, 2))
         jump = values[:, 4:8].reshape(cut.size, q, 4)  # N_i M_i of each corner i
         conn = mesh.elements[cut][:, None, :]
         has = np.broadcast_to(emap.status[conn] == HEAVISIDE, jump.shape)
@@ -1112,7 +1114,8 @@ class TestBatchedKernel:
         pts = np.vstack([rng.uniform(0.0, 1.0, size=(300, 2))] + near)
         eids, locs = locate_points(mesh, pts)
         assert np.all(eids >= 0)
-        u, grad = element_fields(mesh, emap, fields, eids, locs, pts)
+        N, dN, _ = shape_functions(mesh.element_coords(eids), locs)
+        u, grad = element_fields(mesh, emap, fields, eids, N, dN, pts)
         u_ref, grad_ref = np.empty_like(u), np.empty_like(grad)
         for eid in np.unique(eids):
             sel = np.nonzero(eids == eid)[0]
@@ -1122,7 +1125,7 @@ class TestBatchedKernel:
             err = np.abs(new - ref).reshape(len(pts), -1).max(axis=1)
             scale = np.abs(ref).reshape(len(pts), -1).max(axis=1)
             assert np.all(err <= 1e-12 * scale)
-        u_only, none = element_fields(mesh, emap, fields, eids, locs, pts, want_grad=False)
+        u_only, none = element_fields(mesh, emap, fields, eids, N, dN, pts, want_grad=False)
         assert none is None
         np.testing.assert_array_equal(u_only, u)
 
@@ -1139,9 +1142,9 @@ class TestBatchedKernel:
         D = elasticity_matrix(material)
         energy = 0.0
         for eids, rule in rules.classes(emap.kinds):
-            _, _, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
-            at = (np.repeat(eids, rule.n_points), np.tile(rule.points, (eids.size, 1)),
-                  phys.reshape(-1, 2))
+            N, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
+            at = (np.repeat(eids, rule.n_points), np.tile(N, (eids.size, 1)),
+                  dN.reshape(-1, 4, 2), phys.reshape(-1, 2))
             eps_u, eps_v = (voigt_strain(element_fields(mesh, emap, system.layout.scatter(x),
                                                         *at)[1]) for x in (u, v))
             energy += np.einsum("k,ki,ij,kj->", wdet.ravel(), eps_v, D, eps_u)
@@ -1173,6 +1176,39 @@ class TestFieldEvaluation:
             values, _ = reference_shape(locs[k, 0], locs[k, 1])
             expected = values @ fields.u_cont[mesh.elements[eids[k]]]
             np.testing.assert_allclose(u[k], expected, atol=1e-13)
+
+    def test_non_finite_point_rejected(self):
+        mesh = grid()
+        emap = classify_enrichment(mesh, [center_crack()])
+        fields = self._random_fields(mesh, emap)
+        with pytest.raises(ValueError, match=r"^point \(nan, 0\.5\) is outside the mesh$"):
+            evaluate_fields([[0.3, 0.5], [np.nan, 0.5]], mesh, emap, fields)
+
+    def test_given_shape_data_take_no_jacobian(self, monkeypatch):
+        # Every point's shape gradients come with it, so neither the basis
+        # nor the field contraction computes a Jacobian.
+        mesh = grid()
+        emap = classify_enrichment(mesh, [center_crack()])
+        assert set(emap.kinds.tolist()) == {0, 1, 2, 3}
+        fields = self._random_fields(mesh, emap)
+        real = sys.modules["xfem2d.mesh"].jacobian
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("xfem2d")
+                    and getattr(module, "jacobian", None) is real):
+                monkeypatch.setattr(module, "jacobian", counting)
+        rules = QuadratureSet.from_targets()
+        eids, N, dN, _, xs = rules.rule_points(mesh, np.arange(mesh.n_elements), emap.kinds)
+        assert calls  # the patch is seen where the points are made
+        calls.clear()
+        enriched_basis(mesh, emap, eids, N, dN, xs)
+        element_fields(mesh, emap, fields, eids, N, dN, xs)
+        assert calls == []
 
     def test_shift_makes_nodal_value_exact(self):
         mesh = grid()
@@ -1231,9 +1267,8 @@ class TestFieldEvaluation:
                 lo = mesh.nodes[mesh.elements[eid]].min(axis=0)
                 hi = mesh.nodes[mesh.elements[eid]].max(axis=0)
                 loc = 2.0 * (point - lo) / (hi - lo) - 1.0
-                u, _ = element_fields(
-                    mesh, emap, fields, np.array([eid]), loc[None, :], point[None, :]
-                )
+                N, dN, _ = shape_functions(mesh.element_coords([eid]), loc[None, :])
+                u, _ = element_fields(mesh, emap, fields, np.array([eid]), N, dN, point[None, :])
                 us.append(u[0])
             assert np.abs(us[0] - us[1]).max() < 1e-10
             checked += 1

@@ -24,7 +24,6 @@ from xfem2d.enrichment import FieldTriplet, classify_enrichment
 from xfem2d.fracture import (
     FractureError,
     auxiliary_fields,
-    default_contour_radius,
     direct_j_integral,
     extract_sifs,
     j_from_sifs,
@@ -274,8 +273,8 @@ class TestInteractionIntegral:
                 extract_sifs(state, mesh, emap, STEEL, 0, tip, radius=radius)
 
     def test_default_radius(self, tension_plate):
-        mesh, emap, _ = tension_plate
-        assert default_contour_radius(mesh, emap, 0, 1) == pytest.approx(0.2)
+        mesh, emap, state = tension_plate
+        assert extract_sifs(state, mesh, emap, STEEL, 0, 1).radius == pytest.approx(0.2)
 
     def test_missing_tip(self, tension_plate):
         mesh, emap, state = tension_plate
@@ -310,18 +309,26 @@ class TestContourValidity:
         # 0.135; the element with corners (0.075, 0.075) and (0.125, 0.125)
         # away from the tip reaches past 0.15, and the radius stops at its
         # nearest corner
-        radius = default_contour_radius(self.mesh, self.emap, 0, 1)
-        assert radius == pytest.approx(0.075 * math.sqrt(2.0))
-        assert extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1).K_I == 0.0
+        res = extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1)
+        assert res.radius == pytest.approx(0.075 * math.sqrt(2.0))
+        assert res.K_I == 0.0
 
     def test_no_default_radius_within_the_clearance(self):
         # a tip 0.075 from the boundary: every ring holding its tip element
         # (corners 0.035 away) has the boundary nodes beside it
         crack = CrackPath(vertices=np.array([[0.525, 0.425], [0.925, 0.425]]), id=0)
         emap = classify_enrichment(self.mesh, [crack])
+        tip = [t for t in emap.tips if t.tip_id == 1]
+        rings = tip_rings(self.state, self.mesh, emap, STEEL, tip, [None])
+        assert np.isnan(rings.radius[0])
         with pytest.raises(FractureError, match="no domain around crack 0 tip 1 holds "
                                                 r"its tip element, of size 0\.0707"):
-            default_contour_radius(self.mesh, emap, 0, 1)
+            extract_sifs(self.state, self.mesh, emap, STEEL, 0, 1)
+
+    @pytest.mark.parametrize("radius", [0.0, -0.1, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="^contour radius must be positive and finite$"):
+            extract_sifs(self.state, self.mesh, self.emap, STEEL, 0, 1, radius=radius)
 
     def test_domain_must_hold_the_tip_element(self):
         # the tip's element corners lie 0.035 away: at a radius of 0.03 the
@@ -483,3 +490,10 @@ class TestBatchedPass:
                 extract_sifs(state, mesh, emap, STEEL, 7, tinfo.tip_id)
             assert reason == str(alone.value)
             assert reason.endswith(f"crack 7 tip {tinfo.tip_id} reaches the crack's other end")
+
+    def test_tip_outside_the_pass_named(self, tension_plate):
+        mesh, emap, state = tension_plate
+        rings = tip_rings(state, mesh, emap, STEEL, emap.tips[:1], [None])
+        assert (rings.tips[0].crack_id, rings.tips[0].tip_id) == (0, 0)
+        with pytest.raises(FractureError, match=r"^crack 0 tip 1 is not in the given rings$"):
+            extract_sifs(state, mesh, emap, STEEL, 0, 1, rings=rings)

@@ -4,6 +4,7 @@ quadrature, and point location."""
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from xfem2d.mesh import (
     DissectionTree,
     Mesh,
     MeshFormatError,
+    QuadratureSet,
     _dissect_level,
     _distinct,
     _element_node_pairs,
@@ -29,6 +31,7 @@ from xfem2d.mesh import (
     _newton_invert,
     element_geometry,
     reference_shape,
+    shape_functions,
 )
 from xfem2d.meshgen import uniform_rect, windowed_rect
 
@@ -756,6 +759,22 @@ class TestShapeFunctions:
         assert abs(values.sum() - 1.0) <= 1e-14
         np.testing.assert_allclose(grads.sum(axis=0), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["standard", "cut", "tip"])
+    def test_kernel_per_point_equals_element_geometry(self, name):
+        # A point's shape data are the same bits whether the kernel is
+        # called point by point, as at located and edge points, or
+        # broadcast over a rule, as by element_geometry.
+        mesh = perturbed_grid()
+        rule = getattr(QuadratureSet.from_targets(), name)
+        q, m = rule.n_points, mesh.n_elements
+        xy = mesh.element_coords()
+        N, dN, wdet, _ = element_geometry(xy, rule)
+        N1, dN1, det1 = shape_functions(np.repeat(xy, q, axis=0), np.tile(rule.points, (m, 1)))
+        assert np.ptp(det1.reshape(m, q), axis=1).min() > 0.0  # no element is affine
+        assert N1.tobytes() == np.tile(N, (m, 1)).tobytes()
+        assert dN1.tobytes() == dN.reshape(-1, 4, 2).tobytes()
+        assert (rule.weights * det1.reshape(m, q)).tobytes() == wdet.tobytes()
+
 
 class TestGaussRule:
     @pytest.mark.parametrize("target,expected", [(35, 36), (40, 49), (4, 4), (1, 1), (37, 49)])
@@ -808,6 +827,16 @@ class TestLocatePoint:
         for x, eid, local in zip(pts, eids, locals_):
             np.testing.assert_allclose(reference_shape(*local)[0] @ mesh.element_coords([eid])[0],
                                        x, atol=1e-10)
+
+    def test_non_finite_point_is_outside_without_a_warning(self):
+        mesh = structured_mesh(3, 3)
+        pts = [[np.nan, 0.5], [0.5, 0.5], [0.5, np.inf], [-np.inf, np.nan]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eids, _ = locate_points(mesh, pts)
+            box, _ = mesh.box_query(pts, pts)
+        np.testing.assert_array_equal(eids, [-1, 4, -1, -1])
+        assert set(box.tolist()) == {1}
 
     def test_shared_edge_resolves_to_lowest_id(self):
         mesh = structured_mesh(3, 3)

@@ -451,9 +451,8 @@ def element_by_element_stresses(state, mesh, emap, material, rules):
     side_sig, side_vm = np.empty((2, m, 3)), np.empty((2, m))
     for eid, kind in enumerate(emap.kinds.tolist()):
         rule = rule_of[kind]
-        _, _, wdet, phys = element_geometry(mesh.element_coords([eid])[0], rule)
-        _, grad = element_fields(mesh, emap, fields, np.full(rule.n_points, eid),
-                                 rule.points, phys)
+        N, dN, wdet, phys = element_geometry(mesh.element_coords([eid])[0], rule)
+        _, grad = element_fields(mesh, emap, fields, np.full(rule.n_points, eid), N, dN, phys)
         sig = voigt_strain(grad) @ D.T
         vm = _von_mises_oracle(sig, material)
         sig_mean[eid], vm_mean[eid] = wdet @ sig / wdet.sum(), wdet @ vm / wdet.sum()
