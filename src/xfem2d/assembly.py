@@ -7,8 +7,8 @@ map grants them, so the jump/branch constraint is structural rather than
 penalized.
 
 Integration strategy: every element is first integrated with the plain
-2x2 rule in one vectorized pass, once per mesh and distinct element shape
-(:class:`StiffnessCache`).
+2x2 rule in one vectorized pass, once per mesh and distinct element shape,
+and only the table of those matrices is kept (:class:`ShapeTable`).
 The cut elements and the tip elements are then integrated as two
 batches, one elevated rule per class, from the gradients of
 :func:`~xfem2d.enrichment.enriched_basis`; each corrects its elements'
@@ -68,6 +68,7 @@ __all__ = [
     "MaterialModel",
     "BoundaryCondition",
     "QuadratureSet",
+    "ShapeTable",
     "StiffnessCache",
     "DofLayout",
     "LinearSystem",
@@ -210,18 +211,43 @@ class DofLayout:
         return fields
 
 
+@dataclass(frozen=True)
+class ShapeTable:
+    """The standard stiffness of every element, one matrix per element shape.
+
+    Element e's matrix (8, 8), over its standard dofs, is
+    ``matrices[ids[e]]``: nothing of size (m, 8, 8) is held, only the
+    table (s, 8, 8) and the ids (m,).  Its dofs, 2 n + a for component a
+    of corner node n, follow from ``elements`` (m, 4), the mesh's own array.
+    """
+
+    matrices: np.ndarray
+    ids: np.ndarray
+    elements: np.ndarray
+
+    def take(self, eids) -> np.ndarray:
+        """The matrices (e, 8, 8) of the elements ``eids``."""
+        return self.matrices[self.ids[eids]]
+
+    def dofs(self, eids) -> np.ndarray:
+        """The standard dofs (e, 8) of the elements ``eids``."""
+        return (2 * self.elements[eids, :, None] + [0, 1]).reshape(-1, 8)
+
+
 @dataclass
 class LinearSystem:
     """Stiffness as element blocks, load vector, and prescribed-value map.
 
-    K is the sum of ``blocks``, each (matrices (e, m, m), dofs (e, m)), -1
-    where a node lacks a dof: assembled, the standard matrices of every
-    element, then the cut and the tip corrections.  ``pairs`` is the first
-    block summed over node pairs, which :func:`solve` factors in its place
-    on ``tree``.  ``stamps`` holds each node's change stamp: a factor kept
-    from a system of the same cache reuses the fronts whose nodes kept theirs.
+    K is the standard stiffness ``standard`` plus the corrections
+    ``blocks``, each (matrices (e, m, m), dofs (e, m)), -1 where a node
+    lacks a dof: assembled, the cut and the tip elements'.  ``pairs`` is
+    the standard stiffness summed over node pairs, which :func:`solve`
+    factors in its place on ``tree``.  ``stamps`` holds each node's change
+    stamp: a factor kept from a system of the same cache reuses the fronts
+    whose nodes kept theirs.
     """
 
+    standard: ShapeTable
     blocks: tuple
     pairs: NodePairs
     f: np.ndarray
@@ -232,17 +258,20 @@ class LinearSystem:
 
     @property
     def K(self):
-        """The blocks summed into a ``scipy.sparse.csr_matrix``, explicit
-        zeros kept, in block and element order: built on each call, off the
-        path of :func:`solve`.  It is the one path of the package that
-        imports ``scipy.sparse``, and through it scipy's array-API layer
-        (``numpy.f2py`` and more, about 0.16 s on the first call), which is
-        why the import is here."""
+        """The standard matrix of every element and then the blocks, summed
+        into a ``scipy.sparse.csr_matrix``, explicit zeros kept, in block
+        and element order: built on each call, off the path of
+        :func:`solve`, and the one place a matrix per element is gathered.
+        It is the one path of the package that imports ``scipy.sparse``, and
+        through it scipy's array-API layer (``numpy.f2py`` and more, about
+        0.16 s on the first call), which is why the import is here."""
         import scipy.sparse as sp
 
         n = self.layout.total_dofs
+        every = np.arange(self.standard.ids.size)
         keys, values = [], []
-        for matrices, dofs in self.blocks:
+        for matrices, dofs in ((self.standard.take(every), self.standard.dofs(every)),
+                               *self.blocks):
             keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
             keys.append((dofs[:, :, None] * n + dofs[:, None, :])[keep])
             values.append(matrices[keep])
@@ -383,7 +412,7 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
     return eid[edge], N, dN, xs, ws[:, None] * force[edge]
 
 
-def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray,
+def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, standard: ShapeTable,
                eids: np.ndarray, rule: QuadratureRule, used=None):
     """Stiffness of the elements ``eids`` under ``rule`` over all coupled
     fields, less their plain-rule stiffness: one batch for the whole class.
@@ -424,14 +453,34 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, K_std: np.ndarray
     grads = basis[1].reshape(eids.size, q, 24, 2)[:, :, used]
     del basis  # the padded arrays, about as large as the integration's own
     Ke = _element_matrices(grads, wdet, D)
-    Ke[:, :8, :8] -= K_std[eids]
+    Ke[:, :8, :8] -= standard.take(eids)
     return Ke, nodes[:, used], used
 
 
-def _product(blocks, u: np.ndarray) -> np.ndarray:
-    """K u, as the sum over the element blocks of K_e u_e."""
+_PRODUCT_BATCH = 1024  # elements per gather of the shape table in _product
+
+
+def _product(system: LinearSystem, u: np.ndarray) -> np.ndarray:
+    """K u, as the sum over the elements of K_e u_e: the standard part
+    first, then each block.
+
+    The standard K_e u_e of all elements are gathered from the shape table
+    in runs of ``_PRODUCT_BATCH`` elements, so no (m, 8, 8) array is formed,
+    and summed by one pass in element order per component, as one pass over
+    the element-ordered dofs would: the residual's bits depend on the order."""
+    standard = system.standard
+    elements = standard.elements
+    Ku = np.empty((2, elements.shape[0], 4))  # by component, element and corner
+    for lo in range(0, elements.shape[0], _PRODUCT_BATCH):
+        run = slice(lo, lo + _PRODUCT_BATCH)
+        Ku[:, run] = np.einsum("eij,ej->ei", standard.take(run),
+                               u[standard.dofs(run)]).reshape(-1, 4, 2).transpose(2, 0, 1)
     out = np.zeros(u.size)
-    for matrices, dofs in blocks:
+    n = system.layout.n_nodes
+    for a in (0, 1):  # dof 2 k + a of each corner node k
+        out[a:2 * n:2] += np.bincount(elements.reshape(-1), weights=Ku[a].reshape(-1),
+                                      minlength=n)
+    for matrices, dofs in system.blocks:
         ue = np.where(dofs >= 0, u[dofs], 0.0)
         out += np.bincount(dofs[dofs >= 0], minlength=u.size,
                            weights=np.einsum("eij,ej->ei", matrices, ue)[dofs >= 0])
@@ -461,11 +510,11 @@ class StiffnessCache:
     None of these changes while a crack grows, so a run builds one and
     passes it to :func:`assemble` at every step.  It holds:
 
-    - :attr:`matrices`, the plain-rule stiffness of every element,
-      integrated once per distinct shape (a structured mesh has a few
-      hundred), and :attr:`pairs`, their sums over the mesh's node pairs,
-      placed in the fronts of its nested-dissection tree, both computed on
-      first use;
+    - :attr:`standard`, the plain-rule stiffness of every element as a
+      :class:`ShapeTable`, integrated and held once per distinct shape (a
+      structured mesh has a few hundred), and :attr:`pairs`, its sums over
+      the mesh's node pairs, placed in the fronts of its nested-dissection
+      tree, both computed on first use;
     - the cut-class elements of the last assembly, their matrices by
       basis column (node, field), so a renumbered dof layout costs
       nothing, and their keys (:func:`_cut_keys`).  A matrix is reused
@@ -480,7 +529,6 @@ class StiffnessCache:
     def __init__(self, mesh: Mesh, material: MaterialModel, rules: QuadratureSet):
         self.mesh, self.material, self.rules = mesh, material, rules
         self.stamps = np.full(mesh.n_nodes, next(_STAMPS))
-        self.dofs = np.repeat(2 * mesh.elements, 2, axis=1) + [0, 1] * 4  # of :attr:`matrices`
         # The last assembly's cut elements, ascending, their matrices and
         # keys, and its cut and tip elements.
         self._cut = np.empty(0, dtype=np.int64)
@@ -489,8 +537,8 @@ class StiffnessCache:
         self._enriched = np.empty(0, dtype=np.int64)
 
     @cached_property
-    def matrices(self) -> np.ndarray:
-        """Element stiffness of the standard field, shape (m, 8, 8).
+    def standard(self) -> ShapeTable:
+        """Element stiffness of the standard field, one (8, 8) matrix per shape.
 
         It is integrated from the corners' offsets from corner 0, once per
         distinct shape (offsets equal bit for bit), so the elements of one
@@ -505,17 +553,20 @@ class StiffnessCache:
         bits = bits[order]
         new = np.ones(order.size, dtype=bool)  # a new shape wherever neighbours differ,
         new[1:] = (bits[1:] != bits[:-1]).any(axis=1)  # so equal mixes merge nothing
-        shape = np.empty_like(order)
-        shape[order] = np.cumsum(new) - 1
+        ids = np.empty_like(order)
+        ids[order] = np.cumsum(new) - 1
         _, dN, wdet, _ = element_geometry(offsets[order[new]], self.rules.standard)
-        return _element_matrices(dN, wdet, elasticity_matrix(self.material))[shape]
+        return ShapeTable(_element_matrices(dN, wdet, elasticity_matrix(self.material)), ids,
+                          self.mesh.elements)
 
     @cached_property
     def pairs(self) -> NodePairs:
-        """:attr:`matrices` summed over the node pairs of the mesh's tree."""
+        """:attr:`standard` summed over the node pairs of the mesh's tree."""
         tree = self.mesh.nested_dissection_tree
         position = np.repeat(np.argsort(tree.order), 2)  # of each dof's node
-        return NodePairs.sum(tree, [(self.matrices, self.dofs)], position)
+        every = np.arange(self.mesh.n_elements)
+        table = self.standard
+        return NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)], position)
 
     def cut_matrices(self, emap: EnrichmentMap):
         """The cut elements of ``emap`` (kind 2) and their stiffness
@@ -538,7 +589,7 @@ class StiffnessCache:
             Ke[at[same]] = self._cut_matrices[old[same]]
         if not reused.all():
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
-                                     self.matrices, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
+                                     self.standard, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
         enriched = np.flatnonzero(emap.kinds >= 2)
         changed = np.setdiff1d(np.union1d(self._enriched, enriched), cut[reused])
         self.stamps = self.stamps.copy()  # systems assembled earlier keep theirs
@@ -557,9 +608,10 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     enrichment dofs of constrained nodes — the constrained boundary is
     assumed uncracked).  Apply them with :func:`apply_constraints`.
     ``cache`` is the run's stiffness for this mesh, material and
-    ``rules``; a new one is built when not given.  The blocks are its
-    standard matrices and the cut and tip elements' corrections, which the
-    same cracks give bit for bit whatever the cache held.
+    ``rules``; a new one is built when not given.  The system's standard
+    stiffness is the cache's shape table, and its blocks the cut and tip
+    elements' corrections, which the same cracks give bit for bit whatever
+    the cache held.
     """
     rules = rules if rules is not None else QuadratureSet.from_targets()
     if cache is None:
@@ -571,14 +623,14 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
 
     cut, Ke = cache.cut_matrices(emap)
     columns = layout.column_dofs(np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])
-    blocks = [(cache.matrices, cache.dofs), (Ke, columns.reshape(cut.size, 16))]
+    blocks = [(Ke, columns.reshape(cut.size, 16))]
     tip = np.flatnonzero(kinds == 3)
     if tip.size:
-        Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.matrices,
+        Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.standard,
                                      tip, rules.tip)
         blocks.append((Ke, layout.column_dofs(nodes, BASIS_FIELD[used]).reshape(tip.size, -1)))
     # The standard matrices are summed once per mesh, so their sums stand for them.
-    if not all(np.isfinite(m).all() for m in [cache.pairs.blocks] + [m for m, _ in blocks[1:]]):
+    if not all(np.isfinite(m).all() for m in [cache.pairs.blocks] + [m for m, _ in blocks]):
         raise AssemblyError("non-finite stiffness entry")
 
     f = np.zeros(layout.total_dofs)
@@ -604,8 +656,9 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
             if emap.status[n]:  # its enrichment dofs
                 for dof in layout.node_dofs([n])[0][2:].tolist():
                     fixed.setdefault(dof, 0.0)
-    return LinearSystem(blocks=tuple(blocks), pairs=cache.pairs, f=f, fixed=fixed,
-                        layout=layout, tree=mesh.nested_dissection_tree, stamps=cache.stamps)
+    return LinearSystem(standard=cache.standard, blocks=tuple(blocks), pairs=cache.pairs, f=f,
+                        fixed=fixed, layout=layout, tree=mesh.nested_dissection_tree,
+                        stamps=cache.stamps)
 
 
 def apply_constraints(system: LinearSystem, extra=None) -> LinearSystem:
@@ -635,15 +688,17 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     factored by supernodal Cholesky on ``system.tree`` in its dof order,
     straight from the standard node pairs and the other blocks summed over
     theirs; the load is lifted by K times the prescribed values, and the
-    fixed dofs take those values exactly.  A non-positive pivot (an
-    indefinite or singular system) raises :class:`SolverError` naming the
-    node, field and component of its dof, as do a non-finite solution and
-    an infinity-norm residual above 1e-9 of the lifted load.  ``factor``
-    is the previous solve's factor on the same tree, kept by a propagation
-    run: it reuses the fronts that no changed element touches
-    (``system.stamps``) and whose nodes kept their layout.  A stale front
-    cannot pass silently: the lift and the residual are sums of K_e u_e
-    over the element blocks, independent of the fronts.
+    fixed dofs take those values exactly.  A free dof whose diagonal entry,
+    the standard node pairs' plus the other blocks', is not positive raises
+    :class:`AssemblyError` before the factorization starts, and a
+    non-positive pivot (an indefinite or singular system) raises
+    :class:`SolverError`, both naming the node, field and component of the
+    dof; so do a non-finite solution and an infinity-norm residual above
+    1e-9 of the lifted load.  ``factor`` is the previous solve's factor on
+    the same tree, kept by a propagation run: it reuses the fronts that no
+    changed element touches (``system.stamps``) and whose nodes kept their
+    layout.  A stale front cannot pass silently: the lift and the residual
+    are sums of K_e u_e over the elements, independent of the fronts.
     """
     layout, tree = system.layout, system.tree
     n = layout.total_dofs
@@ -665,19 +720,28 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     position = np.empty(n, dtype=np.int64)  # of each dof's node in the tree's order
     position[perm] = owner
 
-    lifted = system.f - _product(system.blocks, u) if u.any() else system.f
+    def name(k: int) -> str:
+        """The node, field and component of dof ``perm[k]``."""
+        node, ext = int(tree.order[owner[k]]), int(local[k]) - 2
+        field = ("standard" if ext < 0 else "jump" if layout.disc_slot[node] >= 0
+                 else f"branch {ext // 2}")
+        return f"node {node}, {field} {'xy'[ext % 2]}"
+
+    lifted = system.f - _product(system, u) if u.any() else system.f
     rhs = lifted[q]
     factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        stats = factor.factorize(tree, counts, signature, system.stamps[tree.order], index, (
-            system.pairs, NodePairs.sum(tree, system.blocks[1:], position)))
+        corrections = NodePairs.sum(tree, system.blocks, position)
+        diagonal = (system.pairs.diagonal(n) + corrections.diagonal(n))[perm]
+        bad = np.flatnonzero(free & ~(diagonal > 0.0))
+        if bad.size:
+            raise AssemblyError(f"non-positive stiffness diagonal {diagonal[bad[0]]:.6g} on a "
+                                f"free dof ({name(bad[0])})")
+        stats = factor.factorize(tree, counts, signature, system.stamps[tree.order], index,
+                                 (system.pairs, corrections))
     except np.linalg.LinAlgError as exc:
-        if hasattr(exc, "pivot"):  # name the dof: its node, field and component
-            k = np.flatnonzero(free)[exc.pivot]
-            node, ext = int(tree.order[owner[k]]), int(local[k]) - 2
-            field = ("standard" if ext < 0 else "jump" if layout.disc_slot[node] >= 0
-                     else f"branch {ext // 2}")
-            exc.args = (f"{exc} (node {node}, {field} {'xy'[ext % 2]})",)
+        if hasattr(exc, "pivot"):  # name the dof
+            exc.args = (f"{exc} ({name(np.flatnonzero(free)[exc.pivot])})",)
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     u[q] = factor.solve(rhs)
     if not np.all(np.isfinite(u)):
@@ -685,7 +749,7 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
             "linear solve produced non-finite values (singular or "
             "indefinite system; check constraints and enrichment)"
         )
-    rmax = float(np.abs((_product(system.blocks, u) - system.f)[q]).max(initial=0.0))
+    rmax = float(np.abs((_product(system, u) - system.f)[q]).max(initial=0.0))
     fmax = float(np.abs(rhs).max(initial=0.0))
     residual = rmax / fmax if fmax > 0.0 else rmax
     if residual > 1e-9:

@@ -133,9 +133,11 @@ class NodePairs:
 
     @classmethod
     def sum(cls, tree: DissectionTree, blocks, position: np.ndarray) -> "NodePairs":
-        """The pairs of ``blocks``, each (matrices (e, 2s, 2s), dofs (e, 2s)),
-        -1 for an absent column.  Dof d's node is at ``position[d]``, and a
-        node's columns are eliminated in the order of their dofs.
+        """The pairs of ``blocks``, each (matrices (k, 2s, 2s), dofs (e, 2s))
+        or (matrices, dofs, rows (e,)), -1 for an absent column: element i's
+        matrix is ``matrices[rows[i]]``, by default ``matrices[i]``.  Dof d's
+        node is at ``position[d]``, and a node's columns are eliminated in
+        the order of their dofs.
 
         An element's pairs are its s(s+1)/2 pairs of columns i <= j, each
         turned so that its row is the column eliminated first.  A pair is
@@ -145,7 +147,8 @@ class NodePairs:
         rank = np.empty_like(position)
         rank[by_rank] = np.arange(position.size)
         key, entries = [np.empty(0, int)], [np.empty((4, 0))]
-        for matrices, dofs in blocks:
+        for matrices, dofs, *rows in blocks:
+            rows = rows[0] if rows else np.arange(len(dofs))
             s = dofs.shape[1] // 2
             column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
             i, j = np.triu_indices(s)
@@ -153,7 +156,7 @@ class NodePairs:
             lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
             key.append(np.where(lo >= 0, lo * rank.size + hi, -1).reshape(-1))
             a, b = np.where(ci > cj, j, i), np.where(ci > cj, i, j)  # the pair's row, column
-            corner = (np.arange(len(dofs))[:, None] * 4 * s * s + 4 * s * a + 2 * b).reshape(-1)
+            corner = (rows[:, None] * 4 * s * s + 4 * s * a + 2 * b).reshape(-1)
             entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
         key = np.concatenate(key)
         order = np.argsort(key, kind="stable")
@@ -168,6 +171,14 @@ class NodePairs:
         return cls(row=row.astype(np.int32), col=col.astype(np.int32), slot=slot.astype(np.int32),
                    blocks=np.stack(sums, axis=1).reshape(-1, 2, 2),
                    ptr=np.searchsorted(f, np.arange(tree.n_fronts + 1)))
+
+    def diagonal(self, n: int) -> np.ndarray:
+        """The diagonal (n,) of the summed matrix of n dofs, from the pairs
+        of a column with itself; 0 where there is none."""
+        own = self.row == self.col
+        out = np.zeros(n)
+        out[self.row[own]], out[self.row[own] + 1] = self.blocks[own, 0, 0], self.blocks[own, 1, 1]
+        return out
 
 
 def _extend_add_plan(tree: DissectionTree, redo, ptr, shift):
@@ -210,6 +221,11 @@ def _extend_add(F11, F21, F22, U, runs) -> None:
                 F11[tr:tr + r1 - r0, tc:tc + c1 - c0] += block
 
 
+# Fronts whose entries (:meth:`FrontalCholesky._entries`) are gathered at
+# once: the entries of every front would be about a sixth of the factor.
+_ENTRY_BATCH = 64
+
+
 class FrontalCholesky:
     """Cholesky factor L of one symmetric positive definite matrix, front by front.
 
@@ -244,8 +260,10 @@ class FrontalCholesky:
         an element at the node changed its matrix.  ``pairs`` holds two
         :class:`NodePairs`: the first is put into the refactored fronts and
         the second added to it, of a front's entries (j, i) those with j >= i.
-        Raises ``np.linalg.LinAlgError`` on a non-positive pivot, whose place
-        among the free dofs is the error's ``pivot``.
+        The entries are gathered for ``_ENTRY_BATCH`` refactored fronts at a
+        time, so beside the factor only one batch of them is held.  Raises
+        ``np.linalg.LinAlgError`` on a non-positive pivot, whose place among
+        the free dofs is the error's ``pivot``.
         """
         n_fronts = tree.n_fronts
         ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -275,16 +293,20 @@ class FrontalCholesky:
             self._signature, self._stamps = signature, stamps
 
         self.refactored = redo = np.flatnonzero(~kept)
-        standard, corrections = (list(self._entries(redo, index, p)) for p in pairs)
         runs, run_ptr = _extend_add_plan(tree, redo, ptr, shift)
         pending = {}  # front -> update matrix its parent has not consumed yet
         for k, f in enumerate(redo.tolist()):
+            b = k % _ENTRY_BATCH  # the front's place in its batch
+            if b == 0:  # the entries of the next batch, the last one's freed first
+                entries = None
+                entries = [list(self._entries(redo[k:k + _ENTRY_BATCH], index, p))
+                           for p in pairs]
             a, p, r = pivots[f], pivots[f + 1] - pivots[f], row_ptr[f + 1] - row_ptr[f]
             # Pivot block and panel, Fortran order, with a last place for the rest.
             blocks = np.zeros(p * p + 1), np.zeros(r * p + 1)
-            for parts, add in ((standard, False), (corrections, True)):
+            for parts, add in zip(entries, (False, True)):
                 for flat, (at, values, take) in zip(blocks, parts):
-                    at, values = at[take[k]:take[k + 1]], values[take[k]:take[k + 1]]
+                    at, values = at[take[b]:take[b + 1]], values[take[b]:take[b + 1]]
                     flat[at] = flat[at] + values if add else values
             F11 = blocks[0][:-1].reshape((p, p), order="F")
             F21 = blocks[1][:-1].reshape((r, p), order="F")

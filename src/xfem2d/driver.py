@@ -22,9 +22,9 @@ spatial index are cached on the :class:`~xfem2d.mesh.Mesh`) and checks
 the boundary tags.  From step to step the run carries:
 
 - the mesh, the rules and the boundary conditions;
-- the :class:`~xfem2d.assembly.StiffnessCache`: the standard element
-  matrices and their node-pair sums, placed once in the factorization's
-  fronts, the cut elements' matrices and keys of the last step, and a
+- the :class:`~xfem2d.assembly.StiffnessCache`: the standard stiffness,
+  one matrix per element shape, and its node-pair sums, placed once in the
+  factorization's fronts, the cut elements' matrices and keys of the last step, and a
   change stamp per node.  A step integrates the tip class and only the
   cut elements whose key changed: its corners' enrichment, or the side of
   the crack one of its cut-rule points lies on;

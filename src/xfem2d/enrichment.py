@@ -932,10 +932,12 @@ def enriched_basis(mesh: Mesh, emap: EnrichmentMap, eids, N, dN, xs):
     for gti, rows in _label_rows(node_tip):
         tinfo = emap.tips[gti]
         _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs[rows])
-        mask = (node_tip[rows] == gti)[:, None, :]  # (points, branch, corner)
-        values[rows, 2:] = N[rows, None, :] * F[:, :, None] * mask
-        grads[rows, 2:] = (F[:, :, None, None] * dN[rows, None]
-                           + N[rows, None, :, None] * dF[:, :, None, :]) * mask[..., None]
+        # Only this tip's corners: an element may hold the nodes of two tips.
+        at, corner = np.nonzero(node_tip[rows] == gti)
+        k = rows[at]
+        values[k, 2:, corner] = N[k, corner, None] * F[at]
+        grads[k, 2:, corner] = (F[at, :, None] * dN[k, corner, None]
+                                + N[k, corner, None, None] * dF[at])
     return values.reshape(-1, 24), grads.reshape(-1, 24, 2), np.tile(conn, 6)
 
 

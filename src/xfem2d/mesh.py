@@ -347,19 +347,25 @@ class Mesh:
         """Every (box, element) pair of the boxes ``lo[i]``..``hi[i]`` (k, 2)
         and the elements whose padded :attr:`point_grid` box meets them.
 
-        The one reader of the grid's cells: each box gathers the elements
-        listed in the cells it covers, and keeps those whose padded box
-        meets it.  Returns ``(boxes, elements)``, by box and then element
-        id; a point is the box with ``lo == hi``.
+        The one reader of the grid's cells: each box, grown by the grid's
+        ``reach``, gathers the elements listed in the cells it covers, and
+        keeps those whose padded box meets it.  Returns ``(boxes,
+        elements)``, by box and then element id; a point is the box with
+        ``lo == hi``.
         """
-        origin, cell, (nx, ny), start, listed, elo, ehi = self.point_grid
+        origin, cell, (nx, ny), start, listed, elo, ehi, reach = self.point_grid
         lo = np.asarray(lo, dtype=float).reshape(-1, 2)
         hi = np.asarray(hi, dtype=float).reshape(-1, 2)
-        # The cell index is monotone in the coordinate, so a box that meets
-        # an element's padded box covers a cell that lists the element.
+        # The cell coordinate g(v) = (v - origin) / cell is monotone in v.  A
+        # box [lo, hi] meeting an element's padded box, grown to [a, b] by
+        # the reach, meets its unpadded box [x0, x1]: a <= x1 and b >= x0.
+        # So the box's lowest cell ceil(g(a)) - 1 is at most the element's
+        # highest, max(floor(g(x0)), ceil(g(x1)) - 1), and the box's highest
+        # floor(g(b)) at least the element's lowest, floor(g(x0)).
         finite = (np.isfinite(lo) & np.isfinite(hi)).all(axis=1, keepdims=True)  # else no cell
-        ilo, ihi = (np.clip(np.floor((np.where(finite, v, origin) - origin) / cell), 0,
-                            (nx - 1, ny - 1)).astype(np.int64) for v in (lo, hi))
+        a, b = ((np.where(finite, v, origin) - origin) / cell for v in (lo - reach, hi + reach))
+        ilo, ihi = (np.clip(v, 0, (nx - 1, ny - 1)).astype(np.int64)
+                    for v in (np.ceil(a) - 1.0, np.floor(b)))
         ext = np.maximum(ihi - ilo + 1, 0) * finite  # cells covered along x and y
         box, k = _runs(ext[:, 0] * ext[:, 1])
         cells = (ilo[box, 0] + k // ext[box, 1]) * ny + ilo[box, 1] + k % ext[box, 1]
@@ -416,34 +422,42 @@ class Mesh:
 
     @cached_property
     def point_grid(self) -> tuple:
-        """Uniform grid of padded element bounding boxes that
-        :meth:`box_query` reads (Franklin et al., Auto-Carto 9, 1989).
+        """Uniform grid of element bounding boxes that :meth:`box_query`
+        reads (Franklin et al., Auto-Carto 9, 1989).
 
-        Returns ``(origin, cell, shape, start, elements, lo, hi)``: cell
-        (ix, iy) is flat index ``ix * shape[1] + iy``, and the ids of the
-        elements whose padded box meets it are
-        ``elements[start[c]:start[c + 1]]``, ascending.  There are about as
-        many cells as elements.  ``lo`` and ``hi`` (n_elements, 2) are each
-        element's bounding box padded by ``_LOCATE_TOL`` times its extent,
-        so a point that :func:`locate_hits` accepts an ulp outside a box
-        still finds the element.
+        Returns ``(origin, cell, shape, start, elements, lo, hi, reach)``:
+        cell (ix, iy) is flat index ``ix * shape[1] + iy``, and the ids of the
+        elements whose unpadded box meets its interior (its one cell, if the
+        box is thinner than rounding) are ``elements[start[c]:start[c + 1]]``,
+        ascending.  So an element of a mesh that matches the grid is listed
+        in one to four cells, not the nine its padded box would reach.
+        There are about as many cells as elements.  ``lo`` and ``hi``
+        (n_elements, 2) are each element's bounding box padded by
+        ``_LOCATE_TOL`` times its extent, so a point that
+        :func:`locate_hits` accepts an ulp outside a box still finds the
+        element; ``reach``, twice the largest pad plus the coordinates'
+        largest rounding step, is how far :meth:`box_query` grows a box
+        before it picks cells.
         """
         xy = self.element_coords()
         lo, hi = xy.min(axis=1), xy.max(axis=1)
         pad = _LOCATE_TOL * np.max(hi - lo, axis=1, keepdims=True)
-        lo, hi = lo - pad, hi + pad
+        reach = 2.0 * (pad.max(initial=0.0) + np.spacing(np.abs(xy).max(initial=0.0)))
         gmin, gmax = self.bbox()
         span = np.maximum(gmax - gmin, 1e-300)
         ncell = max(1, int(np.sqrt(self.n_elements)))
         nx = max(1, int(round(ncell * np.sqrt(span[0] / span[1]))))
         ny = max(1, int(round(ncell * np.sqrt(span[1] / span[0]))))
         cell = span / (nx, ny)
-        ilo = np.clip(((lo - gmin) / cell).astype(int), 0, (nx - 1, ny - 1))
-        ext = np.clip(((hi - gmin) / cell).astype(int), 0, (nx - 1, ny - 1)) - ilo + 1
+        first = np.floor((lo - gmin) / cell)
+        last = np.maximum(first, np.ceil((hi - gmin) / cell) - 1.0)
+        ilo, ihi = (np.clip(v, 0, (nx - 1, ny - 1)).astype(np.int64) for v in (first, last))
+        ext = ihi - ilo + 1
         eid, k = _runs(ext[:, 0] * ext[:, 1])
         flat = (ilo[eid, 0] + k // ext[eid, 1]) * ny + ilo[eid, 1] + k % ext[eid, 1]
         start = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nx * ny))])
-        return gmin, cell, (nx, ny), start, eid[np.argsort(flat, kind="stable")], lo, hi
+        return (gmin, cell, (nx, ny), start, eid[np.argsort(flat, kind="stable")],
+                lo - pad, hi + pad, reach)
 
 
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -21,6 +22,7 @@ from xfem2d.assembly import (
     LinearSystem,
     MaterialModel,
     QuadratureSet,
+    ShapeTable,
     SolverError,
     StiffnessCache,
     apply_constraints,
@@ -30,7 +32,7 @@ from xfem2d.assembly import (
     stress_strain_batch,
     _element_matrices,
 )
-from xfem2d import assembly, enrichment
+from xfem2d import assembly, cholesky, enrichment
 from xfem2d.benchmarks import hole_attraction_config, table1_config
 from xfem2d.cholesky import FrontalCholesky, NodePairs, _extend_add_plan
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
@@ -396,15 +398,34 @@ class TestStandardStiffness:
             np.testing.assert_array_equal(fresh.f, reused.f)
 
     def test_elements_of_one_shape_share_bits(self):
+        # The table holds one matrix per distinct corner-offset pattern, and
+        # elements share an id exactly when their offsets are equal bit for bit.
         mesh = table1_config(5.0).mesh
-        matrices = StiffnessCache(mesh, STEEL, QuadratureSet.from_targets()).matrices
+        table = StiffnessCache(mesh, STEEL, QuadratureSet.from_targets()).standard
         xy = mesh.element_coords()
         offsets = (xy - xy[:, :1]).reshape(-1, 8).view(np.int64)
-        shapes, first, inverse = np.unique(offsets, axis=0, return_index=True,
-                                           return_inverse=True)
+        shapes, inverse = np.unique(offsets, axis=0, return_inverse=True)
         assert len(shapes) < mesh.n_elements // 10
-        np.testing.assert_array_equal(matrices.view(np.int64),
-                                      matrices[first[inverse.ravel()]].view(np.int64))
+        assert table.matrices.shape == (len(shapes), 8, 8)
+        inverse = inverse.ravel()
+        np.testing.assert_array_equal(np.unique(inverse * len(shapes) + table.ids).size,
+                                      len(shapes))
+        assert np.unique(table.ids).size == len(shapes)
+
+    def test_cache_holds_nothing_per_element_matrix(self):
+        # After an assembly and a solve, no array of the cache or of its
+        # table grows with the element count times 64.
+        config = table1_config(5.0)
+        mesh, rules = config.mesh, QuadratureSet.from_targets()
+        cache = StiffnessCache(mesh, config.material, rules)
+        emap = classify_enrichment(mesh, list(config.cracks))
+        solve(assemble(mesh, emap, config.material, rules, config.bcs, cache=cache))
+        held = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        held += [v for v in vars(cache.standard).values() if isinstance(v, np.ndarray)]
+        held += [getattr(cache.pairs, name) for name in ("row", "col", "slot", "blocks", "ptr")]
+        assert all(a.size < 64 * mesh.n_elements for a in held)
+        assert not any(a.shape == (mesh.n_elements, 8, 8) for a in held)
+        assert cache.standard.elements is mesh.elements  # the mesh's own array
 
     def test_exact_translation_keeps_every_bit(self):
         # Corners on a 2**-20 grid, so adding (1e3, -7e2) is exact; every
@@ -413,10 +434,11 @@ class TestStandardStiffness:
         rng = np.random.default_rng(4)
         nodes = mesh.nodes + rng.integers(-600, 601, size=mesh.nodes.shape) * 2.0**-20
         rules = QuadratureSet.from_targets()
-        a, b = (StiffnessCache(Mesh(nodes + shift, mesh.elements), STEEL, rules).matrices
+        a, b = (StiffnessCache(Mesh(nodes + shift, mesh.elements), STEEL, rules).standard
                 for shift in ([0.0, 0.0], [1e3, -7e2]))
-        assert len(np.unique(a.reshape(len(a), -1), axis=0)) == mesh.n_elements
-        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert len(np.unique(a.matrices.reshape(len(a.matrices), -1), axis=0)) == mesh.n_elements
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.matrices.view(np.int64), b.matrices.view(np.int64))
 
     @pytest.mark.parametrize("name", ["plate", "hole", "perturbed plate"])
     def test_match_each_element_integrated_alone(self, name):
@@ -431,7 +453,7 @@ class TestStandardStiffness:
         rules = QuadratureSet.from_targets()
         _, dN, wdet, _ = element_geometry(mesh.element_coords(), rules.standard)
         expected = _element_matrices(dN, wdet, elasticity_matrix(STEEL))
-        got = StiffnessCache(mesh, STEEL, rules).matrices
+        got = StiffnessCache(mesh, STEEL, rules).standard.take(np.arange(mesh.n_elements))
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_block_of_another_material_rejected(self):
@@ -499,13 +521,18 @@ def plain_layout(n_nodes):
     )
 
 
+NO_ELEMENTS = ShapeTable(np.empty((0, 8, 8)), np.empty(0, dtype=np.int64),
+                         np.empty((0, 4), dtype=np.int64))
+
+
 def one_block(K, tree):
     """A dense matrix as one element block over all of its dofs, two per
-    node of ``tree``, and its node pairs."""
+    node of ``tree``, with no standard stiffness."""
     K = np.asarray(K, dtype=float)[None]
     blocks = ((K, np.arange(K.shape[1])[None]),)
     position = np.repeat(np.argsort(tree.order), 2)
-    return dict(blocks=blocks, pairs=NodePairs.sum(tree, blocks, position), tree=tree)
+    return dict(standard=NO_ELEMENTS, blocks=blocks, pairs=NodePairs.sum(tree, [], position),
+                tree=tree)
 
 
 class TestSolver:
@@ -521,7 +548,8 @@ class TestSolver:
         assert np.abs(state.u - expected).max() < 1e-9 * np.abs(expected).max()
 
     def test_singular_system_reported(self):
-        system = LinearSystem(**one_block(np.zeros((2, 2)), one_front(1)),
+        # Singular with a positive diagonal, so the factorization meets it.
+        system = LinearSystem(**one_block(np.ones((2, 2)), one_front(1)),
                               f=np.array([1.0, 0.0]), fixed={}, layout=plain_layout(1),
                               stamps=np.zeros(1, dtype=np.int64))
         with pytest.raises(SolverError):
@@ -614,14 +642,14 @@ class TestFactorReuse:
         _, _, system = center_crack_with_tips()
         factor = FrontalCholesky()
         first = solve(system, factor=factor)
-        negate = np.zeros((1, 2, 2))
-        negate[0, 0, 0] = -2.0 * system.K[100, 100]  # no longer positive definite
+        couple = np.zeros((1, 2, 2))  # no longer positive definite, the diagonal kept
+        couple[0, 0, 1] = couple[0, 1, 0] = 3.0 * np.sqrt(system.K[100, 100] * system.K[101, 101])
         stamps = system.stamps.copy()
-        stamps[50] += 1  # the node of dof 100
-        broken = replace(system, blocks=system.blocks + ((negate, np.array([[100, 101]])),),
+        stamps[50] += 1  # the node of dofs 100 and 101
+        broken = replace(system, blocks=system.blocks + ((couple, np.array([[100, 101]])),),
                          stamps=stamps)
         for _ in range(2):  # nothing of the failed attempt is kept
-            with pytest.raises(SolverError, match=r"positive definite \(node 50, standard x\)"):
+            with pytest.raises(SolverError, match=r"positive definite \(node 50, standard y\)"):
                 solve(broken, factor=factor)
         again = solve(system, factor=factor)
         assert again.factor.fronts_refactored == again.factor.fronts
@@ -645,10 +673,11 @@ class TestFactorReuse:
         factor = FrontalCholesky()
         solve(system, factor=factor)
         eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.1, 0.85], axis=1)))
-        (matrices, dofs), *corrections = system.blocks
-        matrices = matrices.copy()
-        matrices[eid] *= 2.0
-        stale = replace(system, blocks=((matrices, dofs), *corrections))
+        table = system.standard
+        ids = table.ids.copy()
+        ids[eid] = len(table.matrices)  # a shape of its own
+        stale = replace(system, standard=replace(
+            table, matrices=np.concatenate([table.matrices, 2.0 * table.take([eid])]), ids=ids))
         with pytest.raises(SolverError, match="residual"):
             solve(stale, factor=factor)
         assert factor.refactored.size == 0
@@ -682,8 +711,118 @@ class TestSolvePath:
         _, _, system = center_crack_with_tips()
         u = np.random.default_rng(3).normal(size=system.layout.total_dofs)
         expected = system.K @ u
-        got = assembly._product(system.blocks, u)
+        got = assembly._product(system, u)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def product_reference(system, u):
+    """K u as each element's K_e u_e, the standard matrices of every element
+    gathered at once, summed by one pass per block over its element-ordered
+    dofs."""
+    every = np.arange(system.standard.ids.size)
+    out = np.zeros(u.size)
+    for matrices, dofs in ((system.standard.take(every), system.standard.dofs(every)),
+                           *system.blocks):
+        ue = np.where(dofs >= 0, u[dofs], 0.0)
+        out += np.bincount(dofs[dofs >= 0], minlength=u.size,
+                           weights=np.einsum("eij,ej->ei", matrices, ue)[dofs >= 0])
+    return out
+
+
+@pytest.fixture(scope="module")
+def tipped_system():
+    return center_crack_with_tips()
+
+
+class TestBatches:
+    """Bounded batches give the bits of one batch over everything."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(batch=st.integers(1, 401), seed=st.integers(0, 2**32 - 1))
+    def test_batched_product_equals_the_per_element_reference(self, tipped_system, batch, seed):
+        _, _, system = tipped_system  # 400 elements
+        u = np.random.default_rng(seed).normal(size=system.layout.total_dofs)
+        with mock.patch.object(assembly, "_PRODUCT_BATCH", batch):
+            got = assembly._product(system, u)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      product_reference(system, u).view(np.int64))
+
+    @settings(max_examples=10, deadline=None)
+    @given(batch=st.integers(1, 40))
+    def test_factor_by_entry_batches_equals_all_fronts_at_once(self, tipped_system, batch):
+        # A fresh factorization, then one that redoes a path to the root.
+        mesh, _, system = tipped_system
+        eid = int(np.argmin(np.linalg.norm(mesh.element_centroids() - [0.1, 0.85], axis=1)))
+        stamps = system.stamps.copy()
+        stamps[mesh.elements[eid]] += 1
+        stiffer = replace(system, stamps=stamps, blocks=system.blocks + (
+            (np.full((1, 8, 8), 1e8), system.standard.dofs([eid])),))
+        runs = []
+        for size in (batch, system.tree.n_fronts):
+            factor, solved = FrontalCholesky(), []
+            with mock.patch.object(cholesky, "_ENTRY_BATCH", size):
+                for s in (system, stiffer):
+                    solved.append(solve(s, factor=factor).u)
+            assert 0 < factor.refactored.size < system.tree.n_fronts
+            runs.append((solved, [np.concatenate(panel, axis=None)
+                                  for panel in factor._panels]))
+        (u, panels), (u_all, panels_all) = runs
+        for a, b in zip(u + panels, u_all + panels_all):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestPeakMemory:
+    def test_peak_is_the_factor_plus_what_is_distinct(self):
+        # tracemalloc's peak over assemble + solve against what the design
+        # holds at once, each term computed from the system, not measured:
+        # F the factor; P the standard stiffness's node-pair sums; E one
+        # batch of front entries: for the largest run of _ENTRY_BATCH fronts,
+        # four entries per pair of both pair sets, a place and a value each,
+        # twice over for the arrays they are built from; S the multifrontal
+        # stack (Liu 1992): the update matrices waiting for their parents and
+        # the dense front being assembled; C the correction blocks and their
+        # pair sums; V 24 eight-byte vectors per dof, the solve's own (about
+        # 16: values, places and masks of the dofs, the lift, the residual)
+        # and the factorization's (about 8).  The standard matrices of every
+        # element, at 512 bytes each (2.6 MiB here), or the entries of every
+        # front at once would not fit.
+        config = table1_config(5.0)
+        mesh, rules = config.mesh, QuadratureSet.from_targets()
+        emap = classify_enrichment(mesh, list(config.cracks))
+        tree = mesh.nested_dissection_tree  # the mesh's own, built before
+        tracemalloc.start()
+        try:
+            system = assemble(mesh, emap, config.material, rules, config.bcs)
+            factor = FrontalCholesky(keep=False)
+            stats = solve(system, factor=factor).factor
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = system.layout.total_dofs
+        perm, owner, _ = system.layout.node_dofs(tree.order)
+        position = np.empty(n, dtype=np.int64)
+        position[perm] = owner
+        standard = system.pairs
+        corrections = NodePairs.sum(tree, system.blocks, position)
+
+        def nbytes(pairs):
+            return sum(a.nbytes for a in (pairs.row, pairs.col, pairs.slot, pairs.blocks,
+                                          pairs.ptr))
+
+        per_front = np.diff(standard.ptr) + np.diff(corrections.ptr)
+        batch = cholesky._ENTRY_BATCH
+        E = 2 * 4 * 16 * max(per_front[k:k + batch].sum()
+                             for k in range(0, tree.n_fronts, batch))
+        p, r = np.diff(factor._pivots), np.diff(factor._row_ptr)
+        pending, S = {}, 0
+        for f in range(tree.n_fronts):  # children first, as factored
+            children = sum(pending.pop(c) for c in tree.children[f])
+            S = max(S, sum(pending.values()) + children + 8 * (p[f] + r[f]) ** 2)
+            if tree.parent[f] >= 0:
+                pending[f] = 8 * r[f] ** 2
+        C = nbytes(corrections) + sum(m.nbytes + d.nbytes for m, d in system.blocks)
+        bound = 8 * stats.factor_entries + nbytes(standard) + E + S + C + 24 * 8 * n
+        assert peak <= bound
 
 
 def dense_sum(blocks, n):
@@ -742,9 +881,15 @@ class TestNodePairs:
         standard = (rng.normal(size=(mesh.n_elements, 8, 8)), std_dofs)
         correction = (rng.normal(size=(int(some.sum()), 16, 16)),
                       np.concatenate([std_dofs[some], jump_dofs[some]], axis=1))
-        for blocks in ([standard], [correction], [standard, correction], []):
+        # A table of three matrices, element e's chosen by its row.
+        table, rows = rng.normal(size=(3, 8, 8)), rng.integers(0, 3, mesh.n_elements)
+        for blocks, reference in (([standard], None), ([correction], None),
+                                  ([standard, correction], None), ([], None),
+                                  ([(table, std_dofs, rows)], [(table[rows], std_dofs)]),
+                                  ([(table, std_dofs, rows), correction],
+                                   [(table[rows], std_dofs), correction])):
             pairs = NodePairs.sum(tree, blocks, position)
-            row, col, sums = masked_pair_sum(blocks, position)
+            row, col, sums = masked_pair_sum(reference or blocks, position)
             np.testing.assert_array_equal(pairs.row, row)
             np.testing.assert_array_equal(pairs.col, col)
             np.testing.assert_array_equal(pairs.blocks.view(np.int64), sums.view(np.int64))
@@ -752,7 +897,9 @@ class TestNodePairs:
     def test_upper_pairs_sum_the_element_matrices(self):
         mesh, _, system = center_crack_with_tips()
         pairs, tree = system.pairs, system.tree
-        K = dense_sum(system.blocks[:1], system.layout.total_dofs)
+        every = np.arange(mesh.n_elements)
+        K = dense_sum([(system.standard.take(every), system.standard.dofs(every))],
+                      system.layout.total_dofs)
         rows, cols = pairs.row[:, None] + [0, 1], pairs.col[:, None] + [0, 1]
         np.testing.assert_array_equal(pairs.blocks.view(np.int64),
                                       K[rows[:, :, None], cols[:, None, :]].view(np.int64))
@@ -783,8 +930,8 @@ class TestNodePairs:
                               rows=np.empty(0, dtype=np.int64))
         own = (np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
         coupling = (np.full((1, 4, 4), 0.1), np.arange(4)[None])
-        system = LinearSystem(blocks=(own, coupling),
-                              pairs=NodePairs.sum(tree, [own], np.repeat([0, 1], 2)),
+        system = LinearSystem(standard=NO_ELEMENTS, blocks=(own, coupling),
+                              pairs=NodePairs.sum(tree, [], np.repeat([0, 1], 2)),
                               f=np.ones(4), fixed={}, layout=plain_layout(2), tree=tree,
                               stamps=np.zeros(2, dtype=np.int64))
         with pytest.raises(SolverError, match="keeps apart"):
@@ -793,6 +940,7 @@ class TestNodePairs:
 
 class TestPivotReport:
     def test_zeroed_jump_dof_names_its_node(self):
+        # A zero diagonal is refused before the factorization starts.
         _, _, system = center_crack_with_tips()
         node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
         dof = system.layout.column_dofs(node, 1)[1]
@@ -801,6 +949,39 @@ class TestPivotReport:
             hit = dofs == dof
             blocks.append((np.where(hit[:, :, None] | hit[:, None, :], 0.0, matrices), dofs))
         broken = replace(system, blocks=tuple(blocks))
+        with pytest.raises(AssemblyError,
+                           match=rf"diagonal 0 on a free dof \(node {node}, jump y\)"):
+            solve(broken)
+
+    @pytest.mark.parametrize("field, component", [(1, 0), (1, 1), (3, 1)])
+    def test_negative_diagonal_is_refused_before_the_factorization(self, field, component):
+        # A hand-made correction block that turns one enrichment dof's
+        # diagonal negative: the staged error names the dof, and no front is
+        # factored.
+        _, _, system = center_crack_with_tips()
+        status = system.layout.disc_slot if field == 1 else system.layout.tip_slot
+        node = int(np.flatnonzero(status >= 0)[1])
+        pair = system.layout.column_dofs(node, field)
+        negate = np.zeros((1, 2, 2))
+        negate[0, component, component] = -2.0 * system.K[pair[component], pair[component]]
+        broken = replace(system, blocks=system.blocks + ((negate, pair[None]),))
+        factor = FrontalCholesky()
+        name = "jump" if field == 1 else f"branch {field - 2}"
+        with pytest.raises(AssemblyError, match=rf"non-positive stiffness diagonal -\S+ on a free "
+                                                rf"dof \(node {node}, {name} {'xy'[component]}\)"):
+            solve(broken, factor=factor)
+        assert factor.refactored.size == 0
+
+    def test_indefinite_jump_pair_names_its_pivot(self):
+        # Positive diagonals, an indefinite 2 x 2 block: the pivot of the
+        # jump y dof is the first that fails.
+        _, _, system = center_crack_with_tips()
+        node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
+        pair = system.layout.column_dofs(node, 1)
+        couple = np.zeros((1, 2, 2))
+        couple[0, 0, 1] = couple[0, 1, 0] = 3.0 * np.sqrt(system.K[pair[0], pair[0]]
+                                                          * system.K[pair[1], pair[1]])
+        broken = replace(system, blocks=system.blocks + ((couple, pair[None]),))
         with pytest.raises(SolverError, match=rf"not positive definite \(node {node}, jump y\)"):
             solve(broken)
 
@@ -1015,10 +1196,10 @@ class TestStampRule:
         cache, factor = StiffnessCache(STAMP_MESH, STEEL, rules), FrontalCholesky()
         last, reused, integrated, real = None, 0, [], assembly._integrate
 
-        def counting(mesh, emap, D, K_std, eids, rule, used=None):
-            if used is not None and K_std is cache.matrices:  # the run's cut class
+        def counting(mesh, emap, D, standard, eids, rule, used=None):
+            if used is not None and standard is cache.standard:  # the run's cut class
                 integrated.append(eids.size)
-            return real(mesh, emap, D, K_std, eids, rule, used)
+            return real(mesh, emap, D, standard, eids, rule, used)
 
         with mock.patch.object(assembly, "_integrate", counting):
             for emap, system in growth_steps(seed, tip_enrichment, rules, cache=cache):
@@ -1092,10 +1273,10 @@ def recording_cut_integrations(monkeypatch):
     integrates from now on, in a list the caller may clear."""
     batches, real = [], assembly._integrate
 
-    def recording(mesh, emap, D, K_std, eids, rule, used=None):
+    def recording(mesh, emap, D, standard, eids, rule, used=None):
         if used is not None:
             batches.append(eids)
-        return real(mesh, emap, D, K_std, eids, rule, used)
+        return real(mesh, emap, D, standard, eids, rule, used)
 
     monkeypatch.setattr(assembly, "_integrate", recording)
     return batches

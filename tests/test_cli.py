@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import xfem2d.assembly
 import xfem2d.benchmarks
 import xfem2d.cli
 import xfem2d.driver
@@ -335,6 +336,24 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "[classification] crack/mesh coincidence" in capsys.readouterr().err
+
+    def test_non_positive_diagonal_exits_one(self, tmp_path, capsys, monkeypatch):
+        # Tip corrections turned negative: the branch dofs, stiffened by the
+        # tip elements alone, get negative diagonals, refused before the
+        # factorization with the dof named.
+        real = xfem2d.assembly._integrate
+
+        def negated_tips(mesh, emap, D, standard, eids, rule, used=None):
+            Ke, nodes, columns = real(mesh, emap, D, standard, eids, rule, used)
+            return (-Ke if used is None else Ke), nodes, columns
+
+        monkeypatch.setattr(xfem2d.assembly, "_integrate", negated_tips)
+        code = main(["solve", "--config", write_case(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert "[solve] non-positive stiffness diagonal" in stderr
+        assert ", branch 0 x)" in stderr and "Traceback" not in stderr
 
 
 def _package_env():

@@ -195,10 +195,10 @@ def incremental_run(request):
         steps[-1].append(state)
         return state
 
-    def integrating(mesh, emap, D, K_std, eids, rule, used=None):
+    def integrating(mesh, emap, D, standard, eids, rule, used=None):
         if used is not None:  # the cut class
             integrated[-1] += len(eids)
-        return real_integrate(mesh, emap, D, K_std, eids, rule, used)
+        return real_integrate(mesh, emap, D, standard, eids, rule, used)
 
     def remedying(*args, **kwargs):
         attempts.append([])

@@ -41,6 +41,7 @@ from xfem2d.enrichment import (
     FieldTriplet,
     TipInfo,
     branch_eval,
+    branch_functions,
     branch_theta,
     classify_enrichment,
     classify_with_remedy,
@@ -1128,6 +1129,37 @@ class TestBatchedKernel:
         u_only, none = element_fields(mesh, emap, fields, eids, N, dN, pts, want_grad=False)
         assert none is None
         np.testing.assert_array_equal(u_only, u)
+
+    @pytest.mark.parametrize("cracks, tip_elements", [
+        ([CrackPath(vertices=np.array([[0.33, 0.55], [0.47, 0.55]]), id=0)], [53, 54]),
+        ([CrackPath(vertices=np.array([[0.0, 0.55], [0.33, 0.55]]), tip_start=False, id=0),
+          CrackPath(vertices=np.array([[0.57, 0.55], [1.0, 0.55]]), tip_end=False, id=1)],
+         [53, 55]),
+    ])
+    def test_branch_columns_of_two_tips_in_one_element(self, cracks, tip_elements):
+        # Tip elements one apart: some elements hold the nodes of both tips,
+        # and each corner's branch columns are N_i F_j of its own tip.
+        mesh = grid()
+        emap = classify_enrichment(mesh, cracks)
+        assert [element_at(mesh, *t.frame.origin) for t in emap.tips] == tip_elements
+        eids = np.flatnonzero(emap.kinds == 3)
+        rule = QuadratureSet.from_targets().tip
+        N, dN, _, xs = element_geometry(mesh.element_coords(eids), rule)
+        eids, N, dN, xs = (np.repeat(eids, rule.n_points), np.tile(N, (eids.size, 1)),
+                           dN.reshape(-1, 4, 2), xs.reshape(-1, 2))
+        values, grads, _ = enriched_basis(mesh, emap, eids, N, dN, xs)
+        values, grads = values.reshape(-1, 6, 4)[:, 2:], grads.reshape(-1, 6, 4, 2)[:, 2:]
+        node_tip = emap.node_tip[mesh.elements[eids]]
+        both = (node_tip == 0).any(axis=1) & (node_tip == 1).any(axis=1)
+        assert both.sum() == 3 * rule.n_points  # the three elements between the tips
+        for gti, tinfo in enumerate(emap.tips):
+            _, F, dF = branch_functions(tinfo, emap.crack_by_id(tinfo.crack_id), xs)
+            k, i = np.nonzero(node_tip == gti)
+            np.testing.assert_array_equal(values[k, :, i], N[k, i, None] * F[k])
+            np.testing.assert_array_equal(grads[k, :, i], F[k, :, None] * dN[k, i, None]
+                                          + N[k, i, None, None] * dF[k])
+        k, i = np.nonzero(node_tip < 0)  # corners off tip nodes
+        assert not values[k, :, i].any() and not grads[k, :, i].any()
 
     @pytest.mark.parametrize("tip_enrichment", [True, False])
     def test_stiffness_matches_field_energy(self, tip_enrichment):

@@ -378,6 +378,8 @@ def assert_pairs_match_scan(mesh, lo, hi, box, eid):
 
 QUERY_MESHES = {
     "uniform": lambda: uniform_rect(1.0, 1.0, 12, 9),
+    "aligned": lambda: uniform_rect(1.0, 1.0, 12, 12),  # one grid cell per element
+    "graded": lambda: windowed_rect((-2.5, 2.5), (-2.5, 2.5), (-0.5, 0.5), (-0.5, 0.5), 0.25),
     "perturbed": lambda: perturbed_grid(),
     "holed": lambda: hole_attraction_config().mesh,
 }
@@ -390,15 +392,16 @@ def query_mesh(name):
 
 @st.composite
 def query_boxes(draw, mesh):
-    """Boxes around and beyond ``mesh``: points (zero-size boxes), boxes on
-    element corners, boxes that end exactly on an element's padded box,
-    boxes wider than the mesh and boxes outside it."""
+    """Boxes around and beyond ``mesh``: points (zero-size boxes), points
+    on element corners and on element edges, boxes that end exactly on an
+    element's padded box, boxes wider than the mesh and boxes outside it."""
     lo, hi = mesh.bbox()
     span = hi - lo
     coord = st.floats(-0.5, 1.5).map(float)
     boxes = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["box", "point", "corner", "touch", "outside", "whole"]))
+        kind = draw(st.sampled_from(["box", "point", "corner", "edge", "touch", "outside",
+                                     "whole"]))
         a = lo + span * [draw(coord), draw(coord)]
         b = lo + span * [draw(coord), draw(coord)]
         if kind == "point":
@@ -406,6 +409,10 @@ def query_boxes(draw, mesh):
         elif kind == "corner":
             a = b = mesh.nodes[mesh.elements[draw(st.integers(0, mesh.n_elements - 1)),
                                              draw(st.integers(0, 3))]]
+        elif kind == "edge":  # exact on an axis-parallel edge: t is a multiple of 1/8
+            quad = mesh.element_coords([draw(st.integers(0, mesh.n_elements - 1))])[0]
+            k, t = draw(st.integers(0, 3)), draw(st.integers(0, 8)) / 8.0
+            a = b = quad[k] + t * (quad[(k + 1) % 4] - quad[k])
         elif kind == "touch":
             plo, phi = (x[draw(st.integers(0, mesh.n_elements - 1))] for x in padded_boxes(mesh))
             a, b = (plo - span * draw(st.floats(0.0, 0.5)), plo) if draw(st.booleans()) else (
@@ -431,6 +438,24 @@ class TestBoxQuery:
         lo, hi = data.draw(query_boxes(mesh))
         box, eid = mesh.box_query(lo, hi)
         assert_pairs_match_scan(mesh, lo, hi, box, eid)
+
+    @pytest.mark.parametrize("name", sorted(QUERY_MESHES))
+    def test_grid_lists_each_element_where_its_box_is(self, name):
+        # An element is listed only in cells its unpadded box meets, so one
+        # narrower than a cell sits in at most two cells along each axis; on
+        # a mesh that matches the grid, about one cell per element, where its
+        # padded box would reach nine.
+        mesh = query_mesh(name)
+        origin, cell, (nx, ny), start, elements, *_ = mesh.point_grid
+        lo, hi = element_boxes(mesh)
+        ix, iy = np.divmod(np.repeat(np.arange(nx * ny), np.diff(start)), ny)
+        clo = origin + cell * np.column_stack([ix, iy])
+        slack = 1e-12 * cell  # the rounding of the cell coordinate
+        assert np.all(lo[elements] <= clo + cell + slack) and np.all(hi[elements] >= clo - slack)
+        narrow = np.all(hi - lo < 0.999 * cell, axis=1)
+        assert np.bincount(elements, minlength=mesh.n_elements)[narrow].max(initial=0) <= 4
+        if name == "aligned":
+            assert elements.size < 2 * mesh.n_elements
 
     def test_one_box_and_no_boxes(self):
         mesh = uniform_rect(1.0, 1.0, 4, 4)
@@ -937,7 +962,7 @@ class TestBatchLocator:
 
     def test_grid_lists_every_overlapping_element_ascending(self):
         mesh = ORDERING_MESHES["graded"]()
-        origin, cell, (nx, ny), start, elements, plo, phi = mesh.point_grid
+        origin, cell, (nx, ny), start, elements, plo, phi, _ = mesh.point_grid
         assert start.size == nx * ny + 1 and start[-1] == elements.size
         lo, hi = element_boxes(mesh)
         for mine, expected in zip((plo, phi), padded_boxes(mesh)):
