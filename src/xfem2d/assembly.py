@@ -57,6 +57,7 @@ from xfem2d.mesh import (
     QuadratureRule,
     QuadratureSet,
     _gauss_1d,
+    _runs,
     edge_points,
     element_geometry,
     shape_functions,
@@ -192,15 +193,12 @@ class DofLayout:
         together: entry k is the dof placed k-th, a node's two standard
         dofs, then its jump pair or its eight branch dofs (a node has one
         status), for the nodes in turn.  Also returns the position in
-        ``node_order`` of each entry's node and the entry's place (0-9)
-        among that node's dofs."""
+        ``node_order`` of each entry's node."""
         order = np.asarray(node_order, dtype=np.int64)
         disc, tip = self.disc_slot[order] >= 0, self.tip_slot[order] >= 0
-        columns = 1 + disc + 4 * tip  # standard, then the jump or the four branches
-        owner = np.repeat(np.arange(order.size), columns)
-        rank = np.arange(owner.size) - np.repeat(np.cumsum(columns) - columns, columns)
+        owner, rank = _runs(1 + disc + 4 * tip)  # standard, then the jump or the four branches
         dofs = self.column_dofs(order[owner], np.where(disc[owner], rank, rank + (rank > 0)))
-        return dofs.reshape(-1), np.repeat(owner, 2), (2 * rank[:, None] + [0, 1]).reshape(-1)
+        return dofs.reshape(-1), np.repeat(owner, 2)
 
     def scatter(self, u: np.ndarray) -> FieldTriplet:
         """Spread a flat solution vector into dense per-node field arrays."""
@@ -563,30 +561,36 @@ class StiffnessCache:
     def pairs(self) -> NodePairs:
         """:attr:`standard` summed over the node pairs of the mesh's tree."""
         tree = self.mesh.nested_dissection_tree
-        position = np.repeat(np.argsort(tree.order), 2)  # of each dof's node
         every = np.arange(self.mesh.n_elements)
         table = self.standard
-        return NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)], position)
+        return NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)],
+                             (2 * tree.order[:, None] + [0, 1]).ravel(),
+                             np.repeat(np.arange(tree.order.size), 2))
 
     def cut_matrices(self, emap: EnrichmentMap):
         """The cut elements of ``emap`` (kind 2) and their stiffness
         corrections (n, 16, 16) over the standard and jump columns.
 
-        The matrix of an element whose key row equals the last call's is
-        reused, and the rest integrated in one batch; a map whose point
-        sides are of another cut rule reuses none.  The nodes of every
-        integrated element, of every tip-class element (never reused) and
-        of every element that left the cut or tip class get new stamps.
+        A map classified at other rules than the cache's (not the same three
+        rule objects; equal targets give the same ones) raises
+        :class:`AssemblyError`.  The matrix of an element whose key row equals
+        the last call's is reused, and the rest integrated in one batch.  The
+        nodes of every integrated element, of every tip-class element (never
+        reused) and of every element that left the cut or tip class get new
+        stamps.
         """
+        if any(getattr(emap.rules, c) is not getattr(self.rules, c)
+               for c in ("standard", "cut", "tip")):
+            raise AssemblyError("the enrichment map was classified at other quadrature rules "
+                                "than the stiffness cache's")
         cut = np.flatnonzero(emap.kinds == 2)
         keys = _cut_keys(self.mesh, emap, cut)
         Ke = np.empty((cut.size, 16, 16))
         reused = np.zeros(cut.size, dtype=bool)
-        if keys.shape[1] == self._keys.shape[1] == 16 + self.rules.cut.n_points:
-            _, at, old = np.intersect1d(cut, self._cut, assume_unique=True, return_indices=True)
-            same = np.all(keys[at] == self._keys[old], axis=1)
-            reused[at[same]] = True
-            Ke[at[same]] = self._cut_matrices[old[same]]
+        _, at, old = np.intersect1d(cut, self._cut, assume_unique=True, return_indices=True)
+        same = np.all(keys[at] == self._keys[old], axis=1)
+        reused[at[same]] = True
+        Ke[at[same]] = self._cut_matrices[old[same]]
         if not reused.all():
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
                                      self.standard, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
@@ -598,26 +602,24 @@ class StiffnessCache:
         return cut, Ke
 
 
-def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
-             rules: QuadratureSet | None = None, bcs=(),
+def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel, bcs=(),
              cache: StiffnessCache | None = None) -> LinearSystem:
     """Build the stiffness blocks, load vector, and prescribed-value map.
 
-    Traction conditions enter the load vector here; displacement
-    conditions populate ``fixed`` (standard dof values, plus zeros on all
-    enrichment dofs of constrained nodes — the constrained boundary is
-    assumed uncracked).  Apply them with :func:`apply_constraints`.
-    ``cache`` is the run's stiffness for this mesh, material and
-    ``rules``; a new one is built when not given.  The system's standard
-    stiffness is the cache's shape table, and its blocks the cut and tip
-    elements' corrections, which the same cracks give bit for bit whatever
-    the cache held.
+    Each class is integrated at its rule of ``emap.rules``.  Traction
+    conditions enter the load vector here; displacement conditions populate
+    ``fixed`` (standard dof values, plus zeros on all enrichment dofs of
+    constrained nodes — the constrained boundary is assumed uncracked).
+    Apply them with :func:`apply_constraints`.  ``cache`` is the run's
+    stiffness for this mesh, material and rules, built when not given.  The
+    system's standard stiffness is the cache's shape table, and its blocks
+    the cut and tip elements' corrections, which the same cracks give bit
+    for bit whatever the cache held.
     """
-    rules = rules if rules is not None else QuadratureSet.from_targets()
     if cache is None:
-        cache = StiffnessCache(mesh, material, rules)
-    elif cache.mesh is not mesh or cache.material != material or cache.rules is not rules:
-        raise AssemblyError("stiffness cache was built for another mesh, material or rules")
+        cache = StiffnessCache(mesh, material, emap.rules)
+    elif cache.mesh is not mesh or cache.material != material:
+        raise AssemblyError("stiffness cache was built for another mesh or material")
     layout = DofLayout.build(emap)
     kinds = emap.kinds
 
@@ -627,7 +629,7 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     tip = np.flatnonzero(kinds == 3)
     if tip.size:
         Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.standard,
-                                     tip, rules.tip)
+                                     tip, emap.rules.tip)
         blocks.append((Ke, layout.column_dofs(nodes, BASIS_FIELD[used]).reshape(tip.size, -1)))
     # The standard matrices are summed once per mesh, so their sums stand for them.
     if not all(np.isfinite(m).all() for m in [cache.pairs.blocks] + [m for m, _ in blocks]):
@@ -636,7 +638,7 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel,
     f = np.zeros(layout.total_dofs)
     _add_point_loads(mesh, emap, layout, *_traction_points(mesh, emap, bcs), f)
     if any(material.body_force):
-        eids, N, dN, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), kinds)
+        eids, N, dN, wdet, phys = emap.rules.rule_points(mesh, np.arange(mesh.n_elements), kinds)
         _add_point_loads(mesh, emap, layout, eids, N, dN, phys,
                          wdet[:, None] * np.asarray(material.body_force), f)
 
@@ -707,22 +709,23 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     u[idx] = np.fromiter(system.fixed.values(), dtype=float, count=idx.size)
     is_free = np.ones(n, dtype=bool)
     is_free[idx] = False
-    perm, owner, local = layout.node_dofs(tree.order)
+    perm, owner = layout.node_dofs(tree.order)
     free = is_free[perm]
     q = perm[free]
     # A node's layout: its dof count and which of its dofs are free.
     n_nodes = tree.order.size
+    sizes = np.bincount(owner, minlength=n_nodes)
     counts = np.bincount(owner[free], minlength=n_nodes)
-    signature = 1024 * np.bincount(owner, minlength=n_nodes) + np.bincount(
-        owner[free], weights=2.0 ** local[free], minlength=n_nodes).astype(np.int64)
+    signature = 1024 * sizes + np.bincount(  # bit j: the node's dof j is free
+        owner[free], weights=2.0 ** _runs(sizes)[1][free], minlength=n_nodes).astype(np.int64)
     index = np.full(n, -1, dtype=np.int64)  # each dof's place among the free ones
     index[q] = np.arange(q.size)
-    position = np.empty(n, dtype=np.int64)  # of each dof's node in the tree's order
-    position[perm] = owner
 
     def name(k: int) -> str:
-        """The node, field and component of dof ``perm[k]``."""
-        node, ext = int(tree.order[owner[k]]), int(local[k]) - 2
+        """The node, field and component of dof ``perm[k]``, whose node is
+        found again here, so the solve does not hold each dof's node."""
+        owner = layout.node_dofs(tree.order)[1]
+        node, ext = int(tree.order[owner[k]]), k - int(np.searchsorted(owner, owner[k])) - 2
         field = ("standard" if ext < 0 else "jump" if layout.disc_slot[node] >= 0
                  else f"branch {ext // 2}")
         return f"node {node}, {field} {'xy'[ext % 2]}"
@@ -731,7 +734,8 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     rhs = lifted[q]
     factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        corrections = NodePairs.sum(tree, system.blocks, position)
+        corrections = NodePairs.sum(tree, system.blocks, perm, owner)
+        del owner
         diagonal = (system.pairs.diagonal(n) + corrections.diagonal(n))[perm]
         bad = np.flatnonzero(free & ~(diagonal > 0.0))
         if bad.size:

@@ -291,7 +291,7 @@ def _ladder_rung(cells: int):
     u = williams_displacement(1, np.hypot(x, y), np.arctan2(y, x), material)
     dofs = 2 * nodes[:, None] + np.arange(2)
     system = apply_constraints(
-        assemble(mesh, problem.emap, material, problem.rules, cache=problem.stiffness),
+        assemble(mesh, problem.emap, material, cache=problem.stiffness),
         dict(zip(dofs.ravel().tolist(), u.ravel().tolist())))
     state = solve(system)
 
@@ -300,10 +300,8 @@ def _ladder_rung(cells: int):
                                    material)
         return voigt_strain(grad)
 
-    error = energy_error_norm(state, mesh, problem.emap, material, exact_strain,
-                              rules=problem.rules)
-    sif = extract_sifs(state, mesh, problem.emap, material, 0, 1, radius=_LADDER_RADIUS,
-                       rules=problem.rules)
+    error = energy_error_norm(state, mesh, problem.emap, material, exact_strain)
+    sif = extract_sifs(state, mesh, problem.emap, material, 0, 1, radius=_LADDER_RADIUS)
     return error, float(sif.K_I) - 1.0
 
 

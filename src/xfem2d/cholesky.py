@@ -132,20 +132,20 @@ class NodePairs:
     ptr: np.ndarray
 
     @classmethod
-    def sum(cls, tree: DissectionTree, blocks, position: np.ndarray) -> "NodePairs":
+    def sum(cls, tree: DissectionTree, blocks, order: np.ndarray,
+            position: np.ndarray) -> "NodePairs":
         """The pairs of ``blocks``, each (matrices (k, 2s, 2s), dofs (e, 2s))
         or (matrices, dofs, rows (e,)), -1 for an absent column: element i's
-        matrix is ``matrices[rows[i]]``, by default ``matrices[i]``.  Dof d's
-        node is at ``position[d]``, and a node's columns are eliminated in
-        the order of their dofs.
+        matrix is ``matrices[rows[i]]``, by default ``matrices[i]``.  The
+        dofs are eliminated in ``order``, each node's together, and entry
+        k's node is at ``position[k]`` in ``tree.order``.
 
         An element's pairs are its s(s+1)/2 pairs of columns i <= j, each
         turned so that its row is the column eliminated first.  A pair is
         keyed by the two columns' places in the elimination order, -1 if one
         is absent, and dropped after the sort."""
-        by_rank = np.argsort(position, kind="stable")  # the dofs in elimination order
-        rank = np.empty_like(position)
-        rank[by_rank] = np.arange(position.size)
+        rank = np.empty_like(order)  # each dof's place in the elimination order
+        rank[order] = np.arange(order.size)
         key, entries = [np.empty(0, int)], [np.empty((4, 0))]
         for matrices, dofs, *rows in blocks:
             rows = rows[0] if rows else np.arange(len(dofs))
@@ -159,15 +159,15 @@ class NodePairs:
             corner = (rows[:, None] * 4 * s * s + 4 * s * a + 2 * b).reshape(-1)
             entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
         key = np.concatenate(key)
-        order = np.argsort(key, kind="stable")
-        new = np.diff(key[order], prepend=-2) != 0
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(new) - 1
-        absent = int(key.size > 0 and key[order[0]] < 0)  # the group of key -1, if any
+        by_key = np.argsort(key, kind="stable")
+        new = np.diff(key[by_key], prepend=-2) != 0
+        inverse = np.empty_like(by_key)
+        inverse[by_key] = np.cumsum(new) - 1
+        absent = int(key.size > 0 and key[by_key[0]] < 0)  # the group of key -1, if any
         sums = [np.bincount(inverse, weights=w)[absent:] for w in np.concatenate(entries, axis=1)]
-        pair = key[order[new][absent:]]
-        row, col = by_rank[pair // rank.size], by_rank[pair % rank.size]
-        f, slot = _node_slots(tree, position[row], position[col])
+        first, second = np.divmod(key[by_key[new][absent:]], rank.size)
+        f, slot = _node_slots(tree, position[first], position[second])
+        row, col = order[first], order[second]
         return cls(row=row.astype(np.int32), col=col.astype(np.int32), slot=slot.astype(np.int32),
                    blocks=np.stack(sums, axis=1).reshape(-1, 2, 2),
                    ptr=np.searchsorted(f, np.arange(tree.n_fronts + 1)))

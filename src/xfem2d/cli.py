@@ -96,8 +96,7 @@ def _emit_artifacts(config, problem, state, history, directory, log) -> list:
         written.append(path)
     if "field_dump" in artifacts and state is not None:
         path = os.path.join(directory, "field_dump.vtk")
-        write_field_dump(state, problem.mesh, problem.emap, config.material,
-                         path, rules=problem.rules)
+        write_field_dump(state, problem.mesh, problem.emap, config.material, path)
         written.append(path)
     if "run_log" in artifacts:
         path = os.path.join(directory, "run_log.txt")

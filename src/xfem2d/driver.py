@@ -21,13 +21,14 @@ reads the mesh (whose adjacency, bounding boxes, boundary edges and
 spatial index are cached on the :class:`~xfem2d.mesh.Mesh`) and checks
 the boundary tags.  From step to step the run carries:
 
-- the mesh, the rules and the boundary conditions;
-- the :class:`~xfem2d.assembly.StiffnessCache`: the standard stiffness,
-  one matrix per element shape, and its node-pair sums, placed once in the
-  factorization's fronts, the cut elements' matrices and keys of the last step, and a
-  change stamp per node.  A step integrates the tip class and only the
-  cut elements whose key changed: its corners' enrichment, or the side of
-  the crack one of its cut-rule points lies on;
+- the mesh and the boundary conditions;
+- the :class:`~xfem2d.assembly.StiffnessCache`: the quadrature rules, the
+  standard stiffness, one matrix per element shape, and its node-pair
+  sums, placed once in the factorization's fronts, the cut elements'
+  matrices and keys of the last step, and a change stamp per node.  A step
+  integrates the tip class and only the cut elements whose key changed:
+  its corners' enrichment, or the side of the crack one of its cut-rule
+  points lies on;
 - the sparse factor (:class:`~xfem2d.cholesky.FrontalCholesky`): a step
   refactors only the fronts of the mesh's nested-dissection tree that an
   element it integrated or dropped touches, or whose nodes' dof layout
@@ -36,9 +37,11 @@ the boundary tags.  From step to step the run carries:
   the last extraction.
 
 Every step then classifies its cracks from scratch on that same mesh, as
-the paper redoes its level sets and enrichment at each step, assembles,
-solves, and extracts the intensities of all its live tips from one pass
-(:func:`~xfem2d.fracture.tip_rings`), whose distance pass
+the paper redoes its level sets and enrichment at each step, at the
+cache's rules, which its map carries to the assembly, the extraction and
+the output writers (:attr:`~xfem2d.enrichment.EnrichmentMap.rules`); it
+assembles, solves, and extracts the intensities of all its live tips from
+one pass (:func:`~xfem2d.fracture.tip_rings`), whose distance pass
 (:func:`~xfem2d.fracture.tip_clearance`) the freeze check shares.  The
 last solved step's problem stays on the :class:`RunHistory` for the
 output writers.
@@ -253,18 +256,18 @@ class RunHistory:
 class Problem:
     """One classified configuration, ready to assemble.
 
-    ``emap`` and ``cracks`` belong to one crack geometry; the other fields
-    depend only on the mesh and the configuration and are shared by every
-    step of a run, ``stiffness`` carrying what one step's assembly leaves
-    to the next.
+    ``emap`` belongs to one crack geometry: it holds the cracks as the
+    coincidence remedy left them (``emap.source_cracks``) and the rules it
+    was classified at (``emap.rules``).  The other fields depend only on
+    the mesh and the configuration and are shared by every step of a run,
+    ``stiffness`` carrying the rules and what one step's assembly leaves to
+    the next.
     """
 
     mesh: Mesh
     material: MaterialModel
-    rules: QuadratureSet
     bcs: tuple
     emap: EnrichmentMap
-    cracks: tuple
     stiffness: StiffnessCache
 
 
@@ -273,8 +276,8 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
 
     ``cracks`` overrides the configured cracks.  ``base`` is a problem set
     up earlier from the same config (the previous step of a propagation
-    run): its mesh, rules, conditions and stiffness cache are reused,
-    while the cracks are classified from scratch.  Without it, an
+    run): its mesh, conditions and stiffness cache, with the cache's rules,
+    are reused, while the cracks are classified from scratch.  Without it, an
     in-memory ``config.mesh`` takes precedence over ``config.mesh_path``.
     """
     if base is None:
@@ -287,30 +290,21 @@ def setup_problem(config: RunConfig, cracks=None, base: Problem | None = None) -
                     f"[mesh] boundary tag '{bc.boundary}' does not exist in the mesh "
                     f"(available: {', '.join(sorted(mesh.boundary_tags))})"
                 )
-        standard_points, cut_points, tip_points = config.quadrature
-        rules = QuadratureSet.from_targets(standard_points, cut_points, tip_points)
-        stiffness = StiffnessCache(mesh, config.material, rules)
+        stiffness = StiffnessCache(mesh, config.material,
+                                   QuadratureSet.from_targets(*config.quadrature))
     else:
-        mesh, bcs, rules, stiffness = base.mesh, base.bcs, base.rules, base.stiffness
+        mesh, bcs, stiffness = base.mesh, base.bcs, base.stiffness
     with _stage("classification"):
         # Demotion counts the points each class's rule integrates the jump
         # at, so classification takes the rules the assembly uses.
-        emap, used = classify_with_remedy(
+        emap, _ = classify_with_remedy(
             mesh,
             cracks if cracks is not None else config.cracks,
             delta=config.delta,
-            rules=rules,
+            rules=stiffness.rules,
             tip_enrichment=config.tip_enrichment,
         )
-    return Problem(
-        mesh=mesh,
-        material=config.material,
-        rules=rules,
-        bcs=bcs,
-        emap=emap,
-        cracks=tuple(used),
-        stiffness=stiffness,
-    )
+    return Problem(mesh=mesh, material=config.material, bcs=bcs, emap=emap, stiffness=stiffness)
 
 
 def _contour_radius(contour: ContourSpec, emap: EnrichmentMap, crack_id: int) -> float | None:
@@ -326,8 +320,8 @@ def _solve_step(problem: Problem, lam: float,
     bcs = [bc.at_load_factor(lam) for bc in problem.bcs]
     with _stage("assembly"):
         system = apply_constraints(
-            assemble(problem.mesh, problem.emap, problem.material,
-                     problem.rules, bcs, cache=problem.stiffness)
+            assemble(problem.mesh, problem.emap, problem.material, bcs,
+                     cache=problem.stiffness)
         )
     with _stage("solve"):
         return solve(system, load_factor=lam, factor=factor)
@@ -349,7 +343,7 @@ def _extract_step(problem: Problem, state: SolutionState, contour: ContourSpec, 
         mesh, emap, material = problem.mesh, problem.emap, problem.material
         rings = tip_rings(state, mesh, emap, material, tips,
                           [_contour_radius(contour, emap, t.crack_id) for t in tips],
-                          rules=problem.rules, near=near)
+                          near=near)
         failures = [(t, f) for t, f in zip(tips, rings.failures) if f is not None]
         if failures and (freezes is None or contour.rule != "auto"):
             raise FractureError(failures[0][1])
@@ -398,10 +392,10 @@ def stationary_history(problem: Problem, state: SolutionState,
     solve share the same emission path as a propagation run; the
     ``unresolved`` tips of :func:`run_stationary` are its ``frozen`` ones.
     """
-    record = _step_record(0, problem, state, problem.cracks, results, unresolved)
-    return RunHistory(steps=[record], final_state=state,
-                      final_problem=problem, final_cracks=problem.cracks,
-                      stop_reason="stationary solve")
+    cracks = problem.emap.source_cracks
+    record = _step_record(0, problem, state, cracks, results, unresolved)
+    return RunHistory(steps=[record], final_state=state, final_problem=problem,
+                      final_cracks=cracks, stop_reason="stationary solve")
 
 
 def _replace_crack(cracks: list, crack_id: int, new: CrackPath) -> None:
@@ -436,7 +430,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
     for k, lam in enumerate(schedule.steps):
         if k > 0:
             problem = setup_problem(config, cracks=cracks, base=problem)
-        cracks = problem.cracks  # as the coincidence remedy left them
+        cracks = problem.emap.source_cracks  # as the coincidence remedy left them
         try:
             state = _solve_step(problem, lam, factor)
         except SolverError as exc:
@@ -559,16 +553,15 @@ def cod_profile(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
 
 
 def energy_error_norm(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                      material: MaterialModel, reference,
-                      rules: QuadratureSet | None = None) -> float:
+                      material: MaterialModel, reference) -> float:
     """Energy norm of the strain error against a reference strain field.
 
     ``reference`` maps points (n, 2) to engineering strains (n, 3).
     Returns sqrt(∫ (ε_h − ε)ᵀ D (ε_h − ε) dA) over the whole mesh, each
-    element integrated at its own quadrature class's rule.
+    element integrated at its own class's rule of the map's rules.
     """
-    rules = rules if rules is not None else QuadratureSet.from_targets()
-    eids, N, dN, wdet, phys = rules.rule_points(mesh, np.arange(mesh.n_elements), emap.kinds)
+    eids, N, dN, wdet, phys = emap.rules.rule_points(mesh, np.arange(mesh.n_elements),
+                                                     emap.kinds)
     _, grad = element_fields(mesh, emap, state.fields, eids, N, dN, phys)
     diff = voigt_strain(grad) - np.asarray(reference(phys), dtype=float)
     total = float(np.einsum("n,ni,ij,nj->", wdet, diff, elasticity_matrix(material), diff))

@@ -23,11 +23,12 @@ in :attr:`EnrichmentMap.cut_pieces` for the field dump to read.
 
 Every classification works from scratch on the cracks it is given, as
 the paper redoes its level-set update and enrichment choice at each
-propagation step.  The map keeps the side of its crack each cut-rule
-point of every cut-class element lies on (:attr:`EnrichmentMap.cut_sides`).
-With the element and its corners' enrichment, that is all the element's
-stiffness depends on, so a growth run's assembly reuses a cut element's
-matrix exactly where these agree.
+propagation step.  The map owns the rule of each integration class
+(:attr:`EnrichmentMap.rules`), at which every consumer integrates, and
+keeps the side of its crack each cut-rule point of every cut-class element
+lies on (:attr:`EnrichmentMap.cut_sides`).  With the element and its
+corners' enrichment, that is all the element's stiffness depends on, so a
+growth run's assembly reuses a cut element's matrix exactly where these agree.
 
 The enriched basis is defined once, in one batched kernel,
 :func:`enriched_basis`: at points given by element, standard N_i and
@@ -66,7 +67,6 @@ from xfem2d.mesh import (
     locate_hits,
     locate_points,
     point_segment_distance,
-    reference_shape,
     shape_functions,
 )
 
@@ -166,6 +166,10 @@ class FieldTriplet:
             u_tip=np.zeros((n_nodes, 4, 2)),
         )
 
+    def by_column(self) -> np.ndarray:
+        """The coefficients (n_nodes, 6, 2) of each field, by ``BASIS_FIELD``."""
+        return np.concatenate([self.u_cont[:, None], self.u_disc[:, None], self.u_tip], axis=1)
+
 
 @dataclass
 class EnrichmentMap:
@@ -206,6 +210,9 @@ class EnrichmentMap:
         Per cut-class element (kind 2), ascending, and per point of the cut
         rule (n, q): whether the point lies on the +1 side of the element's
         crack, where :func:`enriched_basis` evaluates M.
+    rules : QuadratureSet
+        Each integration class's rule: the demotion counted and
+        :attr:`cut_sides` were taken at it, and every consumer integrates at it.
     """
 
     status: np.ndarray
@@ -220,6 +227,7 @@ class EnrichmentMap:
     source_cracks: tuple[CrackPath, ...]
     kinds: np.ndarray
     cut_sides: np.ndarray
+    rules: QuadratureSet
     demotions: tuple = ()
     _crack_index: dict[int, CrackPath] = field(default=None, repr=False)
 
@@ -576,8 +584,8 @@ def classify_enrichment(
     claiming one node, multiple crossings of one element, ...).
 
     It carries nothing from an earlier call: a growth step classifies its
-    cracks from scratch, and its map records the cut-rule point sides
-    (:attr:`EnrichmentMap.cut_sides`) the assembly's cut-matrix reuse keys on.
+    cracks from scratch, and its map records ``rules`` (by default the default
+    targets') and the cut-rule point sides the assembly's reuse keys on.
     """
     if not 0.0 <= delta < 0.5:
         raise EnrichmentError(f"delta must be in [0, 0.5), got {delta}")
@@ -764,6 +772,7 @@ def classify_enrichment(
         source_cracks=tuple(cracks),
         kinds=kinds,
         cut_sides=cut_sides,
+        rules=rules,
         demotions=tuple(demotions),
     )
 
@@ -970,8 +979,7 @@ def element_fields(mesh: Mesh, emap: EnrichmentMap, fields: FieldTriplet,
     if want_grad:
         grad[plain] = np.einsum("kib,kia->kab", dN[plain], c)
     rich = np.flatnonzero(rich)
-    coef = np.concatenate([fields.u_cont[:, None], fields.u_disc[:, None], fields.u_tip],
-                          axis=1)  # (n_nodes, 6, 2), by BASIS_FIELD
+    coef = fields.by_column()
     kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
     for run, values, grads, nodes in basis_batches(mesh, emap, eids[rich], N[rich], dN[rich],
                                                    xs[rich]):
@@ -1003,11 +1011,13 @@ def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: Enrichment
                   crack_id: int):
     """Opening displacement (normal jump) at points of the crack polyline.
 
-    One point (2,) gives a float, points (n, 2) an array (n,).  The jump
-    is carried entirely by the discontinuous field: every shifted
-    Heaviside factor changes by exactly 2 across the face, so the jump is
-    2 * sum(N_i * u_disc_i) projected on the face normal of
-    :func:`~xfem2d.cracks.nearest_point` (the bisector at a vertex).
+    One point (2,) gives a float, points (n, 2) an array (n,).  The jump is
+    that of :func:`enriched_basis`, branch functions (F_1 jumps by 2 sqrt(r))
+    and Heaviside alike: the point's shape functions with the enrichment
+    functions 1e-9 element sizes to either side along the face normal of
+    :func:`~xfem2d.cracks.nearest_point` (the bisector at a vertex), so the
+    standard columns cancel exactly, projected on that normal.  Only the
+    point itself is located: a crack mouth on the boundary has its opening.
     """
     x = np.asarray(x_on_crack, dtype=float)
     xs = np.atleast_2d(x)
@@ -1017,10 +1027,11 @@ def crack_opening(x_on_crack, fields: FieldTriplet, mesh: Mesh, emap: Enrichment
     eids, locs = locate_points(mesh, xs)
     if np.any(eids < 0):
         raise ValueError("point is outside the mesh")
-    conn, values = mesh.elements[eids], reference_shape(locs[:, 0], locs[:, 1])[0]
-    own = (emap.status[conn] == HEAVISIDE) & (emap.node_crack[conn] == crack_id)
-    jump = 2.0 * ((values * own)[:, None] @ fields.u_disc[conn])[:, 0]
-    _, normal, _ = nearest_point(crack, xs)
+    N, dN, _ = shape_functions(mesh.element_coords(eids), locs)
+    feet, normal, _ = nearest_point(crack, xs)
+    probe = (1e-9 * mesh.element_sizes[eids])[:, None] * normal
+    (plus, _, nodes), (minus, _, _) = (enriched_basis(mesh, emap, eids, N, dN, feet + d)
+                                       for d in (probe, -probe))
+    jump = np.einsum("kc,kca->ka", plus - minus, fields.by_column()[nodes, BASIS_FIELD])
     opening = np.sum(jump * normal, axis=1)
     return float(opening[0]) if x.ndim == 1 else opening
-

@@ -32,7 +32,8 @@ kink direction follows the maximum hoop stress criterion.
 :func:`tip_clearance` finds each tip's distances to the boundary and to
 every crack in one array pass (the driver's freeze check shares it); all
 domains come from one :meth:`~xfem2d.mesh.Mesh.box_query` and are checked
-with array operations; the rings' rule points and the solved field on
+with array operations; the rings' rule points, at the map's own rules
+(:attr:`~xfem2d.enrichment.EnrichmentMap.rules`), and the solved field on
 them come from one :meth:`~xfem2d.mesh.QuadratureSet.rule_points` and one
 :func:`~xfem2d.enrichment.element_fields` call; the crack side from one
 signed distance per crack; and the auxiliary fields of both modes from one
@@ -55,7 +56,7 @@ import numpy as np
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.cracks import heaviside, signed_distance_batch
 from xfem2d.enrichment import EnrichmentMap, TipInfo, element_fields, tip_polar
-from xfem2d.mesh import Mesh, QuadratureSet, point_segment_distance
+from xfem2d.mesh import Mesh, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -369,14 +370,16 @@ class TipRings(NamedTuple):
 
 
 def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-              material: MaterialModel, tips, radii, rules: QuadratureSet | None = None,
+              material: MaterialModel, tips, radii,
               near: TipDistances | None = None) -> TipRings:
     """Check the domains of ``tips`` and evaluate the fields on the rings
     of the admissible ones, in one pass.
 
     ``radii[i]`` is tip i's domain radius, None for the ``auto`` rule, and
-    ``near`` the tips' :func:`tip_clearance` when already found.  One
-    rule-point and one field evaluation cover every ring (two rings may
+    ``near`` the tips' :func:`tip_clearance` when already found.  Each
+    ring element is integrated at its class's rule of
+    :attr:`~xfem2d.enrichment.EnrichmentMap.rules`, that of the stiffness.
+    One rule-point and one field evaluation cover every ring (two rings may
     share elements), and the auxiliary fields of both modes come from one
     trigonometric pass.  The points are regrouped by tip, stably, so each
     tip's come in the order its ring alone gives them (by integration
@@ -384,18 +387,15 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     order.
     """
     domains = _domains(mesh, emap, tips, radii, near) if tips else _NO_DOMAINS
-    rules = rules if rules is not None else QuadratureSet.from_targets()
     admissible = np.array([f is None for f in domains.failures], dtype=bool)
     pair = np.flatnonzero(domains.ring & admissible[domains.box])
     if not pair.size:
         empty = [np.empty((0, *shape)) for shape in ((2,), (3,), (2, 2))]
         return TipRings(tips, domains.radius, domains.failures, [None] * len(tips), *empty,
                         _auxiliary_fields((1, 2), np.empty(0), np.empty(0), material))
-    kinds = emap.kinds[domains.eid[pair]]
-    eids, N, dN, wdet, xs = rules.rule_points(mesh, domains.eid[pair], kinds)
-    grad = element_fields(mesh, emap, state.fields, eids, N, dN, xs)[1]
-    # rule_points lists each class's elements in order
-    place = np.concatenate([np.repeat(k, rule.n_points) for k, rule in rules.classes(kinds)])
+    place, N, dN, wdet, xs = emap.rules.rule_points(mesh, domains.eid[pair],
+                                                    emap.kinds[domains.eid[pair]])
+    grad = element_fields(mesh, emap, state.fields, domains.eid[pair[place]], N, dN, xs)[1]
     order = np.argsort(domains.box[pair[place]], kind="stable")
     dN, wdet, xs, grad = dN[order], wdet[order], xs[order], grad[order]
     place = pair[place[order]]
@@ -442,12 +442,11 @@ def _interaction(sig, grad, sig_aux, grad_aux, dq) -> float:
 
 def direct_j_integral(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                       material: MaterialModel, crack_id: int, tip_id: int,
-                      radius: float | None = None,
-                      rules: QuadratureSet | None = None) -> float:
+                      radius: float | None = None) -> float:
     """Energy release rate from the solved field alone on the same domain:
     half the interaction integral of the solved field with itself."""
     rings = tip_rings(state, mesh, emap, material, [_find_tip(emap, crack_id, tip_id)],
-                      [radius], rules)
+                      [radius])
     if rings.failures[0] is not None:
         raise FractureError(rings.failures[0])
     return 0.5 * _interaction(rings.sig, rings.grad, rings.sig, rings.grad, rings.dq)
@@ -461,19 +460,19 @@ def j_from_sifs(K_I: float, K_II: float, material: MaterialModel) -> float:
 def extract_sifs(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
                  material: MaterialModel, crack_id: int, tip_id: int,
                  radius: float | None = None,
-                 rules: QuadratureSet | None = None,
                  rings: TipRings | None = None) -> SifResult:
     """Mixed-mode SIFs, energy release rate and kink angle at one tip.
 
     ``rings`` is a :func:`tip_rings` pass holding the tip, made once for
-    all the tips of a step, whose radius and rules the tip then takes.
-    Without it the tip gets a pass of its own, at ``radius`` (None for the
-    ``auto`` rule) with ``rules``.  A rejected domain raises its reason, and
-    so does a tip that ``rings`` does not hold.
+    all the tips of a step, whose radius the tip then takes.  Without it
+    the tip gets a pass of its own, at ``radius`` (None for the ``auto``
+    rule).  Either way the ring is integrated at the map's rules.  A
+    rejected domain raises its reason, and so does a tip that ``rings``
+    does not hold.
     """
     if rings is None:
         rings = tip_rings(state, mesh, emap, material, [_find_tip(emap, crack_id, tip_id)],
-                          [radius], rules)
+                          [radius])
     held = [(t.crack_id, t.tip_id) for t in rings.tips]
     if (crack_id, tip_id) not in held:
         raise FractureError(f"crack {crack_id} tip {tip_id} is not in the given rings")

@@ -208,13 +208,14 @@ class QuadratureSet:
         return [(eids, rule) for eids, rule in pairs if eids.size]
 
     def rule_points(self, mesh: "Mesh", eids: np.ndarray, kinds: np.ndarray):
-        """Each point's element (n,), shape values (n, 4), shape gradients
-        (n, 4, 2), w·detJ (n,) and position (n, 2) over the elements ``eids``
-        of kinds ``kinds``, each class at its own rule, by class."""
+        """Each point's place in ``eids`` (n,), shape values (n, 4), shape
+        gradients (n, 4, 2), w·detJ (n,) and position (n, 2) over the
+        elements ``eids`` of kinds ``kinds``, each class at its own rule, by
+        class and then by place."""
         parts = []
         for k, rule in self.classes(kinds):
             N, dN, wdet, phys = element_geometry(mesh.element_coords(eids[k]), rule)
-            parts.append((np.repeat(eids[k], rule.n_points), np.tile(N, (k.size, 1)),
+            parts.append((np.repeat(k, rule.n_points), np.tile(N, (k.size, 1)),
                           dN.reshape(-1, 4, 2), wdet.ravel(), phys.reshape(-1, 2)))
         return tuple(np.concatenate(a) for a in zip(*parts))
 

@@ -22,15 +22,9 @@ import os
 
 import numpy as np
 
-from xfem2d.assembly import (
-    MaterialModel,
-    QuadratureSet,
-    SolutionState,
-    elasticity_matrix,
-    voigt_strain,
-)
+from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.config import RunConfig
-from xfem2d.cracks import nearest_point, signed_distance_batch
+from xfem2d.cracks import heaviside, nearest_point, signed_distance_batch
 from xfem2d.driver import RunHistory, cod_profile
 from xfem2d.enrichment import (
     EnrichmentMap,
@@ -123,16 +117,15 @@ def write_cod_csv(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
 
     Columns: step, load_factor, crack_id, s (arc length from the crack
     start), x, y (sample position), opening (normal displacement jump).
-    Cracks contained in a single element have no opening profile and are
-    skipped.
+    Cracks that bisect no element (contained in a single element) have no
+    opening profile and are skipped; any other failure of a profile raises.
     """
     lines = [COD_HEADER]
+    bisecting = set(emap.cut_elements.values())
     for crack in sorted(emap.source_cracks, key=lambda c: c.id):
-        try:
-            profile = cod_profile(state, mesh, emap, crack.id,
-                                  n_samples=n_samples)
-        except ValueError:
+        if crack.id not in bisecting:
             continue
+        profile = cod_profile(state, mesh, emap, crack.id, n_samples=n_samples)
         for row in profile.tolist():
             lines.append(",".join([str(step), _fmt(state.load_factor), str(crack.id)]
                                   + [_fmt(value) for value in row]))
@@ -224,14 +217,16 @@ def _node_displacements(fields: FieldTriplet, mesh: Mesh, emap: EnrichmentMap) -
 
 
 def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                   material: MaterialModel, rules: QuadratureSet):
+                   material: MaterialModel):
     """Quadrature-weighted mean stress and von Mises stress of every element,
-    one batch per integration class; a plain element (no enriched corner)
-    differentiates ``u_cont`` alone.
+    one batch per integration class at its rule of the map's rules; a plain
+    element (no enriched corner) differentiates ``u_cont`` alone.
 
     Returns whole-element means (m, 3) and (m,), and side means (2, m, 3)
     and (2, m) over a bisected element's points on the positive (0) and
-    negative (1) side of its crack, or the whole-element means if none.
+    negative (1) side of its crack, or the whole-element means if none.  A
+    point's side is :func:`~xfem2d.cracks.heaviside`'s, so a point on the
+    crack is on the positive side, as for the enriched basis.
     """
     # Differentiate against the mean-shifted field: gradients are invariant
     # under a constant translation, but the shift removes the cancellation
@@ -249,7 +244,7 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     cut_crack = np.full(m, -1, dtype=np.int64)
     cut_crack[list(emap.cut_elements)] = list(emap.cut_elements.values())
     kinds = emap.kinds
-    for eids, rule in rules.classes(kinds):
+    for eids, rule in emap.rules.classes(kinds):
         N, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
         # u_cont gathered per element: element_fields gathers it per point,
         # which takes 1.4 times as long on hole-growth's dump gradients
@@ -265,8 +260,8 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         side_sig[:, eids], side_vm[:, eids] = sig_mean[eids], vm_mean[eids]
         for cid in np.unique(cut_crack[eids][cut_crack[eids] >= 0]).tolist():
             rows = np.nonzero(cut_crack[eids] == cid)[0]
-            plus = signed_distance_batch(emap.crack_by_id(cid),
-                                         phys[rows].reshape(-1, 2)) > 0.0
+            plus = heaviside(signed_distance_batch(emap.crack_by_id(cid),
+                                                   phys[rows].reshape(-1, 2))) > 0.0
             plus = plus.reshape(rows.size, -1)
             for side, mask in enumerate((plus, ~plus)):
                 some = mask.any(axis=1)
@@ -277,22 +272,20 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
 
 
 def write_field_dump(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
-                     material: MaterialModel, path,
-                     rules: QuadratureSet | None = None) -> None:
+                     material: MaterialModel, path) -> None:
     """Legacy-ASCII unstructured-grid file of the solved configuration.
 
     Plain elements appear as quads; every bisected element is split into
     the two polygons on either side of the crack, each with its own
     copies of the crack-face points, so the displacement jump renders.
     Nodal total displacement plus per-cell averaged stress components
-    and von Mises stress are attached.  Only the private crack-face
-    points are located; the mesh nodes move by :func:`_node_displacements`.
+    and von Mises stress, over each class's rule points of the map's
+    rules (:attr:`~xfem2d.enrichment.EnrichmentMap.rules`), are attached.
+    Only the private crack-face points are located; the mesh nodes move by
+    :func:`_node_displacements`.
     """
-    if rules is None:
-        rules = QuadratureSet.from_targets()
     node_disp = _node_displacements(state.fields, mesh, emap)
-    sig_mean, vm_mean, side_sig, side_vm = _cell_stresses(state, mesh, emap,
-                                                          material, rules)
+    sig_mean, vm_mean, side_sig, side_vm = _cell_stresses(state, mesh, emap, material)
 
     # Plain elements are quads; a bisected element becomes its two sides'
     # polygons, in its place, with private copies of the crack-face points.

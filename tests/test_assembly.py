@@ -46,8 +46,13 @@ from xfem2d.enrichment import (
     crack_opening,
     enriched_basis,
 )
-from xfem2d.mesh import DissectionTree, Mesh, element_geometry
+from xfem2d import mesh as mesh_module
+from xfem2d import output
+from xfem2d.driver import energy_error_norm
+from xfem2d.fracture import tip_rings
+from xfem2d.mesh import DissectionTree, Mesh, element_geometry, gauss_rule
 from xfem2d.meshgen import uniform_rect
+from xfem2d.output import write_field_dump
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
 
@@ -391,9 +396,9 @@ class TestStandardStiffness:
         emap = classify_enrichment(mesh, [crack])
         rules = QuadratureSet.from_targets()
         cache = StiffnessCache(mesh, STEEL, rules)
-        fresh = assemble(mesh, emap, STEEL, rules)
+        fresh = assemble(mesh, emap, STEEL)
         for _ in range(2):  # the second assembly reuses every cut element
-            reused = assemble(mesh, emap, STEEL, rules, cache=cache)
+            reused = assemble(mesh, emap, STEEL, cache=cache)
             assert_bit_equal(reused.K, fresh.K)
             np.testing.assert_array_equal(fresh.f, reused.f)
 
@@ -419,7 +424,7 @@ class TestStandardStiffness:
         mesh, rules = config.mesh, QuadratureSet.from_targets()
         cache = StiffnessCache(mesh, config.material, rules)
         emap = classify_enrichment(mesh, list(config.cracks))
-        solve(assemble(mesh, emap, config.material, rules, config.bcs, cache=cache))
+        solve(assemble(mesh, emap, config.material, config.bcs, cache=cache))
         held = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
         held += [v for v in vars(cache.standard).values() if isinstance(v, np.ndarray)]
         held += [getattr(cache.pairs, name) for name in ("row", "col", "slot", "blocks", "ptr")]
@@ -462,7 +467,7 @@ class TestStandardStiffness:
         soft = MaterialModel(E=1e9, nu=0.3)
         cache = StiffnessCache(mesh, soft, rules)
         with pytest.raises(AssemblyError, match="another mesh"):
-            assemble(mesh, uncracked(mesh), STEEL, rules, cache=cache)
+            assemble(mesh, uncracked(mesh), STEEL, cache=cache)
 
 
 class TestConstraints:
@@ -530,9 +535,9 @@ def one_block(K, tree):
     node of ``tree``, with no standard stiffness."""
     K = np.asarray(K, dtype=float)[None]
     blocks = ((K, np.arange(K.shape[1])[None]),)
-    position = np.repeat(np.argsort(tree.order), 2)
-    return dict(standard=NO_ELEMENTS, blocks=blocks, pairs=NodePairs.sum(tree, [], position),
-                tree=tree)
+    pairs = NodePairs.sum(tree, [], (2 * tree.order[:, None] + [0, 1]).ravel(),
+                          np.repeat(np.arange(tree.order.size), 2))
+    return dict(standard=NO_ELEMENTS, blocks=blocks, pairs=pairs, tree=tree)
 
 
 class TestSolver:
@@ -700,7 +705,7 @@ class TestSolvePath:
         crack = CrackPath(vertices=np.array([[0.36, 0.52], [0.62, 0.52]]), id=0)
         for _ in range(3):
             emap, (crack,) = classify_with_remedy(mesh, [crack], rules=rules)
-            system = apply_constraints(assemble(mesh, emap, STEEL, rules, STAMP_BCS, cache=cache),
+            system = apply_constraints(assemble(mesh, emap, STEEL, STAMP_BCS, cache=cache),
                                        {0: 0.0})
             state = solve(system, factor=factor)
             crack = extend_crack(extend_crack(crack, 0, 0.3, 0.05), 1, -0.3, 0.05)
@@ -787,23 +792,20 @@ class TestPeakMemory:
         # element, at 512 bytes each (2.6 MiB here), or the entries of every
         # front at once would not fit.
         config = table1_config(5.0)
-        mesh, rules = config.mesh, QuadratureSet.from_targets()
+        mesh = config.mesh
         emap = classify_enrichment(mesh, list(config.cracks))
         tree = mesh.nested_dissection_tree  # the mesh's own, built before
         tracemalloc.start()
         try:
-            system = assemble(mesh, emap, config.material, rules, config.bcs)
+            system = assemble(mesh, emap, config.material, config.bcs)
             factor = FrontalCholesky(keep=False)
             stats = solve(system, factor=factor).factor
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         n = system.layout.total_dofs
-        perm, owner, _ = system.layout.node_dofs(tree.order)
-        position = np.empty(n, dtype=np.int64)
-        position[perm] = owner
         standard = system.pairs
-        corrections = NodePairs.sum(tree, system.blocks, position)
+        corrections = NodePairs.sum(tree, system.blocks, *system.layout.node_dofs(tree.order))
 
         def nbytes(pairs):
             return sum(a.nbytes for a in (pairs.row, pairs.col, pairs.slot, pairs.blocks,
@@ -888,7 +890,8 @@ class TestNodePairs:
                                   ([(table, std_dofs, rows)], [(table[rows], std_dofs)]),
                                   ([(table, std_dofs, rows), correction],
                                    [(table[rows], std_dofs), correction])):
-            pairs = NodePairs.sum(tree, blocks, position)
+            order = np.argsort(position, kind="stable")
+            pairs = NodePairs.sum(tree, blocks, order, position[order])
             row, col, sums = masked_pair_sum(reference or blocks, position)
             np.testing.assert_array_equal(pairs.row, row)
             np.testing.assert_array_equal(pairs.col, col)
@@ -931,7 +934,7 @@ class TestNodePairs:
         own = (np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
         coupling = (np.full((1, 4, 4), 0.1), np.arange(4)[None])
         system = LinearSystem(standard=NO_ELEMENTS, blocks=(own, coupling),
-                              pairs=NodePairs.sum(tree, [], np.repeat([0, 1], 2)),
+                              pairs=NodePairs.sum(tree, [], np.arange(4), np.repeat([0, 1], 2)),
                               f=np.ones(4), fixed={}, layout=plain_layout(2), tree=tree,
                               stamps=np.zeros(2, dtype=np.int64))
         with pytest.raises(SolverError, match="keeps apart"):
@@ -1065,7 +1068,7 @@ class TestExtendAddPlan:
         crack = CrackPath(vertices=np.array([[0.0, 0.52], [0.31, 0.52]]), tip_start=False, id=0)
         for _ in range(2):
             emap = classify_enrichment(mesh, [crack], rules=rules)
-            system = apply_constraints(assemble(mesh, emap, STEEL, rules, bcs, cache=cache),
+            system = apply_constraints(assemble(mesh, emap, STEEL, bcs, cache=cache),
                                        {0: 0.0})
             solve(system, factor=factor)
             crack = extend_crack(crack, 1, 0.2, 0.06)
@@ -1127,7 +1130,7 @@ def named_upper_entries(system):
     named ``name(i) * _RANKS * n_positions + name(j)``.
     """
     tree, K = system.tree, system.K
-    perm, owner, _ = system.layout.node_dofs(tree.order)
+    perm, owner = system.layout.node_dofs(tree.order)
     free = ~np.isin(perm, list(system.fixed))
     dofs = perm[free]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(owner[free], minlength=tree.order.size))])
@@ -1170,7 +1173,7 @@ def growth_steps(seed, tip_enrichment, rules, delta=0.002, cache=None):
         try:
             emap, (crack,) = classify_with_remedy(STAMP_MESH, [crack], delta, rules,
                                                   tip_enrichment)
-            system = apply_constraints(assemble(STAMP_MESH, emap, STEEL, rules, STAMP_BCS,
+            system = apply_constraints(assemble(STAMP_MESH, emap, STEEL, STAMP_BCS,
                                                 cache=cache), {0: 0.0})
         except (EnrichmentError, AssemblyError):  # the crack left the mesh
             return
@@ -1302,12 +1305,12 @@ class TestCutCacheRules:
             keys.append(assembly._cut_keys(mesh, emap, cut)[np.searchsorted(cut, eid)])
         np.testing.assert_array_equal(keys[0], keys[1])
         cache = StiffnessCache(mesh, STEEL, rules)
-        assemble(mesh, before, STEEL, rules, cache=cache)
+        assemble(mesh, before, STEEL, cache=cache)
         integrated = recording_cut_integrations(monkeypatch)
-        K = assemble(mesh, after, STEEL, rules, cache=cache).K
+        K = assemble(mesh, after, STEEL, cache=cache).K
         assert len(integrated) == 1 and eid not in integrated[0]
         assert 0 < integrated[0].size < np.count_nonzero(after.kinds == 2)
-        assert_bit_equal(K, assemble(mesh, after, STEEL, rules).K)
+        assert_bit_equal(K, assemble(mesh, after, STEEL).K)
 
     def test_node_that_gains_a_jump_is_integrated_again(self, monkeypatch):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
@@ -1323,11 +1326,11 @@ class TestCutCacheRules:
         integrated = recording_cut_integrations(monkeypatch)
         for emap in (coarse, fine, again):
             integrated.clear()
-            reused = assemble(mesh, emap, STEEL, rules, cache=cache)
+            reused = assemble(mesh, emap, STEEL, cache=cache)
             np.testing.assert_array_equal(emap.cut_sides, coarse.cut_sides)
             np.testing.assert_array_equal(np.concatenate(integrated),
                                           np.flatnonzero(emap.kinds == 2))
-            assert_bit_equal(reused.K, assemble(mesh, emap, STEEL, rules).K)
+            assert_bit_equal(reused.K, assemble(mesh, emap, STEEL).K)
 
     def test_reuse_follows_the_keys_not_the_lineage(self, monkeypatch):
         mesh = uniform_rect(1.0, 1.0, 10, 10)
@@ -1342,29 +1345,78 @@ class TestCutCacheRules:
         counts = []
         for last in (other, first):
             cache = StiffnessCache(mesh, STEEL, rules)
-            assemble(mesh, last, STEEL, rules, cache=cache)
+            assemble(mesh, last, STEEL, cache=cache)
             integrated.clear()
-            K = assemble(mesh, grown, STEEL, rules, cache=cache).K
+            K = assemble(mesh, grown, STEEL, cache=cache).K
             counts.append(integrated[0].size)
-            assert_bit_equal(K, assemble(mesh, grown, STEEL, rules).K)
+            assert_bit_equal(K, assemble(mesh, grown, STEEL).K)
         assert counts[0] == counts[1] < cut
 
-    def test_map_of_another_cut_rule_is_integrated_whole(self, monkeypatch):
+    def test_map_of_another_cut_rule_is_refused(self, monkeypatch):
         # Sides measured at a 16-point cut rule say nothing of the cache's
-        # 36 points, so two such maps in a row share no matrix.
+        # 36 points: the cache refuses the map, in assemble and when asked
+        # for the cut matrices directly, before it integrates anything.
         mesh = uniform_rect(1.0, 1.0, 10, 10)
-        rules, other = QuadratureSet.from_targets(), QuadratureSet.from_targets(cut=16)
         crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.57, 0.512]]), id=0)
-        emap = classify_enrichment(mesh, [crack], rules=other)
-        assert emap.cut_sides.shape[1] == 16 != rules.cut.n_points
-        cache = StiffnessCache(mesh, STEEL, rules)
+        emap = classify_enrichment(mesh, [crack], rules=QuadratureSet.from_targets(cut=16))
+        cache = StiffnessCache(mesh, STEEL, QuadratureSet.from_targets())
         integrated = recording_cut_integrations(monkeypatch)
-        for _ in range(2):
-            integrated.clear()
-            K = assemble(mesh, emap, STEEL, rules, cache=cache).K
-            np.testing.assert_array_equal(np.concatenate(integrated),
-                                          np.flatnonzero(emap.kinds == 2))
-        assert_bit_equal(K, assemble(mesh, emap, STEEL, rules).K)
+        with pytest.raises(AssemblyError, match="classified at other quadrature rules"):
+            assemble(mesh, emap, STEEL, cache=cache)
+        with pytest.raises(AssemblyError, match="classified at other quadrature rules"):
+            cache.cut_matrices(emap)
+        assert integrated == [] and cache._cut.size == 0
+
+    def test_rules_are_compared_rule_by_rule(self):
+        # Equal targets give the same rule objects, so a map and a cache that
+        # each built the default rules agree; a set that differs in one rule
+        # alone, even the standard one, is refused.
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.13, 0.512], [0.57, 0.512]]), id=0)
+        emap = classify_enrichment(mesh, [crack])
+        cache = StiffnessCache(mesh, STEEL, QuadratureSet.from_targets())
+        assert emap.rules is not cache.rules
+        assert_bit_equal(assemble(mesh, emap, STEEL, cache=cache).K,
+                         assemble(mesh, emap, STEEL).K)
+        default = QuadratureSet.from_targets()
+        for other in (QuadratureSet.from_targets(standard=9), QuadratureSet.from_targets(tip=36),
+                      QuadratureSet(gauss_rule(4), gauss_rule(36), default.tip)):
+            with pytest.raises(AssemblyError, match="classified at other quadrature rules"):
+                StiffnessCache(mesh, STEEL, other).cut_matrices(emap)
+
+    def test_every_consumer_integrates_at_the_maps_rules(self, monkeypatch, tmp_path):
+        # A map classified at a 16-point cut rule and a 36-point tip rule,
+        # neither of them the default's, through assembly, solve, the
+        # extraction rings, the energy norm and the field dump: every point
+        # they make is one of the map's rules, and each class's rule is used.
+        mesh = uniform_rect(1.0, 1.0, 20, 20)
+        crack = CrackPath(vertices=np.array([[0.31, 0.512], [0.69, 0.512]]), id=0)
+        rules = QuadratureSet.from_targets(cut=16, tip=36)
+        emap = classify_enrichment(mesh, [crack], rules=rules)
+        default = QuadratureSet.from_targets()
+        assert rules.cut.n_points == 16 and rules.tip.n_points == 36
+        assert rules.cut is not default.cut and rules.tip is not default.tip
+        points = {}
+        real = element_geometry
+
+        def counting(xy, rule):
+            points[id(rule)] = points.get(id(rule), 0) + xy[..., 0, 0].size * rule.n_points
+            return real(xy, rule)
+
+        for module in (mesh_module, assembly, output):
+            monkeypatch.setattr(module, "element_geometry", counting)
+        system = apply_constraints(assemble(mesh, emap, STEEL, STAMP_BCS), {0: 0.0})
+        state = solve(system)
+        rings = tip_rings(state, mesh, emap, STEEL, emap.tips, [None] * len(emap.tips))
+        assert rings.failures == [None, None]
+        energy_error_norm(state, mesh, emap, STEEL, lambda xs: np.zeros((len(xs), 3)))
+        write_field_dump(state, mesh, emap, STEEL, tmp_path / "dump.vtk")
+        assert set(points) == {id(rules.standard), id(rules.cut), id(rules.tip)}
+        n_cut, n_tip = (np.count_nonzero(emap.kinds == k) for k in (2, 3))
+        # assembly, the energy norm and the dump each take every cut and tip
+        # element once; the rings take those of theirs
+        assert points[id(rules.cut)] >= 3 * 16 * n_cut > 0
+        assert points[id(rules.tip)] >= 3 * 36 * n_tip > 0
 
 
 class TestElementMatrix:

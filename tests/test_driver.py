@@ -30,9 +30,9 @@ from xfem2d.driver import (
 )
 from xfem2d import driver, enrichment
 from xfem2d.assembly import solve
-from xfem2d.enrichment import CrackMeshDegeneracyError
+from xfem2d.enrichment import CrackMeshDegeneracyError, evaluate_fields
 from xfem2d.fracture import FractureError
-from xfem2d.mesh import Mesh
+from xfem2d.mesh import Mesh, locate_points
 from xfem2d.meshgen import uniform_rect
 
 STEEL = MaterialModel(E=200e9, nu=0.3, plane_strain=True)
@@ -184,10 +184,10 @@ def incremental_run(request):
                          propagation=PropagationParams(delta_a=0.05))
     steps, integrated, attempts = [], [], []
 
-    def assembling(mesh, emap, material, rules, bcs, cache):
+    def assembling(mesh, emap, material, bcs, cache):
         integrated.append(0)
-        system = assembly.assemble(mesh, emap, material, rules, bcs, cache=cache)
-        steps.append([(mesh, emap, material, rules, bcs), system])
+        system = assembly.assemble(mesh, emap, material, bcs, cache=cache)
+        steps.append([(mesh, emap, material, bcs), system])
         return system
 
     def solving(system, load_factor=1.0, factor=None):
@@ -235,9 +235,9 @@ class TestIncrementalStep:
         name, history, steps, *_ = incremental_run
         assert len(steps) == len(history.steps) >= 3
         assert history.n_increments >= 3
-        for (mesh, emap, material, rules, bcs), system, state in steps:
-            fresh = assembly.assemble(mesh, emap, material, rules, bcs,
-                                      cache=StiffnessCache(mesh, material, rules))
+        for (mesh, emap, material, bcs), system, state in steps:
+            fresh = assembly.assemble(mesh, emap, material, bcs,
+                                      cache=StiffnessCache(mesh, material, emap.rules))
             for part in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(system.K, part), getattr(fresh.K, part))
             np.testing.assert_array_equal(system.f, fresh.f)
@@ -561,6 +561,22 @@ class TestCodProfile:
         # largest near the middle, smallest near the tips
         assert mid == pytest.approx(prof[:, 3].max(), rel=0.02)
         assert prof[2, 3] < 0.5 * mid
+
+    def test_opening_is_the_jump_of_the_evaluated_field(self, solved):
+        # Across the face the evaluated displacement jumps by the opening,
+        # also where the corners carry branch functions and no Heaviside jump.
+        # The probes sit where crack_opening puts its own, 1e-9 element sizes
+        # off the crack, so the branch functions take the same r there.
+        problem, state = solved
+        mesh, emap = problem.mesh, problem.emap
+        profile = cod_profile(state, mesh, emap, 0, n_samples=61)
+        xs, normal = profile[:, 1:3], np.array([0.0, 1.0])  # the crack runs along +x
+        probe = 1e-9 * mesh.element_sizes.max() * normal
+        up, down = (evaluate_fields(xs + d, mesh, emap, state.fields, want_grad=False)[0]
+                    for d in (probe, -probe))
+        assert np.count_nonzero(emap.kinds[locate_points(mesh, xs)[0]] == 3) >= 4
+        np.testing.assert_allclose(profile[:, 3], (up - down) @ normal, rtol=0.0,
+                                   atol=1e-6 * profile[:, 3].max())
 
     def test_positions_follow_the_arc_length(self):
         # A kinked crack: each sample sits on the polyline, its arc length

@@ -1024,7 +1024,7 @@ class TestCutSides:
     @pytest.mark.parametrize("name", sorted(SIDE_PROBLEMS))
     def test_point_sides_match_the_jump_columns(self, name):
         problem = SIDE_PROBLEMS[name]()
-        mesh, emap, rule = problem.mesh, problem.emap, problem.rules.cut
+        mesh, emap, rule = problem.mesh, problem.emap, problem.emap.rules.cut
         cut = np.flatnonzero(emap.kinds == 2)
         q = rule.n_points
         assert emap.cut_sides.shape == (cut.size, q)
@@ -1167,13 +1167,12 @@ class TestBatchedKernel:
         # integrated with each element's class rule.
         mesh, emap = self.two_cracks(tip_enrichment)
         material = MaterialModel(E=200e9, nu=0.3)
-        rules = QuadratureSet.from_targets()
-        system = assemble(mesh, emap, material, rules)
+        system = assemble(mesh, emap, material)
         rng = np.random.default_rng(31)
         u, v = rng.normal(size=(2, system.layout.total_dofs))
         D = elasticity_matrix(material)
         energy = 0.0
-        for eids, rule in rules.classes(emap.kinds):
+        for eids, rule in emap.rules.classes(emap.kinds):
             N, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
             at = (np.repeat(eids, rule.n_points), np.tile(N, (eids.size, 1)),
                   dN.reshape(-1, 4, 2), phys.reshape(-1, 2))

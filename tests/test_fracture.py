@@ -422,7 +422,7 @@ class TestBatchedPass:
     @pytest.mark.parametrize("scale", [None, 0.5])
     def test_one_pass_equals_each_tip_alone(self, crack_field, scale):
         problem, state = crack_field
-        mesh, emap, material, rules = problem.mesh, problem.emap, problem.material, problem.rules
+        mesh, emap, material = problem.mesh, problem.emap, problem.material
         tips = emap.tips
         radii = [None if scale is None else scale * emap.effective_half_length(t.crack_id)
                  for t in tips]
@@ -436,12 +436,12 @@ class TestBatchedPass:
                 key = (tinfo.crack_id, tinfo.tip_id)
                 try:
                     out[key] = _outcome(extract_sifs(state, mesh, emap, material, *key,
-                                                     radius=radius, rules=rules, rings=rings))
+                                                     radius=radius, rings=rings))
                 except FractureError as exc:
                     out[key] = str(exc)
             return out
 
-        rings = tip_rings(state, mesh, emap, material, tips, radii, rules)
+        rings = tip_rings(state, mesh, emap, material, tips, radii)
         alone = outcomes()
         assert outcomes(rings) == alone
         # the pass holds each tip's rejection, in the tips' order

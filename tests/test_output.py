@@ -10,7 +10,10 @@ from xfem2d.assembly import (
     DofLayout,
     MaterialModel,
     SolutionState,
+    apply_constraints,
+    assemble,
     elasticity_matrix,
+    solve,
     voigt_strain,
 )
 from xfem2d.config import ContourSpec, RunConfig
@@ -28,6 +31,7 @@ from xfem2d.driver import (
 from xfem2d.enrichment import (
     TIP,
     FieldTriplet,
+    classify_enrichment,
     classify_with_remedy,
     crack_opening,
     element_fields,
@@ -205,7 +209,26 @@ class TestCodCsv:
         assert np.allclose(ys, 0.5)
         assert np.allclose(np.diff(s), s[1] - s[0])
         assert opening.max() > 0.0
-        assert opening[0] == pytest.approx(0.0, abs=1e-12)
+        # The first sample is a tip: the jump is taken 1e-9 element sizes to
+        # either side of it, where the branch jump 2 sqrt(r) is sqrt(1e-9),
+        # about 3e-5, of its size one element from the tip.
+        assert abs(opening[0]) <= 1e-4 * opening.max()
+
+    def test_mouth_on_the_boundary_keeps_its_row(self, tmp_path):
+        # An inclined edge crack: the face normal at its mouth points out of
+        # the mesh, so a probe off the mouth would lie outside it; the mouth's
+        # row is written all the same, opening like the rest of the crack.
+        crack = CrackPath(vertices=np.array([[0.0, 0.43], [0.4, 0.6]]), tip_start=False, id=0)
+        config = make_config(mesh=pinned_mesh(), cracks=[crack])
+        problem = setup_problem(config)
+        state, _ = run_stationary(config, problem=problem, unresolved=[])
+        path = tmp_path / "cod.csv"
+        write_cod_csv(state, problem.mesh, problem.emap, path, n_samples=21)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert data.shape == (21, 7)
+        np.testing.assert_allclose(data[0, 4:6], [0.0, 0.43], atol=1e-15)
+        assert np.all(data[:-1, 6] > 0.0)
+        assert data[0, 6] == pytest.approx(data[:, 6].max(), rel=0.1)
 
     def test_single_element_crack_skipped(self, tmp_path):
         tiny = CrackPath(vertices=np.array([[0.51, 0.21], [0.54, 0.21]]), id=7)
@@ -438,10 +461,12 @@ def _von_mises_oracle(sig, material):
                    + 3.0 * sxy ** 2)
 
 
-def element_by_element_stresses(state, mesh, emap, material, rules):
+def element_by_element_stresses(state, mesh, emap, material):
     """Oracle for the dumped cell stresses: each element on its own, at the
     points of its class's rule, through ``element_fields``; whole-element
-    means and, for a bisected element, the means on each side."""
+    means and, for a bisected element, the means on each side, a point
+    with phi >= 0 on the positive one."""
+    rules = emap.rules
     fields = FieldTriplet(u_cont=state.fields.u_cont - state.fields.u_cont.mean(axis=0),
                           u_disc=state.fields.u_disc, u_tip=state.fields.u_tip)
     D = elasticity_matrix(material)
@@ -459,7 +484,7 @@ def element_by_element_stresses(state, mesh, emap, material, rules):
         plus = np.ones(rule.n_points, dtype=bool)
         if eid in emap.cut_elements:
             crack = emap.crack_by_id(emap.cut_elements[eid])
-            plus = signed_distance_batch(crack, phys) > 0.0
+            plus = signed_distance_batch(crack, phys) >= 0.0
         for side, mask in enumerate((plus, ~plus)):
             w = wdet * mask if mask.any() else wdet
             side_sig[side, eid], side_vm[side, eid] = w @ sig / w.sum(), w @ vm / w.sum()
@@ -474,9 +499,33 @@ class TestCellStresses:
         assert set(kinds.tolist()) == {0, 1, 2, 3}
         # kind 3 also holds elements that only have tip-enriched corners
         assert np.count_nonzero(kinds == 3) > len(emap.tip_elements)
-        got = _cell_stresses(state, mesh, emap, config.material, problem.rules)
-        want = element_by_element_stresses(state, mesh, emap, config.material,
-                                           problem.rules)
+        got = _cell_stresses(state, mesh, emap, config.material)
+        want = element_by_element_stresses(state, mesh, emap, config.material)
+        for name, a, b in zip(("stress", "von Mises", "side stress", "side von Mises"),
+                              got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    def test_points_on_the_crack_are_on_its_positive_side(self):
+        # The crack runs at the height of point 7 of the cut rule in element
+        # 43, the one cut-class element, so three of its rule points have
+        # phi == 0 exactly.  Heaviside, the
+        # enriched basis and the classification's point sides put them on
+        # the positive side, and so must the dump's side means.
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        y = 0.41693953067668676
+        crack = CrackPath(vertices=np.array([[0.13, y], [0.57, y]]), id=0)
+        emap = classify_enrichment(mesh, [crack])
+        bcs = [BoundaryCondition("bottom", "displacement", (None, 0.0)),
+               BoundaryCondition("top", "traction", (0.0, 1e6))]
+        state = solve(apply_constraints(assemble(mesh, emap, STEEL, bcs), {0: 0.0}))
+        cut = np.flatnonzero(emap.kinds == 2)
+        phys = element_geometry(mesh.element_coords(cut), emap.rules.cut)[3]
+        on = signed_distance_batch(crack, phys.reshape(-1, 2)).reshape(cut.size, -1) == 0.0
+        np.testing.assert_array_equal(cut, [43])
+        np.testing.assert_array_equal(np.flatnonzero(on), [1, 7, 31])
+        assert emap.cut_sides[on].all()
+        got = _cell_stresses(state, mesh, emap, STEEL)
+        want = element_by_element_stresses(state, mesh, emap, STEEL)
         for name, a, b in zip(("stress", "von Mises", "side stress", "side von Mises"),
                               got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
@@ -559,4 +608,4 @@ class TestStationaryHistory:
         assert rec.factor is state.factor
         assert rec.factor.fronts_refactored == rec.factor.fronts
         assert history.final_state is state
-        assert history.final_cracks == problem.cracks
+        assert history.final_cracks == problem.emap.source_cracks

@@ -1,6 +1,8 @@
-"""The package's public name lists."""
+"""The package's public name lists and the owners of its quadrature rules."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -18,3 +20,49 @@ def test_star_import_finds_every_listed_name(name):
     exec(f"from xfem2d.{name} import *", namespace)
     listed = importlib.import_module(f"xfem2d.{name}").__all__
     assert listed and set(listed) <= namespace.keys()
+
+
+
+_SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scopes():
+    """Every module, class and function of the package's source: a name
+    (the module's, the class's, a method's class's or the function's), the
+    node, and its own nodes, those of the classes and functions in it left out."""
+    def visit(name, node):
+        own, nested, stack = [], [], list(ast.iter_child_nodes(node))
+        while stack:
+            child = stack.pop()
+            if isinstance(child, _SCOPES):
+                nested.append(child)
+            else:
+                own.append(child)
+                stack.extend(ast.iter_child_nodes(child))
+        yield name, node, own
+        for child in nested:
+            method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
+            yield from visit(node.name if method else child.name, child)
+
+    for path in sorted(pathlib.Path(xfem2d.__file__).parent.glob("*.py")):
+        yield from visit(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_only_the_rules_owners_take_rules():
+    # Classification records the quadrature rules it counted with on the
+    # map, and every consumer reads them there: only classification, the
+    # stiffness cache and the rule set itself take them as an argument.
+    takers = {name for name, node, _ in _scopes()
+              if not isinstance(node, (ast.Module, ast.ClassDef))
+              and "rules" in {a.arg for a in node.args.posonlyargs + node.args.args
+                              + node.args.kwonlyargs}}
+    assert {"classify_enrichment", "classify_with_remedy", "StiffnessCache"} <= takers
+    assert takers <= {"classify_enrichment", "classify_with_remedy", "StiffnessCache",
+                      "QuadratureSet"}
+
+
+def test_only_classification_builds_the_default_rules():
+    builders = {name for name, _, own in _scopes() for call in own
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "from_targets" and not call.args and not call.keywords}
+    assert builders == {"classify_enrichment"}
