@@ -56,6 +56,7 @@ from xfem2d.mesh import (
     Mesh,
     QuadratureRule,
     QuadratureSet,
+    _distinct,
     _gauss_1d,
     _runs,
     edge_points,
@@ -375,7 +376,9 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
             continue
         if bc.boundary not in mesh.boundary_tags:
             raise AssemblyError(f"unknown boundary tag '{bc.boundary}'")
-        tagged = np.isin(edges[:, :2], mesh.boundary_tags[bc.boundary]).all(axis=1)
+        on = np.zeros(mesh.n_nodes, dtype=bool)
+        on[mesh.boundary_tags[bc.boundary]] = True
+        tagged = on[edges[:, :2]].all(axis=1)
         if not tagged.any():
             raise AssemblyError(
                 f"traction on '{bc.boundary}' matched no boundary edges"
@@ -433,7 +436,7 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, standard: ShapeTa
     q = rule.n_points
     N, dN, wdet, phys = element_geometry(mesh.element_coords(eids), rule)
     node_tip = emap.node_tip[mesh.elements[eids]]  # branch gradients are singular at a tip
-    for gti in np.unique(node_tip[node_tip >= 0]).tolist():
+    for gti in _distinct(node_tip[node_tip >= 0]).tolist():
         tinfo = emap.tips[gti]
         own = np.nonzero((node_tip == gti).any(axis=1))[0]
         on = own[(np.linalg.norm(phys[own] - tinfo.frame.origin, axis=-1) < 1e-14).any(axis=1)]
@@ -559,13 +562,17 @@ class StiffnessCache:
 
     @cached_property
     def pairs(self) -> NodePairs:
-        """:attr:`standard` summed over the node pairs of the mesh's tree."""
+        """:attr:`standard` summed over the node pairs of the mesh's tree;
+        a non-finite sum raises :class:`AssemblyError`."""
         tree = self.mesh.nested_dissection_tree
         every = np.arange(self.mesh.n_elements)
         table = self.standard
-        return NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)],
-                             (2 * tree.order[:, None] + [0, 1]).ravel(),
-                             np.repeat(np.arange(tree.order.size), 2))
+        pairs = NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)],
+                              (2 * tree.order[:, None] + [0, 1]).ravel(),
+                              np.repeat(np.arange(tree.order.size), 2))
+        if not np.isfinite(pairs.blocks).all():
+            raise AssemblyError("non-finite stiffness entry")
+        return pairs
 
     def cut_matrices(self, emap: EnrichmentMap):
         """The cut elements of ``emap`` (kind 2) and their stiffness
@@ -595,7 +602,9 @@ class StiffnessCache:
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
                                      self.standard, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
         enriched = np.flatnonzero(emap.kinds >= 2)
-        changed = np.setdiff1d(np.union1d(self._enriched, enriched), cut[reused])
+        changed = np.zeros(self.mesh.n_elements, dtype=bool)
+        changed[self._enriched] = changed[enriched] = True
+        changed[cut[reused]] = False
         self.stamps = self.stamps.copy()  # systems assembled earlier keep theirs
         self.stamps[self.mesh.elements[changed]] = next(_STAMPS)
         self._cut, self._cut_matrices, self._keys, self._enriched = cut, Ke, keys, enriched
@@ -631,8 +640,9 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel, bcs=(),
         Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.standard,
                                      tip, emap.rules.tip)
         blocks.append((Ke, layout.column_dofs(nodes, BASIS_FIELD[used]).reshape(tip.size, -1)))
-    # The standard matrices are summed once per mesh, so their sums stand for them.
-    if not all(np.isfinite(m).all() for m in [cache.pairs.blocks] + [m for m, _ in blocks]):
+    # The standard matrices are summed and checked once per mesh, by the cache.
+    pairs = cache.pairs
+    if not all(np.isfinite(m).all() for m, _ in blocks):
         raise AssemblyError("non-finite stiffness entry")
 
     f = np.zeros(layout.total_dofs)
@@ -658,7 +668,7 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel, bcs=(),
             if emap.status[n]:  # its enrichment dofs
                 for dof in layout.node_dofs([n])[0][2:].tolist():
                     fixed.setdefault(dof, 0.0)
-    return LinearSystem(standard=cache.standard, blocks=tuple(blocks), pairs=cache.pairs, f=f,
+    return LinearSystem(standard=cache.standard, blocks=tuple(blocks), pairs=pairs, f=f,
                         fixed=fixed, layout=layout, tree=mesh.nested_dissection_tree,
                         stamps=cache.stamps)
 
@@ -736,7 +746,10 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     try:
         corrections = NodePairs.sum(tree, system.blocks, perm, owner)
         del owner
-        diagonal = (system.pairs.diagonal(n) + corrections.diagonal(n))[perm]
+        diagonal = corrections.diagonal(n)
+        standard = system.pairs.leading_diagonal  # every layout numbers standard dofs first
+        diagonal[:standard.size] += standard
+        diagonal = diagonal[perm]
         bad = np.flatnonzero(free & ~(diagonal > 0.0))
         if bad.size:
             raise AssemblyError(f"non-positive stiffness diagonal {diagonal[bad[0]]:.6g} on a "

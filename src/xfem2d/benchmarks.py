@@ -42,7 +42,7 @@ from xfem2d.driver import (
     setup_problem,
 )
 from xfem2d.fracture import auxiliary_fields, extract_sifs, williams_displacement
-from xfem2d.mesh import Mesh
+from xfem2d.mesh import Mesh, _distinct
 from xfem2d.meshgen import punch_holes, uniform_rect, windowed_rect
 
 __all__ = [
@@ -286,7 +286,7 @@ def _ladder_rung(cells: int):
     material = _LADDER_MATERIAL
     problem = setup_problem(RunConfig(material=material, mesh=mesh, cracks=(crack,),
                                       tip_enrichment=True))
-    nodes = np.unique(mesh.boundary_edges[:, :2])
+    nodes = _distinct(mesh.boundary_edges[:, :2])
     x, y = mesh.nodes[nodes].T
     u = williams_displacement(1, np.hypot(x, y), np.arctan2(y, x), material)
     dofs = 2 * nodes[:, None] + np.arange(2)

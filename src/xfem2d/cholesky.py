@@ -34,21 +34,26 @@ J. Sci. Stat. Comput. 9, 1988).  The back substitution walks every front.
 The six LAPACK and BLAS routines used here are scipy's own f2py wrapper
 objects, the ones ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
 re-export, taken from the compiled modules ``scipy.linalg._flapack`` and
-``scipy.linalg._fblas``.  Those load in about 11 ms.  Importing them
-through ``scipy.linalg`` would also run its ``__init__``, whose array-API
-layer runs ``from numpy import *`` and so loads ``numpy.f2py``,
+``scipy.linalg._fblas``.  Those load in about 11 ms.  Neither package
+``__init__`` on the way to them runs.  ``scipy.linalg``'s would run its
+array-API layer, whose ``from numpy import *`` loads ``numpy.f2py``,
 ``numpy.testing`` and more: about 0.2 s and 22 MiB of every process start
-(``python -X importtime``).  So :func:`_scipy_linalg_extension` loads the
-two modules from scipy's directory without that ``__init__``; a later
-``import scipy.linalg`` finds them in ``sys.modules`` and reuses them.
+(``python -X importtime``).  ``scipy``'s own would load
+``scipy._lib._testutils`` and through it ``subprocess``: about 12 ms.  So
+:func:`_scipy_linalg_extension` finds scipy's directory by a top-level
+lookup, which runs no code of the package, and loads the two modules from
+its ``linalg`` directory; a later ``import scipy.linalg`` finds them in
+``sys.modules`` and reuses them.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,15 +64,17 @@ __all__ = ["FactorStats", "FrontalCholesky", "NodePairs"]
 
 def _scipy_linalg_extension(name: str):
     """The compiled module ``scipy.linalg.<name>``, loaded without running
-    ``scipy.linalg``'s ``__init__`` unless scipy has loaded it already."""
+    the ``__init__`` of ``scipy`` or ``scipy.linalg`` unless scipy has
+    loaded it already."""
     full = f"scipy.linalg.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    # Imports the top-level scipy package only, not scipy.linalg.
-    locations = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    # A top-level lookup: it finds the package's directory without importing it.
+    top = importlib.util.find_spec("scipy")
+    locations = [os.path.join(path, "linalg") for path in top.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(full, locations)
     if spec is None:
-        raise ImportError(f"no module named {full!r} in {list(locations)}", name=full)
+        raise ImportError(f"no module named {full!r} in {locations}", name=full)
     module = importlib.util.module_from_spec(spec)
     sys.modules[full] = module
     spec.loader.exec_module(module)
@@ -180,6 +187,12 @@ class NodePairs:
         out[self.row[own]], out[self.row[own] + 1] = self.blocks[own, 0, 0], self.blocks[own, 1, 1]
         return out
 
+    @cached_property
+    def leading_diagonal(self) -> np.ndarray:
+        """:meth:`diagonal` of the dofs up to the last pair's row, built on
+        first use, so pairs that serve many solves build it once."""
+        return self.diagonal(int(self.row.max(initial=-2)) + 2)
+
 
 def _extend_add_plan(tree: DissectionTree, redo, ptr, shift):
     """Where the rows of the children of the fronts ``redo`` go in their
@@ -188,7 +201,9 @@ def _extend_add_plan(tree: DissectionTree, redo, ptr, shift):
     rows ``first:end`` are the front rows ``place:place + end - first``,
     all pivots or all panel rows.  ``ptr`` and ``shift`` are as in
     :meth:`FrontalCholesky.factorize`."""
-    kids = np.flatnonzero(np.isin(tree.parent, redo))
+    parent_redone = np.zeros(tree.n_fronts + 1, dtype=bool)  # a root's parent -1 reads the last
+    parent_redone[redo] = True
+    kids = np.flatnonzero(parent_redone[tree.parent])
     width = np.diff(tree.row_start)[kids]
     nodes = tree.rows[_ranges(tree.row_start[kids], width)]
     _, slot = _node_slots(tree, tree.start[np.repeat(tree.parent[kids], width)], nodes)

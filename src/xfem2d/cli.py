@@ -26,6 +26,9 @@ that raised them.
 from __future__ import annotations
 
 import argparse
+# argparse looks its messages up through gettext, which imports locale on
+# its first call: imported here, that is with the package, not in a run.
+import locale  # noqa: F401
 import math
 import os
 import sys

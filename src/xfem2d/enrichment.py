@@ -62,6 +62,7 @@ from xfem2d.cracks import (
 from xfem2d.mesh import (
     Mesh,
     QuadratureSet,
+    _member,
     _runs,
     element_geometry,
     locate_hits,
@@ -394,7 +395,7 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
     tol = _COINCIDENCE_TOL
     n_nodes = mesh.n_nodes
     boundary = mesh.boundary_edges
-    boundary_keys = boundary[:, 0] * n_nodes + boundary[:, 1]
+    boundary_keys = np.sort(boundary[:, 0] * n_nodes + boundary[:, 1])
     # An edge along a segment comes within tol * (1 + its length) of it, and
     # no side of a convex quad is as long as twice its longer diagonal.
     pad = tol * (1.0 + 2.0 * float(np.max(mesh.element_sizes, initial=0.0)))
@@ -422,7 +423,7 @@ def _detect_coincidences(mesh: Mesh, cracks) -> None:
     mouth[first_vertex] = [not c.tip_start for c in cracks]
     mouth[np.roll(first_vertex, -1)] = [not c.tip_end for c in cracks]
     hits = ((point_segment_distance(v[i], mesh.nodes[e0], mesh.nodes[e1]) <= tol)
-            & ~(mouth[i] & np.isin(key, boundary_keys)))
+            & ~(mouth[i] & _member(key, boundary_keys)))
     iv, first = np.unique(i[hits], return_index=True)
     found += [(c, 1, f"vertex {vv} lies on mesh edge ({n0},{n1})") for c, vv, n0, n1 in
               zip(crack[iv].tolist(), local[iv].tolist(), e0[hits][first].tolist(),

@@ -56,7 +56,7 @@ import numpy as np
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.cracks import heaviside, signed_distance_batch
 from xfem2d.enrichment import EnrichmentMap, TipInfo, element_fields, tip_polar
-from xfem2d.mesh import Mesh, point_segment_distance
+from xfem2d.mesh import Mesh, _distinct, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -404,7 +404,7 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     dq = wdet[:, None] * np.einsum("nia,ni->na", dN, q)
     side = np.empty(len(xs))  # of the tip's crack
     crack_of = np.array([t.crack_id for t in tips])[owner]
-    for crack_id in np.unique(crack_of).tolist():
+    for crack_id in _distinct(crack_of).tolist():
         rows = np.flatnonzero(crack_of == crack_id)
         side[rows] = heaviside(signed_distance_batch(emap.crack_by_id(crack_id), xs[rows]))
     ends = np.searchsorted(owner, np.arange(len(tips) + 1))

@@ -23,10 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-# A value-only np.unique (np.isin and np.union1d call one) asks np.ma
-# whether its input is masked, which would import numpy.ma (about 18 ms)
-# inside the first run rather than with the package.
-import numpy.ma  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
@@ -464,11 +460,11 @@ class Mesh:
 def _corner_jacobians(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """Jacobian determinants at the four reference corners of every element,
     not finite where they overflow: at corner k, 0.25 * cross(x[k+1] - x[k], x[k-1] - x[k])."""
-    x = nodes[elements]
+    x, y = nodes[:, 0][elements], nodes[:, 1][elements]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = x[:, [1, 2, 3, 0]] - x  # edge k, leaving corner k
-        into = out[:, [3, 0, 1, 2]]  # edge k-1, entering corner k
-        return 0.25 * (into[..., 0] * out[..., 1] - into[..., 1] * out[..., 0])
+        ox, oy = np.roll(x, -1, axis=1) - x, np.roll(y, -1, axis=1) - y  # edge k, leaving corner k
+        ix, iy = np.roll(ox, 1, axis=1), np.roll(oy, 1, axis=1)  # edge k-1, entering corner k
+        return 0.25 * (ix * oy - iy * ox)
 
 
 _ND_LEAF = 64  # nodes; nested dissection stops splitting parts this small
@@ -487,8 +483,16 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """``np.unique(a)`` of an integer array, by a sort and a neighbour mask."""
     # NumPy 2 sends a value-only np.unique through a hash table: 13.8 ms on
     # the 141k node-pair keys of the Table 1 plate, against 1.0 ms here.
+    # It also imports numpy.ma (8-17 ms) to ask whether its input is masked.
     a = np.sort(a, axis=None)
     return a[np.concatenate([[True], a[1:] != a[:-1]])] if a.size else a
+
+
+def _member(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.isin(a, values)`` of integers, ``values`` ascending, by a binary search."""
+    if not values.size:
+        return np.zeros(np.shape(a), dtype=bool)
+    return values[np.minimum(np.searchsorted(values, a), values.size - 1)] == a
 
 
 def _element_node_pairs(elements: np.ndarray, n_nodes: int) -> np.ndarray:

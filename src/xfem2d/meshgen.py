@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from xfem2d.mesh import Mesh
+from xfem2d.mesh import Mesh, _distinct
 
 __all__ = [
     "tensor_mesh",
@@ -123,7 +123,7 @@ def punch_holes(mesh: Mesh, circles) -> Mesh:
     if keep.all():
         return mesh
     elements = mesh.elements[keep]
-    used = np.unique(elements)
+    used = _distinct(elements)
     remap = np.full(mesh.n_nodes, -1, dtype=np.int64)
     remap[used] = np.arange(used.size)
     tags = {}

@@ -16,7 +16,6 @@ its points' shape gradients from one :func:`~xfem2d.mesh.element_geometry` call.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 
@@ -33,7 +32,7 @@ from xfem2d.enrichment import (
     element_fields,
     evaluate_fields,
 )
-from xfem2d.mesh import Mesh, element_geometry
+from xfem2d.mesh import Mesh, _distinct, element_geometry
 
 __all__ = [
     "write_sif_csv",
@@ -92,6 +91,8 @@ def write_sif_csv(history: RunHistory, path) -> None:
 
 def read_sif_csv(path) -> list[dict]:
     """Parse a stress intensity table back into one dict per row."""
+    import csv  # here, not with the package: a run writes the table but never reads it
+
     with open(os.fspath(path), "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames != SIF_HEADER.split(","):
@@ -258,7 +259,7 @@ def _cell_stresses(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         vm = _von_mises(sig, material)
         sig_mean[eids], vm_mean[eids] = _weighted_means(sig, vm, wdet)
         side_sig[:, eids], side_vm[:, eids] = sig_mean[eids], vm_mean[eids]
-        for cid in np.unique(cut_crack[eids][cut_crack[eids] >= 0]).tolist():
+        for cid in _distinct(cut_crack[eids][cut_crack[eids] >= 0]).tolist():
             rows = np.nonzero(cut_crack[eids] == cid)[0]
             plus = heaviside(signed_distance_batch(emap.crack_by_id(cid),
                                                    phys[rows].reshape(-1, 2))) > 0.0

@@ -402,6 +402,18 @@ class TestStandardStiffness:
             assert_bit_equal(reused.K, fresh.K)
             np.testing.assert_array_equal(fresh.f, reused.f)
 
+    def test_non_finite_standard_stiffness_is_refused_by_the_cache(self):
+        # A modulus whose element matrices overflow: the cache's standard
+        # pairs, summed and checked once per mesh, refuse it, and so does
+        # an assembly at that cache.
+        mesh = uniform_rect(1.0, 1.0, 4, 4)
+        material = MaterialModel(E=1e308, nu=0.3)
+        cache = StiffnessCache(mesh, material, QuadratureSet.from_targets())
+        with pytest.raises(AssemblyError, match="^non-finite stiffness entry$"):
+            cache.pairs
+        with pytest.raises(AssemblyError, match="^non-finite stiffness entry$"):
+            assemble(mesh, classify_enrichment(mesh, []), material, cache=cache)
+
     def test_elements_of_one_shape_share_bits(self):
         # The table holds one matrix per distinct corner-offset pattern, and
         # elements share an id exactly when their offsets are equal bit for bit.
@@ -956,20 +968,21 @@ class TestPivotReport:
                            match=rf"diagonal 0 on a free dof \(node {node}, jump y\)"):
             solve(broken)
 
-    @pytest.mark.parametrize("field, component", [(1, 0), (1, 1), (3, 1)])
+    @pytest.mark.parametrize("field, component", [(0, 1), (1, 0), (1, 1), (3, 1)])
     def test_negative_diagonal_is_refused_before_the_factorization(self, field, component):
-        # A hand-made correction block that turns one enrichment dof's
-        # diagonal negative: the staged error names the dof, and no front is
-        # factored.
+        # A hand-made correction block that turns one dof's diagonal
+        # negative, a standard dof's (whose diagonal sums the standard
+        # pairs' with the corrections') or an enrichment dof's: the staged
+        # error names the dof, and no front is factored.
         _, _, system = center_crack_with_tips()
-        status = system.layout.disc_slot if field == 1 else system.layout.tip_slot
+        status = system.layout.tip_slot if field == 3 else system.layout.disc_slot
         node = int(np.flatnonzero(status >= 0)[1])
         pair = system.layout.column_dofs(node, field)
         negate = np.zeros((1, 2, 2))
         negate[0, component, component] = -2.0 * system.K[pair[component], pair[component]]
         broken = replace(system, blocks=system.blocks + ((negate, pair[None]),))
         factor = FrontalCholesky()
-        name = "jump" if field == 1 else f"branch {field - 2}"
+        name = {0: "standard", 1: "jump"}.get(field, f"branch {field - 2}")
         with pytest.raises(AssemblyError, match=rf"non-positive stiffness diagonal -\S+ on a free "
                                                 rf"dof \(node {node}, {name} {'xy'[component]}\)"):
             solve(broken, factor=factor)

@@ -377,24 +377,41 @@ class TestSubprocessEntry:
 
     def test_run_imports_only_what_the_package_loaded(self, tmp_path):
         # Every run is a fresh process that pays its imports again.  The
-        # package skips scipy.linalg's __init__ (and the numpy.f2py its
-        # array-API layer loads), and a run imports nothing more: only
-        # LinearSystem.K, off the run path, would import scipy.sparse.
+        # package runs neither scipy's __init__ nor scipy.linalg's (and so
+        # not the numpy.f2py its array-API layer loads), needs no numpy.ma
+        # and no csv, and neither building and writing the benchmark
+        # inputs nor a run imports anything more: only LinearSystem.K, off
+        # the run path, would import scipy.sparse.
         runs = []
         for command, extra in (("solve", ""), ("propagate", GROWTH_SECTIONS)):
             case = tmp_path / command
             case.mkdir()
             runs.append([command, "--config", write_case(case, extra), "--out", str(case / "out")])
-        script = ("import sys, xfem2d, xfem2d.cli\n"
-                  "loaded = set(sys.modules)\n"
-                  "print('@', sorted({'scipy.linalg', 'numpy.f2py'} & loaded))\n"
-                  f"for argv in {runs!r}:\n"
-                  "    print('@', xfem2d.cli.main(argv), sorted(set(sys.modules) - loaded))\n")
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        script = (
+            "import dataclasses, os, sys, xfem2d, xfem2d.cli\n"
+            "loaded = set(sys.modules)\n"
+            "print('@', sorted({'scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.ma', 'csv'}"
+            " & loaded))\n"
+            "from xfem2d.benchmarks import hole_attraction_config, many_cracks_config, "
+            "table1_config\n"
+            "loaded = set(sys.modules)\n"
+            "for k, config in enumerate([table1_config(12.5), hole_attraction_config(), "
+            "many_cracks_config()]):\n"
+            f"    mesh = os.path.join({str(inputs)!r}, f'{{k}}.mesh')\n"
+            "    xfem2d.write_mesh(config.mesh, mesh)\n"
+            "    xfem2d.dump_config(dataclasses.replace(config, mesh=None, mesh_path=mesh), "
+            "mesh + '.cfg')\n"
+            "print('@', sorted(set(sys.modules) - loaded))\n"
+            f"for argv in {runs!r}:\n"
+            "    print('@', xfem2d.cli.main(argv), sorted(set(sys.modules) - loaded))\n")
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                                 env=_package_env())
         assert result.returncode == 0, result.stderr
         assert [line for line in result.stdout.splitlines() if line.startswith("@ ")] == [
-            "@ []", "@ 0 []", "@ 0 []"]
+            "@ []", "@ []", "@ 0 []", "@ 0 []"]
+        assert len(list(inputs.iterdir())) == 6
 
     def test_module_invocation_usage_error(self):
         result = subprocess.run(

@@ -22,6 +22,7 @@ from xfem2d.mesh import (
     _dissect_level,
     _distinct,
     _element_node_pairs,
+    _member,
     dump_mesh,
     gauss_rule,
     jacobian,
@@ -712,12 +713,28 @@ class TestSymbolicPlan:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.integers(-40, 40) | st.integers(-2**31, 2**31 - 1),
                            max_size=60),
-           dtype=st.sampled_from([np.int32, np.int64]))
-    def test_distinct_is_unique(self, values, dtype):
+           dtype=st.sampled_from([np.int32, np.int64]), columns=st.sampled_from([None, 1, 2, 4]))
+    @example(values=[], dtype=np.int64, columns=4)
+    def test_distinct_is_unique(self, values, dtype, columns):
+        # 1-D, or 2-D with the values cut to whole rows of ``columns``.
         a = np.array(values, dtype=dtype)
+        if columns is not None:
+            a = a[:a.size // columns * columns].reshape(-1, columns)
         got, want = _distinct(a), np.unique(a)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(st.integers(-40, 40) | st.integers(-2**62, 2**62), max_size=40),
+           values=st.lists(st.integers(-40, 40) | st.integers(-2**62, 2**62), max_size=40),
+           rows=st.sampled_from([None, 2]))
+    def test_member_is_isin(self, a, values, rows):
+        a, values = np.array(a, dtype=np.int64), np.sort(np.array(values, dtype=np.int64))
+        if rows is not None:
+            a = a[:a.size // rows * rows].reshape(rows, -1)
+        got = _member(a, values)
+        assert got.dtype == bool
+        np.testing.assert_array_equal(got, np.isin(a, values))
 
 
 class TestJacobian:
