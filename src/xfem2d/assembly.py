@@ -10,9 +10,10 @@ Integration strategy: every element is first integrated with the plain
 2x2 rule in one vectorized pass, once per mesh and distinct element shape,
 and only the table of those matrices is kept (:class:`ShapeTable`).
 The cut elements and the tip elements are then integrated as two
-batches, one elevated rule per class, from the gradients of
+classes, one elevated rule per class, from the gradients of
 :func:`~xfem2d.enrichment.enriched_basis`; each corrects its elements'
-whole block (all field couplings including the standard one).  A run
+whole block (all field couplings including the standard one), a tip
+element's over only the basis columns its corners carry.  A run
 keeps the cut elements' matrices from step to step and integrates only
 those whose corners' enrichment changed or one of whose rule points
 changed sides of the crack.  Uncut elements holding a
@@ -39,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from xfem2d.cholesky import FactorStats, FrontalCholesky, NodePairs
+from xfem2d.cholesky import FactorStats, FrontalCholesky, NodePairs, _by_element
 from xfem2d.cracks import signed_distance_batch
 from xfem2d.enrichment import (
     BASIS_FIELD,
@@ -71,6 +72,7 @@ __all__ = [
     "BoundaryCondition",
     "QuadratureSet",
     "ShapeTable",
+    "ElementBlocks",
     "StiffnessCache",
     "DofLayout",
     "LinearSystem",
@@ -233,17 +235,38 @@ class ShapeTable:
         return (2 * self.elements[eids, :, None] + [0, 1]).reshape(-1, 8)
 
 
+@dataclass(frozen=True)
+class ElementBlocks:
+    """The stiffness corrections of one class of elements, a group per size.
+
+    Group g is ``groups[g]``, (matrices (e, 2S, 2S), dofs (e, 2S), eids
+    (e,)): the matrices of the elements ``eids``, ascending, over their
+    basis columns ``columns[g]`` (e, S), or (1, S) for all of them, of
+    :func:`~xfem2d.enrichment.enriched_basis`, ascending, and the dofs of
+    those columns, -1 where a node lacks one.  Every sum over the class
+    adds its elements in element order, whichever group holds them, and
+    each element's product K_e u_e runs over the columns of the whole
+    class (:func:`_product`), so no result depends on the grouping.
+    """
+
+    groups: tuple
+    columns: tuple
+
+
 @dataclass
 class LinearSystem:
     """Stiffness as element blocks, load vector, and prescribed-value map.
 
     K is the standard stiffness ``standard`` plus the corrections
-    ``blocks``, each (matrices (e, m, m), dofs (e, m)), -1 where a node
-    lacks a dof: assembled, the cut and the tip elements'.  ``pairs`` is
-    the standard stiffness summed over node pairs, which :func:`solve`
-    factors in its place on ``tree``.  ``stamps`` holds each node's change
-    stamp: a factor kept from a system of the same cache reuses the fronts
-    whose nodes kept theirs.
+    ``blocks``, one :class:`ElementBlocks` per class: assembled, the cut
+    elements' (one group over the standard and jump columns, -1 where a
+    corner lacks its jump) and then the tip-class elements', each over
+    only the columns its corners carry, grouped by their count.  Every sum
+    over the blocks adds the classes in that order and each class's
+    elements in element order.  ``pairs`` is the standard stiffness summed
+    over node pairs, which :func:`solve` factors in its place on ``tree``.
+    ``stamps`` holds each node's change stamp: a factor kept from a system
+    of the same cache reuses the fronts whose nodes kept theirs.
     """
 
     standard: ShapeTable
@@ -258,8 +281,8 @@ class LinearSystem:
     @property
     def K(self):
         """The standard matrix of every element and then the blocks, summed
-        into a ``scipy.sparse.csr_matrix``, explicit zeros kept, in block
-        and element order: built on each call, off the path of
+        into a ``scipy.sparse.csr_matrix``, explicit zeros kept, by class
+        and then by element: built on each call, off the path of
         :func:`solve`, and the one place a matrix per element is gathered.
         It is the one path of the package that imports ``scipy.sparse``, and
         through it scipy's array-API layer (``numpy.f2py`` and more, about
@@ -269,11 +292,16 @@ class LinearSystem:
         n = self.layout.total_dofs
         every = np.arange(self.standard.ids.size)
         keys, values = [], []
-        for matrices, dofs in ((self.standard.take(every), self.standard.dofs(every)),
-                               *self.blocks):
-            keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-            keys.append((dofs[:, :, None] * n + dofs[:, None, :])[keep])
-            values.append(matrices[keep])
+        standard = ((self.standard.take(every), self.standard.dofs(every), every),)
+        for groups in (standard, *(blocks.groups for blocks in self.blocks)):
+            eids = [ids for _, _, ids in groups]
+            key = _by_element(eids, [np.where((dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0),
+                                              dofs[:, :, None] * n + dofs[:, None, :], -1)
+                                     .reshape(len(dofs), dofs.shape[1] ** 2)
+                                     for _, dofs, _ in groups])
+            value = _by_element(eids, [m.reshape(len(m), m.shape[1] ** 2) for m, _, _ in groups])
+            keys.append(key[key >= 0])
+            values.append(value[key >= 0])
         keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
         data = np.bincount(inverse, weights=np.concatenate(values), minlength=keys.size)
         return sp.csr_matrix((data, keys % n, np.searchsorted(keys // n, np.arange(n + 1))),
@@ -414,16 +442,21 @@ def _traction_points(mesh: Mesh, emap: EnrichmentMap, bcs):
 
 
 def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, standard: ShapeTable,
-               eids: np.ndarray, rule: QuadratureRule, used=None):
+               eids: np.ndarray, rule: QuadratureRule, columns=None):
     """Stiffness of the elements ``eids`` under ``rule`` over all coupled
-    fields, less their plain-rule stiffness: one batch for the whole class.
+    fields, less their plain-rule stiffness, from one evaluation of the basis.
 
-    The matrices (n, 2S, 2S) run over the basis columns ``used`` of
-    :func:`~xfem2d.enrichment.enriched_basis`, by default those some
-    element's nodes carry, the standard ones first.  Returns them with
-    each column's node (n, S) and the columns.  With ``used`` given, an
-    element's matrix does not depend on the other elements of the batch,
-    so a matrix kept from an earlier batch is bit-equal to a fresh one.
+    An element's matrix (2S, 2S) runs over basis columns of
+    :func:`~xfem2d.enrichment.enriched_basis`, ascending: ``columns`` (S,)
+    for every element, or by default its live ones, those its corners
+    carry: the four standard columns, the jump column of each Heaviside
+    corner and the four branch columns of each tip corner, of that
+    corner's own tip.  The elements are integrated in one
+    :func:`_element_matrices` call per distinct S.  Returns, per S, the
+    elements (rows of ``eids``, ascending), their columns (e, S) and their
+    matrices.  An element's matrix does not depend on the other elements
+    of the batch, nor on the columns it lacks, so a matrix kept from an
+    earlier batch, or one over more columns, holds the same bits.
 
     A cut element whose quadrature points all sample one side (the crack
     clips a corner sliver below rule resolution) is still integrated: the
@@ -445,17 +478,24 @@ def _integrate(mesh: Mesh, emap: EnrichmentMap, D: np.ndarray, standard: ShapeTa
                 f"a quadrature point of element {eids[on[0]]} coincides with the "
                 f"tip of crack {tinfo.crack_id}; change the rule or mesh"
             )
-    basis = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(N, (eids.size, 1)),
-                           dN.reshape(-1, 4, 2), phys.reshape(-1, 2))
-    nodes = basis[2][::q]  # an element's columns are those of its first point
-    if used is None:
-        kind = np.minimum(BASIS_FIELD, TIP)  # the node status each column needs
-        used = np.nonzero((kind == 0) | (emap.status[nodes] == kind).any(axis=0))[0]
-    grads = basis[1].reshape(eids.size, q, 24, 2)[:, :, used]
-    del basis  # the padded arrays, about as large as the integration's own
-    Ke = _element_matrices(grads, wdet, D)
-    Ke[:, :8, :8] -= standard.take(eids)
-    return Ke, nodes[:, used], used
+    grads = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(N, (eids.size, 1)),
+                           dN.reshape(-1, 4, 2), phys.reshape(-1, 2))[1].reshape(-1, q, 24, 2)
+    if columns is None:
+        live = np.tile(emap.status[mesh.elements[eids]], 6) == np.minimum(BASIS_FIELD, TIP)
+        live[:, :4] = True  # column 4 f + i needs status min(f, TIP) at corner i
+    else:
+        live = np.zeros((eids.size, 24), dtype=bool)
+        live[:, columns] = True
+    count = live.sum(axis=1)
+    groups = []
+    for S in _distinct(count).tolist():
+        rows = np.flatnonzero(count == S)
+        cols = np.nonzero(live[rows])[1].reshape(-1, S)
+        Ke = _element_matrices(grads[rows[:, None, None], np.arange(q)[:, None], cols[:, None]],
+                               wdet[rows], D)
+        Ke[:, :8, :8] -= standard.take(eids[rows])
+        groups.append((rows, cols, Ke))
+    return groups
 
 
 _PRODUCT_BATCH = 1024  # elements per gather of the shape table in _product
@@ -463,12 +503,17 @@ _PRODUCT_BATCH = 1024  # elements per gather of the shape table in _product
 
 def _product(system: LinearSystem, u: np.ndarray) -> np.ndarray:
     """K u, as the sum over the elements of K_e u_e: the standard part
-    first, then each block.
+    first, then each class of blocks.
 
     The standard K_e u_e of all elements are gathered from the shape table
     in runs of ``_PRODUCT_BATCH`` elements, so no (m, 8, 8) array is formed,
     and summed by one pass in element order per component, as one pass over
-    the element-ordered dofs would: the residual's bits depend on the order."""
+    the element-ordered dofs would: the residual's bits depend on the order.
+    A class is summed likewise, by one pass over its elements in element
+    order, and each of its rows K_e u_e runs over all the columns its class
+    uses, zero where the element lacks one, as if its matrix were padded to
+    them (a run of the padded rows at a time): the bits of a row's sum
+    depend on where its terms stand."""
     standard = system.standard
     elements = standard.elements
     Ku = np.empty((2, elements.shape[0], 4))  # by component, element and corner
@@ -481,10 +526,30 @@ def _product(system: LinearSystem, u: np.ndarray) -> np.ndarray:
     for a in (0, 1):  # dof 2 k + a of each corner node k
         out[a:2 * n:2] += np.bincount(elements.reshape(-1), weights=Ku[a].reshape(-1),
                                       minlength=n)
-    for matrices, dofs in system.blocks:
-        ue = np.where(dofs >= 0, u[dofs], 0.0)
-        out += np.bincount(dofs[dofs >= 0], minlength=u.size,
-                           weights=np.einsum("eij,ej->ei", matrices, ue)[dofs >= 0])
+    for blocks in system.blocks:
+        used = _distinct(np.concatenate([c.reshape(-1) for c in blocks.columns]))
+        width = 2 * used.size
+        products = []
+        for (matrices, dofs, _), columns in zip(blocks.groups, blocks.columns):
+            ue = np.where(dofs >= 0, u[dofs], 0.0)
+            if dofs.shape[1] == width:  # the element has every column of its class
+                products.append(np.einsum("eij,ej->ei", matrices, ue))
+                continue
+            at = np.broadcast_to((2 * np.searchsorted(used, columns)[:, :, None] + [0, 1])
+                                 .reshape(len(columns), -1), dofs.shape)
+            products.append(np.empty(dofs.shape))
+            step = max(1, _PRODUCT_BATCH * 64 // (dofs.shape[1] * width))
+            for lo in range(0, len(dofs), step):
+                run = slice(lo, lo + step)
+                padded = np.zeros(matrices[run].shape[:2] + (width,))
+                np.put_along_axis(padded, at[run, None], matrices[run], axis=2)
+                up = np.zeros((len(padded), width))
+                np.put_along_axis(up, at[run], ue[run], axis=1)
+                products[-1][run] = np.einsum("eij,ej->ei", padded, up)
+        eids = [ids for _, _, ids in blocks.groups]
+        dofs = _by_element(eids, [dofs for _, dofs, _ in blocks.groups])
+        products = _by_element(eids, products)
+        out += np.bincount(dofs[dofs >= 0], minlength=u.size, weights=products[dofs >= 0])
     return out
 
 
@@ -567,7 +632,7 @@ class StiffnessCache:
         tree = self.mesh.nested_dissection_tree
         every = np.arange(self.mesh.n_elements)
         table = self.standard
-        pairs = NodePairs.sum(tree, [(table.matrices, table.dofs(every), table.ids)],
+        pairs = NodePairs.sum(tree, [[(table.matrices, table.dofs(every), every, table.ids)]],
                               (2 * tree.order[:, None] + [0, 1]).ravel(),
                               np.repeat(np.arange(tree.order.size), 2))
         if not np.isfinite(pairs.blocks).all():
@@ -600,7 +665,8 @@ class StiffnessCache:
         Ke[at[same]] = self._cut_matrices[old[same]]
         if not reused.all():
             Ke[~reused] = _integrate(self.mesh, emap, elasticity_matrix(self.material),
-                                     self.standard, cut[~reused], self.rules.cut, _CUT_COLUMNS)[0]
+                                     self.standard, cut[~reused], self.rules.cut,
+                                     _CUT_COLUMNS)[0][2]
         enriched = np.flatnonzero(emap.kinds >= 2)
         changed = np.zeros(self.mesh.n_elements, dtype=bool)
         changed[self._enriched] = changed[enriched] = True
@@ -623,7 +689,12 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel, bcs=(),
     stiffness for this mesh, material and rules, built when not given.  The
     system's standard stiffness is the cache's shape table, and its blocks
     the cut and tip elements' corrections, which the same cracks give bit
-    for bit whatever the cache held.
+    for bit whatever the cache held: the cut class over the standard and
+    jump columns, and the tip class with each element over its live
+    columns only (:func:`_integrate`), a group per column count, so a tip
+    block holds (2 S)^2 entries for an element whose corners carry S
+    columns.  Every sum over the blocks adds the cut class and then the
+    tip class, each by element (:class:`ElementBlocks`).
     """
     if cache is None:
         cache = StiffnessCache(mesh, material, emap.rules)
@@ -633,16 +704,19 @@ def assemble(mesh: Mesh, emap: EnrichmentMap, material: MaterialModel, bcs=(),
     kinds = emap.kinds
 
     cut, Ke = cache.cut_matrices(emap)
-    columns = layout.column_dofs(np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])
-    blocks = [(Ke, columns.reshape(cut.size, 16))]
+    dofs = layout.column_dofs(np.tile(mesh.elements[cut], 2), BASIS_FIELD[_CUT_COLUMNS])
+    blocks = [ElementBlocks(((Ke, dofs.reshape(cut.size, 16), cut),), (_CUT_COLUMNS[None],))]
     tip = np.flatnonzero(kinds == 3)
     if tip.size:
-        Ke, nodes, used = _integrate(mesh, emap, elasticity_matrix(material), cache.standard,
-                                     tip, emap.rules.tip)
-        blocks.append((Ke, layout.column_dofs(nodes, BASIS_FIELD[used]).reshape(tip.size, -1)))
+        groups = _integrate(mesh, emap, elasticity_matrix(material), cache.standard, tip,
+                            emap.rules.tip)
+        blocks.append(ElementBlocks(tuple(
+            (Ke, layout.column_dofs(np.take_along_axis(mesh.elements[tip[rows]], cols % 4, axis=1),
+                                    BASIS_FIELD[cols]).reshape(rows.size, -1), tip[rows])
+            for rows, cols, Ke in groups), tuple(cols for _, cols, _ in groups)))
     # The standard matrices are summed and checked once per mesh, by the cache.
     pairs = cache.pairs
-    if not all(np.isfinite(m).all() for m, _ in blocks):
+    if not all(np.isfinite(m).all() for b in blocks for m, _, _ in b.groups):
         raise AssemblyError("non-finite stiffness entry")
 
     f = np.zeros(layout.total_dofs)
@@ -744,7 +818,7 @@ def solve(system: LinearSystem, load_factor: float = 1.0,
     rhs = lifted[q]
     factor = factor if factor is not None else FrontalCholesky(keep=False)
     try:
-        corrections = NodePairs.sum(tree, system.blocks, perm, owner)
+        corrections = NodePairs.sum(tree, [b.groups for b in system.blocks], perm, owner)
         del owner
         diagonal = corrections.diagonal(n)
         standard = system.pairs.leading_diagonal  # every layout numbers standard dofs first

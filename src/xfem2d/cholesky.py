@@ -123,11 +123,32 @@ def _node_slots(tree: DissectionTree, a: np.ndarray, b: np.ndarray):
     return f, slot
 
 
+def _by_element(eids, parts) -> np.ndarray:
+    """The rows of ``parts``, part g (..., e, k) over the elements
+    ``eids[g]`` (e,), laid out by element id across the parts and
+    flattened (..., total): a sum over the result adds each element's
+    entries in element order, whichever part holds it.  One part is taken
+    in its own order."""
+    if len(parts) == 1:
+        return parts[0].reshape(parts[0].shape[:-2] + (-1,))
+    width = np.concatenate([np.full(len(e), p.shape[-1]) for e, p in zip(eids, parts)])
+    by_id = np.argsort(np.concatenate(eids))
+    start = np.empty_like(width)
+    start[by_id] = np.cumsum(width[by_id]) - width[by_id]
+    out = np.empty(parts[0].shape[:-2] + (int(width.sum()),), dtype=parts[0].dtype)
+    first = 0
+    for e, p in zip(eids, parts):
+        at = start[first:first + len(e), None] + np.arange(p.shape[-1])
+        out[..., at.reshape(-1)] = p.reshape(p.shape[:-2] + (-1,))
+        first += len(e)
+    return out
+
+
 @dataclass(frozen=True)
 class NodePairs:
     """Element matrices summed into a 2x2 block per pair of two-dof
-    columns (x and y of one field of one node) that share an element, in
-    block and element order.  A pair's block has the rows of its column
+    columns (x and y of one field of one node) that share an element, by
+    class and then by element.  A pair's block has the rows of its column
     eliminated first, whose x dof is ``row``, and the columns of the other,
     from ``col``.  Front f, which eliminates the first node, holds the
     pairs ``ptr[f]:ptr[f + 1]``; the other node sits in ``slot`` there."""
@@ -139,32 +160,41 @@ class NodePairs:
     ptr: np.ndarray
 
     @classmethod
-    def sum(cls, tree: DissectionTree, blocks, order: np.ndarray,
+    def sum(cls, tree: DissectionTree, classes, order: np.ndarray,
             position: np.ndarray) -> "NodePairs":
-        """The pairs of ``blocks``, each (matrices (k, 2s, 2s), dofs (e, 2s))
-        or (matrices, dofs, rows (e,)), -1 for an absent column: element i's
-        matrix is ``matrices[rows[i]]``, by default ``matrices[i]``.  The
-        dofs are eliminated in ``order``, each node's together, and entry
-        k's node is at ``position[k]`` in ``tree.order``.
+        """The pairs of ``classes``, each a sequence of groups (matrices
+        (k, 2s, 2s), dofs (e, 2s), eids (e,)) or (matrices, dofs, eids, rows
+        (e,)), -1 for an absent column: element i's matrix is
+        ``matrices[rows[i]]``, by default ``matrices[i]``.  The dofs are
+        eliminated in ``order``, each node's together, and entry k's node is
+        at ``position[k]`` in ``tree.order``.
 
         An element's pairs are its s(s+1)/2 pairs of columns i <= j, each
         turned so that its row is the column eliminated first.  A pair is
         keyed by the two columns' places in the elimination order, -1 if one
-        is absent, and dropped after the sort."""
+        is absent, and dropped after the sort.  Each pair's sum adds the
+        classes in turn, and a class's elements by ``eids`` whatever group
+        holds them, so the bits do not depend on how a class is grouped."""
         rank = np.empty_like(order)  # each dof's place in the elimination order
         rank[order] = np.arange(order.size)
         key, entries = [np.empty(0, int)], [np.empty((4, 0))]
-        for matrices, dofs, *rows in blocks:
-            rows = rows[0] if rows else np.arange(len(dofs))
-            s = dofs.shape[1] // 2
-            column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
-            i, j = np.triu_indices(s)
-            ci, cj = column[:, i], column[:, j]
-            lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
-            key.append(np.where(lo >= 0, lo * rank.size + hi, -1).reshape(-1))
-            a, b = np.where(ci > cj, j, i), np.where(ci > cj, i, j)  # the pair's row, column
-            corner = (rows[:, None] * 4 * s * s + 4 * s * a + 2 * b).reshape(-1)
-            entries.append(matrices.reshape(-1)[corner + [[0], [1], [2 * s], [2 * s + 1]]])
+        for groups in classes:
+            keys, values, eids = [], [], []
+            for matrices, dofs, ids, *rows in groups:
+                rows = rows[0] if rows else np.arange(len(dofs))
+                s = dofs.shape[1] // 2
+                column = np.where(dofs[:, ::2] >= 0, rank[dofs[:, ::2]], -1)
+                i, j = np.triu_indices(s)
+                ci, cj = column[:, i], column[:, j]
+                lo, hi = np.minimum(ci, cj), np.maximum(ci, cj)
+                keys.append(np.where(lo >= 0, lo * rank.size + hi, -1))
+                a, b = np.where(ci > cj, j, i), np.where(ci > cj, i, j)  # the pair's row, column
+                corner = rows[:, None] * 4 * s * s + 4 * s * a + 2 * b
+                values.append(matrices.reshape(-1)[corner + np.reshape([0, 1, 2 * s, 2 * s + 1],
+                                                                       (4, 1, 1))])
+                eids.append(ids)
+            key.append(_by_element(eids, keys))
+            entries.append(_by_element(eids, values))
         key = np.concatenate(key)
         by_key = np.argsort(key, kind="stable")
         new = np.diff(key[by_key], prepend=-2) != 0

@@ -19,6 +19,7 @@ from xfem2d.assembly import (
     AssemblyError,
     BoundaryCondition,
     DofLayout,
+    ElementBlocks,
     LinearSystem,
     MaterialModel,
     QuadratureSet,
@@ -33,12 +34,13 @@ from xfem2d.assembly import (
     _element_matrices,
 )
 from xfem2d import assembly, cholesky, enrichment
-from xfem2d.benchmarks import hole_attraction_config, table1_config
+from xfem2d.benchmarks import hole_attraction_config, many_cracks_config, table1_config
 from xfem2d.cholesky import FrontalCholesky, NodePairs, _extend_add_plan
 from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack
 from xfem2d.enrichment import (
     BASIS_FIELD,
     HEAVISIDE,
+    TIP,
     EnrichmentError,
     FieldTriplet,
     classify_enrichment,
@@ -542,11 +544,19 @@ NO_ELEMENTS = ShapeTable(np.empty((0, 8, 8)), np.empty(0, dtype=np.int64),
                          np.empty((0, 4), dtype=np.int64))
 
 
+def block(matrices, dofs):
+    """Element matrices (e, m, m) over ``dofs`` (e, m) as one class of
+    blocks: a single group, the elements numbered in order, each over m/2
+    columns of its own."""
+    return ElementBlocks(((matrices, dofs, np.arange(len(dofs))),),
+                         (np.arange(dofs.shape[1] // 2)[None],))
+
+
 def one_block(K, tree):
     """A dense matrix as one element block over all of its dofs, two per
     node of ``tree``, with no standard stiffness."""
     K = np.asarray(K, dtype=float)[None]
-    blocks = ((K, np.arange(K.shape[1])[None]),)
+    blocks = (block(K, np.arange(K.shape[1])[None]),)
     pairs = NodePairs.sum(tree, [], (2 * tree.order[:, None] + [0, 1]).ravel(),
                           np.repeat(np.arange(tree.order.size), 2))
     return dict(standard=NO_ELEMENTS, blocks=blocks, pairs=pairs, tree=tree)
@@ -641,7 +651,7 @@ class TestFactorReuse:
         stiffening = np.full((1, 8, 8), 1e-3 * abs(system.K).max())
         stamps = system.stamps.copy()  # as an assembly that changed the element
         stamps[mesh.elements[eid]] += 1
-        stiffer = replace(system, blocks=system.blocks + ((stiffening, dofs[None]),),
+        stiffer = replace(system, blocks=system.blocks + (block(stiffening, dofs[None]),),
                           stamps=stamps)
         state = solve(stiffer, factor=factor)
         position = np.empty(mesh.n_nodes, dtype=np.int64)
@@ -663,7 +673,7 @@ class TestFactorReuse:
         couple[0, 0, 1] = couple[0, 1, 0] = 3.0 * np.sqrt(system.K[100, 100] * system.K[101, 101])
         stamps = system.stamps.copy()
         stamps[50] += 1  # the node of dofs 100 and 101
-        broken = replace(system, blocks=system.blocks + ((couple, np.array([[100, 101]])),),
+        broken = replace(system, blocks=system.blocks + (block(couple, np.array([[100, 101]])),),
                          stamps=stamps)
         for _ in range(2):  # nothing of the failed attempt is kept
             with pytest.raises(SolverError, match=r"positive definite \(node 50, standard y\)"):
@@ -676,8 +686,9 @@ class TestFactorReuse:
         _, _, system = center_crack_with_tips()
         factor = FrontalCholesky()
         first = solve(system, factor=factor)
-        same = replace(system, blocks=tuple((m.copy(), d.copy()) for m, d in system.blocks),
-                       stamps=system.stamps.copy())  # unchanged stamps
+        same = replace(system, blocks=tuple(
+            ElementBlocks(tuple((m.copy(), d.copy(), e.copy()) for m, d, e in b.groups), b.columns)
+            for b in system.blocks), stamps=system.stamps.copy())  # unchanged stamps
         again = solve(same, factor=factor)
         assert again.factor.fronts_refactored == 0
         np.testing.assert_array_equal(again.u, first.u)
@@ -732,14 +743,34 @@ class TestSolvePath:
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def padded(blocks):
+    """A class of blocks as one padded block: every element, by id, over
+    all the columns the class uses, zero and dof -1 where it lacks one.
+    Returns the matrices, dofs, element ids and columns."""
+    used = np.unique(np.concatenate([c.ravel() for c in blocks.columns]))
+    eids = np.concatenate([e for _, _, e in blocks.groups])
+    width = 2 * used.size
+    matrices, dofs = np.zeros((eids.size, width, width)), np.full((eids.size, width), -1)
+    k = 0
+    for (m, d, e), columns in zip(blocks.groups, blocks.columns):
+        at = 2 * np.searchsorted(used, np.broadcast_to(columns, (e.size, columns.shape[1])))
+        at = (at[:, :, None] + [0, 1]).reshape(e.size, -1)
+        rows = np.arange(k, k + e.size)[:, None]
+        matrices[rows[:, :, None], at[:, :, None], at[:, None, :]] = m
+        dofs[rows, at] = d
+        k += e.size
+    order = np.argsort(eids)
+    return matrices[order], dofs[order], eids[order], used
+
+
 def product_reference(system, u):
     """K u as each element's K_e u_e, the standard matrices of every element
-    gathered at once, summed by one pass per block over its element-ordered
-    dofs."""
+    gathered at once, each class padded to one block, summed by one pass
+    per block over its element-ordered dofs."""
     every = np.arange(system.standard.ids.size)
     out = np.zeros(u.size)
     for matrices, dofs in ((system.standard.take(every), system.standard.dofs(every)),
-                           *system.blocks):
+                           *(padded(b)[:2] for b in system.blocks)):
         ue = np.where(dofs >= 0, u[dofs], 0.0)
         out += np.bincount(dofs[dofs >= 0], minlength=u.size,
                            weights=np.einsum("eij,ej->ei", matrices, ue)[dofs >= 0])
@@ -773,7 +804,7 @@ class TestBatches:
         stamps = system.stamps.copy()
         stamps[mesh.elements[eid]] += 1
         stiffer = replace(system, stamps=stamps, blocks=system.blocks + (
-            (np.full((1, 8, 8), 1e8), system.standard.dofs([eid])),))
+            block(np.full((1, 8, 8), 1e8), system.standard.dofs([eid])),))
         runs = []
         for size in (batch, system.tree.n_fronts):
             factor, solved = FrontalCholesky(), []
@@ -789,7 +820,9 @@ class TestBatches:
 
 
 class TestPeakMemory:
-    def test_peak_is_the_factor_plus_what_is_distinct(self):
+    @pytest.mark.parametrize("build", [lambda: table1_config(5.0), many_cracks_config],
+                             ids=["table1", "many cracks"])
+    def test_peak_is_the_factor_plus_what_is_distinct(self, build):
         # tracemalloc's peak over assemble + solve against what the design
         # holds at once, each term computed from the system, not measured:
         # F the factor; P the standard stiffness's node-pair sums; E one
@@ -801,9 +834,12 @@ class TestPeakMemory:
         # pair sums; V 24 eight-byte vectors per dof, the solve's own (about
         # 16: values, places and masks of the dofs, the lift, the residual)
         # and the factorization's (about 8).  The standard matrices of every
-        # element, at 512 bytes each (2.6 MiB here), or the entries of every
-        # front at once would not fit.
-        config = table1_config(5.0)
+        # element, at 512 bytes each (2.6 MiB on Table 1's plate), or the
+        # entries of every front at once would not fit.  On the many-cracks
+        # plate the tip blocks are the largest part of C: each tip-class
+        # element holds (2 S)^2 eight-byte entries, S the columns its
+        # corners carry, read here from their status.
+        config = build()
         mesh = config.mesh
         emap = classify_enrichment(mesh, list(config.cracks))
         tree = mesh.nested_dissection_tree  # the mesh's own, built before
@@ -817,7 +853,8 @@ class TestPeakMemory:
             tracemalloc.stop()
         n = system.layout.total_dofs
         standard = system.pairs
-        corrections = NodePairs.sum(tree, system.blocks, *system.layout.node_dofs(tree.order))
+        corrections = NodePairs.sum(tree, [b.groups for b in system.blocks],
+                                    *system.layout.node_dofs(tree.order))
 
         def nbytes(pairs):
             return sum(a.nbytes for a in (pairs.row, pairs.col, pairs.slot, pairs.blocks,
@@ -834,9 +871,14 @@ class TestPeakMemory:
             S = max(S, sum(pending.values()) + children + 8 * (p[f] + r[f]) ** 2)
             if tree.parent[f] >= 0:
                 pending[f] = 8 * r[f] ** 2
-        C = nbytes(corrections) + sum(m.nbytes + d.nbytes for m, d in system.blocks)
+        C = nbytes(corrections) + sum(m.nbytes + d.nbytes + e.nbytes
+                                      for b in system.blocks for m, d, e in b.groups)
         bound = 8 * stats.factor_entries + nbytes(standard) + E + S + C + 24 * 8 * n
         assert peak <= bound
+        status = emap.status[mesh.elements[emap.kinds == 3]]
+        columns = 4 + np.sum(status == HEAVISIDE, axis=1) + 4 * np.sum(status == TIP, axis=1)
+        held = sum(m.nbytes for b in system.blocks[1:] for m, _, _ in b.groups)
+        assert held == np.sum((2 * columns) ** 2 * 8)
 
 
 def dense_sum(blocks, n):
@@ -847,6 +889,12 @@ def dense_sum(blocks, n):
             has = d >= 0
             K[np.ix_(d[has], d[has])] += Ke[np.ix_(has, has)]
     return K
+
+
+def classes(blocks):
+    """Blocks (matrices, dofs) or (matrices, dofs, rows) as classes of one
+    group each, for :meth:`NodePairs.sum`, the elements numbered in order."""
+    return [[(m, d, np.arange(len(d)), *rows)] for m, d, *rows in blocks]
 
 
 def masked_pair_sum(blocks, position):
@@ -903,7 +951,7 @@ class TestNodePairs:
                                   ([(table, std_dofs, rows), correction],
                                    [(table[rows], std_dofs), correction])):
             order = np.argsort(position, kind="stable")
-            pairs = NodePairs.sum(tree, blocks, order, position[order])
+            pairs = NodePairs.sum(tree, classes(blocks), order, position[order])
             row, col, sums = masked_pair_sum(reference or blocks, position)
             np.testing.assert_array_equal(pairs.row, row)
             np.testing.assert_array_equal(pairs.col, col)
@@ -943,14 +991,91 @@ class TestNodePairs:
         tree = DissectionTree(order=np.arange(2), start=np.array([0, 1, 2]),
                               parent=np.array([-1, -1]), row_start=np.array([0, 0, 0]),
                               rows=np.empty(0, dtype=np.int64))
-        own = (np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
-        coupling = (np.full((1, 4, 4), 0.1), np.arange(4)[None])
+        own = block(np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
+        coupling = block(np.full((1, 4, 4), 0.1), np.arange(4)[None])
         system = LinearSystem(standard=NO_ELEMENTS, blocks=(own, coupling),
                               pairs=NodePairs.sum(tree, [], np.arange(4), np.repeat([0, 1], 2)),
                               f=np.ones(4), fixed={}, layout=plain_layout(2), tree=tree,
                               stamps=np.zeros(2, dtype=np.int64))
         with pytest.raises(SolverError, match="keeps apart"):
             solve(system)
+
+
+def padded_tip_block(mesh, emap, material, standard, layout):
+    """The tip-class elements' stiffness as one padded batch: every
+    element over the columns that the corners of some tip-class element
+    carry, zero where its own corners do not, dof -1 there."""
+    eids = np.flatnonzero(emap.kinds == 3)
+    rule = emap.rules.tip
+    q = rule.n_points
+    N, dN, wdet, xs = element_geometry(mesh.element_coords(eids), rule)
+    _, grads, nodes = enriched_basis(mesh, emap, np.repeat(eids, q), np.tile(N, (eids.size, 1)),
+                                     dN.reshape(-1, 4, 2), xs.reshape(-1, 2))
+    nodes = nodes[::q]
+    kind = np.minimum(BASIS_FIELD, TIP)
+    used = np.flatnonzero((kind == 0) | (emap.status[nodes] == kind).any(axis=0))
+    Ke = _element_matrices(grads.reshape(eids.size, q, 24, 2)[:, :, used], wdet,
+                           elasticity_matrix(material))
+    Ke[:, :8, :8] -= standard.take(eids)
+    dofs = layout.column_dofs(nodes[:, used], BASIS_FIELD[used]).reshape(eids.size, -1)
+    return ElementBlocks(((Ke, dofs, eids),), (used[None],))
+
+
+def compact_case(name):
+    """A map whose tip-class elements differ in the columns they carry."""
+    mesh = uniform_rect(1.0, 1.0, 10, 10)
+    if name == "many cracks":
+        config = many_cracks_config()
+        return config.mesh, classify_enrichment(config.mesh, list(config.cracks)), config.bcs
+    if name == "two tips in one element":  # tips one element apart
+        crack = CrackPath(vertices=np.array([[0.33, 0.55], [0.47, 0.55]]), id=0)
+        return mesh, classify_enrichment(mesh, [crack]), STAMP_BCS
+    if name == "tip enrichment off":
+        crack = CrackPath(vertices=np.array([[0.31, 0.52], [0.69, 0.52]]), id=0)
+        return mesh, classify_enrichment(mesh, [crack], tip_enrichment=False), STAMP_BCS
+    # a crack just above a node row: the row's upper neighbours are demoted
+    crack = CrackPath(vertices=np.array([[0.15, 0.5002], [0.85, 0.5002]]), id=0)
+    return mesh, classify_enrichment(mesh, [crack], delta=0.002), STAMP_BCS
+
+
+class TestCompactTipBlocks:
+    """Each tip-class element is held over only the columns its corners
+    carry, and gives the bits of the padded batch it replaces."""
+
+    @pytest.mark.parametrize("name", ["many cracks", "two tips in one element",
+                                      "tip enrichment off", "demoted corner"])
+    def test_sums_products_and_matrix_equal_the_padded_reference(self, name):
+        mesh, emap, bcs = compact_case(name)
+        system = assemble(mesh, emap, STEEL, bcs)
+        status = emap.status[mesh.elements[emap.kinds == 3]]
+        if name == "many cracks":  # the tip class in several groups
+            assert len(system.blocks[1].groups) > 2
+        elif name == "two tips in one element":
+            tips = emap.node_tip[mesh.elements[emap.kinds == 3]]
+            assert ((tips == 0).any(axis=1) & (tips == 1).any(axis=1)).any()
+        elif name == "tip enrichment off":
+            assert emap.n_tip == 0 and not (status == TIP).any()
+        else:  # a tip-class element with a corner demoted off the crack's support
+            demoted = np.zeros(mesh.n_nodes, dtype=bool)
+            demoted[[n for n, _, _ in emap.demotions]] = True
+            corner = demoted[mesh.elements[emap.kinds == 3]]
+            assert (corner & (status == 0)).any() and (status == HEAVISIDE).any()
+        tip = np.flatnonzero(emap.kinds == 3)
+        reference = replace(system, blocks=system.blocks[:1] + (
+            (padded_tip_block(mesh, emap, STEEL, system.standard, system.layout),)
+            if tip.size else ()))
+        assert len(system.blocks) == len(reference.blocks)
+        perm, owner = system.layout.node_dofs(system.tree.order)
+        got, want = (NodePairs.sum(system.tree, [b.groups for b in s.blocks], perm, owner)
+                     for s in (system, reference))
+        np.testing.assert_array_equal(got.row, want.row)
+        np.testing.assert_array_equal(got.col, want.col)
+        assert list(map(float.hex, got.blocks.ravel())) == list(map(float.hex,
+                                                                    want.blocks.ravel()))
+        u = np.random.default_rng(8).normal(size=system.layout.total_dofs)
+        assert list(map(float.hex, assembly._product(system, u))) == \
+            list(map(float.hex, assembly._product(reference, u)))
+        assert_bit_equal(system.K, reference.K)
 
 
 class TestPivotReport:
@@ -960,9 +1085,11 @@ class TestPivotReport:
         node = int(np.flatnonzero(system.layout.disc_slot >= 0)[3])
         dof = system.layout.column_dofs(node, 1)[1]
         blocks = []
-        for matrices, dofs in system.blocks:
-            hit = dofs == dof
-            blocks.append((np.where(hit[:, :, None] | hit[:, None, :], 0.0, matrices), dofs))
+        for b in system.blocks:
+            hit = [dofs == dof for _, dofs, _ in b.groups]
+            blocks.append(ElementBlocks(tuple(
+                (np.where(h[:, :, None] | h[:, None, :], 0.0, matrices), dofs, eids)
+                for h, (matrices, dofs, eids) in zip(hit, b.groups)), b.columns))
         broken = replace(system, blocks=tuple(blocks))
         with pytest.raises(AssemblyError,
                            match=rf"diagonal 0 on a free dof \(node {node}, jump y\)"):
@@ -980,7 +1107,7 @@ class TestPivotReport:
         pair = system.layout.column_dofs(node, field)
         negate = np.zeros((1, 2, 2))
         negate[0, component, component] = -2.0 * system.K[pair[component], pair[component]]
-        broken = replace(system, blocks=system.blocks + ((negate, pair[None]),))
+        broken = replace(system, blocks=system.blocks + (block(negate, pair[None]),))
         factor = FrontalCholesky()
         name = {0: "standard", 1: "jump"}.get(field, f"branch {field - 2}")
         with pytest.raises(AssemblyError, match=rf"non-positive stiffness diagonal -\S+ on a free "
@@ -997,7 +1124,7 @@ class TestPivotReport:
         couple = np.zeros((1, 2, 2))
         couple[0, 0, 1] = couple[0, 1, 0] = 3.0 * np.sqrt(system.K[pair[0], pair[0]]
                                                           * system.K[pair[1], pair[1]])
-        broken = replace(system, blocks=system.blocks + ((couple, pair[None]),))
+        broken = replace(system, blocks=system.blocks + (block(couple, pair[None]),))
         with pytest.raises(SolverError, match=rf"not positive definite \(node {node}, jump y\)"):
             solve(broken)
 
@@ -1289,10 +1416,10 @@ def recording_cut_integrations(monkeypatch):
     integrates from now on, in a list the caller may clear."""
     batches, real = [], assembly._integrate
 
-    def recording(mesh, emap, D, standard, eids, rule, used=None):
-        if used is not None:
+    def recording(mesh, emap, D, standard, eids, rule, columns=None):
+        if columns is not None:
             batches.append(eids)
-        return real(mesh, emap, D, standard, eids, rule, used)
+        return real(mesh, emap, D, standard, eids, rule, columns)
 
     monkeypatch.setattr(assembly, "_integrate", recording)
     return batches

@@ -343,9 +343,10 @@ class TestErrorPaths:
         # factorization with the dof named.
         real = xfem2d.assembly._integrate
 
-        def negated_tips(mesh, emap, D, standard, eids, rule, used=None):
-            Ke, nodes, columns = real(mesh, emap, D, standard, eids, rule, used)
-            return (-Ke if used is None else Ke), nodes, columns
+        def negated_tips(mesh, emap, D, standard, eids, rule, columns=None):
+            groups = real(mesh, emap, D, standard, eids, rule, columns)
+            return groups if columns is not None else [(rows, cols, -Ke)
+                                                       for rows, cols, Ke in groups]
 
         monkeypatch.setattr(xfem2d.assembly, "_integrate", negated_tips)
         code = main(["solve", "--config", write_case(tmp_path),
@@ -378,10 +379,10 @@ class TestSubprocessEntry:
     def test_run_imports_only_what_the_package_loaded(self, tmp_path):
         # Every run is a fresh process that pays its imports again.  The
         # package runs neither scipy's __init__ nor scipy.linalg's (and so
-        # not the numpy.f2py its array-API layer loads), needs no numpy.ma
-        # and no csv, and neither building and writing the benchmark
-        # inputs nor a run imports anything more: only LinearSystem.K, off
-        # the run path, would import scipy.sparse.
+        # not the numpy.f2py its array-API layer loads), needs no numpy.ma,
+        # no numpy.polynomial and no csv, and neither building and writing
+        # the benchmark inputs nor a run imports anything more: only
+        # LinearSystem.K, off the run path, would import scipy.sparse.
         runs = []
         for command, extra in (("solve", ""), ("propagate", GROWTH_SECTIONS)):
             case = tmp_path / command
@@ -392,8 +393,8 @@ class TestSubprocessEntry:
         script = (
             "import dataclasses, os, sys, xfem2d, xfem2d.cli\n"
             "loaded = set(sys.modules)\n"
-            "print('@', sorted({'scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.ma', 'csv'}"
-            " & loaded))\n"
+            "print('@', sorted({'scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.ma', "
+            "'numpy.polynomial', 'csv'} & loaded))\n"
             "from xfem2d.benchmarks import hole_attraction_config, many_cracks_config, "
             "table1_config\n"
             "loaded = set(sys.modules)\n"

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.polynomial.legendre import leggauss
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from xfem2d.mesh import (
     _dissect_level,
     _distinct,
     _element_node_pairs,
+    _gauss_1d,
     _member,
     dump_mesh,
     gauss_rule,
@@ -845,6 +847,18 @@ class TestGaussRule:
     def test_weights_sum_to_reference_area(self):
         for target in (4, 35, 40, 100):
             assert gauss_rule(target).weights.sum() == pytest.approx(4.0, abs=1e-12)
+
+    def test_nodes_and_weights_are_numpys_bit_for_bit(self):
+        # Every order a rule of up to 64 x 64 points is built from, and the
+        # edge rule's 6: the package's own steps give leggauss's bits.
+        for n in range(1, 65):
+            for ours, numpys in zip(_gauss_1d(n), leggauss(n)):
+                assert ours.tobytes() == numpys.tobytes(), n
+        rule = gauss_rule(40)
+        x, w = leggauss(7)
+        assert rule.points.tobytes() == np.column_stack(
+            [np.repeat(x, 7), np.tile(x, 7)]).tobytes()
+        assert rule.weights.tobytes() == np.outer(w, w).ravel().tobytes()
 
 
 class TestLocatePoint:
