@@ -110,6 +110,11 @@ class TipFrame:
         if abs(float(self.tangent @ self.normal)) > 1e-12:
             raise CrackGeometryError("tip frame must be orthogonal")
 
+    @property
+    def axes(self) -> np.ndarray:
+        """Local-to-global rotation (2, 2): columns ``tangent`` and ``normal``."""
+        return np.column_stack([self.tangent, self.normal])
+
 
 def heaviside(phi):
     """Generalized Heaviside of the signed distance: +1 for phi >= 0, else -1."""

@@ -86,8 +86,6 @@ __all__ = [
     "shifted_heaviside",
     "branch_eval",
     "tip_polar",
-    "branch_theta",
-    "branch_frame",
     "branch_functions",
     "crack_opening",
     "evaluate_fields",
@@ -857,47 +855,32 @@ def branch_eval(r, theta):
     return values, np.stack([dx, dy], axis=-1)
 
 
-def tip_polar(tinfo: TipInfo, xs: np.ndarray):
-    """Distance r from the tip and unsigned angle |theta| from its tangent,
-    each (k,), at points ``xs`` (k, 2)."""
+def tip_polar(tinfo: TipInfo, xs: np.ndarray, side):
+    """Distance r from the tip and branch angle theta, each (k,), at points
+    ``xs`` (k, 2) on ``side`` (k,) of the tip's crack (+1 or -1, the
+    :func:`~xfem2d.cracks.heaviside` of the signed distance).
+
+    The angle's size comes from the tip frame and its sign from the crack
+    side, so theta = +/-pi falls exactly on the faces of a kinked crack as
+    well.  It grows toward the frame normal: the crack's positive side at
+    the end tip (1), its negative side at the start tip (0), whose tangent
+    reverses the first segment.  Its local axes are
+    :attr:`~xfem2d.cracks.TipFrame.axes`.
+    """
     rel = np.atleast_2d(xs) - tinfo.frame.origin
     xp = rel @ tinfo.frame.tangent
     yp = rel @ tinfo.frame.normal
-    return np.hypot(xp, yp), np.abs(np.arctan2(yp, xp))
-
-
-def branch_theta(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
-    """Tip-polar coordinates with theta's sign taken from the crack side.
-
-    The branch discontinuity must fall exactly on the crack face, so the
-    angle magnitude comes from the tip frame (:func:`tip_polar`) while its
-    sign comes from the signed distance to the (possibly kinked) crack
-    polyline.
-    """
-    xs = np.atleast_2d(xs)
-    r, theta = tip_polar(tinfo, xs)
-    return r, heaviside(signed_distance_batch(crack, xs)) * theta
-
-
-def branch_frame(tinfo: TipInfo) -> np.ndarray:
-    """Local-to-global rotation of the axes the branch angle is measured in.
-
-    The signed angle of :func:`branch_theta` is positive on the crack's
-    positive-distance side.  At the end tip that side coincides with the
-    frame normal; at the start tip (whose tangent reverses the first
-    segment) it is the opposite of the frame normal, so the local y axis
-    used for gradients must be mirrored there.
-    """
-    flip = 1.0 if tinfo.tip_id == 1 else -1.0
-    return np.column_stack([tinfo.frame.tangent, flip * tinfo.frame.normal])
+    sign = side if tinfo.tip_id == 1 else -side
+    return np.hypot(xp, yp), sign * np.abs(np.arctan2(yp, xp))
 
 
 def branch_functions(tinfo: TipInfo, crack: CrackPath, xs: np.ndarray):
     """Tip radius r (k,), branch functions F (k, 4) and their global
     gradients dF (k, 4, 2) at points ``xs``."""
-    r, theta = branch_theta(tinfo, crack, xs)
+    xs = np.atleast_2d(xs)
+    r, theta = tip_polar(tinfo, xs, heaviside(signed_distance_batch(crack, xs)))
     F, dF_local = branch_eval(np.maximum(r, 1e-30), theta)
-    return r, F, np.einsum("kjb,ab->kja", dF_local, branch_frame(tinfo))
+    return r, F, np.einsum("kjb,ab->kja", dF_local, tinfo.frame.axes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ The weight q is bilinear on the mesh: 1 at the nodes strictly inside a
 radius R around the tip, 0 at the others.  So q_,j vanishes outside the
 *ring* of elements with corners on both sides of that circle, and the
 integral runs over the ring alone, each of its integration classes at the
-rule the stiffness takes for it.  The auxiliary angle has its magnitude
-from the tip frame and its sign from the side of the crack (as in
-:func:`~xfem2d.enrichment.branch_theta`), so its discontinuity lies on
-the faces of a kinked crack as well.
+rule the stiffness takes for it.  The auxiliary angle is the enriched
+basis's own (:func:`~xfem2d.enrichment.tip_polar`): its magnitude from the
+tip frame and its sign from the side of the crack, so its discontinuity
+lies on the faces of a kinked crack as well.
 
 A domain is rejected when the tip element is not wholly inside R (the
 ring would reach the singular point, or be empty), and when the circle
@@ -416,11 +416,8 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         spans.append(span)
         if span is None:
             continue
-        r[span], theta[span] = tip_polar(tinfo, xs[span])
-        # the branch angle grows toward the crack's positive side, which is
-        # the frame normal's at tip 1 and the opposite at tip 0
-        theta[span] *= side[span] if tinfo.tip_id == 1 else -side[span]
-        Q = np.column_stack([tinfo.frame.tangent, tinfo.frame.normal])
+        r[span], theta[span] = tip_polar(tinfo, xs[span], side[span])
+        Q = tinfo.frame.axes
         grad[span] = Q.T @ grad[span] @ Q
         dq[span] = dq[span] @ Q
         # the material is isotropic, so D gives the stress in any frame

@@ -42,7 +42,6 @@ from xfem2d.enrichment import (
     TipInfo,
     branch_eval,
     branch_functions,
-    branch_theta,
     classify_enrichment,
     classify_with_remedy,
     crack_opening,
@@ -50,6 +49,7 @@ from xfem2d.enrichment import (
     enriched_basis,
     evaluate_fields,
     shifted_heaviside,
+    tip_polar,
 )
 from xfem2d.mesh import (
     Mesh,
@@ -144,6 +144,12 @@ class TestBranchEval:
             branch_eval(0.0, 0.3)
 
 
+def side_polar(tinfo, crack, xs):
+    """:func:`tip_polar` of points, each on its side of the crack."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    return tip_polar(tinfo, xs, heaviside(signed_distance_batch(crack, xs)))
+
+
 class TestBranchTheta:
     def setup_method(self):
         self.crack = CrackPath(vertices=np.array([[0.2, 0.5], [0.6, 0.5]]), id=0)
@@ -153,25 +159,48 @@ class TestBranchTheta:
 
     def test_ahead_of_tip(self):
         # ahead, on the frame normal, and at the tip itself
-        r, th = branch_theta(self.tinfo, self.crack, np.array([[0.7, 0.5], [0.6, 0.6],
-                                                               [0.6, 0.5]]))
+        r, th = side_polar(self.tinfo, self.crack, [[0.7, 0.5], [0.6, 0.6], [0.6, 0.5]])
         np.testing.assert_allclose(r, [0.1, 0.1, 0.0], atol=1e-15)
         np.testing.assert_allclose(th, [0.0, np.pi / 2, 0.0], atol=1e-12)
 
     def test_signs_follow_crack_side(self):
-        _, th_up = branch_theta(self.tinfo, self.crack, np.array([[0.5, 0.51]]))
-        _, th_dn = branch_theta(self.tinfo, self.crack, np.array([[0.5, 0.49]]))
+        _, th_up = side_polar(self.tinfo, self.crack, [[0.5, 0.51]])
+        _, th_dn = side_polar(self.tinfo, self.crack, [[0.5, 0.49]])
         assert th_up[0] > np.pi / 2
         assert th_dn[0] == pytest.approx(-th_up[0])
 
     def test_on_face_maps_to_positive_pi(self):
-        _, th = branch_theta(self.tinfo, self.crack, np.array([[0.45, 0.5]]))
+        _, th = side_polar(self.tinfo, self.crack, [[0.45, 0.5]])
         assert th[0] == pytest.approx(np.pi)
 
     def test_continuous_across_forward_extension(self):
-        up, _ = branch_eval(*branch_theta(self.tinfo, self.crack, np.array([[0.7, 0.5 + 1e-9]])))
-        dn, _ = branch_eval(*branch_theta(self.tinfo, self.crack, np.array([[0.7, 0.5 - 1e-9]])))
+        up, _ = branch_eval(*side_polar(self.tinfo, self.crack, [[0.7, 0.5 + 1e-9]]))
+        dn, _ = branch_eval(*side_polar(self.tinfo, self.crack, [[0.7, 0.5 - 1e-9]]))
         np.testing.assert_allclose(up, dn, atol=1e-6)
+
+    def test_start_tip_angle_grows_toward_the_frame_normal(self):
+        # The start tip's tangent reverses the first segment, so its frame
+        # normal, (0, -1) here, points to the crack's negative side: the
+        # angle grows toward it, a point on the face (the positive side)
+        # takes -pi, and the basis differentiates along the frame's own axes.
+        tinfo = TipInfo(crack_id=0, tip_id=0, frame=tip_frame(self.crack, 0), element=0)
+        np.testing.assert_array_equal(tinfo.frame.axes, [[-1.0, 0.0], [0.0, -1.0]])
+        r, th = side_polar(tinfo, self.crack, [[0.1, 0.5], [0.2, 0.4], [0.2, 0.6],
+                                               [0.3, 0.49], [0.3, 0.51], [0.3, 0.5]])
+        np.testing.assert_allclose(r[:3], 0.1, rtol=1e-14)
+        np.testing.assert_allclose(th[:3], [0.0, np.pi / 2, -np.pi / 2], atol=1e-12)
+        assert np.pi / 2 < th[3] < np.pi and th[4] == pytest.approx(-th[3])
+        assert th[5] == pytest.approx(-np.pi)
+        # off the faces, the global gradients are the values' differences
+        h = 1e-7
+        for x in ([0.13, 0.41], [0.27, 0.56], [0.31, 0.47]):
+            x = np.array(x)
+            _, _, dF = branch_functions(tinfo, self.crack, x)
+            for b in range(2):
+                step = h * np.eye(2)[b]
+                fd = (branch_functions(tinfo, self.crack, x + step)[1]
+                      - branch_functions(tinfo, self.crack, x - step)[1]) / (2 * h)
+                np.testing.assert_allclose(dF[0, :, b], fd[0], rtol=1e-5, atol=1e-7)
 
 
 class TestClassifyCenterCrack:
@@ -1062,10 +1091,10 @@ def _per_element_field_eval(mesh, emap, fields, eid, locs, xs):
             grad += np.einsum("k,kb,a->kab", M, dN[:, li], fields.u_disc[n])
         else:
             tinfo = emap.tips[int(emap.node_tip[n])]
-            r, theta = branch_theta(tinfo, crack, xs)
+            r, theta = side_polar(tinfo, crack, xs)
             F, dF_local = branch_eval(np.maximum(r, 1e-30), theta)
             u += np.einsum("k,kj,ja->ka", values[:, li], F, fields.u_tip[n])
-            dF = np.einsum("kjb,ab->kja", dF_local, enrichment.branch_frame(tinfo))
+            dF = np.einsum("kjb,ab->kja", dF_local, tinfo.frame.axes)
             G = F[..., None] * dN[:, li, None, :] + values[:, li, None, None] * dF
             grad += np.einsum("kjb,ja->kab", G, fields.u_tip[n])
     return u, grad
