@@ -3,9 +3,9 @@
 Takes the fixed background mesh plus the crack set and decides, node by
 node, which extra discontinuous (Heaviside) and singular (branch) degrees
 of freedom exist.  Also provides the enrichment functions themselves —
-the shifted Heaviside factor M and the four crack-tip branch functions —
-and the reconstruction of displacements/gradients from a solved triplet
-of nodal fields.
+the shifted Heaviside factor M and the four crack-tip branch functions at
+the one branch angle, :func:`tip_polar`'s, which the SIF pass shares —
+and the reconstruction of displacements/gradients from solved fields.
 
 Two enrichment modes are supported.  With tip enrichment, the element
 containing each live tip carries branch functions.  Without it, each

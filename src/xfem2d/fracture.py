@@ -6,8 +6,12 @@ Belytschko, IJNME 46, 1999).  In the tip frame,
 
     I = ∫ [σ_ij u^aux_i,1 + σ^aux_ij u_i,1 − W^(1,2) δ_1j] q_,j dA,
 
-with W^(1,2) = σ_ij ε^aux_ij, pairs the solved field with the closed-form
-unit-intensity (Williams) field of one mode, and K = E' I / 2.  Half the
+with W^(1,2) = σ_ij ε^aux_ij, pairs the solved field with the
+unit-intensity (Williams) field of one mode, and K = E' I / 2.  That field
+is written in the four branch functions of the enriched basis, which span
+it (Fleming, Chu, Moran & Belytschko, IJNME 40, 1997): its displacement is
+W F / (2 μ √(2π)) with constant weights W per mode, its gradient W ∇F at
+the same scale, and its stress Hooke's law of that gradient.  Half the
 same integral of the solved field with itself is the J integral.
 
 The weight q is bilinear on the mesh: 1 at the nodes strictly inside a
@@ -35,12 +39,13 @@ domains come from one :meth:`~xfem2d.mesh.Mesh.box_query` and are checked
 with array operations; the rings' rule points, at the map's own rules
 (:attr:`~xfem2d.enrichment.EnrichmentMap.rules`), and the solved field on
 them come from one :meth:`~xfem2d.mesh.QuadratureSet.rule_points` and one
-:func:`~xfem2d.enrichment.element_fields` call; the crack side from one
-signed distance per crack; and the auxiliary fields of both modes from one
-trigonometric pass.  The points are then regrouped by tip, stably, so
-each tip's integrals sum the same terms in the same order as a pass over
-that tip alone: the result at a tip does not depend on which other tips
-share its pass.  :func:`extract_sifs` integrates one tip of such a pass,
+:func:`~xfem2d.enrichment.element_fields` call; and the auxiliary fields
+of both modes from one branch-function evaluation, at each point's
+:func:`~xfem2d.enrichment.tip_polar` from its tip.  The points are
+regrouped by tip, stably, before the tip angles are taken, so each tip's
+integrals sum the same terms in the same order as a pass over that tip
+alone: the result at a tip does not depend on which other tips share its
+pass.  :func:`extract_sifs` integrates one tip of such a pass,
 or makes the pass of that tip alone, and its result records the radius the
 tip took; :func:`direct_j_integral` is the pass at one tip.
 """
@@ -55,8 +60,8 @@ import numpy as np
 
 from xfem2d.assembly import MaterialModel, SolutionState, elasticity_matrix, voigt_strain
 from xfem2d.cracks import heaviside, signed_distance_batch
-from xfem2d.enrichment import EnrichmentMap, TipInfo, element_fields, tip_polar
-from xfem2d.mesh import Mesh, _distinct, point_segment_distance
+from xfem2d.enrichment import EnrichmentMap, TipInfo, branch_eval, element_fields, tip_polar
+from xfem2d.mesh import Mesh, point_segment_distance
 
 __all__ = [
     "FractureError",
@@ -94,40 +99,28 @@ class SifResult:
 
 
 # ---------------------------------------------------------------------------
-# closed-form unit-intensity tip fields
+# unit-intensity tip fields, in the branch basis
 # ---------------------------------------------------------------------------
 
-def _williams_angular(mode: int, c, s, kappa: float):
-    """Angular functions g(theta) and g'(theta), shape (..., 2), of the
-    unit-intensity displacement u = sqrt(r) g(theta) / (2 mu sqrt(2 pi)),
-    given c = cos(theta/2) and s = sin(theta/2)."""
-    if mode == 1:
-        g = np.stack([c * (kappa - 1.0 + 2.0 * s * s),
-                      s * (kappa + 1.0 - 2.0 * c * c)], axis=-1)
-        gp = np.stack(
-            [-0.5 * s * (kappa - 1.0) + s * (2.0 * c * c - s * s),
-             0.5 * c * (kappa + 1.0) - c**3 + 2.0 * s * s * c],
-            axis=-1,
-        )
-    elif mode == 2:
-        g = np.stack([s * (kappa + 1.0 + 2.0 * c * c),
-                      -c * (kappa - 1.0 - 2.0 * s * s)], axis=-1)
-        gp = np.stack(
-            [0.5 * c * (kappa + 1.0) + c**3 - 2.0 * s * s * c,
-             0.5 * s * (kappa - 1.0) - s**3 + 2.0 * s * c * c],
-            axis=-1,
-        )
-    else:
+def _williams_weights(mode: int, material: MaterialModel):
+    """W (2, 4) and the scale 2 mu sqrt(2 pi) of the unit-intensity
+    displacement of ``mode`` in the tip frame, u = W F / (2 mu sqrt(2 pi)):
+    F are the four branch functions of :func:`~xfem2d.enrichment.branch_eval`,
+    which span it."""
+    k = material.kolosov
+    weights = {1: [[0.0, k - 1.0, 1.0, 0.0], [k + 1.0, 0.0, 0.0, -1.0]],
+               2: [[k + 1.0, 0.0, 0.0, 1.0], [0.0, 1.0 - k, 1.0, 0.0]]}
+    if mode not in weights:
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    return g, gp
+    return np.array(weights[mode]), 2.0 * material.shear_modulus * np.sqrt(2.0 * np.pi)
 
 
 def williams_displacement(mode: int, r, theta, material: MaterialModel):
-    """Unit-intensity near-tip displacement (..., 2) in the tip frame."""
-    half = np.asarray(theta, dtype=float) / 2.0
-    g, _ = _williams_angular(mode, np.cos(half), np.sin(half), material.kolosov)
-    amp_u = 1.0 / (2.0 * material.shear_modulus * np.sqrt(2.0 * np.pi))
-    return (amp_u * np.sqrt(r))[..., None] * g
+    """Unit-intensity near-tip displacement (..., 2) in the tip frame, at
+    r > 0 and the branch angle theta."""
+    W, scale = _williams_weights(mode, material)
+    F, _ = branch_eval(r, theta)
+    return (F @ W.T) / scale
 
 
 def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
@@ -141,38 +134,18 @@ def auxiliary_fields(mode: int, r, theta, material: MaterialModel):
 
 
 def _auxiliary_fields(modes, r, theta, material: MaterialModel):
-    """:func:`auxiliary_fields` of each of ``modes``, from one pass of the
-    trigonometric and radial factors they share."""
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r <= 0.0):
+    """:func:`auxiliary_fields` of each of ``modes``, from one evaluation of
+    the branch functions: the gradient is W dF / (2 mu sqrt(2 pi)), and the
+    stress Hooke's law of it, as for the solved field."""
+    if np.any(np.asarray(r) <= 0.0):
         raise ValueError("auxiliary fields require r > 0")
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    c3 = np.cos(3.0 * theta / 2.0)
-    s3 = np.sin(3.0 * theta / 2.0)
-    amp = 1.0 / np.sqrt(2.0 * np.pi * r)
-    # grad u from u = A sqrt(r) g(theta), A = 1/(2 mu sqrt(2 pi)):
-    # du/dx = (A/sqrt(r)) (g cos/2 - g' sin); du/dy = (A/sqrt(r)) (g sin/2 + g' cos)
-    amp_u = 1.0 / (2.0 * material.shear_modulus * np.sqrt(2.0 * np.pi))
-    inv = (amp_u / np.sqrt(r))[..., None]
-    cos_t = np.cos(theta)[..., None]
-    sin_t = np.sin(theta)[..., None]
+    weights = [_williams_weights(mode, material) for mode in modes]
+    _, dF = branch_eval(r, theta)
+    D = elasticity_matrix(material).T
     fields = []
-    for mode in modes:
-        if mode == 1:
-            sxx = amp * c * (1.0 - s * s3)
-            syy = amp * c * (1.0 + s * s3)
-            sxy = amp * c * s * c3
-        else:
-            sxx = -amp * s * (2.0 + c * c3)
-            syy = amp * s * c * c3
-            sxy = amp * c * (1.0 - s * s3)
-        g, gp = _williams_angular(mode, c, s, material.kolosov)  # rejects modes but 1 and 2
-        dudx = inv * (0.5 * g * cos_t - gp * sin_t)
-        dudy = inv * (0.5 * g * sin_t + gp * cos_t)
-        fields.append((np.stack([sxx, syy, sxy], axis=-1),
-                       np.stack([dudx, dudy], axis=-1)))  # grad [..., a, b]
+    for W, scale in weights:
+        grad = (W @ dF) / scale
+        fields.append((voigt_strain(grad) @ D, grad))
     return fields
 
 
@@ -381,10 +354,10 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     :attr:`~xfem2d.enrichment.EnrichmentMap.rules`, that of the stiffness.
     One rule-point and one field evaluation cover every ring (two rings may
     share elements), and the auxiliary fields of both modes come from one
-    trigonometric pass.  The points are regrouped by tip, stably, so each
-    tip's come in the order its ring alone gives them (by integration
-    class, then element), and its integrals sum the same terms in the same
-    order.
+    branch-function evaluation.  The points are regrouped by tip, stably,
+    so each tip's come in the order its ring alone gives them (by
+    integration class, then element), and its integrals sum the same terms
+    in the same order.
     """
     domains = _domains(mesh, emap, tips, radii, near) if tips else _NO_DOMAINS
     admissible = np.array([f is None for f in domains.failures], dtype=bool)
@@ -402,11 +375,6 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
     owner = domains.box[place]
     q = domains.inside[place].astype(float)  # at each point's corners
     dq = wdet[:, None] * np.einsum("nia,ni->na", dN, q)
-    side = np.empty(len(xs))  # of the tip's crack
-    crack_of = np.array([t.crack_id for t in tips])[owner]
-    for crack_id in _distinct(crack_of).tolist():
-        rows = np.flatnonzero(crack_of == crack_id)
-        side[rows] = heaviside(signed_distance_batch(emap.crack_by_id(crack_id), xs[rows]))
     ends = np.searchsorted(owner, np.arange(len(tips) + 1))
     D = elasticity_matrix(material).T
     r, theta, sig = np.empty(len(xs)), np.empty(len(xs)), np.empty((len(xs), 3))
@@ -416,7 +384,8 @@ def tip_rings(state: SolutionState, mesh: Mesh, emap: EnrichmentMap,
         spans.append(span)
         if span is None:
             continue
-        r[span], theta[span] = tip_polar(tinfo, xs[span], side[span])
+        side = heaviside(signed_distance_batch(emap.crack_by_id(tinfo.crack_id), xs[span]))
+        r[span], theta[span] = tip_polar(tinfo, xs[span], side)
         Q = tinfo.frame.axes
         grad[span] = Q.T @ grad[span] @ Q
         dq[span] = dq[span] @ Q
