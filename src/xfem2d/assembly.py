@@ -561,13 +561,14 @@ _STAMPS = itertools.count(1)
 
 def _cut_keys(mesh: Mesh, emap: EnrichmentMap, cut: np.ndarray) -> np.ndarray:
     """All a cut-class element's matrix depends on besides the element
-    itself (n, 16 + q), for the map's cut-class elements ``cut``: each
-    corner's status, crack, sign and tip, and the side of its crack each
+    itself (n, 12 + q), for the map's cut-class elements ``cut``: each
+    corner's status, crack and sign, and the side of its crack each
     cut-rule point lies on (:attr:`~xfem2d.enrichment.EnrichmentMap.cut_sides`),
-    which fixes the jump factor M there."""
+    which fixes the jump factor M there.  No corner is a tip node: the
+    support of every tip node is in the tip class."""
     conn = mesh.elements[cut]
     return np.column_stack([emap.status[conn], emap.node_crack[conn], emap.node_sign[conn],
-                            emap.node_tip[conn], emap.cut_sides])
+                            emap.cut_sides])
 
 
 class StiffnessCache:
@@ -599,7 +600,7 @@ class StiffnessCache:
         # keys, and its cut and tip elements.
         self._cut = np.empty(0, dtype=np.int64)
         self._cut_matrices = np.empty((0, 16, 16))
-        self._keys = np.empty((0, 16 + rules.cut.n_points))
+        self._keys = np.empty((0, 12 + rules.cut.n_points))
         self._enriched = np.empty(0, dtype=np.int64)
 
     @cached_property

@@ -36,6 +36,7 @@ import sys
 from xfem2d.assembly import SolverError
 from xfem2d.config import load_config
 from xfem2d.driver import (
+    _stage,
     _staged,
     run_propagation,
     run_stationary,
@@ -79,35 +80,31 @@ def _progress(enabled: bool):
     return lambda text: None
 
 
-def _out_dir(args, config) -> str:
-    directory = args.out if args.out else config.outputs.directory
-    os.makedirs(directory, exist_ok=True)
-    return directory
-
-
-def _emit_artifacts(config, problem, state, history, directory, log) -> list:
-    written = []
+def _emit_artifacts(args, config, problem, state, history, log) -> str:
+    """Write the configured artifacts, failing under the ``[output]`` stage;
+    returns their directory."""
     artifacts = config.outputs.artifacts
-    if "sif_csv" in artifacts and history.steps:
-        path = os.path.join(directory, "sif_history.csv")
-        write_sif_csv(history, path)
-        written.append(path)
-    if "cod_csv" in artifacts and state is not None:
-        path = os.path.join(directory, "cod_profiles.csv")
-        step = history.steps[-1].step if history.steps else 0
-        write_cod_csv(state, problem.mesh, problem.emap, path, step=step)
-        written.append(path)
-    if "field_dump" in artifacts and state is not None:
-        path = os.path.join(directory, "field_dump.vtk")
-        write_field_dump(state, problem.mesh, problem.emap, config.material, path)
-        written.append(path)
-    if "run_log" in artifacts:
-        path = os.path.join(directory, "run_log.txt")
-        write_run_log(config, problem.mesh, history, path)
-        written.append(path)
-    for path in written:
-        log(f"[output] wrote {path}")
-    return written
+    with _stage("output"):
+        directory = args.out if args.out else config.outputs.directory
+        os.makedirs(directory, exist_ok=True)
+        if "sif_csv" in artifacts and history.steps:
+            path = os.path.join(directory, "sif_history.csv")
+            write_sif_csv(history, path)
+            log(f"[output] wrote {path}")
+        if "cod_csv" in artifacts and state is not None:
+            path = os.path.join(directory, "cod_profiles.csv")
+            step = history.steps[-1].step if history.steps else 0
+            write_cod_csv(state, problem.mesh, problem.emap, path, step=step)
+            log(f"[output] wrote {path}")
+        if "field_dump" in artifacts and state is not None:
+            path = os.path.join(directory, "field_dump.vtk")
+            write_field_dump(state, problem.mesh, problem.emap, config.material, path)
+            log(f"[output] wrote {path}")
+        if "run_log" in artifacts:
+            path = os.path.join(directory, "run_log.txt")
+            write_run_log(config, problem.mesh, history, path)
+            log(f"[output] wrote {path}")
+    return directory
 
 
 def _cmd_solve(args) -> int:
@@ -123,8 +120,7 @@ def _cmd_solve(args) -> int:
     state, results = run_stationary(config, problem=problem, unresolved=unresolved)
     log(f"[solve] residual {state.residual:.3e}")
     history = stationary_history(problem, state, results, unresolved)
-    directory = _out_dir(args, config)
-    _emit_artifacts(config, problem, state, history, directory, log)
+    directory = _emit_artifacts(args, config, problem, state, history, log)
     for res in results:
         print(
             f"crack {res.crack_id} tip {res.tip_id}: "
@@ -147,9 +143,8 @@ def _cmd_propagate(args) -> int:
     for rec in history.steps:
         log(f"[solve] step {rec.step}: load factor {rec.load_factor:.6g}, "
             f"{len(rec.extensions)} extension(s), residual {rec.residual:.3e}")
-    directory = _out_dir(args, config)
-    _emit_artifacts(config, history.final_problem, history.final_state,
-                    history, directory, log)
+    directory = _emit_artifacts(args, config, history.final_problem, history.final_state,
+                                history, log)
     print(f"steps solved: {len(history.steps)}")
     print(f"growth steps applied: {history.n_increments}")
     print(f"stop: {history.stop_reason}")

@@ -48,7 +48,8 @@ output writers.
 
 Errors raised by the underlying modules are re-raised with a pipeline
 stage prefix (``[mesh]``, ``[classification]``, ``[assembly]``,
-``[solve]``, ``[fracture]``) so a failing run names the phase at fault.
+``[solve]``, ``[fracture]``; the command line adds ``[args]``,
+``[config]`` and ``[output]``) so a failing run names the phase at fault.
 """
 
 from __future__ import annotations
@@ -124,8 +125,10 @@ _STAGE_ERRORS = (
 
 
 def _staged(message: str, stage: str) -> str:
-    """Prefix a message with its pipeline stage unless already tagged."""
-    return message if message.startswith("[") else f"[{stage}] {message}"
+    """Prefix a message with its pipeline stage unless it starts with the
+    tag of one (an OS error's ``[Errno n]`` is not a stage)."""
+    tags = ("args", "config", "mesh", "classification", "assembly", "solve", "fracture", "output")
+    return message if message.startswith(tuple(f"[{t}] " for t in tags)) else f"[{stage}] {message}"
 
 
 @contextmanager
@@ -134,7 +137,8 @@ def _stage(name: str):
 
     The exception itself is re-raised with its message prefixed, so its
     type and attributes (such as a degeneracy error's ``crack_ids``) are
-    kept whatever its constructor takes.
+    kept whatever its constructor takes; but an OS error, whose text is
+    made from its errno and file name, becomes a plain ``OSError``.
     """
     try:
         yield
@@ -142,6 +146,8 @@ def _stage(name: str):
         message = str(exc)
         staged = _staged(message, name)
         if staged != message:
+            if isinstance(exc, OSError):
+                raise OSError(staged) from exc
             exc.args = (staged,)
         raise
 
@@ -485,7 +491,7 @@ def run_propagation(config: RunConfig) -> RunHistory:
                 freezes.append(FreezeEvent(res.crack_id, res.tip_id, str(exc)))
                 continue
             _replace_crack(new_cracks, res.crack_id, grown)
-            tip_vertex = grown.vertices[0 if res.tip_id == 0 else -1]
+            tip_vertex = grown.tip_coord(res.tip_id)
             events.append(ExtensionEvent(
                 res.crack_id, res.tip_id, res.theta_c, prop.delta_a,
                 (float(tip_vertex[0]), float(tip_vertex[1])),
@@ -508,7 +514,6 @@ def run_propagation(config: RunConfig) -> RunHistory:
 
 def tip_trajectory(history: RunHistory, crack_id: int, tip_id: int) -> np.ndarray:
     """Successive positions of one tip over a propagation run."""
-    index = 0 if tip_id == 0 else -1
     points = []
     sources = [rec.cracks for rec in history.steps]
     if history.final_cracks:
@@ -516,7 +521,7 @@ def tip_trajectory(history: RunHistory, crack_id: int, tip_id: int) -> np.ndarra
     for cracks in sources:
         for c in cracks:
             if c.id == crack_id:
-                v = np.asarray(c.vertices[index], dtype=float)
+                v = np.asarray(c.tip_coord(tip_id), dtype=float)
                 if not points or not np.allclose(v, points[-1]):
                     points.append(v)
     if not points:

@@ -884,9 +884,13 @@ def dump_mesh(mesh: Mesh) -> str:
 
 
 def read_mesh(path) -> Mesh:
-    """Load a mesh document from a file."""
-    with open(os.fspath(path), "r", encoding="utf-8") as handle:
-        return load_mesh(handle.read())
+    """Load a mesh document from a file; text that is not UTF-8 raises
+    :class:`MeshFormatError` naming the file."""
+    try:
+        with open(os.fspath(path), "r", encoding="utf-8") as handle:
+            return load_mesh(handle.read())
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError(f"'{os.fspath(path)}' is not UTF-8 text: {exc}") from None
 
 
 def write_mesh(mesh: Mesh, path) -> None:

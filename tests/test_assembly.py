@@ -485,6 +485,27 @@ class TestStandardStiffness:
 
 
 class TestConstraints:
+    def test_enriched_node_on_a_fixed_edge_keeps_no_enrichment(self):
+        # An edge crack's mouth lies on the fixed left edge: the jump dofs
+        # of the two mouth nodes are prescribed at 0 and solve to 0, while
+        # the crack still opens through the other jump nodes.
+        mesh = uniform_rect(1.0, 1.0, 10, 10)
+        crack = CrackPath(vertices=np.array([[0.0, 0.55], [0.45, 0.55]]), tip_start=False,
+                          id=0)
+        emap = classify_enrichment(mesh, [crack])
+        left = mesh.boundary_tags["left"]
+        mouth = left[emap.status[left] == HEAVISIDE]
+        np.testing.assert_allclose(mesh.nodes[mouth], [[0.0, 0.5], [0.0, 0.6]], atol=1e-15)
+        bcs = [BoundaryCondition("left", "displacement", (0.0, 0.0)),
+               BoundaryCondition("top", "traction", (0.0, 1e6))]
+        system = assemble(mesh, emap, STEEL, bcs)
+        jump = np.concatenate([system.layout.node_dofs([n])[0][2:] for n in mouth])
+        assert jump.size == 4
+        assert [system.fixed.get(d) for d in jump.tolist()] == [0.0] * 4
+        state = solve(system)
+        assert not state.u[jump].any() and not state.fields.u_disc[mouth].any()
+        assert np.abs(state.fields.u_disc).max() > 0.0
+
     def test_all_fixed_to_zero(self):
         mesh = uniform_rect(1.0, 1.0, 4, 4)
         system = assemble(mesh, uncracked(mesh), STEEL)

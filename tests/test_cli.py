@@ -357,6 +357,60 @@ class TestErrorPaths:
         assert ", branch 0 x)" in stderr and "Traceback" not in stderr
 
 
+class TestFailureStages:
+    def test_unwritable_artifact_is_staged_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "sif_history.csv").mkdir(parents=True)
+        code = main(["solve", "--config", write_case(tmp_path), "--out", str(out)])
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("xfem2d: [output] ")
+        assert str(out / "sif_history.csv") in stderr
+
+    def test_mesh_that_is_not_utf8_is_staged_mesh(self, tmp_path, capsys):
+        config = write_case(tmp_path)
+        mesh = tmp_path / "plate.mesh"
+        data = bytearray(mesh.read_bytes())
+        data[12] = 0xFF
+        mesh.write_bytes(bytes(data))
+        code = main(["solve", "--config", config, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"xfem2d: [mesh] '{mesh}' is not UTF-8 text: "
+                                           "'utf-8' codec can't decode byte 0xff in "
+                                           "position 12: invalid start byte\n")
+
+    def test_solver_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        def failing(system, load_factor=1.0, factor=None):
+            raise xfem2d.assembly.SolverError("factorization broke down")
+
+        monkeypatch.setattr(xfem2d.driver, "solve", failing)
+        code = main(["solve", "--config", write_case(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "xfem2d: [solve] factorization broke down\n"
+
+    def test_propagation_solver_failure_exits_two_after_the_artifacts(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        real, calls = xfem2d.driver.solve, []
+
+        def failing_second(system, load_factor=1.0, factor=None):
+            calls.append(load_factor)
+            if len(calls) == 2:
+                raise xfem2d.assembly.SolverError("factorization broke down")
+            return real(system, load_factor, factor)
+
+        monkeypatch.setattr(xfem2d.driver, "solve", failing_second)
+        out = tmp_path / "out"
+        code = main(["propagate", "--config", write_case(tmp_path, GROWTH_SECTIONS),
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "xfem2d: [solve] factorization broke down\n"
+        assert "steps solved: 1\n" in captured.out and "stop: solver failure\n" in captured.out
+        log = (out / "run_log.txt").read_text()
+        assert "stop: solver failure\nerror: [solve] factorization broke down\n" in log
+        assert [row["step"] for row in read_sif_csv(out / "sif_history.csv")] == [0, 0]
+
+
 def _package_env():
     """Environment in which a child interpreter imports this xfem2d."""
     src = os.path.dirname(os.path.dirname(xfem2d.cli.__file__))

@@ -11,12 +11,13 @@ from xfem2d.assembly import (
     BoundaryCondition,
     DofLayout,
     MaterialModel,
+    SolverError,
     StiffnessCache,
     apply_constraints,
     stress_strain_batch,
 )
 from xfem2d.config import ContourSpec, RunConfig
-from xfem2d.cracks import CrackPath, extend_crack, signed_distance_batch
+from xfem2d.cracks import CrackGeometryError, CrackPath, extend_crack, signed_distance_batch
 from xfem2d.driver import (
     LoadSchedule,
     PropagationParams,
@@ -266,6 +267,8 @@ class TestIncrementalStep:
         last = np.empty(0, dtype=np.int64), None
         for k, ((mesh, emap, *_), *_) in enumerate(steps):
             cut = np.flatnonzero(emap.kinds == 2)
+            # no tip node in a cut element, so its key needs no tip column
+            assert not (emap.status[mesh.elements[cut]] == enrichment.TIP).any()
             keys = assembly._cut_keys(mesh, emap, cut)
             _, at, old = np.intersect1d(cut, last[0], return_indices=True)
             kept = np.count_nonzero(np.all(keys[at] == last[1][old], axis=1)) if k else 0
@@ -527,6 +530,56 @@ class TestRunPropagation:
         assert events[0].reason.startswith("no domain around crack 0 tip 1 holds its tip element")
         assert history.n_increments == 6
         assert history.final_cracks[0].vertices[-1, 0] == pytest.approx(0.9011, abs=1e-3)
+
+    @staticmethod
+    def small_growth(steps):
+        return make_config(mesh=pinned_mesh(11, 11), cracks=[center_crack(a=0.2)],
+                           schedule=LoadSchedule.uniform(steps),
+                           propagation=PropagationParams(delta_a=0.04))
+
+    def test_solver_failure_ends_the_run_with_the_history_so_far(self, monkeypatch):
+        calls = []
+
+        def failing_second(system, load_factor=1.0, factor=None):
+            calls.append(load_factor)
+            if len(calls) == 2:
+                raise SolverError("factorization broke down")
+            return solve(system, load_factor, factor)
+
+        monkeypatch.setattr(driver, "solve", failing_second)
+        history = run_propagation(self.small_growth(3))
+        assert calls == [1 / 3, 2 / 3]
+        assert history.error == "[solve] factorization broke down"
+        assert history.stop_reason == "solver failure"
+        assert [rec.step for rec in history.steps] == [0]
+        assert history.final_state.load_factor == 1 / 3
+        # the first step's growth stands
+        assert history.n_increments == 1
+        assert history.final_cracks[0].length == pytest.approx(0.48, rel=1e-12)
+
+    def test_refused_extension_freezes_its_tip_and_the_run_goes_on(self, monkeypatch):
+        # The third growth (step 1, tip 0) is refused: that tip freezes with
+        # the refusal as its reason, and the other tip grows to the end.
+        calls = []
+
+        def refusing_third(crack, tip_id, theta_c, delta_a):
+            calls.append((crack.id, tip_id))
+            if len(calls) == 3:
+                raise CrackGeometryError(f"crack {crack.id}: extension at tip {tip_id} refused")
+            return extend_crack(crack, tip_id, theta_c, delta_a)
+
+        monkeypatch.setattr(driver, "extend_crack", refusing_third)
+        history = run_propagation(self.small_growth(3))
+        assert calls == [(0, 0), (0, 1), (0, 0), (0, 1), (0, 1)]
+        assert [[(e.tip_id, e.reason) for e in rec.frozen] for rec in history.steps] == \
+            [[], [(0, "crack 0: extension at tip 0 refused")], []]
+        assert [[e.tip_id for e in rec.extensions] for rec in history.steps] == \
+            [[0, 1], [1], [1]]
+        assert [[r.tip_id for r in rec.sifs] for rec in history.steps] == [[0, 1], [0, 1], [1]]
+        assert history.stop_reason == "schedule exhausted" and history.error is None
+        assert history.final_cracks[0].n_segments == 5
+        np.testing.assert_array_equal(tip_trajectory(history, 0, 0)[-1],
+                                      history.final_cracks[0].vertices[0])
 
     def test_set_radius_too_small_fails(self):
         # a configured radius short of the tip element is an input error,
