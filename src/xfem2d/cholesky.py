@@ -91,6 +91,7 @@ class FactorStats:
 
     free_dofs: int
     factor_entries: int  # stored entries of L: pivot triangles and panels
+    flops: int  # of the refactored fronts: p^3/3 + p^2 r + p r^2 for p pivots and r rows
     fronts_refactored: int
     fronts: int
 
@@ -376,9 +377,11 @@ class FrontalCholesky:
                     self._updates[f] = lapack.dtrttp(F22, uplo="L")[0]
         self._tree = tree
         p, r = np.diff(pivots), np.diff(row_ptr)
+        pr, rr = p[redo], r[redo]
         return FactorStats(
             free_dofs=int(ptr[-1]),
             factor_entries=int(np.sum(p * (p + 1) // 2 + p * r)),
+            flops=int(np.sum(pr**3 / 3 + pr * pr * rr + pr * rr * rr)),
             fronts_refactored=redo.size,
             fronts=n_fronts,
         )

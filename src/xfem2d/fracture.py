@@ -471,16 +471,17 @@ def propagation_angle(K_I: float, K_II: float) -> float:
     """Kink angle (radians) of maximum hoop stress in the tip frame.
 
     Zero for pure opening; the sign opposes the sign of K_II; the pure
-    sliding limit is -sign(K_II) * arccos(1/3) (about 70.5 degrees).
+    sliding limit is -sign(K_II) * arccos(1/3) (about 70.5 degrees).  The
+    root of K_I sin(theta) + K_II (3 cos(theta) - 1) = 0, taken as
+    tan(theta / 2) = -2 K_II / (|K_I| + sqrt(K_I^2 + 8 K_II^2)): no
+    difference of near-equal terms, so a mode-I-dominated tip keeps its
+    digits.  It depends on K_I through |K_I| alone.
     """
     if K_I == 0.0 and K_II == 0.0:
         raise FractureError("kink angle undefined for a zero-intensity tip")
     if K_II == 0.0:
         return 0.0
-    num = 3.0 * K_II**2 + math.sqrt(K_I**4 + 8.0 * K_I**2 * K_II**2)
-    den = K_I**2 + 9.0 * K_II**2
-    theta = math.acos(min(1.0, max(-1.0, num / den)))
-    return -math.copysign(theta, K_II)
+    return 2.0 * math.atan(-2.0 * K_II / (abs(K_I) + math.sqrt(K_I**2 + 8.0 * K_II**2)))
 
 
 def k_equivalent(K_I: float, K_II: float, theta_c: float) -> float:

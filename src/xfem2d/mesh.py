@@ -428,14 +428,16 @@ class Mesh:
 
         Geometric nested dissection (George, SIAM J. Numer. Anal. 10,
         1973) of the graph joining nodes that share an element: each part
-        is split at the median along the longer side of its bounding box,
-        the upper-side endpoint of every edge crossing the split forms the
-        separator, and the order lists the lower half, the upper half and
-        then the separator, recursively, down to parts of ``_ND_LEAF``
-        nodes, which keep their index order.  Each leaf part and each
-        separator is one front of the tree.  Each level is one array pass
-        over all parts, kept sorted in x and in y, and the row sets are
-        merged by sorting (:func:`_distinct`: ``np.unique`` is slower here).
+        is split at the median along x or along y, whichever split's
+        separator (the upper-side endpoint of every edge crossing it) has
+        fewer nodes, and along the longer side of the part's bounding box
+        when they tie (:func:`_dissect_level`).  The order lists the lower
+        half, the upper half and then the separator, recursively, down to
+        parts of ``_ND_LEAF`` nodes, which keep their index order.  Each
+        leaf part and each separator is one front of the tree.  Each level
+        is one array pass over all parts, kept sorted in x and in y, and
+        the row sets are merged by sorting (:func:`_distinct`:
+        ``np.unique`` is slower here).
         """
         n = self.n_nodes
         pairs = _element_node_pairs(self.elements, n)
@@ -555,26 +557,42 @@ def _dissect_level(nodes: np.ndarray, ends: np.ndarray, part: np.ndarray,
 
     ``part`` holds each node's part id, or -1 for nodes already placed;
     ``by_axis`` (2, k) lists the open nodes part by part, ascending in x
-    and in y, ties going by node index.  Each part is cut at the median
-    rank along the longer side of its bounding box.  Returns ``side``
-    (n,), -1 for placed nodes, 0 for the lower half and 1 for the upper,
-    the separator mask (n,): the upper end of every pair ``ends`` (2, m)
-    that crosses a cut, and ``by_axis`` with each lower half moved first.
+    and in y, ties going by node index.  A median cut along an axis puts
+    a part's nodes of rank below half its size in that axis's order in
+    the lower half; its separator is the upper end of every pair ``ends``
+    (2, m) that crosses it.  Each part is cut along the axis whose median
+    cut has the fewer separator nodes (Lipton, Rose & Tarjan, SIAM J.
+    Numer. Anal. 16, 1979), along the longer side of its bounding box on
+    a tie.  Returns ``side`` (n,), -1 for placed nodes, 0 for the lower
+    half and 1 for the upper, the separator mask (n,), and ``by_axis``
+    with each lower half moved first.
     """
+    n = nodes.shape[0]
     starts = np.flatnonzero(np.diff(part[by_axis[0]], prepend=-1))
     sizes = np.diff(starts, append=by_axis.shape[1])
     p = np.repeat(np.arange(starts.size), sizes)  # the part's rank
+    upper = np.arange(p.size) - starts[p] >= sizes[p] // 2
+    halves = np.full(n, -1, dtype=np.int8)  # bit a set: upper half of axis a's cut
+    halves[by_axis[0]] = upper
+    halves[by_axis[1]] += np.left_shift(upper, 1, dtype=np.int8)
+    ha = halves[ends[0]]
+    apart = ha ^ halves[ends[1]]  # negative if one end is placed, 0 if both are
+    cross = np.flatnonzero(apart > 0)
+    ha, apart, e = ha[cross], apart[cross], ends[:, cross]
+    ids = part[by_axis[0, starts]]  # ascending with the rank
+    seps = [_distinct(np.where(ha & bit, e[0], e[1])[(apart & bit) > 0]) for bit in (1, 2)]
+    ranks = [np.searchsorted(ids, part[s]) for s in seps]
+    count_x, count_y = (np.bincount(r, minlength=starts.size) for r in ranks)
     span = [nodes[by_axis[a, starts + sizes - 1], a] - nodes[by_axis[a, starts], a]
             for a in (0, 1)]  # a part's first and last nodes are its extremes
-    side = np.full(nodes.shape[0], -1, dtype=np.int8)
-    side[np.where((span[1] > span[0])[p], by_axis[1], by_axis[0])] = (
-        np.arange(p.size) - starts[p] >= sizes[p] // 2)
-    sa, sb = side[ends[0]], side[ends[1]]
-    cross = (sa ^ sb) == 1  # one end 0 and the other 1; -1 marks placed nodes
-    sep = np.zeros(nodes.shape[0], dtype=bool)
-    sep[np.where(sa[cross] == 1, ends[0, cross], ends[1, cross])] = True
-    halves = (2 * p + side[by_axis]).astype(np.min_scalar_type(2 * p[-1] + 1))
-    return side, sep, by_axis[[[0], [1]], np.argsort(halves, axis=1, kind="stable")]
+    along_y = np.where(count_x == count_y, span[1] > span[0], count_y < count_x)
+    side = np.full(n, -1, dtype=np.int8)
+    side[np.where(along_y[p], by_axis[1], by_axis[0])] = upper
+    sep = np.zeros(n, dtype=bool)
+    for a, (s, r) in enumerate(zip(seps, ranks)):
+        sep[s[along_y[r] == a]] = True
+    order = (2 * p + side[by_axis]).astype(np.min_scalar_type(2 * p[-1] + 1))
+    return side, sep, by_axis[[[0], [1]], np.argsort(order, axis=1, kind="stable")]
 
 
 @dataclass(frozen=True, eq=False)

@@ -376,10 +376,10 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
     Records mesh statistics, the material, per-step enriched-node counts
     (|m_disc| jump-enriched, |m_tip| branch-enriched), degree-of-freedom
     totals, solver residuals, the factorization's size (free dofs, entries
-    of L) and the fronts it refactored, the nodes demoted to standard
-    approximation with the measured support ratios, every extraction with
-    the radius R of its domain, every growth increment and tip
-    deactivation, and the stop reason.
+    of L), its flops and the fronts it refactored, the nodes demoted to
+    standard approximation with the measured support ratios, every
+    extraction with the radius R of its domain, every growth increment and
+    tip deactivation, and the stop reason.
     """
     material = config.material
     lo, hi = mesh.bbox()
@@ -411,7 +411,7 @@ def write_run_log(config: RunConfig, mesh: Mesh, history: RunHistory, path) -> N
         if rec.factor is not None:
             lines.append(
                 f"  factor: {rec.factor.free_dofs} free dofs, "
-                f"{rec.factor.factor_entries} entries in L, "
+                f"{rec.factor.factor_entries} entries in L, {rec.factor.flops} flops, "
                 f"{rec.factor.fronts_refactored} of {rec.factor.fronts} fronts refactored"
             )
         if rec.demotions:

@@ -683,6 +683,11 @@ class TestFactorReuse:
             path.append(tree.parent[path[-1]])
         np.testing.assert_array_equal(factor.refactored, path)
         assert state.factor.fronts_refactored == len(path) < tree.n_fronts
+        # The flops count the refactored fronts alone, each by its panel's
+        # r rows and p pivots.
+        r, p = np.array([factor._panels[f][1].shape for f in path]).T
+        assert state.factor.flops == pytest.approx(np.sum(p**3 / 3 + p * p * r + p * r * r), abs=1)
+        assert 0 < state.factor.flops < first.factor.flops
         fresh = solve(stiffer)
         assert np.abs(state.u - fresh.u).max() <= 1e-12 * np.abs(fresh.u).max()
 
@@ -711,7 +716,7 @@ class TestFactorReuse:
             ElementBlocks(tuple((m.copy(), d.copy(), e.copy()) for m, d, e in b.groups), b.columns)
             for b in system.blocks), stamps=system.stamps.copy())  # unchanged stamps
         again = solve(same, factor=factor)
-        assert again.factor.fronts_refactored == 0
+        assert again.factor.fronts_refactored == again.factor.flops == 0
         np.testing.assert_array_equal(again.u, first.u)
 
     def test_residual_catches_a_stale_front(self):

@@ -171,6 +171,21 @@ class TestKinkAngle:
             assert np.sign(theta) == -np.sign(K_II)
             assert abs(theta) <= math.acos(1.0 / 3.0) + 1e-12
 
+    @pytest.mark.parametrize("k", [1e-8, -1e-8, 1e-6, -1e-6, 1e-3, -1e-3])
+    def test_mode_one_dominated_keeps_its_digits(self, k):
+        # theta(k) at k = K_II / K_I has the series -2k + 14/3 k^3 - 102/5 k^5
+        # + 758/7 k^7 - ..., whose terms shrink by about 5 k^2 each, so the
+        # two terms kept are off by less than 21 |k|^5.  A handful of
+        # roundings in the atan form add a few ulps of theta; the acos form
+        # loses half the digits (5 % at |k| = 1e-8).
+        K_I = 3.0e6
+        K_II = k * K_I
+        k = K_II / K_I
+        series = -2.0 * k + 14.0 / 3.0 * k**3
+        bound = 21.0 * abs(k) ** 5 + 8.0 * np.finfo(float).eps * abs(series)
+        for sign in (1.0, -1.0):  # the angle sees K_I through |K_I|
+            assert abs(propagation_angle(sign * K_I, K_II) - series) <= bound
+
     def test_zero_intensity_rejected(self):
         with pytest.raises(FractureError, match="zero-intensity"):
             propagation_angle(0.0, 0.0)

@@ -606,6 +606,39 @@ class TestNestedDissection:
             if rows.size:
                 assert tree.parent[f] == front_of[rows[0]]
 
+    @pytest.mark.parametrize("make", [*(ORDERING_MESHES[k] for k in sorted(ORDERING_MESHES)),
+                                      lambda: table1_config(12.5).mesh],
+                             ids=[*sorted(ORDERING_MESHES), "table1-plate"])
+    def test_each_part_is_cut_at_its_smaller_median_separator(self, make):
+        mesh = make()
+        n = mesh.n_nodes
+        pairs = _element_node_pairs(mesh.elements, n)
+        ends = np.ascontiguousarray(pairs.T, dtype=np.int32)
+        part = np.zeros(n, dtype=np.int64)
+        by_axis = np.argsort(mesh.nodes, axis=0, kind="stable").T
+        levels = 0
+        while True:  # the levels of Mesh.nested_dissection_tree
+            live = np.nonzero(part >= 0)[0]
+            small = np.bincount(part[live])[part[live]] <= _ND_LEAF
+            part[live[small]] = -1
+            if small.all():
+                break
+            by_axis = by_axis[part[by_axis] >= 0].reshape(2, -1)
+            live, p, _, sides, seps, counts = median_cuts(mesh.nodes, pairs, part)
+            side, sep, by_axis = _dissect_level(mesh.nodes, ends, part, by_axis)
+            # Each part is cut at one axis's median, with that cut's
+            # separator, and leaves no more separator nodes than the other's.
+            same = [np.bincount(p, weights=(side[live] != sides[a][live])
+                                | (sep[live] != seps[a][live]), minlength=p.max() + 1) == 0
+                    for a in (0, 1)]
+            assert np.all(same[0] | same[1])
+            kept = np.bincount(p[sep[live]], minlength=p.max() + 1)
+            assert np.all(kept <= np.minimum(*counts))
+            part = np.where(side >= 0, 2 * part + side, -1)
+            part[sep] = -1
+            levels += 1
+        assert levels >= 3
+
     def test_small_mesh_keeps_index_order(self):
         mesh = uniform_rect(1.0, 1.0, 6, 6)  # 49 nodes: a single leaf
         np.testing.assert_array_equal(mesh.nested_dissection_tree.order,
@@ -613,10 +646,45 @@ class TestNestedDissection:
         assert mesh.nested_dissection_tree.n_fronts == 1
 
 
+def median_cuts(nodes, pairs, part):
+    """Both median cuts of every open part, as first built: a lexsort per
+    axis and level.  Returns the open nodes, each one's part rank, each
+    part's bounding-box extent (parts, 2) and, per axis a, ``sides[a]``
+    (n,): -1 for placed nodes, 0 below the part's median rank along a and
+    1 from it on; ``seps[a]`` (n,): the upper end of every pair crossing
+    that cut; and ``counts[a]``: each part's number of those nodes."""
+    n = nodes.shape[0]
+    live = np.nonzero(part >= 0)[0]
+    _, p = np.unique(part[live], return_inverse=True)
+    sizes = np.bincount(p)
+    starts = np.cumsum(sizes) - sizes
+    xy = nodes[live]
+    by_part = np.argsort(p, kind="stable")
+    span = (np.maximum.reduceat(xy[by_part], starts)
+            - np.minimum.reduceat(xy[by_part], starts))
+    sides, seps, counts = [], [], []
+    for a in (0, 1):
+        order = np.lexsort((xy[:, a], p))
+        rank = np.empty(live.size, dtype=np.int64)
+        rank[order] = np.arange(live.size) - starts[p[order]]
+        side = np.full(n, -1, dtype=np.int64)
+        side[live] = rank >= sizes[p] // 2
+        sa, sb = side[pairs[:, 0]], side[pairs[:, 1]]
+        cross = (sa >= 0) & (sb >= 0) & (sa != sb)
+        sep = np.zeros(n, dtype=bool)
+        sep[np.where(sa[cross] == 1, pairs[cross, 0], pairs[cross, 1])] = True
+        sides.append(side)
+        seps.append(sep)
+        counts.append(np.bincount(p[sep[live]], minlength=sizes.size))
+    return live, p, span, sides, seps, counts
+
+
 def reference_tree(mesh):
     """The nested-dissection tree as first built: one ``np.unique`` per
-    level and per front, a lexsort per level, a Python loop over the
-    fronts.  The reference the whole-array build must match exactly."""
+    level and per front, a lexsort per level and axis, a Python loop over
+    the fronts.  Each part is cut across the axis whose median cut has the
+    fewer separator nodes, across the longer side of its box on a tie.
+    The reference the whole-array build must match exactly."""
     n = mesh.n_nodes
     i, j = np.triu_indices(4, 1)
     a, b = mesh.elements[:, i].ravel(), mesh.elements[:, j].ravel()
@@ -631,24 +699,12 @@ def reference_tree(mesh):
         part[live[small]] = -1
         if small.all():
             break
-        live = np.nonzero(part >= 0)[0]
-        _, p = np.unique(part[live], return_inverse=True)
-        sizes = np.bincount(p)
-        starts = np.cumsum(sizes) - sizes
-        xy = mesh.nodes[live]
-        by_part = np.argsort(p, kind="stable")
-        span = (np.maximum.reduceat(xy[by_part], starts)
-                - np.minimum.reduceat(xy[by_part], starts))
-        c = xy[np.arange(live.size), np.argmax(span, axis=1)[p]]
-        order = np.lexsort((c, p))
-        rank = np.empty(live.size, dtype=np.int64)
-        rank[order] = np.arange(live.size) - starts[p[order]]
-        side = np.full(n, -1, dtype=np.int64)
-        side[live] = rank >= sizes[p] // 2
-        sa, sb = side[live_pairs[:, 0]], side[live_pairs[:, 1]]
-        cross = (sa >= 0) & (sb >= 0) & (sa != sb)
-        sep = np.zeros(n, dtype=bool)
-        sep[np.where(sa[cross] == 1, live_pairs[cross, 0], live_pairs[cross, 1])] = True
+        live, p, span, sides, seps, counts = median_cuts(mesh.nodes, live_pairs, part)
+        along_y = np.where(counts[0] == counts[1], span[:, 1] > span[:, 0], counts[1] < counts[0])
+        pick = np.zeros(n, dtype=bool)
+        pick[live] = along_y[p]
+        side = np.where(pick, sides[1], sides[0])
+        sep = np.where(pick, seps[1], seps[0])
         key *= 3
         key += np.maximum(side, 0) + sep
         part = np.where(side >= 0, 2 * part + side, -1)

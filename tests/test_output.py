@@ -564,7 +564,7 @@ class TestRunLog:
             assert f"step {rec.step}: load factor" in text
             f = rec.factor
             assert (f"  factor: {f.free_dofs} free dofs, {f.factor_entries} entries in L, "
-                    f"{f.fronts_refactored} of {f.fronts} fronts refactored") in text
+                    f"{f.flops} flops, {f.fronts_refactored} of {f.fronts} fronts refactored") in text
         assert text.count("  factor: ") == len(history.steps)
         assert text.count("extension: crack 0") == sum(
             len(rec.extensions) for rec in history.steps)
