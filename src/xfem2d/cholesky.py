@@ -9,7 +9,12 @@ Each front is a dense matrix, assembled from element matrices plus the
 update matrices of its children (extend-add).  LAPACK's ``dpotrf``
 factors its pivot block, ``dtrsm`` gives the panel below it, and
 ``dsyrk`` forms the update matrix its parent consumes (Liu, SIAM Review
-34, 1992).  No global matrix is formed: as in the frontal method (Irons,
+34, 1992).  A leaf front eliminates its interior first, the nodes that
+share no element with another front (``DissectionTree.lead``), and their
+panel columns are structurally zero: the panel is stored, solved for and
+applied over the trailing columns alone, those of the nodes a separator
+touches, as in static condensation (George, SIAM J. Numer. Anal. 10,
+1973).  No global matrix is formed: as in the frontal method (Irons,
 IJNME 2, 1970; Duff & Reid, ACM TOMS 9, 1983), element entries go straight
 into the fronts that hold their nodes, summed over node pairs
 (:class:`NodePairs`) and placed by one node-level rule,
@@ -90,8 +95,10 @@ class FactorStats:
     """Size of one factorization and how much of it was redone."""
 
     free_dofs: int
-    factor_entries: int  # stored entries of L: pivot triangles and panels
-    flops: int  # of the refactored fronts: p^3/3 + p^2 r + p r^2 for p pivots and r rows
+    factor_entries: int  # stored entries of L: pivot triangles and panels, p(p+1)/2 + c r
+    # of the refactored fronts: p^3/3 + c^2 r + c r^2 for p pivots, c of
+    # them with a panel column, and r rows
+    flops: int
     fronts_refactored: int
     fronts: int
 
@@ -111,7 +118,9 @@ def _segment_any(mask: np.ndarray, ptr: np.ndarray) -> np.ndarray:
 def _node_slots(tree: DissectionTree, a: np.ndarray, b: np.ndarray):
     """The front f eliminating the node at position ``a`` of ``tree.order``
     and the slot of position ``b`` >= a in it: b itself among its pivots,
-    ``n + m`` as its row ``tree.rows[m]``; raises ``np.linalg.LinAlgError`` if neither."""
+    ``n + m`` as its row ``tree.rows[m]``; raises ``np.linalg.LinAlgError`` if
+    neither, or if a row is paired with one of f's lead pivots, which have no panel
+    columns."""
     n = tree.order.size
     f = np.repeat(np.arange(tree.n_fronts), np.diff(tree.start))[a]
     slot = np.array(b, dtype=np.int64)
@@ -119,7 +128,8 @@ def _node_slots(tree: DissectionTree, a: np.ndarray, b: np.ndarray):
     keys = np.repeat(np.arange(tree.n_fronts) * n, np.diff(tree.row_start)) + tree.rows
     want = f[out] * n + slot[out]
     slot[out] = n + np.searchsorted(keys, want)
-    if np.any(np.append(keys, -1)[slot[out] - n] != want):
+    lead = np.asarray(a)[out] - tree.start[f[out]] < tree.lead[f[out]]
+    if np.any(np.append(keys, -1)[slot[out] - n] != want) or lead.any():
         raise np.linalg.LinAlgError("the matrix couples dofs that the elimination tree keeps apart")
     return f, slot
 
@@ -268,7 +278,7 @@ def _extend_add(F11, F21, F22, U, runs) -> None:
 
 
 # Fronts whose entries (:meth:`FrontalCholesky._entries`) are gathered at
-# once: the entries of every front would be about a sixth of the factor.
+# once: the entries of every front would be about a fifth of the factor.
 _ENTRY_BATCH = 64
 
 
@@ -314,6 +324,7 @@ class FrontalCholesky:
         n_fronts = tree.n_fronts
         ptr = np.concatenate([[0], np.cumsum(counts)])
         pivots = ptr[tree.start]
+        trail = ptr[tree.start[:-1] + tree.lead]  # each front's first pivot with a panel column
         row_counts = counts[tree.rows]
         row_dof_ptr = np.concatenate([[0], np.cumsum(row_counts)])
         rowdofs = _ranges(ptr[tree.rows], row_counts)
@@ -334,7 +345,7 @@ class FrontalCholesky:
             self._updates = {}
         self._tree = None  # until every front is factored
         self._ptr, self._shift = ptr, shift
-        self._pivots, self._rowdofs, self._row_ptr = pivots, rowdofs, row_ptr
+        self._pivots, self._trail, self._rowdofs, self._row_ptr = pivots, trail, rowdofs, row_ptr
         if self.keep:
             self._signature, self._stamps = signature, stamps
 
@@ -348,14 +359,15 @@ class FrontalCholesky:
                 entries = [list(self._entries(redo[k:k + _ENTRY_BATCH], index, p))
                            for p in pairs]
             a, p, r = pivots[f], pivots[f + 1] - pivots[f], row_ptr[f + 1] - row_ptr[f]
+            m = trail[f] - a  # the lead pivots' dofs, whose panel columns are zero
             # Pivot block and panel, Fortran order, with a last place for the rest.
-            blocks = np.zeros(p * p + 1), np.zeros(r * p + 1)
+            blocks = np.zeros(p * p + 1), np.zeros(r * (p - m) + 1)
             for parts, add in zip(entries, (False, True)):
                 for flat, (at, values, take) in zip(blocks, parts):
                     at, values = at[take[b]:take[b + 1]], values[take[b]:take[b + 1]]
                     flat[at] = flat[at] + values if add else values
             F11 = blocks[0][:-1].reshape((p, p), order="F")
-            F21 = blocks[1][:-1].reshape((r, p), order="F")
+            F21 = blocks[1][:-1].reshape((r, p - m), order="F")
             F22 = np.zeros((r, r), order="F")
             for c in tree.children[f]:
                 U = pending.pop(c) if c in pending else self._kept_update(c)
@@ -368,7 +380,7 @@ class FrontalCholesky:
                     exc.pivot = a + info - 1  # its place in the elimination order
                     raise exc
                 if r:
-                    blas.dtrsm(1.0, F11, F21, side=1, lower=1, trans_a=1, overwrite_b=1)
+                    blas.dtrsm(1.0, F11[m:, m:], F21, side=1, lower=1, trans_a=1, overwrite_b=1)
                     blas.dsyrk(-1.0, F21, beta=1.0, c=F22, lower=1, overwrite_c=1)
             self._panels[f] = lapack.dtrttp(F11, uplo="L")[0], F21
             if tree.parent[f] >= 0:
@@ -376,12 +388,12 @@ class FrontalCholesky:
                 if self.keep and tree.children[f]:
                     self._updates[f] = lapack.dtrttp(F22, uplo="L")[0]
         self._tree = tree
-        p, r = np.diff(pivots), np.diff(row_ptr)
-        pr, rr = p[redo], r[redo]
+        p, c, r = np.diff(pivots), pivots[1:] - trail, np.diff(row_ptr)
+        pr, cr, rr = p[redo], c[redo], r[redo]
         return FactorStats(
             free_dofs=int(ptr[-1]),
-            factor_entries=int(np.sum(p * (p + 1) // 2 + p * r)),
-            flops=int(np.sum(pr**3 / 3 + pr * pr * rr + pr * rr * rr)),
+            factor_entries=int(np.sum(p * (p + 1) // 2 + c * r)),
+            flops=int(np.sum(pr**3 / 3 + cr * cr * rr + cr * rr * rr)),
             fronts_refactored=redo.size,
             fronts=n_fronts,
         )
@@ -389,8 +401,9 @@ class FrontalCholesky:
     def _entries(self, redo, index, pairs: NodePairs):
         """The entries ``pairs`` give the pivot blocks and then the panels
         of the fronts ``redo``: places in Fortran order, values, and where
-        each front's own start.  Entries (j, i) with a fixed dof or j < i
-        go to the place past a block's end."""
+        each front's own start.  A panel's columns start at the front's
+        first pivot with a panel column.  Entries (j, i) with a fixed dof
+        or j < i go to the place past a block's end."""
         sizes = np.diff(pairs.ptr)[redo]
         sel, front = _ranges(pairs.ptr[redo], sizes), np.repeat(redo, sizes)
         p, r = np.diff(self._pivots), np.diff(self._row_ptr)
@@ -399,10 +412,11 @@ class FrontalCholesky:
             s, f = sel[mine], front[mine]
             i, j = index[pairs.row[s, None] + [0, 1]], index[pairs.col[s, None] + [0, 1]]
             height = (r if panel else p)[f, None]
+            first = (self._trail if panel else self._pivots)[f, None]
             row = j + (self._shift[pairs.slot[s]] - panel * p[f])[:, None]
             at = np.where((i[:, :, None] >= 0) & (j[:, None, :] >= i[:, :, None]),
-                          row[:, None, :] + ((i - self._pivots[f, None]) * height)[:, :, None],
-                          (height * p[f, None])[:, None])
+                          row[:, None, :] + ((i - first) * height)[:, :, None],
+                          (height * (self._pivots[f + 1, None] - first))[:, None])
             yield at.reshape(-1), pairs.blocks[s].reshape(-1), 4 * np.append(
                 np.searchsorted(f, redo), f.size)
 
@@ -410,20 +424,21 @@ class FrontalCholesky:
         """Solve L L^T x = rhs in the factored dof order."""
         x = np.array(rhs, dtype=float)
         pivots, row_ptr = self._pivots.tolist(), self._row_ptr.tolist()
-        steps = [(a, b, self._rowdofs[r0:r1], *self._panels[f])
-                 for f, (a, b, r0, r1) in enumerate(zip(pivots[:-1], pivots[1:],
-                                                        row_ptr[:-1], row_ptr[1:]))
+        steps = [(a, m, b, self._rowdofs[r0:r1], *self._panels[f])
+                 for f, (a, m, b, r0, r1) in enumerate(zip(pivots[:-1], self._trail.tolist(),
+                                                           pivots[1:], row_ptr[:-1], row_ptr[1:]))
                  if b > a]
         bits = x.view(np.int64)  # all bits zero: +0.0
-        for a, b, rows, L11, L21 in steps:
+        for a, m, b, rows, L11, L21 in steps:
             if not bits[a:b].any():
                 continue  # a block of +0.0 solves to +0.0 and updates nothing
-            x[a:b] = xp = blas.dtpsv(b - a, L11, x[a:b], lower=1)
+            x[a:b] = blas.dtpsv(b - a, L11, x[a:b], lower=1)
             if rows.size:
-                x[rows] -= L21 @ xp
-        for a, b, rows, L11, L21 in reversed(steps):
-            xp = x[a:b] - x[rows] @ L21 if rows.size else x[a:b]
-            x[a:b] = blas.dtpsv(b - a, L11, xp, lower=1, trans=1)
+                x[rows] -= L21 @ x[m:b]
+        for a, m, b, rows, L11, L21 in reversed(steps):
+            if rows.size:
+                x[m:b] -= x[rows] @ L21
+            x[a:b] = blas.dtpsv(b - a, L11, x[a:b], lower=1, trans=1)
         return x
 
     def _unchanged(self, tree, signature, stamps) -> np.ndarray:

@@ -433,11 +433,14 @@ class Mesh:
         fewer nodes, and along the longer side of the part's bounding box
         when they tie (:func:`_dissect_level`).  The order lists the lower
         half, the upper half and then the separator, recursively, down to
-        parts of ``_ND_LEAF`` nodes, which keep their index order.  Each
-        leaf part and each separator is one front of the tree.  Each level
-        is one array pass over all parts, kept sorted in x and in y, and
-        the row sets are merged by sorting (:func:`_distinct`:
-        ``np.unique`` is slower here).
+        parts of ``_ND_LEAF`` nodes.  A leaf part lists its interior first:
+        the nodes that share no element with a node of another front, then
+        the rest, each group in index order, so the interior's panel columns
+        are structurally zero (:attr:`DissectionTree.lead`; Liu, SIAM Review
+        34, 1992).  Each leaf part and each separator is one front of the
+        tree.  Each level is one array pass over all parts, kept sorted in
+        x and in y, and the row sets are merged by sorting
+        (:func:`_distinct`: ``np.unique`` is slower here).
         """
         n = self.n_nodes
         pairs = _element_node_pairs(self.elements, n)
@@ -458,7 +461,12 @@ class Mesh:
             key += np.maximum(side, 0) + sep
             part = np.where(side >= 0, 2 * part + side, -1)
             part[sep], height[sep] = -1, -level
-        order = np.argsort(key, kind="stable")
+        # A node that shares an element with another front goes after its
+        # front's other nodes.  Every separator node does (with the lower
+        # end of a pair it cuts), so only the leaves are reordered.
+        last = np.zeros(n, dtype=np.int64)
+        last[pairs[key[pairs[:, 0]] != key[pairs[:, 1]]]] = 1
+        order = np.argsort(2 * key + last, kind="stable")
         return DissectionTree.build(order, key[order], pairs, height[order])
 
     @cached_property
@@ -605,7 +613,11 @@ class DissectionTree:
     couples to: the nodes outside the subtree that share an element with
     a node in it.  ``parent[f]`` is the front holding the first of them,
     -1 for a root.  Fronts are numbered in elimination order, so every
-    parent comes after its children.
+    parent comes after its children.  The first ``lead[f]`` pivots of a
+    front without children share no element with a node of another front,
+    so their columns of the front's panel are structurally zero: they
+    couple to no row, and neither do the pivots eliminated before them.  A
+    front with children has ``lead`` 0.
     """
 
     order: np.ndarray
@@ -613,6 +625,7 @@ class DissectionTree:
     parent: np.ndarray
     row_start: np.ndarray
     rows: np.ndarray
+    lead: np.ndarray
 
     @classmethod
     def build(cls, order: np.ndarray, keys: np.ndarray, pairs: np.ndarray,
@@ -646,11 +659,17 @@ class DissectionTree:
             done.append(rows)
         rows = np.sort(np.concatenate([direct[:0], *done]))
         counts = np.bincount(rows // n, minlength=n_fronts)
+        touching = np.zeros(n + 1, dtype=bool)  # and n, past the last front
+        touching[ends[out]] = touching[n] = True
+        touching = np.flatnonzero(touching)
+        lead = np.minimum(touching[np.searchsorted(touching, start[:-1])], start[1:]) - start[:-1]
+        lead[parent[parent >= 0]] = 0
         return cls(order=order, start=start, parent=parent,
-                   row_start=np.concatenate([[0], np.cumsum(counts)]), rows=rows % n)
+                   row_start=np.concatenate([[0], np.cumsum(counts)]), rows=rows % n,
+                   lead=lead)
 
     def __post_init__(self):
-        for a in (self.order, self.start, self.parent, self.row_start, self.rows):
+        for a in (self.order, self.start, self.parent, self.row_start, self.rows, self.lead):
             a.setflags(write=False)
 
     @property

@@ -548,7 +548,7 @@ def one_front(n_nodes):
     """Elimination tree with all nodes in one front, which any matrix fits."""
     return DissectionTree(order=np.arange(n_nodes), start=np.array([0, n_nodes]),
                           parent=np.array([-1]), row_start=np.array([0, 0]),
-                          rows=np.empty(0, dtype=np.int64))
+                          rows=np.empty(0, dtype=np.int64), lead=np.array([0]))
 
 
 def plain_layout(n_nodes):
@@ -683,10 +683,11 @@ class TestFactorReuse:
             path.append(tree.parent[path[-1]])
         np.testing.assert_array_equal(factor.refactored, path)
         assert state.factor.fronts_refactored == len(path) < tree.n_fronts
-        # The flops count the refactored fronts alone, each by its panel's
-        # r rows and p pivots.
-        r, p = np.array([factor._panels[f][1].shape for f in path]).T
-        assert state.factor.flops == pytest.approx(np.sum(p**3 / 3 + p * p * r + p * r * r), abs=1)
+        # The flops count the refactored fronts alone, each by its p pivots
+        # and its panel's r rows and c columns.
+        r, c = np.array([factor._panels[f][1].shape for f in path]).T
+        p = np.diff(factor._pivots)[path]
+        assert state.factor.flops == pytest.approx(np.sum(p**3 / 3 + c * c * r + c * r * r), abs=1)
         assert 0 < state.factor.flops < first.factor.flops
         fresh = solve(stiffer)
         assert np.abs(state.u - fresh.u).max() <= 1e-12 * np.abs(fresh.u).max()
@@ -1016,7 +1017,7 @@ class TestNodePairs:
         # has no place in any front.
         tree = DissectionTree(order=np.arange(2), start=np.array([0, 1, 2]),
                               parent=np.array([-1, -1]), row_start=np.array([0, 0, 0]),
-                              rows=np.empty(0, dtype=np.int64))
+                              rows=np.empty(0, dtype=np.int64), lead=np.zeros(2, dtype=np.int64))
         own = block(np.stack([np.eye(2)] * 2), np.array([[0, 1], [2, 3]]))  # one per node
         coupling = block(np.full((1, 4, 4), 0.1), np.arange(4)[None])
         system = LinearSystem(standard=NO_ELEMENTS, blocks=(own, coupling),
@@ -1025,6 +1026,27 @@ class TestNodePairs:
                               stamps=np.zeros(2, dtype=np.int64))
         with pytest.raises(SolverError, match="keeps apart"):
             solve(system)
+
+    def test_row_coupled_to_a_lead_pivot_is_refused(self):
+        # Front 0 eliminates nodes 0 and 1 and stores the panel column of
+        # node 1 alone; its row is node 2.  Coupling node 1 to node 2 fits,
+        # coupling node 0 to node 2 has no panel column to go to.
+        tree = DissectionTree(order=np.arange(3), start=np.array([0, 2, 3]),
+                              parent=np.array([1, -1]), row_start=np.array([0, 1, 1]),
+                              rows=np.array([2]), lead=np.array([1, 0]))
+        own = block(np.stack([np.eye(2)] * 3), np.arange(6).reshape(3, 2))
+        pairs = NodePairs.sum(tree, [], np.arange(6), np.repeat(np.arange(3), 2))
+        for nodes, fits in (([1, 2], True), ([0, 2], False)):
+            dofs = np.ravel([[2 * n, 2 * n + 1] for n in nodes])
+            system = LinearSystem(standard=NO_ELEMENTS,
+                                  blocks=(own, block(np.full((1, 4, 4), 0.1), dofs[None])),
+                                  pairs=pairs, f=np.ones(6), fixed={}, layout=plain_layout(3),
+                                  tree=tree, stamps=np.zeros(3, dtype=np.int64))
+            if fits:
+                assert np.all(np.isfinite(solve(system).u))
+            else:
+                with pytest.raises(SolverError, match="keeps apart"):
+                    solve(system)
 
 
 def padded_tip_block(mesh, emap, material, standard, layout):
@@ -1245,17 +1267,21 @@ class TestExtendAddPlan:
 
 def substitute_every_front(factor, rhs):
     """L L^T x = rhs by forward and back substitution through every front,
-    none skipped: the reference for :meth:`FrontalCholesky.solve`."""
+    none skipped: the reference for :meth:`FrontalCholesky.solve`.  A
+    front's panel holds the columns of its pivots from its first with a
+    panel column, ``m - a`` into the front's block."""
     x = np.array(rhs, dtype=float)
-    pivots, row_ptr = factor._pivots, factor._row_ptr
-    steps = [(pivots[f], pivots[f + 1], factor._rowdofs[row_ptr[f]:row_ptr[f + 1]],
+    pivots, trail, row_ptr = factor._pivots, factor._trail, factor._row_ptr
+    steps = [(pivots[f], trail[f], pivots[f + 1], factor._rowdofs[row_ptr[f]:row_ptr[f + 1]],
               *factor._panels[f]) for f in range(pivots.size - 1) if pivots[f + 1] > pivots[f]]
-    for a, b, rows, L11, L21 in steps:
+    for a, m, b, rows, L11, L21 in steps:
         x[a:b] = xp = blas.dtpsv(b - a, L11, x[a:b], lower=1)
         if rows.size:
-            x[rows] -= L21 @ xp
-    for a, b, rows, L11, L21 in reversed(steps):
-        xp = x[a:b] - x[rows] @ L21 if rows.size else x[a:b]
+            x[rows] -= L21 @ xp[m - a:]
+    for a, m, b, rows, L11, L21 in reversed(steps):
+        xp = x[a:b].copy()
+        if rows.size:
+            xp[m - a:] -= x[rows] @ L21
         x[a:b] = blas.dtpsv(b - a, L11, xp, lower=1, trans=1)
     return x
 
@@ -1280,6 +1306,41 @@ class TestForwardSkip:
                           "dense": rng.normal(size=pivots[-1])}.items():
             assert factor.solve(rhs).tobytes() == \
                 substitute_every_front(factor, rhs).tobytes(), name
+
+
+class TestTrimmedPanels:
+    def test_dense_factor_is_zero_where_a_panel_is_trimmed(self):
+        # The dense Cholesky factor of the free-free block, in the factor's
+        # dof order.  Each front stores its panel from its first pivot with
+        # a panel column; the columns of the pivots before it are those of
+        # a leaf's interior, which couple to no row, and the dense factor
+        # holds exact zeros there.
+        _, _, system = center_crack_with_tips()
+        factor = FrontalCholesky()
+        solve(system, factor=factor)
+        tree = system.tree
+        perm = system.layout.node_dofs(tree.order)[0]
+        dofs = perm[~np.isin(perm, list(system.fixed))]
+        L = np.linalg.cholesky(system.K[dofs][:, dofs].toarray())
+        pivots, trail, row_ptr = factor._pivots, factor._trail, factor._row_ptr
+        trimmed, dropped = 0, 0
+        for f in range(tree.n_fronts):
+            a, m, b = pivots[f], trail[f], pivots[f + 1]
+            rows = factor._rowdofs[row_ptr[f]:row_ptr[f + 1]]
+            assert np.all(L[np.ix_(rows, np.arange(a, m))] == 0.0), f
+            trimmed += m > a
+            dropped += rows.size * (m - a)
+            # An entry of the panel is (K_ij - sum_k L_ik L_jk) / L_jj, whose
+            # sum runs over at most the b columns eliminated up to the
+            # front's last pivot, and the two factorizations round it in
+            # different orders.  The classical bound of such a sum is b eps
+            # times the sum of its terms' magnitudes (Higham, Accuracy and
+            # Stability of Numerical Algorithms, 2002, section 3.1), and the
+            # terms here are of the size of L's entries: b eps max|L|.
+            np.testing.assert_allclose(factor._panels[f][1], L[np.ix_(rows, np.arange(m, b))],
+                                       rtol=0, atol=b * np.finfo(float).eps * np.abs(L).max(),
+                                       err_msg=str(f))
+        assert (tree.n_fronts, trimmed, dropped) == (15, 8, 19962)
 
 
 _RANKS = 16  # a dof is named position * _RANKS + rank; a node has at most ten dofs

@@ -639,6 +639,30 @@ class TestNestedDissection:
             levels += 1
         assert levels >= 3
 
+    @pytest.mark.parametrize("name", sorted(ORDERING_MESHES))
+    def test_leaves_list_their_interior_first(self, name):
+        mesh = ORDERING_MESHES[name]()
+        tree, n = mesh.nested_dissection_tree, mesh.n_nodes
+        front = np.empty(n, dtype=np.int64)
+        front[tree.order] = np.repeat(np.arange(tree.n_fronts), np.diff(tree.start))
+        a, b = _element_node_pairs(mesh.elements, n).T
+        apart = front[a] != front[b]
+        touching = np.zeros(n, dtype=bool)
+        touching[a[apart]] = touching[b[apart]] = True
+        leaves = [f for f in range(tree.n_fronts) if not tree.children[f]]
+        for f in leaves:
+            nodes = tree.order[tree.start[f]:tree.start[f + 1]]
+            last = touching[nodes]
+            # The nodes that pair with another front come after those that
+            # do not, and each group keeps index order.
+            assert not np.any(last[:-1] & ~last[1:]), f
+            assert np.all(np.diff(nodes[~last]) > 0) and np.all(np.diff(nodes[last]) > 0), f
+            assert tree.lead[f] == np.sum(~last), f
+        inner = [f for f in range(tree.n_fronts) if tree.children[f]]
+        assert np.all(tree.lead[inner] == 0)
+        assert np.all(tree.lead[leaves] > 0)
+        assert np.all(tree.lead[leaves] < np.diff(tree.start)[leaves])
+
     def test_small_mesh_keeps_index_order(self):
         mesh = uniform_rect(1.0, 1.0, 6, 6)  # 49 nodes: a single leaf
         np.testing.assert_array_equal(mesh.nested_dissection_tree.order,
@@ -684,7 +708,9 @@ def reference_tree(mesh):
     level and per front, a lexsort per level and axis, a Python loop over
     the fronts.  Each part is cut across the axis whose median cut has the
     fewer separator nodes, across the longer side of its box on a tie.
-    The reference the whole-array build must match exactly."""
+    Each leaf lists first the nodes that share an element with no node of
+    another front, found by a loop over each node's neighbours.  The
+    reference the whole-array build must match exactly."""
     n = mesh.n_nodes
     i, j = np.triu_indices(4, 1)
     a, b = mesh.elements[:, i].ravel(), mesh.elements[:, j].ravel()
@@ -692,6 +718,7 @@ def reference_tree(mesh):
     pairs = np.column_stack([pair_keys // n, pair_keys % n])
     key = np.zeros(n, dtype=np.int64)
     part = np.zeros(n, dtype=np.int64)
+    separator = np.zeros(n, dtype=bool)
     live_pairs = pairs
     while True:
         live = np.nonzero(part >= 0)[0]
@@ -709,9 +736,22 @@ def reference_tree(mesh):
         key += np.maximum(side, 0) + sep
         part = np.where(side >= 0, 2 * part + side, -1)
         part[sep] = -1
+        separator |= sep
         live_pairs = live_pairs[(part[live_pairs[:, 0]] >= 0)
                                 & (part[live_pairs[:, 1]] >= 0)]
-    order = np.argsort(key, kind="stable")
+    neighbours = [[] for _ in range(n)]
+    for u, v in pairs.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    interior = np.array([all(key[w] == key[v] for w in neighbours[v]) for v in range(n)],
+                        dtype=bool)
+    order = []
+    for k in np.unique(key):  # the fronts, in elimination order
+        nodes = np.flatnonzero(key == k)
+        if not separator[nodes[0]]:
+            nodes = np.concatenate([nodes[interior[nodes]], nodes[~interior[nodes]]])
+        order.extend(nodes.tolist())
+    order = np.array(order, dtype=np.int64)
     keys = key[order]
     start = np.concatenate([[0], np.flatnonzero(np.diff(keys)) + 1, [n]])
     n_fronts = start.size - 1
@@ -736,9 +776,16 @@ def reference_tree(mesh):
         if r.size:
             parent[f] = front[r[0]]
             inherited[parent[f]].append(r)
+    lead = np.zeros(n_fronts, dtype=np.int64)
+    for f in range(n_fronts):
+        if f not in parent:
+            for v in order[start[f]:start[f + 1]]:
+                if not interior[v]:
+                    break
+                lead[f] += 1
     return DissectionTree(order=order, start=start, parent=parent,
                           row_start=np.cumsum([0] + [r.size for r in rows]),
-                          rows=np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+                          rows=np.concatenate([np.empty(0, dtype=np.int64), *rows]), lead=lead)
 
 
 def perturbed_grid():
@@ -763,7 +810,7 @@ class TestSymbolicPlan:
     def test_tree_arrays_match_the_reference(self, make):
         mesh = make()
         tree, expected = mesh.nested_dissection_tree, reference_tree(mesh)
-        for name in ("order", "start", "parent", "row_start", "rows"):
+        for name in ("order", "start", "parent", "row_start", "rows", "lead"):
             got, want = getattr(tree, name), getattr(expected, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
